@@ -11,11 +11,10 @@ static-vs-dynamic savings rows — through two execution arms:
 * ``fleet`` — the batched fleet replay kernel
   (:mod:`repro.execution.fleet_replay`): all variability cells in one
   fleet, all grids in one :func:`repro.api.sweep_grids` pass, all
-  savings variants in one fleet-strategy campaign plan;
+  savings variants in one fleet-sharded campaign plan;
 * ``pooled`` — the fleet arm's campaign plans executed on a process
-  pool with the work-stealing shard schedule
-  (``CampaignEngine(max_workers=2, fleet_schedule="steal")``): same
-  kernels, shards pulled by free workers instead of running serially.
+  pool (``CampaignEngine(max_workers=2)``): same kernels and shards,
+  spread across free workers instead of running serially.
   On a single-core machine this arm measures the scheduling overhead
   (its gated guarantee is bit-identity plus a not-slower-than-baseline
   ``pooled_speedup`` ratio); with cores to spare it shows the
@@ -57,13 +56,12 @@ from repro.campaign.engine import CampaignEngine
 ENGINES = ("loop", "fleet", "pooled")
 
 #: Worker count for the pooled arm.  Two keeps the arm honest on the
-#: small CI boxes (any parallel win must come from overlap, not width)
-#: while still exercising the steal schedule's shrinking shard sizes.
+#: small CI boxes: any parallel win must come from overlap, not width.
 POOLED_WORKERS = 2
 
 
 def _pooled_engine() -> CampaignEngine:
-    return CampaignEngine(max_workers=POOLED_WORKERS, fleet_schedule="steal")
+    return CampaignEngine(max_workers=POOLED_WORKERS)
 
 #: The artefact cast, scaled for a benchmark run: one variability
 #: benchmark over both axes, the two paper heatmap cases, savings rows
@@ -165,8 +163,8 @@ def regenerate_artifacts(
     ``engine="loop"`` uses the per-cell/per-run reference paths;
     ``engine="fleet"`` batches each artefact family through the fleet
     replay kernel; ``engine="pooled"`` runs the fleet-shaped campaign
-    plans on a :class:`CampaignEngine` process pool with the
-    work-stealing shard schedule.  All arms must agree to the bit.
+    plans on a two-worker :class:`CampaignEngine` process pool.  All
+    arms must agree to the bit.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -296,7 +294,7 @@ def render(report: dict) -> str:
         f"identical {a['artifacts_identical']}"
     )
     lines.append(
-        f"pooled fleet ({a['pooled_workers']} workers, steal): "
+        f"pooled fleet ({a['pooled_workers']} workers): "
         f"{a['pooled_ms']:.0f}ms, speedup {a['pooled_speedup']:.1f}x, "
         f"identical {a['pooled_identical']}"
     )

@@ -208,10 +208,11 @@ def scaling_round_requests(
 ) -> list[dict]:
     """One scaling round: every client tunes its *own* grid.
 
-    Distinct seeds give distinct grid keys, so nothing coalesces across
-    clients — each request is an independent group and the only way to
-    go faster is to execute groups concurrently.  This is the workload
-    the batching benchmark deliberately excludes, and vice versa.
+    Distinct seeds give distinct grid keys, so no two requests share a
+    measurement.  The round still coalesces into one group, which the
+    worker pool splits by grid key; the only way to go faster is to
+    execute those parts concurrently.  This is the workload the
+    batching benchmark deliberately excludes, and vice versa.
     """
     return [
         {
@@ -232,7 +233,6 @@ def measure_scaling_arm(
     with tempfile.TemporaryDirectory(prefix="serving-scaling-") as tmp:
         service = TuningService(
             store=ResultStore(Path(tmp) / "scaling.sqlite"),
-            coalesce="grid",
             max_batch=64,
             max_wait_s=0.005,
             workers=workers,

@@ -346,7 +346,6 @@ def _compare_via_campaign(
     jobs = tuple(job for batch in batches.values() for job in batch)
     results = run_app_jobs(
         jobs, registry.build(benchmark), cluster=cluster, engine=campaign,
-        fleet=True,
     )
     return BenchmarkSavings(
         benchmark=benchmark,
@@ -382,9 +381,9 @@ def compare_static_dynamic_many(
 
     The multi-benchmark generalisation of
     :func:`compare_static_dynamic`: with ``options.campaign``, every
-    case's four run variants go into a *single* campaign plan executed
-    with the fleet strategy, so all benchmarks' default / static /
-    dynamic / config-only runs share fleet-kernel invocations (and the
+    case's four run variants go into a *single* campaign plan, so all
+    benchmarks' default / static / dynamic / config-only runs share
+    fleet-kernel invocations (and the
     engine's result store caches each row under its usual per-job key).
     Each returned row is bit-identical to its solo
     ``compare_static_dynamic`` call.  Without a campaign engine the
@@ -437,7 +436,6 @@ def compare_static_dynamic_many(
         CampaignPlan(all_jobs),
         on_failure=opts.on_failure,
         retry_failed=opts.retry_failed,
-        fleet=True,
     )
     return [
         BenchmarkSavings(

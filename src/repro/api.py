@@ -633,7 +633,7 @@ def sweep_grids(
     batch-mates never change a cell.
 
     With ``options.campaign``, all grids go into one campaign plan
-    executed with the fleet strategy (``fleet=True``) — rows cache
+    (which the engine prices in fleet-kernel shards) — rows cache
     under their usual per-job store keys.  ``options.engine="loop"``
     falls back to the per-cell reference loop, one grid at a time.
     """
@@ -692,7 +692,6 @@ def sweep_grids(
             CampaignPlan(tuple(all_jobs)),
             on_failure=options.on_failure,
             retry_failed=options.retry_failed,
-            fleet=True,
         )
         grids = []
         for (s, app, threads, cfs, ucfs, cluster, points), jobs in zip(

@@ -8,10 +8,11 @@ stream is keyed through :func:`repro.util.rng.rng_for` by
 order — the payload is bit-identical whether the job runs serially, in
 a worker process, or in a different session entirely.  That property is
 what makes the content-addressed :class:`~repro.campaign.store.ResultStore`
-sound.  Jobs execute through the simulator's vectorized replay fast
-path (:mod:`repro.execution.replay`) — itself bit-identical to the
-recursive engine — so stores written before and after the fast path
-agree.
+sound.  :class:`CampaignEngine` prices fleet-able jobs in shards
+through the batched fleet kernel (:mod:`repro.execution.fleet_replay`)
+and the rest one by one through the simulator's vectorized replay fast
+paths — every path bit-identical to the recursive engine — so stores
+written by any strategy, before or after any fast path, agree.
 
 Payload layout by mode:
 
@@ -45,9 +46,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.campaign.faultinject import maybe_fault
 from repro.campaign.plan import (
-    DEFAULT_FLEET_SHARD_SIZE,
     FLEET_MODES,
-    FLEET_SCHEDULES,
     CampaignJob,
     CampaignPlan,
     FleetShard,
@@ -416,25 +415,25 @@ def execute_fleet_shard(
 def execute_fleet_shard_faulted(
     shard: FleetShard,
     topology: NodeTopology | None,
-    index: int | None,
+    index: int,
+    indices: tuple[int, ...],
     attempt: int = 0,
 ) -> dict[str, dict[str, Any]]:
     """:func:`execute_fleet_shard` with fault-injection checkpoints.
 
     The shard as a whole answers to ``mode="fleet"`` directives
     (``index`` is the shard's position); each member job additionally
-    answers to directives targeting its own (app, mode), so a fault
-    aimed at e.g. ``mode="grid", app="CG"`` fires regardless of the
-    execution strategy — fleet is a strategy, not a schema, for the
-    fault harness too.
+    answers to directives targeting its own (app, mode, pending index —
+    ``indices`` runs parallel to ``shard.jobs``), so a fault aimed at
+    one job fires whether that job runs in a shard or on its own.
     """
     maybe_fault(
         "execute", app=shard.jobs[0].app, mode="fleet", index=index,
         attempt=attempt,
     )
-    for job in shard.jobs:
+    for job, job_index in zip(shard.jobs, indices):
         maybe_fault(
-            "execute", app=job.app, mode=job.mode, index=index,
+            "execute", app=job.app, mode=job.mode, index=job_index,
             attempt=attempt,
         )
     return execute_fleet_shard(shard, topology)
@@ -446,7 +445,8 @@ def execute_fleet_shard_stored(
     store_path: str,
     store_backend: str,
     descriptors: dict[str, dict[str, Any]],
-    index: int | None = None,
+    index: int,
+    indices: tuple[int, ...],
     attempt: int = 0,
 ) -> dict[str, dict[str, Any]]:
     """Run one shard in a pool worker, persisting member rows directly.
@@ -457,7 +457,9 @@ def execute_fleet_shard_stored(
     written — the retry re-prices the shard bit-identically and the
     store no-ops the re-puts of surviving rows.
     """
-    payloads = execute_fleet_shard_faulted(shard, topology, index, attempt)
+    payloads = execute_fleet_shard_faulted(
+        shard, topology, index, indices, attempt
+    )
     store = _worker_store(store_path, store_backend)
     for job in shard.jobs:
         key = topology_job_key(job, topology)
@@ -624,22 +626,11 @@ class CampaignEngine:
         max_workers: int | None = None,
         topology: NodeTopology | None = None,
         retry_policy: RetryPolicy | None = None,
-        fleet_schedule: str = "static",
     ):
-        if fleet_schedule not in FLEET_SCHEDULES:
-            raise CampaignError(
-                f"unknown fleet schedule: {fleet_schedule!r}; "
-                f"known: {FLEET_SCHEDULES}"
-            )
         self.store = store
         self.max_workers = max_workers
         self.topology = topology
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        #: Default shard schedule for ``run(fleet=True)``: ``"static"``
-        #: pre-partitions fixed-size shards, ``"steal"`` sizes shards
-        #: for work stealing (idle workers pull decreasing chunks, so
-        #: heterogeneous app mixes lose their straggler tail).
-        self.fleet_schedule = fleet_schedule
         self.total_executed = 0
         self.total_cached = 0
 
@@ -651,26 +642,19 @@ class CampaignEngine:
         on_failure: str = "raise",
         retry_failed: bool = False,
         resume_manifest: str | Path | None = None,
-        fleet: bool = False,
-        fleet_shard_size: int = DEFAULT_FLEET_SHARD_SIZE,
-        fleet_schedule: str | None = None,
     ) -> CampaignResults:
         """Execute (or recall) every job of ``plan``.
 
-        With ``fleet=True``, uncached fleet-able jobs (see
-        :data:`~repro.campaign.plan.FLEET_MODES`) are grouped into
-        :class:`~repro.campaign.plan.FleetShard`\\ s of up to
-        ``fleet_shard_size`` jobs and priced through the batched fleet
-        kernel — one kernel invocation per shard, shards pool-parallel.
-        ``fleet_schedule`` (``None`` defers to the engine's default)
-        picks how shards are sized: ``"static"`` fixed-size slices,
-        ``"steal"`` decreasing work-stealing chunks
-        (:func:`~repro.campaign.plan.steal_shard_sizes`) so free
-        workers always find a next shard and a heterogeneous mix has
-        no straggler tail.  Payloads, store keys and caching are
-        identical to per-job execution under either schedule (fleet is
-        a strategy, not a schema); non-fleet-able jobs in the plan run
-        through the per-job path of the same resilient pass.
+        Uncached fleet-able jobs (see
+        :data:`~repro.campaign.plan.FLEET_MODES`) are cut, in plan
+        order, into :class:`~repro.campaign.plan.FleetShard`\\ s of
+        :data:`~repro.campaign.plan.DEFAULT_FLEET_SHARD_SIZE` jobs and
+        priced through the batched fleet kernel — one kernel invocation
+        per shard, shards pool-parallel.  ``counters`` jobs, and a
+        slice holding a single job (a one-job plan gains nothing from
+        batching), run per job through :func:`execute_job` in the same
+        resilient pass.  Payloads and store keys are those of
+        :func:`execute_job` whichever way a job runs.
 
         ``on_failure`` decides what a definitive job failure does:
         ``"raise"`` (the default) aborts with a
@@ -728,21 +712,11 @@ class CampaignEngine:
             )
 
         cached_count = len(plan) - len(pending) - len(quarantined)
-        workers = self._worker_count(len(pending))
         drain = DrainFlag()
         with graceful_drain(drain):
-            if fleet:
-                outcome = self._execute_pending_fleet(
-                    pending, workers, payloads, on_failure, drain,
-                    fleet_shard_size,
-                    self.fleet_schedule
-                    if fleet_schedule is None
-                    else fleet_schedule,
-                )
-            else:
-                outcome = self._execute_pending(
-                    pending, workers, payloads, on_failure, drain
-                )
+            outcome, workers = self._execute_pending(
+                pending, payloads, on_failure, drain
+            )
 
         jobs_by_key = dict(pending)
         failed: dict[str, FailureRecord] = {}
@@ -879,79 +853,164 @@ class CampaignEngine:
     def _execute_pending(
         self,
         pending: list[tuple[str, CampaignJob]],
-        workers: int,
         payloads: dict[str, dict[str, Any]],
         on_failure: str,
         drain: DrainFlag,
-    ) -> PoolOutcome:
-        """Run the uncached jobs through the resilient execution loops.
+    ) -> tuple[PoolOutcome, int]:
+        """Run the uncached jobs through the resilient execution loops;
+        returns the outcome and the number of workers its first pass
+        used.
 
-        On a concurrent-writer backend, workers persist their own
-        results (:func:`execute_job_stored`); the parent releases its
-        handles before forking — a forked SQLite connection shares
-        POSIX locks — and refreshes afterwards (in a ``finally``: even
-        a raising run must leave the parent store rehydrated, never
-        with released handles) so recalls see the worker-written
-        records.  On the JSONL tier, results funnel through the
-        parent's single writer as before.
+        Fleet-able jobs are sliced into shards (one fleet-kernel pass
+        each); ``counters`` jobs and single-job slices run per job in
+        the same pass.  Tasks are identified by shard position
+        (``int``) or job store key (``str``); the returned outcome is
+        in job-key space.  A shard that fails definitively does not
+        fail its members: those not persisted by then re-run per job in
+        a follow-up pass of the same loop (with any tasks a ``"raise"``
+        pass left unstarted on that failure), so failure records,
+        quarantine and partial-result accounting stay per job.  Fault
+        directives see a job's position in ``pending`` as its index
+        whichever way it runs.
         """
         if not pending:
-            return PoolOutcome()
+            return PoolOutcome(), 0
         jobs_by_key = dict(pending)
-        stop_on_failure = on_failure == "raise"
-        if workers <= 1:
-            tasks = [
-                (key, execute_job_faulted, (job, self.topology, index))
-                for index, (key, job) in enumerate(pending)
-            ]
+        index_of = {key: index for index, (key, _) in enumerate(pending)}
+        fleetable = [(k, j) for k, j in pending if j.mode in FLEET_MODES]
+        solo = [k for k, j in pending if j.mode not in FLEET_MODES]
+        shards: list[tuple[FleetShard, tuple[str, ...]]] = []
+        start = 0
+        for shard in fleet_jobs(job for _, job in fleetable):
+            keys = tuple(k for k, _ in fleetable[start:start + len(shard)])
+            start += len(shard)
+            if len(shard) == 1:
+                solo.extend(keys)
+            else:
+                shards.append((shard, keys))
 
-            def on_success_serial(key: str, payload: dict[str, Any]) -> None:
+        # The auto width counts jobs, so cap it by tasks: a plan that
+        # makes one task runs in-process.  An explicit max_workers >= 2
+        # keeps its pool (process isolation and job timeouts), never
+        # wider than the pass it runs.
+        ntasks = len(shards) + len(solo)
+        width = self._worker_count(len(pending))
+        if self.max_workers is None:
+            width = min(width, ntasks)
+        direct = self._direct_write() and width > 1
+        if direct:
+            path, backend = str(self.store.path), self.store.backend
+
+        def job_task(key: str) -> tuple:
+            job, index = jobs_by_key[key], index_of[key]
+            if direct:
+                args = (
+                    job, self.topology, path, backend, key,
+                    self._descriptor(job), index,
+                )
+                return (key, execute_job_stored, args)
+            return (key, execute_job_faulted, (job, self.topology, index))
+
+        tasks: list[tuple] = []
+        for position, (shard, keys) in enumerate(shards):
+            indices = tuple(index_of[key] for key in keys)
+            if direct:
+                descriptors = {
+                    key: self._descriptor(jobs_by_key[key]) for key in keys
+                }
+                args = (
+                    shard, self.topology, path, backend, descriptors,
+                    position, indices,
+                )
+                tasks.append((position, execute_fleet_shard_stored, args))
+            else:
+                args = (shard, self.topology, position, indices)
+                tasks.append((position, execute_fleet_shard_faulted, args))
+        tasks += [job_task(key) for key in solo]
+
+        def by_job(task_id, result) -> dict[str, dict[str, Any]]:
+            return result if isinstance(task_id, int) else {task_id: result}
+
+        def on_success(task_id, result) -> None:
+            for key, payload in by_job(task_id, result).items():
                 payloads[key] = payload
-                self._persist(key, jobs_by_key[key], payload)
+                if not direct:
+                    self._persist(key, jobs_by_key[key], payload)
 
+        def keys_of(task_id) -> tuple[str, ...]:
+            return shards[task_id][1] if isinstance(task_id, int) else (task_id,)
+
+        # Each pass turns every failed shard into per-job tasks, so the
+        # loop ends: a shard failure that stopped a "raise" pass is not
+        # a job failure, and the tasks it left unstarted go again.
+        stop = on_failure == "raise"
+        task_of = {task[0]: task for task in tasks}
+        outcome = PoolOutcome()
+        while tasks:
+            done = self._run_tasks(tasks, width, on_success, stop, drain, direct)
+            outcome.retried += done.retried
+            outcome.drained = done.drained
+            for task_id, result in done.results.items():
+                outcome.results.update(by_job(task_id, result))
+            rerun: list[str] = []
+            for task_id, failure in done.failures.items():
+                if isinstance(task_id, int):
+                    rerun.extend(keys_of(task_id))
+                else:
+                    outcome.failures[task_id] = failure
+            if direct:
+                # Rows a worker persisted before its shard died stay done.
+                for key in rerun:
+                    stored = self.store.get(key)
+                    if stored is not None:
+                        payloads[key] = outcome.results[key] = stored
+            rerun = [key for key in rerun if key not in payloads]
+            if done.drained or (stop and outcome.failures):
+                for task_id in done.not_run:
+                    outcome.not_run.extend(keys_of(task_id))
+                outcome.not_run.extend(rerun)
+                break
+            rerun_tasks = [job_task(key) for key in rerun]
+            task_of.update((task[0], task) for task in rerun_tasks)
+            # Re-runs go first, so a member that fails for good under
+            # "raise" stops the run before the rest of the plan.
+            tasks = rerun_tasks + [task_of[task_id] for task_id in done.not_run]
+        return outcome, min(width, ntasks)
+
+    def _run_tasks(
+        self,
+        tasks: list[tuple],
+        workers: int,
+        on_success: Callable[[Any, Any], None],
+        stop_on_failure: bool,
+        drain: DrainFlag,
+        direct: bool,
+    ) -> PoolOutcome:
+        """One resilient pass: in-process for ``workers`` of 0/1, else
+        on a pool.
+
+        Direct-writing workers (:func:`execute_job_stored`,
+        :func:`execute_fleet_shard_stored`) persist their own results;
+        the parent releases its handles before forking — a forked
+        SQLite connection shares POSIX locks — and refreshes afterwards
+        (in a ``finally``: even a raising run must leave the parent
+        store rehydrated, never with released handles) so recalls see
+        the worker-written records.
+        """
+        if workers <= 1:
             return run_resilient_serial(
                 tasks,
                 policy=self.retry_policy,
-                on_success=on_success_serial,
+                on_success=on_success,
                 stop_on_failure=stop_on_failure,
                 drain=drain,
             )
-
-        direct = self._direct_write()
         if direct:
-            path, backend = str(self.store.path), self.store.backend
-            tasks = [
-                (
-                    key,
-                    execute_job_stored,
-                    (
-                        job,
-                        self.topology,
-                        path,
-                        backend,
-                        key,
-                        self._descriptor(job),
-                        index,
-                    ),
-                )
-                for index, (key, job) in enumerate(pending)
-            ]
             self.store.release()
-        else:
-            tasks = [
-                (key, execute_job_faulted, (job, self.topology, index))
-                for index, (key, job) in enumerate(pending)
-            ]
-
-        def on_success(key: str, payload: dict[str, Any]) -> None:
-            payloads[key] = payload
-            if not direct:
-                self._persist(key, jobs_by_key[key], payload)
-
         try:
             return run_resilient_pool(
                 tasks,
-                workers=workers,
+                workers=min(workers, len(tasks)),
                 pool_factory=self._pool,
                 policy=self.retry_policy,
                 on_success=on_success,
@@ -961,147 +1020,6 @@ class CampaignEngine:
         finally:
             if direct:
                 self.store.refresh()
-
-    def _execute_pending_fleet(
-        self,
-        pending: list[tuple[str, CampaignJob]],
-        workers: int,
-        payloads: dict[str, dict[str, Any]],
-        on_failure: str,
-        drain: DrainFlag,
-        shard_size: int,
-        schedule: str = "static",
-    ) -> PoolOutcome:
-        """Run the uncached jobs with fleet-able modes batched.
-
-        Fleet-able jobs group into shards (one fleet-kernel pass each);
-        any remaining jobs (``counters``) ride the per-job path in the
-        same resilient pass.  The resilient pool is already pull-based
-        (windowed submission: a worker takes the next task when free),
-        so ``schedule="steal"`` turns it into a work-stealing scheduler
-        purely by shard *sizing* — decreasing chunks instead of equal
-        slabs — with the retry/timeout/respawn semantics unchanged.
-        Tasks are identified by shard position (``int``) or job store
-        key (``str``); the returned outcome is translated back to
-        job-key space, so the caller's failure and quarantine plumbing
-        is strategy-agnostic.  A failed shard marks every member job
-        failed — except those whose rows a direct-writing worker
-        persisted before dying, which later runs recall from the store.
-        """
-        if not pending:
-            return PoolOutcome()
-        fleetable = [(k, j) for k, j in pending if j.mode in FLEET_MODES]
-        rest = [(k, j) for k, j in pending if j.mode not in FLEET_MODES]
-        shards = fleet_jobs(
-            [job for _, job in fleetable],
-            shard_size=shard_size,
-            schedule=schedule,
-            workers=max(1, workers),
-        )
-        shard_keys: list[tuple[str, ...]] = []
-        pos = 0
-        for shard in shards:
-            count = len(shard.jobs)
-            shard_keys.append(tuple(key for key, _ in fleetable[pos:pos + count]))
-            pos += count
-        jobs_by_key = dict(pending)
-
-        serial = workers <= 1
-        direct = self._direct_write() and not serial
-        tasks: list = []
-        if direct:
-            path, backend = str(self.store.path), self.store.backend
-            for i, shard in enumerate(shards):
-                descriptors = {
-                    key: self._descriptor(job)
-                    for key, job in zip(shard_keys[i], shard.jobs)
-                }
-                tasks.append(
-                    (
-                        i,
-                        execute_fleet_shard_stored,
-                        (shard, self.topology, path, backend, descriptors, i),
-                    )
-                )
-            for index, (key, job) in enumerate(rest, start=len(shards)):
-                tasks.append(
-                    (
-                        key,
-                        execute_job_stored,
-                        (
-                            job,
-                            self.topology,
-                            path,
-                            backend,
-                            key,
-                            self._descriptor(job),
-                            index,
-                        ),
-                    )
-                )
-            self.store.release()
-        else:
-            for i, shard in enumerate(shards):
-                tasks.append(
-                    (i, execute_fleet_shard_faulted, (shard, self.topology, i))
-                )
-            for index, (key, job) in enumerate(rest, start=len(shards)):
-                tasks.append(
-                    (key, execute_job_faulted, (job, self.topology, index))
-                )
-
-        def on_success(task_id, payload) -> None:
-            if isinstance(task_id, int):
-                payloads.update(payload)
-                if not direct:
-                    for key in shard_keys[task_id]:
-                        self._persist(key, jobs_by_key[key], payload[key])
-            else:
-                payloads[task_id] = payload
-                if not direct:
-                    self._persist(task_id, jobs_by_key[task_id], payload)
-
-        try:
-            if serial:
-                outcome = run_resilient_serial(
-                    tasks,
-                    policy=self.retry_policy,
-                    on_success=on_success,
-                    stop_on_failure=on_failure == "raise",
-                    drain=drain,
-                )
-            else:
-                outcome = run_resilient_pool(
-                    tasks,
-                    workers=min(workers, len(tasks)),
-                    pool_factory=self._pool,
-                    policy=self.retry_policy,
-                    on_success=on_success,
-                    stop_on_failure=on_failure == "raise",
-                    drain=drain,
-                )
-        finally:
-            if direct:
-                self.store.refresh()
-
-        translated = PoolOutcome(
-            retried=outcome.retried, drained=outcome.drained
-        )
-        for task_id, payload in outcome.results.items():
-            if isinstance(task_id, int):
-                translated.results.update(payload)
-            else:
-                translated.results[task_id] = payload
-        for task_id, failure in outcome.failures.items():
-            for key in shard_keys[task_id] if isinstance(task_id, int) else (task_id,):
-                if key not in payloads:
-                    translated.failures[key] = failure
-        for task_id in outcome.not_run:
-            if isinstance(task_id, int):
-                translated.not_run.extend(shard_keys[task_id])
-            else:
-                translated.not_run.append(task_id)
-        return translated
 
     # ------------------------------------------------------------------
     def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list:
@@ -1164,7 +1082,6 @@ def run_app_jobs(
     engine: CampaignEngine | None = None,
     on_failure: str = "raise",
     retry_failed: bool = False,
-    fleet: bool = False,
 ) -> CampaignResults:
     """Run one application's job batch with live-object fidelity.
 
@@ -1177,9 +1094,6 @@ def run_app_jobs(
     topology.  ``on_failure`` and ``retry_failed`` carry
     :meth:`CampaignEngine.run`'s failure semantics through (the
     custom-instance path has no store, so they only shape engine runs).
-    ``fleet`` selects the batched fleet-kernel execution strategy for
-    engine runs (payloads are bit-identical either way; the
-    custom-instance path stays per-job).
     """
     if _registry_faithful(app):
         if engine is None:
@@ -1188,7 +1102,6 @@ def run_app_jobs(
             CampaignPlan(tuple(jobs)),
             on_failure=on_failure,
             retry_failed=retry_failed,
-            fleet=fleet,
         )
     payloads = {
         topology_job_key(job, cluster.topology): execute_job(

@@ -42,7 +42,11 @@ everything):
     result).
 ``app`` / ``mode`` / ``index``
     Match the job's application name, campaign mode, and position in
-    the engine's pending list.
+    the engine's pending list — whether the job runs alone or inside a
+    fleet shard.  A shard itself answers to ``mode="fleet"`` with its
+    shard position as the index: at the execute stage under its first
+    job's app, at the store stage once per member row under that row's
+    app.
 ``attempts``
     List of attempt numbers (0-based) the directive fires on, or
     ``"all"``.  Default ``[0]`` — fault the first attempt only, so the

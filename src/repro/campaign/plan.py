@@ -246,81 +246,20 @@ class FleetShard:
         return iter(self.jobs)
 
 
-#: Fleet shard schedules: ``static`` pre-partitions into fixed-size
-#: shards; ``steal`` sizes shards for work stealing — decreasing chunks
-#: so free workers always find a next shard to pull and the last shards
-#: are small enough that no straggler holds the whole run hostage.
-FLEET_SCHEDULES: tuple[str, ...] = ("static", "steal")
+def fleet_jobs(jobs) -> tuple[FleetShard, ...]:
+    """Slice fleet-able jobs into :data:`DEFAULT_FLEET_SHARD_SIZE`-job
+    shards, preserving job order.
 
-
-def steal_shard_sizes(
-    count: int,
-    *,
-    workers: int,
-    shard_size: int = DEFAULT_FLEET_SHARD_SIZE,
-) -> tuple[int, ...]:
-    """Shard sizes for a work-stealing schedule over ``count`` jobs.
-
-    Guided self-scheduling: each next shard takes half the remaining
-    work divided across the workers (capped at ``shard_size``, floored
-    at one job), so early shards are large enough to amortise the fleet
-    kernel's batching win while the tail degrades to single-job shards
-    that idle workers steal.  Sizes always sum to ``count``.
+    The flattened shards visit ``jobs`` exactly in input order, so
+    callers can align shard members with their own bookkeeping by
+    position (store keys never see the shard grouping).  Raises
+    :class:`CampaignError` when a job's mode is not fleet-able (see
+    :data:`FLEET_MODES`).
     """
-    if workers < 1:
-        raise CampaignError("steal schedule needs workers >= 1")
-    if shard_size < 1:
-        raise CampaignError("fleet shard_size must be >= 1")
-    sizes = []
-    remaining = count
-    while remaining > 0:
-        chunk = min(
-            shard_size, remaining, max(1, -(-remaining // (2 * workers)))
-        )
-        sizes.append(chunk)
-        remaining -= chunk
-    return tuple(sizes)
-
-
-def fleet_jobs(
-    jobs,
-    *,
-    shard_size: int = DEFAULT_FLEET_SHARD_SIZE,
-    schedule: str = "static",
-    workers: int = 1,
-) -> tuple[FleetShard, ...]:
-    """Group fleet-able jobs into shards, preserving job order.
-
-    The flattened shards visit ``jobs`` exactly in input order under
-    either schedule — only shard *boundaries* differ — so callers can
-    align shard members with their own bookkeeping by position, and
-    results are bit-identical schedule to schedule (store keys never
-    see the shard grouping).  ``schedule="static"`` slices fixed
-    ``shard_size`` shards; ``"steal"`` uses
-    :func:`steal_shard_sizes` for the work-stealing pool (``workers``
-    is only consulted there).  Raises :class:`CampaignError` when a
-    job's mode is not fleet-able (see :data:`FLEET_MODES`).
-    """
-    if schedule not in FLEET_SCHEDULES:
-        raise CampaignError(
-            f"unknown fleet schedule: {schedule!r}; "
-            f"known: {FLEET_SCHEDULES}"
-        )
-    if shard_size < 1:
-        raise CampaignError("fleet shard_size must be >= 1")
     jobs = tuple(jobs)
-    if schedule == "steal":
-        shards = []
-        start = 0
-        for size in steal_shard_sizes(
-            len(jobs), workers=workers, shard_size=shard_size
-        ):
-            shards.append(FleetShard(jobs[start:start + size]))
-            start += size
-        return tuple(shards)
+    size = DEFAULT_FLEET_SHARD_SIZE
     return tuple(
-        FleetShard(jobs[i:i + shard_size])
-        for i in range(0, len(jobs), shard_size)
+        FleetShard(jobs[i:i + size]) for i in range(0, len(jobs), size)
     )
 
 

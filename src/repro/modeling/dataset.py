@@ -233,7 +233,6 @@ def build_dataset(
     thread_counts: tuple[int, ...] | None = None,
     seed: int = config.DEFAULT_SEED,
     engine: CampaignEngine | None = None,
-    fleet: bool = False,
 ) -> EnergyDataset:
     """Assemble the full training dataset for the given benchmarks.
 
@@ -241,10 +240,8 @@ def build_dataset(
     thread-tunable codes; MPI-only codes contribute one series at their
     fixed configuration.  The whole campaign (counter measurements and
     energy sweeps for every series) is submitted to the engine as one
-    plan, so uncached jobs fan out across the worker pool together.
-    ``fleet=True`` executes the plan's sweep rows through the batched
-    fleet-kernel strategy (counter jobs keep the per-job path); the
-    dataset is bit-identical either way.
+    plan, so uncached jobs fan out across the worker pool together and
+    the sweep jobs are priced in fleet-kernel shards.
     """
     if benchmarks is None:
         benchmarks = registry.benchmark_names()
@@ -261,7 +258,7 @@ def build_dataset(
     )
     if engine is None:
         engine = CampaignEngine(topology=cluster.topology)
-    results = engine.run(plan, fleet=fleet)
+    results = engine.run(plan)
 
     rows, targets, times, groups = [], [], [], []
     counter_rates: dict[tuple[str, int], np.ndarray] = {}

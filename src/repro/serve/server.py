@@ -215,14 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable coalescing (one sweep per request; the benchmark's control arm)",
     )
     parser.add_argument(
-        "--coalesce",
-        choices=batching.COALESCE_MODES,
-        default="fleet",
-        help="coalescing key: 'fleet' (default) merges requests across "
-             "benchmarks/nodes/seeds into one fleet-kernel pass; 'grid' "
-             "restores per-grid-key grouping (answers identical either way)",
-    )
-    parser.add_argument(
         "--retry-failed",
         action="store_true",
         help="retry jobs with persisted failure records instead of refusing them",
@@ -262,7 +254,6 @@ async def _amain(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_wait_s=args.max_wait_ms / 1000.0,
         admission="unbatched" if args.unbatched else "batched",
-        coalesce=args.coalesce,
         retry_failed=args.retry_failed,
         workers=args.workers,
         drain_deadline_s=args.drain_deadline_s,

@@ -18,26 +18,26 @@
    :meth:`CampaignEngine.run` applies).  Only when rows are *missing*
    does a persisted failure record quarantine the request (unless the
    service runs with ``retry_failed=True``).
-3. **Coalesce** — distinct pending requests sharing a grid key wait in
-   the :class:`~repro.serve.batcher.CoalescingBatcher` and are answered
-   from one pass of the sweep kernel.
+3. **Coalesce** — distinct pending requests wait together in the
+   :class:`~repro.serve.batcher.CoalescingBatcher` and are answered
+   from one pass of the fleet kernel.
 4. **Execute** — with ``workers >= 2`` and a concurrent-writer store
-   backend, independent groups execute *concurrently* on the warm
-   process pool of :mod:`repro.serve.workers` (fleet-coalesced groups
-   are first split by grid key so distinct measurements spread across
-   workers); otherwise groups run serially on one worker thread.
+   backend, groups execute *concurrently* on the warm process pool of
+   :mod:`repro.serve.workers` (a group is first split by grid key so
+   distinct measurements spread across workers); otherwise groups run
+   serially on one worker thread.
    Either way execution goes through the campaign engine (store-backed
    caching plus the PR-7 retry/timeout semantics) and definitive
    failures come back as structured ``quarantined`` /
    ``execution-error`` responses, never as a dead connection.
    Responses are bit-identical across both paths.
 
-Graceful drain (:meth:`drain`): stop admitting, flush every pending
-group immediately, and wait for in-flight work — bounded by the drain
-deadline: a group still *queued* (not yet started) when the deadline
-expires is cancelled and its waiters get a structured ``draining``
-error instead of hanging forever; groups already running always finish
-and answer normally.
+Graceful drain (:meth:`drain`): stop admitting, flush the pending
+group immediately (cancelling its admission timer), and wait for
+in-flight work — bounded by the drain deadline: a group still *queued*
+(not yet started) when the deadline expires is cancelled and its
+waiters get a structured ``draining`` error instead of hanging
+forever; groups already running always finish and answer normally.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ class _Inflight:
 class TuningService:
     """Asyncio tuning service with store dedup and cross-request batching.
 
-    ``admission="batched"`` (the default) coalesces via the configured
+    ``admission="batched"`` (the default) coalesces every pending
+    request — across benchmarks, threads, nodes and seeds — via the
     ``max_batch``/``max_wait_s`` window; ``"unbatched"`` degrades to a
     one-request-per-sweep service (the benchmark's control arm) while
     keeping the rest of the lifecycle identical.  A ``store`` turns on
@@ -143,7 +144,6 @@ class TuningService:
         max_batch: int = batching.DEFAULT_MAX_BATCH,
         max_wait_s: float = batching.DEFAULT_MAX_WAIT_S,
         admission: str = "batched",
-        coalesce: str = "fleet",
         retry_failed: bool = False,
         retry_policy=None,
         workers: int = 1,
@@ -160,12 +160,8 @@ class TuningService:
         self.admission = admission
         self.retry_failed = retry_failed
         self.metrics = ServiceMetrics()
-        # "fleet" (the default) coalesces across grid keys: requests
-        # for different benchmarks/threads/nodes/seeds share one
-        # fleet-kernel invocation.  "grid" restores the historical
-        # per-grid-key grouping.  Answers are bit-identical either way.
         self.batcher = batching.CoalescingBatcher(
-            max_batch=max_batch, max_wait_s=max_wait_s, coalesce=coalesce
+            max_batch=max_batch, max_wait_s=max_wait_s
         )
         engine_kwargs: dict[str, Any] = {"max_workers": 0}
         if retry_policy is not None:
@@ -186,6 +182,9 @@ class TuningService:
         self._inflight: dict[api.TuningRequest, _Inflight] = {}
         self._draining = False
         self.drain_deadline_s = drain_deadline_s
+        #: The pending group's admission-window timer.
+        self._timer: asyncio.TimerHandle | None = None
+        #: Execution tasks of fired groups (what drain waits for).
         self._group_tasks: set[asyncio.Task] = set()
         #: Cancellation handles of dispatched groups (drain deadline).
         self._dispatches: set[pooling.GroupDispatch] = set()
@@ -393,30 +392,26 @@ class TuningService:
         loop = asyncio.get_running_loop()
         entry = _Inflight(future=loop.create_future())
         self._inflight[request] = entry
-        key = self.batcher.key_for(request)
-        _, started, fire = self.batcher.admit(request)
+        started, fire = self.batcher.admit(request)
         if fire:
-            self._fire(key)
+            self._fire()
         elif started:
-            task = loop.create_task(self._fire_later(key))
-            self._group_tasks.add(task)
-            task.add_done_callback(self._group_tasks.discard)
+            self._timer = loop.call_later(self.batcher.max_wait_s, self._fire)
         return await asyncio.shield(entry.future)
 
-    async def _fire_later(self, key: tuple) -> None:
-        await asyncio.sleep(self.batcher.max_wait_s)
-        self._fire(key)
+    def _fire(self) -> None:
+        """Flush the pending group (timer expiry, max_batch or drain)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        group = self.batcher.pop()
+        if group:
+            self._launch(group)
 
-    def _fire(self, key: tuple) -> None:
-        group = self.batcher.pop(key)
-        if group is None:
-            return  # already fired (max_batch or drain beat the timer)
-        self._launch(group)
-
-    def _launch(self, group: batching.PendingGroup) -> None:
+    def _launch(self, group: list[api.TuningRequest]) -> None:
         """Start one fired group's execution task(s).
 
-        With a pool, a fleet-coalesced group is first split by grid key
+        With a pool, the group is first split by grid key
         (``batching.split_group``) so distinct measurements execute
         concurrently across workers instead of serialising the whole
         queue onto one; requests sharing a grid stay together, so no
@@ -453,26 +448,24 @@ class TuningService:
         self._serial_groups += 1
         return ("ok", [answer.payload() for answer in answers], None)
 
-    async def _execute_group(self, group: batching.PendingGroup) -> None:
+    async def _execute_group(self, group: list[api.TuningRequest]) -> None:
         dispatch = pooling.GroupDispatch()
         self._dispatches.add(dispatch)
-        coalesced = len(group.requests) - 1
+        coalesced = len(group) - 1
         try:
             try:
-                outcome = await self._dispatch_group(
-                    group.requests, dispatch
-                )
+                outcome = await self._dispatch_group(group, dispatch)
             except asyncio.CancelledError:
                 if not dispatch.cancelled:
                     raise
                 # Drain deadline: this group never started executing.
-                self.metrics.drain_cancelled += len(group.requests)
+                self.metrics.drain_cancelled += len(group)
                 response = error_response(
                     "draining",
                     "the drain deadline expired before this queued "
                     "group started; resubmit against another instance",
                 )
-                for request in group.requests:
+                for request in group:
                     self._resolve(request, dict(response))
                 return
             except ReproError as exc:
@@ -491,11 +484,11 @@ class TuningService:
         if outcome[0] == "error":
             envelope = outcome[1]
             if envelope["error"]["code"] == "quarantined":
-                self.metrics.quarantined += len(group.requests)
-            for request in group.requests:
+                self.metrics.quarantined += len(group)
+            for request in group:
                 self._resolve(request, dict(envelope))
             return
-        for request, payload in zip(group.requests, outcome[1]):
+        for request, payload in zip(group, outcome[1]):
             self._resolve(
                 request,
                 ok_response(
@@ -510,7 +503,7 @@ class TuningService:
 
     # ------------------------------------------------------------------
     async def drain(self, deadline_s: float | None = _UNSET) -> None:
-        """Stop admitting, flush pending groups, await in-flight work.
+        """Stop admitting, flush the pending group, await in-flight work.
 
         Bounded: after ``deadline_s`` (defaulting to the service's
         ``drain_deadline_s``; ``None`` waits forever) any group that
@@ -522,8 +515,7 @@ class TuningService:
         self._draining = True
         if deadline_s is _UNSET:
             deadline_s = self.drain_deadline_s
-        for group in self.batcher.drain():
-            self._launch(group)
+        self._fire()
         while self._group_tasks:
             done, pending = await asyncio.wait(
                 set(self._group_tasks), timeout=deadline_s

@@ -374,29 +374,6 @@ def main_campaign(argv: list[str] | None = None) -> int:
         "manifest left by SIGINT/SIGTERM and run the remaining jobs "
         "(completed work is reused from the store, bit-identical)",
     )
-    run_p.add_argument(
-        "--fleet",
-        action="store_true",
-        help="batch fleet-able jobs (sweep/static/savings/grid) through the "
-        "fleet replay kernel, one shard per pool task (payloads and store "
-        "keys are bit-identical to per-job execution)",
-    )
-    run_p.add_argument(
-        "--fleet-shard-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="jobs per fleet-kernel invocation (default: 16)",
-    )
-    run_p.add_argument(
-        "--fleet-schedule",
-        choices=("static", "steal"),
-        default=None,
-        help="fleet shard sizing: 'static' (default) pre-partitions "
-        "fixed-size shards; 'steal' sizes shards for work stealing — "
-        "idle workers pull decreasing chunks, killing the straggler "
-        "tail on heterogeneous app mixes (results bit-identical)",
-    )
 
     status_p = sub.add_parser("status", help="summarise a result store")
     status_p.add_argument(
@@ -509,18 +486,11 @@ def _campaign_dispatch(args) -> int:
             f"({', '.join(f'{m}: {n}' for m, n in description['modes'].items())})"
         )
         try:
-            fleet_kwargs = {}
-            if args.fleet_shard_size is not None:
-                fleet_kwargs["fleet_shard_size"] = args.fleet_shard_size
-            if args.fleet_schedule is not None:
-                fleet_kwargs["fleet_schedule"] = args.fleet_schedule
             results = engine.run(
                 plan,
                 on_failure=args.on_failure,
                 retry_failed=args.retry_failed,
                 resume_manifest=manifest_path,
-                fleet=args.fleet,
-                **fleet_kwargs,
             )
         except CampaignInterrupted as exc:
             print(

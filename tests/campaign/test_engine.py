@@ -186,9 +186,30 @@ class TestEngine:
         assert report.workers == 1  # pool overhead would dominate 3 jobs
 
     def test_explicit_workers_honoured_for_small_plans(self):
-        plan = CampaignPlan(sweep_jobs("EP", threads=24)[:3])
+        # Counters jobs run one task each, so three of them fill a pool.
+        plan = CampaignPlan(
+            counter_jobs("EP", threads=24, counters=("PAPI_TOT_INS",), runs=3)
+        )
         report = CampaignEngine(max_workers=2).run(plan).report
         assert report.workers == 2
+
+    def test_report_shows_the_width_a_one_shard_plan_used(self):
+        # Three sweep jobs make one fleet shard: one task, one worker.
+        plan = CampaignPlan(sweep_jobs("EP", threads=24)[:3])
+        report = CampaignEngine(max_workers=2).run(plan).report
+        assert report.workers == 1
+
+    def test_auto_width_runs_a_one_shard_plan_in_process(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "4")
+
+        def no_pool(workers):
+            raise AssertionError("a one-task plan forked a pool")
+
+        monkeypatch.setattr(CampaignEngine, "_pool", staticmethod(no_pool))
+        plan = CampaignPlan(sweep_jobs("EP", threads=24)[:16])
+        report = CampaignEngine().run(plan).report
+        assert report.workers == 1
+        assert report.executed == 16
 
     def test_stale_cached_payload_surfaces_clear_error(self, tmp_path):
         """A cached entry whose payload predates the current result

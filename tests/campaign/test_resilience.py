@@ -38,7 +38,7 @@ from repro.campaign.faultinject import (
     active_schedule,
     maybe_fault,
 )
-from repro.campaign.plan import sweep_jobs
+from repro.campaign.plan import DEFAULT_FLEET_SHARD_SIZE, sweep_jobs
 from repro.campaign.resilience import (
     backoff_s,
     classify,
@@ -469,6 +469,40 @@ class TestChaosWorkerCrash:
         # and the respawn/retry changed nothing about the results.
         assert chaos == reference
 
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sigkill_in_second_shard_loses_no_completed_work(
+        self, tmp_path, monkeypatch, backend
+    ):
+        """The 31-job EP sweep makes two fleet shards, so both are in
+        flight on the two workers when a member of the second one
+        SIGKILLs its worker: the broken pool is respawned, the innocent
+        shard resubmitted, and the store still equals a serial run."""
+        jobs = sweep_jobs("EP", threads=24)
+        assert len(jobs) > 2 * DEFAULT_FLEET_SHARD_SIZE - 2
+
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        ref_path = _store_arg(tmp_path / "ref", "jsonl")
+        with ResultStore(ref_path, backend="jsonl") as ref_store:
+            CampaignEngine(store=ref_store, max_workers=1).run(jobs)
+        reference = _payloads(ref_path, "jsonl")
+
+        crash_index = DEFAULT_FLEET_SHARD_SIZE + 3  # a member of shard 1
+        monkeypatch.setenv(
+            FAULT_ENV,
+            '[{"action": "crash", "index": %d, "attempts": [0]}]'
+            % crash_index,
+        )
+        chaos_path = _store_arg(tmp_path, backend)
+        with ResultStore(chaos_path, backend=backend) as store:
+            engine = CampaignEngine(
+                store=store, max_workers=2, retry_policy=FAST_POLICY
+            )
+            results = engine.run(jobs)
+        assert results.report.workers == 2
+        assert results.report.failed == 0
+        assert results.report.retried >= 1
+        assert _payloads(chaos_path, backend) == reference
 
 @pytest.mark.chaos
 class TestChaosTimeout:

@@ -8,6 +8,13 @@ import numpy as np
 import pytest
 
 from repro import config
+from repro.campaign.engine import (
+    CampaignEngine,
+    CampaignReport,
+    CampaignResults,
+    execute_job,
+    topology_job_key,
+)
 from repro.errors import ModelError
 from repro.hardware.cluster import Cluster
 from repro.modeling.crossval import kfold_indices, kfold_mape, leave_one_out_mape
@@ -47,14 +54,33 @@ class TestSweep:
         assert len(sweep_operating_points()) == 14 + 18 - 1
 
 
+class PerJobEngine(CampaignEngine):
+    """Reference engine: prices every job alone through execute_job."""
+
+    def run(self, plan, **kwargs):
+        payloads = {
+            topology_job_key(job, self.topology): execute_job(job, self.topology)
+            for job in plan
+        }
+        report = CampaignReport(
+            planned=len(payloads), cached=0, executed=len(payloads), workers=1
+        )
+        return CampaignResults(payloads, report, topology=self.topology)
+
+
 class TestDataset:
     def test_fleet_strategy_builds_bit_identical_dataset(self):
-        loop = build_dataset(("EP", "Mcb"), thread_counts=(24,))
-        fleet = build_dataset(("EP", "Mcb"), thread_counts=(24,), fleet=True)
-        assert fleet.features.tolist() == loop.features.tolist()
-        assert fleet.targets.tolist() == loop.targets.tolist()
-        assert fleet.times.tolist() == loop.times.tolist()
-        assert fleet.groups.tolist() == loop.groups.tolist()
+        benchmarks = ("EP", "Mcb")
+        reference = build_dataset(
+            benchmarks,
+            thread_counts=(24,),
+            engine=PerJobEngine(topology=Cluster(4).topology),
+        )
+        fleet = build_dataset(benchmarks, thread_counts=(24,))
+        assert fleet.features.tolist() == reference.features.tolist()
+        assert fleet.targets.tolist() == reference.targets.tolist()
+        assert fleet.times.tolist() == reference.times.tolist()
+        assert fleet.groups.tolist() == reference.groups.tolist()
 
     def test_feature_layout(self, small_dataset):
         assert small_dataset.features.shape[1] == len(FEATURE_COUNTERS) + 2

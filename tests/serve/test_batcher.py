@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import api
 from repro.errors import CampaignError
 from repro.execution import fleet_replay
-from repro.serve.batcher import FLEET_KEY, CoalescingBatcher, answer_group
+from repro.serve.batcher import CoalescingBatcher, answer_group
 
 #: The request universe for the property: small grids (stride 7 keeps
 #: 3 x 3 cells), two seeds, every objective.  Identities are distinct
@@ -34,106 +34,77 @@ def solo_payload(request: api.TuningRequest) -> dict:
     return _SOLO_CACHE[request]
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 class TestCoalescingBatcher:
     def test_same_grid_key_coalesces(self):
         batcher = CoalescingBatcher(max_batch=4)
         a = api.TuningRequest("EP", stride=7, objective="energy").resolved()
         b = api.TuningRequest("EP", stride=7, objective="edp").resolved()
-        _, started_a, fire_a = batcher.admit(a)
-        _, started_b, fire_b = batcher.admit(b)
+        started_a, fire_a = batcher.admit(a)
+        started_b, fire_b = batcher.admit(b)
         assert started_a and not started_b
         assert not fire_a and not fire_b
         assert batcher.coalesced == 1
-        group = batcher.pop(a.grid_key())
-        assert group.requests == [a, b]
-        assert group.tickets == [0, 1]
-
-    def test_distinct_grid_keys_do_not_coalesce(self):
-        batcher = CoalescingBatcher(max_batch=4)
-        batcher.admit(api.TuningRequest("EP", stride=7, seed=0).resolved())
-        batcher.admit(api.TuningRequest("EP", stride=7, seed=1).resolved())
-        assert batcher.coalesced == 0
-        assert len(batcher.due(now=float("inf"))) == 2
+        assert batcher.pop() == [a, b]
 
     def test_max_batch_fires_immediately(self):
         batcher = CoalescingBatcher(max_batch=2)
         a = api.TuningRequest("EP", stride=7, objective="energy").resolved()
         b = api.TuningRequest("EP", stride=7, objective="edp").resolved()
-        assert batcher.admit(a)[2] is False
-        assert batcher.admit(b)[2] is True
-
-    def test_window_expiry_via_injected_clock(self):
-        clock = FakeClock()
-        batcher = CoalescingBatcher(max_batch=8, max_wait_s=0.5, clock=clock)
-        request = api.TuningRequest("EP", stride=7).resolved()
-        batcher.admit(request)
-        assert batcher.due() == []
-        assert batcher.next_deadline() == pytest.approx(0.5)
-        clock.now = 0.6
-        assert batcher.due() == [request.grid_key()]
+        assert batcher.admit(a)[1] is False
+        assert batcher.admit(b)[1] is True
 
     def test_pop_is_idempotent(self):
         batcher = CoalescingBatcher()
         request = api.TuningRequest("EP", stride=7).resolved()
         batcher.admit(request)
-        assert batcher.pop(request.grid_key()) is not None
-        assert batcher.pop(request.grid_key()) is None
+        assert batcher.pop() == [request]
+        assert batcher.pop() == []
         assert batcher.groups_fired == 1
 
-    def test_drain_flushes_everything(self):
+    def test_pop_flushes_everything(self):
         batcher = CoalescingBatcher(max_wait_s=100.0)
         for request in UNIVERSE:
             batcher.admit(request.resolved())
-        groups = batcher.drain()
-        assert sum(len(g.requests) for g in groups) == len(UNIVERSE)
+        assert batcher.pending == len(UNIVERSE)
+        assert len(batcher.pop()) == len(UNIVERSE)
         assert batcher.pending == 0
+
+    def test_admit_after_pop_opens_a_fresh_group(self):
+        batcher = CoalescingBatcher(max_batch=4)
+        a = api.TuningRequest("EP", stride=7).resolved()
+        b = api.TuningRequest("Mcb", stride=7).resolved()
+        batcher.admit(a)
+        first = batcher.pop()
+        assert batcher.admit(b) == (True, False)
+        second = batcher.pop()
+        assert first == [a] and second == [b]
+        assert batcher.groups_fired == 2
+        assert batcher.coalesced == 0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(CampaignError):
             CoalescingBatcher(max_batch=0)
         with pytest.raises(CampaignError):
             CoalescingBatcher(max_wait_s=-1.0)
-        with pytest.raises(CampaignError, match="coalesce"):
-            CoalescingBatcher(coalesce="per-request")
 
 
 class TestFleetCoalescing:
-    """``coalesce="fleet"`` merges *across* grid keys (the service
-    default): different benchmarks, seeds and nodes share one pending
-    group, priced by a single fleet-kernel invocation."""
+    """The batcher merges *across* grid keys: different benchmarks,
+    seeds and nodes share one pending group, priced by a single
+    fleet-kernel invocation."""
 
     def test_distinct_grid_keys_share_one_group(self):
-        batcher = CoalescingBatcher(max_batch=8, coalesce="fleet")
+        batcher = CoalescingBatcher(max_batch=8)
         requests = [
             api.TuningRequest("EP", stride=7, seed=0).resolved(),
             api.TuningRequest("EP", stride=7, seed=1).resolved(),
             api.TuningRequest("FT", stride=7).resolved(),
         ]
         for request in requests:
-            assert batcher.key_for(request) == FLEET_KEY
             batcher.admit(request)
         assert batcher.coalesced == 2
-        group = batcher.pop(FLEET_KEY)
-        assert group is not None and group.requests == requests
+        assert batcher.pop() == requests
         assert batcher.pending == 0
-
-    def test_grid_mode_still_splits_by_grid_key(self):
-        batcher = CoalescingBatcher(max_batch=8, coalesce="grid")
-        a = api.TuningRequest("EP", stride=7, seed=0).resolved()
-        b = api.TuningRequest("FT", stride=7).resolved()
-        assert batcher.key_for(a) == a.grid_key()
-        batcher.admit(a)
-        batcher.admit(b)
-        assert batcher.coalesced == 0
-        assert len(batcher.due(now=float("inf"))) == 2
 
     def test_two_apps_one_fleet_invocation_bit_identical(self, monkeypatch):
         """The regression the fleet key exists for: two requests with
@@ -195,14 +166,15 @@ class TestAnswerGroup:
         fired: list = []
         for index in order:
             request = UNIVERSE[index].resolved()
-            _, _, fire = batcher.admit(request)
+            _, fire = batcher.admit(request)
             if fire:
-                fired.append(batcher.pop(request.grid_key()))
-        fired.extend(batcher.drain())
+                fired.append(batcher.pop())
+        if batcher.pending:
+            fired.append(batcher.pop())
         answered = 0
         for group in fired:
-            answers = answer_group(group.requests)
-            for request, answer in zip(group.requests, answers):
+            answers = answer_group(group)
+            for request, answer in zip(group, answers):
                 assert answer.payload() == solo_payload(request)
                 answered += 1
         assert answered == len(UNIVERSE)

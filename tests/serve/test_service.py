@@ -8,6 +8,7 @@ the throughput benchmark.
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -280,3 +281,69 @@ class TestFaultsAndDrain:
         offline = api.tune(api.TuningRequest("EP", stride=7))
         assert answered["result"] == offline.payload()
         assert refused["error"]["code"] == "draining"
+
+    def test_full_group_fires_before_its_window(self):
+        """Reaching ``max_batch`` flushes at once and cancels the
+        window timer, so a 60 s window delays nobody."""
+
+        async def scenario():
+            service = TuningService(max_batch=2, max_wait_s=60.0)
+            began = time.monotonic()
+            answers = await asyncio.gather(
+                service.handle(dict(EP)),
+                service.handle(dict(EP, benchmark="Mcb")),
+            )
+            elapsed = time.monotonic() - began
+            timer = service._timer
+            await service.aclose()
+            return elapsed, answers, timer, service.batcher.groups_fired
+
+        elapsed, answers, timer, fired = run(scenario())
+        assert elapsed < 5.0
+        assert [a["status"] for a in answers] == ["ok", "ok"]
+        assert fired == 1
+        assert timer is None
+
+    def test_admission_window_fires_a_partial_group(self):
+        """A group below ``max_batch`` flushes when its window closes;
+        a follower admitted inside the window joins it and does not
+        move it."""
+
+        async def scenario():
+            service = TuningService(max_batch=100, max_wait_s=1.0)
+            first = asyncio.create_task(service.handle(dict(EP)))
+            await asyncio.sleep(0.3)
+            follower = asyncio.create_task(
+                service.handle(dict(EP, benchmark="Mcb"))
+            )
+            await asyncio.sleep(0.3)
+            waiting = service.batcher.pending
+            answers = await asyncio.gather(first, follower)
+            await service.aclose()
+            return waiting, answers, service.batcher
+
+        waiting, answers, batcher = run(scenario())
+        assert waiting == 2
+        assert [a["status"] for a in answers] == ["ok", "ok"]
+        assert batcher.groups_fired == 1 and batcher.coalesced == 1
+
+    def test_drain_does_not_wait_out_the_admission_window(self):
+        """Regression: drain flushed the pending group but then also
+        waited for its admission timer, so it returned only after the
+        whole ``max_wait_s`` window (and tripped the drain deadline)."""
+
+        async def scenario():
+            service = TuningService(max_batch=100, max_wait_s=60.0)
+            pending = asyncio.create_task(service.handle(dict(EP)))
+            await asyncio.sleep(0.02)
+            began = time.monotonic()
+            await service.drain()
+            elapsed = time.monotonic() - began
+            answered = await pending
+            await service.aclose()
+            return elapsed, answered, service.metrics.drain_cancelled
+
+        elapsed, answered, cancelled = run(scenario())
+        assert elapsed < 5.0
+        assert answered["status"] == "ok"
+        assert cancelled == 0

@@ -19,7 +19,6 @@ from repro.campaign.engine import topology_job_key
 from repro.campaign.store import ResultStore
 from repro.serve import batcher as batching
 from repro.serve import workers as pooling
-from repro.serve.batcher import PendingGroup
 from repro.serve.schema import WIRE_VERSION, request_payload
 from repro.serve.service import TuningService
 
@@ -181,7 +180,6 @@ class TestStructuralConcurrency:
         async def scenario():
             service = TuningService(
                 store=ResultStore(tmp_path / "overtake.sqlite"),
-                coalesce="grid",
                 max_wait_s=0.01,
                 workers=2,
             )
@@ -254,9 +252,9 @@ class TestDrainDeadline:
         monkeypatch.setattr(batching, "answer_group", slow_answer_group)
 
         async def scenario():
-            # grid coalescing + distinct seeds -> two groups; the serial
-            # executor starts the first and queues the second behind it.
-            service = TuningService(coalesce="grid", max_wait_s=0.01)
+            # max_batch=1 -> two groups; the serial executor starts
+            # the first and queues the second behind it.
+            service = TuningService(max_batch=1, max_wait_s=0.01)
             first = asyncio.ensure_future(
                 service.handle(payload_for("EP"))
             )
@@ -296,11 +294,7 @@ class TestDrainDeadline:
 
 class TestSplitGroup:
     def _group(self, requests):
-        group = PendingGroup(key=("fleet",), deadline=1.0)
-        for i, request in enumerate(requests):
-            group.requests.append(request.resolved())
-            group.tickets.append(i)
-        return group
+        return [request.resolved() for request in requests]
 
     def test_split_preserves_requests_and_grid_key_cohesion(self):
         requests = [
@@ -312,22 +306,19 @@ class TestSplitGroup:
         group = self._group(requests)
         parts = batching.split_group(group, 2)
         assert len(parts) == 2
-        flattened = [r for part in parts for r in part.requests]
+        flattened = [r for part in parts for r in part]
         assert sorted(
             (r.benchmark, r.objective) for r in flattened
-        ) == sorted((r.benchmark, r.objective) for r in group.requests)
+        ) == sorted((r.benchmark, r.objective) for r in group)
         # requests sharing a grid key stay in one part
         for part in parts:
-            keys = [r.grid_key() for r in part.requests]
+            keys = [r.grid_key() for r in part]
             for key in keys:
                 others = [
                     p for p in parts if p is not part and
-                    key in [r.grid_key() for r in p.requests]
+                    key in [r.grid_key() for r in p]
                 ]
                 assert not others
-        # tickets stay aligned with their requests
-        for part in parts:
-            assert len(part.tickets) == len(part.requests)
 
     def test_split_noop_for_small_groups_or_one_part(self):
         requests = [api.TuningRequest("EP", stride=7)]

@@ -4,8 +4,9 @@
 delegate their standalone mode here: the full 14 x 18 CF x UCF grid of
 one figure is measured through **both** heatmap engines — the
 config-axis sweep replay (:mod:`repro.execution.sweep_replay`) and the
-historical one-configuration-at-a-time loop — their normalized grids
-are asserted bit-equal, and the speedup is reported.
+historical one-configuration-at-a-time loop (``tests/oracles/grids.py``)
+— their normalized grids are asserted bit-equal, and the speedup is
+reported.
 
 The JSON report (kind ``grid_sweep``) feeds the CI perf-regression gate.
 The committed baseline covers both figures in one report::
@@ -25,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.heatmap import energy_heatmap
-from repro.api import ExecutionOptions
 from repro.hardware.cluster import Cluster
+from tests.oracles.grids import loop_heatmap
 
 #: Figure benchmark -> the paper's optimal thread count for it.
 FIG_THREADS = {"Lulesh": 24, "Mcb": 20}
@@ -41,11 +42,10 @@ def measure_app(app_name: str, primary: str = "sweep") -> dict:
     """
     threads = FIG_THREADS.get(app_name, 24)
 
+    heatmap = {"sweep": energy_heatmap, "loop": loop_heatmap}
+
     def grid(engine: str):
-        return energy_heatmap(
-            app_name, threads=threads, cluster=Cluster(2),
-            options=ExecutionOptions(engine=engine),
-        )
+        return heatmap[engine](app_name, threads=threads, cluster=Cluster(2))
 
     order = (primary, "loop" if primary == "sweep" else "sweep")
     grid(primary)  # warm-up: registry, memoised timings, RNG fast path

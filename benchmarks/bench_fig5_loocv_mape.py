@@ -10,7 +10,8 @@ The study runs through the batched model-evaluation engine: folds train
 as parallel campaign jobs, trained weights are recalled from the
 harness result store on warm sessions, and held-out benchmarks are
 predicted in stacked forward passes — bit-identical to the serial
-pointwise loop, which stays selectable (and timed) via::
+pointwise loop (``tests/oracles/models.py``), which the standalone
+mode times alongside::
 
     python benchmarks/bench_fig5_loocv_mape.py --engine pointwise \
         --json loocv-mape.json
@@ -32,19 +33,21 @@ if __package__ in (None, ""):  # script execution: make `benchmarks` importable
 
 from benchmarks._common import LOOCV_EPOCHS, campaign_engine, full_dataset
 from repro.analysis.reporting import render_loocv
-from repro.modeling.batched import ENGINES
 from repro.modeling.crossval import kfold_mape, network_loocv_mape
 from repro.modeling.regression import RegressionEnergyModel
 from repro.modeling.training import TrainingConfig
+from tests.oracles.models import pointwise_loocv_mape
+
+#: Model-evaluation engines: the pointwise oracle and production.
+ENGINES = ("pointwise", "batched")
 
 
-def _loocv(engine: str = "batched"):
+def _loocv():
     ds = full_dataset()
     results = network_loocv_mape(
         ds,
         config=TrainingConfig(epochs=LOOCV_EPOCHS),
-        engine=engine,
-        campaign=campaign_engine() if engine == "batched" else None,
+        campaign=campaign_engine(),
     )
 
     def regression_fit_predict(train_x, train_y, test_x):
@@ -69,14 +72,15 @@ def run_benchmark(engine: str = "batched") -> dict:
     config = TrainingConfig(epochs=LOOCV_EPOCHS)
     timings: dict[str, float] = {}
     mapes: dict[str, dict[str, float]] = {}
+    loocv = {
+        "pointwise": lambda: pointwise_loocv_mape(ds, config=config),
+        "batched": lambda: network_loocv_mape(
+            ds, config=config, campaign=campaign_engine()
+        ),
+    }
     for name in ENGINES:
         start = time.perf_counter()
-        mapes[name] = network_loocv_mape(
-            ds,
-            config=config,
-            engine=name,
-            campaign=campaign_engine() if name == "batched" else None,
-        )
+        mapes[name] = loocv[name]()
         timings[name] = time.perf_counter() - start
     identical = mapes["pointwise"] == mapes["batched"]
     values = list(mapes[engine].values())

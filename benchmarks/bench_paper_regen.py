@@ -5,9 +5,10 @@ Regenerates the paper's evaluation artefacts end to end — the Figure
 Table V best static configurations derived from them, and the Table VI
 static-vs-dynamic savings rows — through two execution arms:
 
-* ``loop`` — the per-cell / per-run reference engines: one simulator
-  pass per variability cell, one per grid cell, one in-process
-  controlled run per savings variant;
+* ``loop`` — the per-cell / per-run references: one simulator pass
+  per variability cell and one per grid cell (the loop oracles of
+  ``tests/oracles/grids.py``), one in-process controlled run per
+  savings variant;
 * ``fleet`` — the batched fleet replay kernel
   (:mod:`repro.execution.fleet_replay`): all variability cells in one
   fleet, all grids in one :func:`repro.api.sweep_grids` pass, all
@@ -52,6 +53,7 @@ from repro import api
 from repro.analysis.savings import SavingsCase, compare_static_dynamic_many
 from repro.analysis.variability import variability_study
 from repro.campaign.engine import CampaignEngine
+from tests.oracles.grids import loop_grid, loop_variability
 
 ENGINES = ("loop", "fleet", "pooled")
 
@@ -173,13 +175,10 @@ def regenerate_artifacts(
     # The variability study has no campaign path — the pooled arm keeps
     # the fleet kernel here; only the campaign-planned artefacts below
     # change execution backend.
-    study_engine = "fleet" if engine == "pooled" else engine
+    measure = loop_variability if engine == "loop" else variability_study
     for figure, axis in (("fig2", "core"), ("fig3", "uncore")):
-        study = variability_study(
-            VARIABILITY_BENCHMARK,
-            axis=axis,
-            nodes=VARIABILITY_NODES,
-            engine=study_engine,
+        study = measure(
+            VARIABILITY_BENCHMARK, axis=axis, nodes=VARIABILITY_NODES
         )
         artifacts[f"{figure}_{axis}_variability"] = _variability_payload(study)
 
@@ -196,12 +195,7 @@ def regenerate_artifacts(
         grids = api.sweep_grids(specs)
     else:
         grids = [
-            api.sweep_grid(
-                s.benchmark,
-                threads=s.threads,
-                stride=s.stride,
-                options=api.ExecutionOptions(engine="loop"),
-            )
+            loop_grid(s.benchmark, threads=s.threads, stride=s.stride)
             for s in specs
         ]
     for (name, threads), grid in zip(FIG67_CASES, grids):

@@ -11,8 +11,9 @@ The pytest entry computes the full paper table through the harness
 campaign engine (controlled runs ride the controlled-replay fast path
 and the on-disk result store).  Standalone, the module benchmarks the
 *controlled-run sweep* — the four Table VI run variants under canned,
-deterministic tuning models — through both execution engines, asserts
-their bit-equality and reports the replay speedup::
+deterministic tuning models — through the controlled-replay production
+path and the recursive-engine oracle (``tests/oracles/savings.py``),
+asserts their bit-equality and reports the replay speedup::
 
     python benchmarks/bench_table6_savings.py --engine replay \
         --apps EP FT Lulesh --runs 3 --json dynamic-replay.json
@@ -40,6 +41,7 @@ from repro.api import ExecutionOptions
 from repro.execution.simulator import OperatingPoint
 from repro.readex.tuning_model import TuningModel
 from repro.workloads import registry
+from tests.oracles.savings import recursive_savings
 
 #: Default standalone sweep: the paper's five Table VI benchmarks.
 DEFAULT_APPS = ("Lulesh", "Amg2013", "miniMD", "BEM4I", "Mcb")
@@ -75,11 +77,10 @@ def measure_app(
     """
     model = canned_tuning_model(app_name)
 
+    compare = {"replay": compare_static_dynamic, "recursive": recursive_savings}
+
     def sweep(engine: str):
-        return compare_static_dynamic(
-            app_name, CANNED_STATIC, model, runs=runs,
-            options=ExecutionOptions(engine=engine),
-        )
+        return compare[engine](app_name, CANNED_STATIC, model, runs=runs)
 
     order = (primary, "recursive" if primary == "replay" else "replay")
     sweep(primary)  # warm-up: registry, memoised timings, schedule cache

@@ -10,8 +10,9 @@ reduction, plus the measured plugin run confirming the experiment count.
 The engine benchmark measures the *model-evaluation* side of tuning:
 predicting the energy-optimal static configuration for every
 (benchmark, threads) series over the full core x uncore grid, through
-both engines.  Selections are asserted identical; the JSON report (the
-CI perf gate compares its ``speedup`` against
+the batched production path and the pointwise reference
+(``tests/oracles/models.py``).  Selections are asserted identical; the
+JSON report (the CI perf gate compares its ``speedup`` against
 ``benchmarks/baselines/tuning-time.json``) looks like::
 
     python benchmarks/bench_tuning_time.py --engine batched \
@@ -33,8 +34,12 @@ if __package__ in (None, ""):  # script execution: make `benchmarks` importable
 from benchmarks._common import cluster, deployed_model, full_dataset, tuned_outcome
 from repro.analysis.reporting import render_tuning_time
 from repro.analysis.tuning_time import tuning_time_comparison
-from repro.modeling.batched import ENGINES, frequency_grid
+from repro.modeling.batched import frequency_grid
 from repro.ptf.static_tuning import select_static_configurations
+from tests.oracles.models import pointwise_static_selections
+
+#: Model-evaluation engines: the pointwise oracle and production.
+ENGINES = ("pointwise", "batched")
 
 #: Timing repetitions per engine (each covers every registry series).
 DEFAULT_REPEATS = 5
@@ -51,8 +56,13 @@ def measure_model_engines(repeats: int = DEFAULT_REPEATS) -> dict:
     model = deployed_model()
     series = dataset.counter_rates
 
+    select = {
+        "pointwise": pointwise_static_selections,
+        "batched": select_static_configurations,
+    }
+
     def run_once(engine: str):
-        return select_static_configurations(model, series, engine=engine)
+        return select[engine](model, series)
 
     timings: dict[str, float] = {}
     selections: dict[str, dict] = {}

@@ -6,19 +6,17 @@ true optimum, the plugin-selected configuration and the set of
 configurations within 2% of the optimum highlighted.
 
 Measuring the 14 x 18 grid is the textbook workload of the simulator's
-**sweep-replay engine** (:mod:`repro.execution.sweep_replay`): the
-default ``engine="sweep"`` replays all 252 configurations in one pass,
-bit-identical to (and several times faster than) the historical
-``engine="loop"`` that builds a fresh node and runs one configuration at
-a time.  Passing a :class:`~repro.campaign.engine.CampaignEngine` routes
-the sweep through ``grid``-mode campaign jobs instead, making grid rows
-cacheable, parallelisable units in the result store.
+**sweep-replay engine** (:mod:`repro.execution.sweep_replay`): all 252
+configurations replay in one pass, bit-identical to building a fresh
+node and running one configuration at a time (the per-cell reference
+lives in ``tests/oracles/grids.py``).  Attaching a
+:class:`~repro.campaign.engine.CampaignEngine` through
+:class:`repro.api.ExecutionOptions` routes the sweep through
+``grid``-mode campaign jobs instead, making grid rows cacheable,
+parallelisable units in the result store.
 
 The measurement itself lives in :func:`repro.api.sweep_grid`; this
 module adds the figures' normalization and plateau analysis on top.
-Execution choices arrive as a :class:`repro.api.ExecutionOptions`
-(``options=``); the historical ``engine=`` / ``campaign=`` keywords
-remain as deprecated shims.
 """
 
 from __future__ import annotations
@@ -28,16 +26,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro import api, config
-from repro.errors import CampaignError
 from repro.hardware.cluster import Cluster
 from repro.util.validation import frequency_index
 
 #: The paper highlights configurations within 2% of the minimum in pink.
 PLATEAU_THRESHOLD = 0.02
-
-#: Grid-measurement engines: the one-pass sweep replay and the
-#: historical one-configuration-at-a-time reference loop.
-ENGINES = ("sweep", "loop")
 
 
 @dataclass
@@ -50,6 +43,34 @@ class EnergyHeatmap:
     uncore_frequencies: tuple[float, ...]
     normalized: np.ndarray  #: shape (len(cfs), len(ucfs))
     selected: tuple[float, float] | None = None  #: plugin's pick (yellow)
+
+    @classmethod
+    def from_grid(
+        cls,
+        grid: api.GridMeasurement,
+        selected: tuple[float, float] | None = None,
+    ) -> "EnergyHeatmap":
+        """Normalize a measured grid by its calibration-point cell."""
+        cal = grid.node_energy_j[
+            frequency_index(
+                grid.core_frequencies,
+                config.CALIBRATION_CORE_FREQ_GHZ,
+                axis="core-frequency",
+            ),
+            frequency_index(
+                grid.uncore_frequencies,
+                config.CALIBRATION_UNCORE_FREQ_GHZ,
+                axis="uncore-frequency",
+            ),
+        ]
+        return cls(
+            benchmark=grid.benchmark,
+            threads=grid.threads,
+            core_frequencies=grid.core_frequencies,
+            uncore_frequencies=grid.uncore_frequencies,
+            normalized=grid.node_energy_j / cal,
+            selected=selected,
+        )
 
     @property
     def best(self) -> tuple[float, float]:
@@ -92,52 +113,18 @@ def energy_heatmap(
     node_id: int = 0,
     selected: tuple[float, float] | None = None,
     seed: int = config.DEFAULT_SEED,
-    engine: str | None = None,
-    campaign=None,
     options: api.ExecutionOptions | None = None,
 ) -> EnergyHeatmap:
     """Measure the full grid for one benchmark at a fixed thread count.
 
-    ``options`` selects the grid measurement path (``engine="sweep"``
-    one-pass replay — the default — or ``"loop"``, the per-cell
-    reference; both bit-identical) and may attach a campaign engine
-    (implies ``"sweep"`` physics) to execute the grid as per-row jobs
-    with store caching and worker parallelism.  The ``engine=`` /
-    ``campaign=`` keywords are deprecated spellings of the same
-    choices.
+    ``options`` may attach a campaign engine to execute the grid as
+    per-row jobs with store caching and worker parallelism; ``cluster``
+    overrides the options' cluster.
     """
-    if engine is not None and engine not in ENGINES:
-        raise CampaignError(
-            f"unknown heatmap engine: {engine!r}; known: {ENGINES}"
-        )
-    opts = api.resolve_options(
-        options,
-        site="repro.analysis.heatmap.energy_heatmap",
-        engine=engine,
-        campaign=campaign,
-    )
+    options = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
-        opts = replace(opts, cluster=cluster)
+        options = replace(options, cluster=cluster)
     grid = api.sweep_grid(
-        benchmark, threads=threads, node_id=node_id, seed=seed, options=opts
+        benchmark, threads=threads, node_id=node_id, seed=seed, options=options
     )
-    cal = grid.node_energy_j[
-        frequency_index(
-            grid.core_frequencies,
-            config.CALIBRATION_CORE_FREQ_GHZ,
-            axis="core-frequency",
-        ),
-        frequency_index(
-            grid.uncore_frequencies,
-            config.CALIBRATION_UNCORE_FREQ_GHZ,
-            axis="uncore-frequency",
-        ),
-    ]
-    return EnergyHeatmap(
-        benchmark=benchmark,
-        threads=threads,
-        core_frequencies=grid.core_frequencies,
-        uncore_frequencies=grid.uncore_frequencies,
-        normalized=grid.node_energy_j / cal,
-        selected=selected,
-    )
+    return EnergyHeatmap.from_grid(grid, selected)

@@ -18,8 +18,7 @@ savings are computed relative to the default run and averaged over
 ``runs`` repetitions (the paper averages over five).
 
 Controlled runs execute through the simulator's controlled-replay fast
-path by default (bit-identical to the recursive engine); ``engine``
-selects explicitly for benchmarking.  With a
+path (bit-identical to the recursive engine).  With a
 :class:`~repro.campaign.engine.CampaignEngine` attached, the four run
 variants become ``savings``-mode campaign jobs instead — parallelisable
 across a worker pool and cacheable in the result store, bit-identical
@@ -42,22 +41,6 @@ from repro.readex.rrl import RRL, StaticController
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.instrumentation import Instrumentation
 from repro.workloads import registry
-
-#: Execution-engine choices for the controlled runs.
-ENGINES: tuple[str, ...] = ("auto", "recursive", "replay")
-
-#: ``engine`` name -> the simulator's ``fast_path`` argument.
-_FAST_PATH: dict[str, bool | None] = {
-    "auto": None,
-    "recursive": False,
-    "replay": True,
-}
-
-
-def validate_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise CampaignError(f"unknown engine: {engine!r}; known: {ENGINES}")
-
 
 @dataclass(frozen=True)
 class RunAverages:
@@ -130,7 +113,6 @@ def _averaged_runs(
     runs: int,
     key: str,
     seed: int,
-    engine: str = "auto",
 ) -> RunAverages:
     accounting = SlurmAccounting()
     cpu, job, time = [], [], []
@@ -150,7 +132,6 @@ def _averaged_runs(
             instrumented=instrumented,
             instrumentation=instr,
             run_key=(key, r),
-            fast_path=_FAST_PATH[engine],
         )
         record = accounting.submit(result)
         job.append(record.consumed_energy_j)
@@ -188,45 +169,26 @@ def compare_static_dynamic(
     node_id: int = 0,
     runs: int = 5,
     seed: int = config.DEFAULT_SEED,
-    engine: str | None = None,
-    campaign=None,
     options: api.ExecutionOptions | None = None,
 ) -> BenchmarkSavings:
     """Produce one Table VI row for ``benchmark``.
 
-    ``options.engine`` selects the execution engine of the underlying
-    runs (``auto``/``recursive``/``replay`` — bit-identical, so the row
-    is engine-independent).  With ``options.campaign``
+    With ``options.campaign``
     (:class:`~repro.campaign.engine.CampaignEngine`), the runs execute
     as ``savings``-mode campaign jobs — cached in the engine's result
-    store and parallelisable — again bit-identical to the in-process
-    loop; ``engine`` must stay ``"auto"`` in that case because cached
-    payloads carry no engine choice.  The bare ``engine=`` /
-    ``campaign=`` keywords are the deprecated spellings.
+    store, parallelisable and subject to the options' failure policy —
+    bit-identical to the in-process loop.  ``cluster`` overrides the
+    options' cluster.
     """
-    if engine is not None:
-        validate_engine(engine)
-    opts = api.resolve_options(
-        options,
-        site="repro.analysis.savings.compare_static_dynamic",
-        engine=engine,
-        campaign=campaign,
-    )
+    options = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
-        opts = replace(opts, cluster=cluster)
-    validate_engine(opts.engine)
-    engine = opts.engine
-    cluster = opts.resolve_cluster(seed)
-    if opts.campaign is not None:
-        if engine != "auto":
-            raise CampaignError(
-                "campaign-backed savings runs are engine-independent; "
-                "pass engine='auto'"
-            )
+        options = replace(options, cluster=cluster)
+    cluster = options.resolve_cluster(seed)
+    if options.campaign is not None:
         return _compare_via_campaign(
             benchmark, static_config, tuning_model,
             instrumentation=instrumentation, cluster=cluster,
-            node_id=node_id, runs=runs, seed=seed, campaign=opts.campaign,
+            node_id=node_id, runs=runs, seed=seed, options=options,
         )
     default = _averaged_runs(
         benchmark, cluster, node_id,
@@ -234,7 +196,7 @@ def compare_static_dynamic(
         threads=config.DEFAULT_OPENMP_THREADS,
         instrumented=False,
         instrumentation=None,
-        runs=runs, key="default", seed=seed, engine=engine,
+        runs=runs, key="default", seed=seed,
     )
     static = _averaged_runs(
         benchmark, cluster, node_id,
@@ -242,7 +204,7 @@ def compare_static_dynamic(
         threads=static_config.threads,
         instrumented=False,
         instrumentation=None,
-        runs=runs, key="static", seed=seed, engine=engine,
+        runs=runs, key="static", seed=seed,
     )
     dynamic = _averaged_runs(
         benchmark, cluster, node_id,
@@ -250,7 +212,7 @@ def compare_static_dynamic(
         threads=config.DEFAULT_OPENMP_THREADS,
         instrumented=True,
         instrumentation=instrumentation,
-        runs=runs, key="dynamic", seed=seed, engine=engine,
+        runs=runs, key="dynamic", seed=seed,
     )
     config_only = _averaged_runs(
         benchmark, cluster, node_id,
@@ -258,7 +220,7 @@ def compare_static_dynamic(
         threads=config.DEFAULT_OPENMP_THREADS,
         instrumented=False,
         instrumentation=None,
-        runs=runs, key="config-only", seed=seed, engine=engine,
+        runs=runs, key="config-only", seed=seed,
     )
     return BenchmarkSavings(
         benchmark=benchmark,
@@ -325,10 +287,11 @@ def _compare_via_campaign(
     node_id: int,
     runs: int,
     seed: int,
-    campaign,
+    options: api.ExecutionOptions,
 ) -> BenchmarkSavings:
     from repro.campaign.engine import run_app_jobs
 
+    campaign = options.campaign
     if campaign.topology != cluster.topology:
         # run_app_jobs lets an explicit engine's topology win, which
         # would silently simulate different physics than the caller's
@@ -346,6 +309,7 @@ def _compare_via_campaign(
     jobs = tuple(job for batch in batches.values() for job in batch)
     results = run_app_jobs(
         jobs, registry.build(benchmark), cluster=cluster, engine=campaign,
+        on_failure=options.on_failure, retry_failed=options.retry_failed,
     )
     return BenchmarkSavings(
         benchmark=benchmark,
@@ -389,13 +353,9 @@ def compare_static_dynamic_many(
     ``compare_static_dynamic`` call.  Without a campaign engine the
     cases simply run one at a time.
     """
-    opts = api.resolve_options(
-        options,
-        site="repro.analysis.savings.compare_static_dynamic_many",
-    )
+    opts = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
         opts = replace(opts, cluster=cluster)
-    validate_engine(opts.engine)
     if opts.campaign is None:
         return [
             compare_static_dynamic(
@@ -405,11 +365,6 @@ def compare_static_dynamic_many(
             )
             for case in cases
         ]
-    if opts.engine != "auto":
-        raise CampaignError(
-            "campaign-backed savings runs are engine-independent; "
-            "pass engine='auto'"
-        )
     resolved_cluster = opts.resolve_cluster(seed)
     if opts.campaign.topology != resolved_cluster.topology:
         raise CampaignError(

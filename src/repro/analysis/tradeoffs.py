@@ -5,11 +5,10 @@ trade-off frontier can be examined: static tuning may buy energy at no
 time cost for compute-bound codes, while aggressive core-frequency
 reduction trades time for energy on memory-bound codes.
 
-The configuration sweep is a static grid, so it runs through the
-simulator's sweep-replay engine by default
-(:mod:`repro.execution.sweep_replay`, ``engine="sweep"``); the
-historical per-configuration loop remains as the bit-identical
-``engine="loop"`` reference.
+The configuration sweep is a static grid, so it runs in one pass
+through the simulator's sweep-replay engine
+(:mod:`repro.execution.sweep_replay`), bit-identical to the
+per-configuration loop kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from repro import api, config
 from repro.errors import CampaignError
-from repro.execution.simulator import ExecutionSimulator, OperatingPoint
+from repro.execution.simulator import OperatingPoint
 from repro.execution.sweep_replay import sweep_run
 from repro.hardware.cluster import Cluster
 from repro.workloads import registry
@@ -44,67 +43,40 @@ def energy_time_tradeoff(
     cluster: Cluster | None = None,
     node_id: int = 0,
     seed: int = config.DEFAULT_SEED,
-    engine: str | None = None,
     options: api.ExecutionOptions | None = None,
 ) -> list[TradeoffPoint]:
     """Evaluate configurations relative to the platform default.
 
-    ``options.engine`` selects the measurement path: ``"sweep"`` (the
-    default) replays the whole configuration set in one pass;
-    ``"loop"`` runs the per-configuration reference.  Both return
-    bit-identical points.  The bare ``engine=`` keyword is the
-    deprecated spelling.
+    The whole configuration set (plus the default point) replays in
+    one sweep-engine pass.  ``cluster`` overrides the options' cluster.
     """
-    if engine is not None and engine not in ("sweep", "loop"):
-        raise CampaignError(
-            f"unknown tradeoff engine: {engine!r}; known: ('sweep', 'loop')"
-        )
-    opts = api.resolve_options(
-        options,
-        site="repro.analysis.tradeoffs.energy_time_tradeoff",
-        engine=engine,
-    )
+    options = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
-        opts = replace(opts, cluster=cluster)
-    if opts.campaign is not None:
+        options = replace(options, cluster=cluster)
+    if options.campaign is not None:
         raise CampaignError(
             "tradeoff sweeps run over arbitrary configuration lists, not "
             "grid rows; they are not campaign-backed — drop campaign"
         )
-    engine = opts.grid_engine()
-    cluster = opts.resolve_cluster(seed)
+    cluster = options.resolve_cluster(seed)
     cluster.check_node_id(node_id)
     default_point = OperatingPoint()
     points = list(configurations)
     if default_point not in points:
         points.insert(0, default_point)
-    outcomes: dict[OperatingPoint, tuple[float, float]] = {}
-    if engine == "sweep":
-        sweep = sweep_run(
-            registry.build(benchmark),
-            points,
-            run_keys=[("tradeoff", str(p)) for p in points],
-            node_id=node_id,
-            seed=seed,
-            node_seed=cluster.seed,
-            topology=cluster.topology,
-        )
-        for point, run in zip(points, sweep.results):
-            outcomes[point] = (run.time_s, run.node_energy_j)
-    elif engine == "loop":
-        for point in points:
-            node = cluster.fresh_node(node_id)
-            node.set_frequencies(point.core_freq_ghz, point.uncore_freq_ghz)
-            run = ExecutionSimulator(node, seed=seed).run(
-                registry.build(benchmark),
-                threads=point.threads,
-                run_key=("tradeoff", str(point)),
-            )
-            outcomes[point] = (run.time_s, run.node_energy_j)
-    else:
-        raise CampaignError(
-            f"unknown tradeoff engine: {engine!r}; known: ('sweep', 'loop')"
-        )
+    sweep = sweep_run(
+        registry.build(benchmark),
+        points,
+        run_keys=[("tradeoff", str(p)) for p in points],
+        node_id=node_id,
+        seed=seed,
+        node_seed=cluster.seed,
+        topology=cluster.topology,
+    )
+    outcomes = {
+        point: (run.time_s, run.node_energy_j)
+        for point, run in zip(points, sweep.results)
+    }
     t0, e0 = outcomes[default_point]
     return [
         TradeoffPoint(

@@ -8,12 +8,12 @@ point collapses the spread — which is why the model predicts
 *normalized* energy.
 
 The study is a natural fleet: the same application at many
-(node x operating point) coordinates.  The default engine batches every
-cell of the sweep — all nodes, all frequencies, plus each node's
-calibration run — into one pass through the fleet replay kernel
-(:mod:`repro.execution.fleet_replay`); ``engine="loop"`` runs the
-original per-cell simulator loop, bit-identical by construction (the
-equality is pinned by ``tests/analysis/test_variability.py``).
+(node x operating point) coordinates.  Every cell of the sweep — all
+nodes, all frequencies, plus each node's calibration run — executes as
+one pass through the fleet replay kernel
+(:mod:`repro.execution.fleet_replay`), bit-identical to a per-cell
+simulator loop (the equality is pinned against the loop oracle in
+``tests/analysis/test_analyses.py``).
 """
 
 from __future__ import annotations
@@ -23,13 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import config
-from repro.execution.simulator import ExecutionSimulator, OperatingPoint
+from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.workloads import registry
-
-#: Execution engines for the sweep: the batched fleet kernel or the
-#: per-cell reference loop.
-ENGINES: tuple[str, ...] = ("fleet", "loop")
 
 
 @dataclass
@@ -69,7 +65,6 @@ def variability_study(
     threads: int = config.DEFAULT_OPENMP_THREADS,
     cluster: Cluster | None = None,
     seed: int = config.DEFAULT_SEED,
-    engine: str = "fleet",
 ) -> VariabilityStudy:
     """Reproduce the Figure 2 (axis="core") / Figure 3 (axis="uncore") data.
 
@@ -84,26 +79,15 @@ def variability_study(
         points = [(config.CALIBRATION_CORE_FREQ_GHZ, ucf) for ucf in frequencies]
     else:
         raise ValueError(f"axis must be 'core' or 'uncore', got {axis!r}")
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     cluster = cluster or Cluster(max(nodes) + 1, seed=seed)
-    def app_builder():
-        return registry.build(benchmark)
-
     cal_point = (
         config.CALIBRATION_CORE_FREQ_GHZ,
         config.CALIBRATION_UNCORE_FREQ_GHZ,
     )
-    if engine == "fleet":
-        energies = _fleet_energies(
-            app_builder(), points, cal_point, nodes, threads, cluster, seed,
-            axis,
-        )
-    else:
-        energies = _loop_energies(
-            app_builder, points, cal_point, nodes, threads, cluster, seed,
-            axis,
-        )
+    energies = _fleet_energies(
+        registry.build(benchmark), points, cal_point, nodes, threads,
+        cluster, seed, axis,
+    )
     raw: dict[int, np.ndarray] = {}
     normalized: dict[int, np.ndarray] = {}
     for node_id in nodes:
@@ -117,34 +101,6 @@ def variability_study(
         raw_energy_j=raw,
         normalized_energy=normalized,
     )
-
-
-def _loop_energies(app_builder, points, cal_point, nodes, threads, cluster,
-                   seed, axis):
-    """The per-cell reference: one simulator pass per (node, point)."""
-    energies = {}
-    for node_id in nodes:
-        series = []
-        for cf, ucf in points:
-            node = cluster.fresh_node(node_id)
-            node.set_frequencies(cf, ucf)
-            run = ExecutionSimulator(node, seed=seed).run(
-                app_builder(), threads=threads,
-                run_key=("variability", axis, cf, ucf),
-            )
-            series.append(run.node_energy_j)
-        # Calibration energy for this node (measured in the same sweep when
-        # the axis passes through it, otherwise measured separately).
-        if cal_point in points:
-            cal_energy = series[points.index(cal_point)]
-        else:
-            node = cluster.fresh_node(node_id)
-            node.set_frequencies(*cal_point)
-            cal_energy = ExecutionSimulator(node, seed=seed).run(
-                app_builder(), threads=threads, run_key=("variability-cal",)
-            ).node_energy_j
-        energies[node_id] = (series, cal_energy)
-    return energies
 
 
 def _fleet_energies(app, points, cal_point, nodes, threads, cluster, seed,

@@ -1,15 +1,14 @@
 """The public tuning API — one typed facade over the whole pipeline.
 
 Every consumer that used to reach into :mod:`repro.analysis`,
-:mod:`repro.ptf` or :mod:`repro.execution` directly — with their
-historically inconsistent ``engine=`` / ``campaign=`` / ``measurement=``
-keyword spellings — goes through this module instead:
+:mod:`repro.ptf` or :mod:`repro.execution` directly goes through this
+module instead:
 
 :class:`ExecutionOptions`
-    The one normalized description of *how* to execute: which engine
-    variant, whether a :class:`~repro.campaign.engine.CampaignEngine`
-    (worker pool + content-addressed result store) backs the runs, and
-    how full-grid measurements are addressed in the store.
+    The one normalized description of *how* to execute: whether a
+    :class:`~repro.campaign.engine.CampaignEngine` (worker pool +
+    content-addressed result store) backs the runs, which simulated
+    cluster they run on, and what a definitive job failure does.
 
 :class:`TuningRequest` / :func:`tune`
     The paper's end product as a callable: "for (benchmark, threads,
@@ -30,19 +29,10 @@ keyword spellings — goes through this module instead:
 :func:`replay` / :func:`savings`
     One-configuration execution and the Table VI static/dynamic
     comparison, with the same options object.
-
-Old keyword spellings on the rewired call sites
-(:func:`repro.analysis.heatmap.energy_heatmap`,
-:func:`repro.analysis.tradeoffs.energy_time_tradeoff`,
-:func:`repro.analysis.savings.compare_static_dynamic`,
-:func:`repro.ptf.static_tuning.exhaustive_static_search`) keep working
-through thin shims that warn once per call site and fold the value into
-an :class:`ExecutionOptions`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -60,8 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.cluster import Cluster
 
 __all__ = [
-    "ENGINES",
-    "MEASUREMENTS",
     "ExecutionOptions",
     "GridMeasurement",
     "GridSpec",
@@ -70,7 +58,6 @@ __all__ = [
     "TuningRequest",
     "RunTriple",
     "grid_axes",
-    "resolve_options",
     "sweep_grid",
     "sweep_grids",
     "tune",
@@ -78,63 +65,31 @@ __all__ = [
     "savings",
 ]
 
-#: Every engine spelling the facade accepts.  ``auto`` resolves to the
-#: fast path of whatever kernel a call uses (sweep replay for grids,
-#: auto-dispatch for single runs); the rest pin a specific engine:
-#: ``sweep``/``loop`` for grid measurements, ``recursive``/``replay``
-#: for single-run execution.
-ENGINES: tuple[str, ...] = ("auto", "sweep", "loop", "recursive", "replay")
-
-#: Store-addressing granularities for exhaustive grid measurements.
-MEASUREMENTS: tuple[str, ...] = ("grid", "cell")
-
 #: Definitive-failure policies (mirrors
 #: :data:`repro.campaign.resilience.ON_FAILURE_POLICIES`).
 ON_FAILURE: tuple[str, ...] = ("raise", "quarantine", "skip")
-
-#: ``engine`` name -> the simulator's ``fast_path`` argument for
-#: single-run execution.
-_FAST_PATH: dict[str, bool | None] = {
-    "auto": None,
-    "recursive": False,
-    "replay": True,
-}
 
 
 @dataclass(frozen=True)
 class ExecutionOptions:
     """How (not what) to execute — the one normalized options object.
 
-    ``engine`` picks the execution kernel (see :data:`ENGINES`);
     ``campaign`` attaches a worker pool + content-addressed result
-    store so measurements cache and parallelise; ``measurement`` picks
-    the store addressing of exhaustive grids (``"grid"`` rows through
-    the sweep engine, ``"cell"`` the historical one-job-per-cell plan);
-    ``cluster`` supplies the simulated hardware (one is built from the
-    seed when omitted).  All execution paths are bit-identical — these
+    store so measurements cache and parallelise; ``cluster`` supplies
+    the simulated hardware (one is built from the seed when omitted).
+    Campaign-backed and in-process runs are bit-identical — these
     options trade speed and caching, never results.
     """
 
-    engine: str = "auto"
     campaign: "CampaignEngine | None" = None
-    measurement: str = "grid"
     cluster: "Cluster | None" = None
     #: Campaign-backed runs only: what a definitive job failure does
-    #: (PR-7 semantics — ``raise``/``quarantine``/``skip``) and whether
-    #: jobs quarantined by an earlier run are re-attempted.
+    #: (``raise``/``quarantine``/``skip``) and whether jobs quarantined
+    #: by an earlier run are re-attempted.
     on_failure: str = "raise"
     retry_failed: bool = False
 
     def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise CampaignError(
-                f"unknown engine: {self.engine!r}; known: {ENGINES}"
-            )
-        if self.measurement not in MEASUREMENTS:
-            raise CampaignError(
-                f"unknown measurement: {self.measurement!r}; "
-                f"known: {MEASUREMENTS}"
-            )
         if self.on_failure not in ON_FAILURE:
             raise CampaignError(
                 f"unknown on_failure policy: {self.on_failure!r}; "
@@ -149,83 +104,6 @@ class ExecutionOptions:
         if self.cluster is not None:
             return self.cluster
         return Cluster(2, seed=seed)
-
-    def grid_engine(self) -> str:
-        """``sweep`` or ``loop`` for full-grid measurements."""
-        if self.engine in ("auto", "sweep"):
-            return "sweep"
-        if self.engine == "loop":
-            return "loop"
-        raise CampaignError(
-            f"engine {self.engine!r} does not measure grids; "
-            "use 'auto', 'sweep' or 'loop'"
-        )
-
-    def run_fast_path(self) -> bool | None:
-        """The simulator ``fast_path`` argument for single runs."""
-        if self.engine in _FAST_PATH:
-            return _FAST_PATH[self.engine]
-        raise CampaignError(
-            f"engine {self.engine!r} does not execute single runs; "
-            "use 'auto', 'recursive' or 'replay'"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Legacy-kwarg normalization (the deprecation shims)
-# ---------------------------------------------------------------------------
-
-_WARNED_SITES: set[str] = set()
-
-
-def _warn_legacy(site: str, kwargs: list[str]) -> None:
-    if site in _WARNED_SITES:
-        return
-    _WARNED_SITES.add(site)
-    listed = ", ".join(f"{k}=" for k in kwargs)
-    warnings.warn(
-        f"{site}: the {listed} keyword(s) are deprecated; pass "
-        "options=repro.api.ExecutionOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_options(
-    options: ExecutionOptions | None,
-    *,
-    site: str,
-    engine: str | None = None,
-    campaign: "CampaignEngine | None" = None,
-    measurement: str | None = None,
-) -> ExecutionOptions:
-    """Fold legacy keyword spellings into one :class:`ExecutionOptions`.
-
-    Rewired call sites pass their historical ``engine=`` / ``campaign=``
-    / ``measurement=`` values here (``None`` when the caller did not use
-    them).  Any non-``None`` legacy value triggers a once-per-site
-    :class:`DeprecationWarning`; mixing legacy keywords with an explicit
-    ``options=`` is an error — there would be two sources of truth.
-    """
-    legacy = {
-        "engine": engine,
-        "campaign": campaign,
-        "measurement": measurement,
-    }
-    used = [name for name, value in legacy.items() if value is not None]
-    if not used:
-        return options if options is not None else ExecutionOptions()
-    if options is not None:
-        raise CampaignError(
-            f"{site}: pass either options= or the deprecated "
-            f"{'/'.join(used)} keyword(s), not both"
-        )
-    _warn_legacy(site, used)
-    return ExecutionOptions(
-        engine=engine if engine is not None else "auto",
-        campaign=campaign,
-        measurement=measurement if measurement is not None else "grid",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +229,7 @@ class GridMeasurement:
     and every cell is bit-identical to a fresh-node
     :meth:`~repro.execution.simulator.ExecutionSimulator.run` at that
     configuration with the canonical ``("heatmap", cf, ucf)`` noise key
-    — independent of how (sweep, loop, campaign rows) or with which
+    — independent of how (sweep, fleet, campaign rows) or with which
     batch-mates the grid was measured.
     """
 
@@ -500,15 +378,13 @@ def sweep_grid(
 ) -> GridMeasurement:
     """Measure the CF x UCF grid for one benchmark at one thread count.
 
-    The default path is one pass through the config-axis sweep engine;
-    ``options.engine="loop"`` runs the bit-identical per-cell reference
-    loop, and ``options.campaign`` executes the grid as cacheable
-    per-row campaign jobs instead.  Cells carry the canonical
+    The grid is measured in one pass through the config-axis sweep
+    engine; ``options.campaign`` executes it as cacheable per-row
+    campaign jobs instead.  Cells carry the canonical
     ``("heatmap", cf, ucf)`` noise keys, so the measurement equals the
     Figures 6/7 heatmap cells and any solo run at the same coordinates.
     """
     options = options if options is not None else ExecutionOptions()
-    engine = options.grid_engine()
     app = registry.build(benchmark)
     if threads is None:
         threads = app.default_threads
@@ -518,11 +394,6 @@ def sweep_grid(
     points = [OperatingPoint(cf, ucf, threads) for cf in cfs for ucf in ucfs]
     shape = (len(cfs), len(ucfs))
     if options.campaign is not None:
-        if engine != "sweep":
-            raise CampaignError(
-                "campaign-backed grids measure through the sweep engine; "
-                f"drop campaign= or use engine='sweep', not {engine!r}"
-            )
         from repro.campaign.engine import run_app_jobs
         from repro.campaign.plan import grid_jobs
 
@@ -557,7 +428,7 @@ def sweep_grid(
         times = np.array(
             [t for p in payloads for t in p["time_s"]]
         ).reshape(shape)
-    elif engine == "sweep":
+    else:
         from repro.execution.sweep_replay import sweep_run
 
         sweep = sweep_run(
@@ -574,22 +445,6 @@ def sweep_grid(
         energies = np.array([r.node_energy_j for r in sweep.results]).reshape(shape)
         cpu = np.array([r.cpu_energy_j for r in sweep.results]).reshape(shape)
         times = np.array([r.time_s for r in sweep.results]).reshape(shape)
-    else:
-        from repro.execution.simulator import ExecutionSimulator
-
-        energies = np.empty(shape)
-        cpu = np.empty(shape)
-        times = np.empty(shape)
-        for i, cf in enumerate(cfs):
-            for j, ucf in enumerate(ucfs):
-                node = cluster.fresh_node(node_id)
-                node.set_frequencies(cf, ucf)
-                run = ExecutionSimulator(node, seed=seed).run(
-                    app, threads=threads, run_key=("heatmap", cf, ucf)
-                )
-                energies[i, j] = run.node_energy_j
-                cpu[i, j] = run.cpu_energy_j
-                times[i, j] = run.time_s
     return GridMeasurement(
         benchmark=benchmark,
         threads=threads,
@@ -634,24 +489,12 @@ def sweep_grids(
 
     With ``options.campaign``, all grids go into one campaign plan
     (which the engine prices in fleet-kernel shards) — rows cache
-    under their usual per-job store keys.  ``options.engine="loop"``
-    falls back to the per-cell reference loop, one grid at a time.
+    under their usual per-job store keys.
     """
     options = options if options is not None else ExecutionOptions()
     specs = list(specs)
-    engine = options.grid_engine()
-    if engine == "loop" or len(specs) == 0:
-        return [
-            sweep_grid(
-                s.benchmark,
-                threads=s.threads,
-                stride=s.stride,
-                node_id=s.node_id,
-                seed=s.seed,
-                options=options,
-            )
-            for s in specs
-        ]
+    if not specs:
+        return []
 
     # Resolve each spec exactly as sweep_grid would.
     resolved = []
@@ -891,7 +734,6 @@ def replay(
         run_key=(
             "static", point.core_freq_ghz, point.uncore_freq_ghz, point.threads
         ),
-        fast_path=options.run_fast_path(),
     )
     return RunTriple(
         node_energy_j=run.node_energy_j,

@@ -36,7 +36,6 @@ from repro.modeling.crossval import (
 )
 from repro.modeling.metrics import mape, mean_absolute_error
 from repro.modeling.batched import (
-    ENGINES,
     BatchedModelEvaluator,
     GridPrediction,
     predict_energy_grid,
@@ -44,7 +43,6 @@ from repro.modeling.batched import (
 from repro.modeling.model_cache import train_network_cached
 
 __all__ = [
-    "ENGINES",
     "BatchedModelEvaluator",
     "GridPrediction",
     "predict_energy_grid",

@@ -3,10 +3,11 @@
 The tuning layer keeps asking the energy network the same shape of
 question: *given counter rates for a region (or a whole benchmark
 series), what is the predicted normalized energy at every core x uncore
-frequency point?*  The historical ("pointwise") path answered it one
+frequency point?*  The historical pointwise path answered it one
 rate-vector at a time — a Python loop assembling one feature row per
 grid point, then one :meth:`~repro.modeling.network.EnergyNetwork.forward`
-call per region/series/fold.
+call per region/series/fold.  That loop is kept only as the test oracle
+(``tests/oracles/models.py``).
 
 This module answers it for *all* rate vectors at once:
 
@@ -24,7 +25,7 @@ Numerical contract: evaluating a stacked matrix is **bit-identical** to
 evaluating the same rows in any chunking with >= 2 rows per call — the
 per-element dot products of a matmul do not depend on the number of
 rows — so batched grid predictions, LOOCV MAPE values and static
-configuration selections equal the pointwise engine's to the last bit
+configuration selections equal the pointwise oracle's to the last bit
 (pinned by ``tests/modeling/test_batched_equivalence.py``).
 """
 
@@ -37,17 +38,6 @@ import numpy as np
 from repro import config
 from repro.errors import ModelError
 from repro.modeling.training import TrainedModel
-
-#: The model-evaluation engines the tuning layer can run on.
-ENGINES: tuple[str, ...] = ("pointwise", "batched")
-
-
-def validate_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ModelError(
-            f"unknown model-evaluation engine {engine!r}; known: {ENGINES}"
-        )
-    return engine
 
 
 # ---------------------------------------------------------------------------
@@ -224,38 +214,11 @@ class BatchedModelEvaluator:
         return GridPrediction(tuple(labels), points, energies)
 
 
-def _pointwise_grid(model: TrainedModel, rates: np.ndarray, labels) -> GridPrediction:
-    """The historical per-row path: Python row assembly + one forward
-    per rate vector.  Kept as the reference the batched engine is pinned
-    against, and selectable everywhere via ``engine="pointwise"``."""
-    rates = np.atleast_2d(np.asarray(rates, dtype=float))
-    points, _ = frequency_grid()
-    per_row = []
-    for vec in rates:
-        rows = []
-        for cf in config.CORE_FREQUENCIES_GHZ:
-            for ucf in config.UNCORE_FREQUENCIES_GHZ:
-                rows.append(np.concatenate([vec, [cf, ucf]]))
-        per_row.append(model.predict(np.asarray(rows)))
-    if labels is None:
-        labels = tuple(range(rates.shape[0]))
-    return GridPrediction(tuple(labels), points, np.asarray(per_row))
-
-
 def predict_energy_grid(
     model: TrainedModel,
     rates: np.ndarray,
     *,
     labels=None,
-    engine: str = "batched",
 ) -> GridPrediction:
-    """Grid-shaped prediction through the selected evaluation engine.
-
-    Both engines return bit-identical :class:`GridPrediction` values;
-    ``batched`` does it in a handful of matmuls, ``pointwise`` replays
-    the historical per-row loop.
-    """
-    validate_engine(engine)
-    if engine == "batched":
-        return BatchedModelEvaluator(model).predict_grid(rates, labels=labels)
-    return _pointwise_grid(model, rates, labels)
+    """Grid-shaped prediction for every rate row in a handful of matmuls."""
+    return BatchedModelEvaluator(model).predict_grid(rates, labels=labels)

@@ -11,7 +11,7 @@ network's production path: folds train as parallel jobs through a
 :class:`~repro.campaign.engine.CampaignEngine`, trained parameters are
 recalled from the content-addressed result store, and held-out
 benchmarks are predicted through the batched evaluation engine — all
-bit-identical to the serial pointwise loop.
+bit-identical to the serial pointwise loop kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from repro.campaign.engine import CampaignEngine
 from repro.campaign.store import job_key
 from repro.errors import ModelError
-from repro.modeling.batched import BatchedModelEvaluator, validate_engine
+from repro.modeling.batched import BatchedModelEvaluator
 from repro.modeling.dataset import EnergyDataset
 from repro.modeling.metrics import mape
 from repro.modeling.model_cache import (
@@ -79,27 +79,16 @@ def network_loocv_mape(
     dataset: EnergyDataset,
     *,
     config: TrainingConfig = TrainingConfig(),
-    engine: str = "batched",
     campaign: CampaignEngine | None = None,
 ) -> dict[str, float]:
-    """Figure 5's network LOOCV through a model-evaluation engine.
+    """Figure 5's network LOOCV: per-benchmark MAPE of held-out folds.
 
-    ``engine="pointwise"`` replays the historical serial loop (train one
-    fold at a time, predict through the layer stack).  ``"batched"``
-    dispatches fold training through ``campaign`` (parallel workers,
+    Fold training dispatches through ``campaign`` (parallel workers,
     trained weights recalled from / persisted to its result store) and
-    predicts held-out benchmarks with the batched evaluator.  Both
-    engines return bit-identical per-benchmark MAPE.
+    held-out benchmarks are predicted with the batched evaluator —
+    bit-identical to training and predicting one fold at a time.
     """
-    validate_engine(engine)
     folds = network_loocv_folds(dataset)
-    if engine == "pointwise":
-        results: dict[str, float] = {}
-        for bench, train, test in folds:
-            model = train_network(train.features, train.targets, config=config)
-            results[bench] = mape(model.predict(test.features), test.targets)
-        return results
-
     store = campaign.store if campaign is not None else None
     models: dict[str, TrainedModel | None] = {}
     pending: list[tuple[str, str, dict]] = []

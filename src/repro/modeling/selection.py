@@ -8,16 +8,16 @@ rejecting candidates that would push the selected counters' VIF above
 the multicollinearity threshold.  Stops when no candidate improves
 adjusted R² by more than ``tolerance`` or ``max_counters`` is reached.
 
-Two scoring engines: ``pointwise`` fits one OLS system per candidate
-per round (the historical loop); ``batched`` scores *every* candidate
-of a round in one stacked normal-equations solve — the grid-shaped
-evaluation the rest of the tuning layer uses, an order of magnitude
-fewer Python-level linear solves for the 40-counter preset table.
+Each round scores *every* candidate in one stacked normal-equations
+solve — the grid-shaped evaluation the rest of the tuning layer uses,
+an order of magnitude fewer Python-level linear solves for the
+40-counter preset table than fitting one OLS system per candidate (the
+historical loop, kept as the pointwise test oracle).
 
 Equivalence caveat — unlike the network's grid predictions, which are
-bit-identical across engines, the normal-equations scorer differs from
-``lstsq`` (SVD) in the last float bits (~1e-16 relative).  The
-*selected counters* agree whenever gains are separated from
+bit-identical to their pointwise oracle, the normal-equations scorer
+differs from ``lstsq`` (SVD) in the last float bits (~1e-16 relative).
+The *selected counters* agree whenever gains are separated from
 ``tolerance`` by more than that noise (pinned on real and synthetic
 data by the equivalence tests); the reported ``adjusted_r2`` is equal
 only to ``np.isclose`` precision.
@@ -126,7 +126,6 @@ def select_counters(
     max_counters: int = DEFAULT_MAX_COUNTERS,
     tolerance: float = 1e-4,
     vif_limit: float = VIF_THRESHOLD,
-    engine: str = "batched",
 ) -> CounterSelection:
     """Run the stepwise selection.
 
@@ -140,13 +139,11 @@ def select_counters(
         The always-included covariates (CF, UCF), shape ``(n_samples, 2)``.
     targets:
         Normalized energy, shape ``(n_samples,)``.
-    engine:
-        ``"batched"`` scores each round's surviving candidates in one
-        stacked solve; ``"pointwise"`` fits them one at a time.  Both
-        select the same counters (pinned by the equivalence tests).
+
+    Each round's surviving candidates are scored in one stacked solve;
+    the selection equals fitting them one at a time (pinned against
+    the pointwise oracle by the equivalence tests).
     """
-    if engine not in ("pointwise", "batched"):
-        raise ModelError(f"unknown selection engine {engine!r}")
     counter_rates = np.asarray(counter_rates, dtype=float)
     frequencies = np.asarray(frequencies, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -176,19 +173,8 @@ def select_counters(
         if not eligible:
             break
 
-        if engine == "batched":
-            base = np.column_stack([freqs, rates[:, selected]])
-            scores = _batched_adjusted_r2(base, rates[:, eligible], targets)
-        else:
-            scores = np.array(
-                [
-                    _adjusted_r2(
-                        np.column_stack([freqs, rates[:, selected + [j]]]),
-                        targets,
-                    )
-                    for j in eligible
-                ]
-            )
+        base = np.column_stack([freqs, rates[:, selected]])
+        scores = _batched_adjusted_r2(base, rates[:, eligible], targets)
 
         best_gain, best_idx, best_r2 = tolerance, None, current_r2
         for j, r2 in zip(eligible, scores):

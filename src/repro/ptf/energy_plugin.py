@@ -28,7 +28,7 @@ from repro import config
 from repro.counters.papi import preset
 from repro.errors import TuningError
 from repro.execution.simulator import OperatingPoint
-from repro.modeling.batched import predict_energy_grid, validate_engine
+from repro.modeling.batched import predict_energy_grid
 from repro.modeling.dataset import FEATURE_COUNTERS, measure_counter_rates
 from repro.modeling.training import TrainedModel
 from repro.ptf.experiments import ExperimentsEngine, RegionMeasurement
@@ -74,9 +74,6 @@ class EnergyTuningPlugin(TuningPluginInterface):
         re-centers and verifies again, recovering from model argmin
         errors larger than one frequency step at a cost of at most 9
         extra experiments per round.
-    engine:
-        Model-evaluation engine for the step-2 grid prediction
-        (``"batched"`` or ``"pointwise"``; bit-identical results).
     """
 
     def __init__(
@@ -84,12 +81,10 @@ class EnergyTuningPlugin(TuningPluginInterface):
         model: TrainedModel,
         *,
         hill_climb_steps: int = 1,
-        engine: str = "batched",
     ):
         if hill_climb_steps < 1:
             raise TuningError("hill_climb_steps must be >= 1")
         self._hill_climb_steps = hill_climb_steps
-        self._engine_name = validate_engine(engine)
         self._model = model
         self._context: TuningContext | None = None
         self._engine: ExperimentsEngine | None = None
@@ -205,9 +200,7 @@ class EnergyTuningPlugin(TuningPluginInterface):
         self._require_engine().application_runs += 1  # the analysis run
         rates = np.array([rates_map[preset(c).name] for c in FEATURE_COUNTERS])
         # All CF x UCF combinations in one grid-shaped prediction.
-        prediction = predict_energy_grid(
-            self._model, rates, labels=("phase",), engine=self._engine_name
-        )
+        prediction = predict_energy_grid(self._model, rates, labels=("phase",))
         grid = prediction.as_dict("phase")
         best = min(grid, key=grid.get)
         return rates, grid, best

@@ -112,12 +112,11 @@ class ExhaustiveRegionTuner:
         *,
         stride: int = 1,
         keep: int = 9,
-        engine: str = "batched",
     ) -> list[tuple[float, float]]:
         """Model-screened frequency pairs worth measuring exhaustively.
 
         One grid-shaped prediction per region (a single stacked forward
-        pass under the batched engine) ranks every (CF, UCF) pair; the
+        pass) ranks every (CF, UCF) pair; the
         union of each region's ``keep`` best predicted pairs — in grid
         order, restricted to the strided grid — becomes the measured
         search space.  This trades the model's accuracy for a search
@@ -127,15 +126,12 @@ class ExhaustiveRegionTuner:
 
         if keep < 1:
             raise TuningError("keep must be >= 1")
-        tuner = RegionModelTuner(
-            model, self.cluster, node_id=self.node_id, engine=engine
-        )
+        tuner = RegionModelTuner(model, self.cluster, node_id=self.node_id)
         rates = tuner.measure_region_rates(app, regions)
         grid = predict_energy_grid(
             model,
             np.asarray([rates[r] for r in regions]),
             labels=regions,
-            engine=engine,
         )
         strided = {
             (cf, ucf)
@@ -162,7 +158,6 @@ class ExhaustiveRegionTuner:
         regions: tuple[str, ...] | None = None,
         model: TrainedModel | None = None,
         screen_keep: int = 9,
-        engine: str = "batched",
     ) -> tuple[dict[str, OperatingPoint], ExperimentsEngine]:
         """Best configuration per region via exhaustive evaluation.
 
@@ -180,8 +175,7 @@ class ExhaustiveRegionTuner:
             regions = tuple(c.name for c in app.phase.children if c.has_work)
         if model is not None:
             pairs = self.screen_frequency_pairs(
-                app, model, regions, stride=stride, keep=screen_keep,
-                engine=engine,
+                app, model, regions, stride=stride, keep=screen_keep
             )
         else:
             pairs = [

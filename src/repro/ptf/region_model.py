@@ -26,7 +26,7 @@ from repro.counters.papi import preset
 from repro.errors import TuningError
 from repro.execution.simulator import ExecutionSimulator
 from repro.hardware.cluster import Cluster
-from repro.modeling.batched import predict_energy_grid, validate_engine
+from repro.modeling.batched import predict_energy_grid
 from repro.modeling.dataset import FEATURE_COUNTERS
 from repro.modeling.training import TrainedModel
 from repro.workloads.application import Application
@@ -82,13 +82,11 @@ class RegionModelTuner:
         *,
         node_id: int = 0,
         seed: int = config.DEFAULT_SEED,
-        engine: str = "batched",
     ):
         self._model = model
         self._cluster = cluster
         self._node_id = node_id
         self._seed = seed
-        self._engine = validate_engine(engine)
 
     # ------------------------------------------------------------------
     def measure_region_rates(
@@ -137,13 +135,9 @@ class RegionModelTuner:
     def predict_regions(
         self, rates: dict[str, np.ndarray]
     ) -> dict[str, RegionPrediction]:
-        """Full-grid predictions for many regions in one engine call.
-
-        Under the batched engine every (region, grid point) pair goes
-        through the network in a single stacked forward pass — the
-        pointwise engine evaluates one region's grid at a time, with
-        bit-identical results.
-        """
+        """Full-grid predictions for many regions at once: every
+        (region, grid point) pair goes through the network in a single
+        stacked forward pass."""
         if not rates:
             return {}
         names = tuple(rates)
@@ -151,7 +145,6 @@ class RegionModelTuner:
             self._model,
             np.asarray([rates[name] for name in names]),
             labels=names,
-            engine=self._engine,
         )
         best = grid.best()
         return {

@@ -7,19 +7,16 @@ frequency and uncore frequency and selecting the minimum-energy run
 answer is enough (tests); the benchmarks run the full grid.
 
 The sweep executes through the :mod:`repro.campaign` engine: the full
-grid is submitted as one plan, fans out across the worker pool, and —
-when the engine carries a result store — warm re-runs select the best
-point without a single new simulation.  With the default
-``measurement="grid"`` the plan consists of per-(threads, CF) **row
-jobs** that replay their whole UCF axis in one pass through the
-config-axis sweep engine (:mod:`repro.execution.sweep_replay`);
-``measurement="cell"`` submits the historical one-job-per-cell plan.
-Both measure bit-identical numbers — only store addressing differs, so
-switching re-keys the cache.  The winning point is selected with one
-vectorised objective evaluation over the whole grid, and
-:func:`select_static_configurations` offers the model-predicted
-counterpart: static configurations for a whole workload suite from one
-batched grid prediction, with zero sweep simulations.
+grid is submitted as one plan of per-(threads, CF) **row jobs**, each
+replaying its whole UCF axis in one pass through the config-axis sweep
+engine (:mod:`repro.execution.sweep_replay`).  The plan fans out across
+the worker pool and — when the engine carries a result store — warm
+re-runs select the best point without a single new simulation.  The
+winning point is selected with one vectorised objective evaluation
+over the whole grid, and :func:`select_static_configurations` offers
+the model-predicted counterpart: static configurations for a whole
+workload suite from one batched grid prediction, with zero sweep
+simulations.
 """
 
 from __future__ import annotations
@@ -29,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import config
-from repro.campaign.engine import CampaignEngine, run_app_jobs
-from repro.campaign.plan import grid_jobs, grid_rows, static_jobs, static_operating_points
+from repro.campaign.engine import run_app_jobs
+from repro.campaign.plan import grid_jobs, grid_rows, static_operating_points
 from repro.errors import TuningError
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
@@ -53,8 +50,6 @@ class ModelStaticSelection:
 def select_static_configurations(
     model: TrainedModel,
     series_rates: dict[tuple[str, int], np.ndarray],
-    *,
-    engine: str = "batched",
 ) -> dict[tuple[str, int], ModelStaticSelection]:
     """Predict the energy-optimal static (CF, UCF) for many series at once.
 
@@ -62,10 +57,9 @@ def select_static_configurations(
     counter-rate vector of that series (the layout of
     :attr:`~repro.modeling.dataset.EnergyDataset.counter_rates`).  The
     model predicts normalized energy over the full core x uncore grid
-    for every series — under the batched engine that is one stacked
-    forward pass for the whole workload suite — and the argmin becomes
-    the predicted static configuration.  Both engines return
-    bit-identical selections; no simulation runs are involved.
+    for every series in one stacked forward pass for the whole workload
+    suite, and the argmin becomes the predicted static configuration.
+    No simulation runs are involved.
     """
     if not series_rates:
         return {}
@@ -74,7 +68,6 @@ def select_static_configurations(
         model,
         np.asarray([series_rates[label] for label in labels]),
         labels=labels,
-        engine=engine,
     )
     best = grid.best()
     return {
@@ -114,37 +107,19 @@ def exhaustive_static_search(
     objective: Objective = ENERGY,
     stride: int = 1,
     thread_counts: tuple[int, ...] | None = None,
-    engine: CampaignEngine | None = None,
-    measurement: str | None = None,
     options: "api.ExecutionOptions | None" = None,
 ) -> StaticTuningResult:
     """Run the full static sweep and return the best configuration.
 
-    ``options.measurement`` selects how the grid is simulated:
-    ``"grid"`` (default) replays each (threads, CF) row in one
-    sweep-engine pass; ``"cell"`` runs the historical one-job-per-cell
-    plan.  The measured energies — and therefore the result — are
-    bit-identical.  ``options.campaign`` attaches the campaign engine
-    that pools and caches the runs.  The bare ``engine=`` (historically
-    this function's spelling for the *campaign* engine) and
-    ``measurement=`` keywords are the deprecated forms.
+    ``options.campaign`` attaches the campaign engine that pools and
+    caches the row jobs; its ``on_failure``/``retry_failed`` policy
+    applies to them.
     """
     from repro import api
 
     if stride < 1:
         raise TuningError("stride must be >= 1")
-    if measurement is not None and measurement not in ("grid", "cell"):
-        raise TuningError(
-            f"unknown measurement: {measurement!r}; known: ('grid', 'cell')"
-        )
-    opts = api.resolve_options(
-        options,
-        site="repro.ptf.static_tuning.exhaustive_static_search",
-        campaign=engine,
-        measurement=measurement,
-    )
-    engine = opts.campaign
-    measurement = opts.measurement
+    options = options if options is not None else api.ExecutionOptions()
     points = static_operating_points(
         app, stride=stride, thread_counts=thread_counts
     )
@@ -154,39 +129,38 @@ def exhaustive_static_search(
         config.DEFAULT_OPENMP_THREADS,
     )
     cluster.check_node_id(node_id)
-    if measurement == "grid":
-        jobs = grid_jobs(
-            app.name,
-            label="static",
-            points=points,
-            node_id=node_id,
-            node_seed=cluster.seed,
-        )
-        results = run_app_jobs(jobs, app, cluster=cluster, engine=engine)
-        # Map every point back to (its row's payload, its position in
-        # the row).  grid_rows appends a row's UCFs in point order, so
-        # the k-th occurrence of a (threads, CF) pair is row entry k.
-        row_payload = {
-            (threads, cf): results[job]
-            for job, (threads, cf, _ucfs) in zip(jobs, grid_rows(points))
-        }
-        occurrence: dict[tuple, int] = {}
-        energies = np.empty(len(points))
-        times = np.empty(len(points))
-        for k, p in enumerate(points):
-            key = (p.threads, p.core_freq_ghz)
-            i = occurrence.get(key, 0)
-            occurrence[key] = i + 1
-            payload = row_payload[key]
-            energies[k] = payload["node_energy_j"][i]
-            times[k] = payload["time_s"][i]
-    else:
-        jobs = static_jobs(
-            app.name, points=points, node_id=node_id, node_seed=cluster.seed
-        )
-        results = run_app_jobs(jobs, app, cluster=cluster, engine=engine)
-        energies = np.array([results[job]["node_energy_j"] for job in jobs])
-        times = np.array([results[job]["time_s"] for job in jobs])
+    jobs = grid_jobs(
+        app.name,
+        label="static",
+        points=points,
+        node_id=node_id,
+        node_seed=cluster.seed,
+    )
+    results = run_app_jobs(
+        jobs,
+        app,
+        cluster=cluster,
+        engine=options.campaign,
+        on_failure=options.on_failure,
+        retry_failed=options.retry_failed,
+    )
+    # Map every point back to (its row's payload, its position in the
+    # row).  grid_rows appends a row's UCFs in point order, so the k-th
+    # occurrence of a (threads, CF) pair is row entry k.
+    row_payload = {
+        (threads, cf): results[job]
+        for job, (threads, cf, _ucfs) in zip(jobs, grid_rows(points))
+    }
+    occurrence: dict[tuple, int] = {}
+    energies = np.empty(len(points))
+    times = np.empty(len(points))
+    for k, p in enumerate(points):
+        key = (p.threads, p.core_freq_ghz)
+        i = occurrence.get(key, 0)
+        occurrence[key] = i + 1
+        payload = row_payload[key]
+        energies[k] = payload["node_energy_j"][i]
+        times[k] = payload["time_s"][i]
 
     # Vectorised selection: one objective evaluation + argmin over the
     # whole grid (first minimum, like the historical point loop).

@@ -133,8 +133,7 @@ def answer_group(
     The group's *distinct* grid keys are deduplicated and their grids
     measured in a single :func:`repro.api.sweep_grids` invocation (one
     fleet-kernel pass spanning every benchmark/thread/node/seed in the
-    group — or, under ``options.engine="loop"``, the per-cell
-    reference); each request's objective argmin — plus its TMM-priced
+    group); each request's objective argmin — plus its TMM-priced
     dynamic run, when it carries one — is then evaluated from its grid.
     Per request, the result is bit-identical to :func:`repro.api.tune`,
     which performs exactly this fold for a group of one.

@@ -189,18 +189,18 @@ def _spawn_probe(delay_s: float) -> int:
 #: Per-process campaign engines for group execution, keyed like
 #: :data:`repro.campaign.engine._WORKER_STORES` — the pid guard matters
 #: under fork, where a parent's engine would otherwise be inherited.
-_WORKER_ENGINES: dict[tuple[int, str | None], CampaignEngine] = {}
+_WORKER_CAMPAIGNS: dict[tuple[int, str | None], CampaignEngine] = {}
 
 
 def _worker_options(spec: WorkerSpec) -> api.ExecutionOptions:
     engine = None
     if spec.store_path is not None:
         key = (os.getpid(), spec.store_path)
-        engine = _WORKER_ENGINES.get(key)
+        engine = _WORKER_CAMPAIGNS.get(key)
         if engine is None:
             store = _worker_store(spec.store_path, spec.store_backend)
             engine = CampaignEngine(store=store, max_workers=0)
-            _WORKER_ENGINES[key] = engine
+            _WORKER_CAMPAIGNS[key] = engine
     return api.ExecutionOptions(
         campaign=engine,
         on_failure="quarantine",

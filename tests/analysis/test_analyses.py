@@ -13,6 +13,8 @@ from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.readex.tuning_model import TuningModel
 from repro.workloads import registry
+from tests.oracles.grids import loop_variability
+from tests.oracles.savings import recursive_savings
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +51,12 @@ class TestVariability:
         with pytest.raises(ValueError):
             variability_study("Lulesh", axis="dram")
 
-    def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError):
-            variability_study("Lulesh", engine="sweep")
-
     @pytest.mark.parametrize("axis", ["core", "uncore"])
     def test_fleet_engine_bit_identical_to_loop(self, axis, cluster):
-        """The default fleet-kernel sweep equals the per-cell loop."""
+        """The fleet-kernel sweep equals the per-cell loop oracle."""
         kwargs = dict(axis=axis, nodes=(0, 2), cluster=cluster)
-        fleet = variability_study("Mcb", engine="fleet", **kwargs)
-        loop = variability_study("Mcb", engine="loop", **kwargs)
+        fleet = variability_study("Mcb", **kwargs)
+        loop = loop_variability("Mcb", **kwargs)
         for node_id in (0, 2):
             assert (
                 fleet.raw_energy_j[node_id].tolist()
@@ -155,8 +153,9 @@ class TestSavings:
         assert "Lulesh" in text and "average" in text
 
     def test_engines_and_campaign_bit_identical(self, cluster):
-        """The row is engine-independent, and the campaign-backed path
-        reproduces the in-process loop exactly."""
+        """The replayed row equals the recursive-engine oracle, and the
+        campaign-backed path reproduces the in-process loop exactly."""
+        from repro import api
         from repro.campaign.engine import CampaignEngine
 
         tmm = TuningModel.from_best_configs(
@@ -168,18 +167,17 @@ class TestSavings:
             },
         )
         static = OperatingPoint(2.4, 2.0, 24)
-        rows = {
-            engine: compare_static_dynamic(
-                "Lulesh", static, tmm, cluster=cluster, runs=2, engine=engine
-            )
-            for engine in ("auto", "recursive", "replay")
-        }
-        assert rows["auto"] == rows["recursive"] == rows["replay"]
+        row = compare_static_dynamic(
+            "Lulesh", static, tmm, cluster=cluster, runs=2
+        )
+        assert row == recursive_savings(
+            "Lulesh", static, tmm, cluster=cluster, runs=2
+        )
         via_campaign = compare_static_dynamic(
             "Lulesh", static, tmm, cluster=cluster, runs=2,
-            campaign=CampaignEngine(max_workers=0),
+            options=api.ExecutionOptions(campaign=CampaignEngine(max_workers=0)),
         )
-        assert via_campaign == rows["auto"]
+        assert via_campaign == row
 
     def test_many_matches_solo_rows_and_shares_one_campaign_run(
         self, cluster
@@ -229,19 +227,8 @@ class TestSavings:
         )
         assert plain == solo
 
-    def test_unknown_engine_rejected(self, cluster):
-        from repro.errors import CampaignError
-
-        with pytest.raises(CampaignError, match="unknown engine"):
-            compare_static_dynamic(
-                "Lulesh", OperatingPoint(2.4, 1.6, 24),
-                TuningModel.from_best_configs(
-                    "Lulesh", "phase", {"phase": OperatingPoint(2.4, 1.6, 24)}
-                ),
-                cluster=cluster, runs=1, engine="warp",
-            )
-
     def test_campaign_topology_mismatch_rejected(self, cluster):
+        from repro import api
         from repro.campaign.engine import CampaignEngine
         from repro.errors import CampaignError
         from repro.hardware.topology import NodeTopology
@@ -253,7 +240,9 @@ class TestSavings:
                     "Lulesh", "phase", {"phase": OperatingPoint(2.4, 1.6, 24)}
                 ),
                 cluster=cluster, runs=1,
-                campaign=CampaignEngine(topology=NodeTopology.build(1, 8)),
+                options=api.ExecutionOptions(
+                    campaign=CampaignEngine(topology=NodeTopology.build(1, 8))
+                ),
             )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import config
+from repro.api import ExecutionOptions
 from repro.analysis.heatmap import PLATEAU_THRESHOLD, EnergyHeatmap, energy_heatmap
 from repro.campaign.engine import CampaignEngine
 from repro.campaign.store import ResultStore
@@ -96,13 +97,15 @@ class TestCampaignHeatmap:
         )
         direct = energy_heatmap("EP", threads=24, cluster=cluster)
         cached = energy_heatmap(
-            "EP", threads=24, cluster=cluster, campaign=engine
+            "EP", threads=24, cluster=cluster,
+            options=ExecutionOptions(campaign=engine),
         )
         assert np.array_equal(direct.normalized, cached.normalized)
         executed = engine.total_executed
         assert executed == len(config.CORE_FREQUENCIES_GHZ)  # one per row
         again = energy_heatmap(
-            "EP", threads=24, cluster=cluster, campaign=engine
+            "EP", threads=24, cluster=cluster,
+            options=ExecutionOptions(campaign=engine),
         )
         assert engine.total_executed == executed  # all rows recalled
         assert np.array_equal(again.normalized, direct.normalized)
@@ -111,11 +114,6 @@ class TestCampaignHeatmap:
         engine = CampaignEngine(topology=NodeTopology.build(1, 8))
         with pytest.raises(CampaignError, match="topology"):
             energy_heatmap(
-                "EP", threads=24, cluster=Cluster(2), campaign=engine
-            )
-
-    def test_loop_engine_with_campaign_rejected(self):
-        with pytest.raises(CampaignError, match="sweep engine"):
-            energy_heatmap(
-                "EP", threads=24, engine="loop", campaign=CampaignEngine()
+                "EP", threads=24, cluster=Cluster(2),
+                options=ExecutionOptions(campaign=engine),
             )

@@ -285,31 +285,36 @@ class TestConsumerEquivalence:
             assert np.array_equal(serial.times, other.times)
 
     def test_static_search_cached_run_simulates_nothing(self, tmp_path):
+        from repro.api import ExecutionOptions
         from repro.ptf.static_tuning import exhaustive_static_search
 
         from repro.campaign.plan import grid_rows, static_operating_points
+        from tests.oracles.static_search import cell_static_search
 
         cluster = Cluster(4)
         app = registry.build("EP")
         store = ResultStore(tmp_path / "store.jsonl")
-        engine = CampaignEngine(store=store, max_workers=1)
-        first = exhaustive_static_search(
-            app, cluster, stride=6, thread_counts=(24,), engine=engine
+        options = ExecutionOptions(
+            campaign=CampaignEngine(store=store, max_workers=1)
         )
-        executed = engine.total_executed
-        # The default measurement submits one sweep-replay job per
-        # (threads, CF) grid row, not one per cell.
+        first = exhaustive_static_search(
+            app, cluster, stride=6, thread_counts=(24,), options=options
+        )
+        executed = options.campaign.total_executed
+        # The search submits one sweep-replay job per (threads, CF)
+        # grid row, not one per cell.
         points = static_operating_points(app, stride=6, thread_counts=(24,))
         assert executed == len(grid_rows(points))
         assert first.configurations_tried == len(points)
         second = exhaustive_static_search(
-            app, cluster, stride=6, thread_counts=(24,), engine=engine
+            app, cluster, stride=6, thread_counts=(24,), options=options
         )
-        assert engine.total_executed == executed  # zero new simulations
+        assert options.campaign.total_executed == executed  # zero new runs
         assert second == first
-        # The historical per-cell plan measures the same result.
-        assert exhaustive_static_search(
-            app, cluster, stride=6, thread_counts=(24,), measurement="cell"
+        # The per-cell reference (one static job per cell, executed
+        # from scratch) measures the same result.
+        assert cell_static_search(
+            app, cluster, stride=6, thread_counts=(24,)
         ) == first
 
     def test_static_search_honours_explicit_threads_for_mpi_codes(self):

@@ -196,39 +196,23 @@ class TestSweepValidation:
 class TestConsumerEquivalence:
     def test_heatmap_engines_identical(self):
         from repro.analysis.heatmap import energy_heatmap
+        from tests.oracles.grids import loop_heatmap
 
         cluster = Cluster(2)
-        maps = {
-            engine: energy_heatmap(
-                "FT", threads=24, cluster=cluster, engine=engine
-            )
-            for engine in ("sweep", "loop")
-        }
-        assert np.array_equal(
-            maps["sweep"].normalized, maps["loop"].normalized
-        )
-        assert maps["sweep"].best == maps["loop"].best
-        assert maps["sweep"].plateau() == maps["loop"].plateau()
+        sweep = energy_heatmap("FT", threads=24, cluster=cluster)
+        loop = loop_heatmap("FT", threads=24, cluster=cluster)
+        assert np.array_equal(sweep.normalized, loop.normalized)
+        assert sweep.best == loop.best
+        assert sweep.plateau() == loop.plateau()
 
     def test_tradeoff_engines_identical(self):
         from repro.analysis.tradeoffs import energy_time_tradeoff
+        from tests.oracles.grids import loop_tradeoff
 
         cluster = Cluster(2)
         configurations = [
             OperatingPoint(1.6, 2.5, 20), OperatingPoint(2.4, 1.7, 24)
         ]
         sweep = energy_time_tradeoff("Mcb", configurations, cluster=cluster)
-        loop = energy_time_tradeoff(
-            "Mcb", configurations, cluster=cluster, engine="loop"
-        )
+        loop = loop_tradeoff("Mcb", configurations, cluster=cluster)
         assert sweep == loop
-
-    def test_unknown_engines_rejected(self):
-        from repro.analysis.heatmap import energy_heatmap
-        from repro.analysis.tradeoffs import energy_time_tradeoff
-        from repro.errors import CampaignError
-
-        with pytest.raises(CampaignError, match="heatmap engine"):
-            energy_heatmap("EP", threads=24, engine="warp")
-        with pytest.raises(CampaignError, match="tradeoff engine"):
-            energy_time_tradeoff("EP", [], engine="warp")

@@ -5,8 +5,9 @@ Table 6 tuning savings, Figure 5 LOOCV MAPE, Table 1 counter
 selection and the Figure 6/7 energy heatmaps — are pinned to committed
 JSON fixtures, so a refactor that silently drifts the simulated
 physics, the training pipeline or the selection algorithm fails here
-even when every structural assertion still holds.  Each artefact is
-computed through *two* engines and both must agree before the fixture
+even when every structural assertion still holds.  Table 6, Figure 5
+and Figures 6/7 are also computed through their reference oracles
+(``tests/oracles/``), which must agree to the bit before the fixture
 comparison, keeping the goldens engine-independent.
 
 Values are compared with a tight relative tolerance (1e-6): loose
@@ -38,6 +39,9 @@ from repro.modeling.dataset import build_dataset, measure_counter_rates
 from repro.modeling.selection import select_counters
 from repro.modeling.training import TrainingConfig
 from repro.workloads import registry
+from tests.oracles.grids import loop_heatmap
+from tests.oracles.models import pointwise_loocv_mape
+from tests.oracles.savings import recursive_savings
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RELATIVE_TOLERANCE = 1e-6
@@ -59,14 +63,13 @@ def compute_table6() -> dict:
     two runs — the same workload the CI perf gate sweeps."""
     model = canned_tuning_model("Lulesh")
     static = OperatingPoint(2.4, 2.0, 24)
-    rows = {
-        engine: compare_static_dynamic(
-            "Lulesh", static, model, cluster=Cluster(2), runs=2, engine=engine
-        )
-        for engine in ("replay", "recursive")
-    }
-    assert rows["replay"] == rows["recursive"], "engines disagree"
-    row = rows["replay"]
+    row = compare_static_dynamic(
+        "Lulesh", static, model, cluster=Cluster(2), runs=2
+    )
+    recursive = recursive_savings(
+        "Lulesh", static, model, cluster=Cluster(2), runs=2
+    )
+    assert row == recursive, "engines disagree"
     return {
         "benchmark": row.benchmark,
         "static_job_energy_saving": row.static_job_energy_saving,
@@ -92,8 +95,8 @@ def compute_fig5() -> dict:
     """Scaled Figure 5: LOOCV MAPE per held-out benchmark, two epochs."""
     dataset = _dataset()
     config = TrainingConfig(epochs=2)
-    batched = network_loocv_mape(dataset, config=config, engine="batched")
-    pointwise = network_loocv_mape(dataset, config=config, engine="pointwise")
+    batched = network_loocv_mape(dataset, config=config)
+    pointwise = pointwise_loocv_mape(dataset, config=config)
     assert batched == pointwise, "engines disagree"
     return {"mape_per_benchmark": batched}
 
@@ -135,25 +138,21 @@ FIG67_CASES = {
 
 
 def _compute_heatmap(benchmark: str, threads: int, selected) -> dict:
-    """One figure's full-grid heatmap, computed through both engines."""
+    """One figure's full-grid heatmap, computed through the sweep engine
+    and the per-cell loop oracle."""
     import numpy as np
 
     from repro.analysis.heatmap import energy_heatmap
 
-    maps = {
-        engine: energy_heatmap(
-            benchmark,
-            threads=threads,
-            cluster=Cluster(2),
-            selected=selected,
-            engine=engine,
-        )
-        for engine in ("sweep", "loop")
-    }
-    assert np.array_equal(
-        maps["sweep"].normalized, maps["loop"].normalized
-    ), "engines disagree"
-    heatmap = maps["sweep"]
+    heatmap = energy_heatmap(
+        benchmark, threads=threads, cluster=Cluster(2), selected=selected
+    )
+    loop = loop_heatmap(
+        benchmark, threads=threads, cluster=Cluster(2), selected=selected
+    )
+    assert np.array_equal(heatmap.normalized, loop.normalized), (
+        "engines disagree"
+    )
     return {
         "best": list(heatmap.best),
         "best_value": heatmap.best_value,

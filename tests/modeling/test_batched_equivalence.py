@@ -19,7 +19,6 @@ from repro.modeling.batched import (
     frequency_grid,
     predict_energy_grid,
     stack_grid_features,
-    validate_engine,
 )
 from repro.modeling.crossval import leave_one_out_mape, network_loocv_mape
 from repro.modeling.dataset import build_dataset
@@ -37,6 +36,12 @@ from repro.ptf.region_model import RegionModelTuner
 from repro.ptf.static_tuning import select_static_configurations
 from repro.util.rng import rng_for
 from repro.workloads import registry
+from tests.oracles.models import (
+    pointwise_grid,
+    pointwise_loocv_mape,
+    pointwise_select_counters,
+    pointwise_static_selections,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +99,6 @@ class TestForwardBackward:
         with pytest.raises(ModelError):
             backward_batch([np.ones((9, 5))], np.ones((2, 9)), np.ones((2, 1)))
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ModelError):
-            validate_engine("vectorised")
-
 
 class TestGridAssembly:
     def test_stacked_features_match_pointwise_rows(self):
@@ -121,8 +122,8 @@ class TestGridPredictionEquivalence:
     @pytest.mark.parametrize("rows", [1, 2, 6])
     def test_engines_bit_identical(self, model, dataset, rows):
         rates = np.asarray(list(dataset.counter_rates.values())[:rows])
-        batched = predict_energy_grid(model, rates, engine="batched")
-        pointwise = predict_energy_grid(model, rates, engine="pointwise")
+        batched = predict_energy_grid(model, rates)
+        pointwise = pointwise_grid(model, rates)
         assert batched.points == pointwise.points
         assert np.array_equal(batched.energies, pointwise.energies)
         assert batched.best() == pointwise.best()
@@ -150,8 +151,8 @@ class TestGridPredictionEquivalence:
 class TestLOOCVEquivalence:
     def test_loocv_mape_bit_identical_across_engines(self, dataset):
         config = TrainingConfig(epochs=3)
-        pointwise = network_loocv_mape(dataset, config=config, engine="pointwise")
-        batched = network_loocv_mape(dataset, config=config, engine="batched")
+        pointwise = pointwise_loocv_mape(dataset, config=config)
+        batched = network_loocv_mape(dataset, config=config)
         assert pointwise == batched  # dict equality: same keys, same bits
 
     def test_matches_generic_loocv_harness(self, dataset):
@@ -165,11 +166,10 @@ class TestLOOCVEquivalence:
 
     def test_parallel_campaign_dispatch_bit_identical(self, dataset):
         config = TrainingConfig(epochs=3)
-        serial = network_loocv_mape(dataset, config=config, engine="batched")
+        serial = network_loocv_mape(dataset, config=config)
         parallel = network_loocv_mape(
             dataset,
             config=config,
-            engine="batched",
             campaign=CampaignEngine(max_workers=2),
         )
         assert serial == parallel
@@ -240,8 +240,8 @@ class TestSelectionEquivalence:
         coef[rng.choice(j, size=4, replace=False)] = rng.normal(size=4) * 2
         targets = rates @ coef + freqs @ [0.5, -0.3] + rng.normal(size=n) * 0.1
         names = [f"C{i}" for i in range(j)]
-        batched = select_counters(rates, names, freqs, targets, engine="batched")
-        pointwise = select_counters(rates, names, freqs, targets, engine="pointwise")
+        batched = select_counters(rates, names, freqs, targets)
+        pointwise = pointwise_select_counters(rates, names, freqs, targets)
         assert batched.counters == pointwise.counters
         assert batched.vifs == pointwise.vifs
         assert np.isclose(batched.adjusted_r2, pointwise.adjusted_r2)
@@ -251,28 +251,14 @@ class TestSelectionEquivalence:
         rates = dataset.features[:, :-2]
         names = list(dataset.feature_names[:-2])
         batched = select_counters(rates, names, freqs, dataset.targets)
-        pointwise = select_counters(
-            rates, names, freqs, dataset.targets, engine="pointwise"
-        )
+        pointwise = pointwise_select_counters(rates, names, freqs, dataset.targets)
         assert batched.counters == pointwise.counters
-
-    def test_unknown_engine_rejected(self, dataset):
-        with pytest.raises(ModelError):
-            select_counters(
-                np.ones((10, 3)),
-                ["a", "b", "c"],
-                np.ones((10, 2)),
-                np.ones(10),
-                engine="nope",
-            )
 
 
 class TestStaticSelectionEquivalence:
     def test_selected_configurations_bit_identical(self, model, dataset):
         batched = select_static_configurations(model, dataset.counter_rates)
-        pointwise = select_static_configurations(
-            model, dataset.counter_rates, engine="pointwise"
-        )
+        pointwise = pointwise_static_selections(model, dataset.counter_rates)
         assert set(batched) == set(dataset.counter_rates)
         assert batched == pointwise  # OperatingPoint + energy, bit-equal
 
@@ -288,21 +274,16 @@ class TestRegionTunerEquivalence:
         app = registry.build(app_name)
         regions = tuple(r.name for r in app.candidate_regions if r.has_work)[:3]
         cluster = Cluster(2)
-        batched_tuner = RegionModelTuner(model, cluster, engine="batched")
-        pointwise_tuner = RegionModelTuner(model, cluster, engine="pointwise")
-        batched = batched_tuner.tune(app, regions)
-        pointwise = pointwise_tuner.tune(app, regions)
-        assert (
-            batched.phase_prediction.best_frequencies
-            == pointwise.phase_prediction.best_frequencies
-        )
-        assert (
-            batched.phase_prediction.predicted_energy
-            == pointwise.phase_prediction.predicted_energy
-        )
-        for name in regions:
-            b = batched.region_predictions[name]
-            p = pointwise.region_predictions[name]
-            assert b.best_frequencies == p.best_frequencies
-            assert b.predicted_energy == p.predicted_energy
-        assert batched.outliers() == pointwise.outliers()
+        tuner = RegionModelTuner(model, cluster)
+        batched = tuner.tune(app, regions)
+        phase = app.phase.name
+        rates = {
+            **tuner.measure_region_rates(app, regions),
+            phase: tuner.measure_region_rates(app, (phase,))[phase],
+        }
+        names = tuple(rates)
+        grid = pointwise_grid(model, np.asarray([rates[n] for n in names]), names)
+        pointwise = grid.best()
+        predictions = {phase: batched.phase_prediction, **batched.region_predictions}
+        for name, p in predictions.items():
+            assert (p.best_frequencies, p.predicted_energy) == pointwise[name]

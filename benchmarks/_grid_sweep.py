@@ -3,10 +3,13 @@
 ``bench_fig6_lulesh_heatmap.py`` and ``bench_fig7_mcb_heatmap.py``
 delegate their standalone mode here: the full 14 x 18 CF x UCF grid of
 one figure is measured through **both** heatmap engines — the
-config-axis sweep replay (:mod:`repro.execution.sweep_replay`) and the
-historical one-configuration-at-a-time loop (``tests/oracles/grids.py``)
-— their normalized grids are asserted bit-equal, and the speedup is
-reported.
+production path (:func:`repro.analysis.heatmap.energy_heatmap`, one
+fleet-kernel pass whose cells flatten as one block; the ``sweep`` arm)
+and the historical one-configuration-at-a-time loop
+(``tests/oracles/grids.py``; the ``loop`` arm) — their normalized grids
+are asserted bit-equal, and the speedup is reported.  The report keys
+(``sweep_ms``, ``loop_ms``, ``speedup``) keep their names so the
+committed baseline still gates.
 
 The JSON report (kind ``grid_sweep``) feeds the CI perf-regression gate.
 The committed baseline covers both figures in one report::

@@ -8,7 +8,7 @@ percent of) the optimum.
 
 Standalone, the module benchmarks the full-grid measurement through
 both heatmap engines (``--engine {loop,sweep}``), asserts their
-bit-equality and reports the sweep-replay speedup::
+bit-equality and reports the fleet-kernel speedup::
 
     python benchmarks/bench_fig6_lulesh_heatmap.py --engine sweep \
         --apps Lulesh Mcb --json grid-sweep.json

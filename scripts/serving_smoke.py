@@ -11,7 +11,10 @@ serving-layer contracts:
 2. **Bit-equality** — every response ``result`` equals the offline
    ``repro.api.tune`` answer for the same request, byte for byte once
    JSON-encoded.
-3. **Graceful drain** — SIGTERM makes the server drain and exit with
+3. **Malformed heads refused** — a negative ``Content-Length`` and a
+   header line past the server's stream limit each get a 400
+   ``bad-request``, and the next valid request is still answered.
+4. **Graceful drain** — SIGTERM makes the server drain and exit with
    code 130 (the documented contract, shared with ``repro-campaign``).
 
 With ``--workers N`` the server runs its warm process pool and the
@@ -61,6 +64,41 @@ async def http(port: int, method: str, path: str, body=None):
     writer.close()
     await writer.wait_closed()
     head, _, payload = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+#: Malformed request heads the server must refuse with a 400.
+MALFORMED_HEADS = {
+    "negative Content-Length": (
+        b"POST /v1/tune HTTP/1.1\r\nHost: localhost\r\n"
+        b"Content-Length: -5\r\n\r\n"
+    ),
+    "oversized header line": (
+        b"GET /healthz HTTP/1.1\r\nX-Oversized: "
+        + b"a" * (70 * 1024)
+        + b"\r\n\r\n"
+    ),
+}
+
+
+async def raw_http(port: int, data: bytes):
+    """Send raw request bytes; read the response by its Content-Length
+    (the server may reset the connection once it has answered)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(data)
+    await writer.drain()
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = 0
+    for line in head.decode("latin-1").split("\r\n"):
+        name, _, value = line.partition(":")
+        if name.lower() == "content-length":
+            length = int(value)
+    payload = await reader.readexactly(length)
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except ConnectionError:
+        pass
     return int(head.split()[1]), json.loads(payload)
 
 
@@ -118,6 +156,17 @@ async def exercise(port: int, workers: int = 1) -> None:
 
     status, health = await http(port, "GET", "/healthz")
     assert status == 200 and health["status"] == "ok", health
+
+    for label, data in MALFORMED_HEADS.items():
+        status, envelope = await raw_http(port, data)
+        assert status == 400, (label, status, envelope)
+        assert envelope["error"]["code"] == "bad-request", (label, envelope)
+        status, health = await http(port, "GET", "/healthz")
+        assert status == 200 and health["status"] == "ok", (label, health)
+    print(
+        f"malformed heads: {len(MALFORMED_HEADS)} refused with 400, "
+        "server still answering"
+    )
 
 
 def main(argv=None) -> int:

@@ -5,11 +5,11 @@ measured normalized node energy of every frequency combination, with the
 true optimum, the plugin-selected configuration and the set of
 configurations within 2% of the optimum highlighted.
 
-Measuring the 14 x 18 grid is the textbook workload of the simulator's
-**sweep-replay engine** (:mod:`repro.execution.sweep_replay`): all 252
-configurations replay in one pass, bit-identical to building a fresh
-node and running one configuration at a time (the per-cell reference
-lives in ``tests/oracles/grids.py``).  Attaching a
+Measuring the 14 x 18 grid is one pass of the **fleet kernel**
+(:mod:`repro.execution.fleet_replay`): the 252 configurations share one
+compiled structure and flatten as one block, bit-identical to building
+a fresh node and running one configuration at a time (the per-cell
+reference lives in ``tests/oracles/grids.py``).  Attaching a
 :class:`~repro.campaign.engine.CampaignEngine` through
 :class:`repro.api.ExecutionOptions` routes the sweep through
 ``grid``-mode campaign jobs instead, making grid rows cacheable,

@@ -5,10 +5,9 @@ trade-off frontier can be examined: static tuning may buy energy at no
 time cost for compute-bound codes, while aggressive core-frequency
 reduction trades time for energy on memory-bound codes.
 
-The configuration sweep is a static grid, so it runs in one pass
-through the simulator's sweep-replay engine
-(:mod:`repro.execution.sweep_replay`), bit-identical to the
-per-configuration loop kept as a test oracle.
+The configurations are fresh-node static runs, so they run as one
+fleet-kernel pass (:func:`repro.execution.fleet_replay.fleet_run`),
+bit-identical to the per-configuration loop kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass, replace
 from repro import api, config
 from repro.errors import CampaignError
 from repro.execution.simulator import OperatingPoint
-from repro.execution.sweep_replay import sweep_run
 from repro.hardware.cluster import Cluster
 from repro.workloads import registry
 
@@ -48,8 +46,10 @@ def energy_time_tradeoff(
     """Evaluate configurations relative to the platform default.
 
     The whole configuration set (plus the default point) replays in
-    one sweep-engine pass.  ``cluster`` overrides the options' cluster.
+    one fleet-kernel pass.  ``cluster`` overrides the options' cluster.
     """
+    from repro.execution.fleet_replay import FleetMember, fleet_run
+
     options = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
         options = replace(options, cluster=cluster)
@@ -64,18 +64,22 @@ def energy_time_tradeoff(
     points = list(configurations)
     if default_point not in points:
         points.insert(0, default_point)
-    sweep = sweep_run(
-        registry.build(benchmark),
-        points,
-        run_keys=[("tradeoff", str(p)) for p in points],
-        node_id=node_id,
-        seed=seed,
-        node_seed=cluster.seed,
-        topology=cluster.topology,
+    app = registry.build(benchmark)
+    fleet = fleet_run(
+        FleetMember(
+            app=app,
+            run_key=("tradeoff", str(point)),
+            node_id=node_id,
+            seed=seed,
+            node_seed=cluster.seed,
+            topology=cluster.topology,
+            point=point,
+        )
+        for point in points
     )
     outcomes = {
         point: (run.time_s, run.node_energy_j)
-        for point, run in zip(points, sweep.results)
+        for point, run in zip(points, fleet.results)
     }
     t0, e0 = outcomes[default_point]
     return [

@@ -13,8 +13,8 @@ module instead:
 :class:`TuningRequest` / :func:`tune`
     The paper's end product as a callable: "for (benchmark, threads,
     objective, TMM), which CF x UCF configuration should run?".  The
-    grid is measured in one pass through the config-axis sweep engine
-    (:mod:`repro.execution.sweep_replay`) and the objective argmin is
+    grid is measured in one pass through the fleet kernel
+    (:mod:`repro.execution.fleet_replay`) and the objective argmin is
     evaluated vectorised; an optional serialised tuning model (TMM)
     adds a dynamic-tuning (RRL) outcome priced through the
     controlled-replay kernels.
@@ -378,84 +378,14 @@ def sweep_grid(
 ) -> GridMeasurement:
     """Measure the CF x UCF grid for one benchmark at one thread count.
 
-    The grid is measured in one pass through the config-axis sweep
-    engine; ``options.campaign`` executes it as cacheable per-row
-    campaign jobs instead.  Cells carry the canonical
+    :func:`sweep_grids` of this one spec: every cell is a member of one
+    fleet-kernel pass, or ``options.campaign`` executes the grid as
+    cacheable per-row campaign jobs.  Cells carry the canonical
     ``("heatmap", cf, ucf)`` noise keys, so the measurement equals the
     Figures 6/7 heatmap cells and any solo run at the same coordinates.
     """
-    options = options if options is not None else ExecutionOptions()
-    app = registry.build(benchmark)
-    if threads is None:
-        threads = app.default_threads
-    cfs, ucfs = grid_axes(stride)
-    cluster = options.resolve_cluster(seed)
-    cluster.check_node_id(node_id)
-    points = [OperatingPoint(cf, ucf, threads) for cf in cfs for ucf in ucfs]
-    shape = (len(cfs), len(ucfs))
-    if options.campaign is not None:
-        from repro.campaign.engine import run_app_jobs
-        from repro.campaign.plan import grid_jobs
-
-        if options.campaign.topology != cluster.topology:
-            raise CampaignError(
-                f"campaign engine topology {options.campaign.topology!r} "
-                f"does not match the cluster's {cluster.topology!r}"
-            )
-        jobs = grid_jobs(
-            benchmark,
-            label="heatmap",
-            points=points,
-            node_id=node_id,
-            seed=seed,
-            node_seed=cluster.seed,
-        )
-        results = run_app_jobs(
-            jobs,
-            app,
-            cluster=cluster,
-            engine=options.campaign,
-            on_failure=options.on_failure,
-            retry_failed=options.retry_failed,
-        )
-        payloads = [results[job] for job in jobs]
-        energies = np.array(
-            [e for p in payloads for e in p["node_energy_j"]]
-        ).reshape(shape)
-        cpu = np.array(
-            [e for p in payloads for e in p["cpu_energy_j"]]
-        ).reshape(shape)
-        times = np.array(
-            [t for p in payloads for t in p["time_s"]]
-        ).reshape(shape)
-    else:
-        from repro.execution.sweep_replay import sweep_run
-
-        sweep = sweep_run(
-            app,
-            points,
-            run_keys=[
-                ("heatmap", p.core_freq_ghz, p.uncore_freq_ghz) for p in points
-            ],
-            node_id=node_id,
-            seed=seed,
-            node_seed=cluster.seed,
-            topology=cluster.topology,
-        )
-        energies = np.array([r.node_energy_j for r in sweep.results]).reshape(shape)
-        cpu = np.array([r.cpu_energy_j for r in sweep.results]).reshape(shape)
-        times = np.array([r.time_s for r in sweep.results]).reshape(shape)
-    return GridMeasurement(
-        benchmark=benchmark,
-        threads=threads,
-        node_id=node_id,
-        seed=seed,
-        core_frequencies=cfs,
-        uncore_frequencies=ucfs,
-        node_energy_j=energies,
-        cpu_energy_j=cpu,
-        time_s=times,
-    )
+    spec = GridSpec(benchmark, threads, stride, node_id, seed)
+    return sweep_grids([spec], options=options)[0]
 
 
 @dataclass(frozen=True)
@@ -478,14 +408,13 @@ def sweep_grids(
     """Measure many CF x UCF grids — across benchmarks, thread counts,
     nodes and seeds — in one batched pass.
 
-    This is the multi-grid generalisation of :func:`sweep_grid`: every
-    cell of every grid becomes one member of a single fleet-kernel
+    Every cell of every grid becomes one member of a single fleet-kernel
     invocation (:func:`repro.execution.fleet_replay.fleet_run`), so the
-    structural schedules compile once per application, the keyed noise
-    for the whole fleet is drawn in one batched pass, and pricing is a
-    handful of padded-matrix folds instead of one engine pass per grid.
-    Each returned grid is bit-identical to ``sweep_grid`` of its spec —
-    batch-mates never change a cell.
+    structural schedules compile once per application, the cells of one
+    grid flatten as one block, the keyed noise for the whole fleet is
+    drawn in one batched pass, and pricing is a handful of padded-matrix
+    folds.  Each returned grid is bit-identical to ``sweep_grid`` of its
+    spec measured alone — batch-mates never change a cell.
 
     With ``options.campaign``, all grids go into one campaign plan
     (which the engine prices in fleet-kernel shards) — rows cache
@@ -496,7 +425,6 @@ def sweep_grids(
     if not specs:
         return []
 
-    # Resolve each spec exactly as sweep_grid would.
     resolved = []
     for s in specs:
         app = registry.build(s.benchmark)

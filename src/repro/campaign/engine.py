@@ -24,8 +24,8 @@ Payload layout by mode:
 ``grid``
     The same three quantities as parallel lists over the row's UCF axis
     (plus ``"uncore_freqs_ghz"`` itself), measured in one pass through
-    the sweep-replay engine (:mod:`repro.execution.sweep_replay`) —
-    per cell bit-identical to the equivalent ``static`` job.
+    the fleet kernel (:mod:`repro.execution.fleet_replay`) — per cell
+    bit-identical to the equivalent ``static`` job.
 ``savings``
     The energy triple plus ``switching_time_s`` and
     ``instrumentation_time_s`` — the controlled production runs of the
@@ -219,32 +219,13 @@ def execute_job(
     if app is None:
         app = registry.build(job.app)
     if job.mode == "grid":
-        # One grid row through the sweep-replay engine: every cell is
+        # One grid row through the fleet kernel: every cell is
         # bit-identical to a fresh-node run at that configuration, so
         # the row payload agrees with per-cell ``static``-style jobs.
-        from repro.execution.simulator import OperatingPoint
-        from repro.execution.sweep_replay import sweep_run
+        from repro.execution.fleet_replay import fleet_run
 
-        threads = job.threads if job.threads is not None else app.default_threads
-        points = [
-            OperatingPoint(job.core_freq_ghz, ucf, threads)
-            for ucf in job.uncore_freqs_ghz
-        ]
-        sweep = sweep_run(
-            app,
-            points,
-            run_keys=job.cell_run_keys(),
-            node_id=job.node_id,
-            seed=job.seed,
-            node_seed=job.node_seed,
-            topology=topology,
-        )
-        return {
-            "uncore_freqs_ghz": list(job.uncore_freqs_ghz),
-            "node_energy_j": [r.node_energy_j for r in sweep.results],
-            "cpu_energy_j": [r.cpu_energy_j for r in sweep.results],
-            "time_s": [r.time_s for r in sweep.results],
-        }
+        fleet = fleet_run(_job_fleet_members(job, app, topology))
+        return _fleet_payload(job, fleet.results)
     node = ComputeNode(job.node_id, seed=job.node_seed, topology=topology)
     if job.mode == "savings":
         # Controlled production run: the node starts at the platform

@@ -25,9 +25,8 @@ expand benchmark lists into the paper's grids:
 ``grid``
     One **row** of a static frequency grid — a fixed (threads, CF) at
     an explicit tuple of UCFs — executed in a single pass through the
-    simulator's sweep-replay engine
-    (:mod:`repro.execution.sweep_replay`).  Rows are the cacheable,
-    parallelisable unit of full-grid measurements (the Figures 6/7
+    fleet kernel (:mod:`repro.execution.fleet_replay`).  Rows are the
+    cacheable, parallelisable unit of full-grid measurements (the Figures 6/7
     heatmaps, the Table V exhaustive search); their per-cell noise keys
     (``label``-selected, see :func:`grid_run_key`) match the historical
     one-job-per-cell paths, so the measured numbers are bit-identical —
@@ -473,7 +472,7 @@ def grid_jobs(
     seed: int = config.DEFAULT_SEED,
     node_seed: int | None = None,
 ) -> tuple[CampaignJob, ...]:
-    """One sweep-replay row job per (threads, CF) of a static grid."""
+    """One fleet-kernel row job per (threads, CF) of a static grid."""
     return tuple(
         CampaignJob(
             app=app_name,

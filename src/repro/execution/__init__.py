@@ -15,7 +15,7 @@ from repro.execution.simulator import (
     ScheduleCompiler,
 )
 from repro.execution.controlled_replay import ControlSchedule, ScheduleCache
-from repro.execution.sweep_replay import MeterEndState, SweepReplay, meter_end_state, sweep_run
+from repro.execution.fleet_replay import MeterEndState, meter_end_state
 from repro.execution.job import JobRecord, JobStep
 from repro.execution.slurm import SlurmAccounting
 
@@ -32,9 +32,7 @@ __all__ = [
     "ControlSchedule",
     "ScheduleCache",
     "MeterEndState",
-    "SweepReplay",
     "meter_end_state",
-    "sweep_run",
     "JobRecord",
     "JobStep",
     "SlurmAccounting",

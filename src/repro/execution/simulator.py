@@ -432,43 +432,6 @@ class ExecutionSimulator:
         )
 
     # ------------------------------------------------------------------
-    def sweep_run(
-        self,
-        app: Application,
-        points,
-        *,
-        run_keys,
-        instrumented: bool = False,
-        instrumentation=None,
-    ):
-        """Replay a whole static configuration sweep in one pass.
-
-        Every entry of ``points`` is measured as if on a **fresh** node
-        with this simulator's node recipe (id, seed, topology, power
-        variability) — the grid idiom of the heatmaps, the exhaustive
-        static search and the trade-off study — and the per-cell
-        results are bit-identical to looping
-        ``ExecutionSimulator(fresh_node).run(...)`` per configuration.
-        This simulator's own node is left untouched.  See
-        :mod:`repro.execution.sweep_replay`.
-        """
-        from repro.execution.sweep_replay import sweep_run
-
-        node = self.node
-        return sweep_run(
-            app,
-            points,
-            run_keys=run_keys,
-            node_id=node.node_id,
-            seed=self.seed,
-            node_seed=node.seed,
-            topology=node.topology,
-            variability=node.power_model.variability,
-            instrumented=instrumented,
-            instrumentation=instrumentation,
-        )
-
-    # ------------------------------------------------------------------
     def _current_point(self, threads: int) -> OperatingPoint:
         return OperatingPoint(
             core_freq_ghz=self.node.core_freq_ghz,

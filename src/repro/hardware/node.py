@@ -172,10 +172,10 @@ class ComputeNode:
 
         The observable end state of the node's energy accumulators:
         ``{"package": ((raw, residual), ...), "dram": (...)}`` with one
-        ``(counter, residual)`` pair per socket.  The sweep-replay
-        engine (:mod:`repro.execution.sweep_replay`) reproduces this
-        state analytically per grid configuration; the equivalence
-        tests compare both sides through this accessor.
+        ``(counter, residual)`` pair per socket.  The fleet kernel
+        (:mod:`repro.execution.fleet_replay`) reproduces this state
+        analytically per fresh-node run; the equivalence tests compare
+        both sides through this accessor.
         """
         cores_per_socket = self.topology.sockets[0].num_cores
         state: dict[str, tuple] = {}

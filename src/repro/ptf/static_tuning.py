@@ -8,8 +8,8 @@ answer is enough (tests); the benchmarks run the full grid.
 
 The sweep executes through the :mod:`repro.campaign` engine: the full
 grid is submitted as one plan of per-(threads, CF) **row jobs**, each
-replaying its whole UCF axis in one pass through the config-axis sweep
-engine (:mod:`repro.execution.sweep_replay`).  The plan fans out across
+replaying its whole UCF axis in one pass through the fleet kernel
+(:mod:`repro.execution.fleet_replay`).  The plan fans out across
 the worker pool and — when the engine carries a result store — warm
 re-runs select the best point without a single new simulation.  The
 winning point is selected with one vectorised objective evaluation

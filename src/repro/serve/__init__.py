@@ -5,8 +5,8 @@ The package turns :func:`repro.api.tune` into a service:
 * :mod:`repro.serve.schema` — the versioned wire format (request
   parsing, ok/error response envelopes);
 * :mod:`repro.serve.batcher` — the coalescing queue: pending requests
-  sharing a grid key are answered from **one** pass of the config-axis
-  sweep kernel, bit-identical to solo execution;
+  sharing a grid key are answered from **one** pass of the fleet
+  kernel, bit-identical to solo execution;
 * :mod:`repro.serve.service` — the request lifecycle (admission →
   dedup → coalesce → execute → respond) with store-backed caching,
   PR-7 failure semantics and graceful drain;

@@ -71,6 +71,12 @@ _REASONS = {
 #: is a few hundred bytes; a TMM-carrying one a few kilobytes).
 MAX_BODY_BYTES = 1 << 20
 
+#: Refuse request heads with more header lines than this (a client
+#: sends a handful), so one connection cannot keep the reader looping.
+MAX_HEADER_COUNT = 64
+
+_HEAD_LINE_TOO_LONG = "request head line too long"
+
 
 class TuningServer:
     """Bind a :class:`TuningService` to an asyncio TCP listener."""
@@ -121,7 +127,7 @@ class TuningServer:
             )
             writer.write(head.encode("ascii") + body)
             await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass  # client went away; nothing to answer
         finally:
             writer.close()
@@ -133,24 +139,32 @@ class TuningServer:
     async def _handle_exchange(
         self, reader: asyncio.StreamReader
     ) -> tuple[int, dict[str, Any]]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        request_line = await _read_head_line(reader)
+        if request_line is None:
+            return 400, error_response("bad-request", _HEAD_LINE_TOO_LONG)
         parts = request_line.split()
         if len(parts) != 3:
             return 400, error_response("bad-request", "malformed request line")
         method, path, _ = parts
         length = 0
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
+        for _ in range(MAX_HEADER_COUNT + 1):
+            line = await _read_head_line(reader)
+            if line is None:
+                return 400, error_response("bad-request", _HEAD_LINE_TOO_LONG)
             if not line:
                 break
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
                     return 400, error_response(
                         "bad-request", "malformed Content-Length"
                     )
+                length = int(value)
+        else:
+            return 400, error_response(
+                "bad-request", f"more than {MAX_HEADER_COUNT} header lines"
+            )
         if method == "GET" and path == "/healthz":
             return 200, {"status": "ok", "draining": self.service.draining}
         if method == "GET" and path == "/metrics":
@@ -165,7 +179,12 @@ class TuningServer:
             return 413, error_response(
                 "bad-request", f"body exceeds {MAX_BODY_BYTES} bytes"
             )
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            return 400, error_response(
+                "bad-request", "body shorter than Content-Length"
+            )
         try:
             payload = json.loads(body.decode("utf-8") or "null")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -175,6 +194,15 @@ class TuningServer:
             return 200, envelope
         code = envelope.get("error", {}).get("code", "internal")
         return _STATUS_BY_CODE.get(code, 500), envelope
+
+
+async def _read_head_line(reader: asyncio.StreamReader) -> str | None:
+    """One request-head line, stripped; ``None`` past the stream limit."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # StreamReader's signal for a line over its limit
+        return None
+    return line.decode("latin-1").strip()
 
 
 def _build_parser() -> argparse.ArgumentParser:

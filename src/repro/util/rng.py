@@ -96,6 +96,16 @@ class StreamPrefix:
             h.update(b"\x1f")
         self._h = h
 
+    def extend(self, *parts: Any) -> "StreamPrefix":
+        """The prefix with ``parts`` appended, from the cached state."""
+        child = StreamPrefix.__new__(StreamPrefix)
+        h = self._h.copy()
+        for part in parts:
+            h.update(repr(part).encode("utf-8"))
+            h.update(b"\x1f")
+        child._h = h
+        return child
+
     def seed_for(self, *suffix: Any) -> int:
         """``stable_hash(seed, *prefix, *suffix)`` from the cached state."""
         h = self._h.copy()
@@ -113,9 +123,8 @@ class StreamPrefix:
     def fill_iteration_seeds(self, out: np.ndarray) -> None:
         """Fill ``out`` with the seeds for suffixes ``0 .. len(out)-1``.
 
-        The grid-sweep replay derives one seed row per (configuration,
-        work region); filling caller-owned rows avoids a temporary per
-        row.  Digesting ``repr(i)`` and the separator in one update is
+        The fleet kernel derives one seed row per (run, work region);
+        filling caller-owned rows avoids a temporary per row.  Digesting ``repr(i)`` and the separator in one update is
         byte-identical to the two-update form of :meth:`seed_for`.
         """
         base = self._h

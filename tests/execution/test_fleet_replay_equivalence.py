@@ -1,27 +1,28 @@
 """Bit-identity of the fleet kernel vs the per-run engines.
 
 The fleet kernel (:mod:`repro.execution.fleet_replay`) batches the
-application x node x controller axes into one padded pricing pass.  It
-must be *exactly* equivalent to executing each member individually
-through :class:`~repro.execution.simulator.ExecutionSimulator` on a
-fresh node: every ``RunResult`` field, every ``RegionInstance`` row,
+application x node x controller x configuration axes into one padded
+pricing pass.  It must be *exactly* equivalent to executing each member
+individually through :class:`~repro.execution.simulator.ExecutionSimulator`
+on a fresh node: every ``RunResult`` field, every ``RegionInstance`` row,
 the controller's :class:`~repro.readex.rrl.RRLStatistics`, and the
 meter/MSR end state the run would leave behind.  These tests sweep
 apps, nodes, TMMs and seeds, then property-test random fleet
 compositions — including the invariant that permuting or splitting a
-fleet never changes any member's payload (the batching analogue of
-PR 8's admission-order property).
+fleet never changes any member's payload.  The grid cases measure
+static CF x UCF grids (heatmaps, exhaustive search, trade-offs) against
+the recursive engine, the one independent checker.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import config
-from repro.errors import WorkloadError
-from repro.execution.fleet_replay import FleetMember, fleet_run
+from repro import api, config
+from repro.errors import FrequencyError, WorkloadError
+from repro.execution.fleet_replay import FleetMember, fleet_run, meter_end_state
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
-from repro.execution.sweep_replay import meter_end_state
+from repro.hardware.cluster import Cluster
 from repro.hardware.node import ComputeNode
 from repro.readex.rrl import RRL, StaticController
 from repro.readex.tuning_model import TuningModel
@@ -50,9 +51,16 @@ def make_tmm(app) -> TuningModel:
 
 
 #: Member shapes, mirroring every analysis-layer call site: grid cells
-#: (programmed static points), savings variants (default / static
-#: controller / instrumented RRL / config-only RRL).
-KINDS = ("default", "static_point", "static_ctrl", "rrl", "rrl_instrumented")
+#: (programmed static points, plain or instrumented), savings variants
+#: (default / static controller / instrumented RRL / config-only RRL).
+KINDS = (
+    "default",
+    "static_point",
+    "instrumented_point",
+    "static_ctrl",
+    "rrl",
+    "rrl_instrumented",
+)
 
 
 def build_member(spec) -> FleetMember:
@@ -68,10 +76,11 @@ def build_member(spec) -> FleetMember:
     )
     if kind == "default":
         member.threads = config.DEFAULT_OPENMP_THREADS
-    elif kind == "static_point":
+    elif kind in ("static_point", "instrumented_point"):
         member.point = OperatingPoint(
             spec.get("cf", 2.0), spec.get("ucf", 2.2), spec.get("threads", 24)
         )
+        member.instrumented = kind == "instrumented_point"
     elif kind == "static_ctrl":
         member.controller = StaticController(OperatingPoint(2.2, 1.8, 24))
         member.threads = 24
@@ -84,7 +93,7 @@ def build_member(spec) -> FleetMember:
     return member
 
 
-def run_reference(member: FleetMember):
+def run_reference(member: FleetMember, fast_path=None):
     """The member's per-run execution: fresh node, program, run."""
     node = ComputeNode(
         member.node_id,
@@ -109,12 +118,13 @@ def run_reference(member: FleetMember):
         instrumented=member.instrumented,
         instrumentation=instrumentation,
         run_key=member.run_key,
+        fast_path=fast_path,
     )
     return result, node
 
 
-def assert_member_identical(got, end, member_ref: FleetMember):
-    ref, node = run_reference(member_ref)
+def assert_member_identical(got, end, member_ref: FleetMember, fast_path=None):
+    ref, node = run_reference(member_ref, fast_path)
     assert got == ref
     assert list(got.instances) == list(ref.instances)
     assert end == meter_end_state(node)
@@ -146,6 +156,27 @@ class TestFleetEquivalence:
         for i, spec in enumerate(specs):
             assert_member_identical(
                 fleet.results[i], fleet.end_states[i], build_member(spec)
+            )
+
+    def test_interleaved_structure_block_bit_identical_to_recursive(self):
+        """Members of one structure interleaved with others: the Lulesh
+        static/default members flatten as one block whose rows sit
+        apart in the fleet (and in the noise draw's member order), next
+        to an instrumented Lulesh structure and a controlled member."""
+        specs = [
+            {"app": "Lulesh", "kind": "static_point"},
+            {"app": "Lulesh", "kind": "rrl"},
+            {"app": "EP", "kind": "static_point"},
+            {"app": "Lulesh", "kind": "default"},
+            {"app": "Lulesh", "kind": "instrumented_point"},
+        ]
+        fleet = fleet_run([build_member(s) for s in specs])
+        for i, spec in enumerate(specs):
+            assert_member_identical(
+                fleet.results[i],
+                fleet.end_states[i],
+                build_member(spec),
+                fast_path=False,
             )
 
     def test_rrl_statistics_match_per_run_engine(self):
@@ -274,3 +305,196 @@ class TestFleetProperties:
                 batched.results[i].instances
             )
             assert solo.end_states[0] == batched.end_states[i]
+
+
+#: A thinned grid (3 x 4 cells) that keeps the suite fast.
+GRID = [
+    (cf, ucf)
+    for cf in config.CORE_FREQUENCIES_GHZ[::6]
+    for ucf in config.UNCORE_FREQUENCIES_GHZ[::5]
+]
+
+#: Grid apps: OpenMP / MPI / hybrid, small and large trees.
+GRID_APPS = ("Lulesh", "Mcb", "FT", "EP", "Kripke")
+
+
+def grid_fleet(app, points, keys, *, node_id=0, seed=config.DEFAULT_SEED,
+               node_seed=None, instrumented=False):
+    """One fresh-node member per grid cell, priced in one fleet pass."""
+    return fleet_run(
+        FleetMember(
+            app=app,
+            run_key=key,
+            node_id=node_id,
+            seed=seed,
+            node_seed=node_seed,
+            point=point,
+            instrumented=instrumented,
+        )
+        for point, key in zip(points, keys)
+    )
+
+
+def recursive_cell(app, point, run_key, *, node_id=0,
+                   node_seed=config.DEFAULT_SEED, seed=config.DEFAULT_SEED,
+                   **kwargs):
+    """One grid cell on the recursive engine: fresh node, program, run."""
+    node = ComputeNode(node_id, seed=node_seed)
+    node.set_frequencies(point.core_freq_ghz, point.uncore_freq_ghz)
+    run = ExecutionSimulator(node, seed=seed).run(
+        app, threads=point.threads, run_key=run_key, fast_path=False, **kwargs
+    )
+    return run, node
+
+
+class TestGridEquivalence:
+    """Static grids through the fleet kernel vs the recursive engine."""
+
+    @pytest.mark.parametrize("app_name", GRID_APPS)
+    def test_heatmap_grid_cells_bit_identical(self, app_name):
+        app = build_app(app_name)
+        points = [OperatingPoint(cf, ucf, 24) for cf, ucf in GRID]
+        keys = [("heatmap", cf, ucf) for cf, ucf in GRID]
+        fleet = grid_fleet(app, points, keys)
+        assert len(fleet) == len(points)
+        for point, key, result, end in zip(
+            points, keys, fleet.results, fleet.end_states
+        ):
+            ref, node = recursive_cell(app, point, key)
+            # Full RunResult equality covers node/cpu energy, times and
+            # every lazily materialised RegionInstance row.
+            assert result == ref
+            assert result.engine == "fleet"
+            assert meter_end_state(node) == end
+
+    def test_region_timings_and_instances_match(self):
+        app = build_app("Lulesh")
+        point = OperatingPoint(1.8, 2.2, 20)
+        key = ("static", 1.8, 2.2, 20)
+        fleet = grid_fleet(app, [point], [key])
+        ref, _node = recursive_cell(app, point, key)
+        got, want = list(fleet.results[0].instances), list(ref.instances)
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert g == w  # includes the RegionTiming payload
+            assert g.timing == w.timing
+
+    def test_exhaustive_search_run_keys_with_threads(self):
+        """The static-search path: per-thread grids, historical keys."""
+        app = build_app("Lulesh")
+        points = [
+            OperatingPoint(cf, ucf, t) for t in (12, 24) for cf, ucf in GRID[:4]
+        ]
+        keys = [
+            ("static", p.core_freq_ghz, p.uncore_freq_ghz, p.threads)
+            for p in points
+        ]
+        fleet = grid_fleet(app, points, keys)
+        for point, key, result in zip(points, keys, fleet.results):
+            ref, _ = recursive_cell(app, point, key)
+            assert result == ref
+
+    def test_tradeoff_mixed_thread_grid(self):
+        """Per-cell thread counts in one fleet (the trade-off idiom)."""
+        app = build_app("Lulesh")
+        points = [
+            OperatingPoint(),
+            OperatingPoint(1.2, 1.3, 12),
+            OperatingPoint(2.4, 1.7, 16),
+        ]
+        keys = [("tradeoff", str(p)) for p in points]
+        fleet = grid_fleet(app, points, keys)
+        for point, key, result in zip(points, keys, fleet.results):
+            ref, _ = recursive_cell(app, point, key)
+            assert result == ref
+
+    def test_meter_end_state_matches_recursive_engine(self):
+        app = build_app("FT")
+        point = OperatingPoint(2.0, 1.5, 24)
+        fleet = grid_fleet(app, [point], [("x",)])
+        ref, node = recursive_cell(app, point, ("x",))
+        assert fleet.results[0] == ref
+        assert meter_end_state(node) == fleet.end_states[0]
+
+    def test_instrumented_grid(self):
+        app = build_app("Mcb")
+        point = OperatingPoint(2.2, 2.5, 20)
+        fleet = grid_fleet(app, [point], [("probe",)], instrumented=True)
+        ref, node = recursive_cell(app, point, ("probe",), instrumented=True)
+        assert fleet.results[0] == ref
+        assert fleet.results[0].instrumentation_time_s == ref.instrumentation_time_s
+        assert meter_end_state(node) == fleet.end_states[0]
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        app_name=st.sampled_from(GRID_APPS),
+        seed=st.integers(0, 2**20),
+        node_seed=st.integers(0, 2**20),
+        node_id=st.integers(0, 3),
+        threads=st.sampled_from(config.OPENMP_THREAD_CANDIDATES),
+    )
+    def test_hypothesis_grid(self, app_name, seed, node_seed, node_id, threads):
+        app = build_app(app_name)
+        cells = GRID[:3]
+        points = [OperatingPoint(cf, ucf, threads) for cf, ucf in cells]
+        keys = [("heatmap", cf, ucf) for cf, ucf in cells]
+        fleet = grid_fleet(
+            app, points, keys, node_id=node_id, seed=seed, node_seed=node_seed
+        )
+        for point, key, result, end in zip(
+            points, keys, fleet.results, fleet.end_states
+        ):
+            ref, node = recursive_cell(
+                app, point, key, node_id=node_id, node_seed=node_seed, seed=seed
+            )
+            assert result == ref
+            assert meter_end_state(node) == end
+
+
+class TestGridValidation:
+    def test_empty_grid_list(self):
+        assert api.sweep_grids([]) == []
+
+    def test_out_of_range_frequency_rejected(self):
+        app = build_app("EP")
+        with pytest.raises(FrequencyError, match="core frequency"):
+            grid_fleet(app, [OperatingPoint(9.9, 3.0, 24)], [("k",)])
+
+    def test_invalid_thread_count_rejected(self):
+        app = build_app("Lulesh")
+        with pytest.raises(WorkloadError, match="thread count"):
+            grid_fleet(app, [OperatingPoint(2.5, 3.0, 99)], [("k",)])
+
+    def test_mpi_only_codes_pin_their_threads(self):
+        app = build_app("Kripke")
+        assert not app.model.supports_thread_tuning
+        point = OperatingPoint(2.0, 2.0, 12)
+        fleet = grid_fleet(app, [point], [("k",)])
+        assert fleet.results[0].operating_point.threads == app.default_threads
+        ref, _ = recursive_cell(app, point, ("k",))
+        assert fleet.results[0] == ref
+
+
+class TestConsumerEquivalence:
+    def test_heatmap_matches_loop_oracle(self):
+        from repro.analysis.heatmap import energy_heatmap
+        from tests.oracles.grids import loop_heatmap
+
+        cluster = Cluster(2)
+        fleet = energy_heatmap("FT", threads=24, cluster=cluster)
+        loop = loop_heatmap("FT", threads=24, cluster=cluster)
+        assert np.array_equal(fleet.normalized, loop.normalized)
+        assert fleet.best == loop.best
+        assert fleet.plateau() == loop.plateau()
+
+    def test_tradeoff_matches_loop_oracle(self):
+        from repro.analysis.tradeoffs import energy_time_tradeoff
+        from tests.oracles.grids import loop_tradeoff
+
+        cluster = Cluster(2)
+        configurations = [
+            OperatingPoint(1.6, 2.5, 20), OperatingPoint(2.4, 1.7, 24)
+        ]
+        fleet = energy_time_tradeoff("Mcb", configurations, cluster=cluster)
+        loop = loop_tradeoff("Mcb", configurations, cluster=cluster)
+        assert fleet == loop

@@ -16,10 +16,16 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.serve.schema import WIRE_VERSION
-from repro.serve.server import DRAIN_EXIT_CODE, TuningServer
+from repro.serve.server import (
+    _REASONS,
+    DRAIN_EXIT_CODE,
+    MAX_HEADER_COUNT,
+    TuningServer,
+)
 from repro.serve.service import TuningService
 
 
@@ -111,6 +117,110 @@ class TestLiveServer:
         assert results["not_json"] == 400
         assert results["no_route"][0] == 404
         assert results["wrong_method"][0] == 405
+
+
+async def raw_exchange(host, port, data):
+    """Send raw request bytes; return (status, envelope)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(data)
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    head, _, payload = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+def exchange_in_memory(data, limit=2**16):
+    """Run one request head through the exchange parser, no sockets."""
+
+    async def scenario():
+        reader = asyncio.StreamReader(limit=limit)
+        reader.feed_data(data)
+        reader.feed_eof()
+        server = TuningServer(TuningService(max_wait_s=0.0))
+        return await server._handle_exchange(reader)
+
+    return asyncio.run(scenario())
+
+
+class TestMalformedHeads:
+    """Malformed request heads get a 400, never a dropped connection."""
+
+    def test_negative_content_length_is_bad_request(self):
+        async def scenario():
+            server = TuningServer(TuningService(max_wait_s=0.0), port=0)
+            host, port = await server.start()
+            bad = await raw_exchange(
+                host, port,
+                b"POST /v1/tune HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            )
+            health = await http(host, port, "GET", "/healthz")
+            await server.aclose()
+            return bad, health
+
+        (status, envelope), health = asyncio.run(scenario())
+        assert status == 400
+        assert envelope["error"]["code"] == "bad-request"
+        assert "Content-Length" in envelope["error"]["message"]
+        assert health[0] == 200
+
+    def test_header_line_over_stream_limit_is_bad_request(self):
+        data = (
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024) + b"\r\n\r\n"
+        )
+        status, envelope = exchange_in_memory(data)
+        assert status == 400
+        assert envelope["error"]["code"] == "bad-request"
+        assert "too long" in envelope["error"]["message"]
+
+    def test_header_count_is_capped(self):
+        headers = b"".join(
+            b"X-H%d: v\r\n" % i for i in range(MAX_HEADER_COUNT + 1)
+        )
+        status, envelope = exchange_in_memory(
+            b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert status == 400
+        assert "header lines" in envelope["error"]["message"]
+        at_cap = b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADER_COUNT))
+        status, _ = exchange_in_memory(
+            b"GET /healthz HTTP/1.1\r\n" + at_cap + b"\r\n"
+        )
+        assert status == 200
+
+    def test_truncated_body_is_bad_request(self):
+        status, envelope = exchange_in_memory(
+            b"POST /v1/tune HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}"
+        )
+        assert status == 400
+        assert envelope["error"]["code"] == "bad-request"
+
+
+#: Request-head fragments: protocol tokens the parser branches on, mixed
+#: with arbitrary bytes.
+_HEAD_TOKENS = st.sampled_from(
+    [
+        b"GET", b"POST", b"PUT", b"/v1/tune", b"/healthz", b"/metrics",
+        b"HTTP/1.1", b"Content-Length:", b"content-length: ", b"-5", b"0",
+        b"2", b"+1", b"\xb2", b"{}", b"null", b"\r\n", b"\n", b" ", b":",
+    ]
+)
+_HEADS = st.one_of(
+    st.binary(max_size=400),
+    st.lists(st.one_of(_HEAD_TOKENS, st.binary(max_size=24)), max_size=48).map(
+        b"".join
+    ),
+)
+
+
+class TestRequestHeadFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=_HEADS, limit=st.sampled_from([64, 2**16]))
+    def test_any_head_gets_a_known_status(self, data, limit):
+        status, payload = exchange_in_memory(data, limit=limit)
+        assert status in _REASONS
+        json.dumps(payload)
 
 
 class TestSubprocessDrain:

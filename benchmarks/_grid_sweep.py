@@ -21,6 +21,7 @@ The committed baseline covers both figures in one report::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import time
@@ -54,6 +55,9 @@ def measure_app(app_name: str, primary: str = "sweep") -> dict:
     grid(primary)  # warm-up: registry, memoised timings, RNG fast path
     timings, maps = {}, {}
     for engine in order:
+        # A full collection landing inside one arm's timed call would
+        # move it by milliseconds; start both arms from a collected heap.
+        gc.collect()
         start = time.perf_counter()
         maps[engine] = grid(engine)
         timings[engine] = time.perf_counter() - start

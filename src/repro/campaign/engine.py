@@ -8,11 +8,12 @@ stream is keyed through :func:`repro.util.rng.rng_for` by
 order — the payload is bit-identical whether the job runs serially, in
 a worker process, or in a different session entirely.  That property is
 what makes the content-addressed :class:`~repro.campaign.store.ResultStore`
-sound.  :class:`CampaignEngine` prices fleet-able jobs in shards
-through the batched fleet kernel (:mod:`repro.execution.fleet_replay`)
-and the rest one by one through the simulator's vectorized replay fast
-paths — every path bit-identical to the recursive engine — so stores
-written by any strategy, before or after any fast path, agree.
+sound.  Every job runs through the fleet kernel
+(:mod:`repro.execution.fleet_replay`): :class:`CampaignEngine` prices
+fleet-able jobs in shards, a job on its own is a fleet of its members,
+and ``counters`` jobs are the simulator's live-node fleet of one — every
+path bit-identical to the recursive engine — so stores written by any
+strategy agree.
 
 Payload layout by mode:
 
@@ -29,9 +30,9 @@ Payload layout by mode:
 ``savings``
     The energy triple plus ``switching_time_s`` and
     ``instrumentation_time_s`` — the controlled production runs of the
-    Table VI comparison.  Controller-driven jobs execute through the
-    simulator's controlled-replay fast path, bit-identical to the
-    recursive engine, so cached savings results agree across engines.
+    Table VI comparison.  Controller-driven members replay their
+    compiled switch schedule, bit-identical to the recursive engine, so
+    cached savings results agree across engines.
 """
 
 from __future__ import annotations
@@ -218,38 +219,10 @@ def execute_job(
     """
     if app is None:
         app = registry.build(job.app)
-    if job.mode == "grid":
-        # One grid row through the fleet kernel: every cell is
-        # bit-identical to a fresh-node run at that configuration, so
-        # the row payload agrees with per-cell ``static``-style jobs.
-        from repro.execution.fleet_replay import fleet_run
-
-        fleet = fleet_run(_job_fleet_members(job, app, topology))
-        return _fleet_payload(job, fleet.results)
-    node = ComputeNode(job.node_id, seed=job.node_seed, topology=topology)
-    if job.mode == "savings":
-        # Controlled production run: the node starts at the platform
-        # default and the controller (if any) reprograms it.
-        simulator = ExecutionSimulator(node, seed=job.seed)
-        run = simulator.run(
-            app,
-            threads=job.threads,
-            controller=_build_controller(job),
-            instrumented=job.instrumented,
-            instrumentation=_build_instrumentation(job, app),
-            run_key=job.run_key(),
-        )
-        return {
-            "node_energy_j": run.node_energy_j,
-            "cpu_energy_j": run.cpu_energy_j,
-            "time_s": run.time_s,
-            "switching_time_s": run.switching_time_s,
-            "instrumentation_time_s": run.instrumentation_time_s,
-        }
-    node.set_frequencies(job.core_freq_ghz, job.uncore_freq_ghz)
-    simulator = ExecutionSimulator(node, seed=job.seed)
     if job.mode == "counters":
-        product = simulator.run_phase_counters(
+        node = ComputeNode(job.node_id, seed=job.node_seed, topology=topology)
+        node.set_frequencies(job.core_freq_ghz, job.uncore_freq_ghz)
+        product = ExecutionSimulator(node, seed=job.seed).run_phase_counters(
             app,
             threads=job.threads,
             counters=job.counters,
@@ -259,12 +232,12 @@ def execute_job(
             "totals": dict(product.totals),
             "phase_time_s": product.phase_time_s,
         }
-    run = simulator.run(app, threads=job.threads, run_key=job.run_key())
-    return {
-        "node_energy_j": run.node_energy_j,
-        "cpu_energy_j": run.cpu_energy_j,
-        "time_s": run.time_s,
-    }
+    # Every other mode is a fleet of fresh-node members — one per grid
+    # cell for ``grid`` — so the payload agrees with a fleet shard's.
+    from repro.execution.fleet_replay import fleet_run
+
+    fleet = fleet_run(_job_fleet_members(job, app, topology))
+    return _fleet_payload(job, fleet.results)
 
 
 def execute_job_faulted(

@@ -18,9 +18,8 @@ expand benchmark lists into the paper's grids:
     Controlled production runs of the Table VI comparison: optionally
     under a controller (the RRL with a serialised tuning model, or the
     static-configuration controller), optionally instrumented with a
-    compile-time filter.  Controller-driven jobs execute through the
-    simulator's controlled-replay fast path
-    (:mod:`repro.execution.controlled_replay`).
+    compile-time filter.  Controller-driven jobs replay their compiled
+    switch schedule (:mod:`repro.execution.controlled_replay`).
 
 ``grid``
     One **row** of a static frequency grid — a fixed (threads, CF) at
@@ -79,8 +78,8 @@ COUNTER_MEASUREMENT_RUNS = 3
 
 #: Modes the fleet kernel (:mod:`repro.execution.fleet_replay`) can
 #: batch: every mode whose job is one priced replay (or, for ``grid``,
-#: a row of them).  ``counters`` jobs sample PMU streams through a
-#: dedicated fast path and stay on the per-job engines.
+#: a row of them).  ``counters`` jobs synthesise PMU counters on a live
+#: node (``ExecutionSimulator.run_phase_counters``) and stay per job.
 FLEET_MODES: tuple[str, ...] = ("sweep", "static", "savings", "grid")
 
 #: Jobs batched into one fleet kernel invocation by default.  Large

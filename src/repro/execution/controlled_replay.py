@@ -1,4 +1,4 @@
-"""Vectorized replay fast path for *controller-driven* (RRL) runs.
+"""The controlled-run compiler: switch schedules for controller-driven runs.
 
 The paper's headline numbers come from controlled production runs: the
 READEX RRL switches core/uncore frequency and thread count at region
@@ -21,12 +21,15 @@ predecessor, its pattern — and every later iteration's — is already
 known, and the controller's statistics are extrapolated instead of
 re-walked.
 
-**Phase 2 — segmented replay** (:func:`replay_controlled_run`).  The
+**Phase 2 — segmented replay** (:func:`flatten_control_schedule`).  The
 trace is segmented by compiled pattern (*segments partition the
-iterations*) and replayed with the PR-2 bulk kernels: keyed lognormal
-noise through the batched RNG layer, meters through
-:meth:`~repro.hardware.node.ComputeNode.advance_many`, energies through
-strict-left-fold accumulations, instances materialised lazily.
+iterations*) and flattened to one run-long charge sequence under the
+run's keyed lognormal noise; the fleet kernel
+(:mod:`repro.execution.fleet_replay`) prices it — on a fresh node or,
+for the simulator's solo runs, on the live one — and
+:func:`materialise_instances` derives the instance rows lazily.  The
+materialiser is shared with uncontrolled runs, which are one span of
+one pattern.
 
 The output is **bit-identical** to the recursive engine with the same
 controller attached: same ``RunResult``, same
@@ -48,7 +51,6 @@ import numpy as np
 
 from repro import config
 from repro.execution.timing import RegionTiming, region_timing
-from repro.util.rng import StreamPrefix, batched_lognormal
 from repro.workloads.application import Application
 from repro.workloads.region import Region
 
@@ -123,6 +125,11 @@ class ControlSchedule:
     post_order: tuple[int, ...]
     iterations: int
     num_work: int
+
+    @property
+    def work_names(self) -> list[str]:
+        """Region name per work row (the rows of the run's noise matrix)."""
+        return [slot.region.name for slot in self.patterns[0].slots if slot.has_work]
 
     @property
     def region_enters(self) -> int:
@@ -542,9 +549,8 @@ class FlatControlSchedule:
 
     The pricing view of a :class:`ControlSchedule` under one noise
     matrix: every span's charge plan tiled over its iterations and
-    concatenated in execution order.  Shared by the per-run controlled
-    replay and the fleet kernel (:mod:`repro.execution.fleet_replay`),
-    which prices many members' flat sequences side by side.
+    concatenated in execution order, as the fleet kernel
+    (:mod:`repro.execution.fleet_replay`) prices it.
     """
 
     durations: np.ndarray         #: (L,) every charge duration, in order
@@ -553,8 +559,13 @@ class FlatControlSchedule:
     dram_w: np.ndarray
     switches: np.ndarray          #: SWITCH-charge durations, in order
     probes: np.ndarray            #: PROBE-charge durations, in order
-    span_offsets: tuple[int, ...]
-    span_durations: tuple         #: per span: (W, count) noisy bodies | None
+    spans: tuple                  #: the :func:`materialise_instances` spans
+
+
+def _tile(vector: np.ndarray, count: int) -> np.ndarray:
+    """``np.tile(vector, count)`` of a 1-D vector, minus its Python-level
+    overhead (this runs per span of every controlled run)."""
+    return vector[None, :].repeat(count, axis=0).reshape(-1)
 
 
 def flatten_control_schedule(
@@ -571,13 +582,12 @@ def flatten_control_schedule(
     power_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     switch_parts: list[np.ndarray] = []
     probe_parts: list[np.ndarray] = []
-    span_offsets: list[int] = []
-    span_durations: list[np.ndarray | None] = []
+    spans: list[tuple] = []
     offset = 0
     for index, start, count in schedule.spans:
         pattern = schedule.patterns[index]
         num_charges = len(pattern.charges)
-        matrix = np.tile(pattern.fixed_durations, (count, 1))
+        matrix = pattern.fixed_durations[None, :].repeat(count, axis=0)
         durations_work = None
         if schedule.num_work:
             durations_work = pattern.base_times[:, None] * noise[:, start:start + count]
@@ -586,15 +596,16 @@ def flatten_control_schedule(
         flat_parts.append(matrix.reshape(-1))
         power_parts.append(
             (
-                np.tile(pattern.node_w, count),
-                np.tile(pattern.package_w, count),
-                np.tile(pattern.dram_w, count),
+                _tile(pattern.node_w, count),
+                _tile(pattern.package_w, count),
+                _tile(pattern.dram_w, count),
             )
         )
-        switch_parts.append(np.tile(pattern.switch_latencies, count))
-        probe_parts.append(np.tile(pattern.probe_overheads, count))
-        span_offsets.append(offset)
-        span_durations.append(durations_work)
+        switch_parts.append(_tile(pattern.switch_latencies, count))
+        probe_parts.append(_tile(pattern.probe_overheads, count))
+        spans.append(
+            (pattern.slots, num_charges, start, count, offset, durations_work)
+        )
         offset += count * num_charges
     return FlatControlSchedule(
         durations=np.concatenate(flat_parts),
@@ -603,48 +614,30 @@ def flatten_control_schedule(
         dram_w=np.concatenate([p[2] for p in power_parts]),
         switches=np.concatenate(switch_parts),
         probes=np.concatenate(probe_parts),
-        span_offsets=tuple(span_offsets),
-        span_durations=tuple(span_durations),
+        spans=tuple(spans),
     )
 
 
-def control_noise_seeds(schedule: ControlSchedule, node_id, run_key, seed):
-    """The (work region x iteration) seed matrix of one controlled run."""
-    seeds = np.empty((schedule.num_work, schedule.iterations), dtype=np.uint64)
-    for slot in schedule.patterns[0].slots:
-        if slot.has_work:
-            prefix = StreamPrefix(
-                "time", node_id, run_key, slot.region.name, seed=seed
-            )
-            seeds[slot.work_index] = prefix.seeds_for_iterations(
-                schedule.iterations
-            )
-    return seeds
+def materialise_instances(spans, post_order, timeline: np.ndarray) -> list:
+    """Derive every :class:`RegionInstance` row of one replayed run.
 
-
-def materialise_control_instances(
-    schedule: ControlSchedule,
-    timeline: np.ndarray,
-    flat: FlatControlSchedule,
-) -> list:
-    """Derive every :class:`RegionInstance` row of one controlled run.
-
-    ``timeline`` is the simulated clock after each flattened charge
-    (with a leading entry time); only positions within the run's real
-    charge count are read, so a row sliced out of a padded fleet matrix
-    works exactly like the per-run vector.
+    ``spans`` holds one ``(slots, charges per iteration, first
+    iteration, count, charge offset, durations_work)`` tuple per
+    segment: the compiled slots of the pattern those iterations
+    execute, where the segment's first charge sits in the run's
+    flattened sequence, and its (W, count) noisy body durations.  An
+    uncontrolled run is one span of one pattern.  ``timeline`` is the
+    simulated clock after each flattened charge (with a leading entry
+    time); only positions within the run's real charge count are read,
+    so a row sliced out of a padded fleet matrix works exactly like the
+    per-run vector.
     """
     from repro.execution.simulator import RegionInstance
 
     rows: list = []
     append = rows.append
-    for (index, start, count), span_offset, durations_work in zip(
-        schedule.spans, flat.span_offsets, flat.span_durations
-    ):
-        pattern = schedule.patterns[index]
-        slots = pattern.slots
+    for slots, num_charges, start, count, span_offset, durations_work in spans:
         num_slots = len(slots)
-        num_charges = len(pattern.charges)
         offsets = span_offset + np.arange(count) * num_charges
         enter_index = np.array([s.charge_start for s in slots])
         exit_index = np.array([s.charge_end for s in slots])
@@ -702,7 +695,7 @@ def materialise_control_instances(
 
         for i in range(count):
             iteration = start + i
-            for k in schedule.post_order:
+            for k in post_order:
                 slot = slots[k]
                 append(
                     RegionInstance(
@@ -717,89 +710,3 @@ def materialise_control_instances(
                     )
                 )
     return rows
-
-
-def replay_controlled_run(
-    sim,
-    app: Application,
-    controller,
-    *,
-    threads: int,
-    instrumented: bool,
-    instrumentation,
-    run_key: tuple,
-):
-    """Compile the controller's switch schedule and replay it in bulk.
-
-    Returns the filled ``RunResult`` (``engine="replay"``), or ``None``
-    when the controller's ``compile_schedule`` declines — in which case
-    neither the controller nor the node has been touched and the caller
-    falls back to the recursive engine.
-    """
-    from repro.execution.simulator import (
-        TIME_NOISE_SIGMA,
-        InstanceLog,
-        OperatingPoint,
-        RunResult,
-    )
-
-    node = sim.node
-    entry_point = OperatingPoint(
-        core_freq_ghz=node.core_freq_ghz,
-        uncore_freq_ghz=node.uncore_freq_ghz,
-        threads=threads,
-    )
-    schedule = controller.compile_schedule(
-        app,
-        node,
-        threads=threads,
-        instrumented=instrumented,
-        instrumentation=instrumentation,
-    )
-    if schedule is None:
-        return None
-    result = RunResult(
-        app_name=app.name,
-        node_id=node.node_id,
-        operating_point=entry_point,
-        engine="replay",
-    )
-
-    iterations = schedule.iterations
-    start_time = node.now_s
-    start_cpu_j = node.rapl.read_cpu_energy_joules()
-
-    # -- keyed time noise, batched over (work region x iteration) ----------
-    # The streams are keyed by region name and iteration only — never by
-    # operating point — so one global matrix serves every segment.
-    if schedule.num_work:
-        seeds = control_noise_seeds(schedule, node.node_id, run_key, sim.seed)
-        noise = batched_lognormal(seeds.reshape(-1), TIME_NOISE_SIGMA).reshape(
-            schedule.num_work, iterations
-        )
-    else:
-        noise = np.empty((0, iterations))
-
-    flat = flatten_control_schedule(schedule, noise)
-
-    # Simulated clock after each charge; cumsum is a strict left fold, so
-    # every value matches the recursive engine's repeated ``+=``.
-    timeline = np.cumsum(np.concatenate(([start_time], flat.durations)))
-
-    node.advance_many(flat.durations, flat.node_w, flat.package_w, flat.dram_w)
-
-    if flat.durations.size:
-        flat_joules = flat.node_w * flat.durations
-        result.node_energy_j = float(np.add.accumulate(flat_joules)[-1])
-    if flat.switches.size:
-        result.switching_time_s = float(np.add.accumulate(flat.switches)[-1])
-    if flat.probes.size:
-        result.instrumentation_time_s = float(np.add.accumulate(flat.probes)[-1])
-
-    result.time_s = node.now_s - start_time
-    result.cpu_energy_j = node.rapl.read_cpu_energy_joules() - start_cpu_j
-
-    result.instances = InstanceLog.deferred(
-        lambda: materialise_control_instances(schedule, timeline, flat)
-    )
-    return result

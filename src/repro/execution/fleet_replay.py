@@ -1,10 +1,14 @@
-"""Fleet-scale replay: one kernel for every batch of fresh-node runs.
+"""Fleet-scale replay: the one replay kernel for every run without listeners.
 
 A *fleet* is any mix of replay requests — different applications,
 different (virtual) nodes, different controllers or none, instrumented
 or not, any static operating point — and the kernel prices all of them
 in one pass.  The Figures 6/7 heatmaps, the Table V exhaustive static
-search, the trade-off study and every campaign shard are fleets:
+search, the trade-off study and every campaign shard are fleets of
+fresh-node members; the simulator's solo runs
+(:meth:`~repro.execution.simulator.ExecutionSimulator.run` and
+``run_phase_counters``) are fleets of one *live-node* member, whose
+entry state is a real :class:`~repro.hardware.node.ComputeNode`:
 
 **Phase 1 — per-member compilation.**  Uncontrolled members compile
 through the one structural walk of :mod:`repro.execution.replay`
@@ -12,38 +16,41 @@ through the one structural walk of :mod:`repro.execution.replay`
 across members sharing an application build and instrumentation) and
 evaluate it at their operating point
 (:func:`~repro.execution.replay._evaluate_config`) against one power
-model per node recipe.  Controller-driven members compile their switch
-schedule exactly like the per-run engine
+model per node recipe — or, live, at the node's current frequencies
+against its own power model.  Controller-driven members compile their
+switch schedule
 (:func:`~repro.execution.controlled_replay.compile_schedule_by_walk`
 via the controller's ``compile_schedule`` protocol) against a real
-:class:`~repro.hardware.node.ComputeNode`, so RRL statistics and
-MSR/DVFS side effects are byte-for-byte those of the per-run path.
+node, so RRL statistics and MSR/DVFS side effects are byte-for-byte
+those of the recursive engine; a declining controller's member runs
+through the recursive engine instead.
 
 **Phase 2 — one fleet-wide noise draw.**  Every member's keyed
-(work region x iteration) seed matrix is flattened and concatenated,
-one :func:`~repro.util.rng.batched_lognormal` call covers the whole
-fleet, and the draws are sliced back.  Keyed streams are drawn per
-seed independently, so the batch boundary cannot change any member's
-noise.
+(work region x iteration) seeds fill one flat buffer, one
+:func:`~repro.util.rng.batched_lognormal` call covers the whole fleet,
+and the draws are sliced back.  Keyed streams are drawn per seed
+independently, so the batch boundary cannot change any member's noise.
 
 **Phase 3 — block flattening.**  Uncontrolled members sharing a
-structure and an iteration count flatten as one block
+structure, an iteration count and liveness flatten as one block
 (:func:`~repro.execution.replay._flatten_block`): a (members x
 iteration x charge) matrix whose rows are each member's exact charge
 sequence.  Controlled members flatten their span schedules one by one.
 
-**Phase 4 — zero-padded batch pricing.**  Each member's flattened
-charge sequence becomes one row of a shared ``(members, max_charges)``
-matrix, short rows padded with zeros.  Row-wise ``cumsum`` /
-``np.add.accumulate`` / RAPL tick folds are strict left folds per row,
-and zero-duration charges are exact no-ops in every one of those folds
-(``x + 0.0 == x``; a zero-energy RAPL deposit never advances the tick
-counter), so padding cannot perturb any member's numbers.
+**Phase 4 — pricing.**  A live member's charge sequence goes through
+its node's :meth:`~repro.hardware.node.ComputeNode.advance_many`, so
+the clock, HDEEM timeline and RAPL residuals continue from the node's
+state.  Fresh members share a zero-padded ``(members, max_charges)``
+matrix: row-wise ``cumsum`` / ``np.add.accumulate`` / RAPL tick folds
+are strict left folds per row, and zero-duration charges are exact
+no-ops in every one of those folds (``x + 0.0 == x``; a zero-energy
+RAPL deposit never advances the tick counter), so padding cannot
+perturb any member's numbers.
 
 **Phase 5 — per-member materialisation.**  Each member yields the
-exact ``RunResult`` (lazy instance log included) and meter/MSR
-:class:`MeterEndState` its per-run engine would produce on a fresh
-node.
+exact ``RunResult`` (lazy instance log included) its recursive run
+would produce, and a fresh member the meter/MSR :class:`MeterEndState`
+it would leave on its node.
 
 The contract is **bit-identical per member**: permuting the fleet,
 splitting it, or batching unrelated members together never changes any
@@ -53,6 +60,9 @@ member's payload (property-tested in
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +70,8 @@ import numpy as np
 from repro import config
 from repro.errors import WorkloadError
 from repro.execution.controlled_replay import (
-    control_noise_seeds,
     flatten_control_schedule,
-    materialise_control_instances,
+    materialise_instances,
 )
 from repro.execution.replay import (
     _compile_structure,
@@ -78,10 +87,11 @@ from repro.execution.simulator import (
     InstanceLog,
     OperatingPoint,
     RunResult,
+    resolve_threads,
 )
 from repro.hardware.node import ComputeNode
 from repro.hardware.power import NodeVariability, PowerModel
-from repro.hardware.rapl import RAPL_ENERGY_UNIT_J
+from repro.hardware.rapl import RAPL_ENERGY_UNIT_J, fold_deposits
 from repro.hardware.topology import NodeTopology
 from repro.util.rng import batched_lognormal
 
@@ -119,20 +129,32 @@ def meter_end_state(node) -> MeterEndState:
     )
 
 
+#: Fleets up to this many fresh members fold their RAPL deposits row by
+#: row in scalar arithmetic; past it the column-vectorized fold wins
+#: (about 4 us per charge column against 0.2 us per charge and row).
+_SCALAR_FOLD_ROWS = 8
+
+
 def _rapl_fold(joules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tick counts and final residuals of depositing each row's energy
     sequence into a fresh RAPL accumulator.
 
-    Replays :meth:`~repro.hardware.rapl.RaplAccumulator.deposit_many`'s
-    float arithmetic per row, vectorized across rows: the per-segment
-    ``int(total / unit)`` truncation and residual update are elementwise
-    IEEE-754 operations, so each row matches the scalar fold to the bit.
-    Zero-energy segments are exact no-ops in that arithmetic (the
-    residual is always below one unit), matching ``advance_many``'s
-    explicit zero-duration filtering.
+    Small fleets replay :func:`~repro.hardware.rapl.fold_deposits` per
+    row; larger ones replay its float arithmetic vectorized across
+    rows: the per-segment ``int(total / unit)`` truncation and residual
+    update are elementwise IEEE-754 operations, so each row matches the
+    scalar fold to the bit.  Zero-energy segments are exact no-ops in
+    that arithmetic (the residual is always below one unit), matching
+    ``advance_many``'s explicit zero-duration filtering.
     """
-    unit = RAPL_ENERGY_UNIT_J
     n, segments = joules.shape
+    if n <= _SCALAR_FOLD_ROWS:
+        folds = [fold_deposits(0.0, row) for row in joules.tolist()]
+        return (
+            np.array([ticks for _, ticks in folds], dtype=np.int64),
+            np.array([residual for residual, _ in folds], dtype=float),
+        )
+    unit = RAPL_ENERGY_UNIT_J
     residual = np.zeros(n)
     ticks = np.zeros(n, dtype=np.int64)
     columns = np.ascontiguousarray(joules.T)
@@ -146,17 +168,25 @@ def _rapl_fold(joules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class FleetMember:
-    """One replay request: an application run on a fresh virtual node.
+    """One replay request: an application run on a fresh or a live node.
 
-    Every member describes the same experiment the per-run engines
-    execute: build ``ComputeNode(node_id, seed=node_seed, topology=...,
-    variability=...)``, optionally program ``point``'s frequencies,
-    then ``ExecutionSimulator(node, seed=seed).run(app, threads=...,
-    controller=..., instrumented=..., instrumentation=...,
+    A fresh-node member describes the experiment the per-run engine
+    executes: build ``ComputeNode(node_id, seed=node_seed,
+    topology=..., variability=...)``, optionally program ``point``'s
+    frequencies, then ``ExecutionSimulator(node, seed=seed).run(app,
+    threads=..., controller=..., instrumented=..., instrumentation=...,
     run_key=run_key)``.  ``point=None`` leaves the node at its default
     frequencies (the ``reset_to_default()`` start every analysis layer
     uses).  ``controller`` is a per-member instance — its statistics
-    mutate exactly as in the per-run engines.
+    mutate exactly as in the per-run engine.
+
+    ``node`` is the member's entry state: a live
+    :class:`~repro.hardware.node.ComputeNode` the run executes on
+    instead, from its current frequencies, clock and meters, which the
+    run advances (the simulator's solo runs are such members).
+    ``node_seed``, ``topology``, ``variability`` and ``point`` then do
+    not apply, and ``node_id`` must be the node's.  A live node hosts
+    at most one member per fleet.
     """
 
     app: object
@@ -171,6 +201,7 @@ class FleetMember:
     controller: object | None = None
     instrumented: bool = False
     instrumentation: object | None = None
+    node: ComputeNode | None = None       #: live entry state, or None (fresh)
 
 
 @dataclass
@@ -180,12 +211,16 @@ class FleetReplay:
     ``results[i]`` compares equal to the
     :class:`~repro.execution.simulator.RunResult` of member ``i``'s
     per-run execution; ``end_states[i]`` is the meter/MSR state that
-    run would leave on its node.
+    run leaves on a fresh node (``None`` for a live member: its node
+    holds that state itself); ``traces[i]`` is the priced run its lazy
+    instance log materialises from (``None`` when the member fell back
+    to the recursive engine).
     """
 
     members: tuple = ()
     results: tuple = ()
     end_states: tuple[MeterEndState, ...] = ()
+    traces: tuple = ()
 
     def __len__(self) -> int:
         return len(self.results)
@@ -203,6 +238,7 @@ class _MemberPlan:
 
     member: FleetMember
     kind: str                         #: "uncontrolled" | "controlled" | "fallback"
+    node: ComputeNode | None = None   #: the live node it prices on, if any
     num_sockets: int = 0
     iterations: int = 0
     # uncontrolled
@@ -210,54 +246,52 @@ class _MemberPlan:
     evaluated: object = None
     durations_work: np.ndarray | None = None  #: (W, I) after flattening
     # controlled
-    seeds: np.ndarray | None = None
     schedule: object = None
     entry_point: object = None
     final_core_ghz: float = 0.0
     final_uncore_ghz: float = 0.0
     flat: object = None               #: FlatControlSchedule
-    # outcome: fallback members run eagerly through the per-run engines
+    # outcome: fallback members run eagerly through the recursive engine
     # while planning; the rest are filled after pricing
     result: object = None
     end_state: MeterEndState | None = None
+    trace: object = None
 
 
-def _resolve_threads(member: FleetMember, num_cores: int) -> int:
-    """The per-run engines' thread resolution, member-local."""
-    app = member.app
-    threads = member.threads
-    if threads is None and member.point is not None:
-        threads = member.point.threads
-    threads = threads or app.default_threads
-    if not app.model.supports_thread_tuning:
-        threads = app.default_threads
-    if not 1 <= threads <= num_cores:
-        raise WorkloadError(f"invalid thread count: {threads}")
-    return threads
+def _member_threads(member: FleetMember) -> int | None:
+    if member.threads is None and member.point is not None:
+        return member.point.threads
+    return member.threads
 
 
 def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
     """Compile a controller-driven member's switch schedule.
 
-    The schedule walk needs a live node: MSRs, DVFS/UFS logs and the
+    The schedule walk needs a node: MSRs, DVFS/UFS logs and the
     controller statistics all mutate exactly as in the per-run engine.
+    A live member walks its own node; a fresh one a node built here.
     """
     app = member.app
     controller = member.controller
-    node = ComputeNode(
-        member.node_id,
-        seed=node_seed,
-        topology=member.topology,
-        variability=member.variability,
-    )
-    threads = _resolve_threads(member, node.topology.num_cores)
-    if member.point is not None:
-        node.set_frequencies(member.point.core_freq_ghz, member.point.uncore_freq_ghz)
+    node = member.node
+    if node is None:
+        node = ComputeNode(
+            member.node_id,
+            seed=node_seed,
+            topology=member.topology,
+            variability=member.variability,
+        )
+        if member.point is not None:
+            node.set_frequencies(
+                member.point.core_freq_ghz, member.point.uncore_freq_ghz
+            )
+    threads = resolve_threads(app, _member_threads(member), node.topology.num_cores)
     entry_point = OperatingPoint(
         core_freq_ghz=node.core_freq_ghz,
         uncore_freq_ghz=node.uncore_freq_ghz,
         threads=threads,
     )
+    instrumented = member.instrumented or member.instrumentation is not None
     compile_schedule = getattr(controller, "compile_schedule", None)
     schedule = None
     if compile_schedule is not None:
@@ -265,20 +299,18 @@ def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
             app,
             node,
             threads=threads,
-            instrumented=member.instrumented or member.instrumentation is not None,
+            instrumented=instrumented,
             instrumentation=member.instrumentation,
         )
     if schedule is None:
         # The controller declined (or predates the protocol): run this
-        # member through the per-run engines on the very node we built —
-        # the walk left it untouched on decline.
-        result = ExecutionSimulator(node, seed=member.seed).run(
+        # member through the recursive engine on the very node the walk
+        # left untouched.
+        result = ExecutionSimulator(node, seed=member.seed)._run_recursive(
             app,
-            threads=member.threads
-            if member.threads is not None
-            else (member.point.threads if member.point is not None else None),
+            threads=threads,
             controller=controller,
-            instrumented=member.instrumented,
+            instrumented=instrumented,
             instrumentation=member.instrumentation,
             run_key=member.run_key,
         )
@@ -286,11 +318,12 @@ def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
             member=member,
             kind="fallback",
             result=result,
-            end_state=meter_end_state(node),
+            end_state=None if member.node is not None else meter_end_state(node),
         )
-    plan = _MemberPlan(
+    return _MemberPlan(
         member=member,
         kind="controlled",
+        node=member.node,
         num_sockets=node.topology.num_sockets,
         iterations=schedule.iterations,
         schedule=schedule,
@@ -298,13 +331,6 @@ def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
         final_core_ghz=node.core_freq_ghz,
         final_uncore_ghz=node.uncore_freq_ghz,
     )
-    if schedule.num_work:
-        plan.seeds = control_noise_seeds(
-            schedule, member.node_id, member.run_key, member.seed
-        )
-    else:
-        plan.seeds = np.empty((0, schedule.iterations), dtype=np.uint64)
-    return plan
 
 
 def _plan_member(member: FleetMember, structures: dict, models: dict) -> _MemberPlan:
@@ -327,41 +353,120 @@ def _plan_member(member: FleetMember, structures: dict, models: dict) -> _Member
         structure = _compile_structure(app, instrumented, member.instrumentation)
         structures[skey] = structure
 
-    # The power model depends on the variability and the socket/core
-    # counts only; keying on the topology object's identity (members
-    # stay alive for the whole pass) spares hashing its core tree.
-    mkey = (member.node_id, node_seed, id(member.topology), member.variability)
-    power_model = models.get(mkey)
-    if power_model is None:
-        topo = member.topology or NodeTopology.default()
-        power_model = models[mkey] = PowerModel(
-            member.variability or NodeVariability.sample(member.node_id, seed=node_seed),
-            num_sockets=topo.num_sockets,
-            num_cores=topo.num_cores,
+    node = member.node
+    if node is not None:
+        # Live member: priced at the node's current frequencies against
+        # its own (warm) power model.
+        power_model = node.power_model
+        threads = resolve_threads(app, member.threads, node.topology.num_cores)
+        effective = OperatingPoint(
+            core_freq_ghz=node.core_freq_ghz,
+            uncore_freq_ghz=node.uncore_freq_ghz,
+            threads=threads,
         )
-    threads = _resolve_threads(member, power_model.num_cores)
-
-    if member.point is not None:
-        core_ghz, uncore_ghz = member.point.core_freq_ghz, member.point.uncore_freq_ghz
     else:
-        core_ghz = config.DEFAULT_CORE_FREQ_GHZ
-        uncore_ghz = config.DEFAULT_UNCORE_FREQ_GHZ
-    effective = OperatingPoint(
-        core_freq_ghz=_effective_frequency(
-            core_ghz, config.CORE_FREQ_MIN_GHZ, config.CORE_FREQ_MAX_GHZ, "core"
-        ),
-        uncore_freq_ghz=_effective_frequency(
-            uncore_ghz, config.UNCORE_FREQ_MIN_GHZ, config.UNCORE_FREQ_MAX_GHZ, "uncore"
-        ),
-        threads=threads,
-    )
+        # The power model depends on the variability and the socket/core
+        # counts only; keying on the topology object's identity (members
+        # stay alive for the whole pass) spares hashing its core tree.
+        mkey = (member.node_id, node_seed, id(member.topology), member.variability)
+        power_model = models.get(mkey)
+        if power_model is None:
+            topo = member.topology or NodeTopology.default()
+            power_model = models[mkey] = PowerModel(
+                member.variability
+                or NodeVariability.sample(member.node_id, seed=node_seed),
+                num_sockets=topo.num_sockets,
+                num_cores=topo.num_cores,
+            )
+        threads = resolve_threads(app, _member_threads(member), power_model.num_cores)
+        if member.point is not None:
+            core_ghz = member.point.core_freq_ghz
+            uncore_ghz = member.point.uncore_freq_ghz
+        else:
+            core_ghz = config.DEFAULT_CORE_FREQ_GHZ
+            uncore_ghz = config.DEFAULT_UNCORE_FREQ_GHZ
+        effective = OperatingPoint(
+            core_freq_ghz=_effective_frequency(
+                core_ghz, config.CORE_FREQ_MIN_GHZ, config.CORE_FREQ_MAX_GHZ, "core"
+            ),
+            uncore_freq_ghz=_effective_frequency(
+                uncore_ghz,
+                config.UNCORE_FREQ_MIN_GHZ,
+                config.UNCORE_FREQ_MAX_GHZ,
+                "uncore",
+            ),
+            threads=threads,
+        )
     return _MemberPlan(
         member=member,
         kind="uncontrolled",
+        node=node,
         num_sockets=power_model.num_sockets,
         iterations=app.phase_iterations,
         structure=structure,
         evaluated=_evaluate_config(structure, power_model, effective),
+    )
+
+
+def _total(values: np.ndarray) -> float:
+    """Strict left-fold sum, 0.0 when empty."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
+def _finish(plan: _MemberPlan, timeline, time_s, node_energy_j, cpu_energy_j,
+            end_state: MeterEndState | None) -> None:
+    """Fill one priced member's ``RunResult`` and lazy instance log."""
+    if plan.kind == "controlled":
+        flat = plan.flat
+        point = plan.entry_point
+        switching_s = _total(flat.switches)
+        instrumentation_s = _total(flat.probes)
+        trace = functools.partial(
+            materialise_instances, flat.spans, plan.schedule.post_order, timeline
+        )
+    else:
+        point = plan.evaluated.point
+        switching_s = 0.0
+        instrumentation_s = plan.structure.instrumentation_time_s(plan.iterations)
+        trace = _ReplayState(
+            structure=plan.structure,
+            evaluated=plan.evaluated,
+            iterations=plan.iterations,
+            durations_work=plan.durations_work,
+            timeline=timeline,
+        )
+    plan.result = RunResult(
+        app_name=plan.member.app.name,
+        node_id=plan.member.node_id,
+        operating_point=point,
+        time_s=time_s,
+        node_energy_j=node_energy_j,
+        cpu_energy_j=cpu_energy_j,
+        switching_time_s=switching_s,
+        instrumentation_time_s=instrumentation_s,
+        instances=InstanceLog.deferred(trace),
+        engine="fleet",
+    )
+    plan.end_state, plan.trace = end_state, trace
+
+
+def _price_on_node(plan: _MemberPlan, durations, node_w, package_w, dram_w) -> None:
+    """Price a live member's charges on its own node: the clock, HDEEM
+    and RAPL continue from the node's state through ``advance_many``."""
+    node = plan.node
+    start_time = node.now_s
+    start_cpu_j = node.rapl.read_cpu_energy_joules()
+    # Simulated clock after each charge; cumsum is a strict left fold, so
+    # every value matches the recursive engine's repeated ``+=``.
+    timeline = np.cumsum(np.concatenate(([start_time], durations)))
+    node.advance_many(durations, node_w, package_w, dram_w)
+    _finish(
+        plan,
+        timeline,
+        node.now_s - start_time,
+        _total(node_w * durations),
+        node.rapl.read_cpu_energy_joules() - start_cpu_j,
+        None,
     )
 
 
@@ -370,95 +475,111 @@ def fleet_run(members) -> FleetReplay:
 
     Returns a :class:`FleetReplay` whose per-member results and end
     states are bit-identical to running each member individually
-    through :class:`~repro.execution.simulator.ExecutionSimulator` on a
-    fresh node.
+    through the recursive engine of
+    :class:`~repro.execution.simulator.ExecutionSimulator`: on a fresh
+    node, or on the member's live ``node``.
     """
     members = list(members)
     if not members:
         return FleetReplay()
+    live = [id(m.node) for m in members if m.node is not None]
+    if len(set(live)) != len(live):
+        raise WorkloadError("a live node can host only one member per fleet")
 
     structures: dict = {}
     models: dict = {}
     plans = [_plan_member(m, structures, models) for m in members]
-    priced = [p for p in plans if p.kind != "fallback"]
 
-    # Uncontrolled members sharing a structure and an iteration count
-    # flatten as one block; ``rows`` index the padded pricing matrix.
-    blocks: dict[tuple, list[int]] = {}
-    controlled: list[int] = []
-    for i, plan in enumerate(priced):
+    # Uncontrolled members sharing a structure, an iteration count and
+    # liveness flatten as one block; controlled members stand alone.
+    groups: dict[tuple, list[_MemberPlan]] = {}
+    for plan in plans:
         if plan.kind == "uncontrolled":
-            blocks.setdefault((id(plan.structure), plan.iterations), []).append(i)
+            key = (id(plan.structure), plan.iterations, plan.node is not None)
+        elif plan.kind == "controlled":
+            key = (id(plan),)
         else:
-            controlled.append(i)
+            continue
+        groups.setdefault(key, []).append(plan)
+    parts = list(groups.values())
 
     # -- one keyed-noise draw spanning the whole fleet ---------------------
     # Each run's (work x iteration) seed matrix flattens row-major — the
     # exact order its per-run engine would reshape — and per-seed
     # independence makes the fleet-wide batch sliceable without drift.
-    # Block members are laid out contiguously, so each block's draws
-    # come back as one (members, work, iteration) view.
-    seed_parts: list[np.ndarray] = []
-    for rows in blocks.values():
-        first = priced[rows[0]]
-        seeds = np.empty(
-            (len(rows), first.structure.num_work, first.iterations), dtype=np.uint64
-        )
-        for g, i in enumerate(rows):
-            m = priced[i].member
-            _fill_seeds(first.structure, seeds[g], m.node_id, m.run_key, m.seed)
-        seed_parts.append(seeds)
-    seed_parts.extend(priced[i].seeds for i in controlled)
-    sizes = [s.size for s in seed_parts]
-    if any(sizes):
-        all_noise = batched_lognormal(
-            np.concatenate([s.reshape(-1) for s in seed_parts]), TIME_NOISE_SIGMA
-        )
-    else:
-        all_noise = np.empty(0)
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-    noise_parts = [
-        all_noise[offsets[k]:offsets[k + 1]].reshape(s.shape)
-        for k, s in enumerate(seed_parts)
-    ]
+    # Each part's draws come back as one (members, work, iteration) view.
+    layout = []   # (part, work region names, (members, work, iteration))
+    for part in parts:
+        first = part[0]
+        compiled = first.structure if first.kind == "uncontrolled" else first.schedule
+        names = compiled.work_names
+        layout.append((part, names, (len(part), len(names), first.iterations)))
+    bounds = [0, *itertools.accumulate(math.prod(shape) for *_, shape in layout)]
+    all_seeds = np.empty(bounds[-1], dtype=np.uint64)
+    for (part, names, shape), lo, hi in zip(layout, bounds, bounds[1:]):
+        for plan, seeds in zip(part, all_seeds[lo:hi].reshape(shape)):
+            m = plan.member
+            _fill_seeds(names, seeds, m.node_id, m.run_key, m.seed)
+    all_noise = batched_lognormal(all_seeds, TIME_NOISE_SIGMA)
 
-    # -- block / schedule flattening ---------------------------------------
-    flattened = []   # (row indices, durations, node_w, package_w, dram_w)
-    for rows, noise in zip(blocks.values(), noise_parts):
-        structure = priced[rows[0]].structure
-        block = _flatten_block(
-            structure, [priced[i].evaluated for i in rows], noise
-        )
-        for g, i in enumerate(rows):
-            priced[i].durations_work = block.durations_work[g]
-        flattened.append(
-            (rows, block.durations, block.node_w, block.package_w, block.dram_w)
-        )
-    for i, noise in zip(controlled, noise_parts[len(blocks):]):
-        flat = flatten_control_schedule(priced[i].schedule, noise)
-        priced[i].flat = flat
-        flattened.append(
-            ([i], flat.durations[None], flat.node_w[None],
-             flat.package_w[None], flat.dram_w[None])
-        )
+    # -- block / schedule flattening; live members price on their nodes ---
+    fresh = []   # (part, durations, node_w, package_w, dram_w), one row each
+    for (part, _, shape), lo, hi in zip(layout, bounds, bounds[1:]):
+        noise = all_noise[lo:hi].reshape(shape)
+        first = part[0]
+        if first.kind == "uncontrolled":
+            block = _flatten_block(
+                first.structure, [plan.evaluated for plan in part], noise
+            )
+            for g, plan in enumerate(part):
+                plan.durations_work = block.durations_work[g]
+            charges = (block.durations, block.node_w, block.package_w, block.dram_w)
+        else:
+            flat = first.flat = flatten_control_schedule(first.schedule, noise[0])
+            charges = (
+                flat.durations[None], flat.node_w[None],
+                flat.package_w[None], flat.dram_w[None],
+            )
+        if first.node is None:
+            fresh.append((part, *charges))
+        else:
+            for g, plan in enumerate(part):
+                _price_on_node(plan, *(c[g] for c in charges))
+    if fresh:
+        _price_fresh(fresh)
 
-    # -- zero-padded batch pricing -----------------------------------------
-    num = len(priced)
-    width = max((part[1].shape[1] for part in flattened), default=0)
+    return FleetReplay(
+        members=tuple(members),
+        results=tuple([p.result for p in plans]),
+        end_states=tuple([p.end_state for p in plans]),
+        traces=tuple([p.trace for p in plans]),
+    )
+
+
+def _price_fresh(fresh: list) -> None:
+    """Price fresh-node members in one zero-padded batch.
+
+    Each member's flattened charge sequence becomes one row of a shared
+    ``(members, max_charges)`` matrix, short rows padded with zeros;
+    row-wise strict left folds make the trailing zero charges exact
+    no-ops.
+    """
+    num = sum(len(part) for part, *_ in fresh)
+    width = max(d.shape[1] for _, d, *_ in fresh)
     durations = np.zeros((num, width))
     node_w = np.zeros((num, width))
     package_w = np.zeros((num, width))
     dram_w = np.zeros((num, width))
-    for rows, d, n_w, p_w, r_w in flattened:
+    plans = []
+    for part, d, n_w, p_w, r_w in fresh:
+        rows = slice(len(plans), len(plans) + len(part))
         n = d.shape[1]
         durations[rows, :n] = d
         node_w[rows, :n] = n_w
         package_w[rows, :n] = p_w
         dram_w[rows, :n] = r_w
+        plans.extend(part)
 
-    # Row-wise strict left folds: each row is the exact charge sequence
-    # the member's per-run engine prices, and trailing zero charges are
-    # exact no-ops in every fold below.
     timeline = np.cumsum(
         np.concatenate((np.zeros((num, 1)), durations), axis=1), axis=1
     )
@@ -470,7 +591,7 @@ def fleet_run(members) -> FleetReplay:
 
     # RAPL end state + CPU energy (fresh accumulators; each socket sees
     # the identical per-charge deposit, node totals sum socket by socket).
-    socket_counts = np.array([p.num_sockets for p in priced])
+    socket_counts = np.array([p.num_sockets for p in plans])
     sockets_col = socket_counts.astype(float).reshape(-1, 1)
     package_ticks, package_residual = _rapl_fold(package_w * durations / sockets_col)
     dram_ticks, dram_residual = _rapl_fold(dram_w * durations / sockets_col)
@@ -487,7 +608,6 @@ def fleet_run(members) -> FleetReplay:
         dram_node_j[live] = dram_node_j[live] + dram_socket_j[live]
     cpu_energy = package_node_j + dram_node_j
 
-    # -- per-member materialisation ----------------------------------------
     # ``tolist`` yields the same Python floats/ints as per-element reads.
     times = time_s.tolist()
     node_energies = node_energy.tolist()
@@ -495,73 +615,25 @@ def fleet_run(members) -> FleetReplay:
     raw_packages, raw_drams = package_raw.tolist(), dram_raw.tolist()
     package_residuals = package_residual.tolist()
     dram_residuals = dram_residual.tolist()
-    for i, plan in enumerate(priced):
-        member = plan.member
-        row = timeline[i]
+    for i, plan in enumerate(plans):
         if plan.kind == "controlled":
-            result = RunResult(
-                app_name=member.app.name,
-                node_id=member.node_id,
-                operating_point=plan.entry_point,
-                engine="fleet",
-            )
-            flat = plan.flat
-            if flat.durations.size:
-                result.node_energy_j = float(
-                    np.add.accumulate(flat.node_w * flat.durations)[-1]
-                )
-            if flat.switches.size:
-                result.switching_time_s = float(np.add.accumulate(flat.switches)[-1])
-            if flat.probes.size:
-                result.instrumentation_time_s = float(
-                    np.add.accumulate(flat.probes)[-1]
-                )
-            result.time_s = times[i]
-            result.cpu_energy_j = cpu_energies[i]
-            schedule = plan.schedule
-            result.instances = InstanceLog.deferred(
-                lambda schedule=schedule, row=row, flat=flat: (
-                    materialise_control_instances(schedule, row, flat)
-                )
-            )
             core_ghz, uncore_ghz = plan.final_core_ghz, plan.final_uncore_ghz
         else:
-            structure, evaluated = plan.structure, plan.evaluated
-            result = RunResult(
-                app_name=member.app.name,
-                node_id=member.node_id,
-                operating_point=evaluated.point,
-                time_s=times[i],
-                node_energy_j=node_energies[i] if structure.charges else 0.0,
-                cpu_energy_j=cpu_energies[i],
-                instrumentation_time_s=structure.instrumentation_time_s(
-                    plan.iterations
-                ),
-                engine="fleet",
-            )
-            result.instances = InstanceLog.deferred(
-                _ReplayState(
-                    structure=structure,
-                    evaluated=evaluated,
-                    iterations=plan.iterations,
-                    durations_work=plan.durations_work,
-                    timeline=row,
-                )
-            )
-            core_ghz = evaluated.point.core_freq_ghz
-            uncore_ghz = evaluated.point.uncore_freq_ghz
-        plan.result = result
-        plan.end_state = MeterEndState(
-            now_s=times[i],
-            hdeem_now_s=times[i],
-            core_freq_ghz=core_ghz,
-            uncore_freq_ghz=uncore_ghz,
-            rapl_package=((raw_packages[i], package_residuals[i]),) * plan.num_sockets,
-            rapl_dram=((raw_drams[i], dram_residuals[i]),) * plan.num_sockets,
+            core_ghz = plan.evaluated.point.core_freq_ghz
+            uncore_ghz = plan.evaluated.point.uncore_freq_ghz
+        _finish(
+            plan,
+            timeline[i],
+            times[i],
+            node_energies[i],
+            cpu_energies[i],
+            MeterEndState(
+                now_s=times[i],
+                hdeem_now_s=times[i],
+                core_freq_ghz=core_ghz,
+                uncore_freq_ghz=uncore_ghz,
+                rapl_package=((raw_packages[i], package_residuals[i]),)
+                * plan.num_sockets,
+                rapl_dram=((raw_drams[i], dram_residuals[i]),) * plan.num_sockets,
+            ),
         )
-
-    return FleetReplay(
-        members=tuple(members),
-        results=tuple(p.result for p in plans),
-        end_states=tuple(p.end_state for p in plans),
-    )

@@ -1,4 +1,4 @@
-"""The uncontrolled-replay compiler and the solo fast path.
+"""The uncontrolled-replay compiler and the phase-counter synthesis.
 
 An *uncontrolled* run — no RRL/PCP controller, no listeners — is fully
 determined once the operating point is fixed: frequencies never change
@@ -18,13 +18,12 @@ two steps:
 :func:`_fill_seeds` and :func:`_flatten_block` then turn any number of
 evaluations of one structure into their keyed noise and flat charge
 sequences in one block.  The fleet kernel
-(:mod:`repro.execution.fleet_replay`) prices whole batches of runs that
-way on fresh nodes; :func:`replay_run` and
-:func:`replay_phase_counters` are the block of one, priced on the live
-node through :meth:`~repro.hardware.node.ComputeNode.advance_many` so
-the meters continue from the node's state.
-:class:`~repro.execution.simulator.RegionInstance` rows materialise
-lazily (:func:`materialise_instances`).
+(:mod:`repro.execution.fleet_replay`) prices every run without
+listeners that way — batches on fresh nodes and, as live-node members,
+the simulator's solo runs and :func:`phase_counters`'s instrumented
+runs.  :class:`~repro.execution.simulator.RegionInstance` rows
+materialise lazily: a priced structure is one span of one pattern of
+:func:`~repro.execution.controlled_replay.materialise_instances`.
 
 The output is **bit-identical** to the recursive engine, which remains
 the generic path for observed runs.  Identity holds because every
@@ -47,19 +46,13 @@ import numpy as np
 
 from repro.counters.generation import MeasurementContext
 from repro.errors import FrequencyError
-from repro.execution.simulator import (
-    TIME_NOISE_SIGMA,
-    InstanceLog,
-    OperatingPoint,
-    RegionInstance,
-    RunResult,
-    probe_overhead_s,
-)
+from repro.execution.controlled_replay import _Slot, materialise_instances
+from repro.execution.simulator import probe_overhead_s
 from repro.execution.timing import RegionTiming, region_timing
 from repro.hardware.frequency import quantize_frequency
 from repro.hardware.msr import ghz_of_ratio, ratio_of_ghz
 from repro.hardware.power import PowerModel
-from repro.util.rng import StreamPrefix, batched_lognormal
+from repro.util.rng import StreamPrefix
 from repro.workloads.application import Application
 from repro.workloads.region import Region
 
@@ -79,6 +72,7 @@ class _Structure:
     charges: tuple[tuple[int, bool], ...]  #: (slot index, is_probe)
     post_order: tuple[int, ...]
     work_slots: tuple[int, ...]            #: slot index per work row
+    work_names: tuple[str, ...]            #: region name per work row
     num_work: int
     #: Charge columns of the body charges, in work-row order (a work
     #: region's body charge is appended as its row is assigned).
@@ -165,6 +159,7 @@ def _compile_structure(
         charges=tuple(charges),
         post_order=tuple(post_order),
         work_slots=tuple(work_slots),
+        work_names=tuple([regions[slot].name for slot in work_slots]),
         num_work=len(work_slots),
         body_cols=np.array(
             [c for c, (_, is_probe) in enumerate(charges) if not is_probe],
@@ -278,14 +273,13 @@ def _evaluate_config(
 
 
 def _fill_seeds(
-    structure: _Structure, out: np.ndarray, node_id: int, run_key: tuple, seed: int
+    work_names, out: np.ndarray, node_id: int, run_key: tuple, seed: int
 ) -> None:
-    """Fill one run's (work region x iteration) keyed time-noise seeds."""
+    """Fill one run's (work region x iteration) keyed time-noise seeds,
+    one row per work region name, hashing the run's prefix once."""
     run_prefix = StreamPrefix("time", node_id, run_key, seed=seed)
-    for row, slot in enumerate(structure.work_slots):
-        run_prefix.extend(structure.regions[slot].name).fill_iteration_seeds(
-            out[row]
-        )
+    for row, name in enumerate(work_names):
+        run_prefix.extend(name).fill_iteration_seeds(out[row])
 
 
 @dataclass
@@ -318,14 +312,14 @@ def _flatten_block(
     charges[:, :, structure.probe_cols] = structure.probe_per_iteration
 
     def powers(work_attr: str, probe_attr: str) -> np.ndarray:
-        row = np.empty((runs, num_charges))
-        row[:, structure.body_cols] = np.array(
+        table = np.empty((runs, iterations, num_charges))
+        table[:, :, structure.body_cols] = np.array(
             [getattr(e, work_attr) for e in evaluations]
-        ).reshape(runs, -1)
-        row[:, structure.probe_cols] = np.array(
+        ).reshape(runs, 1, -1)
+        table[:, :, structure.probe_cols] = np.array(
             [getattr(e, probe_attr) for e in evaluations]
-        )[:, None]
-        return np.tile(row, (1, iterations))
+        )[:, None, None]
+        return table.reshape(runs, iterations * num_charges)
 
     return _FlatBlock(
         durations_work=durations_work,
@@ -334,6 +328,34 @@ def _flatten_block(
         package_w=powers("package_w", "probe_package_w"),
         dram_w=powers("dram_w", "probe_dram_w"),
     )
+
+
+def _structure_slots(structure: _Structure, evaluated: _ConfigEval) -> tuple:
+    """A structure priced at one operating point, as the compiled slots
+    of a one-pattern control schedule."""
+    slots = []
+    for k, region in enumerate(structure.regions):
+        row = structure.work_index[k]
+        work = row >= 0
+        slots.append(
+            _Slot(
+                region=region,
+                children=structure.children[k],
+                has_work=work,
+                probed=structure.probed[k],
+                timing=evaluated.timings[row] if work else None,
+                base_time_s=evaluated.base_times[row] if work else 0.0,
+                node_w=evaluated.node_w[row] if work else 0.0,
+                cpu_fraction=evaluated.cpu_fraction[row] if work else 0.0,
+                probe_s=structure.probe_s[k],
+                probe_node_w=evaluated.probe_node_w,
+                work_index=row,
+                point=evaluated.point,
+                charge_start=structure.charge_start[k],
+                charge_end=structure.charge_end[k],
+            )
+        )
+    return tuple(slots)
 
 
 @dataclass
@@ -349,7 +371,16 @@ class _ReplayState:
     timeline: np.ndarray         #: clock after each charge, leading start
 
     def __call__(self) -> list:
-        return materialise_instances(self)
+        structure = self.structure
+        span = (
+            _structure_slots(structure, self.evaluated),
+            len(structure.charges),
+            0,
+            self.iterations,
+            0,
+            self.durations_work,
+        )
+        return materialise_instances((span,), structure.post_order, self.timeline)
 
     def body_times(self) -> list:
         """Per slot: (I,) body elapsed time (duration plus probe)."""
@@ -368,171 +399,11 @@ class _ReplayState:
             times.append(time if time is not None else zeros)
         return times
 
-    def region_times(self) -> tuple[np.ndarray, np.ndarray]:
-        """(enter, inclusive duration) matrices of shape (I, K)."""
-        structure = self.structure
-        offsets = np.arange(self.iterations) * len(structure.charges)
-        enter_index = np.array(structure.charge_start)
-        exit_index = np.array(structure.charge_end)
-        enter = self.timeline[offsets[:, None] + enter_index[None, :]]
-        total = self.timeline[offsets[:, None] + exit_index[None, :]] - enter
-        return enter, total
-
-
-def materialise_instances(state: _ReplayState) -> list:
-    """Derive every :class:`RegionInstance` row of one replayed run."""
-    structure, evaluated = state.structure, state.evaluated
-    point = evaluated.point
-    num_slots = len(structure.regions)
-    iterations = state.iterations
-    durations_work = state.durations_work
-    enter, total_time = state.region_times()
-    body_time = state.body_times()
-
-    zeros = np.zeros(iterations)
-    body_energy: list = [None] * num_slots
-    for k, row in enumerate(structure.work_index):
-        energy = None
-        if row >= 0:
-            energy = evaluated.node_w[row] * durations_work[row]
-        if structure.probed[k]:
-            probe_joules = evaluated.probe_node_w * structure.probe_s[k]
-            energy = (
-                energy + probe_joules
-                if energy is not None
-                else np.full(iterations, probe_joules)
-            )
-        body_energy[k] = energy if energy is not None else zeros
-
-    # Inclusive energies: children accumulate in child order, own
-    # body first — the recursive engine's exact expression tree.
-    inclusive: list = [None] * num_slots
-    for k in range(num_slots - 1, -1, -1):
-        children_energy = None
-        for child in structure.children[k]:
-            children_energy = (
-                inclusive[child]
-                if children_energy is None
-                else children_energy + inclusive[child]
-            )
-        if children_energy is None:
-            children_energy = 0.0
-        inclusive[k] = body_energy[k] + children_energy
-
-    cpu_energy: list = [zeros] * num_slots
-    timings: list = [None] * num_slots
-    for k, row in enumerate(structure.work_index):
-        if row >= 0:
-            cpu_energy[k] = np.where(
-                body_time[k] > 0,
-                body_energy[k] * evaluated.cpu_fraction[row],
-                0.0,
-            )
-            timings[k] = evaluated.timings[row]
-
-    names = [region.name for region in structure.regions]
-    rows = []
-    append = rows.append
-    for i in range(iterations):
-        for k in structure.post_order:
-            append(
-                RegionInstance(
-                    region_name=names[k],
-                    iteration=i,
-                    start_s=float(enter[i, k]),
-                    time_s=float(total_time[i, k]),
-                    node_energy_j=float(inclusive[k][i]),
-                    cpu_energy_j=float(cpu_energy[k][i]),
-                    operating_point=point,
-                    timing=timings[k],
-                )
-            )
-    return rows
-
-
-def _replay(
-    sim,
-    app: Application,
-    *,
-    threads: int,
-    instrumented: bool,
-    instrumentation,
-    run_key: tuple,
-):
-    """Compile, price on the live node and fill a ``RunResult``.
-
-    Returns ``(result, state)``; the node's clock and meters advance
-    exactly as the recursive engine's per-charge ``advance`` calls
-    would.
-    """
-    node = sim.node
-    point = OperatingPoint(
-        core_freq_ghz=node.core_freq_ghz,
-        uncore_freq_ghz=node.uncore_freq_ghz,
-        threads=threads,
-    )
-    result = RunResult(
-        app_name=app.name,
-        node_id=node.node_id,
-        operating_point=point,
-        engine="replay",
-    )
-    structure = _compile_structure(app, instrumented, instrumentation)
-    evaluated = _evaluate_config(structure, node.power_model, point)
-    iterations = app.phase_iterations
-    seeds = np.empty((1, structure.num_work, iterations), dtype=np.uint64)
-    _fill_seeds(structure, seeds[0], node.node_id, run_key, sim.seed)
-    noise = batched_lognormal(seeds.reshape(-1), TIME_NOISE_SIGMA)
-    block = _flatten_block(structure, [evaluated], noise.reshape(seeds.shape))
-    durations = block.durations[0]
-    node_w = block.node_w[0]
-
-    start_time = node.now_s
-    start_cpu_j = node.rapl.read_cpu_energy_joules()
-    # Simulated clock after each charge; cumsum is a strict left fold, so
-    # every value matches the recursive engine's repeated ``+=``.
-    timeline = np.cumsum(np.concatenate(([start_time], durations)))
-    node.advance_many(durations, node_w, block.package_w[0], block.dram_w[0])
-
-    if durations.size:
-        result.node_energy_j = float(np.add.accumulate(node_w * durations)[-1])
-    result.instrumentation_time_s = structure.instrumentation_time_s(iterations)
-    result.time_s = node.now_s - start_time
-    result.cpu_energy_j = node.rapl.read_cpu_energy_joules() - start_cpu_j
-
-    state = _ReplayState(
-        structure=structure,
-        evaluated=evaluated,
-        iterations=iterations,
-        durations_work=block.durations_work[0],
-        timeline=timeline,
-    )
-    # Everything per-instance is needed only when the rows are
-    # inspected, so it lives in the deferred producer; runs that read
-    # aggregate fields never pay for it.
-    result.instances = InstanceLog.deferred(state)
-    return result, state
-
-
-def replay_run(
-    sim,
-    app: Application,
-    *,
-    threads: int,
-    instrumented: bool,
-    instrumentation,
-    run_key: tuple,
-):
-    """Run ``app`` through the fast path; returns the filled RunResult."""
-    result, _ = _replay(
-        sim,
-        app,
-        threads=threads,
-        instrumented=instrumented,
-        instrumentation=instrumentation,
-        run_key=run_key,
-    )
-    return result
+    def phase_times(self) -> np.ndarray:
+        """(I,) inclusive phase-region time per iteration."""
+        offsets = np.arange(self.iterations) * len(self.structure.charges)
+        enter = self.timeline[offsets]  # the phase is slot 0, first charge 0
+        return self.timeline[offsets + self.structure.charge_end[0]] - enter
 
 
 @dataclass(frozen=True)
@@ -549,47 +420,35 @@ class PhaseCounterRun:
     phase_time_s: float           #: accumulated phase time over the run
 
 
-def replay_phase_counters(
-    sim,
-    app: Application,
-    *,
-    threads: int,
+def phase_counters(
+    result, state: _ReplayState, generator, *, run_key: tuple,
     counters: tuple[str, ...],
-    run_key: tuple,
 ) -> PhaseCounterRun:
-    """Instrumented fast-path run with vectorized counter synthesis.
+    """Vectorized counter synthesis over one instrumented replayed run.
 
-    Replays the run (instrumented, unfiltered — the configuration the
-    campaign engine's ``counters`` mode uses), then derives every work
-    region's 56 preset values for all iterations in one batch and folds
-    them up the tree in the recursive engine's merge order.
+    ``state`` is the priced (instrumented, unfiltered — the
+    configuration the campaign engine's ``counters`` mode uses) run
+    behind ``result``.  Every work region's 56 preset values derive for
+    all iterations in one batch and fold up the tree in the recursive
+    engine's merge order.
     """
-    result, state = _replay(
-        sim,
-        app,
-        threads=threads,
-        instrumented=True,
-        instrumentation=None,
-        run_key=run_key,
-    )
-    node = sim.node
     structure = state.structure
+    point = result.operating_point
     num_slots = len(structure.regions)
     body_time = state.body_times()
-    generator = sim._counter_generator
     names: tuple[str, ...] = ()
     own_matrix: list = [None] * num_slots
     for k in structure.work_slots:
         region = structure.regions[k]
         ctx = MeasurementContext(
             elapsed_s=body_time[k],
-            core_freq_ghz=result.operating_point.core_freq_ghz,
-            threads=threads,
+            core_freq_ghz=point.core_freq_ghz,
+            threads=point.threads,
         )
         sampled = generator.sample_batch(
             region.characteristics,
             ctx,
-            key_prefix=(node.node_id, run_key, region.name),
+            key_prefix=(result.node_id, run_key, region.name),
         )
         if not names:
             names = tuple(sampled)
@@ -618,6 +477,5 @@ def replay_phase_counters(
             totals[counter] = 0.0
         else:
             totals[counter] = float(np.add.accumulate(phase_matrix[:, j])[-1])
-    _, total_time = state.region_times()
-    phase_time_s = float(np.add.accumulate(total_time[:, 0])[-1])
+    phase_time_s = float(np.add.accumulate(state.phase_times())[-1])
     return PhaseCounterRun(result=result, totals=totals, phase_time_s=phase_time_s)

@@ -20,17 +20,16 @@ Two execution engines produce the same results:
 * the **generic recursive engine** in this module — region-by-region
   tree walking with callbacks, required whenever listeners observe
   events or a controller cannot pre-declare its switching behaviour;
-* the **vectorized replay engine** — for uncontrolled runs
-  (:mod:`repro.execution.replay`) the region schedule is compiled once
-  and all ``phase_iterations x instances`` replay in bulk; controlled
-  runs whose controller implements the :class:`ScheduleCompiler`
-  protocol (the RRL and the static controller do) compile their switch
-  schedule the same way and replay segment-by-segment
-  (:mod:`repro.execution.controlled_replay`).  Both paths are
-  bit-identical to the recursion and an order of magnitude faster.
+* the **fleet replay kernel** (:mod:`repro.execution.fleet_replay`) —
+  a run without listeners, uncontrolled or driven by a controller that
+  implements the :class:`ScheduleCompiler` protocol (the RRL and the
+  static controller do), is a fleet of one *live-node* member: its
+  region schedule compiles once and all ``phase_iterations x
+  instances`` are priced in bulk on this simulator's node, bit-identical
+  to the recursion and an order of magnitude faster.
 
-:meth:`ExecutionSimulator.run` dispatches automatically; the
-``fast_path`` parameter overrides the choice.
+:meth:`ExecutionSimulator.run` dispatches automatically;
+``fast_path=False`` forces the recursion.
 """
 
 from __future__ import annotations
@@ -75,6 +74,19 @@ def pending_switch_latency_s(dvfs_transitions: int, ufs_transitions: int) -> flo
     if ufs_transitions:
         latency += config.UFS_TRANSITION_LATENCY_S
     return latency
+
+
+def resolve_threads(app: Application, threads: int | None, num_cores: int) -> int:
+    """A run's OpenMP thread count, shared by every engine.
+
+    ``threads`` defaults to the application's; MPI-only codes always
+    run with their fixed configuration.
+    """
+    if threads is None or not app.model.supports_thread_tuning:
+        threads = app.default_threads
+    if not 1 <= threads <= num_cores:
+        raise WorkloadError(f"invalid thread count: {threads}")
+    return threads
 
 
 @dataclass(frozen=True)
@@ -242,8 +254,8 @@ class RunResult:
     """Outcome of one application run on one node.
 
     ``engine`` records which execution path produced the result
-    (``"generic"`` recursion or the vectorized ``"replay"`` fast path);
-    it is excluded from equality because the two paths are bit-identical.
+    (``"generic"`` recursion or the vectorized ``"fleet"`` kernel); it
+    is excluded from equality because the two paths are bit-identical.
     """
 
     app_name: str
@@ -291,7 +303,7 @@ class ExecutionSimulator:
         listeners: tuple[RunListener, ...] = (),
         collect_counters: bool = False,
         run_key: tuple = (),
-        fast_path: bool | None = None,
+        fast_path: bool = True,
     ) -> RunResult:
         """Execute ``app`` once on this simulator's node.
 
@@ -317,68 +329,69 @@ class ExecutionSimulator:
             Label mixed into the noise streams so repeated runs differ
             reproducibly.
         fast_path:
-            Engine selection.  ``None`` (default) picks automatically:
-            runs without listeners replay through a vectorized fast
-            path — uncontrolled runs via :mod:`repro.execution.replay`,
-            controlled runs whose controller implements
-            :class:`ScheduleCompiler` via
-            :mod:`repro.execution.controlled_replay` — both
-            bit-identical to the recursive engine.  Observed runs and
-            foreign controllers use the generic recursion.  ``False``
-            forces the generic engine, ``True`` demands the fast path
-            and raises if the run is not eligible.
+            ``True`` (default) prices runs without listeners — uncontrolled,
+            or driven by a controller implementing
+            :class:`ScheduleCompiler` — through the fleet replay kernel
+            as a live-node member, bit-identical to the recursive engine;
+            a controller that declines to compile falls back to the
+            recursion.  ``False`` forces the recursive engine.
         """
         if listeners or instrumentation is not None:
             instrumented = True
-        threads = threads if threads is not None else app.default_threads
-        if not app.model.supports_thread_tuning:
-            threads = app.default_threads
-        if not 1 <= threads <= self.node.topology.num_cores:
-            raise WorkloadError(f"invalid thread count: {threads}")
-
-        compiler = getattr(controller, "compile_schedule", None)
-        eligible = not listeners and (controller is None or compiler is not None)
-        if fast_path is None:
-            attempt_fast = eligible
-        elif fast_path and not eligible:
-            raise WorkloadError(
-                "fast_path requires a run without listeners whose controller "
-                "(if any) implements the compile_schedule protocol"
-            )
-        else:
-            attempt_fast = fast_path
-        if attempt_fast:
-            if controller is None:
-                from repro.execution.replay import replay_run
-
-                return replay_run(
-                    self,
-                    app,
-                    threads=threads,
-                    instrumented=instrumented,
-                    instrumentation=instrumentation,
-                    run_key=run_key,
-                )
-            from repro.execution.controlled_replay import replay_controlled_run
-
-            result = replay_controlled_run(
-                self,
+        if (
+            fast_path
+            and not listeners
+            and (controller is None or hasattr(controller, "compile_schedule"))
+        ):
+            return self._fleet_of_one(
                 app,
-                controller,
+                run_key,
                 threads=threads,
+                controller=controller,
                 instrumented=instrumented,
                 instrumentation=instrumentation,
-                run_key=run_key,
-            )
-            if result is not None:
-                return result
-            if fast_path:
-                raise WorkloadError(
-                    "controller declined to compile a switch schedule for "
-                    "the demanded fast path"
-                )
-            # declined: fall through to the recursive engine
+            ).results[0]
+        return self._run_recursive(
+            app,
+            threads=resolve_threads(app, threads, self.node.topology.num_cores),
+            controller=controller,
+            instrumented=instrumented,
+            instrumentation=instrumentation,
+            listeners=listeners,
+            collect_counters=collect_counters,
+            run_key=run_key,
+        )
 
+    def _fleet_of_one(self, app: Application, run_key: tuple, **member):
+        """Price one run on this node through the fleet kernel."""
+        from repro.execution import fleet_replay
+
+        return fleet_replay.fleet_run(
+            [
+                fleet_replay.FleetMember(
+                    app=app,
+                    run_key=run_key,
+                    node_id=self.node.node_id,
+                    seed=self.seed,
+                    node=self.node,
+                    **member,
+                )
+            ]
+        )
+
+    def _run_recursive(
+        self,
+        app: Application,
+        *,
+        threads: int,
+        controller: RunController | None,
+        instrumented: bool,
+        instrumentation,
+        listeners: tuple[RunListener, ...] = (),
+        collect_counters: bool = False,
+        run_key: tuple,
+    ) -> RunResult:
+        """The generic engine: walk the region tree once per iteration."""
         result = RunResult(
             app_name=app.name,
             node_id=self.node.node_id,
@@ -416,19 +429,22 @@ class ExecutionSimulator:
 
         Fast-path equivalent of running with a listener that sums the
         phase region's inclusive counter metrics (the campaign engine's
-        ``counters`` mode): the returned
-        :class:`~repro.execution.replay.PhaseCounterRun` carries totals
-        and accumulated phase time bit-identical to that listener path.
+        ``counters`` mode): the run is a live-node fleet member, and the
+        returned :class:`~repro.execution.replay.PhaseCounterRun` carries
+        totals and accumulated phase time bit-identical to that listener
+        path.
         """
-        from repro.execution.replay import replay_phase_counters
+        from repro.execution.replay import phase_counters
 
-        threads = threads if threads is not None else app.default_threads
-        if not app.model.supports_thread_tuning:
-            threads = app.default_threads
-        if not 1 <= threads <= self.node.topology.num_cores:
-            raise WorkloadError(f"invalid thread count: {threads}")
-        return replay_phase_counters(
-            self, app, threads=threads, counters=tuple(counters), run_key=run_key
+        fleet = self._fleet_of_one(
+            app, run_key, threads=threads, instrumented=True
+        )
+        return phase_counters(
+            fleet.results[0],
+            fleet.traces[0],
+            self._counter_generator,
+            run_key=run_key,
+            counters=tuple(counters),
         )
 
     # ------------------------------------------------------------------

@@ -11,7 +11,6 @@ wrap occurs between samples.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.errors import HardwareError
 from repro.hardware.msr import MSR, MSRRegisterFile, RAPL_ESU
@@ -27,6 +26,26 @@ class RaplDomain(enum.Enum):
 
     PACKAGE = MSR.MSR_PKG_ENERGY_STATUS
     DRAM = MSR.MSR_DRAM_ENERGY_STATUS
+
+
+def fold_deposits(residual: float, joules_seq) -> tuple[float, int]:
+    """Quantise a sequence of energy deposits into counter ticks.
+
+    Returns the carried sub-tick residual and the tick count after
+    depositing each of ``joules_seq`` in order, starting from
+    ``residual`` — the exact float arithmetic of repeated
+    :meth:`RaplAccumulator.deposit` calls.
+    """
+    unit = RAPL_ENERGY_UNIT_J
+    ticks_total = 0
+    for joules in joules_seq:
+        if joules < 0:
+            raise HardwareError("cannot deposit negative energy")
+        total = residual + joules
+        ticks = int(total / unit)
+        residual = total - ticks * unit
+        ticks_total += ticks
+    return residual, ticks_total
 
 
 class RaplAccumulator:
@@ -65,27 +84,12 @@ class RaplAccumulator:
         one wrapped update equals many).  Used by the replay fast path
         of the execution simulator.
         """
-        unit = RAPL_ENERGY_UNIT_J
-        residual = self._residual[domain]
-        ticks_total = 0
-        for joules in joules_seq:
-            if joules < 0:
-                raise HardwareError("cannot deposit negative energy")
-            total = residual + joules
-            ticks = int(total / unit)
-            residual = total - ticks * unit
-            ticks_total += ticks
+        residual, ticks_total = fold_deposits(self._residual[domain], joules_seq)
         self._residual[domain] = residual
         old = self._regfile.hw_get(self._cpu, domain.value)
         self._regfile.hw_set(
             self._cpu, domain.value, (old + ticks_total) & _COUNTER_MASK
         )
-
-
-@dataclass
-class _DomainSample:
-    raw: int
-    joules_total: float  # unwrapped
 
 
 class RaplReader:
@@ -102,7 +106,8 @@ class RaplReader:
         # Read the ESU from MSR_RAPL_POWER_UNIT the way real tools do.
         unit_reg = regfile.read(0, MSR.MSR_RAPL_POWER_UNIT)
         self._unit_j = 1.0 / (1 << ((unit_reg >> 8) & 0x1F))
-        self._last: dict[tuple[int, RaplDomain], _DomainSample] = {}
+        #: (socket, domain) -> (last raw counter, unwrapped joules)
+        self._last: dict[tuple[int, RaplDomain], tuple[int, float]] = {}
 
     @property
     def energy_unit_j(self) -> float:
@@ -122,14 +127,18 @@ class RaplReader:
         if prev is None:
             total = raw * self._unit_j
         else:
-            delta = (raw - prev.raw) & _COUNTER_MASK  # unwrap one overflow
-            total = prev.joules_total + delta * self._unit_j
-        self._last[key] = _DomainSample(raw=raw, joules_total=total)
+            prev_raw, prev_total = prev
+            delta = (raw - prev_raw) & _COUNTER_MASK  # unwrap one overflow
+            total = prev_total + delta * self._unit_j
+        self._last[key] = (raw, total)
         return total
 
     def read_node_joules(self, domain: RaplDomain) -> float:
         """Sum of the domain energy over all sockets."""
-        return sum(self.read_joules(s, domain) for s in range(self._num_sockets))
+        total = 0
+        for socket_id in range(self._num_sockets):
+            total += self.read_joules(socket_id, domain)
+        return total
 
     def read_cpu_energy_joules(self) -> float:
         """Package + DRAM over all sockets — the paper's "CPU energy"."""

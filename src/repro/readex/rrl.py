@@ -11,8 +11,8 @@ so untuned stretches run at a well-defined configuration.
 Because those decisions depend only on region names and the current
 hardware state, both the RRL and the static-tuning controller implement
 the ``compile_schedule`` protocol: the execution simulator compiles
-their switch schedule once and replays controlled runs through the
-vectorized fast path (:mod:`repro.execution.controlled_replay`),
+their switch schedule once (:mod:`repro.execution.controlled_replay`)
+and prices controlled runs through the fleet replay kernel,
 bit-identical to the recursive engine — including every field of
 :class:`RRLStatistics`.
 """

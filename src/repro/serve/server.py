@@ -9,7 +9,8 @@ framework and the wire protocol is three routes of JSON:
     One wire-schema request (:mod:`repro.serve.schema`) in, one
     envelope out.  HTTP status mirrors the envelope: 200 for ``ok``,
     400 for ``bad-request``/``bad-value``, 409 for ``quarantined``,
-    503 for ``draining``, 500 otherwise.
+    503 for ``draining``, 500 otherwise; a request that does not arrive
+    within :data:`READ_TIMEOUT_S` gets a 408 ``bad-request``.
 ``GET /healthz``
     ``{"status": "ok", "draining": false}`` — liveness and drain state.
 ``GET /metrics``
@@ -61,6 +62,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
@@ -74,6 +76,11 @@ MAX_BODY_BYTES = 1 << 20
 #: Refuse request heads with more header lines than this (a client
 #: sends a handful), so one connection cannot keep the reader looping.
 MAX_HEADER_COUNT = 64
+
+#: Deadline for receiving a whole request, head and body, counted from
+#: the moment the connection opens: a stalled or trickling client gets a
+#: 408 instead of holding its connection (and the drain) open.
+READ_TIMEOUT_S = 10.0
 
 _HEAD_LINE_TOO_LONG = "request head line too long"
 
@@ -139,32 +146,42 @@ class TuningServer:
     async def _handle_exchange(
         self, reader: asyncio.StreamReader
     ) -> tuple[int, dict[str, Any]]:
-        request_line = await _read_head_line(reader)
-        if request_line is None:
-            return 400, error_response("bad-request", _HEAD_LINE_TOO_LONG)
-        parts = request_line.split()
-        if len(parts) != 3:
-            return 400, error_response("bad-request", "malformed request line")
-        method, path, _ = parts
-        length = 0
-        for _ in range(MAX_HEADER_COUNT + 1):
-            line = await _read_head_line(reader)
-            if line is None:
-                return 400, error_response("bad-request", _HEAD_LINE_TOO_LONG)
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                value = value.strip()
-                if not (value.isascii() and value.isdigit()):
+        # One deadline bounds the whole request read, head and body.
+        deadline = asyncio.get_running_loop().time() + READ_TIMEOUT_S
+        try:
+            async with asyncio.timeout_at(deadline):
+                request_line = await _read_head_line(reader)
+                if request_line is None:
+                    return 400, error_response("bad-request", _HEAD_LINE_TOO_LONG)
+                parts = request_line.split()
+                if len(parts) != 3:
                     return 400, error_response(
-                        "bad-request", "malformed Content-Length"
+                        "bad-request", "malformed request line"
                     )
-                length = int(value)
-        else:
-            return 400, error_response(
-                "bad-request", f"more than {MAX_HEADER_COUNT} header lines"
-            )
+                method, path, _ = parts
+                length = 0
+                for _ in range(MAX_HEADER_COUNT + 1):
+                    line = await _read_head_line(reader)
+                    if line is None:
+                        return 400, error_response(
+                            "bad-request", _HEAD_LINE_TOO_LONG
+                        )
+                    if not line:
+                        break
+                    name, _, value = line.partition(":")
+                    if name.strip().lower() == "content-length":
+                        value = value.strip()
+                        if not (value.isascii() and value.isdigit()):
+                            return 400, error_response(
+                                "bad-request", "malformed Content-Length"
+                            )
+                        length = int(value)
+                else:
+                    return 400, error_response(
+                        "bad-request", f"more than {MAX_HEADER_COUNT} header lines"
+                    )
+        except TimeoutError:
+            return 408, _read_timed_out()
         if method == "GET" and path == "/healthz":
             return 200, {"status": "ok", "draining": self.service.draining}
         if method == "GET" and path == "/metrics":
@@ -180,11 +197,14 @@ class TuningServer:
                 "bad-request", f"body exceeds {MAX_BODY_BYTES} bytes"
             )
         try:
-            body = await reader.readexactly(length) if length else b""
+            async with asyncio.timeout_at(deadline):
+                body = await reader.readexactly(length) if length else b""
         except asyncio.IncompleteReadError:
             return 400, error_response(
                 "bad-request", "body shorter than Content-Length"
             )
+        except TimeoutError:
+            return 408, _read_timed_out()
         try:
             payload = json.loads(body.decode("utf-8") or "null")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -194,6 +214,12 @@ class TuningServer:
             return 200, envelope
         code = envelope.get("error", {}).get("code", "internal")
         return _STATUS_BY_CODE.get(code, 500), envelope
+
+
+def _read_timed_out() -> dict[str, Any]:
+    return error_response(
+        "bad-request", f"request not received within {READ_TIMEOUT_S} s"
+    )
 
 
 async def _read_head_line(reader: asyncio.StreamReader) -> str | None:

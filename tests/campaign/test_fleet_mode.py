@@ -116,10 +116,11 @@ class TestFleetStrategy:
 
     def test_full_shard_plus_trailing_single_job(self, tmp_path, fleet_calls):
         """17 fleet-able jobs: one full shard through the kernel, and
-        the single-job remainder priced per job, both bit-identical."""
+        the single-job remainder priced per job (a fleet of its one
+        member), both bit-identical."""
         plan = CampaignPlan(sweep_jobs("EP", threads=24)[:17])
         _, got = run_plan(tmp_path, "split.jsonl", plan)
-        assert fleet_calls == [DEFAULT_FLEET_SHARD_SIZE]
+        assert fleet_calls == [DEFAULT_FLEET_SHARD_SIZE, 1]
         assert got == per_job(plan)
 
     def test_store_written_per_job_recalls_under_fleet(self, tmp_path):
@@ -145,28 +146,30 @@ class TestFleetStrategy:
         assert _store_rows(path, "jsonl") == reference
 
     def test_counters_only_plan_under_fleet(self, tmp_path, fleet_calls):
-        """Non-fleet-able jobs ride the per-job path of the same pass."""
+        """Non-fleet-able jobs ride the per-job path of the same pass:
+        each one a live-node fleet of one, never a shard."""
         plan = CampaignPlan(
             counter_jobs(
                 "EP", threads=24, runs=2, counters=("PAPI_TOT_INS",)
             )
         )
         _, got = run_plan(tmp_path, "counters.jsonl", plan)
-        assert fleet_calls == []
+        assert fleet_calls == [1] * len(plan)
         assert got == per_job(plan)
 
 
 class TestSingleJobPlan:
     def test_one_savings_job_skips_the_fleet_kernel(self, fleet_calls):
         """The shape of a served TMM pricing: one RRL-controlled job
-        runs per job, byte-for-byte the :func:`execute_job` payload."""
+        runs per job — a fleet of one member, not a shard —
+        byte-for-byte the :func:`execute_job` payload."""
         (job,) = savings_jobs(
             "Lulesh", label="dynamic", runs=1, threads=24,
             controller="rrl", tuning_model=tmm_json("Lulesh"),
             instrumented=True,
         )
         results = CampaignEngine(max_workers=0).run([job])
-        assert fleet_calls == []
+        assert fleet_calls == [1]
         assert json.dumps(results[job], sort_keys=True) == json.dumps(
             execute_job(job), sort_keys=True
         )
@@ -246,12 +249,16 @@ class TestShardFailure:
             )
             results = engine.run(plan)
             got = {job: results[job] for job in plan}
+        calls = sorted(fleet_calls)  # before per_job adds its own
         assert results.report.failed == 0
         assert results.report.executed == len(plan)
         assert got == per_job(plan)
         if workers == 0:
-            # the second shard still ran through the kernel
-            assert fleet_calls == [len(plan) - DEFAULT_FLEET_SHARD_SIZE]
+            # the failed shard's jobs re-ran one by one (fleets of one)
+            # and the second shard still ran through the kernel
+            assert calls == [1] * DEFAULT_FLEET_SHARD_SIZE + [
+                len(plan) - DEFAULT_FLEET_SHARD_SIZE
+            ]
 
     def test_member_failure_raises_per_job_accounting(
         self, tmp_path, monkeypatch

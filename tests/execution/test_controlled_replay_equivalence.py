@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import config
-from repro.errors import WorkloadError
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.hardware.node import ComputeNode
 from repro.hardware.rapl import RaplDomain
@@ -86,7 +85,7 @@ def run_both(app, controller_factory, *, node_id=0, node_seed=config.DEFAULT_SEE
 
 
 def assert_identical(fast, generic, n1, n2, c1=None, c2=None):
-    assert fast.engine == "replay"
+    assert fast.engine == "fleet"
     assert generic.engine == "generic"
     assert fast.time_s == generic.time_s
     assert fast.node_energy_j == generic.node_energy_j
@@ -287,14 +286,14 @@ class TestDispatch:
         run = ExecutionSimulator(make_node()).run(
             app, controller=RRL(make_tmm(app)), instrumented=True
         )
-        assert run.engine == "replay"
+        assert run.engine == "fleet"
 
     def test_static_run_uses_replay(self):
         run = ExecutionSimulator(make_node()).run(
             registry.build("EP"),
             controller=StaticController(OperatingPoint(2.4, 1.3, 24)),
         )
-        assert run.engine == "replay"
+        assert run.engine == "fleet"
 
     def test_foreign_controller_keeps_recursion(self):
         class Foreign:
@@ -308,26 +307,6 @@ class TestDispatch:
             registry.build("EP"), controller=Foreign()
         )
         assert run.engine == "generic"
-
-    def test_fast_path_demand_rejected_for_foreign_controller(self):
-        class Foreign:
-            def on_region_enter(self, region, iteration, node):
-                return 0
-
-            def on_region_exit(self, region, iteration, node):
-                pass
-
-        with pytest.raises(WorkloadError):
-            ExecutionSimulator(make_node()).run(
-                registry.build("EP"), controller=Foreign(), fast_path=True
-            )
-
-    def test_fast_path_demand_honoured_for_rrl(self):
-        app = registry.build("EP")
-        run = ExecutionSimulator(make_node()).run(
-            app, controller=RRL(make_tmm(app)), fast_path=True
-        )
-        assert run.engine == "replay"
 
     def test_declining_compiler_falls_back_to_recursion(self):
         class Declining:
@@ -345,23 +324,6 @@ class TestDispatch:
             registry.build("EP"), controller=Declining()
         )
         assert run.engine == "generic"
-
-    def test_declining_compiler_rejected_when_demanded(self):
-        class Declining:
-            def on_region_enter(self, region, iteration, node):
-                return 0
-
-            def on_region_exit(self, region, iteration, node):
-                pass
-
-            def compile_schedule(self, app, node, *, threads, instrumented,
-                                 instrumentation):
-                return None
-
-        with pytest.raises(WorkloadError):
-            ExecutionSimulator(make_node()).run(
-                registry.build("EP"), controller=Declining(), fast_path=True
-            )
 
     def test_listener_run_keeps_recursion_even_with_rrl(self):
         class Listener:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api, config
+from repro.campaign.engine import _PhaseCounterCollector
 from repro.errors import FrequencyError, WorkloadError
 from repro.execution.fleet_replay import FleetMember, fleet_run, meter_end_state
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
@@ -93,7 +94,7 @@ def build_member(spec) -> FleetMember:
     return member
 
 
-def run_reference(member: FleetMember, fast_path=None):
+def run_reference(member: FleetMember, fast_path=True):
     """The member's per-run execution: fresh node, program, run."""
     node = ComputeNode(
         member.node_id,
@@ -123,7 +124,7 @@ def run_reference(member: FleetMember, fast_path=None):
     return result, node
 
 
-def assert_member_identical(got, end, member_ref: FleetMember, fast_path=None):
+def assert_member_identical(got, end, member_ref: FleetMember, fast_path=True):
     ref, node = run_reference(member_ref, fast_path)
     assert got == ref
     assert list(got.instances) == list(ref.instances)
@@ -305,6 +306,128 @@ class TestFleetProperties:
                 batched.results[i].instances
             )
             assert solo.end_states[0] == batched.end_states[i]
+
+
+#: Counters the entry-state sequence synthesises.
+ENTRY_COUNTERS = ("PAPI_TOT_INS", "PAPI_L3_TCM", "NOT_A_COUNTER")
+
+
+def entry_state_sequence(fast_path: bool):
+    """Five runs back to back on one live node, HDEEM measuring across
+    all of them: every run starts from the state the previous one left
+    (frequencies, clock, HDEEM timeline, RAPL residuals)."""
+    app = build_app("Lulesh")
+    node = ComputeNode(3, seed=11)
+    sim = ExecutionSimulator(node, seed=5)
+    filtered = Instrumentation(
+        app=app, filtered={"CalcQForElems", "LagrangeNodal_misc"}
+    )
+    node.hdeem.start()
+    steps = []
+
+    def record(result, extra=None):
+        steps.append((result, list(result.instances), meter_end_state(node), extra))
+
+    record(sim.run(app, run_key=("entry", 0), fast_path=fast_path))
+    record(
+        sim.run(
+            app,
+            controller=RRL(make_tmm(app)),
+            instrumented=True,
+            run_key=("entry", 1),
+            fast_path=fast_path,
+        )
+    )
+    record(
+        sim.run(
+            app,
+            controller=StaticController(OperatingPoint(2.2, 1.8, 24)),
+            run_key=("entry", 2),
+            fast_path=fast_path,
+        )
+    )
+    if fast_path:
+        product = sim.run_phase_counters(
+            app, counters=ENTRY_COUNTERS, run_key=("entry", 3)
+        )
+        record(product.result, (product.totals, product.phase_time_s))
+    else:
+        collector = _PhaseCounterCollector(ENTRY_COUNTERS)
+        run = sim.run(
+            app,
+            listeners=(collector,),
+            collect_counters=True,
+            run_key=("entry", 3),
+        )
+        record(run, (collector.totals, collector.phase_time))
+    record(
+        sim.run(
+            app, instrumentation=filtered, run_key=("entry", 4),
+            fast_path=fast_path,
+        )
+    )
+    return steps, node.hdeem.stop()
+
+
+class TestLiveNodeMembers:
+    """Live-node members carry their node's entry state through the
+    kernel: solo runs on one node chain exactly like recursive runs."""
+
+    def test_run_sequence_on_one_node_matches_recursion(self):
+        fast_steps, fast_hdeem = entry_state_sequence(fast_path=True)
+        ref_steps, ref_hdeem = entry_state_sequence(fast_path=False)
+        assert [step[0].engine for step in fast_steps] == ["fleet"] * 5
+        for fast, ref in zip(fast_steps, ref_steps):
+            assert fast == ref  # result, instance rows, meter state, counters
+        assert fast_hdeem == ref_hdeem
+
+    def test_live_member_among_fresh_members(self):
+        """A live member priced alongside fresh ones gets exactly its
+        solo result and node state; the fresh members are unperturbed."""
+        app = build_app("Mcb")
+
+        def warmed_node():
+            node = ComputeNode(2, seed=9)
+            node.set_frequencies(2.1, 1.9)
+            ExecutionSimulator(node, seed=4).run(app, run_key=("warm",))
+            return node
+
+        solo_node, live_node = warmed_node(), warmed_node()
+        solo = ExecutionSimulator(solo_node, seed=4).run(
+            app, run_key=("live",), fast_path=False
+        )
+        specs = [
+            {"app": "Mcb", "kind": "static_point"},
+            {"app": "EP", "kind": "rrl"},
+            {"app": "Mcb", "kind": "default", "node_id": 2},
+        ]
+        members = [build_member(s) for s in specs]
+        members.insert(
+            1,
+            FleetMember(
+                app=app, run_key=("live",), node_id=2, seed=4, node=live_node,
+                threads=app.default_threads,
+            ),
+        )
+        fleet = fleet_run(members)
+        assert fleet.results[1] == solo
+        assert list(fleet.results[1].instances) == list(solo.instances)
+        assert fleet.end_states[1] is None
+        assert meter_end_state(live_node) == meter_end_state(solo_node)
+        for i, spec in zip((0, 2, 3), specs):
+            assert_member_identical(
+                fleet.results[i], fleet.end_states[i], build_member(spec),
+                fast_path=False,
+            )
+
+    def test_live_node_hosts_one_member_per_fleet(self):
+        node = ComputeNode(0)
+        app = build_app("EP")
+        members = [
+            FleetMember(app=app, run_key=(k,), node=node) for k in range(2)
+        ]
+        with pytest.raises(WorkloadError, match="one member per fleet"):
+            fleet_run(members)
 
 
 #: A thinned grid (3 x 4 cells) that keeps the suite fast.

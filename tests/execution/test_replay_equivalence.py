@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro import config
 from repro.campaign.engine import _PhaseCounterCollector
 from repro.counters.papi import TABLE1_COUNTERS, preset
-from repro.errors import WorkloadError
 from repro.execution.simulator import ExecutionSimulator, InstanceLog, RunResult
 from repro.hardware.node import ComputeNode
 from repro.hardware.rapl import RaplDomain
@@ -59,7 +58,7 @@ def run_both(app, *, node_id=0, node_seed=config.DEFAULT_SEED, seed=config.DEFAU
 
 
 def assert_identical(fast, generic, n1, n2):
-    assert fast.engine == "replay"
+    assert fast.engine == "fleet"
     assert generic.engine == "generic"
     # Scalar fields, exactly.
     assert fast.time_s == generic.time_s
@@ -215,7 +214,7 @@ class _NullListener:
 class TestDispatch:
     def test_uncontrolled_run_uses_replay(self):
         run = ExecutionSimulator(make_node()).run(registry.build("EP"))
-        assert run.engine == "replay"
+        assert run.engine == "fleet"
 
     def test_controller_run_uses_generic(self):
         run = ExecutionSimulator(make_node()).run(
@@ -235,19 +234,11 @@ class TestDispatch:
         )
         assert run.engine == "generic"
 
-    def test_fast_path_demand_rejected_for_controlled_run(self):
-        with pytest.raises(WorkloadError):
-            ExecutionSimulator(make_node()).run(
-                registry.build("EP"),
-                controller=_NullController(),
-                fast_path=True,
-            )
-
     def test_instrumented_runs_stay_on_replay(self):
         run = ExecutionSimulator(make_node()).run(
             registry.build("EP"), instrumented=True
         )
-        assert run.engine == "replay"
+        assert run.engine == "fleet"
 
 
 class TestInstanceLog:

@@ -98,7 +98,7 @@ class TestExperimentsEngine:
             OperatingPoint(2.0, 1.5, 24),
         ]
         runs = {}
-        for fast_path in (None, False):
+        for fast_path in (True, False):
             node = cluster.fresh_node(0)
             node.set_frequencies(
                 cfg.CALIBRATION_CORE_FREQ_GHZ, cfg.CALIBRATION_UNCORE_FREQ_GHZ
@@ -112,8 +112,8 @@ class TestExperimentsEngine:
                 run_key=("experiments", (("exhaustive",), 0)),
                 fast_path=fast_path,
             )
-        assert runs[None].engine == "replay"
-        assert runs[None] == runs[False]
+        assert runs[True].engine == "fleet"
+        assert runs[True] == runs[False]
 
 
 class TestEnergyPlugin:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
+from repro.serve import server as server_module
 from repro.serve.schema import WIRE_VERSION
 from repro.serve.server import (
     _REASONS,
@@ -195,6 +196,43 @@ class TestMalformedHeads:
         )
         assert status == 400
         assert envelope["error"]["code"] == "bad-request"
+
+
+class TestStalledClients:
+    """A client that stops sending mid-request gets a 408, then EOF,
+    instead of holding its connection open."""
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /v1/tune HTTP/1.1\r\nContent-Le",
+            b'POST /v1/tune HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"ver',
+        ],
+        ids=["mid-head", "mid-body"],
+    )
+    def test_stalled_request_times_out(self, monkeypatch, partial):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2, raising=False)
+
+        async def scenario():
+            server = TuningServer(TuningService(max_wait_s=0.0), port=0)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(partial)
+            await writer.drain()
+            try:
+                raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+                at_eof = reader.at_eof()
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await server.aclose()
+            return raw, at_eof
+
+        raw, at_eof = asyncio.run(scenario())
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.split()[1:3] == [b"408", b"Request"]
+        assert json.loads(payload)["error"]["code"] == "bad-request"
+        assert at_eof
 
 
 #: Request-head fragments: protocol tokens the parser branches on, mixed

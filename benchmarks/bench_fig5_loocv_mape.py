@@ -6,15 +6,19 @@ regression baseline's 7.54 (10-fold CV with random indexing).  Expected
 shape: single-digit MAPE per benchmark, network average below the
 regression baseline.
 
-The study runs through the batched model-evaluation engine: folds train
-as parallel campaign jobs, trained weights are recalled from the
-harness result store on warm sessions, and held-out benchmarks are
-predicted in stacked forward passes — bit-identical to the serial
-pointwise loop (``tests/oracles/models.py``), which the standalone
-mode times alongside::
+The study runs through the batched model-evaluation engine: all 19
+folds train in one lockstep pass over the shared dataset, trained
+weights are recalled from the harness result store on warm sessions,
+and held-out benchmarks are predicted in stacked forward passes —
+bit-identical to the serial pointwise loop (``tests/oracles/models.py``),
+which the standalone mode times alongside.  There both arms train
+cold, with no persistent store, so ``speedup`` (serial oracle over
+lockstep) is machine-comparable and CI gates it against
+``benchmarks/baselines/loocv-mape.json``::
 
-    python benchmarks/bench_fig5_loocv_mape.py --engine pointwise \
-        --json loocv-mape.json
+    python benchmarks/bench_fig5_loocv_mape.py --json loocv-mape.json
+    python scripts/check_perf_regression.py loocv-mape.json \
+        benchmarks/baselines/loocv-mape.json
 """
 
 from __future__ import annotations
@@ -62,9 +66,9 @@ def _loocv():
 def run_benchmark(engine: str = "batched") -> dict:
     """Measure both engines end to end and report the speedup.
 
-    The pointwise number is serial fold training; the batched number
-    includes parallel fold dispatch and (on warm stores) cached-weight
-    recall.  MAPE values are asserted identical.
+    The pointwise number is serial fold training; the batched number is
+    the lockstep pass, cold (no store, so nothing is recalled).  MAPE
+    values are asserted identical.
     """
     if engine not in ENGINES:
         raise SystemExit(f"--engine must be one of {ENGINES}")
@@ -74,9 +78,7 @@ def run_benchmark(engine: str = "batched") -> dict:
     mapes: dict[str, dict[str, float]] = {}
     loocv = {
         "pointwise": lambda: pointwise_loocv_mape(ds, config=config),
-        "batched": lambda: network_loocv_mape(
-            ds, config=config, campaign=campaign_engine()
-        ),
+        "batched": lambda: network_loocv_mape(ds, config=config),
     }
     for name in ENGINES:
         start = time.perf_counter()

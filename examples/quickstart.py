@@ -7,7 +7,8 @@ the plugin's tuning steps), then replays the application under the
 READEX Runtime Library and reports the savings against the platform
 default.
 
-Run time: about a minute (full training sweep).
+Run time: 3-4 s on a 2-core x86-64 VM, most of it the training-set
+sweep and the 10-epoch model training.
 """
 
 from repro import (

@@ -43,7 +43,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.campaign.faultinject import maybe_fault
 from repro.campaign.plan import (
@@ -974,45 +974,6 @@ class CampaignEngine:
         finally:
             if direct:
                 self.store.refresh()
-
-    # ------------------------------------------------------------------
-    def map_tasks(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list:
-        """Order-preserving parallel map over arbitrary picklable tasks.
-
-        Shares the engine's pool construction, but not the
-        ``MIN_JOBS_PER_WORKER`` auto-sizing rule: tasks mapped here
-        (e.g. LOOCV fold training) cost seconds of CPU each, so even
-        two items amortise a fork.  An explicit ``max_workers`` is
-        honoured; results come back in item order, making the serial
-        fallback (``max_workers`` of 0/1, or a single item)
-        indistinguishable from the pool.
-
-        Mapped tasks ride the engine's resilience layer: transient
-        failures (worker death, per-job timeouts) are retried under the
-        engine's :class:`RetryPolicy` with pool respawn, and the first
-        definitive failure re-raises the original exception — map items
-        are not store-addressable, so there is no quarantine tier here.
-        """
-        items = list(items)
-        if self.max_workers is not None:
-            workers = max(1, min(self.max_workers, len(items)))
-        else:
-            workers = min(default_worker_count(), len(items))
-        if workers <= 1 or len(items) < 2:
-            return [fn(item) for item in items]
-        tasks = [(index, fn, (item,)) for index, item in enumerate(items)]
-        outcome = run_resilient_pool(
-            tasks,
-            workers=workers,
-            pool_factory=self._pool,
-            policy=self.retry_policy,
-            pass_attempt=False,
-            stop_on_failure=True,
-        )
-        if outcome.failures:
-            first = outcome.failures[min(outcome.failures)]
-            raise first.exception
-        return [outcome.results[index] for index in range(len(items))]
 
 
 # ---------------------------------------------------------------------------

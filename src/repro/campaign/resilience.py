@@ -314,18 +314,16 @@ def run_resilient_serial(
     tasks: Sequence[tuple[Any, Callable[..., Any], tuple]],
     *,
     policy: RetryPolicy,
-    pass_attempt: bool = True,
     on_success: Callable[[Any, Any], None] | None = None,
     stop_on_failure: bool = False,
     drain: DrainFlag | None = None,
 ) -> PoolOutcome:
     """Execute ``(task_id, fn, args)`` triples in-process with retries.
 
-    With ``pass_attempt`` the 0-based attempt number is appended to the
-    call's arguments (the engine threads it into the fault-injection
-    schedule).  Timeouts do not apply serially; everything else —
-    taxonomy, bounded retries, deterministic backoff, drain — matches
-    the pool loop.
+    The 0-based attempt number is appended to the call's arguments (the
+    engine threads it into the fault-injection schedule).  Timeouts do
+    not apply serially; everything else — taxonomy, bounded retries,
+    deterministic backoff, drain — matches the pool loop.
     """
     outcome = PoolOutcome()
     remaining: deque[tuple[Any, Callable, tuple, int]] = deque(
@@ -337,7 +335,7 @@ def run_resilient_serial(
             outcome.not_run = [entry[0] for entry in remaining]
             break
         tid, fn, args, attempt = remaining.popleft()
-        call_args = args + (attempt,) if pass_attempt else args
+        call_args = args + (attempt,)
         try:
             result = fn(*call_args)
         except (KeyboardInterrupt, SystemExit):
@@ -386,7 +384,6 @@ def run_resilient_pool(
     workers: int,
     pool_factory: Callable[[int], Executor],
     policy: RetryPolicy,
-    pass_attempt: bool = True,
     on_success: Callable[[Any, Any], None] | None = None,
     stop_on_failure: bool = False,
     drain: DrainFlag | None = None,
@@ -462,7 +459,7 @@ def run_resilient_pool(
 
     def submit(entry: tuple[Any, Callable, tuple, int]) -> None:
         tid, fn, args, attempt = entry
-        call_args = args + (attempt,) if pass_attempt else args
+        call_args = args + (attempt,)
         try:
             fut = pool.submit(fn, *call_args)
         except BrokenProcessPool:

@@ -1,8 +1,9 @@
 """Energy modelling (Section IV): the neural network and its baselines.
 
-* :mod:`repro.modeling.layers` / :mod:`.network` / :mod:`.adam` /
-  :mod:`.loss` / :mod:`.training` — the paper's 9-5-5-1 ReLU network
-  implemented from scratch on numpy, He initialisation, ADAM, MSE;
+* :mod:`repro.modeling.layers` / :mod:`.network` / :mod:`.loss` /
+  :mod:`.training` — the paper's 9-5-5-1 ReLU network implemented from
+  scratch on numpy, He initialisation, MSE, and a fused ADAM that
+  trains many networks (the LOOCV folds) in one lockstep pass;
 * :mod:`repro.modeling.scaler` — standardise/center input features;
 * :mod:`repro.modeling.selection` / :mod:`.vif` — the optimal-counter
   selection algorithm of Chadha et al. [24] with the VIF
@@ -21,9 +22,13 @@
 from repro.modeling.scaler import StandardScaler
 from repro.modeling.layers import Dense, ReLU
 from repro.modeling.network import EnergyNetwork
-from repro.modeling.adam import Adam
 from repro.modeling.loss import mse, mse_gradient
-from repro.modeling.training import TrainedModel, TrainingConfig, train_network
+from repro.modeling.training import (
+    TrainedModel,
+    TrainingConfig,
+    train_network,
+    train_networks,
+)
 from repro.modeling.dataset import EnergyDataset, FEATURE_COUNTERS, build_dataset
 from repro.modeling.selection import CounterSelection, select_counters
 from repro.modeling.vif import mean_vif, variance_inflation_factors
@@ -52,12 +57,12 @@ __all__ = [
     "Dense",
     "ReLU",
     "EnergyNetwork",
-    "Adam",
     "mse",
     "mse_gradient",
     "TrainingConfig",
     "TrainedModel",
     "train_network",
+    "train_networks",
     "EnergyDataset",
     "FEATURE_COUNTERS",
     "build_dataset",

@@ -17,7 +17,9 @@ This module answers it for *all* rate vectors at once:
 * :func:`forward_batch` / :func:`backward_batch` run the whole stack
   through the 9-5-5-1 network in a handful of matmuls, reusing the
   exact per-layer operations of :class:`~repro.modeling.layers.Dense`
-  and :class:`~repro.modeling.layers.ReLU`;
+  and :class:`~repro.modeling.layers.ReLU`; a leading stack axis runs
+  K networks at once (the lockstep trainer of
+  :func:`repro.modeling.training.train_networks`);
 * :class:`BatchedModelEvaluator` wraps a trained model (network +
   scaler) and exposes grid-shaped prediction.
 
@@ -32,12 +34,15 @@ configuration selections equal the pointwise oracle's to the last bit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import config
 from repro.errors import ModelError
-from repro.modeling.training import TrainedModel
+
+if TYPE_CHECKING:
+    from repro.modeling.training import TrainedModel
 
 
 # ---------------------------------------------------------------------------
@@ -83,54 +88,79 @@ def stack_grid_features(rates: np.ndarray, grid: np.ndarray) -> np.ndarray:
 # Full-matrix forward / backward
 # ---------------------------------------------------------------------------
 
-def forward_batch(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+def _check_pairs(weights: list[np.ndarray]) -> int:
+    """Number of dense layers in a ``[W, b, ...]`` parameter list."""
+    if len(weights) < 2 or len(weights) % 2:
+        raise ModelError(f"weights must be [W, b] pairs, got {len(weights)} arrays")
+    return len(weights) // 2
+
+
+def forward_batch(
+    weights: list[np.ndarray],
+    x: np.ndarray,
+    *,
+    saved: list[np.ndarray] | None = None,
+) -> np.ndarray:
     """One forward pass of the whole stack through the MLP.
 
     ``weights`` is the flat ``[W1, b1, W2, b2, ...]`` list of
     :attr:`~repro.modeling.network.EnergyNetwork.parameters`; ReLU is
     applied between dense layers (not after the last), mirroring the
     layer stack of Figure 4 operation for operation.
+
+    Every array may carry a leading stack axis — ``x`` of shape
+    ``(K, rows, in)``, weights ``(K, in, out)``, biases ``(K, 1, out)``
+    — to run K networks at once; each slice is computed exactly as the
+    2-D call on that slice.  ``saved``, when given, receives each dense
+    layer's input and each ReLU's mask in layer order, for
+    :func:`backward_batch`.
     """
-    if len(weights) < 2 or len(weights) % 2:
-        raise ModelError(f"weights must be [W, b] pairs, got {len(weights)} arrays")
+    n_dense = _check_pairs(weights)
     out = np.asarray(x, dtype=float)
-    n_dense = len(weights) // 2
     for i in range(n_dense):
+        if saved is not None:
+            saved.append(out)
         out = out @ weights[2 * i] + weights[2 * i + 1]
         if i != n_dense - 1:
-            out = np.where(out > 0, out, 0.0)
+            mask = out > 0
+            if saved is not None:
+                saved.append(mask)
+            out = np.where(mask, out, 0.0)
     return out
 
 
 def backward_batch(
-    weights: list[np.ndarray], x: np.ndarray, grad_out: np.ndarray
+    weights: list[np.ndarray],
+    x: np.ndarray,
+    grad_out: np.ndarray,
+    *,
+    saved: list[np.ndarray] | None = None,
+    out: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Gradients of all parameters for the whole stack in one pass.
 
-    Equivalent to running :meth:`EnergyNetwork.forward` then
-    :meth:`EnergyNetwork.backward` on the same batch: the returned list
-    is aligned with the ``[W1, b1, W2, b2, ...]`` parameter layout.
+    Equivalent to a forward then a layer-by-layer dense/ReLU backward
+    on the same batch: the returned list is aligned with the
+    ``[W1, b1, W2, b2, ...]`` parameter layout.  Shapes may carry the
+    leading stack axis of :func:`forward_batch`.  ``saved`` is the
+    list a :func:`forward_batch` call on ``x`` filled (the forward is
+    rerun when it is missing); ``out`` holds preallocated gradient
+    arrays to write into, which are returned.
     """
-    if len(weights) < 2 or len(weights) % 2:
-        raise ModelError(f"weights must be [W, b] pairs, got {len(weights)} arrays")
-    out = np.asarray(x, dtype=float)
-    n_dense = len(weights) // 2
-    inputs: list[np.ndarray] = []
-    masks: list[np.ndarray] = []
-    for i in range(n_dense):
-        inputs.append(out)
-        out = out @ weights[2 * i] + weights[2 * i + 1]
-        if i != n_dense - 1:
-            mask = out > 0
-            masks.append(mask)
-            out = np.where(mask, out, 0.0)
-    grads: list[np.ndarray] = [np.empty(0)] * len(weights)
+    n_dense = _check_pairs(weights)
+    if saved is None:
+        saved = []
+        forward_batch(weights, x, saved=saved)
+    grads = out if out is not None else [None] * len(weights)
     grad = np.asarray(grad_out, dtype=float)
     for i in reversed(range(n_dense)):
-        grads[2 * i] = inputs[i].T @ grad
-        grads[2 * i + 1] = grad.sum(axis=0)
+        bias = weights[2 * i + 1]
+        grads[2 * i] = np.matmul(saved[2 * i].swapaxes(-1, -2), grad, out=grads[2 * i])
+        grads[2 * i + 1] = np.add.reduce(
+            grad, axis=-2, keepdims=bias.ndim == grad.ndim, out=grads[2 * i + 1]
+        )
         if i > 0:
-            grad = (grad @ weights[2 * i].T) * masks[i - 1]
+            grad = (grad @ weights[2 * i].swapaxes(-1, -2)) * saved[2 * i - 1]
     return grads
 
 

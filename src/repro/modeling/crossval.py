@@ -7,20 +7,21 @@ samples of one benchmark in both train and test sets.
 
 :func:`leave_one_out_mape` stays the generic serial harness for any
 ``fit_predict`` callable; :func:`network_loocv_mape` is the energy
-network's production path: folds train as parallel jobs through a
-:class:`~repro.campaign.engine.CampaignEngine`, trained parameters are
-recalled from the content-addressed result store, and held-out
-benchmarks are predicted through the batched evaluation engine — all
-bit-identical to the serial pointwise loop kept as a test oracle.
+network's production path: every fold is a row subset of the one
+dataset, so all folds train in a single lockstep pass
+(:func:`~repro.modeling.training.train_networks`) over the shared
+feature matrix, trained parameters are recalled from the
+content-addressed result store, and held-out benchmarks are predicted
+through the batched evaluation engine — all bit-identical to the
+serial loop kept as a test oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.campaign.engine import CampaignEngine
 from repro.campaign.store import job_key
 from repro.errors import ModelError
 from repro.modeling.batched import BatchedModelEvaluator
@@ -32,8 +33,11 @@ from repro.modeling.model_cache import (
     model_to_payload,
     training_descriptor,
 )
-from repro.modeling.training import TrainedModel, TrainingConfig, train_network
+from repro.modeling.training import TrainedModel, TrainingConfig, train_networks
 from repro.util.rng import rng_for
+
+if TYPE_CHECKING:
+    from repro.campaign.engine import CampaignEngine
 
 #: fit_predict(train_x, train_y, test_x) -> predictions
 FitPredict = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -52,28 +56,8 @@ def leave_one_out_mape(
 
 
 # ---------------------------------------------------------------------------
-# Network LOOCV: parallel folds, cached weights, batched prediction
+# Network LOOCV: lockstep folds, cached weights, batched prediction
 # ---------------------------------------------------------------------------
-
-def _train_fold(task: tuple[np.ndarray, np.ndarray, TrainingConfig]) -> dict:
-    """Campaign worker: train one fold, return JSON-able parameters.
-
-    Top-level (picklable) so :meth:`CampaignEngine.map_tasks` can fan
-    folds out across the process pool; training is deterministic, so
-    the payload is bit-identical wherever the fold runs.
-    """
-    features, targets, config = task
-    return model_to_payload(train_network(features, targets, config=config))
-
-
-def network_loocv_folds(
-    dataset: EnergyDataset,
-) -> list[tuple[str, EnergyDataset, EnergyDataset]]:
-    """The leave-one-benchmark-out folds, in benchmark order."""
-    return [
-        (bench, *dataset.split({bench})) for bench in dataset.benchmarks
-    ]
-
 
 def network_loocv_mape(
     dataset: EnergyDataset,
@@ -83,48 +67,40 @@ def network_loocv_mape(
 ) -> dict[str, float]:
     """Figure 5's network LOOCV: per-benchmark MAPE of held-out folds.
 
-    Fold training dispatches through ``campaign`` (parallel workers,
-    trained weights recalled from / persisted to its result store) and
-    held-out benchmarks are predicted with the batched evaluator —
-    bit-identical to training and predicting one fold at a time.
+    Each fold is a row subset of the dataset.  Folds whose trained
+    weights ``campaign``'s result store holds are recalled; the rest
+    train together in one :func:`train_networks` pass and are
+    persisted.  Held-out benchmarks are predicted with the batched
+    evaluator — bit-identical to training and predicting one fold at a
+    time.
     """
-    folds = network_loocv_folds(dataset)
     store = campaign.store if campaign is not None else None
-    models: dict[str, TrainedModel | None] = {}
-    pending: list[tuple[str, str, dict]] = []
-    for bench, train, _test in folds:
+    features, targets = dataset.features, dataset.targets
+    models: dict[str, TrainedModel] = {}
+    pending: list[tuple[str, str, dict, np.ndarray]] = []
+    for bench in dataset.benchmarks:
+        rows = np.flatnonzero(dataset.groups != bench)
         descriptor = training_descriptor(
-            dataset_digest(train.features, train.targets), config
+            dataset_digest(features[rows], targets[rows]), config
         )
         key = job_key(descriptor)
         cached = store.get(key) if store is not None else None
         if cached is not None:
             models[bench] = model_from_payload(cached)
         else:
-            models[bench] = None
-            pending.append((bench, key, descriptor))
+            pending.append((bench, key, descriptor, rows))
 
-    if pending:
-        by_bench = {bench: (train, test) for bench, train, test in folds}
-        tasks = [
-            (by_bench[bench][0].features, by_bench[bench][0].targets, config)
-            for bench, _key, _descriptor in pending
-        ]
-        if campaign is not None:
-            payloads = campaign.map_tasks(_train_fold, tasks)
-        else:
-            payloads = [_train_fold(task) for task in tasks]
-        for (bench, key, descriptor), payload in zip(pending, payloads):
-            if store is not None:
-                store.put(key, descriptor, payload)
-            models[bench] = model_from_payload(payload)
+    trained = train_networks(features, targets, [rows for *_, rows in pending], config)
+    for (bench, key, descriptor, _rows), model in zip(pending, trained):
+        if store is not None:
+            store.put(key, descriptor, model_to_payload(model))
+        models[bench] = model
 
     results = {}
-    for bench, _train, test in folds:
-        model = models[bench]
-        assert model is not None
-        evaluator = BatchedModelEvaluator(model)
-        results[bench] = mape(evaluator.predict(test.features), test.targets)
+    for bench in dataset.benchmarks:
+        test = dataset.groups == bench
+        predicted = BatchedModelEvaluator(models[bench]).predict(features[test])
+        results[bench] = mape(predicted, targets[test])
     return results
 
 

@@ -1,7 +1,9 @@
 """Neural-network building blocks (numpy, from scratch).
 
 Only what the paper's architecture needs: dense layers with He
-initialisation [32] and ReLU activations [30].
+initialisation [32] and ReLU activations [30].  Gradients come from
+:func:`repro.modeling.batched.backward_batch`, which trains every
+network (:mod:`repro.modeling.training`).
 """
 
 from __future__ import annotations
@@ -26,58 +28,25 @@ class Dense:
         rng = rng or rng_for("dense-init", n_in, n_out)
         self.weights = rng.standard_normal((n_in, n_out)) * np.sqrt(2.0 / n_in)
         self.bias = np.zeros(n_out)
-        self._x: np.ndarray | None = None
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
 
     @property
     def parameters(self) -> list[np.ndarray]:
         return [self.weights, self.bias]
-
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        return [self.grad_weights, self.grad_bias]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.weights.shape[0]:
             raise ModelError(
                 f"dense layer expected (*, {self.weights.shape[0]}), got {x.shape}"
             )
-        self._x = x
         return x @ self.weights + self.bias
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise ModelError("backward before forward")
-        # Write into the preallocated gradient buffers: training performs
-        # one backward per (stochastic) batch, so reallocating them every
-        # step dominated the allocator traffic of a training run.  The
-        # buffer identity is stable, which also lets the optimiser bind
-        # the gradient list once instead of rebuilding it per update.
-        np.matmul(self._x.T, grad_out, out=self.grad_weights)
-        np.sum(grad_out, axis=0, out=self.grad_bias)
-        return grad_out @ self.weights.T
 
 
 class ReLU:
     """Rectified linear unit, elementwise."""
 
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
-
     @property
     def parameters(self) -> list[np.ndarray]:
         return []
 
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        return []
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise ModelError("backward before forward")
-        return grad_out * self._mask
+        return np.where(x > 0, x, 0.0)

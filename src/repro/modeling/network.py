@@ -47,10 +47,6 @@ class EnergyNetwork:
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.parameters]
 
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.gradients]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Predict; returns shape ``(n, 1)`` for input ``(n, n_inputs)``."""
         x = np.asarray(x, dtype=float)
@@ -64,11 +60,6 @@ class EnergyNetwork:
         for layer in self.layers:
             out = layer.forward(out)
         return out
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        grad = grad_out
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Prediction as a flat vector."""

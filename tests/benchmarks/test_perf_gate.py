@@ -62,6 +62,14 @@ def regen_report(
     }
 
 
+def loocv_report(speedup: float, identical: bool = True) -> dict:
+    return {
+        "benchmark": "loocv_mape",
+        "speedup": speedup,
+        "mape_identical": identical,
+    }
+
+
 def scaling_report(efficiency: float, identical: bool = True) -> dict:
     return {
         "benchmark": "serving_scaling",
@@ -159,6 +167,21 @@ class TestGate:
         baseline = write(tmp_path / "b.json", regen_report(4.5))
         assert gate.main([str(current), str(baseline)]) == 1
 
+    def test_fails_on_loocv_slowdown(self, tmp_path):
+        current = write(tmp_path / "a.json", loocv_report(10.0))
+        baseline = write(tmp_path / "b.json", loocv_report(25.0))
+        assert gate.main([str(current), str(baseline)]) == 1
+
+    def test_fails_when_loocv_engines_diverge(self, tmp_path):
+        current = write(tmp_path / "a.json", loocv_report(25.0, identical=False))
+        baseline = write(tmp_path / "b.json", loocv_report(25.0))
+        assert gate.main([str(current), str(baseline)]) == 1
+
+    def test_passes_on_healthy_loocv_report(self, tmp_path):
+        current = write(tmp_path / "a.json", loocv_report(24.0))
+        baseline = write(tmp_path / "b.json", loocv_report(25.0))
+        assert gate.main([str(current), str(baseline)]) == 0
+
     def test_fails_on_scaling_efficiency_drop(self, tmp_path):
         current = write(tmp_path / "a.json", scaling_report(0.2))
         baseline = write(tmp_path / "b.json", scaling_report(0.8))
@@ -250,10 +273,20 @@ class TestCommittedBaselines:
         assert report["aggregate"]["engines_identical"] is True
         assert {r["app"] for r in report["results"]} == {"Lulesh", "Mcb"}
 
+    def test_loocv_mape_baseline(self):
+        report = json.loads((self.BASELINES / "loocv-mape.json").read_text())
+        assert report["benchmark"] == "loocv_mape"
+        # The lockstep trainer's acceptance: all 19 cold folds >= 10x
+        # faster than the serial oracle loop, with identical MAPE.
+        assert report["speedup"] >= 10
+        assert report["mape_identical"] is True
+        assert report["benchmarks"] == 19
+
     def test_gate_passes_against_itself(self, capsys):
         for name in (
             "sim-throughput.json",
             "tuning-time.json",
+            "loocv-mape.json",
             "dynamic-replay.json",
             "grid-sweep.json",
             "paper-regen.json",

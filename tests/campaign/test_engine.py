@@ -234,15 +234,6 @@ class TestEngine:
         with pytest.raises(CampaignError, match="older result schema"):
             engine.run(CampaignPlan((job,)))
 
-    def test_map_tasks_preserves_order_and_results(self):
-        import math
-
-        engine = CampaignEngine(max_workers=2)
-        items = list(range(20))
-        assert engine.map_tasks(math.sqrt, items) == [math.sqrt(i) for i in items]
-        serial = CampaignEngine(max_workers=1)
-        assert serial.map_tasks(math.sqrt, items) == [math.sqrt(i) for i in items]
-
     def test_custom_topology_does_not_collide_in_store(self, tmp_path):
         from repro.hardware.topology import NodeTopology
 

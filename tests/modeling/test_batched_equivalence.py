@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.campaign.engine import CampaignEngine
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, job_key
 from repro.errors import ModelError
 from repro.modeling.batched import (
     BatchedModelEvaluator,
@@ -22,6 +22,7 @@ from repro.modeling.batched import (
 )
 from repro.modeling.crossval import leave_one_out_mape, network_loocv_mape
 from repro.modeling.dataset import build_dataset
+from repro.modeling.metrics import mape
 from repro.modeling.model_cache import (
     dataset_digest,
     model_from_payload,
@@ -31,7 +32,8 @@ from repro.modeling.model_cache import (
 )
 from repro.modeling.network import EnergyNetwork
 from repro.modeling.selection import select_counters
-from repro.modeling.training import TrainingConfig, train_network
+from repro.modeling import crossval
+from repro.modeling.training import TrainingConfig, train_network, train_networks
 from repro.ptf.region_model import RegionModelTuner
 from repro.ptf.static_tuning import select_static_configurations
 from repro.util.rng import rng_for
@@ -41,6 +43,9 @@ from tests.oracles.models import (
     pointwise_loocv_mape,
     pointwise_select_counters,
     pointwise_static_selections,
+    serial_backward,
+    serial_forward,
+    serial_train_network,
 )
 
 
@@ -86,8 +91,9 @@ class TestForwardBackward:
         rng = rng_for("batched-grad", seed=seed)
         x = rng.normal(size=(37, 9))
         grad_out = rng.normal(size=(37, 1))
-        net.backward(np.asarray(net.forward(x) * 0 + grad_out))
-        reference = [g.copy() for g in net.gradients]
+        _, inputs = serial_forward(net, x)
+        reference = [np.zeros_like(p) for p in net.parameters]
+        serial_backward(net, inputs, grad_out, reference)
         grads = backward_batch(net.parameters, x, grad_out)
         assert len(grads) == len(reference)
         for got, want in zip(grads, reference):
@@ -98,6 +104,61 @@ class TestForwardBackward:
             forward_batch([np.ones((9, 5))], np.ones((2, 9)))
         with pytest.raises(ModelError):
             backward_batch([np.ones((9, 5))], np.ones((2, 9)), np.ones((2, 1)))
+
+
+class TestLockstepTraining:
+    def test_stacked_products_match_per_slice_matmuls(self):
+        """The lockstep trainer's bit-identity rests on a stacked
+        ``(K, 1, n) @ (K, n, m)`` (and the transposed backward products)
+        computing each slice exactly as the 2-D matmul does."""
+        rng = rng_for("stacked-matmul")
+        for _trial in range(2000):
+            k, n, m = (int(v) for v in rng.integers(1, 12, size=3))
+            x = rng.normal(size=(k, 1, n))
+            w = rng.normal(size=(k, n, m))
+            g = rng.normal(size=(k, 1, m))
+            forward = x @ w
+            weight_grad = x.swapaxes(-1, -2) @ g
+            input_grad = g @ w.swapaxes(-1, -2)
+            for s in range(k):
+                assert np.array_equal(forward[s], x[s] @ w[s])
+                assert np.array_equal(weight_grad[s], x[s].T @ g[s])
+                assert np.array_equal(input_grad[s], g[s] @ w[s].T)
+
+    @pytest.mark.parametrize("batch_size", [1, 7])
+    def test_unequal_row_sets_match_serial_oracle(self, dataset, batch_size):
+        """Row sets of different sizes (and ragged last batches, since 7
+        divides none of them) train exactly as the serial loop does on
+        each subset alone."""
+        groups = dataset.groups
+        fold = np.flatnonzero(groups != "EP")
+        row_sets = [
+            fold,
+            fold[:-1],
+            np.flatnonzero(~np.isin(groups, ["CG", "FT"])),
+            rng_for("row-subset").permutation(len(groups))[:201],
+        ]
+        assert all(len(rows) % batch_size or batch_size == 1 for rows in row_sets)
+        config = TrainingConfig(epochs=2, batch_size=batch_size)
+        models = train_networks(dataset.features, dataset.targets, row_sets, config)
+        for rows, model in zip(row_sets, models):
+            reference = serial_train_network(
+                dataset.features[rows], dataset.targets[rows], config=config
+            )
+            assert model.losses == reference.losses
+            assert model.scaler.to_dict() == reference.scaler.to_dict()
+            for got, want in zip(
+                model.network.get_weights(), reference.network.get_weights()
+            ):
+                assert np.array_equal(got, want)
+
+    def test_no_row_sets_trains_nothing(self, dataset):
+        assert train_networks(dataset.features, dataset.targets, []) == []
+
+    @pytest.mark.parametrize("rows", [[], [[0, 1]], [0.0, 1.0], [-1, 0], [0, 10**6]])
+    def test_malformed_row_set_rejected(self, dataset, rows):
+        with pytest.raises(ModelError, match="row set"):
+            train_networks(dataset.features, dataset.targets, [np.asarray(rows)])
 
 
 class TestGridAssembly:
@@ -164,15 +225,44 @@ class TestLOOCVEquivalence:
         expected = leave_one_out_mape(dataset, fit_predict)
         assert network_loocv_mape(dataset, config=config) == expected
 
-    def test_parallel_campaign_dispatch_bit_identical(self, dataset):
-        config = TrainingConfig(epochs=3)
-        serial = network_loocv_mape(dataset, config=config)
-        parallel = network_loocv_mape(
-            dataset,
-            config=config,
-            campaign=CampaignEngine(max_workers=2),
+    def test_partial_store_recalls_serial_folds_and_trains_the_rest(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        """Stores stay compatible both ways: folds pre-filled with the
+        serial oracle's payloads are recalled, not retrained, and the
+        folds the lockstep pass trains persist records equal to the
+        serial oracle's."""
+        config = TrainingConfig(epochs=2)
+        serial, keys, expected = {}, {}, {}
+        for bench in dataset.benchmarks:
+            train, test = dataset.split({bench})
+            descriptor = training_descriptor(
+                dataset_digest(train.features, train.targets), config
+            )
+            keys[bench] = (job_key(descriptor), descriptor)
+            model = serial_train_network(train.features, train.targets, config=config)
+            serial[bench] = model_to_payload(model)
+            expected[bench] = mape(model.predict(test.features), test.targets)
+        store = ResultStore(tmp_path / "store.jsonl")
+        prefilled = dataset.benchmarks[::2]
+        for bench in prefilled:
+            store.put(*keys[bench], serial[bench])
+
+        trained_rows = []
+
+        def spy(features, targets, row_sets, config):
+            trained_rows.extend(len(rows) for rows in row_sets)
+            return train_networks(features, targets, row_sets, config)
+
+        monkeypatch.setattr(crossval, "train_networks", spy)
+        got = network_loocv_mape(
+            dataset, config=config, campaign=CampaignEngine(store=store)
         )
-        assert serial == parallel
+        assert len(trained_rows) == len(dataset.benchmarks) - len(prefilled)
+        assert got == expected  # the pointwise_loocv_mape oracle, inlined
+        for bench in dataset.benchmarks:
+            assert store.get(keys[bench][0]) == serial[bench]
+            assert serial[bench] == store.get(keys[bench][0])
 
     def test_warm_model_store_skips_training_and_is_identical(
         self, tmp_path, dataset

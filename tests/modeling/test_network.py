@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelError
-from repro.modeling.adam import Adam
+from repro.modeling.batched import backward_batch, forward_batch
 from repro.modeling.layers import Dense, ReLU
 from repro.modeling.loss import mse, mse_gradient
 from repro.modeling.network import EnergyNetwork
 from repro.modeling.training import TrainingConfig, train_network
+from tests.oracles.models import Adam, serial_backward, serial_forward
 
 
 class TestLayers:
@@ -33,8 +34,9 @@ class TestLayers:
         x = rng.standard_normal((5, 4))
         target = rng.standard_normal((5, 3))
         pred = layer.forward(x)
-        layer.backward(mse_gradient(pred, target))
-        analytic = layer.grad_weights.copy()
+        grad_weights, _ = backward_batch(
+            layer.parameters, x, mse_gradient(pred, target)
+        )
         eps = 1e-6
         for i, j in [(0, 0), (2, 1), (3, 2)]:
             layer.weights[i, j] += eps
@@ -43,18 +45,19 @@ class TestLayers:
             down = mse(layer.forward(x), target)
             layer.weights[i, j] += eps
             numeric = (up - down) / (2 * eps)
-            assert analytic[i, j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+            assert grad_weights[i, j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
     def test_relu_masks_negatives(self):
         relu = ReLU()
         out = relu.forward(np.array([[-1.0, 0.0, 2.0]]))
         assert out.tolist() == [[0.0, 0.0, 2.0]]
-        grad = relu.backward(np.array([[1.0, 1.0, 1.0]]))
-        assert grad.tolist() == [[0.0, 0.0, 1.0]]
-
-    def test_backward_before_forward_rejected(self):
-        with pytest.raises(ModelError):
-            Dense(2, 2).backward(np.ones((1, 2)))
+        net = EnergyNetwork(n_inputs=3, hidden=3)
+        x = np.array([[-1.0, 0.0, 2.0]])
+        saved = []
+        forward_batch(net.parameters, x, saved=saved)
+        grads = backward_batch(net.parameters, x, np.ones((1, 1)), saved=saved)
+        dead = ~saved[1][0]  # the first ReLU's mask
+        assert np.all(grads[1][dead] == 0.0)  # dead units pass no gradient
 
 
 class TestNetworkArchitecture:
@@ -112,8 +115,8 @@ class TestAdam:
 
 
 class TestAllocationFreeUpdates:
-    """The preallocated-gradient path (Dense buffers + bound Adam) must
-    be numerically identical to per-step list passing."""
+    """Training writes gradients into preallocated buffers and steps a
+    fused ADAM; it must equal per-step list passing to the bit."""
 
     @staticmethod
     def _data():
@@ -123,19 +126,24 @@ class TestAllocationFreeUpdates:
         return x, y
 
     def test_gradient_buffers_are_stable_and_written_in_place(self):
-        layer = Dense(4, 3, rng=np.random.default_rng(0))
-        gw, gb = layer.grad_weights, layer.grad_bias
+        net = EnergyNetwork(n_inputs=4, hidden=3, seed=0)
         x = np.random.default_rng(1).standard_normal((5, 4))
-        layer.forward(x)
-        layer.backward(np.ones((5, 3)))
-        assert layer.grad_weights is gw
-        assert layer.grad_bias is gb
-        layer.backward(2 * np.ones((5, 3)))
-        assert layer.grad_weights is gw  # still the same buffer
+        buffers = [np.zeros_like(p) for p in net.parameters]
+        grads = backward_batch(net.parameters, x, np.ones((5, 1)), out=buffers)
+        assert all(g is b for g, b in zip(grads, buffers))
+        first = [b.copy() for b in buffers]
+        saved = []
+        forward_batch(net.parameters, x, saved=saved)
+        backward_batch(
+            net.parameters, x, 2 * np.ones((5, 1)), saved=saved, out=buffers
+        )
+        assert all(g is b for g, b in zip(grads, buffers))  # same buffers
+        for got, single in zip(buffers, first):
+            assert np.array_equal(got, 2 * single)
 
     def test_bound_optimizer_matches_explicit_gradients(self):
-        """Same data, same seeds: bound-gradient stepping produces the
-        exact per-epoch losses and final weights of explicit stepping."""
+        """Same data, same seeds: training produces the exact per-epoch
+        losses and final weights of explicit per-array stepping."""
         x, y = self._data()
         bound = train_network(x, y, config=TrainingConfig(epochs=3, seed=0))
 
@@ -156,11 +164,12 @@ class TestAllocationFreeUpdates:
             epoch_loss, batches = 0.0, 0
             for start in range(0, 40, 1):
                 idx = order[start : start + 1]
-                pred = net.forward(xs[idx])
+                pred, inputs = serial_forward(net, xs[idx])
                 epoch_loss += mse(pred, ys[idx])
                 batches += 1
-                net.backward(mse_gradient(pred, ys[idx]))
-                optimizer.step([g.copy() for g in net.gradients])
+                gradients = [np.zeros_like(p) for p in net.parameters]
+                serial_backward(net, inputs, mse_gradient(pred, ys[idx]), gradients)
+                optimizer.step([g.copy() for g in gradients])
             losses.append(epoch_loss / batches)
 
         assert bound.losses == losses

@@ -1,17 +1,18 @@
 """Reference implementations the production fast paths are checked against.
 
 Every speedup in :mod:`repro` (sweep and fleet replay, the batched
-model evaluator, row-shaped campaign jobs) replaced a straightforward
-loop.  The loops live here, outside the package, as independent
-checkers: the equivalence suites compare production results with them
-to the bit, and the ratio-gated benchmarks in ``benchmarks/`` time them
-as their denominators.
+model evaluator, lockstep training, row-shaped campaign jobs) replaced
+a straightforward loop.  The loops live here, outside the package, as
+independent checkers: the equivalence suites compare production
+results with them to the bit, and the ratio-gated benchmarks in
+``benchmarks/`` time them as their denominators.
 
 * :mod:`tests.oracles.grids` — per-cell fresh-node loops for grids,
   heatmaps, trade-off sweeps and the variability study;
 * :mod:`tests.oracles.savings` — the Table VI comparison on the
   recursive simulator engine;
-* :mod:`tests.oracles.models` — pointwise grid prediction, LOOCV,
+* :mod:`tests.oracles.models` — pointwise grid prediction, serial
+  network training (layer-by-layer backward, per-array ADAM), LOOCV,
   counter selection and static-configuration selection;
 * :mod:`tests.oracles.static_search` — the one-job-per-cell exhaustive
   static search.

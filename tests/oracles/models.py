@@ -1,10 +1,10 @@
 """Pointwise references for the batched model-evaluation layer.
 
 One feature row per grid point assembled in Python, one network
-forward per rate vector, one fold trained and predicted at a time, one
-OLS fit per counter candidate — the loops
-:mod:`repro.modeling.batched` and the stacked selection scorer
-replaced.
+forward per rate vector, one network trained layer by layer with a
+per-array ADAM, one fold trained and predicted at a time, one OLS fit
+per counter candidate — the loops :mod:`repro.modeling.batched`, the
+lockstep trainer and the stacked selection scorer replaced.
 """
 
 from __future__ import annotations
@@ -16,16 +16,152 @@ from repro.errors import ModelError
 from repro.execution.simulator import OperatingPoint
 from repro.modeling.batched import GridPrediction, frequency_grid
 from repro.modeling.dataset import EnergyDataset
+from repro.modeling.layers import ReLU
+from repro.modeling.loss import mse, mse_gradient
 from repro.modeling.metrics import mape
+from repro.modeling.network import EnergyNetwork
+from repro.modeling.scaler import StandardScaler
 from repro.modeling.selection import (
     DEFAULT_MAX_COUNTERS,
     CounterSelection,
     _adjusted_r2,
     _standardise,
 )
-from repro.modeling.training import TrainedModel, TrainingConfig, train_network
+from repro.modeling.training import TrainedModel, TrainingConfig
 from repro.modeling.vif import VIF_THRESHOLD, variance_inflation_factors
 from repro.ptf.static_tuning import ModelStaticSelection
+from repro.util.rng import rng_for
+
+
+class Adam:
+    """Adaptive moment estimation over a flat list of parameter arrays
+    [Kingma & Ba 2014], one array at a time.
+
+    ``gradients`` may be bound once at construction when the gradient
+    arrays have stable identity; :meth:`step` then needs no arguments.
+    """
+
+    def __init__(
+        self,
+        parameters: list[np.ndarray],
+        *,
+        gradients: list[np.ndarray] | None = None,
+        learning_rate: float = 1e-3,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        epsilon: float = 1e-8,
+    ):
+        if learning_rate <= 0:
+            raise ModelError("learning rate must be positive")
+        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
+            raise ModelError("betas must lie in [0, 1)")
+        if gradients is not None and len(gradients) != len(parameters):
+            raise ModelError(
+                f"expected {len(parameters)} gradients, got {len(gradients)}"
+            )
+        self._params = parameters
+        self._gradients = gradients
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self._m = [np.zeros_like(p) for p in parameters]
+        self._v = [np.zeros_like(p) for p in parameters]
+        self._t = 0
+
+    def step(self, gradients: list[np.ndarray] | None = None) -> None:
+        """Apply one update; gradients default to the bound buffers."""
+        if gradients is None:
+            gradients = self._gradients
+            if gradients is None:
+                raise ModelError("no gradients passed and none bound")
+        elif len(gradients) != len(self._params):
+            raise ModelError(
+                f"expected {len(self._params)} gradients, got {len(gradients)}"
+            )
+        self._t += 1
+        b1, b2 = self.beta1, self.beta2
+        for p, g, m, v in zip(self._params, gradients, self._m, self._v):
+            if g.shape != p.shape:
+                raise ModelError(f"gradient shape {g.shape} != param {p.shape}")
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1**self._t)
+            v_hat = v / (1 - b2**self._t)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
+def serial_forward(
+    network: EnergyNetwork, x: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The network's forward, layer object by layer object; also
+    returns every layer's input for :func:`serial_backward`."""
+    inputs = []
+    out = x
+    for layer in network.layers:
+        inputs.append(out)
+        out = layer.forward(out)
+    return out, inputs
+
+
+def serial_backward(
+    network: EnergyNetwork,
+    inputs: list[np.ndarray],
+    grad_out: np.ndarray,
+    gradients: list[np.ndarray],
+) -> None:
+    """Dense/ReLU backward, layer by layer, into ``gradients`` (aligned
+    with ``network.parameters``, written in place)."""
+    grad = grad_out
+    slot = len(gradients)
+    for layer, x in zip(reversed(network.layers), reversed(inputs)):
+        if isinstance(layer, ReLU):
+            grad = grad * (x > 0)
+            continue
+        slot -= 2
+        np.matmul(x.T, grad, out=gradients[slot])
+        np.sum(grad, axis=0, out=gradients[slot + 1])
+        grad = grad @ layer.weights.T
+
+
+def serial_train_network(
+    features: np.ndarray,
+    targets: np.ndarray,
+    *,
+    config: TrainingConfig = TrainingConfig(),
+) -> TrainedModel:
+    """:func:`repro.modeling.training.train_network` as the original
+    loop: standardise, then one batch at a time through the layer
+    objects and a per-array ADAM."""
+    features = np.asarray(features, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    scaler = StandardScaler()
+    x = scaler.fit_transform(features)
+    y = targets[:, None]
+    net = EnergyNetwork(n_inputs=x.shape[1], seed=config.seed)
+    gradients = [np.zeros_like(p) for p in net.parameters]
+    optimizer = Adam(
+        net.parameters, gradients=gradients, learning_rate=config.learning_rate
+    )
+    rng = rng_for("training-shuffle", seed=config.seed)
+    n = x.shape[0]
+    losses: list[float] = []
+    for _epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        batches = 0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            xb, yb = x[idx], y[idx]
+            pred, inputs = serial_forward(net, xb)
+            epoch_loss += mse(pred, yb)
+            batches += 1
+            serial_backward(net, inputs, mse_gradient(pred, yb), gradients)
+            optimizer.step()
+        losses.append(epoch_loss / batches)
+    return TrainedModel(network=net, scaler=scaler, losses=losses)
 
 
 def pointwise_grid(
@@ -54,7 +190,7 @@ def pointwise_loocv_mape(
     results: dict[str, float] = {}
     for bench in dataset.benchmarks:
         train, test = dataset.split({bench})
-        model = train_network(train.features, train.targets, config=config)
+        model = serial_train_network(train.features, train.targets, config=config)
         results[bench] = mape(model.predict(test.features), test.targets)
     return results
 

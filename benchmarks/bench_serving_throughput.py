@@ -17,6 +17,13 @@ latency; the aggregate carries the batched/unbatched throughput ratio
 counter, and a bit-equality flag — every batched response must equal
 its unbatched twin, which in turn equals offline ``repro.api.tune``.
 
+A **light-load** arm follows: one client sends its requests one at a
+time, each a fresh grid, to a batched and to an unbatched service.
+Nothing can coalesce, so batching must cost nothing: the gated flag
+``no_admission_delay`` holds when the batched p50 is at most
+``LIGHT_LOAD_P50_BOUND`` times the unbatched p50.  An admission timer
+that makes a lone request wait for batch-mates fails it.
+
 ``--workers N`` switches to the **scaling** benchmark instead: each
 client tunes its *own* grid (distinct seeds — no coalescing between
 clients, so every request is an independent group) against a fresh
@@ -68,6 +75,10 @@ DEFAULT_BENCHMARK = "EP"
 DEFAULT_STRIDE = 1
 
 OBJECTIVES = ("energy", "edp", "ed2p")
+
+#: The light-load gate: batched p50 over unbatched p50 stays at or
+#: under this when no request has a batch-mate.
+LIGHT_LOAD_P50_BOUND = 1.25
 
 
 def client_tmm(index: int) -> str:
@@ -152,10 +163,30 @@ async def _drive(service: TuningService, rounds: list[list[dict]]) -> dict:
 
 
 def measure_arm(admission: str, rounds: list[list[dict]]) -> dict:
-    service = TuningService(
-        admission=admission, max_batch=64, max_wait_s=0.005
-    )
+    service = TuningService(admission=admission, max_batch=64)
     return asyncio.run(_drive(service, rounds))
+
+
+def light_load_requests(
+    count: int, first_seed: int, benchmark: str, stride: int
+) -> list[list[dict]]:
+    """One client, one request in flight: every round is one request.
+
+    Each request tunes a fresh grid (its own seed), so both arms pay a
+    cold measurement per request and nothing is answered from cache.
+    """
+    return [
+        [
+            {
+                "version": WIRE_VERSION,
+                "benchmark": benchmark,
+                "stride": stride,
+                "seed": first_seed + index,
+                "objective": OBJECTIVES[index % len(OBJECTIVES)],
+            }
+        ]
+        for index in range(count)
+    ]
 
 
 def run_benchmark(
@@ -179,11 +210,28 @@ def run_benchmark(
         and b.get("status") == u.get("status") == "ok"
         for b, u in zip(batched.pop("responses"), unbatched.pop("responses"))
     )
+
+    # Distinct seeds per arm keep both arms' grids cold.
+    requests = clients * rounds
+    light_batched = measure_arm(
+        "batched", light_load_requests(requests, 20_000, benchmark, stride)
+    )
+    light_unbatched = measure_arm(
+        "unbatched", light_load_requests(requests, 30_000, benchmark, stride)
+    )
+    light_ok = all(
+        response.get("status") == "ok"
+        for arm in (light_batched, light_unbatched)
+        for response in arm.pop("responses")
+    )
+    light_ratio = light_batched["p50_ms"] / light_unbatched["p50_ms"]
     aggregate = {
         "speedup": batched["rps"] / unbatched["rps"],
-        "responses_identical": identical,
+        "responses_identical": identical and light_ok,
         "coalesced": batched["coalesced"],
         "coalescing_engaged": batched["coalesced"] > 0,
+        "light_load_p50_ratio": light_ratio,
+        "no_admission_delay": light_ratio <= LIGHT_LOAD_P50_BOUND,
     }
     return {
         "benchmark": "serving_throughput",
@@ -195,6 +243,8 @@ def run_benchmark(
         "stride": stride,
         "batched": batched,
         "unbatched": unbatched,
+        "light_batched": light_batched,
+        "light_unbatched": light_unbatched,
         "aggregate": aggregate,
     }
 
@@ -234,7 +284,6 @@ def measure_scaling_arm(
         service = TuningService(
             store=ResultStore(Path(tmp) / "scaling.sqlite"),
             max_batch=64,
-            max_wait_s=0.005,
             workers=workers,
             warm=(benchmark,),
         )
@@ -330,21 +379,23 @@ def render_scaling(report: dict) -> str:
 
 def render(report: dict) -> str:
     lines = [
-        f"{'arm':<10} {'req':>5} {'req/s':>8} {'p50':>9} {'p99':>9} "
+        f"{'arm':<16} {'req':>5} {'req/s':>8} {'p50':>9} {'p99':>9} "
         f"{'sweeps':>7}",
     ]
-    for arm in ("batched", "unbatched"):
+    for arm in ("batched", "unbatched", "light_batched", "light_unbatched"):
         r = report[arm]
         lines.append(
-            f"{arm:<10} {r['requests']:>5} {r['rps']:>8.1f} "
+            f"{arm:<16} {r['requests']:>5} {r['rps']:>8.1f} "
             f"{r['p50_ms']:>7.1f}ms {r['p99_ms']:>7.1f}ms "
             f"{r['groups_fired']:>7}"
         )
     a = report["aggregate"]
     lines.append(
-        f"{'aggregate':<10} speedup {a['speedup']:.1f}x  "
+        f"{'aggregate':<16} speedup {a['speedup']:.1f}x  "
         f"coalesced {a['coalesced']}  "
-        f"identical {a['responses_identical']}"
+        f"identical {a['responses_identical']}  "
+        f"light p50 ratio {a['light_load_p50_ratio']:.2f} "
+        f"(no admission delay {a['no_admission_delay']})"
     )
     return "\n".join(lines)
 
@@ -363,6 +414,7 @@ def test_serving_throughput(benchmark):
     print(render(report))
     assert report["aggregate"]["responses_identical"]
     assert report["aggregate"]["coalesced"] > 0
+    assert report["aggregate"]["no_admission_delay"]
     # Smoke-level floor only; the committed-baseline ratio gate is the
     # real guard against regressions.
     assert report["aggregate"]["speedup"] > 2

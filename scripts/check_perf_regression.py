@@ -58,9 +58,12 @@ REQUIRED_FLAGS: dict[str, tuple[str, ...]] = {
     "table6_savings": ("aggregate.engines_identical",),
     "grid_sweep": ("aggregate.engines_identical",),
     "store_scale": ("payloads_identical",),
+    # no_admission_delay: with one request in flight at a time, the
+    # batched service answers as fast as the unbatched one (no timer).
     "serving_throughput": (
         "aggregate.responses_identical",
         "aggregate.coalescing_engaged",
+        "aggregate.no_admission_delay",
     ),
     "serving_scaling": ("aggregate.responses_identical",),
     "paper_regen": (

@@ -188,8 +188,6 @@ def main(argv=None) -> int:
         "repro.serve.server",
         "--port",
         "0",
-        "--max-wait-ms",
-        "25",
         "--workers",
         str(args.workers),
     ]

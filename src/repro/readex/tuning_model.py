@@ -115,7 +115,9 @@ class TuningModel:
                 scenarios=scenarios,
                 default=_decode_point(data["default"]),
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        # ValueError covers JSONDecodeError; RecursionError is a deeply
+        # nested document.
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise TuningModelError(f"malformed tuning model: {exc}") from None
 
     def save(self, path: str | Path) -> Path:

@@ -7,8 +7,10 @@ grid is just one fleet member.  The batcher therefore files *all*
 pending requests into one group, so N queued requests across M
 applications cost one fleet pass, and requests that share a **grid
 key** (see :meth:`repro.api.TuningRequest.grid_key`) share one
-measurement.  The group flushes when it reaches ``max_batch`` members
-or its ``max_wait_s`` admission window closes.
+measurement.  The service decides *when* a group fires (see
+:mod:`repro.serve.service`: on the next loop tick while an execution
+slot is free, or when a running group finishes); the batcher only
+signals a group that has reached ``max_batch`` members.
 
 This is sound because every cell's noise stream is keyed by (seed,
 node, run key, region, iteration) — never by process, wall clock or
@@ -18,7 +20,7 @@ batch composition — so a coalesced answer is bit-identical to the solo
 
 The batcher itself is a synchronous data structure — no asyncio, no
 threads — so its invariants are directly testable; the service
-(:mod:`repro.serve.service`) supplies the event loop, window timer and
+(:mod:`repro.serve.service`) supplies the event loop, firing rule and
 futures around it.  :func:`answer_group` is the pure execution step:
 one batched measurement of the group's distinct grids, then one answer
 per member request.
@@ -33,38 +35,23 @@ from repro.errors import CampaignError
 
 __all__ = ["CoalescingBatcher", "answer_group", "split_group"]
 
-#: Default admission window and batch cap.  The window only delays the
-#: *first* request of a group; followers join for free.  20 ms is long
-#: against network jitter between near-simultaneous clients and short
-#: against a sweep (hundreds of ms cold).
-DEFAULT_MAX_WAIT_S = 0.02
+#: Default batch cap: a group this large fires at once.
 DEFAULT_MAX_BATCH = 16
 
 
 class CoalescingBatcher:
     """Gather pending tuning requests into one group, deterministically.
 
-    ``admit`` files a request and returns ``(started, fire)`` —
-    ``started`` is True when the admission opened a new group (the
-    caller should arm its flush timer for ``max_wait_s``) and ``fire``
-    is True when it filled the group to ``max_batch`` (flush now, don't
-    wait for the window).  ``pop`` removes the group's requests, in
-    admission order (results never depend on order anyway — every
-    member's answer is bit-identical to its solo answer).
+    ``admit`` files a request and returns True when it filled the
+    group to ``max_batch`` (flush now).  ``pop`` removes the group's
+    requests, in admission order (results never depend on order anyway
+    — every member's answer is bit-identical to its solo answer).
     """
 
-    def __init__(
-        self,
-        *,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_wait_s: float = DEFAULT_MAX_WAIT_S,
-    ):
+    def __init__(self, *, max_batch: int = DEFAULT_MAX_BATCH):
         if max_batch < 1:
             raise CampaignError("max_batch must be >= 1")
-        if max_wait_s < 0:
-            raise CampaignError("max_wait_s must be >= 0")
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
         self._group: list[api.TuningRequest] = []
         #: Lifetime counters (the service exposes them via /metrics).
         self.admitted = 0
@@ -72,14 +59,13 @@ class CoalescingBatcher:
         self.groups_fired = 0
 
     # ------------------------------------------------------------------
-    def admit(self, request: api.TuningRequest) -> tuple[bool, bool]:
-        """File one resolved request; returns (started, fire)."""
-        started = not self._group
-        if not started:
+    def admit(self, request: api.TuningRequest) -> bool:
+        """File one resolved request; True when the group is full."""
+        if self._group:
             self.coalesced += 1
         self._group.append(request)
         self.admitted += 1
-        return started, len(self._group) >= self.max_batch
+        return len(self._group) >= self.max_batch
 
     def pop(self) -> list[api.TuningRequest]:
         """Remove and return the pending requests (empty if none)."""

@@ -30,8 +30,10 @@ byte-comparable means the answers are bit-identical.
 Malformed payloads raise :class:`~repro.errors.SchemaError` (shape/
 type/version problems); semantically invalid requests raise
 :class:`~repro.errors.TuningError` (unknown benchmark/objective, bad
-stride) from :meth:`TuningRequest.validate`.  The service maps both to
-structured error responses.
+stride) from :meth:`TuningRequest.validate`, and values that only the
+simulated hardware could reject (node id, thread count, tuning model)
+raise it from :func:`check_admissible`.  The service maps both to
+structured error responses before a request joins any group.
 """
 
 from __future__ import annotations
@@ -40,12 +42,24 @@ from typing import Any
 
 from repro import config
 from repro.api import TuningAnswer, TuningRequest
-from repro.errors import SchemaError
+from repro.errors import (
+    JobError,
+    SchemaError,
+    TuningError,
+    TuningModelError,
+    WorkloadError,
+)
+from repro.execution.simulator import OperatingPoint, resolve_threads
+from repro.hardware.cluster import Cluster
+from repro.hardware.topology import NodeTopology
+from repro.readex.tuning_model import TuningModel
+from repro.workloads import registry
 
 __all__ = [
     "WIRE_VERSION",
     "ERROR_CODES",
     "parse_request",
+    "check_admissible",
     "request_payload",
     "ok_response",
     "error_response",
@@ -131,6 +145,74 @@ def parse_request(payload: Any) -> TuningRequest:
     request = TuningRequest(benchmark=benchmark, **values)
     request.validate()
     return request
+
+
+def check_admissible(request: TuningRequest, cluster: Cluster) -> None:
+    """Reject a resolved request that would fail inside execution.
+
+    :func:`parse_request` checks shape and names; this checks the values
+    only the simulated platform knows are wrong: ``node_id`` outside
+    ``cluster``, a ``threads`` count the node cannot run, and a ``tmm``
+    that does not parse or programs a frequency or thread count the
+    node does not support.  Raises :class:`~repro.errors.TuningError`
+    (the ``bad-value`` code), so one bad request is refused on its own
+    instead of failing every request coalesced with it.
+    """
+    topology = cluster.topology or NodeTopology.default()
+    try:
+        cluster.check_node_id(request.node_id)
+        resolve_threads(
+            registry.build(request.benchmark),
+            request.threads,
+            topology.num_cores,
+        )
+        if request.tmm is not None:
+            model = TuningModel.from_json(request.tmm)
+            for point in (
+                model.default,
+                *(scenario.configuration for scenario in model.scenarios),
+            ):
+                _check_point(point)
+    except (JobError, WorkloadError, TuningModelError) as exc:
+        raise TuningError(str(exc)) from None
+
+
+def _check_point(point: OperatingPoint) -> None:
+    """A tuning-model configuration the RRL's PCPs can program."""
+    for name, value, lo, hi in (
+        ("core_freq_ghz", point.core_freq_ghz,
+         config.CORE_FREQ_MIN_GHZ, config.CORE_FREQ_MAX_GHZ),
+        ("uncore_freq_ghz", point.uncore_freq_ghz,
+         config.UNCORE_FREQ_MIN_GHZ, config.UNCORE_FREQ_MAX_GHZ),
+    ):
+        if not _in_frequency_range(value, lo, hi):
+            raise TuningModelError(
+                f"tuning model {name} {value!r} outside [{lo}, {hi}] GHz"
+            )
+    threads = point.threads
+    if (
+        isinstance(threads, bool)
+        or not isinstance(threads, int)
+        or not 1 <= threads <= config.CORES_PER_NODE
+    ):
+        raise TuningModelError(
+            f"tuning model threads {threads!r} outside "
+            f"[1, {config.CORES_PER_NODE}]"
+        )
+
+
+def _in_frequency_range(value: Any, lo: float, hi: float) -> bool:
+    """Whether ``value`` snaps onto the 100 MHz grid inside [lo, hi].
+
+    The same rule as the frequency controllers' quantisation, without
+    their memo (admission sees arbitrary client floats).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if not lo - 1.0 <= value <= hi + 1.0:  # also rejects NaN
+        return False
+    step = config.FREQ_STEP_GHZ
+    return round(lo / step) <= round(value / step) <= round(hi / step)
 
 
 def request_payload(request: TuningRequest) -> dict[str, Any]:

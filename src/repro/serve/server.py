@@ -258,12 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="flush a coalescing group at this many members",
     )
     parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=batching.DEFAULT_MAX_WAIT_S * 1000.0,
-        help="admission window before a group flushes (milliseconds)",
-    )
-    parser.add_argument(
         "--unbatched",
         action="store_true",
         help="disable coalescing (one sweep per request; the benchmark's control arm)",
@@ -306,7 +300,6 @@ async def _amain(args: argparse.Namespace) -> int:
     service = TuningService(
         store=store,
         max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1000.0,
         admission="unbatched" if args.unbatched else "batched",
         retry_failed=args.retry_failed,
         workers=args.workers,

@@ -5,9 +5,13 @@
 :meth:`TuningService.handle`, and the throughput benchmark drives
 ``handle`` directly).  One request flows through four gates:
 
-1. **Admission** — parse and validate against the wire schema; while
-   draining, new work is refused with a ``draining`` error so clients
-   retry elsewhere.
+1. **Admission** — parse and validate against the wire schema, then
+   check the values only execution would otherwise reject (node id,
+   thread count, tuning model: :func:`~repro.serve.schema.
+   check_admissible`), so a bad request is answered ``bad-value`` alone
+   and never fails the group it would have joined; while draining, new
+   work is refused with a ``draining`` error so clients retry
+   elsewhere.
 2. **Dedup** — an *exact* duplicate of an in-flight request joins its
    future (zero extra work); a request whose grid rows are all in the
    result store is answered from the store without touching the
@@ -20,7 +24,14 @@
    service runs with ``retry_failed=True``).
 3. **Coalesce** — distinct pending requests wait together in the
    :class:`~repro.serve.batcher.CoalescingBatcher` and are answered
-   from one pass of the fleet kernel.
+   from one pass of the fleet kernel.  Admission is *work-conserving*:
+   while an execution slot is free (fewer group tasks in flight than
+   ``workers``), the pending group fires on the next loop tick, so only
+   requests admitted in the same tick join it and an idle service adds
+   no delay; while every slot is busy, requests accumulate and the
+   group fires as soon as a running group finishes, so under load
+   batches grow by themselves.  A group that reaches ``max_batch``
+   fires at once.
 4. **Execute** — with ``workers >= 2`` and a concurrent-writer store
    backend, groups execute *concurrently* on the warm process pool of
    :mod:`repro.serve.workers` (a group is first split by grid key so
@@ -33,11 +44,11 @@
    Responses are bit-identical across both paths.
 
 Graceful drain (:meth:`drain`): stop admitting, flush the pending
-group immediately (cancelling its admission timer), and wait for
-in-flight work — bounded by the drain deadline: a group still *queued*
-(not yet started) when the deadline expires is cancelled and its
-waiters get a structured ``draining`` error instead of hanging
-forever; groups already running always finish and answer normally.
+group immediately, and wait for in-flight work — bounded by the drain
+deadline: a group still *queued* (not yet started) when the deadline
+expires is cancelled and its waiters get a structured ``draining``
+error instead of hanging forever; groups already running always finish
+and answer normally.
 """
 
 from __future__ import annotations
@@ -62,7 +73,12 @@ from repro.errors import ReproError, SchemaError, TuningError
 from repro.execution.simulator import OperatingPoint
 from repro.serve import batcher as batching
 from repro.serve import workers as pooling
-from repro.serve.schema import error_response, ok_response, parse_request
+from repro.serve.schema import (
+    check_admissible,
+    error_response,
+    ok_response,
+    parse_request,
+)
 
 __all__ = ["DEFAULT_DRAIN_DEADLINE_S", "ServiceMetrics", "TuningService"]
 
@@ -121,8 +137,8 @@ class TuningService:
     """Asyncio tuning service with store dedup and cross-request batching.
 
     ``admission="batched"`` (the default) coalesces every pending
-    request — across benchmarks, threads, nodes and seeds — via the
-    ``max_batch``/``max_wait_s`` window; ``"unbatched"`` degrades to a
+    request — across benchmarks, threads, nodes and seeds — into groups
+    of at most ``max_batch``; ``"unbatched"`` degrades to a
     one-request-per-sweep service (the benchmark's control arm) while
     keeping the rest of the lifecycle identical.  A ``store`` turns on
     persistent dedup and quarantine; without one the service still
@@ -142,7 +158,6 @@ class TuningService:
         *,
         store: ResultStore | None = None,
         max_batch: int = batching.DEFAULT_MAX_BATCH,
-        max_wait_s: float = batching.DEFAULT_MAX_WAIT_S,
         admission: str = "batched",
         retry_failed: bool = False,
         retry_policy=None,
@@ -156,13 +171,11 @@ class TuningService:
                 "known: ('batched', 'unbatched')"
             )
         if admission == "unbatched":
-            max_batch, max_wait_s = 1, 0.0
+            max_batch = 1
         self.admission = admission
         self.retry_failed = retry_failed
         self.metrics = ServiceMetrics()
-        self.batcher = batching.CoalescingBatcher(
-            max_batch=max_batch, max_wait_s=max_wait_s
-        )
+        self.batcher = batching.CoalescingBatcher(max_batch=max_batch)
         engine_kwargs: dict[str, Any] = {"max_workers": 0}
         if retry_policy is not None:
             engine_kwargs["retry_policy"] = retry_policy
@@ -182,9 +195,10 @@ class TuningService:
         self._inflight: dict[api.TuningRequest, _Inflight] = {}
         self._draining = False
         self.drain_deadline_s = drain_deadline_s
-        #: The pending group's admission-window timer.
-        self._timer: asyncio.TimerHandle | None = None
-        #: Execution tasks of fired groups (what drain waits for).
+        #: The pending group's next-tick firing, armed while a slot is free.
+        self._fire_handle: asyncio.Handle | None = None
+        #: Execution tasks of fired groups (the busy slots; what drain
+        #: waits for).
         self._group_tasks: set[asyncio.Task] = set()
         #: Cancellation handles of dispatched groups (drain deadline).
         self._dispatches: set[pooling.GroupDispatch] = set()
@@ -283,6 +297,9 @@ class TuningService:
             )
         try:
             request = parse_request(payload).resolved()
+            check_admissible(
+                request, self.options.resolve_cluster(request.seed)
+            )
         except SchemaError as exc:
             return error_response("bad-request", str(exc))
         except TuningError as exc:
@@ -392,18 +409,34 @@ class TuningService:
         loop = asyncio.get_running_loop()
         entry = _Inflight(future=loop.create_future())
         self._inflight[request] = entry
-        started, fire = self.batcher.admit(request)
-        if fire:
+        if self.batcher.admit(request):
             self._fire()
-        elif started:
-            self._timer = loop.call_later(self.batcher.max_wait_s, self._fire)
+        else:
+            self._schedule_fire()
         return await asyncio.shield(entry.future)
 
+    def _schedule_fire(self) -> None:
+        """Fire the pending group on the next loop tick if a slot is free.
+
+        The one tick lets requests admitted in the same tick (an
+        ``asyncio.gather`` burst, same-instant arrivals) join the group.
+        With every slot busy nothing is armed: the group keeps growing
+        until a running group's task finishes and calls back here.
+        """
+        if (
+            self._fire_handle is None
+            and self.batcher.pending
+            and len(self._group_tasks) < self.workers
+        ):
+            self._fire_handle = asyncio.get_running_loop().call_soon(
+                self._fire
+            )
+
     def _fire(self) -> None:
-        """Flush the pending group (timer expiry, max_batch or drain)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Flush the pending group (next tick, max_batch or drain)."""
+        if self._fire_handle is not None:
+            self._fire_handle.cancel()
+            self._fire_handle = None
         group = self.batcher.pop()
         if group:
             self._launch(group)
@@ -412,21 +445,23 @@ class TuningService:
         """Start one fired group's execution task(s).
 
         With a pool, the group is first split by grid key
-        (``batching.split_group``) so distinct measurements execute
-        concurrently across workers instead of serialising the whole
-        queue onto one; requests sharing a grid stay together, so no
-        measurement is duplicated.  Serially, the group runs whole.
+        (``batching.split_group``) over the free slots, so distinct
+        measurements execute concurrently across idle workers instead
+        of serialising the whole queue onto one; requests sharing a grid
+        stay together, so no measurement is duplicated.  Serially
+        (one slot), the group runs whole.
         """
         loop = asyncio.get_running_loop()
-        parts = (
-            batching.split_group(group, self.workers)
-            if self._pool is not None
-            else [group]
-        )
-        for part in parts:
+        free = self.workers - len(self._group_tasks)
+        for part in batching.split_group(group, free):
             task = loop.create_task(self._execute_group(part))
             self._group_tasks.add(task)
-            task.add_done_callback(self._group_tasks.discard)
+            task.add_done_callback(self._group_done)
+
+    def _group_done(self, task: asyncio.Task) -> None:
+        """A slot freed up: fire whatever accumulated meanwhile."""
+        self._group_tasks.discard(task)
+        self._schedule_fire()
 
     async def _dispatch_group(
         self,

@@ -70,6 +70,18 @@ def loocv_report(speedup: float, identical: bool = True) -> dict:
     }
 
 
+def serving_report(speedup: float, no_admission_delay: bool = True) -> dict:
+    return {
+        "benchmark": "serving_throughput",
+        "aggregate": {
+            "speedup": speedup,
+            "responses_identical": True,
+            "coalescing_engaged": True,
+            "no_admission_delay": no_admission_delay,
+        },
+    }
+
+
 def scaling_report(efficiency: float, identical: bool = True) -> dict:
     return {
         "benchmark": "serving_scaling",
@@ -181,6 +193,21 @@ class TestGate:
         current = write(tmp_path / "a.json", loocv_report(24.0))
         baseline = write(tmp_path / "b.json", loocv_report(25.0))
         assert gate.main([str(current), str(baseline)]) == 0
+
+    def test_passes_on_healthy_serving_report(self, tmp_path):
+        current = write(tmp_path / "a.json", serving_report(4.0))
+        baseline = write(tmp_path / "b.json", serving_report(5.0))
+        assert gate.main([str(current), str(baseline)]) == 0
+
+    def test_fails_when_a_lone_request_waits_for_batch_mates(self, tmp_path):
+        """An admission timer slows light load without denting the
+        loaded speedup; the light-load flag alone must trip the gate."""
+        current = write(
+            tmp_path / "a.json",
+            serving_report(5.0, no_admission_delay=False),
+        )
+        baseline = write(tmp_path / "b.json", serving_report(5.0))
+        assert gate.main([str(current), str(baseline)]) == 1
 
     def test_fails_on_scaling_efficiency_drop(self, tmp_path):
         current = write(tmp_path / "a.json", scaling_report(0.2))

@@ -1,8 +1,8 @@
 """Coalescing-queue invariants and the bit-equality property.
 
 The property that makes the serving layer trustworthy: however
-requests are interleaved into the batcher and however the windows
-land, every request's coalesced answer equals its solo
+requests are interleaved into the batcher and wherever the groups
+are cut, every request's coalesced answer equals its solo
 :func:`repro.api.tune` answer to the bit.  Hypothesis drives the
 admission orders; the solo answers are computed once per request
 identity and memoised.
@@ -39,10 +39,8 @@ class TestCoalescingBatcher:
         batcher = CoalescingBatcher(max_batch=4)
         a = api.TuningRequest("EP", stride=7, objective="energy").resolved()
         b = api.TuningRequest("EP", stride=7, objective="edp").resolved()
-        started_a, fire_a = batcher.admit(a)
-        started_b, fire_b = batcher.admit(b)
-        assert started_a and not started_b
-        assert not fire_a and not fire_b
+        assert batcher.admit(a) is False
+        assert batcher.admit(b) is False
         assert batcher.coalesced == 1
         assert batcher.pop() == [a, b]
 
@@ -50,8 +48,8 @@ class TestCoalescingBatcher:
         batcher = CoalescingBatcher(max_batch=2)
         a = api.TuningRequest("EP", stride=7, objective="energy").resolved()
         b = api.TuningRequest("EP", stride=7, objective="edp").resolved()
-        assert batcher.admit(a)[1] is False
-        assert batcher.admit(b)[1] is True
+        assert batcher.admit(a) is False
+        assert batcher.admit(b) is True
 
     def test_pop_is_idempotent(self):
         batcher = CoalescingBatcher()
@@ -62,7 +60,7 @@ class TestCoalescingBatcher:
         assert batcher.groups_fired == 1
 
     def test_pop_flushes_everything(self):
-        batcher = CoalescingBatcher(max_wait_s=100.0)
+        batcher = CoalescingBatcher()
         for request in UNIVERSE:
             batcher.admit(request.resolved())
         assert batcher.pending == len(UNIVERSE)
@@ -75,7 +73,7 @@ class TestCoalescingBatcher:
         b = api.TuningRequest("Mcb", stride=7).resolved()
         batcher.admit(a)
         first = batcher.pop()
-        assert batcher.admit(b) == (True, False)
+        assert batcher.admit(b) is False
         second = batcher.pop()
         assert first == [a] and second == [b]
         assert batcher.groups_fired == 2
@@ -84,8 +82,6 @@ class TestCoalescingBatcher:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(CampaignError):
             CoalescingBatcher(max_batch=0)
-        with pytest.raises(CampaignError):
-            CoalescingBatcher(max_wait_s=-1.0)
 
 
 class TestFleetCoalescing:
@@ -162,12 +158,11 @@ class TestAnswerGroup:
         self, order, max_batch
     ):
         """The tentpole invariant: coalesced == solo, always."""
-        batcher = CoalescingBatcher(max_batch=max_batch, max_wait_s=100.0)
+        batcher = CoalescingBatcher(max_batch=max_batch)
         fired: list = []
         for index in order:
             request = UNIVERSE[index].resolved()
-            _, fire = batcher.admit(request)
-            if fire:
+            if batcher.admit(request):
                 fired.append(batcher.pop())
         if batcher.pending:
             fired.append(batcher.pop())

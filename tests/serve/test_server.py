@@ -49,7 +49,7 @@ async def http(host, port, method, path, body=None):
 class TestLiveServer:
     def test_concurrent_clients_coalesce_and_match_offline(self):
         async def scenario():
-            service = TuningService(max_batch=8, max_wait_s=0.05)
+            service = TuningService(max_batch=8)
             server = TuningServer(service, port=0)
             host, port = await server.start()
             payloads = [
@@ -83,7 +83,7 @@ class TestLiveServer:
 
     def test_http_error_mapping(self):
         async def scenario():
-            service = TuningService(max_wait_s=0.0)
+            service = TuningService()
             server = TuningServer(service, port=0)
             host, port = await server.start()
             results = {
@@ -139,7 +139,7 @@ def exchange_in_memory(data, limit=2**16):
         reader = asyncio.StreamReader(limit=limit)
         reader.feed_data(data)
         reader.feed_eof()
-        server = TuningServer(TuningService(max_wait_s=0.0))
+        server = TuningServer(TuningService())
         return await server._handle_exchange(reader)
 
     return asyncio.run(scenario())
@@ -150,7 +150,7 @@ class TestMalformedHeads:
 
     def test_negative_content_length_is_bad_request(self):
         async def scenario():
-            server = TuningServer(TuningService(max_wait_s=0.0), port=0)
+            server = TuningServer(TuningService(), port=0)
             host, port = await server.start()
             bad = await raw_exchange(
                 host, port,
@@ -214,7 +214,7 @@ class TestStalledClients:
         monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2, raising=False)
 
         async def scenario():
-            server = TuningServer(TuningService(max_wait_s=0.0), port=0)
+            server = TuningServer(TuningService(), port=0)
             host, port = await server.start()
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(partial)
@@ -277,8 +277,6 @@ class TestSubprocessDrain:
                 "repro.serve.server",
                 "--port",
                 "0",
-                "--max-wait-ms",
-                "10",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,

@@ -8,6 +8,7 @@ the throughput benchmark.
 
 import asyncio
 import json
+import threading
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from repro.campaign.engine import qualified_descriptor, topology_job_key
 from repro.campaign.resilience import FailureRecord, failure_descriptor
 from repro.campaign.store import ResultStore, job_key
 from repro.errors import SchemaError
+from repro.serve import batcher as batching
 from repro.serve.schema import WIRE_VERSION
 from repro.serve.service import TuningService
 
@@ -44,10 +46,26 @@ def failure_record_for(service, request, *, message="boom"):
     service.engine.store.put(job_key(descriptor), descriptor, record.payload())
 
 
+def hold_executor(monkeypatch) -> threading.Event:
+    """Hold every executed group until the returned event is set.
+
+    The gate times out, so a failing test cannot hang its executor.
+    """
+    gate = threading.Event()
+    real = batching.answer_group
+
+    def gated(requests, options=None):
+        gate.wait(timeout=10.0)
+        return real(requests, options)
+
+    monkeypatch.setattr(batching, "answer_group", gated)
+    return gate
+
+
 class TestLifecycle:
     def test_coalesced_responses_bit_identical_to_offline(self):
         async def scenario():
-            service = TuningService(max_batch=8, max_wait_s=0.05)
+            service = TuningService(max_batch=8)
             payloads = [
                 dict(EP, objective=objective)
                 for objective in ("energy", "edp", "ed2p")
@@ -76,7 +94,7 @@ class TestLifecycle:
         *different* benchmarks into one group — one fleet-kernel pass —
         with responses bit-identical to their offline answers."""
         async def scenario():
-            service = TuningService(max_batch=8, max_wait_s=0.05)
+            service = TuningService(max_batch=8)
             payloads = [
                 dict(EP),
                 {"version": WIRE_VERSION, "benchmark": "FT", "stride": 7},
@@ -97,7 +115,7 @@ class TestLifecycle:
 
     def test_responses_are_json_serialisable(self):
         async def scenario():
-            service = TuningService(max_wait_s=0.0)
+            service = TuningService()
             response = await service.handle(dict(EP))
             await service.aclose()
             return response
@@ -107,7 +125,7 @@ class TestLifecycle:
 
     def test_exact_duplicates_join_inflight_future(self):
         async def scenario():
-            service = TuningService(max_batch=1, max_wait_s=0.0)
+            service = TuningService(max_batch=1)
             responses = await asyncio.gather(
                 *(service.handle(dict(EP)) for _ in range(3))
             )
@@ -139,7 +157,7 @@ class TestLifecycle:
 
     def test_schema_and_value_errors_map_to_codes(self):
         async def scenario():
-            service = TuningService(max_wait_s=0.0)
+            service = TuningService()
             bad_shape = await service.handle({"benchmark": "EP"})
             bad_value = await service.handle(
                 {"version": WIRE_VERSION, "benchmark": "NoSuch"}
@@ -159,7 +177,7 @@ class TestLifecycle:
 class TestStoreDedup:
     def test_second_request_is_a_cached_hit(self):
         async def scenario():
-            service = TuningService(store=ResultStore(), max_wait_s=0.0)
+            service = TuningService(store=ResultStore())
             first = await service.handle(dict(EP))
             executed = service.engine.total_executed
             second = await service.handle(dict(EP))
@@ -180,7 +198,7 @@ class TestStoreDedup:
         the store — result lookups win, as in CampaignEngine.run."""
 
         async def scenario():
-            service = TuningService(store=ResultStore(), max_wait_s=0.0)
+            service = TuningService(store=ResultStore())
             first = await service.handle(dict(EP))
             failure_record_for(service, api.TuningRequest("EP", stride=7))
             stale = await service.handle(dict(EP))
@@ -195,7 +213,7 @@ class TestStoreDedup:
 
     def test_failure_record_without_result_quarantines(self):
         async def scenario():
-            service = TuningService(store=ResultStore(), max_wait_s=0.0)
+            service = TuningService(store=ResultStore())
             failure_record_for(service, api.TuningRequest("EP", stride=7))
             executed_before = service.engine.total_executed
             response = await service.handle(dict(EP))
@@ -212,13 +230,11 @@ class TestStoreDedup:
     def test_retry_failed_service_executes_quarantined_jobs(self):
         async def scenario():
             store = ResultStore()
-            refusing = TuningService(store=store, max_wait_s=0.0)
+            refusing = TuningService(store=store)
             failure_record_for(refusing, api.TuningRequest("EP", stride=7))
             refused = await refusing.handle(dict(EP))
             await refusing.aclose()
-            retrying = TuningService(
-                store=store, retry_failed=True, max_wait_s=0.0
-            )
+            retrying = TuningService(store=store, retry_failed=True)
             answered = await retrying.handle(dict(EP))
             await retrying.aclose()
             return refused, answered
@@ -249,7 +265,7 @@ class TestFaultsAndDrain:
         )
 
         async def scenario():
-            service = TuningService(store=ResultStore(), max_wait_s=0.0)
+            service = TuningService(store=ResultStore())
             payload = {"version": WIRE_VERSION, "benchmark": "CG", "stride": 7}
             first = await service.handle(payload)
             executed = service.engine.total_executed
@@ -264,82 +280,59 @@ class TestFaultsAndDrain:
         assert service.engine.total_executed == executed
         assert service.metrics.quarantined == 2
 
-    def test_drain_answers_pending_and_refuses_new(self):
+    def test_drain_answers_pending_and_refuses_new(self, monkeypatch):
+        gate = hold_executor(monkeypatch)
+
         async def scenario():
-            # a window so long only drain can flush the group
-            service = TuningService(max_batch=100, max_wait_s=60.0)
-            pending = asyncio.create_task(service.handle(dict(EP)))
+            # a busy executor holds the second group open; only drain
+            # flushes it
+            service = TuningService(max_batch=100)
+            running = asyncio.create_task(service.handle(dict(EP)))
             await asyncio.sleep(0.02)
-            await service.drain()
+            pending = asyncio.create_task(
+                service.handle(dict(EP, benchmark="Mcb"))
+            )
+            await asyncio.sleep(0.02)
+            held = service.batcher.pending
+            draining = asyncio.create_task(service.drain())
+            await asyncio.sleep(0)
+            flushed = service.batcher.pending
+            gate.set()
+            await draining
             answered = await pending
+            await running
             refused = await service.handle(dict(EP))
             await service.aclose()
-            return answered, refused
+            return held, flushed, answered, refused
 
-        answered, refused = run(scenario())
+        held, flushed, answered, refused = run(scenario())
+        assert (held, flushed) == (1, 0)
         assert answered["status"] == "ok"
-        offline = api.tune(api.TuningRequest("EP", stride=7))
+        offline = api.tune(api.TuningRequest("Mcb", stride=7))
         assert answered["result"] == offline.payload()
         assert refused["error"]["code"] == "draining"
 
-    def test_full_group_fires_before_its_window(self):
-        """Reaching ``max_batch`` flushes at once and cancels the
-        window timer, so a 60 s window delays nobody."""
+    def test_drain_flushes_a_group_held_behind_a_busy_executor(
+        self, monkeypatch
+    ):
+        """Drain fires the pending group at once and returns as soon as
+        the executor frees, bounded well inside the drain deadline."""
+        gate = hold_executor(monkeypatch)
 
         async def scenario():
-            service = TuningService(max_batch=2, max_wait_s=60.0)
-            began = time.monotonic()
-            answers = await asyncio.gather(
-                service.handle(dict(EP)),
-                service.handle(dict(EP, benchmark="Mcb")),
-            )
-            elapsed = time.monotonic() - began
-            timer = service._timer
-            await service.aclose()
-            return elapsed, answers, timer, service.batcher.groups_fired
-
-        elapsed, answers, timer, fired = run(scenario())
-        assert elapsed < 5.0
-        assert [a["status"] for a in answers] == ["ok", "ok"]
-        assert fired == 1
-        assert timer is None
-
-    def test_admission_window_fires_a_partial_group(self):
-        """A group below ``max_batch`` flushes when its window closes;
-        a follower admitted inside the window joins it and does not
-        move it."""
-
-        async def scenario():
-            service = TuningService(max_batch=100, max_wait_s=1.0)
-            first = asyncio.create_task(service.handle(dict(EP)))
-            await asyncio.sleep(0.3)
-            follower = asyncio.create_task(
+            service = TuningService(max_batch=100)
+            running = asyncio.create_task(service.handle(dict(EP)))
+            await asyncio.sleep(0.02)
+            pending = asyncio.create_task(
                 service.handle(dict(EP, benchmark="Mcb"))
             )
-            await asyncio.sleep(0.3)
-            waiting = service.batcher.pending
-            answers = await asyncio.gather(first, follower)
-            await service.aclose()
-            return waiting, answers, service.batcher
-
-        waiting, answers, batcher = run(scenario())
-        assert waiting == 2
-        assert [a["status"] for a in answers] == ["ok", "ok"]
-        assert batcher.groups_fired == 1 and batcher.coalesced == 1
-
-    def test_drain_does_not_wait_out_the_admission_window(self):
-        """Regression: drain flushed the pending group but then also
-        waited for its admission timer, so it returned only after the
-        whole ``max_wait_s`` window (and tripped the drain deadline)."""
-
-        async def scenario():
-            service = TuningService(max_batch=100, max_wait_s=60.0)
-            pending = asyncio.create_task(service.handle(dict(EP)))
             await asyncio.sleep(0.02)
             began = time.monotonic()
+            asyncio.get_running_loop().call_later(0.1, gate.set)
             await service.drain()
             elapsed = time.monotonic() - began
             answered = await pending
+            await running
             await service.aclose()
             return elapsed, answered, service.metrics.drain_cancelled
 
@@ -347,3 +340,150 @@ class TestFaultsAndDrain:
         assert elapsed < 5.0
         assert answered["status"] == "ok"
         assert cancelled == 0
+
+
+class TestWorkConservingAdmission:
+    """When a group fires: on the next loop tick while an execution slot
+    is free, when a running group finishes while none is — never on a
+    timer."""
+
+    def test_lone_request_on_an_idle_service_fires_on_the_next_tick(self):
+        async def scenario():
+            service = TuningService(max_batch=100)
+            task = asyncio.create_task(service.handle(dict(EP)))
+            await asyncio.sleep(0)  # the request is admitted
+            admitted = (service.batcher.pending, service.batcher.groups_fired)
+            await asyncio.sleep(0)  # one tick later it has fired
+            fired = (service.batcher.pending, service.batcher.groups_fired)
+            answer = await task
+            await service.aclose()
+            return admitted, fired, answer
+
+        admitted, fired, answer = run(scenario())
+        assert admitted == (1, 0)
+        assert fired == (0, 1)
+        assert answer["status"] == "ok"
+        assert answer["meta"] == {"cached": False, "coalesced": 0}
+        offline = api.tune(api.TuningRequest("EP", stride=7))
+        assert answer["result"] == offline.payload()
+
+    def test_same_tick_requests_form_one_group(self):
+        async def scenario():
+            service = TuningService(max_batch=100)
+            tasks = [
+                asyncio.create_task(service.handle(dict(EP, benchmark=name)))
+                for name in ("EP", "Mcb", "FT")
+            ]
+            await asyncio.sleep(0)
+            admitted = service.batcher.pending
+            answers = await asyncio.gather(*tasks)
+            await service.aclose()
+            return admitted, answers, service.batcher
+
+        admitted, answers, batcher = run(scenario())
+        assert admitted == 3
+        assert batcher.groups_fired == 1 and batcher.coalesced == 2
+        for name, answer in zip(("EP", "Mcb", "FT"), answers):
+            assert answer["meta"] == {"cached": False, "coalesced": 2}
+            offline = api.tune(api.TuningRequest(name, stride=7))
+            assert answer["result"] == offline.payload()
+
+    def test_requests_admitted_while_a_group_executes_form_one_next_group(
+        self, monkeypatch
+    ):
+        gate = hold_executor(monkeypatch)
+
+        async def scenario():
+            service = TuningService(max_batch=100)
+            first = asyncio.create_task(service.handle(dict(EP)))
+            await asyncio.sleep(0.02)
+            followers = []
+            for name in ("Mcb", "FT", "Lulesh"):  # one per tick, spread out
+                followers.append(
+                    asyncio.create_task(
+                        service.handle(dict(EP, benchmark=name))
+                    )
+                )
+                await asyncio.sleep(0.02)
+            held = (service.batcher.pending, service.batcher.groups_fired)
+            gate.set()
+            answers = await asyncio.gather(first, *followers)
+            await service.aclose()
+            return held, answers, service.batcher
+
+        held, answers, batcher = run(scenario())
+        assert held == (3, 1)
+        assert batcher.groups_fired == 2 and batcher.coalesced == 2
+        assert answers[0]["meta"]["coalesced"] == 0
+        for name, answer in zip(("EP", "Mcb", "FT", "Lulesh"), answers):
+            assert answer["status"] == "ok"
+            offline = api.tune(api.TuningRequest(name, stride=7))
+            assert answer["result"] == offline.payload()
+        assert [a["meta"]["coalesced"] for a in answers[1:]] == [2, 2, 2]
+
+    def test_full_group_fires_while_every_slot_is_busy(self, monkeypatch):
+        """Reaching ``max_batch`` flushes at once: a full group does not
+        wait for the busy executor to free a slot."""
+        gate = hold_executor(monkeypatch)
+
+        async def scenario():
+            service = TuningService(max_batch=2)
+            first = asyncio.create_task(service.handle(dict(EP)))
+            await asyncio.sleep(0.02)
+            followers = []
+            for name in ("Mcb", "FT"):
+                followers.append(
+                    asyncio.create_task(
+                        service.handle(dict(EP, benchmark=name))
+                    )
+                )
+                await asyncio.sleep(0.02)
+            held = (
+                service.batcher.pending,
+                service.batcher.groups_fired,
+                service._fire_handle,
+            )
+            gate.set()
+            answers = await asyncio.gather(first, *followers)
+            await service.aclose()
+            return held, answers, service.batcher.groups_fired
+
+        held, answers, fired = run(scenario())
+        assert held == (0, 2, None)
+        assert [a["status"] for a in answers] == ["ok", "ok", "ok"]
+        assert fired == 2
+
+
+class TestAdmissionValidation:
+    """Regression: a request with a value only execution rejects used to
+    join a group and fail it, so every request coalesced with it got its
+    ``execution-error``.  It is now refused alone, at admission."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("node_id", -1, "no such node"),
+            ("threads", 1000, "invalid thread count"),
+            ("tmm", "x", "malformed tuning model"),
+        ],
+    )
+    def test_bad_value_is_refused_without_failing_its_batch_mate(
+        self, field, value, message
+    ):
+        async def scenario():
+            service = TuningService()
+            good, bad = await asyncio.gather(
+                service.handle(dict(EP)),
+                service.handle(dict(EP, benchmark="Mcb", **{field: value})),
+            )
+            await service.aclose()
+            return good, bad, service.batcher
+
+        good, bad, batcher = run(scenario())
+        assert bad["status"] == "error"
+        assert bad["error"]["code"] == "bad-value"
+        assert message in bad["error"]["message"]
+        assert good["status"] == "ok"
+        offline = api.tune(api.TuningRequest("EP", stride=7))
+        assert good["result"] == offline.payload()
+        assert batcher.admitted == 1

@@ -11,6 +11,7 @@ import asyncio
 import json
 import os
 import signal
+import threading
 
 import pytest
 
@@ -80,7 +81,6 @@ class TestPooledBitIdentity:
             service = TuningService(
                 store=ResultStore(store_path),
                 max_batch=16,
-                max_wait_s=0.01,
                 workers=workers,
                 warm=("EP",),
             )
@@ -113,7 +113,7 @@ class TestPooledBitIdentity:
 
     def test_storeless_pool_answers_bit_identically(self):
         async def scenario():
-            service = TuningService(max_wait_s=0.01, workers=2)
+            service = TuningService(workers=2)
             return await drive(
                 service, [payload_for("EP"), payload_for("FT", seed=43)]
             )
@@ -133,7 +133,6 @@ class TestConcurrentDedup:
         async def scenario():
             service = TuningService(
                 store=ResultStore(tmp_path / "dedup.sqlite"),
-                max_wait_s=0.01,
                 workers=2,
             )
             responses = await asyncio.gather(
@@ -180,7 +179,6 @@ class TestStructuralConcurrency:
         async def scenario():
             service = TuningService(
                 store=ResultStore(tmp_path / "overtake.sqlite"),
-                max_wait_s=0.01,
                 workers=2,
             )
             slow = asyncio.ensure_future(
@@ -206,12 +204,75 @@ class TestStructuralConcurrency:
         ).payload()
 
 
+class TestWorkConservingPool:
+    def test_two_groups_run_concurrently_and_a_third_waits_for_a_slot(
+        self, tmp_path, monkeypatch
+    ):
+        # EP and FT each hold their worker for 0.8 s in-worker.  With
+        # two workers the second group fires while the first still
+        # runs; once both slots are busy, later requests accumulate
+        # into one group that fires when a slot frees.
+        monkeypatch.setenv(
+            "REPRO_FAULT_INJECT",
+            json.dumps(
+                [
+                    {
+                        "action": "delay",
+                        "stage": "execute",
+                        "app": app,
+                        "mode": "fleet",
+                        "delay_s": 0.8,
+                        "attempts": "all",
+                    }
+                    for app in ("EP", "FT")
+                ]
+            ),
+        )
+
+        async def scenario():
+            service = TuningService(
+                store=ResultStore(tmp_path / "slots.sqlite"), workers=2
+            )
+            batcher = service.batcher
+            tasks = [asyncio.ensure_future(service.handle(payload_for("EP")))]
+            await asyncio.sleep(0.2)
+            tasks.append(
+                asyncio.ensure_future(
+                    service.handle(payload_for("FT", seed=43))
+                )
+            )
+            await asyncio.sleep(0.2)
+            both_running = (batcher.groups_fired, len(service._group_tasks))
+            for name in ("Lulesh", "Mcb"):
+                tasks.append(
+                    asyncio.ensure_future(service.handle(payload_for(name)))
+                )
+                await asyncio.sleep(0.05)
+            waiting = (batcher.pending, batcher.groups_fired)
+            responses = await asyncio.gather(*tasks)
+            metrics = service.metrics_payload()
+            await service.aclose()
+            return both_running, waiting, responses, metrics
+
+        both_running, waiting, responses, metrics = run(scenario())
+        assert both_running == (2, 2)
+        assert waiting == (2, 2)
+        assert metrics["groups_fired"] == 3 and metrics["coalesced"] == 1
+        assert len(metrics["worker_pool"]["groups_per_worker"]) == 2
+        for (name, seed), response in zip(
+            [("EP", 42), ("FT", 43), ("Lulesh", 42), ("Mcb", 42)], responses
+        ):
+            assert response["status"] == "ok", response
+            assert response["result"] == api.tune(
+                api.TuningRequest(name, stride=7, seed=seed)
+            ).payload()
+
+
 class TestFallback:
     def test_jsonl_store_falls_back_to_serial(self, tmp_path):
         async def scenario():
             service = TuningService(
                 store=ResultStore(tmp_path / "fb.jsonl"),
-                max_wait_s=0.01,
                 workers=4,
             )
             fallback = (service.workers, service.pool_fallback)
@@ -254,7 +315,7 @@ class TestDrainDeadline:
         async def scenario():
             # max_batch=1 -> two groups; the serial executor starts
             # the first and queues the second behind it.
-            service = TuningService(max_batch=1, max_wait_s=0.01)
+            service = TuningService(max_batch=1)
             first = asyncio.ensure_future(
                 service.handle(payload_for("EP"))
             )
@@ -275,20 +336,38 @@ class TestDrainDeadline:
         assert "drain deadline" in second["error"]["message"]
         assert metrics["drain_cancelled"] == 1
 
-    def test_default_drain_finishes_everything(self):
+    def test_default_drain_finishes_everything(self, monkeypatch):
+        gate = threading.Event()
+        real = batching.answer_group
+
+        def held_answer_group(requests, options=None):
+            gate.wait(timeout=10.0)
+            return real(requests, options)
+
+        monkeypatch.setattr(batching, "answer_group", held_answer_group)
+
         async def scenario():
-            service = TuningService(max_batch=100, max_wait_s=60.0)
-            pending = asyncio.ensure_future(
+            # the first group holds the executor, so the second waits
+            # in the batcher until drain flushes it
+            service = TuningService(max_batch=100)
+            running = asyncio.ensure_future(
                 service.handle(payload_for("EP"))
             )
             await asyncio.sleep(0.05)
+            pending = asyncio.ensure_future(
+                service.handle(payload_for("EP", seed=43))
+            )
+            await asyncio.sleep(0.05)
+            held = service.batcher.pending
+            asyncio.get_running_loop().call_later(0.1, gate.set)
             await service.drain()  # default deadline, nothing cancelled
-            response = await pending
+            responses = await asyncio.gather(running, pending)
             await service.aclose()
-            return response, service.metrics.drain_cancelled
+            return held, responses, service.metrics.drain_cancelled
 
-        response, cancelled = run(scenario())
-        assert response["status"] == "ok"
+        held, responses, cancelled = run(scenario())
+        assert held == 1
+        assert [r["status"] for r in responses] == ["ok", "ok"]
         assert cancelled == 0
 
 
@@ -368,7 +447,6 @@ class TestWorkerCrash:
         async def scenario():
             service = TuningService(
                 store=ResultStore(tmp_path / "crash.sqlite"),
-                max_wait_s=0.01,
                 workers=2,
             )
             pending = asyncio.ensure_future(

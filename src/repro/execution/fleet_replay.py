@@ -10,15 +10,16 @@ fresh-node members; the simulator's solo runs
 ``run_phase_counters``) are fleets of one *live-node* member, whose
 entry state is a real :class:`~repro.hardware.node.ComputeNode`:
 
-**Phase 1 — per-member compilation.**  Uncontrolled members compile
-through the one structural walk of :mod:`repro.execution.replay`
+**Phase 1 — compilation and block pricing.**  Uncontrolled members
+compile through the one structural walk of :mod:`repro.execution.replay`
 (:func:`~repro.execution.replay._compile_structure`, deduplicated
 across members sharing an application build and instrumentation) and
-evaluate it at their operating point
-(:func:`~repro.execution.replay._evaluate_config`) against one power
-model per node recipe — or, live, at the node's current frequencies
-against its own power model.  Controller-driven members compile their
-switch schedule
+resolve their effective operating point and power model — one per node
+recipe, or, live, the node's own at its current frequencies.  Members
+sharing a structure and a power model form one block, priced in one
+array pass (:func:`~repro.execution.replay._evaluate_block`: ``(members
+x work regions)`` timings and power components).  Controller-driven
+members compile their switch schedule
 (:func:`~repro.execution.controlled_replay.compile_schedule_by_walk`
 via the controller's ``compile_schedule`` protocol) against a real
 node, so RRL statistics and MSR/DVFS side effects are byte-for-byte
@@ -26,13 +27,12 @@ those of the recursive engine; a declining controller's member runs
 through the recursive engine instead.
 
 **Phase 2 — one fleet-wide noise draw.**  Every member's keyed
-(work region x iteration) seeds fill one flat buffer, one
-:func:`~repro.util.rng.batched_lognormal` call covers the whole fleet,
-and the draws are sliced back.  Keyed streams are drawn per seed
+(work region x iteration) seed digests join into one buffer, read as
+``uint64`` once; one :func:`~repro.util.rng.batched_lognormal` call
+covers the whole fleet, and the draws are sliced back.  Keyed streams are drawn per seed
 independently, so the batch boundary cannot change any member's noise.
 
-**Phase 3 — block flattening.**  Uncontrolled members sharing a
-structure, an iteration count and liveness flatten as one block
+**Phase 3 — block flattening.**  Each priced block flattens at once
 (:func:`~repro.execution.replay._flatten_block`): a (members x
 iteration x charge) matrix whose rows are each member's exact charge
 sequence.  Controlled members flatten their span schedules one by one.
@@ -76,10 +76,10 @@ from repro.execution.controlled_replay import (
 from repro.execution.replay import (
     _compile_structure,
     _effective_frequency,
-    _evaluate_config,
-    _fill_seeds,
+    _evaluate_block,
     _flatten_block,
     _ReplayState,
+    _seed_digests,
 )
 from repro.execution.simulator import (
     TIME_NOISE_SIGMA,
@@ -243,7 +243,10 @@ class _MemberPlan:
     iterations: int = 0
     # uncontrolled
     structure: object = None
-    evaluated: object = None
+    power_model: PowerModel | None = None
+    point: object = None              #: effective OperatingPoint
+    block: object = None              #: its priced _BlockEval ...
+    row: int = 0                      #: ... and its row there
     durations_work: np.ndarray | None = None  #: (W, I) after flattening
     # controlled
     schedule: object = None
@@ -334,7 +337,12 @@ def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
 
 
 def _plan_member(member: FleetMember, structures: dict, models: dict) -> _MemberPlan:
-    """Compile one member: structure walk or controller schedule."""
+    """Compile one member: structure walk or controller schedule.
+
+    An uncontrolled member only resolves its structure, power model and
+    effective operating point here; :func:`fleet_run` prices it with
+    every member sharing both.
+    """
     node_seed = member.seed if member.node_seed is None else member.node_seed
     if member.controller is not None:
         return _plan_controlled(member, node_seed)
@@ -404,7 +412,8 @@ def _plan_member(member: FleetMember, structures: dict, models: dict) -> _Member
         num_sockets=power_model.num_sockets,
         iterations=app.phase_iterations,
         structure=structure,
-        evaluated=_evaluate_config(structure, power_model, effective),
+        power_model=power_model,
+        point=effective,
     )
 
 
@@ -425,12 +434,13 @@ def _finish(plan: _MemberPlan, timeline, time_s, node_energy_j, cpu_energy_j,
             materialise_instances, flat.spans, plan.schedule.post_order, timeline
         )
     else:
-        point = plan.evaluated.point
+        point = plan.point
         switching_s = 0.0
         instrumentation_s = plan.structure.instrumentation_time_s(plan.iterations)
         trace = _ReplayState(
             structure=plan.structure,
-            evaluated=plan.evaluated,
+            block=plan.block,
+            row=plan.row,
             iterations=plan.iterations,
             durations_work=plan.durations_work,
             timeline=timeline,
@@ -490,12 +500,14 @@ def fleet_run(members) -> FleetReplay:
     models: dict = {}
     plans = [_plan_member(m, structures, models) for m in members]
 
-    # Uncontrolled members sharing a structure, an iteration count and
-    # liveness flatten as one block; controlled members stand alone.
+    # Uncontrolled members sharing a structure and a power model are one
+    # block, priced as (members x work regions) arrays and flattened
+    # together; a live member's power model is its node's, so it stands
+    # alone, as does every controlled member.
     groups: dict[tuple, list[_MemberPlan]] = {}
     for plan in plans:
         if plan.kind == "uncontrolled":
-            key = (id(plan.structure), plan.iterations, plan.node is not None)
+            key = (id(plan.structure), id(plan.power_model))
         elif plan.kind == "controlled":
             key = (id(plan),)
         else:
@@ -503,37 +515,47 @@ def fleet_run(members) -> FleetReplay:
         groups.setdefault(key, []).append(plan)
     parts = list(groups.values())
 
-    # -- one keyed-noise draw spanning the whole fleet ---------------------
-    # Each run's (work x iteration) seed matrix flattens row-major — the
-    # exact order its per-run engine would reshape — and per-seed
-    # independence makes the fleet-wide batch sliceable without drift.
-    # Each part's draws come back as one (members, work, iteration) view.
-    layout = []   # (part, work region names, (members, work, iteration))
+    # -- block pricing; one keyed-noise draw spanning the whole fleet ------
+    # Each uncontrolled block is priced in one array pass.  Each run's
+    # (work x iteration) seed matrix flattens row-major — the exact order
+    # its per-run engine would reshape — into one digest buffer, and
+    # per-seed independence makes the fleet-wide batch sliceable without
+    # drift.  Each part's draws come back as one (members, work,
+    # iteration) view.
+    layout = []   # (part, (members, work, iteration))
+    digests: list[bytes] = []
     for part in parts:
         first = part[0]
-        compiled = first.structure if first.kind == "uncontrolled" else first.schedule
+        if first.kind == "uncontrolled":
+            compiled = first.structure
+            block = _evaluate_block(
+                compiled, first.power_model, [plan.point for plan in part]
+            )
+            for g, plan in enumerate(part):
+                plan.block, plan.row = block, g
+        else:
+            compiled = first.schedule
         names = compiled.work_names
-        layout.append((part, names, (len(part), len(names), first.iterations)))
-    bounds = [0, *itertools.accumulate(math.prod(shape) for *_, shape in layout)]
-    all_seeds = np.empty(bounds[-1], dtype=np.uint64)
-    for (part, names, shape), lo, hi in zip(layout, bounds, bounds[1:]):
-        for plan, seeds in zip(part, all_seeds[lo:hi].reshape(shape)):
+        layout.append((part, (len(part), len(names), first.iterations)))
+        for plan in part:
             m = plan.member
-            _fill_seeds(names, seeds, m.node_id, m.run_key, m.seed)
+            _seed_digests(
+                digests, names, first.iterations, m.node_id, m.run_key, m.seed
+            )
+    bounds = [0, *itertools.accumulate(math.prod(shape) for _, shape in layout)]
+    all_seeds = np.frombuffer(b"".join(digests), dtype="<u8")
     all_noise = batched_lognormal(all_seeds, TIME_NOISE_SIGMA)
 
     # -- block / schedule flattening; live members price on their nodes ---
     fresh = []   # (part, durations, node_w, package_w, dram_w), one row each
-    for (part, _, shape), lo, hi in zip(layout, bounds, bounds[1:]):
+    for (part, shape), lo, hi in zip(layout, bounds, bounds[1:]):
         noise = all_noise[lo:hi].reshape(shape)
         first = part[0]
         if first.kind == "uncontrolled":
-            block = _flatten_block(
-                first.structure, [plan.evaluated for plan in part], noise
-            )
+            flat = _flatten_block(first.block, noise)
             for g, plan in enumerate(part):
-                plan.durations_work = block.durations_work[g]
-            charges = (block.durations, block.node_w, block.package_w, block.dram_w)
+                plan.durations_work = flat.durations_work[g]
+            charges = (flat.durations, flat.node_w, flat.package_w, flat.dram_w)
         else:
             flat = first.flat = flatten_control_schedule(first.schedule, noise[0])
             charges = (
@@ -619,8 +641,8 @@ def _price_fresh(fresh: list) -> None:
         if plan.kind == "controlled":
             core_ghz, uncore_ghz = plan.final_core_ghz, plan.final_uncore_ghz
         else:
-            core_ghz = plan.evaluated.point.core_freq_ghz
-            uncore_ghz = plan.evaluated.point.uncore_freq_ghz
+            core_ghz = plan.point.core_freq_ghz
+            uncore_ghz = plan.point.uncore_freq_ghz
         _finish(
             plan,
             timeline[i],

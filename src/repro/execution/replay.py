@@ -10,20 +10,22 @@ two steps:
 * :func:`_compile_structure` walks it **once** into a
   configuration-independent :class:`_Structure` (slot topology, charge
   order, probe overheads);
-* :func:`_evaluate_config` prices that structure at one operating point
-  (per-region base durations, power components, CPU shares) against a
-  :class:`~repro.hardware.power.PowerModel` whose breakdown memo stays
-  warm across calls.
+* :func:`_evaluate_block` prices that structure at G operating points
+  against one :class:`~repro.hardware.power.PowerModel` (per-region
+  base durations, power components, CPU shares) as ``(G, W)`` arrays,
+  through the array forms of the timing and power models.
 
-:func:`_fill_seeds` and :func:`_flatten_block` then turn any number of
-evaluations of one structure into their keyed noise and flat charge
-sequences in one block.  The fleet kernel
+:func:`_seed_digests` and :func:`_flatten_block` then turn the block
+into its keyed noise seeds and flat charge sequences.  The fleet kernel
 (:mod:`repro.execution.fleet_replay`) prices every run without
 listeners that way — batches on fresh nodes and, as live-node members,
 the simulator's solo runs and :func:`phase_counters`'s instrumented
 runs.  :class:`~repro.execution.simulator.RegionInstance` rows
 materialise lazily: a priced structure is one span of one pattern of
-:func:`~repro.execution.controlled_replay.materialise_instances`.
+:func:`~repro.execution.controlled_replay.materialise_instances`, and
+only then are its per-region
+:class:`~repro.execution.timing.RegionTiming` payloads looked up from
+the memoised scalar model.
 
 The output is **bit-identical** to the recursive engine, which remains
 the generic path for observed runs.  Identity holds because every
@@ -39,6 +41,7 @@ equivalence down across applications, operating points and nodes.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +51,7 @@ from repro.counters.generation import MeasurementContext
 from repro.errors import FrequencyError
 from repro.execution.controlled_replay import _Slot, materialise_instances
 from repro.execution.simulator import probe_overhead_s
-from repro.execution.timing import RegionTiming, region_timing
+from repro.execution.timing import region_timing, region_timings
 from repro.hardware.frequency import quantize_frequency
 from repro.hardware.msr import ghz_of_ratio, ratio_of_ghz
 from repro.hardware.power import PowerModel
@@ -73,6 +76,7 @@ class _Structure:
     post_order: tuple[int, ...]
     work_slots: tuple[int, ...]            #: slot index per work row
     work_names: tuple[str, ...]            #: region name per work row
+    work_chars: tuple                      #: characteristics per work row
     num_work: int
     #: Charge columns of the body charges, in work-row order (a work
     #: region's body charge is appended as its row is assigned).
@@ -160,6 +164,7 @@ def _compile_structure(
         post_order=tuple(post_order),
         work_slots=tuple(work_slots),
         work_names=tuple([regions[slot].name for slot in work_slots]),
+        work_chars=tuple([regions[slot].characteristics for slot in work_slots]),
         num_work=len(work_slots),
         body_cols=np.array(
             [c for c, (_, is_probe) in enumerate(charges) if not is_probe],
@@ -187,99 +192,101 @@ def _effective_frequency(freq_ghz: float, lo: float, hi: float, domain: str) -> 
 
 
 @dataclass
-class _ConfigEval:
-    """One operating point's numbers for a compiled structure."""
+class _BlockEval:
+    """G operating points' numbers for one compiled structure, priced
+    against one power model: one row per point, one column per work
+    region."""
 
-    point: object                    #: effective OperatingPoint
-    timings: list                    #: RegionTiming per work row
-    base_times: np.ndarray           #: (W,)
-    node_w: np.ndarray               #: (W,) body power components
+    structure: _Structure
+    points: list                     #: effective OperatingPoint per row
+    base_times: np.ndarray           #: (G, W)
+    node_w: np.ndarray               #: (G, W) body power components
     package_w: np.ndarray
     dram_w: np.ndarray
-    cpu_fraction: np.ndarray         #: (W,)
-    probe_node_w: float
-    probe_package_w: float
-    probe_dram_w: float
+    cpu_fraction: np.ndarray         #: (G, W)
+    probe_node_w: np.ndarray         #: (G,) probe power components
+    probe_package_w: np.ndarray
+    probe_dram_w: np.ndarray
 
 
-def _evaluate_config(
-    structure: _Structure, power_model: PowerModel, point
-) -> _ConfigEval:
-    """Timing and power of every work region at one operating point.
+#: Priced block arrays per power model, keyed by everything else they
+#: depend on.  A live node's solo runs price one structure at one
+#: operating point run after run; a fresh-node model lives for one
+#: fleet pass, and its entries with it.
+_PRICED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    ``region_timing`` is memoised and the power model's breakdown cache
-    is shared by every evaluation against it, so repeated grids (and
-    the probe breakdown within one) are dictionary hits.
+
+def _evaluate_block(
+    structure: _Structure, power_model: PowerModel, points: list
+) -> _BlockEval:
+    """Timing and power of every work region at G operating points.
+
+    One :func:`~repro.execution.timing.region_timings` and one
+    :meth:`~repro.hardware.power.PowerModel.power_array` call price the
+    whole ``(G, W)`` block; every element equals the scalar model at its
+    point bit for bit.  The arrays are shared read-only through a memo.
     """
-    threads, core_ghz, uncore_ghz = (
-        point.threads, point.core_freq_ghz, point.uncore_freq_ghz
+    memo = _PRICED.setdefault(power_model, {})
+    key = (structure.work_chars, structure.any_probed, tuple(points))
+    arrays = memo.get(key)
+    if arrays is None:
+        if len(memo) >= 256:
+            memo.clear()
+        arrays = memo[key] = _price_block(*key, power_model)
+    return _BlockEval(structure, points, *arrays)
+
+
+def _price_block(work_chars, probed: bool, points, power_model) -> tuple:
+    threads = [p.threads for p in points]
+    core = [p.core_freq_ghz for p in points]
+    uncore = [p.uncore_freq_ghz for p in points]
+    timing = region_timings(
+        work_chars, threads=threads, core_freq_ghz=core, uncore_freq_ghz=uncore
     )
-    timings: list[RegionTiming] = []
-    rows = []  # per work row: the five numbers, filled into arrays once
-    for slot in structure.work_slots:
-        timing = region_timing(
-            structure.regions[slot].characteristics,
-            threads=threads,
-            core_freq_ghz=core_ghz,
-            uncore_freq_ghz=uncore_ghz,
-        )
-        breakdown = power_model.power(
-            core_freq_ghz=core_ghz,
-            uncore_freq_ghz=uncore_ghz,
+    power = power_model.power_array(
+        core_freq_ghz=core,
+        uncore_freq_ghz=uncore,
+        active_threads=threads,
+        core_activity=timing.core_activity,
+        uncore_activity=timing.uncore_activity,
+        membw_gbs=timing.membw_gbs,
+    )
+    node_w = power.node_w
+    probe_w = [np.zeros(len(points))] * 3
+    if probed:
+        probe = power_model.power_array(
+            core_freq_ghz=core,
+            uncore_freq_ghz=uncore,
             active_threads=threads,
-            core_activity=timing.core_activity,
-            uncore_activity=timing.uncore_activity,
-            membw_gbs=timing.membw_gbs,
-        )
-        timings.append(timing)
-        node_w = breakdown.node_w
-        rows.append(
-            (
-                timing.time_s,
-                node_w,
-                breakdown.rapl_package_w,
-                breakdown.rapl_dram_w,
-                breakdown.cpu_w / node_w,
-            )
-        )
-    base_times, node_w, package_w, dram_w, cpu_fraction = (
-        np.array(rows, dtype=float).reshape(-1, 5).T
-    )
-    probe_node_w = probe_package_w = probe_dram_w = 0.0
-    if structure.any_probed:
-        breakdown = power_model.power(
-            core_freq_ghz=point.core_freq_ghz,
-            uncore_freq_ghz=point.uncore_freq_ghz,
-            active_threads=point.threads,
             core_activity=1.0,
             uncore_activity=0.1,
-            membw_gbs=0.0,
+            membw_gbs=np.zeros((len(points), 1)),
         )
-        probe_node_w = breakdown.node_w
-        probe_package_w = breakdown.rapl_package_w
-        probe_dram_w = breakdown.rapl_dram_w
-    return _ConfigEval(
-        point=point,
-        timings=timings,
-        base_times=base_times,
-        node_w=node_w,
-        package_w=package_w,
-        dram_w=dram_w,
-        cpu_fraction=cpu_fraction,
-        probe_node_w=probe_node_w,
-        probe_package_w=probe_package_w,
-        probe_dram_w=probe_dram_w,
+        probe_w = [
+            w[:, 0] for w in (probe.node_w, probe.rapl_package_w, probe.rapl_dram_w)
+        ]
+    arrays = (
+        timing.time_s,
+        node_w,
+        power.rapl_package_w,
+        power.rapl_dram_w,
+        power.cpu_w / node_w,
+        *probe_w,
     )
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
-def _fill_seeds(
-    work_names, out: np.ndarray, node_id: int, run_key: tuple, seed: int
+def _seed_digests(
+    out: list, work_names, iterations: int, node_id: int, run_key: tuple,
+    seed: int,
 ) -> None:
-    """Fill one run's (work region x iteration) keyed time-noise seeds,
-    one row per work region name, hashing the run's prefix once."""
+    """Append one run's (work region x iteration) keyed time-noise seed
+    digests to ``out``, row-major, hashing the run's prefix once."""
     run_prefix = StreamPrefix("time", node_id, run_key, seed=seed)
-    for row, name in enumerate(work_names):
-        run_prefix.extend(name).fill_iteration_seeds(out[row])
+    for name in work_names:
+        out.extend(run_prefix.extend(name).iteration_digests(iterations))
 
 
 @dataclass
@@ -293,46 +300,54 @@ class _FlatBlock:
     dram_w: np.ndarray
 
 
-def _flatten_block(
-    structure: _Structure, evaluations: list, noise: np.ndarray
-) -> _FlatBlock:
-    """Flatten G evaluations of one structure with their (G, W, I) noise.
+def _flatten_block(block: _BlockEval, noise: np.ndarray) -> _FlatBlock:
+    """Flatten a priced block with its (G, W, I) noise.
 
     Every row is the exact charge sequence (body and probe charges in
     traversal order, iteration-major) that one run charges; the
     per-charge values are copies, so rows are bit-identical to
     flattening each run on its own.
     """
+    structure = block.structure
     runs, _, iterations = noise.shape
     num_charges = len(structure.charges)
-    base_times = np.array([e.base_times for e in evaluations]).reshape(runs, -1)
-    durations_work = base_times[:, :, None] * noise
+    durations_work = block.base_times[:, :, None] * noise
     charges = np.empty((runs, iterations, num_charges))
     charges[:, :, structure.body_cols] = durations_work.transpose(0, 2, 1)
     charges[:, :, structure.probe_cols] = structure.probe_per_iteration
 
-    def powers(work_attr: str, probe_attr: str) -> np.ndarray:
+    def powers(work: np.ndarray, probe: np.ndarray) -> np.ndarray:
         table = np.empty((runs, iterations, num_charges))
-        table[:, :, structure.body_cols] = np.array(
-            [getattr(e, work_attr) for e in evaluations]
-        ).reshape(runs, 1, -1)
-        table[:, :, structure.probe_cols] = np.array(
-            [getattr(e, probe_attr) for e in evaluations]
-        )[:, None, None]
+        table[:, :, structure.body_cols] = work[:, None, :]
+        table[:, :, structure.probe_cols] = probe[:, None, None]
         return table.reshape(runs, iterations * num_charges)
 
     return _FlatBlock(
         durations_work=durations_work,
         durations=charges.reshape(runs, iterations * num_charges),
-        node_w=powers("node_w", "probe_node_w"),
-        package_w=powers("package_w", "probe_package_w"),
-        dram_w=powers("dram_w", "probe_dram_w"),
+        node_w=powers(block.node_w, block.probe_node_w),
+        package_w=powers(block.package_w, block.probe_package_w),
+        dram_w=powers(block.dram_w, block.probe_dram_w),
     )
 
 
-def _structure_slots(structure: _Structure, evaluated: _ConfigEval) -> tuple:
-    """A structure priced at one operating point, as the compiled slots
-    of a one-pattern control schedule."""
+def _structure_slots(block: _BlockEval, g: int) -> tuple:
+    """Row ``g`` of a priced block, as the compiled slots of a
+    one-pattern control schedule.  The rows' RegionTiming payloads come
+    from the memoised scalar model, and only here: grid sweeps that
+    never materialise instance rows never pay for them."""
+    structure = block.structure
+    point = block.points[g]
+    timings = [
+        region_timing(
+            chars,
+            threads=point.threads,
+            core_freq_ghz=point.core_freq_ghz,
+            uncore_freq_ghz=point.uncore_freq_ghz,
+        )
+        for chars in structure.work_chars
+    ]
+    probe_node_w = block.probe_node_w[g].item()
     slots = []
     for k, region in enumerate(structure.regions):
         row = structure.work_index[k]
@@ -343,14 +358,14 @@ def _structure_slots(structure: _Structure, evaluated: _ConfigEval) -> tuple:
                 children=structure.children[k],
                 has_work=work,
                 probed=structure.probed[k],
-                timing=evaluated.timings[row] if work else None,
-                base_time_s=evaluated.base_times[row] if work else 0.0,
-                node_w=evaluated.node_w[row] if work else 0.0,
-                cpu_fraction=evaluated.cpu_fraction[row] if work else 0.0,
+                timing=timings[row] if work else None,
+                base_time_s=block.base_times[g, row] if work else 0.0,
+                node_w=block.node_w[g, row] if work else 0.0,
+                cpu_fraction=block.cpu_fraction[g, row] if work else 0.0,
                 probe_s=structure.probe_s[k],
-                probe_node_w=evaluated.probe_node_w,
+                probe_node_w=probe_node_w,
                 work_index=row,
-                point=evaluated.point,
+                point=point,
                 charge_start=structure.charge_start[k],
                 charge_end=structure.charge_end[k],
             )
@@ -365,7 +380,8 @@ class _ReplayState:
     rows, so it is its run's deferred instance-log producer."""
 
     structure: _Structure
-    evaluated: _ConfigEval
+    block: _BlockEval
+    row: int                     #: the run's row in ``block``
     iterations: int
     durations_work: np.ndarray   #: (W, I) noisy body durations
     timeline: np.ndarray         #: clock after each charge, leading start
@@ -373,7 +389,7 @@ class _ReplayState:
     def __call__(self) -> list:
         structure = self.structure
         span = (
-            _structure_slots(structure, self.evaluated),
+            _structure_slots(self.block, self.row),
             len(structure.charges),
             0,
             self.iterations,

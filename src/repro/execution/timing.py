@@ -13,12 +13,22 @@ paper's qualitative behaviour: compute-bound regions can lower UFS until
 ``t_m`` emerges from under ``t_c`` (interior UCF optimum); memory-bound
 regions can lower CF until ``t_c`` emerges from under ``t_m`` (interior
 CF optimum); and both suffer when either knob goes too low.
+
+:func:`region_timing` evaluates one region at one operating point and
+:func:`region_timings` a whole block — G operating points by W regions
+— as arrays, in the same IEEE operation order, so every element is
+bit-identical to the scalar call.  The fleet kernel prices uncontrolled
+runs with the array form; controlled schedules (which switch the
+operating point region by region) and the recursive engine use the
+scalar one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from repro import config
 from repro.execution.speedup import memory_bandwidth_gbs, thread_speedup
@@ -53,10 +63,11 @@ def region_timing(
 ) -> RegionTiming:
     """Evaluate the timing model for one region instance.
 
-    The model is a pure function of frozen inputs and the simulator
-    re-evaluates it once per region *instance* (phase iterations times
-    regions per run), so results are memoised; callers receive a shared
-    frozen :class:`RegionTiming`.
+    The model is a pure function of frozen inputs.  Its callers — a
+    controlled schedule's compile walk, the recursive engine, and the
+    lazy instance rows of fleet runs — evaluate the same few (region,
+    operating point) pairs over and over, so results are memoised;
+    callers receive a shared frozen :class:`RegionTiming`.
     """
     return _region_timing_cached(chars, threads, core_freq_ghz, uncore_freq_ghz)
 
@@ -91,4 +102,70 @@ def _region_timing_cached(
         threads=threads,
         core_freq_ghz=core_freq_ghz,
         uncore_freq_ghz=uncore_freq_ghz,
+    )
+
+
+def region_timings(
+    chars,
+    *,
+    threads,
+    core_freq_ghz,
+    uncore_freq_ghz,
+) -> RegionTiming:
+    """Evaluate the timing model for W regions at G operating points.
+
+    ``chars`` holds the W regions' characteristics; ``threads``,
+    ``core_freq_ghz`` and ``uncore_freq_ghz`` hold one value per
+    operating point.  Returns a :class:`RegionTiming` whose time,
+    activity and bandwidth fields are ``(G, W)`` arrays and whose
+    operating-point fields are ``(G, 1)`` columns.  Element ``[g, w]``
+    equals :func:`region_timing` of region ``w`` at point ``g`` bit for
+    bit: each elementwise operation is the scalar path's, in its order.
+    """
+    threads = list(threads)
+    for t in threads:
+        if t <= 0:
+            raise ValueError(f"threads must be positive, got {t}")
+    # The bandwidth depends on the operating point alone: the scalar
+    # model, once per distinct (uncore frequency, threads) pair.
+    pairs = list(zip(uncore_freq_ghz, threads))
+    memo = {pair: memory_bandwidth_gbs(*pair) for pair in dict.fromkeys(pairs)}
+    bandwidth = np.array([memo[pair] for pair in pairs]).reshape(-1, 1)
+    core = np.asarray(core_freq_ghz, dtype=float).reshape(-1, 1)
+    t = np.asarray(threads, dtype=float).reshape(-1, 1)
+    cycles, memory_bytes, o, p, sigma = np.array(
+        [
+            (
+                c.compute_cycles,
+                c.memory_bytes,
+                c.overlap,
+                c.parallel_fraction,
+                c.thread_overhead,
+            )
+            for c in chars
+        ],
+        dtype=float,
+    ).reshape(-1, 5).T
+
+    # thread_speedup, per region and point
+    speedup = 1.0 / ((1.0 - p) + p / t + sigma * (t - 1.0))
+    t_c = cycles / (core * 1e9 * speedup)
+    t_m = memory_bytes / (bandwidth * 1e9)
+    time_s = o * np.maximum(t_c, t_m) + (1.0 - o) * (t_c + t_m)
+    positive = time_s > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        busy_frac = np.where(positive, np.minimum(1.0, t_c / time_s), 0.0)
+        achieved_gbs = np.where(positive, memory_bytes / time_s / 1e9, 0.0)
+    core_activity = busy_frac + config.STALLED_CORE_ACTIVITY * (1.0 - busy_frac)
+    uncore_activity = np.minimum(1.0, achieved_gbs / config.PEAK_MEMBW_GBS)
+    return RegionTiming(
+        time_s=time_s,
+        compute_time_s=t_c,
+        memory_time_s=t_m,
+        core_activity=core_activity,
+        uncore_activity=uncore_activity,
+        membw_gbs=achieved_gbs,
+        threads=np.asarray(threads).reshape(-1, 1),
+        core_freq_ghz=core,
+        uncore_freq_ghz=np.asarray(uncore_freq_ghz, dtype=float).reshape(-1, 1),
     )

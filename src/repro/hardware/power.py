@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import config
 from repro.util.rng import rng_for
 from repro.util.validation import check_fraction, check_positive
@@ -59,7 +61,11 @@ class NodeVariability:
 
 @dataclass(frozen=True)
 class PowerBreakdown:
-    """Instantaneous node power split into its components (watts)."""
+    """Instantaneous node power split into its components (watts).
+
+    :meth:`PowerModel.power_array` fills the fields with arrays; the
+    derived totals below then hold elementwise, in the same order.
+    """
 
     static_w: float
     core_dynamic_w: float
@@ -130,8 +136,23 @@ class PowerModel:
         for a core retiring at full tilt, lower when stalled on memory
         (stalled cores still clock but large units idle).
         """
-        check_positive("core_freq_ghz", core_freq_ghz)
+        scale = self._core_scale(core_freq_ghz, active_threads)
         check_fraction("core_activity", core_activity)
+        return scale * core_activity * self.variability.dynamic_factor
+
+    def uncore_dynamic_power_w(self, uncore_freq_ghz: float, uncore_activity: float) -> float:
+        """Dynamic power of the uncore (L3, ring, memory controllers)."""
+        scale = self._uncore_scale(uncore_freq_ghz)
+        check_fraction("uncore_activity", uncore_activity)
+        act = _uncore_activity_factor(uncore_activity)
+        return scale * act * self.variability.dynamic_factor
+
+    # The frequency polynomials take Python floats, in the array path
+    # too: ``float ** 3`` is C ``pow``, which ``np.power`` does not
+    # promise to match.
+    def _core_scale(self, core_freq_ghz: float, active_threads: int) -> float:
+        """The active cores' dynamic power before activity and variability."""
+        check_positive("core_freq_ghz", core_freq_ghz)
         if not 0 <= active_threads <= self.num_cores:
             raise ValueError(
                 f"active_threads must be in [0, {self.num_cores}], got {active_threads}"
@@ -140,23 +161,21 @@ class PowerModel:
             config.CORE_DYN_CUBE_W_PER_GHZ3 * core_freq_ghz**3
             + config.CORE_DYN_LIN_W_PER_GHZ * core_freq_ghz
         )
-        return active_threads * per_core * core_activity * self.variability.dynamic_factor
+        return active_threads * per_core
 
-    def uncore_dynamic_power_w(self, uncore_freq_ghz: float, uncore_activity: float) -> float:
-        """Dynamic power of the uncore (L3, ring, memory controllers)."""
+    def _uncore_scale(self, uncore_freq_ghz: float) -> float:
+        """The uncores' dynamic power before activity and variability."""
         check_positive("uncore_freq_ghz", uncore_freq_ghz)
-        check_fraction("uncore_activity", uncore_activity)
         per_socket = (
             config.UNCORE_DYN_CUBE_W_PER_GHZ3 * uncore_freq_ghz**3
             + config.UNCORE_DYN_LIN_W_PER_GHZ * uncore_freq_ghz
         )
-        act = config.UNCORE_IDLE_ACTIVITY + (1.0 - config.UNCORE_IDLE_ACTIVITY) * uncore_activity
-        return self.num_sockets * per_socket * act * self.variability.dynamic_factor
+        return self.num_sockets * per_socket
 
     def dram_power_w(self, membw_gbs: float) -> float:
         """DRAM power: background refresh plus traffic-proportional term."""
         check_positive("membw_gbs", membw_gbs, strict=False)
-        return config.DRAM_BACKGROUND_POWER_W + config.DRAM_POWER_W_PER_GBS * membw_gbs
+        return _dram_w(membw_gbs)
 
     def power(
         self,
@@ -194,6 +213,39 @@ class PowerModel:
         self._breakdown_cache[key] = breakdown
         return breakdown
 
+    def power_array(
+        self,
+        *,
+        core_freq_ghz,
+        uncore_freq_ghz,
+        active_threads,
+        core_activity,
+        uncore_activity,
+        membw_gbs,
+    ) -> PowerBreakdown:
+        """:meth:`power` at G operating points at once.
+
+        ``core_freq_ghz``, ``uncore_freq_ghz`` and ``active_threads``
+        hold one value per point; the activities and the bandwidth are
+        ``(G, W)`` arrays (or broadcast to them).  Returns a
+        :class:`PowerBreakdown` of arrays whose every element equals the
+        scalar breakdown bit for bit: the per-point factors come from the
+        scalar path's helpers (validation included), once per distinct
+        input, and the rest is elementwise in the scalar order.
+        """
+        cores = list(zip(core_freq_ghz, active_threads))
+        core_scale = _per_point(self._core_scale, cores)
+        uncore_scale = _per_point(self._uncore_scale, [(f,) for f in uncore_freq_ghz])
+        dynamic = self.variability.dynamic_factor
+        uncore_act = _uncore_activity_factor(uncore_activity)
+        return PowerBreakdown(
+            static_w=config.NODE_IDLE_POWER_W * self.variability.static_factor,
+            core_dynamic_w=core_scale * core_activity * dynamic,
+            uncore_dynamic_w=uncore_scale * uncore_act * dynamic,
+            dram_w=_dram_w(membw_gbs),
+            blade_w=config.BLADE_POWER_W,
+        )
+
     def idle_power(self, core_freq_ghz: float, uncore_freq_ghz: float) -> PowerBreakdown:
         """Node power with no workload running."""
         return self.power(
@@ -204,3 +256,21 @@ class PowerModel:
             uncore_activity=0.0,
             membw_gbs=0.0,
         )
+
+
+def _per_point(scale, args: list) -> np.ndarray:
+    """``scale(*a)`` for each ``a`` as a column, evaluated once per
+    distinct argument tuple."""
+    memo = {a: scale(*a) for a in dict.fromkeys(args)}
+    return np.array([memo[a] for a in args]).reshape(-1, 1)
+
+
+# Formulas shared by the scalar and the array path.
+
+def _uncore_activity_factor(uncore_activity):
+    idle = config.UNCORE_IDLE_ACTIVITY
+    return idle + (1.0 - idle) * uncore_activity
+
+
+def _dram_w(membw_gbs):
+    return config.DRAM_BACKGROUND_POWER_W + config.DRAM_POWER_W_PER_GBS * membw_gbs

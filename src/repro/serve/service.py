@@ -484,45 +484,28 @@ class TuningService:
         return ("ok", [answer.payload() for answer in answers], None)
 
     async def _execute_group(self, group: list[api.TuningRequest]) -> None:
-        dispatch = pooling.GroupDispatch()
-        self._dispatches.add(dispatch)
-        coalesced = len(group) - 1
-        try:
-            try:
-                outcome = await self._dispatch_group(group, dispatch)
-            except asyncio.CancelledError:
-                if not dispatch.cancelled:
-                    raise
-                # Drain deadline: this group never started executing.
-                self.metrics.drain_cancelled += len(group)
-                response = error_response(
-                    "draining",
-                    "the drain deadline expired before this queued "
-                    "group started; resubmit against another instance",
-                )
-                for request in group:
-                    self._resolve(request, dict(response))
-                return
-            except ReproError as exc:
-                outcome = ("error", pooling.failure_envelope(exc), None)
-            except Exception as exc:  # pool broken beyond its respawn budget
-                outcome = (
-                    "error",
-                    error_response(
-                        "internal",
-                        f"worker pool failed executing this group: {exc}",
-                    ),
-                    None,
-                )
-        finally:
-            self._dispatches.discard(dispatch)
+        """Execute one group and answer its waiters.
+
+        A group of several requests that comes back with an error is
+        re-dispatched one request at a time, in admission order and on
+        the same slot: one member's failure (an injected fault, a store
+        error) must not fail its batch-mates, so only a request that
+        fails alone keeps its error.
+        """
+        outcome = await self._run_dispatch(group)
+        if outcome is None:
+            return
         if outcome[0] == "error":
+            if len(group) > 1:
+                for request in group:
+                    await self._execute_group([request])
+                return
             envelope = outcome[1]
             if envelope["error"]["code"] == "quarantined":
-                self.metrics.quarantined += len(group)
-            for request in group:
-                self._resolve(request, dict(envelope))
+                self.metrics.quarantined += 1
+            self._resolve(group[0], dict(envelope))
             return
+        coalesced = len(group) - 1
         for request, payload in zip(group, outcome[1]):
             self._resolve(
                 request,
@@ -530,6 +513,41 @@ class TuningService:
                     payload, meta={"cached": False, "coalesced": coalesced}
                 ),
             )
+
+    async def _run_dispatch(self, group: list[api.TuningRequest]) -> tuple | None:
+        """Dispatch one group; returns its outcome tuple, or ``None``
+        when the drain deadline cancelled it before it started (its
+        waiters are then already answered with ``draining``)."""
+        dispatch = pooling.GroupDispatch()
+        self._dispatches.add(dispatch)
+        try:
+            return await self._dispatch_group(group, dispatch)
+        except asyncio.CancelledError:
+            if not dispatch.cancelled:
+                raise
+            # Drain deadline: this group never started executing.
+            self.metrics.drain_cancelled += len(group)
+            response = error_response(
+                "draining",
+                "the drain deadline expired before this queued "
+                "group started; resubmit against another instance",
+            )
+            for request in group:
+                self._resolve(request, dict(response))
+            return None
+        except ReproError as exc:
+            return ("error", pooling.failure_envelope(exc), None)
+        except Exception as exc:  # pool broken beyond its respawn budget
+            return (
+                "error",
+                error_response(
+                    "internal",
+                    f"worker pool failed executing this group: {exc}",
+                ),
+                None,
+            )
+        finally:
+            self._dispatches.discard(dispatch)
 
     def _resolve(self, request: api.TuningRequest, response: dict) -> None:
         entry = self._inflight.pop(request, None)

@@ -120,20 +120,29 @@ class StreamPrefix:
         self.fill_iteration_seeds(out)
         return out
 
-    def fill_iteration_seeds(self, out: np.ndarray) -> None:
-        """Fill ``out`` with the seeds for suffixes ``0 .. len(out)-1``.
+    def iteration_digests(self, iterations: int) -> list[bytes]:
+        """The 8-byte little-endian digests behind the seeds for
+        suffixes ``0 .. iterations-1``.
 
-        The fleet kernel derives one seed row per (run, work region);
-        filling caller-owned rows avoids a temporary per row.  Digesting ``repr(i)`` and the separator in one update is
-        byte-identical to the two-update form of :meth:`seed_for`.
+        The fleet kernel joins every run's digests into one buffer and
+        reads it as ``uint64`` once.  Digesting ``repr(i)`` and the
+        separator in one update is byte-identical to the two-update
+        form of :meth:`seed_for`.
         """
         base = self._h
-        suffixes = _iteration_suffixes(len(out))
-        from_bytes = int.from_bytes
-        for i, suffix in enumerate(suffixes):
+        digests = []
+        append = digests.append
+        for suffix in _iteration_suffixes(iterations):
             h = base.copy()
             h.update(suffix)
-            out[i] = from_bytes(h.digest(), "little")
+            append(h.digest())
+        return digests
+
+    def fill_iteration_seeds(self, out: np.ndarray) -> None:
+        """Fill ``out`` with the seeds for suffixes ``0 .. len(out)-1``."""
+        out[:] = np.frombuffer(
+            b"".join(self.iteration_digests(len(out))), dtype="<u8"
+        )
 
 
 # ---------------------------------------------------------------------------

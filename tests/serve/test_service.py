@@ -487,3 +487,54 @@ class TestAdmissionValidation:
         offline = api.tune(api.TuningRequest("EP", stride=7))
         assert good["result"] == offline.payload()
         assert batcher.admitted == 1
+
+
+class TestExecutionFailureIsolation:
+    """Regression: one member failing in execution (for a reason
+    admission cannot see) used to fail its whole coalesced group.  A
+    failed group of several requests is now re-dispatched one request
+    at a time, so only the request that fails alone keeps its error."""
+
+    FAULT = [{"action": "raise", "app": "Mcb", "attempts": "all"}]
+
+    def solo_mcb_error(self, tmp_path):
+        async def scenario():
+            service = TuningService(store=ResultStore(tmp_path / "solo.sqlite"))
+            response = await service.handle(dict(EP, benchmark="Mcb"))
+            await service.aclose()
+            return response
+
+        return run(scenario())["error"]["code"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_member_does_not_fail_its_batch_mates(
+        self, workers, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", json.dumps(self.FAULT))
+        # With two slots the group splits by grid key round-robin, so
+        # EP and Mcb (first and third grids) still share one part.
+        names = ["EP", "FT", "Mcb"] if workers > 1 else ["EP", "Mcb"]
+
+        async def scenario():
+            service = TuningService(
+                store=ResultStore(tmp_path / "group.sqlite"), workers=workers
+            )
+            responses = await asyncio.gather(
+                *(service.handle(dict(EP, benchmark=n)) for n in names)
+            )
+            await service.aclose()
+            return service, dict(zip(names, responses))
+
+        service, responses = run(scenario())
+        assert service.workers == workers
+        assert service.batcher.coalesced == len(names) - 1
+        for name in names[:-1]:
+            assert responses[name]["status"] == "ok", responses[name]
+            offline = api.tune(api.TuningRequest(name, stride=7))
+            assert responses[name]["result"] == offline.payload()
+        mcb = responses["Mcb"]
+        assert mcb["status"] == "error"
+        assert mcb["error"]["code"] == self.solo_mcb_error(tmp_path)
+        assert "Mcb" in mcb["error"]["message"]
+        quarantined = mcb["error"]["code"] == "quarantined"
+        assert service.metrics.quarantined == int(quarantined)

@@ -75,6 +75,34 @@ class TestStreamPrefix:
         prefix.seed_for(99)
         assert prefix.seed_for(0) == first
 
+    # 100 -> 101 is where the integer suffix gains a digit.
+    @pytest.mark.parametrize("n", [0, 1, 10, 100, 101])
+    def test_fill_iteration_seeds_lengths(self, n):
+        prefix = StreamPrefix("time", 5, ("grid", 2.0, 1.8), "r", seed=9)
+        out = np.full(n, 7, dtype=np.uint64)
+        prefix.fill_iteration_seeds(out)
+        assert out.tolist() == [prefix.seed_for(i) for i in range(n)]
+        assert out.tolist() == [
+            stable_hash(9, "time", 5, ("grid", 2.0, 1.8), "r", i)
+            for i in range(n)
+        ]
+
+    def test_fill_iteration_seeds_into_a_row_view(self):
+        prefix = StreamPrefix("time", 1, (), seed=3)
+        buffer = np.zeros((3, 101), dtype=np.uint64)
+        prefix.extend("b").fill_iteration_seeds(buffer[1])
+        assert not buffer[0].any() and not buffer[2].any()
+        assert buffer[1].tolist() == [
+            stable_hash(3, "time", 1, (), "b", i) for i in range(101)
+        ]
+
+    def test_iteration_digests_are_the_seed_bytes(self):
+        prefix = StreamPrefix("time", 0, (), "r", seed=2)
+        digests = prefix.iteration_digests(101)
+        assert [int.from_bytes(d, "little") for d in digests] == [
+            prefix.seed_for(i) for i in range(101)
+        ]
+
 
 class TestBatchedDraws:
     """The replay fast path's RNG layer must be bit-identical to the

@@ -18,7 +18,10 @@ resolve their effective operating point and power model — one per node
 recipe, or, live, the node's own at its current frequencies.  Members
 sharing a structure and a power model form one block, priced in one
 array pass (:func:`~repro.execution.replay._evaluate_block`: ``(members
-x work regions)`` timings and power components).  Controller-driven
+x work regions)`` timings and power components).  A live member is a
+block of one whose node keeps its last priced block
+(:func:`~repro.execution.replay._evaluate_on_node`), so repeated solo
+runs of one application at one operating point price once.  Controller-driven
 members compile their switch schedule
 (:func:`~repro.execution.controlled_replay.compile_schedule_by_walk`
 via the controller's ``compile_schedule`` protocol) against a real
@@ -77,6 +80,7 @@ from repro.execution.replay import (
     _compile_structure,
     _effective_frequency,
     _evaluate_block,
+    _evaluate_on_node,
     _flatten_block,
     _ReplayState,
     _seed_digests,
@@ -528,9 +532,12 @@ def fleet_run(members) -> FleetReplay:
         first = part[0]
         if first.kind == "uncontrolled":
             compiled = first.structure
-            block = _evaluate_block(
-                compiled, first.power_model, [plan.point for plan in part]
-            )
+            if first.node is None:
+                block = _evaluate_block(
+                    compiled, first.power_model, [plan.point for plan in part]
+                )
+            else:  # a live member: a block of one on its node's model
+                block = _evaluate_on_node(compiled, first.power_model, first.point)
             for g, plan in enumerate(part):
                 plan.block, plan.row = block, g
         else:

@@ -42,7 +42,7 @@ equivalence down across applications, operating points and nodes.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -209,13 +209,6 @@ class _BlockEval:
     probe_dram_w: np.ndarray
 
 
-#: Priced block arrays per power model, keyed by everything else they
-#: depend on.  A live node's solo runs price one structure at one
-#: operating point run after run; a fresh-node model lives for one
-#: fleet pass, and its entries with it.
-_PRICED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _evaluate_block(
     structure: _Structure, power_model: PowerModel, points: list
 ) -> _BlockEval:
@@ -224,24 +217,16 @@ def _evaluate_block(
     One :func:`~repro.execution.timing.region_timings` and one
     :meth:`~repro.hardware.power.PowerModel.power_array` call price the
     whole ``(G, W)`` block; every element equals the scalar model at its
-    point bit for bit.  The arrays are shared read-only through a memo.
+    point bit for bit.
     """
-    memo = _PRICED.setdefault(power_model, {})
-    key = (structure.work_chars, structure.any_probed, tuple(points))
-    arrays = memo.get(key)
-    if arrays is None:
-        if len(memo) >= 256:
-            memo.clear()
-        arrays = memo[key] = _price_block(*key, power_model)
-    return _BlockEval(structure, points, *arrays)
-
-
-def _price_block(work_chars, probed: bool, points, power_model) -> tuple:
     threads = [p.threads for p in points]
     core = [p.core_freq_ghz for p in points]
     uncore = [p.uncore_freq_ghz for p in points]
     timing = region_timings(
-        work_chars, threads=threads, core_freq_ghz=core, uncore_freq_ghz=uncore
+        structure.work_chars,
+        threads=threads,
+        core_freq_ghz=core,
+        uncore_freq_ghz=uncore,
     )
     power = power_model.power_array(
         core_freq_ghz=core,
@@ -251,9 +236,8 @@ def _price_block(work_chars, probed: bool, points, power_model) -> tuple:
         uncore_activity=timing.uncore_activity,
         membw_gbs=timing.membw_gbs,
     )
-    node_w = power.node_w
     probe_w = [np.zeros(len(points))] * 3
-    if probed:
+    if structure.any_probed:
         probe = power_model.power_array(
             core_freq_ghz=core,
             uncore_freq_ghz=uncore,
@@ -265,17 +249,39 @@ def _price_block(work_chars, probed: bool, points, power_model) -> tuple:
         probe_w = [
             w[:, 0] for w in (probe.node_w, probe.rapl_package_w, probe.rapl_dram_w)
         ]
-    arrays = (
+    return _BlockEval(
+        structure,
+        points,
         timing.time_s,
-        node_w,
+        power.node_w,
         power.rapl_package_w,
         power.rapl_dram_w,
-        power.cpu_w / node_w,
+        power.cpu_w / power.node_w,
         *probe_w,
     )
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
+
+
+#: The last block priced on each live node's power model, keyed by what
+#: its arrays depend on.  A live node's solo runs price one structure at
+#: one operating point run after run; fresh-node models live for one
+#: fleet pass and are never looked up here.
+_LAST_PRICED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _evaluate_on_node(
+    structure: _Structure, power_model: PowerModel, point
+) -> _BlockEval:
+    """A live member's block of one, reusing its node's last priced
+    arrays (read-only, shared) when the work and the point repeat."""
+    key = (structure.work_chars, structure.any_probed, point)
+    last = _LAST_PRICED.get(power_model)
+    if last is None or last[0] != key:
+        block = _evaluate_block(structure, power_model, [point])
+        for value in vars(block).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        last = _LAST_PRICED[power_model] = (key, block)
+    return replace(last[1], structure=structure)
 
 
 def _seed_digests(

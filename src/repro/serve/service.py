@@ -91,6 +91,12 @@ DEFAULT_DRAIN_DEADLINE_S = 30.0
 #: ``deadline_s=None`` (wait forever) in :meth:`TuningService.drain`.
 _UNSET: Any = object()
 
+#: Error codes one group member can cause on its own (a ``ReproError``
+#: in execution); only these are retried one request at a time.  An
+#: ``internal`` failure (the pool broken past its respawn budget) has a
+#: shared cause and answers the whole group at once.
+_MEMBER_FAILURES = frozenset({"execution-error", "quarantined"})
+
 
 @dataclass
 class ServiceMetrics:
@@ -194,6 +200,8 @@ class TuningService:
         )
         self._inflight: dict[api.TuningRequest, _Inflight] = {}
         self._draining = False
+        #: Set when the drain deadline fires; no solo retry starts after.
+        self._drain_expired = False
         self.drain_deadline_s = drain_deadline_s
         #: The pending group's next-tick firing, armed while a slot is free.
         self._fire_handle: asyncio.Handle | None = None
@@ -486,24 +494,27 @@ class TuningService:
     async def _execute_group(self, group: list[api.TuningRequest]) -> None:
         """Execute one group and answer its waiters.
 
-        A group of several requests that comes back with an error is
-        re-dispatched one request at a time, in admission order and on
-        the same slot: one member's failure (an injected fault, a store
-        error) must not fail its batch-mates, so only a request that
-        fails alone keeps its error.
+        A group of several requests that fails with an error one member
+        can cause (an injected fault, a quarantined job) is re-dispatched
+        one request at a time, in admission order and on the same slot,
+        so only a request that fails alone keeps its error.  Once the
+        drain deadline has fired no retry starts: the requests not yet
+        retried get the group's error, as does every member of a group
+        failing for a shared cause.
         """
         outcome = await self._run_dispatch(group)
         if outcome is None:
             return
         if outcome[0] == "error":
-            if len(group) > 1:
-                for request in group:
-                    await self._execute_group([request])
-                return
             envelope = outcome[1]
+            pending = list(group)
+            if len(group) > 1 and envelope["error"]["code"] in _MEMBER_FAILURES:
+                while pending and not self._drain_expired:
+                    await self._execute_group([pending.pop(0)])
             if envelope["error"]["code"] == "quarantined":
-                self.metrics.quarantined += 1
-            self._resolve(group[0], dict(envelope))
+                self.metrics.quarantined += len(pending)
+            for request in pending:
+                self._resolve(request, dict(envelope))
             return
         coalesced = len(group) - 1
         for request, payload in zip(group, outcome[1]):
@@ -564,6 +575,8 @@ class TuningService:
         structured ``draining`` error.  Groups already running always
         finish and answer normally — cancellation succeeds only on
         queued executor futures, so no in-progress work is interrupted.
+        A running group that fails after the deadline is not retried
+        request by request: each member gets the group's error.
         """
         self._draining = True
         if deadline_s is _UNSET:
@@ -574,6 +587,7 @@ class TuningService:
                 set(self._group_tasks), timeout=deadline_s
             )
             if pending:
+                self._drain_expired = True
                 for dispatch in list(self._dispatches):
                     dispatch.cancel()
                 # Cancelled groups resolve immediately with `draining`;

@@ -116,9 +116,9 @@ class StreamPrefix:
 
     def seeds_for_iterations(self, iterations: int) -> np.ndarray:
         """Seeds for integer suffixes ``0 .. iterations-1`` as ``uint64``."""
-        out = np.empty(iterations, dtype=np.uint64)
-        self.fill_iteration_seeds(out)
-        return out
+        return np.frombuffer(
+            b"".join(self.iteration_digests(iterations)), dtype="<u8"
+        ).astype(np.uint64)
 
     def iteration_digests(self, iterations: int) -> list[bytes]:
         """The 8-byte little-endian digests behind the seeds for
@@ -137,12 +137,6 @@ class StreamPrefix:
             h.update(suffix)
             append(h.digest())
         return digests
-
-    def fill_iteration_seeds(self, out: np.ndarray) -> None:
-        """Fill ``out`` with the seeds for suffixes ``0 .. len(out)-1``."""
-        out[:] = np.frombuffer(
-            b"".join(self.iteration_digests(len(out))), dtype="<u8"
-        )
 
 
 # ---------------------------------------------------------------------------

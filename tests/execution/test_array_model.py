@@ -15,7 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import config
-from repro.execution.replay import _compile_structure, _evaluate_block
+from repro.execution.replay import (
+    _compile_structure,
+    _evaluate_block,
+    _evaluate_on_node,
+)
 from repro.execution.simulator import OperatingPoint
 from repro.execution.timing import region_timing, region_timings
 from repro.hardware.power import NodeVariability, PowerModel
@@ -225,3 +229,26 @@ def test_array_checks_raise_the_scalar_errors():
         power(core=(0.0,))
     with pytest.raises(ValueError, match="uncore_freq_ghz must be > 0, got -1.0"):
         power(uncore=(-1.0,))
+
+
+def test_live_node_reuses_only_its_last_block():
+    """A live node re-prices nothing while the work and the point
+    repeat, and re-prices on either change."""
+    model = PowerModel(NodeVariability.sample(1))
+    ep = _compile_structure(registry.build("EP"), False, None)
+    point = OperatingPoint(2.5, 3.0, 24)
+    first = _evaluate_on_node(ep, model, point)
+    again = _compile_structure(registry.build("EP"), False, None)
+    reused = _evaluate_on_node(again, model, point)
+    assert reused.structure is again
+    assert reused.base_times is first.base_times
+    assert not first.base_times.flags.writeable
+    for structure, p in [
+        (ep, OperatingPoint(1.6, 3.0, 24)),
+        (_compile_structure(registry.build("Mcb"), False, None), point),
+    ]:
+        block = _evaluate_on_node(structure, model, p)
+        fresh = _evaluate_block(structure, model, [p])
+        assert block.base_times is not first.base_times
+        for name in ("base_times", "node_w", "package_w", "dram_w", "cpu_fraction"):
+            assert np.array_equal(getattr(block, name), getattr(fresh, name))

@@ -17,7 +17,7 @@ from repro import api
 from repro.campaign.engine import qualified_descriptor, topology_job_key
 from repro.campaign.resilience import FailureRecord, failure_descriptor
 from repro.campaign.store import ResultStore, job_key
-from repro.errors import SchemaError
+from repro.errors import CampaignError, SchemaError
 from repro.serve import batcher as batching
 from repro.serve.schema import WIRE_VERSION
 from repro.serve.service import TuningService
@@ -538,3 +538,63 @@ class TestExecutionFailureIsolation:
         assert "Mcb" in mcb["error"]["message"]
         quarantined = mcb["error"]["code"] == "quarantined"
         assert service.metrics.quarantined == int(quarantined)
+
+    @staticmethod
+    def failing_executor(monkeypatch, exc_type, gate=None):
+        """Make every executed group raise ``exc_type``; returns the
+        benchmarks of each executed group, in order."""
+        calls = []
+
+        def failing(requests, options=None):
+            calls.append([request.benchmark for request in requests])
+            if gate is not None:
+                gate.wait(timeout=10.0)
+            raise exc_type("boom")
+
+        monkeypatch.setattr(batching, "answer_group", failing)
+        return calls
+
+    def test_shared_cause_failure_answers_the_group_at_once(self, monkeypatch):
+        """An ``internal`` failure is no member's doing: no solo retry."""
+        calls = self.failing_executor(monkeypatch, RuntimeError)
+
+        async def scenario():
+            service = TuningService()
+            responses = await asyncio.gather(
+                *(service.handle(dict(EP, benchmark=n)) for n in ("EP", "Mcb"))
+            )
+            await service.aclose()
+            return responses
+
+        responses = run(scenario())
+        assert calls == [["EP", "Mcb"]]
+        assert [r["error"]["code"] for r in responses] == ["internal"] * 2
+
+    def test_group_failing_after_the_drain_deadline_is_not_retried(
+        self, monkeypatch
+    ):
+        """A group still running when the drain deadline fires and then
+        failing answers every member with its error: a solo retry would
+        register after the deadline's cancellation sweep and hold the
+        drain for one more execution per member."""
+        gate = threading.Event()
+        calls = self.failing_executor(monkeypatch, CampaignError, gate)
+
+        async def scenario():
+            service = TuningService()
+            handles = [
+                asyncio.create_task(service.handle(dict(EP, benchmark=n)))
+                for n in ("EP", "Mcb")
+            ]
+            await asyncio.sleep(0.02)  # the group is running, held
+            asyncio.get_running_loop().call_later(0.2, gate.set)
+            await service.drain(deadline_s=0.05)
+            responses = await asyncio.gather(*handles)
+            await service.aclose()
+            return service, responses
+
+        service, responses = run(scenario())
+        assert calls == [["EP", "Mcb"]]
+        codes = [r["error"]["code"] for r in responses]
+        assert codes == ["execution-error"] * 2
+        assert service.metrics.drain_cancelled == 0

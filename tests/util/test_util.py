@@ -77,24 +77,30 @@ class TestStreamPrefix:
 
     # 100 -> 101 is where the integer suffix gains a digit.
     @pytest.mark.parametrize("n", [0, 1, 10, 100, 101])
-    def test_fill_iteration_seeds_lengths(self, n):
+    def test_seeds_for_iterations_lengths(self, n):
         prefix = StreamPrefix("time", 5, ("grid", 2.0, 1.8), "r", seed=9)
-        out = np.full(n, 7, dtype=np.uint64)
-        prefix.fill_iteration_seeds(out)
-        assert out.tolist() == [prefix.seed_for(i) for i in range(n)]
-        assert out.tolist() == [
+        seeds = prefix.seeds_for_iterations(n)
+        assert seeds.dtype == np.uint64 and seeds.shape == (n,)
+        assert seeds.tolist() == [prefix.seed_for(i) for i in range(n)]
+        assert seeds.tolist() == [
             stable_hash(9, "time", 5, ("grid", 2.0, 1.8), "r", i)
             for i in range(n)
         ]
 
-    def test_fill_iteration_seeds_into_a_row_view(self):
+    def test_joined_digests_read_as_rows_of_a_2d_buffer(self):
+        """The fleet kernel joins several runs' digests into one buffer
+        and reads it as a 2-D ``uint64`` array, one row per run."""
         prefix = StreamPrefix("time", 1, (), seed=3)
-        buffer = np.zeros((3, 101), dtype=np.uint64)
-        prefix.extend("b").fill_iteration_seeds(buffer[1])
-        assert not buffer[0].any() and not buffer[2].any()
-        assert buffer[1].tolist() == [
-            stable_hash(3, "time", 1, (), "b", i) for i in range(101)
-        ]
+        names = ["a", "b", "c"]
+        joined = b"".join(
+            b"".join(prefix.extend(name).iteration_digests(101))
+            for name in names
+        )
+        buffer = np.frombuffer(joined, dtype="<u8").reshape(3, 101)
+        for row, name in zip(buffer, names):
+            assert row.tolist() == [
+                stable_hash(3, "time", 1, (), name, i) for i in range(101)
+            ]
 
     def test_iteration_digests_are_the_seed_bytes(self):
         prefix = StreamPrefix("time", 0, (), "r", seed=2)
@@ -204,14 +210,6 @@ class TestZigguratFastPath:
         for i, seed in enumerate(seeds):
             raw = np.random.default_rng(int(seed)).bit_generator.random_raw()
             assert int(outputs[i]) == int(raw)
-
-    def test_fill_iteration_seeds_matches_seeds_for_iterations(self):
-        prefix = StreamPrefix("time", 2, ("grid", 1.2, 1.3), "r", seed=4)
-        out = np.empty(12, dtype=np.uint64)
-        prefix.fill_iteration_seeds(out)
-        assert np.array_equal(out, prefix.seeds_for_iterations(12))
-        for i in range(12):
-            assert out[i] == prefix.seed_for(i)
 
 
 class TestValidation:

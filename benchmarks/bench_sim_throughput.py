@@ -1,7 +1,8 @@
-"""Simulator throughput: vectorized replay vs the generic recursive engine.
+"""Simulator throughput: the fleet kernel vs the recursive reference engine.
 
 Measures uncontrolled application runs — the dataset-build / exhaustive
-search / benchmark common case — through both execution engines and
+search / benchmark common case — through the simulator (a fleet of one)
+and through the recursive engine of ``tests/oracles/engine.py``, and
 reports per-app and aggregate
 
 * milliseconds per run,
@@ -10,10 +11,10 @@ reports per-app and aggregate
 * the replay/generic speedup,
 
 plus the campaign ``counters`` mode (replay counter synthesis vs the
-listener-based collector on the generic engine).
+listener-based collector on the recursive engine).
 
-Runs standalone with JSON output (the CI perf-smoke step uploads the
-artifact)::
+Runs standalone from the repository root with JSON output (the CI
+perf-smoke step uploads the artifact)::
 
     python benchmarks/bench_sim_throughput.py --apps EP FT --runs 10 \
         --json sim-throughput.json
@@ -31,11 +32,14 @@ import sys
 import time
 from pathlib import Path
 
-from repro.campaign.engine import _PhaseCounterCollector
+if __package__ in (None, ""):  # script execution: make `tests` importable
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from repro.counters.papi import TABLE1_COUNTERS, preset
 from repro.execution.simulator import ExecutionSimulator
 from repro.hardware.node import ComputeNode
 from repro.workloads import registry
+from tests.oracles.engine import PhaseCounterCollector, recursive_run
 
 #: Default measurement workload: every registry benchmark.
 DEFAULT_RUNS = 30
@@ -62,8 +66,9 @@ def measure_app(app_name: str, runs: int = DEFAULT_RUNS) -> dict:
     replay_s = _time_per_run(
         lambda i: simulator.run(app, run_key=("bench", i)), runs
     )
+    node = simulator.node
     generic_s = _time_per_run(
-        lambda i: simulator.run(app, run_key=("bench", i), fast_path=False),
+        lambda i: recursive_run(node, app, run_key=("bench", i)),
         generic_runs,
     )
 
@@ -75,8 +80,9 @@ def measure_app(app_name: str, runs: int = DEFAULT_RUNS) -> dict:
     )
 
     def generic_counters(i):
-        collector = _PhaseCounterCollector(CANONICAL_COUNTERS)
-        simulator.run(
+        collector = PhaseCounterCollector(CANONICAL_COUNTERS)
+        recursive_run(
+            node,
             app,
             listeners=(collector,),
             collect_counters=True,

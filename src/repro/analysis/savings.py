@@ -17,8 +17,8 @@ For one benchmark:
 savings are computed relative to the default run and averaged over
 ``runs`` repetitions (the paper averages over five).
 
-Controlled runs execute through the simulator's controlled-replay fast
-path (bit-identical to the recursive engine).  With a
+Controlled runs execute through the simulator's controlled replay
+(bit-identical to the recursive reference engine).  With a
 :class:`~repro.campaign.engine.CampaignEngine` attached, the four run
 variants become ``savings``-mode campaign jobs instead — parallelisable
 across a worker pool and cacheable in the result store, bit-identical

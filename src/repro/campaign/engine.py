@@ -12,8 +12,8 @@ sound.  Every job runs through the fleet kernel
 (:mod:`repro.execution.fleet_replay`): :class:`CampaignEngine` prices
 fleet-able jobs in shards, a job on its own is a fleet of its members,
 and ``counters`` jobs are the simulator's live-node fleet of one — every
-path bit-identical to the recursive engine — so stores written by any
-strategy agree.
+path bit-identical to the recursive reference engine — so stores
+written by any strategy agree.
 
 Payload layout by mode:
 
@@ -138,32 +138,6 @@ def default_worker_count() -> int:
                 f"{WORKERS_ENV} must be an integer, got {env!r}"
             ) from None
     return min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)
-
-
-class _PhaseCounterCollector:
-    """RunListener summing phase-region counter totals (Section III-C).
-
-    The production path for ``counters`` jobs is the simulator's
-    vectorized :meth:`~repro.execution.simulator.ExecutionSimulator.run_phase_counters`
-    fast path; this listener remains the reference implementation over
-    the generic engine (the equivalence tests pin both to the bit).
-    """
-
-    def __init__(self, counters: tuple[str, ...]):
-        self.counters = counters
-        self.totals = {c: 0.0 for c in counters}
-        self.phase_time = 0.0
-
-    def on_enter(self, region, iteration, time_s) -> None:
-        pass
-
-    def on_exit(self, region, iteration, time_s, metrics) -> None:
-        # Counters are inclusive, so the phase record carries the whole
-        # iteration's totals (the plugin requests metrics for the phase).
-        if region.kind.value == "phase":
-            for c in self.counters:
-                self.totals[c] += metrics.get(c, 0.0)
-            self.phase_time += metrics["time_s"]
 
 
 @functools.lru_cache(maxsize=64)

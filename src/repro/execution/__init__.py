@@ -12,7 +12,6 @@ from repro.execution.simulator import (
     OperatingPoint,
     RegionInstance,
     RunResult,
-    ScheduleCompiler,
 )
 from repro.execution.controlled_replay import ControlSchedule, ScheduleCache
 from repro.execution.fleet_replay import MeterEndState, meter_end_state
@@ -28,7 +27,6 @@ __all__ = [
     "OperatingPoint",
     "RegionInstance",
     "RunResult",
-    "ScheduleCompiler",
     "ControlSchedule",
     "ScheduleCache",
     "MeterEndState",

@@ -26,23 +26,24 @@ trace is segmented by compiled pattern (*segments partition the
 iterations*) and flattened to one run-long charge sequence under the
 run's keyed lognormal noise; the fleet kernel
 (:mod:`repro.execution.fleet_replay`) prices it — on a fresh node or,
-for the simulator's solo runs, on the live one — and
-:func:`materialise_instances` derives the instance rows lazily.  The
-materialiser is shared with uncontrolled runs, which are one span of
-one pattern.
+for the simulator's solo runs, on the live one.  The priced run is a
+:class:`RunTrace`: :func:`materialise_instances` derives its instance
+rows lazily and :func:`deliver_events` replays its region events to
+listeners.  Both are shared with uncontrolled runs, which are one span
+of one pattern.
 
-The output is **bit-identical** to the recursive engine with the same
-controller attached: same ``RunResult``, same
-:class:`~repro.readex.rrl.RRLStatistics`, same keyed RNG streams, same
-observable node state afterwards.  Controllers opt in through the
-``compile_schedule`` protocol (see
-:class:`~repro.execution.simulator.ScheduleCompiler`); the RRL and the
-static-tuning controller implement it, foreign controllers keep the
-recursive path.
+The output is **bit-identical** to the recursive reference engine
+(``tests/oracles/engine.py``) with the same controller attached: same
+``RunResult``, same :class:`~repro.readex.rrl.RRLStatistics`, same keyed
+RNG streams, same observable node state afterwards.  Every controller
+compiles through ``compile_schedule`` (see
+:class:`~repro.execution.simulator.RunController`); the RRL, the
+static-tuning controller and the PTF experiment schedule do.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -50,12 +51,27 @@ from typing import Callable
 import numpy as np
 
 from repro import config
+from repro.counters.generation import MeasurementContext
 from repro.execution.timing import RegionTiming, region_timing
 from repro.workloads.application import Application
 from repro.workloads.region import Region
 
 #: Charge kinds, in the only order they can appear at one region enter.
 SWITCH, BODY, PROBE = 0, 1, 2
+
+
+def pending_switch_latency_s(dvfs_transitions: int, ufs_transitions: int) -> float:
+    """Hardware latency charged for pending frequency transitions.
+
+    One DVFS and one UFS latency at most per check, however many
+    cores/sockets switched.
+    """
+    latency = 0.0
+    if dvfs_transitions:
+        latency += config.DVFS_TRANSITION_LATENCY_S
+    if ufs_transitions:
+        latency += config.UFS_TRANSITION_LATENCY_S
+    return latency
 
 
 @dataclass(frozen=True)
@@ -245,8 +261,8 @@ def compile_or_reuse(
 def fast_forward_node(node, core_freq_ghz: float, uncore_freq_ghz: float) -> None:
     """Bring ``node``'s frequency subsystem to a cached walk's end state.
 
-    Equivalent to re-walking the run: the recursive engine leaves the
-    node at its final frequencies with drained transition logs, so a
+    Equivalent to re-walking the run: a walk leaves the node at its
+    final frequencies with drained transition logs, so a
     cache hit programs those frequencies through the regular controllers
     (identical MSR contents) and clears the logs.
     """
@@ -305,10 +321,9 @@ def compile_schedule_by_walk(
 
     The controller's real enter/exit hooks run against ``node``'s
     frequency subsystem, so MSR programming, quantization and transition
-    logging are exactly the recursive engine's; only meters and the
-    clock stay untouched.  After the walk the node is at its end-of-run
-    frequencies with cleared transition logs — the state recursion would
-    leave behind.
+    logging are exactly those of a region-by-region run; only meters
+    and the clock stay untouched.  After the walk the node is at its
+    end-of-run frequencies with cleared transition logs.
 
     ``state_key`` fingerprints the controller's internal state; once an
     iteration begins from the same (frequencies, pending transitions,
@@ -376,15 +391,11 @@ def _walk_iteration(
     instrumented: bool,
     instrumentation,
 ) -> _Pattern:
-    """One symbolic pre-order walk, mirroring ``_exec_region`` minus the
+    """One symbolic pre-order walk of a region-by-region run minus the
     meters: controller hooks fire for real, switching latencies are read
     off the live transition logs, timings/powers are evaluated at the
     frequencies the node holds at that moment."""
-    from repro.execution.simulator import (
-        OperatingPoint,
-        pending_switch_latency_s,
-        probe_overhead_s,
-    )
+    from repro.execution.simulator import OperatingPoint, probe_overhead_s
 
     slots: list[_Slot | None] = []
     charges: list[_Charge] = []
@@ -575,8 +586,8 @@ def flatten_control_schedule(
 
     ``noise`` is the run's global (work region x iteration) lognormal
     matrix; spans slice it by iteration range, so the flattened body
-    durations consume exactly the keyed streams the recursive engine
-    would draw one at a time.
+    durations consume exactly the keyed streams a region-by-region run
+    draws one at a time.
     """
     flat_parts: list[np.ndarray] = []
     power_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -668,9 +679,9 @@ def materialise_instances(spans, post_order, timeline: np.ndarray) -> list:
             body_energy[k] = energy if energy is not None else zeros
 
         # Inclusive energies: children accumulate in child order, own
-        # body first — the recursive engine's exact expression tree.
-        # Switch charges never enter instance energies (the recursion
-        # accounts them to the run only).
+        # body first — the reference engine's exact expression tree.
+        # Switch charges never enter instance energies (they are
+        # accounted to the run only).
         inclusive: list = [None] * num_slots
         for k in range(num_slots - 1, -1, -1):
             children_energy = None
@@ -710,3 +721,122 @@ def materialise_instances(spans, post_order, timeline: np.ndarray) -> list:
                     )
                 )
     return rows
+
+
+@dataclass(eq=False)
+class RunTrace:
+    """One priced run, as its instance rows and listener events read it.
+
+    ``timeline`` is the simulated clock after each flattened charge (with
+    a leading entry time), ``post_order`` the slots' exit order, and
+    ``spans`` the :func:`materialise_instances` spans.  ``build_spans``
+    makes them on first read: an uncontrolled run's slots look up their
+    timings only then, so grid sweeps that never read rows never pay.
+    Calling the trace materialises the rows, so it is its run's deferred
+    instance-log producer.
+    """
+
+    post_order: tuple
+    timeline: np.ndarray
+    build_spans: Callable[[], tuple]
+
+    @functools.cached_property
+    def spans(self) -> tuple:
+        return self.build_spans()
+
+    def __call__(self) -> list:
+        return materialise_instances(self.spans, self.post_order, self.timeline)
+
+
+def inclusive_counters(span, generator, *, node_id: int, run_key: tuple):
+    """Inclusive PAPI counters of every slot of one span.
+
+    Returns the counter names and, per slot, a ``(count, counters)``
+    matrix (``None`` where the subtree holds no work).  Each work slot's
+    own values are one ``generator.sample_batch`` over the span's
+    iterations, at its body time (probe included) and its own operating
+    point; the fold adds children in order, then the slot's own values —
+    the reference engine's dict-merge order.  Sample keys count
+    iterations from zero, so the span must start the run (an
+    uncontrolled run is one such span).
+    """
+    slots, _, _, _, _, durations_work = span
+    names: tuple[str, ...] = ()
+    inclusive: list = [None] * len(slots)
+    for k in range(len(slots) - 1, -1, -1):  # pre-order: children come later
+        slot = slots[k]
+        acc = None
+        for child in slot.children:
+            if inclusive[child] is not None:
+                acc = inclusive[child] if acc is None else acc + inclusive[child]
+        if slot.has_work:
+            elapsed = durations_work[slot.work_index]
+            if slot.probed:
+                elapsed = elapsed + slot.probe_s
+            sampled = generator.sample_batch(
+                slot.region.characteristics,
+                MeasurementContext(
+                    elapsed_s=elapsed,
+                    core_freq_ghz=slot.point.core_freq_ghz,
+                    threads=slot.point.threads,
+                ),
+                key_prefix=(node_id, run_key, slot.region.name),
+            )
+            names = tuple(sampled)
+            own = np.column_stack(list(sampled.values()))
+            acc = own if acc is None else acc + own
+        inclusive[k] = acc
+    return names, inclusive
+
+
+def _tree_events(slots) -> list[tuple[int, bool]]:
+    """``(slot, is_exit)`` per probed slot: enters in pre-order, each
+    exit after its subtree."""
+    events: list[tuple[int, bool]] = []
+
+    def visit(k: int) -> None:
+        events.append((k, False))
+        for child in slots[k].children:
+            visit(child)
+        events.append((k, True))
+
+    visit(0)
+    return [(k, is_exit) for k, is_exit in events if slots[k].probed]
+
+
+def deliver_events(trace: RunTrace, rows, listeners, counters=None) -> None:
+    """Replay one priced run's region events to ``listeners``.
+
+    Walks the trace's spans once per iteration in tree order:
+    ``on_enter`` at a probed slot's first charge, ``on_exit`` after its
+    subtree's last charge with ``time_s`` and ``node_energy_j`` from the
+    slot's row in ``rows`` (the run's materialised instance rows) plus,
+    when ``counters`` holds the run's :func:`inclusive_counters`, the
+    slot's inclusive counter values.
+    """
+    timeline = trace.timeline.tolist()
+    position = {k: p for p, k in enumerate(trace.post_order)}
+    names, inclusive = counters if counters is not None else ((), ())
+    values = [m.tolist() if m is not None else None for m in inclusive]
+    first_row = 0
+    for slots, num_charges, start, count, offset, _ in trace.spans:
+        events = _tree_events(slots)
+        for i in range(count):
+            iteration = start + i
+            at = offset + i * num_charges
+            row_base = first_row + i * len(slots)
+            for k, is_exit in events:
+                slot = slots[k]
+                if not is_exit:
+                    time_s = timeline[at + slot.charge_start]
+                    for listener in listeners:
+                        listener.on_enter(slot.region, iteration, time_s)
+                    continue
+                row = rows[row_base + position[k]]
+                metrics = {"time_s": row.time_s, "node_energy_j": row.node_energy_j}
+                if values and values[k] is not None:
+                    metrics.update(zip(names, values[k][i]))
+                time_s = timeline[at + slot.charge_end]
+                for listener in listeners:
+                    listener.on_exit(slot.region, iteration, time_s, metrics)
+        first_row += count * len(slots)

@@ -1,4 +1,4 @@
-"""Fleet-scale replay: the one replay kernel for every run without listeners.
+"""Fleet-scale replay: the one execution kernel for every run.
 
 A *fleet* is any mix of replay requests — different applications,
 different (virtual) nodes, different controllers or none, instrumented
@@ -6,9 +6,10 @@ or not, any static operating point — and the kernel prices all of them
 in one pass.  The Figures 6/7 heatmaps, the Table V exhaustive static
 search, the trade-off study and every campaign shard are fleets of
 fresh-node members; the simulator's solo runs
-(:meth:`~repro.execution.simulator.ExecutionSimulator.run` and
-``run_phase_counters``) are fleets of one *live-node* member, whose
-entry state is a real :class:`~repro.hardware.node.ComputeNode`:
+(:meth:`~repro.execution.simulator.ExecutionSimulator.run`, listened
+or not, and ``run_phase_counters``) are fleets of one *live-node*
+member, whose entry state is a real
+:class:`~repro.hardware.node.ComputeNode`:
 
 **Phase 1 — compilation and block pricing.**  Uncontrolled members
 compile through the one structural walk of :mod:`repro.execution.replay`
@@ -24,10 +25,10 @@ block of one whose node keeps its last priced block
 runs of one application at one operating point price once.  Controller-driven
 members compile their switch schedule
 (:func:`~repro.execution.controlled_replay.compile_schedule_by_walk`
-via the controller's ``compile_schedule`` protocol) against a real
-node, so RRL statistics and MSR/DVFS side effects are byte-for-byte
-those of the recursive engine; a declining controller's member runs
-through the recursive engine instead.
+via the controller's ``compile_schedule``) against a real node, so RRL
+statistics and MSR/DVFS side effects are byte-for-byte those of a
+region-by-region run; a controller that does not compile is refused
+with a :class:`~repro.errors.TuningError` before any member is priced.
 
 **Phase 2 — one fleet-wide noise draw.**  Every member's keyed
 (work region x iteration) seed digests join into one buffer, read as
@@ -51,11 +52,13 @@ RAPL deposit never advances the tick counter), so padding cannot
 perturb any member's numbers.
 
 **Phase 5 — per-member materialisation.**  Each member yields the
-exact ``RunResult`` (lazy instance log included) its recursive run
-would produce, and a fresh member the meter/MSR :class:`MeterEndState`
-it would leave on its node.
+exact ``RunResult`` (lazy instance log included) of its run, its
+priced :class:`~repro.execution.controlled_replay.RunTrace`, and a
+fresh member the meter/MSR :class:`MeterEndState` it would leave on its
+node.
 
-The contract is **bit-identical per member**: permuting the fleet,
+The contract is **bit-identical per member** to the recursive
+reference engine (``tests/oracles/engine.py``): permuting the fleet,
 splitting it, or batching unrelated members together never changes any
 member's payload (property-tested in
 ``tests/execution/test_fleet_replay_equivalence.py``).
@@ -71,23 +74,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import config
-from repro.errors import WorkloadError
-from repro.execution.controlled_replay import (
-    flatten_control_schedule,
-    materialise_instances,
-)
+from repro.errors import TuningError, WorkloadError
+from repro.execution.controlled_replay import RunTrace, flatten_control_schedule
 from repro.execution.replay import (
+    _block_spans,
     _compile_structure,
     _effective_frequency,
     _evaluate_block,
     _evaluate_on_node,
     _flatten_block,
-    _ReplayState,
     _seed_digests,
 )
 from repro.execution.simulator import (
     TIME_NOISE_SIGMA,
-    ExecutionSimulator,
     InstanceLog,
     OperatingPoint,
     RunResult,
@@ -174,15 +173,15 @@ def _rapl_fold(joules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class FleetMember:
     """One replay request: an application run on a fresh or a live node.
 
-    A fresh-node member describes the experiment the per-run engine
-    executes: build ``ComputeNode(node_id, seed=node_seed,
+    A fresh-node member describes the experiment of one solo run:
+    build ``ComputeNode(node_id, seed=node_seed,
     topology=..., variability=...)``, optionally program ``point``'s
     frequencies, then ``ExecutionSimulator(node, seed=seed).run(app,
     threads=..., controller=..., instrumented=..., instrumentation=...,
     run_key=run_key)``.  ``point=None`` leaves the node at its default
     frequencies (the ``reset_to_default()`` start every analysis layer
     uses).  ``controller`` is a per-member instance — its statistics
-    mutate exactly as in the per-run engine.
+    mutate exactly as in a solo run.
 
     ``node`` is the member's entry state: a live
     :class:`~repro.hardware.node.ComputeNode` the run executes on
@@ -214,11 +213,11 @@ class FleetReplay:
 
     ``results[i]`` compares equal to the
     :class:`~repro.execution.simulator.RunResult` of member ``i``'s
-    per-run execution; ``end_states[i]`` is the meter/MSR state that
-    run leaves on a fresh node (``None`` for a live member: its node
-    holds that state itself); ``traces[i]`` is the priced run its lazy
-    instance log materialises from (``None`` when the member fell back
-    to the recursive engine).
+    solo run; ``end_states[i]`` is the meter/MSR state that run leaves
+    on a fresh node (``None`` for a live member: its node holds that
+    state itself); ``traces[i]`` is its priced
+    :class:`~repro.execution.controlled_replay.RunTrace`, which its lazy
+    instance log materialises from and listener events replay.
     """
 
     members: tuple = ()
@@ -241,7 +240,7 @@ class _MemberPlan:
     """One member's compiled state, then its outcome."""
 
     member: FleetMember
-    kind: str                         #: "uncontrolled" | "controlled" | "fallback"
+    kind: str                         #: "uncontrolled" | "controlled"
     node: ComputeNode | None = None   #: the live node it prices on, if any
     num_sockets: int = 0
     iterations: int = 0
@@ -258,8 +257,7 @@ class _MemberPlan:
     final_core_ghz: float = 0.0
     final_uncore_ghz: float = 0.0
     flat: object = None               #: FlatControlSchedule
-    # outcome: fallback members run eagerly through the recursive engine
-    # while planning; the rest are filled after pricing
+    # outcome, filled after pricing
     result: object = None
     end_state: MeterEndState | None = None
     trace: object = None
@@ -275,8 +273,10 @@ def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
     """Compile a controller-driven member's switch schedule.
 
     The schedule walk needs a node: MSRs, DVFS/UFS logs and the
-    controller statistics all mutate exactly as in the per-run engine.
-    A live member walks its own node; a fresh one a node built here.
+    controller statistics all mutate exactly as in a region-by-region
+    run.  A live member walks its own node; a fresh one a node built
+    here.  A controller that declines (returns ``None``) must leave both
+    untouched; it is refused.
     """
     app = member.app
     controller = member.controller
@@ -298,34 +298,17 @@ def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
         uncore_freq_ghz=node.uncore_freq_ghz,
         threads=threads,
     )
-    instrumented = member.instrumented or member.instrumentation is not None
-    compile_schedule = getattr(controller, "compile_schedule", None)
-    schedule = None
-    if compile_schedule is not None:
-        schedule = compile_schedule(
-            app,
-            node,
-            threads=threads,
-            instrumented=instrumented,
-            instrumentation=member.instrumentation,
-        )
+    schedule = controller.compile_schedule(
+        app,
+        node,
+        threads=threads,
+        instrumented=member.instrumented or member.instrumentation is not None,
+        instrumentation=member.instrumentation,
+    )
     if schedule is None:
-        # The controller declined (or predates the protocol): run this
-        # member through the recursive engine on the very node the walk
-        # left untouched.
-        result = ExecutionSimulator(node, seed=member.seed)._run_recursive(
-            app,
-            threads=threads,
-            controller=controller,
-            instrumented=instrumented,
-            instrumentation=member.instrumentation,
-            run_key=member.run_key,
-        )
-        return _MemberPlan(
-            member=member,
-            kind="fallback",
-            result=result,
-            end_state=None if member.node is not None else meter_end_state(node),
+        raise TuningError(
+            f"controller {type(controller).__name__} declined to compile "
+            f"its switch schedule for {app.name}"
         )
     return _MemberPlan(
         member=member,
@@ -428,26 +411,25 @@ def _total(values: np.ndarray) -> float:
 
 def _finish(plan: _MemberPlan, timeline, time_s, node_energy_j, cpu_energy_j,
             end_state: MeterEndState | None) -> None:
-    """Fill one priced member's ``RunResult`` and lazy instance log."""
+    """Fill one priced member's ``RunResult``, trace and lazy instance
+    log."""
     if plan.kind == "controlled":
         flat = plan.flat
         point = plan.entry_point
         switching_s = _total(flat.switches)
         instrumentation_s = _total(flat.probes)
-        trace = functools.partial(
-            materialise_instances, flat.spans, plan.schedule.post_order, timeline
-        )
+        trace = RunTrace(plan.schedule.post_order, timeline, lambda: flat.spans)
     else:
         point = plan.point
         switching_s = 0.0
         instrumentation_s = plan.structure.instrumentation_time_s(plan.iterations)
-        trace = _ReplayState(
-            structure=plan.structure,
-            block=plan.block,
-            row=plan.row,
-            iterations=plan.iterations,
-            durations_work=plan.durations_work,
-            timeline=timeline,
+        trace = RunTrace(
+            plan.structure.post_order,
+            timeline,
+            functools.partial(
+                _block_spans, plan.block, plan.row, plan.iterations,
+                plan.durations_work,
+            ),
         )
     plan.result = RunResult(
         app_name=plan.member.app.name,
@@ -459,7 +441,6 @@ def _finish(plan: _MemberPlan, timeline, time_s, node_energy_j, cpu_energy_j,
         switching_time_s=switching_s,
         instrumentation_time_s=instrumentation_s,
         instances=InstanceLog.deferred(trace),
-        engine="fleet",
     )
     plan.end_state, plan.trace = end_state, trace
 
@@ -471,7 +452,7 @@ def _price_on_node(plan: _MemberPlan, durations, node_w, package_w, dram_w) -> N
     start_time = node.now_s
     start_cpu_j = node.rapl.read_cpu_energy_joules()
     # Simulated clock after each charge; cumsum is a strict left fold, so
-    # every value matches the recursive engine's repeated ``+=``.
+    # every value matches a region-by-region run's repeated ``+=``.
     timeline = np.cumsum(np.concatenate(([start_time], durations)))
     node.advance_many(durations, node_w, package_w, dram_w)
     _finish(
@@ -488,10 +469,11 @@ def fleet_run(members) -> FleetReplay:
     """Price every fleet member in one batched pass.
 
     Returns a :class:`FleetReplay` whose per-member results and end
-    states are bit-identical to running each member individually
-    through the recursive engine of
-    :class:`~repro.execution.simulator.ExecutionSimulator`: on a fresh
-    node, or on the member's live ``node``.
+    states are bit-identical to running each member on its own, region
+    by region: on a fresh node, or on the member's live ``node``.
+    Every controller must compile its switch schedule
+    (``compile_schedule``); one that lacks it is refused before any
+    member compiles.
     """
     members = list(members)
     if not members:
@@ -499,6 +481,12 @@ def fleet_run(members) -> FleetReplay:
     live = [id(m.node) for m in members if m.node is not None]
     if len(set(live)) != len(live):
         raise WorkloadError("a live node can host only one member per fleet")
+    for m in members:
+        if m.controller is not None and not hasattr(m.controller, "compile_schedule"):
+            raise TuningError(
+                f"controller {type(m.controller).__name__} does not compile "
+                "its switch schedule (no compile_schedule)"
+            )
 
     structures: dict = {}
     models: dict = {}
@@ -512,17 +500,15 @@ def fleet_run(members) -> FleetReplay:
     for plan in plans:
         if plan.kind == "uncontrolled":
             key = (id(plan.structure), id(plan.power_model))
-        elif plan.kind == "controlled":
-            key = (id(plan),)
         else:
-            continue
+            key = (id(plan),)
         groups.setdefault(key, []).append(plan)
     parts = list(groups.values())
 
     # -- block pricing; one keyed-noise draw spanning the whole fleet ------
     # Each uncontrolled block is priced in one array pass.  Each run's
     # (work x iteration) seed matrix flattens row-major — the exact order
-    # its per-run engine would reshape — into one digest buffer, and
+    # its solo run would reshape — into one digest buffer, and
     # per-seed independence makes the fleet-wide batch sliceable without
     # drift.  Each part's draws come back as one (members, work,
     # iteration) view.

@@ -1,11 +1,10 @@
 """The uncontrolled-replay compiler and the phase-counter synthesis.
 
-An *uncontrolled* run — no RRL/PCP controller, no listeners — is fully
-determined once the operating point is fixed: frequencies never change
-mid-run, the instrumentation filter is static, and the region tree is
-walked the same way every phase iteration.  Instead of recursing through
-the tree ``phase_iterations`` times, the phase subtree is compiled in
-two steps:
+An *uncontrolled* run — no RRL/PCP controller — is fully determined once
+the operating point is fixed: frequencies never change mid-run, the
+instrumentation filter is static, and the region tree is walked the
+same way every phase iteration.  Instead of recursing through the tree
+``phase_iterations`` times, the phase subtree is compiled in two steps:
 
 * :func:`_compile_structure` walks it **once** into a
   configuration-independent :class:`_Structure` (slot topology, charge
@@ -17,19 +16,18 @@ two steps:
 
 :func:`_seed_digests` and :func:`_flatten_block` then turn the block
 into its keyed noise seeds and flat charge sequences.  The fleet kernel
-(:mod:`repro.execution.fleet_replay`) prices every run without
-listeners that way — batches on fresh nodes and, as live-node members,
-the simulator's solo runs and :func:`phase_counters`'s instrumented
-runs.  :class:`~repro.execution.simulator.RegionInstance` rows
-materialise lazily: a priced structure is one span of one pattern of
-:func:`~repro.execution.controlled_replay.materialise_instances`, and
-only then are its per-region
-:class:`~repro.execution.timing.RegionTiming` payloads looked up from
-the memoised scalar model.
+(:mod:`repro.execution.fleet_replay`) prices every run that way —
+batches on fresh nodes and, as live-node members, the simulator's solo
+runs and :func:`phase_counters`'s instrumented runs.  A priced run is
+one span of one pattern of a
+:class:`~repro.execution.controlled_replay.RunTrace`
+(:func:`_block_spans`); only when its rows or events are read are its
+per-region :class:`~repro.execution.timing.RegionTiming` payloads
+looked up from the memoised scalar model.
 
-The output is **bit-identical** to the recursive engine, which remains
-the generic path for observed runs.  Identity holds because every
-floating-point expression replays the recursive path's operation order
+The output is **bit-identical** to the recursive reference engine in
+``tests/oracles/engine.py``.  Identity holds because every
+floating-point expression replays the region-by-region operation order
 exactly: elementwise numpy arithmetic performs the same IEEE-754
 operations per element, sequential ``+=`` accumulations map to
 ``np.cumsum``/``np.add.accumulate`` (strict left folds), and the noise
@@ -47,9 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.counters.generation import MeasurementContext
 from repro.errors import FrequencyError
-from repro.execution.controlled_replay import _Slot, materialise_instances
+from repro.execution.controlled_replay import RunTrace, _Slot, inclusive_counters
 from repro.execution.simulator import probe_overhead_s
 from repro.execution.timing import region_timing, region_timings
 from repro.hardware.frequency import quantize_frequency
@@ -100,8 +97,8 @@ class _Structure:
 def _compile_structure(
     app: Application, instrumented: bool, instrumentation
 ) -> _Structure:
-    """One walk of the phase subtree in the recursive engine's traversal
-    and charge order — everything that does not depend on the operating
+    """One walk of the phase subtree in region-by-region traversal and
+    charge order — everything that does not depend on the operating
     point."""
     regions: list[Region] = []
     children: list[tuple[int, ...]] = []
@@ -341,7 +338,7 @@ def _structure_slots(block: _BlockEval, g: int) -> tuple:
     """Row ``g`` of a priced block, as the compiled slots of a
     one-pattern control schedule.  The rows' RegionTiming payloads come
     from the memoised scalar model, and only here: grid sweeps that
-    never materialise instance rows never pay for them."""
+    never read instance rows or events never pay for them."""
     structure = block.structure
     point = block.points[g]
     timings = [
@@ -379,62 +376,29 @@ def _structure_slots(block: _BlockEval, g: int) -> tuple:
     return tuple(slots)
 
 
-@dataclass
-class _ReplayState:
-    """One priced run of a compiled structure: what the lazy instance
-    rows and the counter synthesis read.  Calling it materialises the
-    rows, so it is its run's deferred instance-log producer."""
-
-    structure: _Structure
-    block: _BlockEval
-    row: int                     #: the run's row in ``block``
-    iterations: int
-    durations_work: np.ndarray   #: (W, I) noisy body durations
-    timeline: np.ndarray         #: clock after each charge, leading start
-
-    def __call__(self) -> list:
-        structure = self.structure
-        span = (
-            _structure_slots(self.block, self.row),
-            len(structure.charges),
+def _block_spans(
+    block: _BlockEval, g: int, iterations: int, durations_work: np.ndarray
+) -> tuple:
+    """Row ``g`` of a priced block as the one span of a
+    :class:`~repro.execution.controlled_replay.RunTrace`."""
+    return (
+        (
+            _structure_slots(block, g),
+            len(block.structure.charges),
             0,
-            self.iterations,
+            iterations,
             0,
-            self.durations_work,
-        )
-        return materialise_instances((span,), structure.post_order, self.timeline)
-
-    def body_times(self) -> list:
-        """Per slot: (I,) body elapsed time (duration plus probe)."""
-        structure = self.structure
-        zeros = np.zeros(self.iterations)
-        times: list = []
-        for k, row in enumerate(structure.work_index):
-            time = self.durations_work[row] if row >= 0 else None
-            if structure.probed[k]:
-                probe = structure.probe_s[k]
-                time = (
-                    time + probe
-                    if time is not None
-                    else np.full(self.iterations, probe)
-                )
-            times.append(time if time is not None else zeros)
-        return times
-
-    def phase_times(self) -> np.ndarray:
-        """(I,) inclusive phase-region time per iteration."""
-        offsets = np.arange(self.iterations) * len(self.structure.charges)
-        enter = self.timeline[offsets]  # the phase is slot 0, first charge 0
-        return self.timeline[offsets + self.structure.charge_end[0]] - enter
+            durations_work,
+        ),
+    )
 
 
 @dataclass(frozen=True)
 class PhaseCounterRun:
-    """A fast-path instrumented run plus its phase counter totals.
+    """An instrumented run plus its phase counter totals.
 
-    Field-for-field equivalent to running the generic engine with a
-    phase-counter collector listener (``collect_counters=True``) and
-    summing the phase region's inclusive metrics.
+    Field-for-field equivalent to summing the phase region's inclusive
+    metrics (``collect_counters=True``) over a listened run.
     """
 
     result: object                #: the RunResult of the instrumented run
@@ -443,53 +407,19 @@ class PhaseCounterRun:
 
 
 def phase_counters(
-    result, state: _ReplayState, generator, *, run_key: tuple,
+    result, trace: RunTrace, generator, *, run_key: tuple,
     counters: tuple[str, ...],
 ) -> PhaseCounterRun:
-    """Vectorized counter synthesis over one instrumented replayed run.
+    """Phase counter totals of one instrumented uncontrolled run.
 
-    ``state`` is the priced (instrumented, unfiltered — the
-    configuration the campaign engine's ``counters`` mode uses) run
-    behind ``result``.  Every work region's 56 preset values derive for
-    all iterations in one batch and fold up the tree in the recursive
-    engine's merge order.
+    ``trace`` is the priced run behind ``result``; the totals are the
+    phase slot of its :func:`~repro.execution.controlled_replay.inclusive_counters`
+    fold, summed over the iterations.
     """
-    structure = state.structure
-    point = result.operating_point
-    num_slots = len(structure.regions)
-    body_time = state.body_times()
-    names: tuple[str, ...] = ()
-    own_matrix: list = [None] * num_slots
-    for k in structure.work_slots:
-        region = structure.regions[k]
-        ctx = MeasurementContext(
-            elapsed_s=body_time[k],
-            core_freq_ghz=point.core_freq_ghz,
-            threads=point.threads,
-        )
-        sampled = generator.sample_batch(
-            region.characteristics,
-            ctx,
-            key_prefix=(result.node_id, run_key, region.name),
-        )
-        if not names:
-            names = tuple(sampled)
-        own_matrix[k] = np.column_stack(list(sampled.values()))
-
-    # Inclusive counter fold: children in order, own last — exactly the
-    # dict-merge order of the recursive engine.  Regions whose subtree
-    # holds no work contribute nothing (empty dict merge).
-    inclusive: list = [None] * num_slots
-    for k in range(num_slots - 1, -1, -1):
-        acc = None
-        for child in structure.children[k]:
-            if inclusive[child] is None:
-                continue
-            acc = inclusive[child] if acc is None else acc + inclusive[child]
-        if own_matrix[k] is not None:
-            acc = own_matrix[k] if acc is None else acc + own_matrix[k]
-        inclusive[k] = acc
-
+    (span,) = trace.spans
+    names, inclusive = inclusive_counters(
+        span, generator, node_id=result.node_id, run_key=run_key
+    )
     phase_matrix = inclusive[0]
     column = {name: j for j, name in enumerate(names)}
     totals = {}
@@ -499,5 +429,12 @@ def phase_counters(
             totals[counter] = 0.0
         else:
             totals[counter] = float(np.add.accumulate(phase_matrix[:, j])[-1])
-    phase_time_s = float(np.add.accumulate(state.phase_times())[-1])
+    slots, num_charges, _, iterations, _, _ = span
+    offsets = np.arange(iterations) * num_charges
+    phase = slots[0]
+    phase_times = (
+        trace.timeline[offsets + phase.charge_end]
+        - trace.timeline[offsets + phase.charge_start]
+    )
+    phase_time_s = float(np.add.accumulate(phase_times)[-1])
     return PhaseCounterRun(result=result, totals=totals, phase_time_s=phase_time_s)

@@ -19,7 +19,7 @@ CF optimum); and both suffer when either knob goes too low.
 — as arrays, in the same IEEE operation order, so every element is
 bit-identical to the scalar call.  The fleet kernel prices uncontrolled
 runs with the array form; controlled schedules (which switch the
-operating point region by region) and the recursive engine use the
+operating point region by region) and the lazy instance rows use the
 scalar one.
 """
 
@@ -64,8 +64,8 @@ def region_timing(
     """Evaluate the timing model for one region instance.
 
     The model is a pure function of frozen inputs.  Its callers — a
-    controlled schedule's compile walk, the recursive engine, and the
-    lazy instance rows of fleet runs — evaluate the same few (region,
+    controlled schedule's compile walk and the lazy instance rows of
+    fleet runs — evaluate the same few (region,
     operating point) pairs over and over, so results are memoised;
     callers receive a shared frozen :class:`RegionTiming`.
     """

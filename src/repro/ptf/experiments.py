@@ -37,8 +37,8 @@ class _ScheduleController:
     """Applies ``schedule[iteration]`` at each phase-region enter.
 
     Although its decisions depend on the iteration index, the schedule
-    is fully predeclared, so the controller opts into the simulator's
-    controlled-replay fast path: the compile walk visits every
+    is fully predeclared, so the controller compiles like every other
+    (``compile_schedule``): the compile walk visits every
     iteration with a distinct schedule entry (the state key tracks the
     upcoming entry), reaches a fixed point once the schedule's last
     configuration repeats, and the replay prices the whole run in bulk

@@ -67,12 +67,12 @@ class RRL:
     def on_region_exit(self, region: Region, iteration: int, node: ComputeNode) -> None:
         return None  # switching happens on enters only
 
-    # -- ScheduleCompiler interface ----------------------------------------
+    # -- RunController.compile_schedule ------------------------------------
     def compile_schedule(
         self, app, node: ComputeNode, *, threads: int, instrumented: bool,
         instrumentation,
     ):
-        """Compile this run's switch schedule for the replay fast path.
+        """Compile this run's switch schedule for the controlled replay.
 
         The scenario lookup is keyed by region name only, so the RRL's
         behaviour is iteration-independent and the generic trace walk
@@ -192,7 +192,7 @@ class StaticController:
     def on_region_exit(self, region: Region, iteration: int, node: ComputeNode) -> None:
         return None
 
-    # -- ScheduleCompiler interface ----------------------------------------
+    # -- RunController.compile_schedule ------------------------------------
     def compile_schedule(
         self, app, node: ComputeNode, *, threads: int, instrumented: bool,
         instrumentation,

@@ -14,14 +14,21 @@ no tolerances anywhere.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import config
+from repro.errors import TuningError
+from repro.execution.fleet_replay import FleetMember, fleet_run
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.hardware.node import ComputeNode
-from repro.hardware.rapl import RaplDomain
 from repro.readex.rrl import RRL, StaticController
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.instrumentation import Instrumentation
 from repro.workloads import registry
+from tests.oracles.engine import (
+    assert_identical,
+    make_node,
+    meter_state,
+    recursive_run,
+    run_both,
+)
 
 #: A spread of benchmarks: OpenMP / MPI / hybrid, small and large trees.
 APPS = ("Lulesh", "Mcb", "FT", "EP", "Kripke", "BT-MZ")
@@ -45,60 +52,6 @@ def make_tmm(app, variant: str = "paired") -> TuningModel:
         for i, name in enumerate(regions):
             best[name] = OperatingPoint(2.4 if i % 2 else 2.5, 2.0, 24)
     return TuningModel.from_best_configs(app.name, "phase", best)
-
-
-def make_node(node_id=0, seed=config.DEFAULT_SEED, cf=None, ucf=None):
-    node = ComputeNode(node_id, seed=seed)
-    if cf is not None:
-        node.set_frequencies(cf, ucf)
-    return node
-
-
-def meter_state(node):
-    """Observable meter + frequency state after a run."""
-    return (
-        node.now_s,
-        node.hdeem.now_s,
-        node.core_freq_ghz,
-        node.uncore_freq_ghz,
-        node.dvfs.log.count,
-        node.ufs.log.count,
-        tuple(
-            node.rapl.read_joules(s, domain)
-            for s in range(node.topology.num_sockets)
-            for domain in (RaplDomain.PACKAGE, RaplDomain.DRAM)
-        ),
-    )
-
-
-def run_both(app, controller_factory, *, node_id=0, node_seed=config.DEFAULT_SEED,
-             seed=config.DEFAULT_SEED, cf=None, ucf=None, **kwargs):
-    """One controlled run through each engine on identical nodes."""
-    n1 = make_node(node_id, node_seed, cf, ucf)
-    n2 = make_node(node_id, node_seed, cf, ucf)
-    c1, c2 = controller_factory(), controller_factory()
-    fast = ExecutionSimulator(n1, seed=seed).run(app, controller=c1, **kwargs)
-    generic = ExecutionSimulator(n2, seed=seed).run(
-        app, controller=c2, fast_path=False, **kwargs
-    )
-    return fast, generic, n1, n2, c1, c2
-
-
-def assert_identical(fast, generic, n1, n2, c1=None, c2=None):
-    assert fast.engine == "fleet"
-    assert generic.engine == "generic"
-    assert fast.time_s == generic.time_s
-    assert fast.node_energy_j == generic.node_energy_j
-    assert fast.cpu_energy_j == generic.cpu_energy_j
-    assert fast.switching_time_s == generic.switching_time_s
-    assert fast.instrumentation_time_s == generic.instrumentation_time_s
-    assert fast.operating_point == generic.operating_point
-    assert len(fast.instances) == len(generic.instances)
-    assert fast.instances == generic.instances
-    assert fast == generic
-    assert meter_state(n1) == meter_state(n2)
-    if isinstance(c1, RRL):
-        assert c1.stats == c2.stats
 
 
 class TestControlledReplayEquivalence:
@@ -147,12 +100,12 @@ class TestControlledReplayEquivalence:
             instrumentation=Instrumentation(app, filtered=set(filtered)),
             run_key=("filt", 0),
         )
-        generic = ExecutionSimulator(n2).run(
+        generic = recursive_run(
+            n2,
             app,
             controller=RRL(model),
             instrumentation=Instrumentation(app, filtered=set(filtered)),
             run_key=("filt", 0),
-            fast_path=False,
         )
         assert_identical(fast, generic, n1, n2)
 
@@ -202,12 +155,11 @@ class TestControlledReplayEquivalence:
         model = make_tmm(app)
         n1, n2 = make_node(), make_node()
         c1, c2 = RRL(model), RRL(model)
-        s1, s2 = ExecutionSimulator(n1), ExecutionSimulator(n2)
+        s1 = ExecutionSimulator(n1)
         for k in range(3):
             fast = s1.run(app, controller=c1, instrumented=True, run_key=("seq", k))
-            generic = s2.run(
-                app, controller=c2, instrumented=True, run_key=("seq", k),
-                fast_path=False,
+            generic = recursive_run(
+                n2, app, controller=c2, instrumented=True, run_key=("seq", k)
             )
             assert fast == generic
         assert c1.stats == c2.stats
@@ -232,9 +184,8 @@ class TestControlledReplayEquivalence:
         fast = ExecutionSimulator(n1).run(
             app, controller=RRL(model), instrumented=True, run_key=("ovr",)
         )
-        generic = ExecutionSimulator(n2).run(
-            app, controller=RRL(model), instrumented=True, run_key=("ovr",),
-            fast_path=False,
+        generic = recursive_run(
+            n2, app, controller=RRL(model), instrumented=True, run_key=("ovr",)
         )
         assert_identical(fast, generic, n1, n2)
 
@@ -280,61 +231,62 @@ class TestControlledReplayEquivalence:
         )
 
 
-class TestDispatch:
-    def test_rrl_run_uses_replay(self):
+class _Foreign:
+    """Hooks only: no ``compile_schedule``."""
+
+    def on_region_enter(self, region, iteration, node):
+        return 0
+
+    def on_region_exit(self, region, iteration, node):
+        pass
+
+
+class _Declining(_Foreign):
+    """Compiles nothing, leaving itself and the node untouched."""
+
+    def compile_schedule(self, app, node, *, threads, instrumented,
+                         instrumentation):
+        return None
+
+
+def node_state(node):
+    return meter_state(node), node.rapl_state()
+
+
+class TestRefusals:
+    """Every controller compiles; anything else is refused before the
+    node changes."""
+
+    @pytest.mark.parametrize("controller", (_Foreign, _Declining))
+    def test_run_refuses_non_compiling_controller(self, controller):
+        node = make_node(cf=2.1, ucf=1.9)
+        before = node_state(node)
+        with pytest.raises(TuningError, match="compile"):
+            ExecutionSimulator(node).run(
+                registry.build("EP"), controller=controller()
+            )
+        assert node_state(node) == before
+
+    @pytest.mark.parametrize("controller", (_Foreign, _Declining))
+    def test_fleet_refuses_non_compiling_controller(self, controller):
+        node = make_node(cf=2.1, ucf=1.9)
+        before = node_state(node)
         app = registry.build("EP")
-        run = ExecutionSimulator(make_node()).run(
-            app, controller=RRL(make_tmm(app)), instrumented=True
-        )
-        assert run.engine == "fleet"
+        members = [
+            FleetMember(app=app, run_key=("fresh",)),
+            FleetMember(app=app, run_key=("live",), node=node,
+                        controller=controller()),
+        ]
+        with pytest.raises(TuningError, match="compile"):
+            fleet_run(members)
+        assert node_state(node) == before
 
-    def test_static_run_uses_replay(self):
-        run = ExecutionSimulator(make_node()).run(
-            registry.build("EP"),
-            controller=StaticController(OperatingPoint(2.4, 1.3, 24)),
-        )
-        assert run.engine == "fleet"
-
-    def test_foreign_controller_keeps_recursion(self):
-        class Foreign:
-            def on_region_enter(self, region, iteration, node):
-                return 0
-
-            def on_region_exit(self, region, iteration, node):
-                pass
-
-        run = ExecutionSimulator(make_node()).run(
-            registry.build("EP"), controller=Foreign()
-        )
-        assert run.engine == "generic"
-
-    def test_declining_compiler_falls_back_to_recursion(self):
-        class Declining:
-            def on_region_enter(self, region, iteration, node):
-                return 0
-
-            def on_region_exit(self, region, iteration, node):
-                pass
-
-            def compile_schedule(self, app, node, *, threads, instrumented,
-                                 instrumentation):
-                return None
-
-        run = ExecutionSimulator(make_node()).run(
-            registry.build("EP"), controller=Declining()
-        )
-        assert run.engine == "generic"
-
-    def test_listener_run_keeps_recursion_even_with_rrl(self):
-        class Listener:
-            def on_enter(self, region, iteration, time_s):
-                pass
-
-            def on_exit(self, region, iteration, time_s, metrics):
-                pass
-
+    def test_run_refuses_controller_with_counters(self):
         app = registry.build("EP")
-        run = ExecutionSimulator(make_node()).run(
-            app, controller=RRL(make_tmm(app)), listeners=(Listener(),)
-        )
-        assert run.engine == "generic"
+        node = make_node()
+        before = node_state(node)
+        with pytest.raises(TuningError, match="counters"):
+            ExecutionSimulator(node).run(
+                app, controller=RRL(make_tmm(app)), collect_counters=True
+            )
+        assert node_state(node) == before

@@ -1,17 +1,17 @@
-"""Bit-identity of the fleet kernel vs the per-run engines.
+"""Bit-identity of the fleet kernel vs the recursive reference engine.
 
 The fleet kernel (:mod:`repro.execution.fleet_replay`) batches the
 application x node x controller x configuration axes into one padded
 pricing pass.  It must be *exactly* equivalent to executing each member
-individually through :class:`~repro.execution.simulator.ExecutionSimulator`
-on a fresh node: every ``RunResult`` field, every ``RegionInstance`` row,
+individually on the recursive engine (``tests/oracles/engine.py``) on a
+fresh node: every ``RunResult`` field, every ``RegionInstance`` row,
 the controller's :class:`~repro.readex.rrl.RRLStatistics`, and the
 meter/MSR end state the run would leave behind.  These tests sweep
 apps, nodes, TMMs and seeds, then property-test random fleet
 compositions — including the invariant that permuting or splitting a
 fleet never changes any member's payload.  The grid cases measure
-static CF x UCF grids (heatmaps, exhaustive search, trade-offs) against
-the recursive engine, the one independent checker.
+static CF x UCF grids (heatmaps, exhaustive search, trade-offs) the
+same way.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api, config
-from repro.campaign.engine import _PhaseCounterCollector
 from repro.errors import FrequencyError, WorkloadError
 from repro.execution.fleet_replay import FleetMember, fleet_run, meter_end_state
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
@@ -29,6 +28,7 @@ from repro.readex.rrl import RRL, StaticController
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.instrumentation import Instrumentation
 from repro.workloads import registry
+from tests.oracles.engine import PhaseCounterCollector, recursive_run, run_reference
 
 #: OpenMP / MPI / hybrid benchmarks with different tree sizes, so mixed
 #: fleets exercise genuinely ragged charge-row lengths.
@@ -94,38 +94,8 @@ def build_member(spec) -> FleetMember:
     return member
 
 
-def run_reference(member: FleetMember, fast_path=True):
-    """The member's per-run execution: fresh node, program, run."""
-    node = ComputeNode(
-        member.node_id,
-        seed=member.seed if member.node_seed is None else member.node_seed,
-        topology=member.topology,
-        variability=member.variability,
-    )
-    if member.point is not None:
-        node.set_frequencies(member.point.core_freq_ghz, member.point.uncore_freq_ghz)
-    threads = member.threads
-    if threads is None and member.point is not None:
-        threads = member.point.threads
-    instrumentation = member.instrumentation
-    if instrumentation is not None:
-        instrumentation = Instrumentation(
-            app=member.app, filtered=set(instrumentation.filtered)
-        )
-    result = ExecutionSimulator(node, seed=member.seed).run(
-        member.app,
-        threads=threads,
-        controller=member.controller,
-        instrumented=member.instrumented,
-        instrumentation=instrumentation,
-        run_key=member.run_key,
-        fast_path=fast_path,
-    )
-    return result, node
-
-
-def assert_member_identical(got, end, member_ref: FleetMember, fast_path=True):
-    ref, node = run_reference(member_ref, fast_path)
+def assert_member_identical(got, end, member_ref: FleetMember):
+    ref, node = run_reference(member_ref)
     assert got == ref
     assert list(got.instances) == list(ref.instances)
     assert end == meter_end_state(node)
@@ -174,10 +144,7 @@ class TestFleetEquivalence:
         fleet = fleet_run([build_member(s) for s in specs])
         for i, spec in enumerate(specs):
             assert_member_identical(
-                fleet.results[i],
-                fleet.end_states[i],
-                build_member(spec),
-                fast_path=False,
+                fleet.results[i], fleet.end_states[i], build_member(spec)
             )
 
     def test_rrl_statistics_match_per_run_engine(self):
@@ -186,31 +153,9 @@ class TestFleetEquivalence:
         member = FleetMember(app=app, run_key=("dynamic", 0), controller=fleet_ctrl)
         fleet = fleet_run([member])
         node = ComputeNode(0, seed=config.DEFAULT_SEED)
-        ref = ExecutionSimulator(node).run(
-            app, controller=ref_ctrl, run_key=("dynamic", 0)
-        )
+        ref = recursive_run(node, app, controller=ref_ctrl, run_key=("dynamic", 0))
         assert fleet.results[0] == ref
         assert fleet_ctrl.stats == ref_ctrl.stats
-
-    def test_foreign_controller_falls_back_bit_identically(self):
-        class Foreign:
-            """No compile_schedule protocol: forces the recursive path."""
-
-            def on_region_enter(self, node, region, app):
-                return None
-
-            def on_region_exit(self, node, region, app):
-                return None
-
-        app = build_app("EP")
-        member = FleetMember(app=app, run_key=("foreign",), controller=Foreign())
-        fleet = fleet_run([member])
-        node = ComputeNode(0, seed=config.DEFAULT_SEED)
-        ref = ExecutionSimulator(node).run(
-            app, controller=Foreign(), run_key=("foreign",)
-        )
-        assert fleet.results[0] == ref
-        assert fleet.end_states[0] == meter_end_state(node)
 
     def test_empty_fleet(self):
         fleet = fleet_run([])
@@ -223,10 +168,9 @@ class TestFleetEquivalence:
         with pytest.raises(WorkloadError, match="invalid thread count"):
             fleet_run([member])
 
-    def test_engine_tag_and_lazy_instances(self):
+    def test_lazy_instances(self):
         member = build_member({"app": "EP", "kind": "static_point"})
         fleet = fleet_run([member])
-        assert fleet.results[0].engine == "fleet"
         # Instances materialise lazily and stay stable across reads.
         first = list(fleet.results[0].instances)
         assert first == list(fleet.results[0].instances)
@@ -312,13 +256,19 @@ class TestFleetProperties:
 ENTRY_COUNTERS = ("PAPI_TOT_INS", "PAPI_L3_TCM", "NOT_A_COUNTER")
 
 
-def entry_state_sequence(fast_path: bool):
+def entry_state_sequence(recursive: bool):
     """Five runs back to back on one live node, HDEEM measuring across
     all of them: every run starts from the state the previous one left
     (frequencies, clock, HDEEM timeline, RAPL residuals)."""
     app = build_app("Lulesh")
     node = ComputeNode(3, seed=11)
     sim = ExecutionSimulator(node, seed=5)
+
+    def run(app, **kwargs):
+        if recursive:
+            return recursive_run(node, app, seed=5, **kwargs)
+        return sim.run(app, **kwargs)
+
     filtered = Instrumentation(
         app=app, filtered={"CalcQForElems", "LagrangeNodal_misc"}
     )
@@ -328,44 +278,37 @@ def entry_state_sequence(fast_path: bool):
     def record(result, extra=None):
         steps.append((result, list(result.instances), meter_end_state(node), extra))
 
-    record(sim.run(app, run_key=("entry", 0), fast_path=fast_path))
+    record(run(app, run_key=("entry", 0)))
     record(
-        sim.run(
+        run(
             app,
             controller=RRL(make_tmm(app)),
             instrumented=True,
             run_key=("entry", 1),
-            fast_path=fast_path,
         )
     )
     record(
-        sim.run(
+        run(
             app,
             controller=StaticController(OperatingPoint(2.2, 1.8, 24)),
             run_key=("entry", 2),
-            fast_path=fast_path,
         )
     )
-    if fast_path:
-        product = sim.run_phase_counters(
-            app, counters=ENTRY_COUNTERS, run_key=("entry", 3)
-        )
-        record(product.result, (product.totals, product.phase_time_s))
-    else:
-        collector = _PhaseCounterCollector(ENTRY_COUNTERS)
-        run = sim.run(
+    if recursive:
+        collector = PhaseCounterCollector(ENTRY_COUNTERS)
+        result = run(
             app,
             listeners=(collector,),
             collect_counters=True,
             run_key=("entry", 3),
         )
-        record(run, (collector.totals, collector.phase_time))
-    record(
-        sim.run(
-            app, instrumentation=filtered, run_key=("entry", 4),
-            fast_path=fast_path,
+        record(result, (collector.totals, collector.phase_time))
+    else:
+        product = sim.run_phase_counters(
+            app, counters=ENTRY_COUNTERS, run_key=("entry", 3)
         )
-    )
+        record(product.result, (product.totals, product.phase_time_s))
+    record(run(app, instrumentation=filtered, run_key=("entry", 4)))
     return steps, node.hdeem.stop()
 
 
@@ -374,9 +317,8 @@ class TestLiveNodeMembers:
     kernel: solo runs on one node chain exactly like recursive runs."""
 
     def test_run_sequence_on_one_node_matches_recursion(self):
-        fast_steps, fast_hdeem = entry_state_sequence(fast_path=True)
-        ref_steps, ref_hdeem = entry_state_sequence(fast_path=False)
-        assert [step[0].engine for step in fast_steps] == ["fleet"] * 5
+        fast_steps, fast_hdeem = entry_state_sequence(recursive=False)
+        ref_steps, ref_hdeem = entry_state_sequence(recursive=True)
         for fast, ref in zip(fast_steps, ref_steps):
             assert fast == ref  # result, instance rows, meter state, counters
         assert fast_hdeem == ref_hdeem
@@ -393,9 +335,7 @@ class TestLiveNodeMembers:
             return node
 
         solo_node, live_node = warmed_node(), warmed_node()
-        solo = ExecutionSimulator(solo_node, seed=4).run(
-            app, run_key=("live",), fast_path=False
-        )
+        solo = recursive_run(solo_node, app, seed=4, run_key=("live",))
         specs = [
             {"app": "Mcb", "kind": "static_point"},
             {"app": "EP", "kind": "rrl"},
@@ -416,8 +356,7 @@ class TestLiveNodeMembers:
         assert meter_end_state(live_node) == meter_end_state(solo_node)
         for i, spec in zip((0, 2, 3), specs):
             assert_member_identical(
-                fleet.results[i], fleet.end_states[i], build_member(spec),
-                fast_path=False,
+                fleet.results[i], fleet.end_states[i], build_member(spec)
             )
 
     def test_live_node_hosts_one_member_per_fleet(self):
@@ -464,8 +403,8 @@ def recursive_cell(app, point, run_key, *, node_id=0,
     """One grid cell on the recursive engine: fresh node, program, run."""
     node = ComputeNode(node_id, seed=node_seed)
     node.set_frequencies(point.core_freq_ghz, point.uncore_freq_ghz)
-    run = ExecutionSimulator(node, seed=seed).run(
-        app, threads=point.threads, run_key=run_key, fast_path=False, **kwargs
+    run = recursive_run(
+        node, app, seed=seed, threads=point.threads, run_key=run_key, **kwargs
     )
     return run, node
 
@@ -487,7 +426,6 @@ class TestGridEquivalence:
             # Full RunResult equality covers node/cpu energy, times and
             # every lazily materialised RegionInstance row.
             assert result == ref
-            assert result.engine == "fleet"
             assert meter_end_state(node) == end
 
     def test_region_timings_and_instances_match(self):

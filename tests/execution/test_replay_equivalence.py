@@ -1,7 +1,7 @@
 """Bit-identity of the vectorized replay fast path vs the recursive engine.
 
 The replay engine (:mod:`repro.execution.replay`) must be *exactly*
-equivalent to the generic recursive engine for every eligible run: every
+equivalent to the recursive reference engine for every run: every
 ``RunResult`` field, every ``RegionInstance`` row (values and order), the
 node's meter state afterwards, and the phase counter totals of the
 campaign ``counters`` mode.  These tests sweep applications, operating
@@ -13,68 +13,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import config
-from repro.campaign.engine import _PhaseCounterCollector
 from repro.counters.papi import TABLE1_COUNTERS, preset
 from repro.execution.simulator import ExecutionSimulator, InstanceLog, RunResult
-from repro.hardware.node import ComputeNode
-from repro.hardware.rapl import RaplDomain
 from repro.scorep.instrumentation import Instrumentation
 from repro.workloads import registry
+from tests.oracles.engine import (
+    PhaseCounterCollector,
+    assert_identical,
+    make_node,
+    meter_state,
+    recursive_run,
+    run_both,
+)
 
 #: A spread of benchmarks: OpenMP / MPI / hybrid, small and large trees.
 APPS = ("Lulesh", "Mcb", "FT", "EP", "Kripke", "BT-MZ")
 
 CANONICAL_COUNTERS = tuple(preset(c).name for c in TABLE1_COUNTERS)
-
-
-def make_node(node_id=0, seed=config.DEFAULT_SEED, cf=None, ucf=None):
-    node = ComputeNode(node_id, seed=seed)
-    if cf is not None:
-        node.set_frequencies(cf, ucf)
-    return node
-
-
-def meter_state(node):
-    """Observable meter state after a run (reader-visible energies)."""
-    return (
-        node.now_s,
-        node.hdeem.now_s,
-        tuple(
-            node.rapl.read_joules(s, domain)
-            for s in range(node.topology.num_sockets)
-            for domain in (RaplDomain.PACKAGE, RaplDomain.DRAM)
-        ),
-    )
-
-
-def run_both(app, *, node_id=0, node_seed=config.DEFAULT_SEED, seed=config.DEFAULT_SEED,
-             cf=None, ucf=None, **kwargs):
-    """One run through each engine on identically-prepared nodes."""
-    n1 = make_node(node_id, node_seed, cf, ucf)
-    n2 = make_node(node_id, node_seed, cf, ucf)
-    fast = ExecutionSimulator(n1, seed=seed).run(app, **kwargs)
-    generic = ExecutionSimulator(n2, seed=seed).run(app, fast_path=False, **kwargs)
-    return fast, generic, n1, n2
-
-
-def assert_identical(fast, generic, n1, n2):
-    assert fast.engine == "fleet"
-    assert generic.engine == "generic"
-    # Scalar fields, exactly.
-    assert fast.time_s == generic.time_s
-    assert fast.node_energy_j == generic.node_energy_j
-    assert fast.cpu_energy_j == generic.cpu_energy_j
-    assert fast.switching_time_s == generic.switching_time_s
-    assert fast.instrumentation_time_s == generic.instrumentation_time_s
-    assert fast.operating_point == generic.operating_point
-    # Instance rows: same count, order and every field (dataclass
-    # equality covers timings and operating points).
-    assert len(fast.instances) == len(generic.instances)
-    assert fast.instances == generic.instances
-    # Whole-result equality (engine field excluded by design).
-    assert fast == generic
-    # The node is left in an identical observable state.
-    assert meter_state(n1) == meter_state(n2)
 
 
 class TestReplayEquivalence:
@@ -123,8 +78,8 @@ class TestReplayEquivalence:
         fast = ExecutionSimulator(n1).run(
             app, instrumentation=instr1, run_key=("equiv", 5)
         )
-        generic = ExecutionSimulator(n2).run(
-            app, instrumentation=instr2, run_key=("equiv", 5), fast_path=False
+        generic = recursive_run(
+            n2, app, instrumentation=instr2, run_key=("equiv", 5)
         )
         assert_identical(fast, generic, n1, n2)
 
@@ -158,10 +113,10 @@ class TestReplayEquivalence:
         so run sequences interleave engines freely."""
         app = registry.build("FT")
         n1, n2 = make_node(), make_node()
-        s1, s2 = ExecutionSimulator(n1), ExecutionSimulator(n2)
+        s1 = ExecutionSimulator(n1)
         for key in (("seq", 0), ("seq", 1)):
             fast = s1.run(app, run_key=key)
-            generic = s2.run(app, run_key=key, fast_path=False)
+            generic = recursive_run(n2, app, run_key=key)
             assert fast == generic
         assert meter_state(n1) == meter_state(n2)
 
@@ -171,9 +126,11 @@ class TestPhaseCounterEquivalence:
     def test_totals_bit_identical_to_listener_path(self, app_name):
         app = registry.build(app_name)
         n1, n2 = make_node(seed=7), make_node(seed=7)
-        collector = _PhaseCounterCollector(CANONICAL_COUNTERS)
-        reference = ExecutionSimulator(n1, seed=3).run(
+        collector = PhaseCounterCollector(CANONICAL_COUNTERS)
+        reference = recursive_run(
+            n1,
             app,
+            seed=3,
             listeners=(collector,),
             collect_counters=True,
             run_key=("counters", None, 0),
@@ -193,52 +150,6 @@ class TestPhaseCounterEquivalence:
             app, counters=("NOT_A_COUNTER",), run_key=()
         )
         assert product.totals == {"NOT_A_COUNTER": 0.0}
-
-
-class _NullController:
-    def on_region_enter(self, region, iteration, node):
-        return 0
-
-    def on_region_exit(self, region, iteration, node):
-        pass
-
-
-class _NullListener:
-    def on_enter(self, region, iteration, time_s):
-        pass
-
-    def on_exit(self, region, iteration, time_s, metrics):
-        pass
-
-
-class TestDispatch:
-    def test_uncontrolled_run_uses_replay(self):
-        run = ExecutionSimulator(make_node()).run(registry.build("EP"))
-        assert run.engine == "fleet"
-
-    def test_controller_run_uses_generic(self):
-        run = ExecutionSimulator(make_node()).run(
-            registry.build("EP"), controller=_NullController()
-        )
-        assert run.engine == "generic"
-
-    def test_listener_run_uses_generic(self):
-        run = ExecutionSimulator(make_node()).run(
-            registry.build("EP"), listeners=(_NullListener(),)
-        )
-        assert run.engine == "generic"
-
-    def test_fast_path_false_forces_generic(self):
-        run = ExecutionSimulator(make_node()).run(
-            registry.build("EP"), fast_path=False
-        )
-        assert run.engine == "generic"
-
-    def test_instrumented_runs_stay_on_replay(self):
-        run = ExecutionSimulator(make_node()).run(
-            registry.build("EP"), instrumented=True
-        )
-        assert run.engine == "fleet"
 
 
 class TestInstanceLog:
@@ -266,13 +177,6 @@ class TestInstanceLog:
             assert run.region_instances(name) == [
                 i for i in run.instances if i.region_name == name
             ]
-
-    def test_index_maintained_across_append(self):
-        run = ExecutionSimulator(make_node()).run(registry.build("EP"))
-        first = run.region_instances("phase")
-        extra = first[0]
-        run.instances.append(extra)
-        assert run.region_instances("phase") == first + [extra]
 
     def test_equality_with_plain_list(self):
         log = InstanceLog()

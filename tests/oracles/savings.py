@@ -2,9 +2,9 @@
 
 :func:`repro.analysis.savings.compare_static_dynamic` runs the four
 variants (default, static, dynamic, config-only) through the
-controlled-replay fast path.  This oracle runs the same repetitions
-with ``fast_path=False`` — the recursive engine every replay kernel is
-bit-identical to.
+controlled replay.  This oracle runs the same repetitions on the
+recursive engine (:func:`tests.oracles.engine.recursive_run`) every
+replay kernel is bit-identical to.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import numpy as np
 
 from repro import config
 from repro.analysis.savings import BenchmarkSavings, RunAverages
-from repro.execution.simulator import ExecutionSimulator, OperatingPoint
+from repro.execution.simulator import OperatingPoint
 from repro.execution.slurm import SlurmAccounting
 from repro.hardware.cluster import Cluster
 from repro.readex.rrl import RRL, StaticController
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.instrumentation import Instrumentation
 from repro.workloads import registry
+from tests.oracles.engine import recursive_run
 
 
 def _averaged_runs(
@@ -35,14 +36,15 @@ def _averaged_runs(
         instr = instrumentation
         if instr is not None:
             instr = Instrumentation(app=app, filtered=set(instr.filtered))
-        result = ExecutionSimulator(node, seed=seed).run(
+        result = recursive_run(
+            node,
             app,
+            seed=seed,
             threads=threads,
             controller=controller_factory() if controller_factory else None,
             instrumented=instrumented,
             instrumentation=instr,
             run_key=(key, r),
-            fast_path=False,
         )
         record = accounting.submit(result)
         job.append(record.consumed_energy_j)

@@ -86,10 +86,11 @@ class TestExperimentsEngine:
 
     def test_schedule_controller_rides_controlled_replay(self, cluster):
         """The predeclared experiment schedule compiles for the
-        controlled-replay fast path, bit-identical to the recursion."""
+        controlled replay, bit-identical to the recursion."""
         from repro import config as cfg
         from repro.execution.simulator import ExecutionSimulator
         from repro.ptf.experiments import _ScheduleController
+        from tests.oracles.engine import recursive_run
 
         app = registry.build("Lulesh")
         schedule = [
@@ -97,23 +98,23 @@ class TestExperimentsEngine:
             OperatingPoint(1.6, 2.5, 16),
             OperatingPoint(2.0, 1.5, 24),
         ]
-        runs = {}
-        for fast_path in (True, False):
+        def prepared():
             node = cluster.fresh_node(0)
             node.set_frequencies(
                 cfg.CALIBRATION_CORE_FREQ_GHZ, cfg.CALIBRATION_UNCORE_FREQ_GHZ
             )
-            controller = _ScheduleController(list(schedule), app.phase.name)
-            runs[fast_path] = ExecutionSimulator(node).run(
-                app,
-                threads=schedule[0].threads,
-                controller=controller,
-                instrumented=True,
-                run_key=("experiments", (("exhaustive",), 0)),
-                fast_path=fast_path,
-            )
-        assert runs[True].engine == "fleet"
-        assert runs[True] == runs[False]
+            return node, _ScheduleController(list(schedule), app.phase.name)
+
+        kwargs = dict(
+            threads=schedule[0].threads,
+            instrumented=True,
+            run_key=("experiments", (("exhaustive",), 0)),
+        )
+        node, controller = prepared()
+        fast = ExecutionSimulator(node).run(app, controller=controller, **kwargs)
+        node, controller = prepared()
+        reference = recursive_run(node, app, controller=controller, **kwargs)
+        assert fast == reference
 
 
 class TestEnergyPlugin:

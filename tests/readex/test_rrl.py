@@ -130,20 +130,10 @@ class TestRRL:
         app = registry.build("Lulesh")
         node = ComputeNode(0)
         rrl = RRL(lulesh_tmm())
-        captured = {}
-
-        class Spy:
-            def on_enter(self, region, iteration, time_s):
-                if region.name == "CalcKinematicsForElems":
-                    captured["cf"] = node.core_freq_ghz
-                    captured["ucf"] = node.uncore_freq_ghz
-
-            def on_exit(self, region, iteration, time_s, metrics):
-                pass
-
-        ExecutionSimulator(node).run(app, controller=rrl, listeners=(Spy(),))
-        assert captured["cf"] == 2.4
-        assert captured["ucf"] == 2.0
+        result = ExecutionSimulator(node).run(app, controller=rrl, instrumented=True)
+        point = result.region_instances("CalcKinematicsForElems")[0].operating_point
+        assert point.core_freq_ghz == 2.4
+        assert point.uncore_freq_ghz == 2.0
 
     def test_rrl_saves_energy_vs_default(self):
         app = registry.build("Mcb")

@@ -13,8 +13,7 @@ The store lives under ``benchmarks/.cache/`` by default; set
 ``REPRO_BENCH_CACHE_DIR`` to relocate it (tests use a temp dir),
 ``REPRO_BENCH_CACHE_BACKEND`` to pick the store backend
 (``jsonl``/``sqlite``/``segment``; default: an existing legacy JSONL
-store is kept, fresh caches use indexed SQLite) or
-``REPRO_CAMPAIGN_WORKERS`` to size the worker pool.  Cold-cache
+store is kept, fresh caches use indexed SQLite).  Cold-cache
 sessions additionally benefit from the simulator's vectorized replay
 fast path (see ``benchmarks/bench_sim_throughput.py`` for the measured
 per-run speedup).  Trained models are cached in the same store

@@ -12,14 +12,7 @@ static-vs-dynamic savings rows — through two execution arms:
 * ``fleet`` — the batched fleet replay kernel
   (:mod:`repro.execution.fleet_replay`): all variability cells in one
   fleet, all grids in one :func:`repro.api.sweep_grids` pass, all
-  savings variants in one fleet-sharded campaign plan;
-* ``pooled`` — the fleet arm's campaign plans executed on a process
-  pool (``CampaignEngine(max_workers=2)``): same kernels and shards,
-  spread across free workers instead of running serially.
-  On a single-core machine this arm measures the scheduling overhead
-  (its gated guarantee is bit-identity plus a not-slower-than-baseline
-  ``pooled_speedup`` ratio); with cores to spare it shows the
-  parallel multiple.
+  savings variants in one fleet-sharded campaign plan.
 
 Every artefact is serialised to canonical JSON and checksummed; the
 arms must agree to the bit (``aggregate.artifacts_identical``) and the
@@ -55,15 +48,7 @@ from repro.analysis.variability import variability_study
 from repro.campaign.engine import CampaignEngine
 from tests.oracles.grids import loop_grid, loop_variability
 
-ENGINES = ("loop", "fleet", "pooled")
-
-#: Worker count for the pooled arm.  Two keeps the arm honest on the
-#: small CI boxes: any parallel win must come from overlap, not width.
-POOLED_WORKERS = 2
-
-
-def _pooled_engine() -> CampaignEngine:
-    return CampaignEngine(max_workers=POOLED_WORKERS)
+ENGINES = ("loop", "fleet")
 
 #: The artefact cast, scaled for a benchmark run: one variability
 #: benchmark over both axes, the two paper heatmap cases, savings rows
@@ -164,17 +149,12 @@ def regenerate_artifacts(
 
     ``engine="loop"`` uses the per-cell/per-run reference paths;
     ``engine="fleet"`` batches each artefact family through the fleet
-    replay kernel; ``engine="pooled"`` runs the fleet-shaped campaign
-    plans on a two-worker :class:`CampaignEngine` process pool.  All
-    arms must agree to the bit.
+    replay kernel.  Both arms must agree to the bit.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     artifacts: dict[str, dict] = {}
 
-    # The variability study has no campaign path — the pooled arm keeps
-    # the fleet kernel here; only the campaign-planned artefacts below
-    # change execution backend.
     measure = loop_variability if engine == "loop" else variability_study
     for figure, axis in (("fig2", "core"), ("fig3", "uncore")):
         study = measure(
@@ -186,12 +166,7 @@ def regenerate_artifacts(
         api.GridSpec(name, threads=threads, stride=stride)
         for name, threads in FIG67_CASES
     ]
-    if engine == "pooled":
-        grids = api.sweep_grids(
-            specs,
-            options=api.ExecutionOptions(campaign=_pooled_engine()),
-        )
-    elif engine == "fleet":
+    if engine == "fleet":
         grids = api.sweep_grids(specs)
     else:
         grids = [
@@ -205,10 +180,8 @@ def regenerate_artifacts(
         grid.benchmark: _best_config(grid) for grid in grids
     }
 
-    if engine == "pooled":
-        options = api.ExecutionOptions(campaign=_pooled_engine())
-    elif engine == "fleet":
-        options = api.ExecutionOptions(campaign=CampaignEngine(max_workers=0))
+    if engine == "fleet":
+        options = api.ExecutionOptions(campaign=CampaignEngine())
     else:
         options = api.ExecutionOptions()
     rows = compare_static_dynamic_many(
@@ -246,9 +219,6 @@ def run_benchmark(
                 "artifact": name,
                 "sha256": fleet_sha,
                 "identical": checksum(arms["loop"][name]) == fleet_sha,
-                "pooled_identical": (
-                    checksum(arms["pooled"][name]) == fleet_sha
-                ),
             }
         )
     return {
@@ -262,35 +232,23 @@ def run_benchmark(
             "artifacts": len(results),
             "loop_ms": timings["loop"] * 1e3,
             "fleet_ms": timings["fleet"] * 1e3,
-            "pooled_ms": timings["pooled"] * 1e3,
             "speedup": timings["loop"] / timings["fleet"],
-            "pooled_speedup": timings["loop"] / timings["pooled"],
-            "pooled_workers": POOLED_WORKERS,
             "artifacts_identical": all(r["identical"] for r in results),
-            "pooled_identical": all(
-                r["pooled_identical"] for r in results
-            ),
         },
     }
 
 
 def render(report: dict) -> str:
-    lines = [f"{'artifact':<28} {'identical':>10} {'pooled':>8}  sha256"]
+    lines = [f"{'artifact':<28} {'identical':>10}  sha256"]
     for r in report["results"]:
         lines.append(
-            f"{r['artifact']:<28} {str(r['identical']):>10} "
-            f"{str(r['pooled_identical']):>8}  {r['sha256'][:16]}"
+            f"{r['artifact']:<28} {str(r['identical']):>10}  {r['sha256'][:16]}"
         )
     a = report["aggregate"]
     lines.append(
         f"\nfull regeneration: loop {a['loop_ms']:.0f}ms, "
         f"fleet {a['fleet_ms']:.0f}ms, speedup {a['speedup']:.1f}x, "
         f"identical {a['artifacts_identical']}"
-    )
-    lines.append(
-        f"pooled fleet ({a['pooled_workers']} workers): "
-        f"{a['pooled_ms']:.0f}ms, speedup {a['pooled_speedup']:.1f}x, "
-        f"identical {a['pooled_identical']}"
     )
     return "\n".join(lines)
 
@@ -312,7 +270,6 @@ def test_paper_regen_smoke(benchmark):
     print()
     print(render(report))
     assert report["aggregate"]["artifacts_identical"]
-    assert report["aggregate"]["pooled_identical"]
     assert report["aggregate"]["speedup"] > 1.5
 
 
@@ -330,9 +287,6 @@ def main(argv=None) -> int:
     print(render(report))
     if not report["aggregate"]["artifacts_identical"]:
         print("\nARTIFACT MISMATCH: loop and fleet regenerations disagree")
-        return 1
-    if not report["aggregate"]["pooled_identical"]:
-        print("\nARTIFACT MISMATCH: pooled regeneration disagrees")
         return 1
     if args.json:
         args.json.write_text(json.dumps(report, indent=2) + "\n")

@@ -10,8 +10,10 @@ reports per-app and aggregate
 * region-instances per second,
 * the replay/generic speedup,
 
-plus the campaign ``counters`` mode (replay counter synthesis vs the
-listener-based collector on the recursive engine).
+plus the campaign ``counters`` mode (a counters job priced by the
+production campaign path, :func:`repro.campaign.engine.execute_job`, vs
+the listener-based collector on the recursive engine, both on a fresh
+node at the calibration point).
 
 Runs standalone from the repository root with JSON output (the CI
 perf-smoke step uploads the artifact)::
@@ -35,6 +37,8 @@ from pathlib import Path
 if __package__ in (None, ""):  # script execution: make `tests` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from repro.campaign.engine import execute_job
+from repro.campaign.plan import counter_jobs
 from repro.counters.papi import TABLE1_COUNTERS, preset
 from repro.execution.simulator import ExecutionSimulator
 from repro.hardware.node import ComputeNode
@@ -72,21 +76,24 @@ def measure_app(app_name: str, runs: int = DEFAULT_RUNS) -> dict:
         generic_runs,
     )
 
-    counters_replay_s = _time_per_run(
-        lambda i: simulator.run_phase_counters(
-            app, counters=CANONICAL_COUNTERS, run_key=("cbench", i)
-        ),
-        runs,
+    # One job per timed run (each repetition is its own noise key).
+    jobs = counter_jobs(
+        app_name, threads=None, counters=CANONICAL_COUNTERS, runs=runs + 1
     )
+    counters_replay_s = _time_per_run(lambda i: execute_job(jobs[i]), runs)
 
     def generic_counters(i):
-        collector = PhaseCounterCollector(CANONICAL_COUNTERS)
+        job = jobs[i]
+        fresh = ComputeNode(job.node_id, seed=job.node_seed)
+        fresh.set_frequencies(job.core_freq_ghz, job.uncore_freq_ghz)
+        collector = PhaseCounterCollector(job.counters)
         recursive_run(
-            node,
+            fresh,
             app,
+            seed=job.seed,
             listeners=(collector,),
             collect_counters=True,
-            run_key=("cbench", i),
+            run_key=job.run_key(),
         )
 
     counters_generic_s = _time_per_run(generic_counters, generic_runs)

@@ -47,7 +47,7 @@ GATED_METRICS: dict[str, tuple[str, ...]] = {
     # wall-clock multiple, but efficiency (speedup / usable cores) is
     # machine-comparable the same way the other ratios are.
     "serving_scaling": ("aggregate.efficiency",),
-    "paper_regen": ("aggregate.speedup", "aggregate.pooled_speedup"),
+    "paper_regen": ("aggregate.speedup",),
 }
 
 #: Dotted paths of boolean flags that must be true, per report kind.
@@ -66,10 +66,7 @@ REQUIRED_FLAGS: dict[str, tuple[str, ...]] = {
         "aggregate.no_admission_delay",
     ),
     "serving_scaling": ("aggregate.responses_identical",),
-    "paper_regen": (
-        "aggregate.artifacts_identical",
-        "aggregate.pooled_identical",
-    ),
+    "paper_regen": ("aggregate.artifacts_identical",),
 }
 
 

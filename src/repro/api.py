@@ -6,7 +6,7 @@ module instead:
 
 :class:`ExecutionOptions`
     The one normalized description of *how* to execute: whether a
-    :class:`~repro.campaign.engine.CampaignEngine` (worker pool +
+    :class:`~repro.campaign.engine.CampaignEngine` (fleet shards +
     content-addressed result store) backs the runs, which simulated
     cluster they run on, and what a definitive job failure does.
 
@@ -74,8 +74,8 @@ ON_FAILURE: tuple[str, ...] = ("raise", "quarantine", "skip")
 class ExecutionOptions:
     """How (not what) to execute — the one normalized options object.
 
-    ``campaign`` attaches a worker pool + content-addressed result
-    store so measurements cache and parallelise; ``cluster`` supplies
+    ``campaign`` attaches a campaign engine + content-addressed result
+    store so measurements cache and batch; ``cluster`` supplies
     the simulated hardware (one is built from the seed when omitted).
     Campaign-backed and in-process runs are bit-identical — these
     options trade speed and caching, never results.

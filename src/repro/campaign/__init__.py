@@ -1,4 +1,4 @@
-"""Parallel experiment-campaign engine with an on-disk result store.
+"""Experiment-campaign engine with an on-disk result store.
 
 A *campaign* is the cross-product of applications, operating points and
 instrumentation modes that an experiment needs — the training-data
@@ -21,11 +21,11 @@ into three orthogonal pieces:
     auto-detected from the store path, convertible with
     :func:`migrate_store`.
 :mod:`repro.campaign.engine`
-    The executor (:class:`CampaignEngine`): runs the uncached jobs of a
-    plan, serially or across a ``ProcessPoolExecutor`` worker pool.
-    Because every stochastic quantity in the simulator draws from a
-    stream keyed by :func:`repro.util.rng.rng_for`, parallel execution
-    is bit-identical to serial execution.
+    The executor (:class:`CampaignEngine`): prices the uncached jobs of
+    a plan in-process, in fleet-kernel shards.  Because every
+    stochastic quantity in the simulator draws from a stream keyed by
+    :func:`repro.util.rng.rng_for`, a job's payload is bit-identical
+    however it is batched.
 
 The three hot consumers — :func:`repro.modeling.dataset.build_dataset`,
 :func:`repro.ptf.static_tuning.exhaustive_static_search` and the
@@ -38,7 +38,6 @@ from repro.campaign.engine import (
     CampaignEngine,
     CampaignReport,
     CampaignResults,
-    default_worker_count,
     execute_job,
     qualified_descriptor,
     run_app_jobs,
@@ -92,7 +91,6 @@ __all__ = [
     "StoreBackend",
     "failure_descriptor",
     "counter_jobs",
-    "default_worker_count",
     "detect_backend_kind",
     "execute_job",
     "job_key",

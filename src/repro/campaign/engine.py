@@ -1,25 +1,25 @@
-"""Campaign execution: serial or across a process worker pool.
+"""Campaign execution: every job priced in-process by the fleet kernel.
 
-:func:`execute_job` is a top-level function (picklable) that rebuilds
-the job's node and application from seeds and the registry, runs the
-simulator, and returns a small JSON-able payload.  Because every noise
-stream is keyed through :func:`repro.util.rng.rng_for` by
-(seed, node, run key, region, iteration) — never by process or call
-order — the payload is bit-identical whether the job runs serially, in
-a worker process, or in a different session entirely.  That property is
-what makes the content-addressed :class:`~repro.campaign.store.ResultStore`
-sound.  Every job runs through the fleet kernel
-(:mod:`repro.execution.fleet_replay`): :class:`CampaignEngine` prices
-fleet-able jobs in shards, a job on its own is a fleet of its members,
-and ``counters`` jobs are the simulator's live-node fleet of one — every
-path bit-identical to the recursive reference engine — so stores
-written by any strategy agree.
+:func:`execute_job` rebuilds the job's application from the registry,
+prices it as fresh-node members of the fleet kernel
+(:mod:`repro.execution.fleet_replay`), and returns a small JSON-able
+payload.  Because every noise stream is keyed through
+:func:`repro.util.rng.rng_for` by (seed, node, run key, region,
+iteration) — never by call order or batch composition — the payload is
+bit-identical whether the job runs alone, inside a shard, or in a
+different session entirely.  That property is what makes the
+content-addressed :class:`~repro.campaign.store.ResultStore` sound.
+:class:`CampaignEngine` prices a plan's uncached jobs, of every mode, in
+:class:`~repro.campaign.plan.FleetShard`\\ s — every path bit-identical
+to the recursive reference engine — so stores written by any strategy
+agree.
 
 Payload layout by mode:
 
 ``counters``
     ``{"totals": {papi_name: total}, "phase_time_s": s}`` — summed over
-    the phase region's instances of one run.
+    the phase region's instances of one instrumented run at the job's
+    operating point (:func:`repro.execution.replay.phase_counters`).
 ``sweep`` / ``static``
     ``{"node_energy_j": J, "cpu_energy_j": J, "time_s": s}``.
 ``grid``
@@ -38,57 +38,36 @@ Payload layout by mode:
 from __future__ import annotations
 
 import functools
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.campaign.faultinject import maybe_fault
-from repro.campaign.plan import (
-    FLEET_MODES,
-    CampaignJob,
-    CampaignPlan,
-    FleetShard,
-    fleet_jobs,
-)
+from repro.campaign.plan import CampaignJob, CampaignPlan, FleetShard, fleet_jobs
 from repro.campaign.resilience import (
     ON_FAILURE_POLICIES,
     DrainFlag,
     FailureRecord,
-    PoolOutcome,
+    PassOutcome,
     ResumeManifest,
     RetryPolicy,
     failure_descriptor,
     graceful_drain,
-    run_resilient_pool,
     run_resilient_serial,
 )
 from repro.campaign.store import ResultStore, job_key
+from repro.counters.generation import CounterGenerator
 from repro.errors import (
     CampaignError,
     CampaignExecutionError,
     CampaignInterrupted,
     WorkloadError,
 )
-from repro.execution.simulator import ExecutionSimulator
+from repro.execution.replay import phase_counters
 from repro.hardware.cluster import Cluster
-from repro.hardware.node import ComputeNode
 from repro.hardware.topology import NodeTopology
 from repro.workloads import registry
 from repro.workloads.application import Application
-
-#: Environment override for the default pool width.
-WORKERS_ENV = "REPRO_CAMPAIGN_WORKERS"
-
-#: Never spin up more than this many workers by default.
-MAX_DEFAULT_WORKERS = 8
-
-#: With auto-sized pools, require at least this many pending jobs per
-#: worker before parallelising (a 3-job plan is cheaper run serially
-#: than forking a pool for it).
-MIN_JOBS_PER_WORKER = 8
 
 #: Payload keys every result of a mode must carry; a cached payload
 #: missing one was produced by an incompatible (older) result schema.
@@ -125,19 +104,6 @@ def validate_payload(
             f"missing keys {missing}: the entry was produced by an older "
             "result schema; delete the store file to re-simulate"
         )
-
-
-def default_worker_count() -> int:
-    """Pool width: ``$REPRO_CAMPAIGN_WORKERS`` or cpu count (capped)."""
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CampaignError(
-                f"{WORKERS_ENV} must be an integer, got {env!r}"
-            ) from None
-    return min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)
 
 
 @functools.lru_cache(maxsize=64)
@@ -187,31 +153,18 @@ def execute_job(
 ) -> dict[str, Any]:
     """Run one campaign job from scratch and return its payload.
 
-    ``app`` overrides the registry lookup for callers holding a custom
+    The job is a fleet of its fresh-node members — one per grid cell
+    for ``grid`` — so the payload agrees with a fleet shard's.  ``app``
+    overrides the registry lookup for callers holding a custom
     :class:`~repro.workloads.application.Application` instance that is
-    not registered under ``job.app`` (such jobs bypass pools/stores).
+    not registered under ``job.app`` (such jobs bypass stores).
     """
-    if app is None:
-        app = registry.build(job.app)
-    if job.mode == "counters":
-        node = ComputeNode(job.node_id, seed=job.node_seed, topology=topology)
-        node.set_frequencies(job.core_freq_ghz, job.uncore_freq_ghz)
-        product = ExecutionSimulator(node, seed=job.seed).run_phase_counters(
-            app,
-            threads=job.threads,
-            counters=job.counters,
-            run_key=job.run_key(),
-        )
-        return {
-            "totals": dict(product.totals),
-            "phase_time_s": product.phase_time_s,
-        }
-    # Every other mode is a fleet of fresh-node members — one per grid
-    # cell for ``grid`` — so the payload agrees with a fleet shard's.
     from repro.execution.fleet_replay import fleet_run
 
+    if app is None:
+        app = registry.build(job.app)
     fleet = fleet_run(_job_fleet_members(job, app, topology))
-    return _fleet_payload(job, fleet.results)
+    return _fleet_payload(job, fleet.results, fleet.traces)
 
 
 def execute_job_faulted(
@@ -227,9 +180,7 @@ def execute_job_faulted(
     target a job by (app, mode, pending index, attempt).  A no-op
     passthrough when ``REPRO_FAULT_INJECT`` is unset.
     """
-    maybe_fault(
-        "execute", app=job.app, mode=job.mode, index=index, attempt=attempt
-    )
+    maybe_fault(app=job.app, mode=job.mode, index=index, attempt=attempt)
     return execute_job(job, topology)
 
 
@@ -274,6 +225,8 @@ def _job_fleet_members(job: CampaignJob, app: Application, topology):
                 **common,
             )
         ]
+    # One run at the job's point; a ``counters`` run is instrumented,
+    # and its counters are read from the priced trace.
     return [
         FleetMember(
             app=app,
@@ -282,14 +235,24 @@ def _job_fleet_members(job: CampaignJob, app: Application, topology):
                 job.core_freq_ghz, job.uncore_freq_ghz, threads
             ),
             threads=threads,
+            instrumented=job.mode == "counters",
             **common,
         )
     ]
 
 
-def _fleet_payload(job: CampaignJob, results) -> dict[str, Any]:
-    """Assemble one job's store payload from its fleet members' runs —
-    the exact layout :func:`execute_job` produces for the mode."""
+def _fleet_payload(job: CampaignJob, results, traces) -> dict[str, Any]:
+    """Assemble one job's store payload from its fleet members' runs and
+    priced traces — the store layout of the job's mode."""
+    if job.mode == "counters":
+        totals, phase_time_s = phase_counters(
+            results[0],
+            traces[0],
+            CounterGenerator(job.seed),
+            run_key=job.run_key(),
+            counters=job.counters,
+        )
+        return {"totals": totals, "phase_time_s": phase_time_s}
     if job.mode == "grid":
         return {
             "uncore_freqs_ghz": list(job.uncore_freqs_ghz),
@@ -315,8 +278,8 @@ def execute_fleet_shard(
     """Price one shard's jobs in a single fleet-kernel pass.
 
     Returns ``{store key: payload}`` with exactly the payloads (and
-    keys) the per-job :func:`execute_job` path would produce — fleet
-    execution is a strategy, not a schema.
+    keys) :func:`execute_job` produces job by job — sharding is a
+    strategy, not a schema.
     """
     from repro.execution.fleet_replay import fleet_run
 
@@ -334,7 +297,9 @@ def execute_fleet_shard(
     fleet = fleet_run(members)
     return {
         topology_job_key(job, topology): _fleet_payload(
-            job, fleet.results[start:start + count]
+            job,
+            fleet.results[start:start + count],
+            fleet.traces[start:start + count],
         )
         for job, (start, count) in zip(shard.jobs, spans)
     }
@@ -355,94 +320,10 @@ def execute_fleet_shard_faulted(
     ``indices`` runs parallel to ``shard.jobs``), so a fault aimed at
     one job fires whether that job runs in a shard or on its own.
     """
-    maybe_fault(
-        "execute", app=shard.jobs[0].app, mode="fleet", index=index,
-        attempt=attempt,
-    )
+    maybe_fault(app=shard.jobs[0].app, mode="fleet", index=index, attempt=attempt)
     for job, job_index in zip(shard.jobs, indices):
-        maybe_fault(
-            "execute", app=job.app, mode=job.mode, index=job_index,
-            attempt=attempt,
-        )
+        maybe_fault(app=job.app, mode=job.mode, index=job_index, attempt=attempt)
     return execute_fleet_shard(shard, topology)
-
-
-def execute_fleet_shard_stored(
-    shard: FleetShard,
-    topology: NodeTopology | None,
-    store_path: str,
-    store_backend: str,
-    descriptors: dict[str, dict[str, Any]],
-    index: int,
-    indices: tuple[int, ...],
-    attempt: int = 0,
-) -> dict[str, dict[str, Any]]:
-    """Run one shard in a pool worker, persisting member rows directly.
-
-    Each member job's row is put and flushed individually (with a
-    per-row ``store``-stage fault checkpoint keyed by the job's app),
-    so a worker killed mid-shard loses only the rows it had not yet
-    written — the retry re-prices the shard bit-identically and the
-    store no-ops the re-puts of surviving rows.
-    """
-    payloads = execute_fleet_shard_faulted(
-        shard, topology, index, indices, attempt
-    )
-    store = _worker_store(store_path, store_backend)
-    for job in shard.jobs:
-        key = topology_job_key(job, topology)
-        maybe_fault(
-            "store", app=job.app, mode="fleet", index=index, attempt=attempt
-        )
-        store.put(key, descriptors[key], payloads[key])
-        store.flush()
-    return payloads
-
-
-#: Per-process store instances for direct-writing pool workers, keyed
-#: by (pid, path) — the pid guard matters under fork, where a parent's
-#: populated cache is inherited verbatim and must not be reused.
-_WORKER_STORES: dict[tuple[int, str], ResultStore] = {}
-
-
-def _worker_store(path: str, backend: str) -> ResultStore:
-    key = (os.getpid(), path)
-    store = _WORKER_STORES.get(key)
-    if store is None:
-        store = ResultStore(path, backend=backend)
-        _WORKER_STORES[key] = store
-    return store
-
-
-def execute_job_stored(
-    job: CampaignJob,
-    topology: NodeTopology | None,
-    store_path: str,
-    store_backend: str,
-    key: str,
-    descriptor: dict[str, Any],
-    index: int | None = None,
-    attempt: int = 0,
-) -> dict[str, Any]:
-    """Run one job in a pool worker and persist its result directly.
-
-    With a backend that takes concurrent writers (SQLite, segments),
-    each worker writes its own results instead of funneling them
-    through the parent — an interrupted campaign keeps every finished
-    job even if the parent dies before collecting futures.  The worker
-    flushes after each put, so index sidecars stay current without the
-    worker ever having to close the store.  A retried job whose earlier
-    attempt persisted before crashing re-puts the same key, which the
-    store no-ops (payloads are bit-identical by construction).
-    """
-    payload = execute_job_faulted(job, topology, index, attempt)
-    maybe_fault(
-        "store", app=job.app, mode=job.mode, index=index, attempt=attempt
-    )
-    store = _worker_store(store_path, store_backend)
-    store.put(key, descriptor, payload)
-    store.flush()
-    return payload
 
 
 @dataclass(frozen=True)
@@ -458,7 +339,6 @@ class CampaignReport:
     planned: int
     cached: int
     executed: int
-    workers: int
     failed: int = 0
     quarantined: int = 0
     retried: int = 0
@@ -529,34 +409,28 @@ class CampaignResults:
 
 
 class CampaignEngine:
-    """Executes campaign plans with caching, parallelism and resilience.
+    """Executes campaign plans in-process with caching and resilience.
 
-    ``max_workers=None`` auto-sizes the pool (see
-    :func:`default_worker_count`); ``0`` or ``1`` forces serial
-    in-process execution.  When a :class:`ResultStore` is attached,
-    cached jobs are never re-simulated and fresh results are persisted
-    as they are collected, so an interrupted campaign keeps its
-    completed work.
+    When a :class:`ResultStore` is attached, cached jobs are never
+    re-simulated and fresh results are persisted as they are
+    collected, so an interrupted campaign keeps its completed work.
 
     ``retry_policy`` governs fault tolerance (see
     :class:`~repro.campaign.resilience.RetryPolicy`): transient
-    failures — worker death, per-job timeouts, I/O errors — are retried
-    with deterministic seeded backoff and the pool is respawned as
-    needed; deterministic failures fail fast.  What happens to a job
-    that definitively fails is the per-run ``on_failure`` policy of
-    :meth:`run`.
+    failures — I/O errors, or faults flagged transient — are retried
+    with deterministic seeded backoff; deterministic failures fail
+    fast.  What happens to a job that definitively fails is the per-run
+    ``on_failure`` policy of :meth:`run`.
     """
 
     def __init__(
         self,
         *,
         store: ResultStore | None = None,
-        max_workers: int | None = None,
         topology: NodeTopology | None = None,
         retry_policy: RetryPolicy | None = None,
     ):
         self.store = store
-        self.max_workers = max_workers
         self.topology = topology
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.total_executed = 0
@@ -573,15 +447,13 @@ class CampaignEngine:
     ) -> CampaignResults:
         """Execute (or recall) every job of ``plan``.
 
-        Uncached fleet-able jobs (see
-        :data:`~repro.campaign.plan.FLEET_MODES`) are cut, in plan
-        order, into :class:`~repro.campaign.plan.FleetShard`\\ s of
+        Uncached jobs are cut, in plan order, into
+        :class:`~repro.campaign.plan.FleetShard`\\ s of
         :data:`~repro.campaign.plan.DEFAULT_FLEET_SHARD_SIZE` jobs and
         priced through the batched fleet kernel — one kernel invocation
-        per shard, shards pool-parallel.  ``counters`` jobs, and a
-        slice holding a single job (a one-job plan gains nothing from
-        batching), run per job through :func:`execute_job` in the same
-        resilient pass.  Payloads and store keys are those of
+        per shard.  A slice holding a single job (a one-job plan gains
+        nothing from batching) runs through :func:`execute_job` in the
+        same resilient pass.  Payloads and store keys are those of
         :func:`execute_job` whichever way a job runs.
 
         ``on_failure`` decides what a definitive job failure does:
@@ -592,7 +464,7 @@ class CampaignEngine:
         completes with partial results, ``"skip"`` completes with
         partial results without persisting anything about the failure.
 
-        SIGINT/SIGTERM drain the run: in-flight jobs finish and are
+        SIGINT/SIGTERM drain the run: the running task finishes and is
         persisted, a :class:`ResumeManifest` is written to
         ``resume_manifest`` (when given), and
         :class:`CampaignInterrupted` is raised.
@@ -642,9 +514,7 @@ class CampaignEngine:
         cached_count = len(plan) - len(pending) - len(quarantined)
         drain = DrainFlag()
         with graceful_drain(drain):
-            outcome, workers = self._execute_pending(
-                pending, payloads, on_failure, drain
-            )
+            outcome = self._execute_pending(pending, payloads, on_failure, drain)
 
         jobs_by_key = dict(pending)
         failed: dict[str, FailureRecord] = {}
@@ -670,7 +540,6 @@ class CampaignEngine:
             planned=len(plan),
             cached=cached_count,
             executed=len(outcome.results),
-            workers=workers,
             failed=len(failed),
             quarantined=len(quarantined),
             retried=outcome.retried,
@@ -738,33 +607,6 @@ class CampaignEngine:
         if self.store is not None:
             self.store.put(key, self._descriptor(job), payload)
 
-    def _worker_count(self, pending: int) -> int:
-        """Pool width for this run: explicit settings are honoured; the
-        auto default refuses to spin up a pool for small plans where
-        fork/pickle overhead would dominate."""
-        if pending == 0:
-            return 0
-        if self.max_workers is not None:
-            return max(1, min(self.max_workers, pending))
-        auto = min(default_worker_count(), pending // MIN_JOBS_PER_WORKER)
-        return max(1, auto)
-    @staticmethod
-    def _pool(workers: int) -> ProcessPoolExecutor:
-        """The engine's process pool: prefer fork on Linux, so workers
-        inherit the imported registry and numpy and per-task startup
-        stays negligible."""
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-
-    def _direct_write(self) -> bool:
-        """Whether pool workers should write the store themselves."""
-        return (
-            self.store is not None
-            and self.store.path is not None
-            and self.store.supports_concurrent_writers
-        )
-
     def _quarantine_record(self, job: CampaignJob) -> FailureRecord | None:
         """The persisted failure record for ``job``, if any.
 
@@ -784,77 +626,40 @@ class CampaignEngine:
         payloads: dict[str, dict[str, Any]],
         on_failure: str,
         drain: DrainFlag,
-    ) -> tuple[PoolOutcome, int]:
-        """Run the uncached jobs through the resilient execution loops;
-        returns the outcome and the number of workers its first pass
-        used.
+    ) -> PassOutcome:
+        """Run the uncached jobs through the resilient serial loop.
 
-        Fleet-able jobs are sliced into shards (one fleet-kernel pass
-        each); ``counters`` jobs and single-job slices run per job in
-        the same pass.  Tasks are identified by shard position
-        (``int``) or job store key (``str``); the returned outcome is
-        in job-key space.  A shard that fails definitively does not
-        fail its members: those not persisted by then re-run per job in
-        a follow-up pass of the same loop (with any tasks a ``"raise"``
-        pass left unstarted on that failure), so failure records,
-        quarantine and partial-result accounting stay per job.  Fault
-        directives see a job's position in ``pending`` as its index
-        whichever way it runs.
+        Jobs are sliced into shards (one fleet-kernel pass each); a
+        single-job slice runs per job.  Tasks are identified by shard
+        position (``int``) or job store key (``str``); the returned
+        outcome is in job-key space.  A shard that fails definitively
+        does not fail its members: they re-run per job in a follow-up
+        pass (with any tasks a ``"raise"`` pass left unstarted on that
+        failure), so failure records, quarantine and partial-result
+        accounting stay per job.  Fault directives see a job's position
+        in ``pending`` as its index whichever way it runs.
         """
-        if not pending:
-            return PoolOutcome(), 0
         jobs_by_key = dict(pending)
         index_of = {key: index for index, (key, _) in enumerate(pending)}
-        fleetable = [(k, j) for k, j in pending if j.mode in FLEET_MODES]
-        solo = [k for k, j in pending if j.mode not in FLEET_MODES]
-        shards: list[tuple[FleetShard, tuple[str, ...]]] = []
-        start = 0
-        for shard in fleet_jobs(job for _, job in fleetable):
-            keys = tuple(k for k, _ in fleetable[start:start + len(shard)])
-            start += len(shard)
-            if len(shard) == 1:
-                solo.extend(keys)
-            else:
-                shards.append((shard, keys))
-
-        # The auto width counts jobs, so cap it by tasks: a plan that
-        # makes one task runs in-process.  An explicit max_workers >= 2
-        # keeps its pool (process isolation and job timeouts), never
-        # wider than the pass it runs.
-        ntasks = len(shards) + len(solo)
-        width = self._worker_count(len(pending))
-        if self.max_workers is None:
-            width = min(width, ntasks)
-        direct = self._direct_write() and width > 1
-        if direct:
-            path, backend = str(self.store.path), self.store.backend
 
         def job_task(key: str) -> tuple:
-            job, index = jobs_by_key[key], index_of[key]
-            if direct:
-                args = (
-                    job, self.topology, path, backend, key,
-                    self._descriptor(job), index,
-                )
-                return (key, execute_job_stored, args)
-            return (key, execute_job_faulted, (job, self.topology, index))
+            args = (jobs_by_key[key], self.topology, index_of[key])
+            return (key, execute_job_faulted, args)
 
+        shard_keys: list[tuple[str, ...]] = []
         tasks: list[tuple] = []
-        for position, (shard, keys) in enumerate(shards):
-            indices = tuple(index_of[key] for key in keys)
-            if direct:
-                descriptors = {
-                    key: self._descriptor(jobs_by_key[key]) for key in keys
-                }
-                args = (
-                    shard, self.topology, path, backend, descriptors,
-                    position, indices,
-                )
-                tasks.append((position, execute_fleet_shard_stored, args))
-            else:
-                args = (shard, self.topology, position, indices)
-                tasks.append((position, execute_fleet_shard_faulted, args))
-        tasks += [job_task(key) for key in solo]
+        start = 0
+        for shard in fleet_jobs(job for _, job in pending):
+            keys = tuple(key for key, _ in pending[start:start + len(shard)])
+            indices = tuple(range(start, start + len(shard)))
+            start += len(shard)
+            if len(shard) == 1:
+                tasks.append(job_task(keys[0]))
+                continue
+            position = len(shard_keys)
+            args = (shard, self.topology, position, indices)
+            tasks.append((position, execute_fleet_shard_faulted, args))
+            shard_keys.append(keys)
 
         def by_job(task_id, result) -> dict[str, dict[str, Any]]:
             return result if isinstance(task_id, int) else {task_id: result}
@@ -862,20 +667,25 @@ class CampaignEngine:
         def on_success(task_id, result) -> None:
             for key, payload in by_job(task_id, result).items():
                 payloads[key] = payload
-                if not direct:
-                    self._persist(key, jobs_by_key[key], payload)
+                self._persist(key, jobs_by_key[key], payload)
 
         def keys_of(task_id) -> tuple[str, ...]:
-            return shards[task_id][1] if isinstance(task_id, int) else (task_id,)
+            return shard_keys[task_id] if isinstance(task_id, int) else (task_id,)
 
         # Each pass turns every failed shard into per-job tasks, so the
         # loop ends: a shard failure that stopped a "raise" pass is not
         # a job failure, and the tasks it left unstarted go again.
         stop = on_failure == "raise"
         task_of = {task[0]: task for task in tasks}
-        outcome = PoolOutcome()
+        outcome = PassOutcome()
         while tasks:
-            done = self._run_tasks(tasks, width, on_success, stop, drain, direct)
+            done = run_resilient_serial(
+                tasks,
+                policy=self.retry_policy,
+                on_success=on_success,
+                stop_on_failure=stop,
+                drain=drain,
+            )
             outcome.retried += done.retried
             outcome.drained = done.drained
             for task_id, result in done.results.items():
@@ -886,13 +696,6 @@ class CampaignEngine:
                     rerun.extend(keys_of(task_id))
                 else:
                     outcome.failures[task_id] = failure
-            if direct:
-                # Rows a worker persisted before its shard died stay done.
-                for key in rerun:
-                    stored = self.store.get(key)
-                    if stored is not None:
-                        payloads[key] = outcome.results[key] = stored
-            rerun = [key for key in rerun if key not in payloads]
             if done.drained or (stop and outcome.failures):
                 for task_id in done.not_run:
                     outcome.not_run.extend(keys_of(task_id))
@@ -903,51 +706,7 @@ class CampaignEngine:
             # Re-runs go first, so a member that fails for good under
             # "raise" stops the run before the rest of the plan.
             tasks = rerun_tasks + [task_of[task_id] for task_id in done.not_run]
-        return outcome, min(width, ntasks)
-
-    def _run_tasks(
-        self,
-        tasks: list[tuple],
-        workers: int,
-        on_success: Callable[[Any, Any], None],
-        stop_on_failure: bool,
-        drain: DrainFlag,
-        direct: bool,
-    ) -> PoolOutcome:
-        """One resilient pass: in-process for ``workers`` of 0/1, else
-        on a pool.
-
-        Direct-writing workers (:func:`execute_job_stored`,
-        :func:`execute_fleet_shard_stored`) persist their own results;
-        the parent releases its handles before forking — a forked
-        SQLite connection shares POSIX locks — and refreshes afterwards
-        (in a ``finally``: even a raising run must leave the parent
-        store rehydrated, never with released handles) so recalls see
-        the worker-written records.
-        """
-        if workers <= 1:
-            return run_resilient_serial(
-                tasks,
-                policy=self.retry_policy,
-                on_success=on_success,
-                stop_on_failure=stop_on_failure,
-                drain=drain,
-            )
-        if direct:
-            self.store.release()
-        try:
-            return run_resilient_pool(
-                tasks,
-                workers=min(workers, len(tasks)),
-                pool_factory=self._pool,
-                policy=self.retry_policy,
-                on_success=on_success,
-                stop_on_failure=stop_on_failure,
-                drain=drain,
-            )
-        finally:
-            if direct:
-                self.store.refresh()
+        return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -974,11 +733,11 @@ def run_app_jobs(
 ) -> CampaignResults:
     """Run one application's job batch with live-object fidelity.
 
-    Campaign jobs reference applications by registry name so pools and
-    stores can rebuild them — which is only sound when ``app`` is
-    exactly what the registry would build.  Custom or mutated instances
-    therefore run serially, in-process, against the live object, and
-    are never cached.  An explicitly passed ``engine`` wins (including
+    Campaign jobs reference applications by registry name so the engine
+    can rebuild them and stores can address them — which is only sound
+    when ``app`` is exactly what the registry would build.  Custom or
+    mutated instances therefore run job by job against the live object,
+    and are never cached.  An explicitly passed ``engine`` wins (including
     its topology); otherwise an ad-hoc engine simulates the cluster's
     topology.  ``on_failure`` and ``retry_failed`` carry
     :meth:`CampaignEngine.run`'s failure semantics through (the
@@ -998,7 +757,5 @@ def run_app_jobs(
         )
         for job in jobs
     }
-    report = CampaignReport(
-        planned=len(jobs), cached=0, executed=len(jobs), workers=1
-    )
+    report = CampaignReport(planned=len(jobs), cached=0, executed=len(jobs))
     return CampaignResults(payloads, report, topology=cluster.topology)

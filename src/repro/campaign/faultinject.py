@@ -1,52 +1,38 @@
 """Deterministic fault injection for the campaign execution layer.
 
-Chaos testing a multi-process engine is only useful when the faults are
-*reproducible*: a test that kills "some worker at some point" proves
-nothing when it goes green.  This module injects faults from a
-declarative schedule keyed by **(stage, app, mode, job index, attempt
-number)** — quantities that are identical across processes and across
-re-runs — so a directive like "SIGKILL the worker running job 2 on its
-first attempt" fires exactly once, every time, and the retry (attempt 1
-no longer matches) deterministically succeeds.
+Fault testing is only useful when the faults are *reproducible*: a test
+that fails "some job at some point" proves nothing when it goes green.
+This module injects faults from a declarative schedule keyed by
+**(app, mode, job index, attempt number)** — quantities that are
+identical across re-runs and across processes — so a directive like
+"fail job 2 on its first attempt" fires exactly once, every time, and
+the retry (attempt 1 no longer matches) deterministically succeeds.
 
 The schedule is read from the ``REPRO_FAULT_INJECT`` environment
-variable: either inline JSON or a path to a JSON file (worker processes
-inherit the environment, so one setting drives the whole pool).  It is
-a list of directives::
+variable: either inline JSON or a path to a JSON file (child processes
+inherit the environment, so one setting drives a whole CLI run or
+serving worker pool).  It is a list of directives::
 
-    [{"action": "crash", "app": "EP", "index": 2, "attempts": [0]},
-     {"action": "hang",  "mode": "sweep", "hang_s": 3600},
+    [{"action": "raise", "app": "EP", "index": 2, "attempts": [0]},
      {"action": "raise", "error": "transient", "attempts": "all"},
-     {"action": "delay", "delay_s": 0.2},
-     {"action": "raise", "stage": "store", "index": 0}]
+     {"action": "delay", "delay_s": 0.2}]
 
+Directives fire just before a job (or a fleet shard) is priced.
 Directive fields (all matchers optional; an omitted matcher matches
 everything):
 
 ``action``
-    ``crash``  — SIGKILL the current process (the real worker-death
-    signal: no cleanup, no exception, the parent sees a
-    ``BrokenProcessPool``).
-    ``hang``   — sleep ``hang_s`` (default 3600 s), far past any
-    reasonable per-job timeout.
     ``raise``  — raise :class:`InjectedFault` (``error="deterministic"``,
     the default) or :class:`InjectedTransientFault`
     (``error="transient"``).
     ``delay``  — sleep ``delay_s`` then continue normally (slows jobs
     down so drain/interrupt tests can reliably catch a campaign
     mid-flight; not a failure).
-``stage``
-    Where the fault fires: ``execute`` (inside
-    :func:`~repro.campaign.engine.execute_job`, the default) or
-    ``store`` (just before a direct-writing worker persists its
-    result).
 ``app`` / ``mode`` / ``index``
     Match the job's application name, campaign mode, and position in
     the engine's pending list — whether the job runs alone or inside a
     fleet shard.  A shard itself answers to ``mode="fleet"`` with its
-    shard position as the index: at the execute stage under its first
-    job's app, at the store stage once per member row under that row's
-    app.
+    shard position as the index, under its first job's app.
 ``attempts``
     List of attempt numbers (0-based) the directive fires on, or
     ``"all"``.  Default ``[0]`` — fault the first attempt only, so the
@@ -61,7 +47,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import signal
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -72,11 +57,8 @@ from repro.errors import CampaignError
 #: path to a JSON file).
 FAULT_ENV = "REPRO_FAULT_INJECT"
 
-#: Fault stages directives may target.
-STAGES: tuple[str, ...] = ("execute", "store")
-
 #: Recognised directive actions.
-ACTIONS: tuple[str, ...] = ("crash", "hang", "raise", "delay")
+ACTIONS: tuple[str, ...] = ("raise", "delay")
 
 
 class InjectedFault(CampaignError):
@@ -95,26 +77,17 @@ class FaultDirective:
     """One parsed entry of the fault schedule."""
 
     action: str
-    stage: str = "execute"
     app: str | None = None
     mode: str | None = None
     index: int | None = None
     #: ``None`` means "all attempts".
     attempts: tuple[int, ...] | None = (0,)
     error: str = "deterministic"
-    hang_s: float = 3600.0
     delay_s: float = 0.0
 
     def matches(
-        self,
-        stage: str,
-        app: str | None,
-        mode: str | None,
-        index: int | None,
-        attempt: int,
+        self, app: str | None, mode: str | None, index: int | None, attempt: int
     ) -> bool:
-        if self.stage != stage:
-            return False
         if self.app is not None and self.app != app:
             return False
         if self.mode is not None and self.mode != mode:
@@ -132,22 +105,15 @@ def _parse_directive(raw: dict[str, Any]) -> FaultDirective:
         raise CampaignError(
             f"{FAULT_ENV}: unknown fault action {action!r}; known: {ACTIONS}"
         )
-    stage = raw.get("stage", "execute")
-    if stage not in STAGES:
-        raise CampaignError(
-            f"{FAULT_ENV}: unknown fault stage {stage!r}; known: {STAGES}"
-        )
     attempts_raw = raw.get("attempts", [0])
     attempts = None if attempts_raw == "all" else tuple(int(a) for a in attempts_raw)
     return FaultDirective(
         action=action,
-        stage=stage,
         app=raw.get("app"),
         mode=raw.get("mode"),
         index=raw.get("index"),
         attempts=attempts,
         error=raw.get("error", "deterministic"),
-        hang_s=float(raw.get("hang_s", 3600.0)),
         delay_s=float(raw.get("delay_s", 0.0)),
     )
 
@@ -182,7 +148,6 @@ def active_schedule() -> tuple[FaultDirective, ...]:
 
 
 def maybe_fault(
-    stage: str,
     *,
     app: str | None = None,
     mode: str | None = None,
@@ -195,31 +160,18 @@ def maybe_fault(
     (one env lookup) when ``REPRO_FAULT_INJECT`` is unset.
     """
     for directive in active_schedule():
-        if directive.matches(stage, app, mode, index, attempt):
-            _apply(directive, stage=stage, app=app, index=index, attempt=attempt)
+        if directive.matches(app, mode, index, attempt):
+            _apply(directive, app=app, index=index, attempt=attempt)
             return
 
 
 def _apply(
-    directive: FaultDirective,
-    *,
-    stage: str,
-    app: str | None,
-    index: int | None,
-    attempt: int,
+    directive: FaultDirective, *, app: str | None, index: int | None, attempt: int
 ) -> None:
-    where = f"{stage}:{app or '*'}:job{index if index is not None else '*'}"
+    where = f"{app or '*'}:job{index if index is not None else '*'}"
     if directive.action == "delay":
         time.sleep(directive.delay_s)
         return
-    if directive.action == "hang":
-        time.sleep(directive.hang_s)
-        return
-    if directive.action == "crash":
-        # The real thing: no atexit, no finally blocks, no exception —
-        # exactly what an OOM kill or a segfaulting worker looks like.
-        os.kill(os.getpid(), signal.SIGKILL)
-        return  # pragma: no cover — unreachable
     message = (
         f"injected {directive.error} fault at {where} (attempt {attempt})"
     )

@@ -25,7 +25,7 @@ expand benchmark lists into the paper's grids:
     One **row** of a static frequency grid — a fixed (threads, CF) at
     an explicit tuple of UCFs — executed in a single pass through the
     fleet kernel (:mod:`repro.execution.fleet_replay`).  Rows are the
-    cacheable, parallelisable unit of full-grid measurements (the Figures 6/7
+    cacheable unit of full-grid measurements (the Figures 6/7
     heatmaps, the Table V exhaustive search); their per-cell noise keys
     (``label``-selected, see :func:`grid_run_key`) match the historical
     one-job-per-cell paths, so the measured numbers are bit-identical —
@@ -76,15 +76,9 @@ def grid_run_key(
 #: Runs averaged for one counter measurement (PMU multiplexing).
 COUNTER_MEASUREMENT_RUNS = 3
 
-#: Modes the fleet kernel (:mod:`repro.execution.fleet_replay`) can
-#: batch: every mode whose job is one priced replay (or, for ``grid``,
-#: a row of them).  ``counters`` jobs synthesise PMU counters on a live
-#: node (``ExecutionSimulator.run_phase_counters``) and stay per job.
-FLEET_MODES: tuple[str, ...] = ("sweep", "static", "savings", "grid")
-
 #: Jobs batched into one fleet kernel invocation by default.  Large
 #: enough to amortise the padded-matrix setup, small enough that a
-#: pool still load-balances shards across workers.
+#: failed shard's per-job re-run stays cheap.
 DEFAULT_FLEET_SHARD_SIZE = 16
 
 
@@ -218,8 +212,8 @@ class CampaignJob:
 class FleetShard:
     """One fleet-kernel invocation's worth of campaign jobs.
 
-    A shard is the parallelisable unit of fleet execution: its jobs are
-    converted to :class:`~repro.execution.fleet_replay.FleetMember`
+    A shard is the unit of campaign execution: its jobs, of any mode,
+    are converted to :class:`~repro.execution.fleet_replay.FleetMember`
     requests and priced in one batched pass.  Results remain addressed
     per job — the shard grouping never appears in store keys, so fleet
     and per-job runs share one cache.
@@ -230,12 +224,6 @@ class FleetShard:
     def __post_init__(self):
         if not self.jobs:
             raise CampaignError("a fleet shard needs at least one job")
-        for job in self.jobs:
-            if job.mode not in FLEET_MODES:
-                raise CampaignError(
-                    f"{job.mode!r} jobs cannot join a fleet shard; "
-                    f"fleet modes: {FLEET_MODES}"
-                )
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -245,14 +233,12 @@ class FleetShard:
 
 
 def fleet_jobs(jobs) -> tuple[FleetShard, ...]:
-    """Slice fleet-able jobs into :data:`DEFAULT_FLEET_SHARD_SIZE`-job
-    shards, preserving job order.
+    """Slice jobs into :data:`DEFAULT_FLEET_SHARD_SIZE`-job shards,
+    preserving job order.
 
     The flattened shards visit ``jobs`` exactly in input order, so
     callers can align shard members with their own bookkeeping by
-    position (store keys never see the shard grouping).  Raises
-    :class:`CampaignError` when a job's mode is not fleet-able (see
-    :data:`FLEET_MODES`).
+    position (store keys never see the shard grouping).
     """
     jobs = tuple(jobs)
     size = DEFAULT_FLEET_SHARD_SIZE

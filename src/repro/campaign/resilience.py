@@ -1,10 +1,8 @@
 """Fault-tolerant task execution for the campaign engine.
 
-The engine's historical pool loop collected futures bare: one crashed
-worker (OOM kill, segfault, pickling failure) raised
-``BrokenProcessPool`` in the parent and lost every in-flight result;
-one raising job aborted the whole campaign.  This module supplies the
-pieces that make campaign execution survive all of that:
+One raising job must not abort a whole campaign, and an interrupted
+campaign must keep its completed work.  This module supplies the pieces
+that make campaign execution survive both:
 
 :class:`RetryPolicy` / :func:`backoff_s`
     Bounded per-job retries with *deterministic* seeded backoff — the
@@ -13,10 +11,11 @@ pieces that make campaign execution survive all of that:
     same campaign retry on the same schedule.
 
 :func:`classify`
-    The failure taxonomy.  ``transient`` failures (worker death, job
-    timeout, I/O errors) are retried up to ``max_retries``; everything
-    else is ``deterministic`` — retrying a reproducible exception wastes
-    exactly ``max_retries`` simulations, so such jobs fail fast.
+    The failure taxonomy.  ``transient`` failures (I/O errors, or an
+    exception flagged ``repro_transient``) are retried up to
+    ``max_retries``; everything else is ``deterministic`` — retrying a
+    reproducible exception wastes exactly ``max_retries`` simulations,
+    so such jobs fail fast.
 
 :class:`FailureRecord` / :func:`failure_descriptor`
     The structured, persistable description of a definitive failure.
@@ -27,19 +26,14 @@ pieces that make campaign execution survive all of that:
     asked to retry.  Result lookups always win over quarantine lookups,
     so a later successful run makes a stale failure record harmless.
 
-:func:`run_resilient_serial` / :func:`run_resilient_pool`
-    The execution loops.  The pool loop submits at most ``workers``
-    tasks at a time (windowed submission — a submitted future is
-    running, which is what makes submit-time a sound timeout anchor),
-    respawns the pool on ``BrokenProcessPool`` and on per-job timeouts
-    (a hung worker cannot be cancelled, only killed), and requeues
-    innocent in-flight jobs without charging them an attempt.  A pool
-    crash charges one attempt against *every* in-flight job because the
-    culprit is unknowable from the parent.
+:func:`run_resilient_serial`
+    The execution loop: tasks run in-process, in order, each retried on
+    its deterministic schedule until it succeeds, fails for good, or a
+    drain stops the loop.
 
 :class:`DrainFlag` / :func:`graceful_drain`
-    Cooperative SIGINT/SIGTERM handling: the first signal stops new
-    submissions and lets running jobs finish (their results are
+    Cooperative SIGINT/SIGTERM handling: the first signal stops the loop
+    before its next task and lets the running one finish (its result is
     persisted); a second signal raises ``KeyboardInterrupt`` for an
     immediate stop.
 
@@ -55,26 +49,23 @@ pieces that make campaign execution survive all of that:
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, CancelledError, Executor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.errors import CampaignError, JobTimeoutError
+from repro.errors import CampaignError
 
 __all__ = [
     "DrainFlag",
     "FailureRecord",
     "ON_FAILURE_POLICIES",
-    "PoolOutcome",
+    "PassOutcome",
     "ResumeManifest",
     "RetryPolicy",
     "TaskFailure",
@@ -82,7 +73,6 @@ __all__ = [
     "classify",
     "failure_descriptor",
     "graceful_drain",
-    "run_resilient_pool",
     "run_resilient_serial",
 ]
 
@@ -90,17 +80,9 @@ __all__ = [
 #: exhausted, or a deterministic exception).
 ON_FAILURE_POLICIES: tuple[str, ...] = ("raise", "quarantine", "skip")
 
-#: Exception types retried by default.  ``BrokenProcessPool`` is worker
-#: death; :class:`~repro.errors.JobTimeoutError` is the engine's own
-#: per-job timeout; ``OSError``/``EOFError`` cover I/O hiccups (a store
-#: flush racing a disk, a torn pipe to a dying worker).
-TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
-    BrokenProcessPool,
-    CancelledError,
-    JobTimeoutError,
-    OSError,
-    EOFError,
-)
+#: Exception types retried by default: ``OSError``/``EOFError`` cover
+#: I/O hiccups (a store flush racing a disk, a truncated read).
+TRANSIENT_TYPES: tuple[type[BaseException], ...] = (OSError, EOFError)
 
 
 def classify(exc: BaseException) -> str:
@@ -122,10 +104,7 @@ class RetryPolicy:
     """How hard the engine fights for each job.
 
     ``max_retries`` bounds *re*-executions: a job runs at most
-    ``1 + max_retries`` times.  ``job_timeout_s`` applies to pool
-    execution only — a serial in-process job cannot be preempted (and
-    cannot crash the parent without crashing itself), so timeouts are
-    meaningless there.  Backoff before a retry is
+    ``1 + max_retries`` times.  Backoff before a retry is
     ``backoff_base_s * 2**(attempt-1)``, capped at ``backoff_cap_s``
     and jittered deterministically per (job, attempt) — see
     :func:`backoff_s`.
@@ -134,15 +113,10 @@ class RetryPolicy:
     max_retries: int = 2
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
-    job_timeout_s: float | None = None
-    #: How often the pool loop wakes to check timeouts and drain flags.
-    poll_interval_s: float = 0.05
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise CampaignError("max_retries must be >= 0")
-        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
-            raise CampaignError("job_timeout_s must be positive")
 
 
 def backoff_s(token: str, attempt: int, policy: RetryPolicy) -> float:
@@ -234,7 +208,7 @@ def failure_descriptor(job_descriptor: dict[str, Any]) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Resilient execution loops
+# The resilient execution loop
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -248,7 +222,7 @@ class TaskFailure:
 
 
 @dataclass
-class PoolOutcome:
+class PassOutcome:
     """What one resilient execution pass did."""
 
     results: dict[Any, Any] = field(default_factory=dict)
@@ -261,7 +235,7 @@ class PoolOutcome:
 
 
 class DrainFlag:
-    """Set by the signal handler; polled by the execution loops."""
+    """Set by the signal handler; polled by the execution loop."""
 
     __slots__ = ("requested", "signum")
 
@@ -317,15 +291,16 @@ def run_resilient_serial(
     on_success: Callable[[Any, Any], None] | None = None,
     stop_on_failure: bool = False,
     drain: DrainFlag | None = None,
-) -> PoolOutcome:
+) -> PassOutcome:
     """Execute ``(task_id, fn, args)`` triples in-process with retries.
 
     The 0-based attempt number is appended to the call's arguments (the
-    engine threads it into the fault-injection schedule).  Timeouts do
-    not apply serially; everything else — taxonomy, bounded retries,
-    deterministic backoff, drain — matches the pool loop.
+    engine threads it into the fault-injection schedule).  A transient
+    failure is retried after its deterministic backoff, up to
+    ``policy.max_retries`` times; ``stop_on_failure`` leaves every task
+    after the first definitive failure unrun, and so does a drain.
     """
-    outcome = PoolOutcome()
+    outcome = PassOutcome()
     remaining: deque[tuple[Any, Callable, tuple, int]] = deque(
         (tid, fn, args, 0) for tid, fn, args in tasks
     )
@@ -355,192 +330,6 @@ def run_resilient_serial(
             outcome.results[tid] = result
             if on_success is not None:
                 on_success(tid, result)
-    outcome.drained = _drain_requested(drain)
-    return outcome
-
-
-def _shutdown_pool(pool: Executor, *, force: bool) -> None:
-    """Tear a pool down; ``force`` kills workers that will not exit
-    (hung jobs cannot be cancelled through the executor API)."""
-    if not force:
-        pool.shutdown(wait=True, cancel_futures=True)
-        return
-    procs = getattr(pool, "_processes", None)
-    processes = list(procs.values()) if procs else []
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in processes:
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5.0)
-
-
-def run_resilient_pool(
-    tasks: Sequence[tuple[Any, Callable[..., Any], tuple]],
-    *,
-    workers: int,
-    pool_factory: Callable[[int], Executor],
-    policy: RetryPolicy,
-    on_success: Callable[[Any, Any], None] | None = None,
-    stop_on_failure: bool = False,
-    drain: DrainFlag | None = None,
-) -> PoolOutcome:
-    """Fan tasks across a process pool, surviving crashes and hangs.
-
-    Windowed submission (at most ``workers`` futures in flight) keeps
-    submit-time an honest proxy for start-time, which makes the per-job
-    timeout sound.  On ``BrokenProcessPool`` every in-flight job is
-    charged one attempt (the culprit is unknowable) and the pool is
-    respawned; on a timeout only the expired job is charged — the other
-    in-flight jobs requeue for free, because killing a hung worker
-    requires killing the whole pool.
-
-    ``stop_on_failure`` stops *submissions* after the first definitive
-    failure but still collects (and reports via ``on_success``) every
-    in-flight result, so completed work is persisted before the caller
-    raises.
-    """
-    outcome = PoolOutcome()
-    queue: deque[tuple[Any, Callable, tuple, int]] = deque(
-        (tid, fn, args, 0) for tid, fn, args in tasks
-    )
-    retry_heap: list[tuple[float, int, tuple[Any, Callable, tuple, int]]] = []
-    seq = 0
-    stop = False
-    inflight: dict[Any, tuple[Any, Callable, tuple, int, float]] = {}
-    pool = pool_factory(workers)
-
-    def record_failure(
-        entry: tuple[Any, Callable, tuple, int], exc: BaseException, kind: str
-    ) -> None:
-        nonlocal seq, stop
-        tid, fn, args, attempt = entry
-        attempts = attempt + 1
-        if (
-            kind == "transient"
-            and attempts <= policy.max_retries
-            and not stop
-            and not _drain_requested(drain)
-        ):
-            outcome.retried += 1
-            ready_at = time.monotonic() + backoff_s(str(tid), attempts, policy)
-            heapq.heappush(retry_heap, (ready_at, seq, (tid, fn, args, attempts)))
-            seq += 1
-            return
-        outcome.failures[tid] = TaskFailure(attempts, kind, exc)
-        if stop_on_failure:
-            stop = True
-
-    def collect(fut, entry) -> bool:
-        """Harvest one settled future; returns True when the pool broke."""
-        tid, fn, args, attempt, _ = entry
-        try:
-            result = fut.result(timeout=10.0)
-        except (BrokenProcessPool, CancelledError) as exc:
-            record_failure((tid, fn, args, attempt), exc, "transient")
-            return True
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            record_failure((tid, fn, args, attempt), exc, classify(exc))
-            return False
-        outcome.results[tid] = result
-        if on_success is not None:
-            on_success(tid, result)
-        return False
-
-    def respawn() -> None:
-        nonlocal pool
-        _shutdown_pool(pool, force=True)
-        pool = pool_factory(workers)
-
-    def submit(entry: tuple[Any, Callable, tuple, int]) -> None:
-        tid, fn, args, attempt = entry
-        call_args = args + (attempt,)
-        try:
-            fut = pool.submit(fn, *call_args)
-        except BrokenProcessPool:
-            respawn()
-            fut = pool.submit(fn, *call_args)
-        inflight[fut] = (tid, fn, args, attempt, time.monotonic())
-
-    try:
-        while True:
-            now = time.monotonic()
-            while (
-                retry_heap
-                and retry_heap[0][0] <= now
-                and not stop
-                and not _drain_requested(drain)
-            ):
-                _, _, entry = heapq.heappop(retry_heap)
-                queue.append(entry)
-            while (
-                queue
-                and len(inflight) < workers
-                and not stop
-                and not _drain_requested(drain)
-            ):
-                submit(queue.popleft())
-            if not inflight:
-                if stop or _drain_requested(drain):
-                    break
-                if not queue and not retry_heap:
-                    break
-                # Every pending task is waiting out its backoff.
-                if retry_heap:
-                    wait_s = max(0.0, retry_heap[0][0] - time.monotonic())
-                    time.sleep(min(wait_s, policy.poll_interval_s))
-                continue
-            done, _ = wait(
-                list(inflight),
-                timeout=policy.poll_interval_s,
-                return_when=FIRST_COMPLETED,
-            )
-            broken = False
-            for fut in done:
-                entry = inflight.pop(fut)
-                broken = collect(fut, entry) or broken
-            if broken:
-                # The executor fails every remaining future once the
-                # pool breaks; settle them now — a worker that finished
-                # before the crash still hands back a real result.
-                for fut, entry in list(inflight.items()):
-                    collect(fut, entry)
-                inflight.clear()
-                respawn()
-            elif policy.job_timeout_s is not None and inflight:
-                now = time.monotonic()
-                expired = [
-                    (fut, entry)
-                    for fut, entry in inflight.items()
-                    if now - entry[4] > policy.job_timeout_s
-                ]
-                if expired:
-                    for fut, (tid, fn, args, attempt, t0) in expired:
-                        del inflight[fut]
-                        exc = JobTimeoutError(
-                            f"job {tid} exceeded the {policy.job_timeout_s:g}s "
-                            f"timeout (attempt {attempt + 1}); killing the "
-                            "worker pool and respawning"
-                        )
-                        record_failure((tid, fn, args, attempt), exc, "transient")
-                    # A hung worker can only be killed pool-wide; the
-                    # innocent in-flight jobs requeue without an
-                    # attempt charge.
-                    for tid, fn, args, attempt, _ in inflight.values():
-                        queue.append((tid, fn, args, attempt))
-                    inflight.clear()
-                    respawn()
-    finally:
-        # A clean exit has no futures in flight; anything left means we
-        # are unwinding on an exception and must not block on it.
-        _shutdown_pool(pool, force=bool(inflight))
-    outcome.not_run = [entry[0] for entry in queue]
-    outcome.not_run += [entry[0] for _, _, entry in retry_heap]
     outcome.drained = _drain_requested(drain)
     return outcome
 

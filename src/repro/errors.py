@@ -72,16 +72,11 @@ class CampaignError(ReproError):
     """Raised by the experiment-campaign engine and result store."""
 
 
-class JobTimeoutError(CampaignError):
-    """One campaign job exceeded its per-job timeout (transient: the
-    engine kills and respawns the worker pool, then retries the job)."""
-
-
 class CampaignExecutionError(CampaignError):
     """One or more campaign jobs definitively failed under the
     ``on_failure="raise"`` policy.
 
-    Unlike a bare re-raise of the first worker exception, this error
+    Unlike a bare re-raise of the first job exception, this error
     reports *partial completion*: ``completed`` maps job keys to the
     payloads finished before (or alongside) the failure, ``failures``
     maps job keys to their :class:`~repro.campaign.resilience.FailureRecord`,

@@ -4,12 +4,11 @@ A *fleet* is any mix of replay requests — different applications,
 different (virtual) nodes, different controllers or none, instrumented
 or not, any static operating point — and the kernel prices all of them
 in one pass.  The Figures 6/7 heatmaps, the Table V exhaustive static
-search, the trade-off study and every campaign shard are fleets of
-fresh-node members; the simulator's solo runs
+search, the trade-off study and every campaign job, in a shard or
+alone, are fleets of fresh-node members; the simulator's solo runs
 (:meth:`~repro.execution.simulator.ExecutionSimulator.run`, listened
-or not, and ``run_phase_counters``) are fleets of one *live-node*
-member, whose entry state is a real
-:class:`~repro.hardware.node.ComputeNode`:
+or not) are fleets of one *live-node* member, whose entry state is a
+real :class:`~repro.hardware.node.ComputeNode`:
 
 **Phase 1 — compilation and block pricing.**  Uncontrolled members
 compile through the one structural walk of :mod:`repro.execution.replay`

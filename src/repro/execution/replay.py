@@ -17,8 +17,9 @@ same way every phase iteration.  Instead of recursing through the tree
 :func:`_seed_digests` and :func:`_flatten_block` then turn the block
 into its keyed noise seeds and flat charge sequences.  The fleet kernel
 (:mod:`repro.execution.fleet_replay`) prices every run that way —
-batches on fresh nodes and, as live-node members, the simulator's solo
-runs and :func:`phase_counters`'s instrumented runs.  A priced run is
+batches on fresh nodes (campaign ``counters`` jobs among them, whose
+totals :func:`phase_counters` reads from the priced run) and, as
+live-node members, the simulator's solo runs.  A priced run is
 one span of one pattern of a
 :class:`~repro.execution.controlled_replay.RunTrace`
 (:func:`_block_spans`); only when its rows or events are read are its
@@ -393,28 +394,18 @@ def _block_spans(
     )
 
 
-@dataclass(frozen=True)
-class PhaseCounterRun:
-    """An instrumented run plus its phase counter totals.
-
-    Field-for-field equivalent to summing the phase region's inclusive
-    metrics (``collect_counters=True``) over a listened run.
-    """
-
-    result: object                #: the RunResult of the instrumented run
-    totals: dict[str, float]      #: summed phase counter totals
-    phase_time_s: float           #: accumulated phase time over the run
-
-
 def phase_counters(
     result, trace: RunTrace, generator, *, run_key: tuple,
     counters: tuple[str, ...],
-) -> PhaseCounterRun:
-    """Phase counter totals of one instrumented uncontrolled run.
+) -> tuple[dict[str, float], float]:
+    """Phase counter totals and accumulated phase time of one
+    instrumented uncontrolled run.
 
     ``trace`` is the priced run behind ``result``; the totals are the
     phase slot of its :func:`~repro.execution.controlled_replay.inclusive_counters`
-    fold, summed over the iterations.
+    fold, summed over the iterations — field for field what summing the
+    phase region's inclusive metrics over a listened run
+    (``collect_counters=True``) gives.
     """
     (span,) = trace.spans
     names, inclusive = inclusive_counters(
@@ -437,4 +428,4 @@ def phase_counters(
         - trace.timeline[offsets + phase.charge_start]
     )
     phase_time_s = float(np.add.accumulate(phase_times)[-1])
-    return PhaseCounterRun(result=result, totals=totals, phase_time_s=phase_time_s)
+    return totals, phase_time_s

@@ -300,13 +300,22 @@ class ExecutionSimulator:
             raise TuningError("controlled runs do not collect counters")
         if listeners or instrumentation is not None:
             instrumented = True
-        fleet = self._fleet_of_one(
-            app,
-            run_key,
-            threads=threads,
-            controller=controller,
-            instrumented=instrumented,
-            instrumentation=instrumentation,
+        from repro.execution import fleet_replay
+
+        fleet = fleet_replay.fleet_run(
+            [
+                fleet_replay.FleetMember(
+                    app=app,
+                    run_key=run_key,
+                    node_id=self.node.node_id,
+                    seed=self.seed,
+                    node=self.node,
+                    threads=threads,
+                    controller=controller,
+                    instrumented=instrumented,
+                    instrumentation=instrumentation,
+                )
+            ]
         )
         result = fleet.results[0]
         if listeners:
@@ -325,51 +334,3 @@ class ExecutionSimulator:
                 )
             deliver_events(trace, result.instances, listeners, counters)
         return result
-
-    def _fleet_of_one(self, app: Application, run_key: tuple, **member):
-        """Price one run on this node through the fleet kernel."""
-        from repro.execution import fleet_replay
-
-        return fleet_replay.fleet_run(
-            [
-                fleet_replay.FleetMember(
-                    app=app,
-                    run_key=run_key,
-                    node_id=self.node.node_id,
-                    seed=self.seed,
-                    node=self.node,
-                    **member,
-                )
-            ]
-        )
-
-    # ------------------------------------------------------------------
-    def run_phase_counters(
-        self,
-        app: Application,
-        *,
-        threads: int | None = None,
-        counters: tuple[str, ...],
-        run_key: tuple = (),
-    ):
-        """Instrumented run returning phase counter totals.
-
-        Equivalent to running with ``collect_counters=True`` and a
-        listener that sums the phase region's inclusive counter metrics
-        (the campaign engine's ``counters`` mode), without replaying any
-        event: the returned
-        :class:`~repro.execution.replay.PhaseCounterRun` carries totals
-        and accumulated phase time bit-identical to that listener path.
-        """
-        from repro.execution.replay import phase_counters
-
-        fleet = self._fleet_of_one(
-            app, run_key, threads=threads, instrumented=True
-        )
-        return phase_counters(
-            fleet.results[0],
-            fleet.traces[0],
-            self._counter_generator,
-            run_key=run_key,
-            counters=tuple(counters),
-        )

@@ -20,8 +20,8 @@ enters indirectly through the rates, which are measured at the same
 thread count as the energies.
 
 All simulations run through the :mod:`repro.campaign` engine: one plan
-covering every (benchmark, threads) series is executed across the
-worker pool, and an attached :class:`~repro.campaign.store.ResultStore`
+covering every (benchmark, threads) series is priced in fleet-kernel
+shards, and an attached :class:`~repro.campaign.store.ResultStore`
 lets repeated builds (benches, LOOCV retraining) reuse results instead
 of re-simulating.  Campaign execution is bit-identical to the serial
 per-run path these functions used before.  Each job itself executes
@@ -240,8 +240,8 @@ def build_dataset(
     thread-tunable codes; MPI-only codes contribute one series at their
     fixed configuration.  The whole campaign (counter measurements and
     energy sweeps for every series) is submitted to the engine as one
-    plan, so uncached jobs fan out across the worker pool together and
-    the sweep jobs are priced in fleet-kernel shards.
+    plan, so its uncached counter and sweep jobs are priced together in
+    fleet-kernel shards.
     """
     if benchmarks is None:
         benchmarks = registry.benchmark_names()

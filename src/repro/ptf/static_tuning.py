@@ -9,8 +9,8 @@ answer is enough (tests); the benchmarks run the full grid.
 The sweep executes through the :mod:`repro.campaign` engine: the full
 grid is submitted as one plan of per-(threads, CF) **row jobs**, each
 replaying its whole UCF axis in one pass through the fleet kernel
-(:mod:`repro.execution.fleet_replay`).  The plan fans out across
-the worker pool and — when the engine carries a result store — warm
+(:mod:`repro.execution.fleet_replay`).  The row jobs are priced in
+fleet shards and — when the engine carries a result store — warm
 re-runs select the best point without a single new simulation.  The
 winning point is selected with one vectorised objective evaluation
 over the whole grid, and :func:`select_static_configurations` offers
@@ -111,7 +111,7 @@ def exhaustive_static_search(
 ) -> StaticTuningResult:
     """Run the full static sweep and return the best configuration.
 
-    ``options.campaign`` attaches the campaign engine that pools and
+    ``options.campaign`` attaches the campaign engine that shards and
     caches the row jobs; its ``on_failure``/``retry_failed`` policy
     applies to them.
     """

@@ -182,11 +182,8 @@ class TuningService:
         self.retry_failed = retry_failed
         self.metrics = ServiceMetrics()
         self.batcher = batching.CoalescingBatcher(max_batch=max_batch)
-        engine_kwargs: dict[str, Any] = {"max_workers": 0}
-        if retry_policy is not None:
-            engine_kwargs["retry_policy"] = retry_policy
         self.engine = (
-            CampaignEngine(store=store, **engine_kwargs)
+            CampaignEngine(store=store, retry_policy=retry_policy)
             if store is not None
             else None
         )

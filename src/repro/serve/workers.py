@@ -25,12 +25,12 @@ pool initializer re-warms in each worker instead — same caches, paid
 once per worker.)
 
 **Direct store writes.**  With a concurrent-writer store backend
-(SQLite, sharded segments), each worker opens its own handle (the
-per-pid cache of :func:`repro.campaign.engine._worker_store`) and
-persists grid rows as it executes them, exactly like direct-writing
-campaign pool workers — same keys, same payloads, no funneling through
-the parent.  The service refuses to pool against a JSONL or in-memory
-store (:func:`pool_supported`) and falls back to in-process execution.
+(SQLite, sharded segments), each worker opens its own handle (one
+campaign engine per pid, :func:`_worker_options`) and persists grid
+rows as it executes them — same keys, same payloads as the serial
+service path, no funneling through the parent.  The service refuses to
+pool against a JSONL or in-memory store (:func:`pool_supported`) and
+falls back to in-process execution.
 
 Workers never raise across the process boundary for expected failures:
 a :class:`~repro.errors.ReproError` is converted in-worker to the same
@@ -52,8 +52,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import api
-from repro.campaign.engine import CampaignEngine, _worker_store
-from repro.campaign.resilience import _shutdown_pool
+from repro.campaign.engine import CampaignEngine
+from repro.campaign.store import ResultStore
 from repro.errors import CampaignError, CampaignExecutionError, ReproError
 from repro.serve import batcher as batching
 from repro.serve.schema import error_response
@@ -84,10 +84,9 @@ class WorkerSpec:
     """Everything a worker process needs to rebuild its execution state.
 
     Engines and stores are not picklable; workers reconstruct them from
-    the store path/backend (cached per pid), mirroring the campaign
-    pool's direct-write workers.  ``store_path`` of ``None`` means the
-    service runs storeless — workers then execute without a campaign
-    engine, exactly like the storeless serial path.
+    the store path/backend (cached per pid).  ``store_path`` of
+    ``None`` means the service runs storeless — workers then execute
+    without a campaign engine, exactly like the storeless serial path.
     """
 
     store_path: str | None = None
@@ -186,9 +185,9 @@ def _spawn_probe(delay_s: float) -> int:
 # Worker-side group execution
 # ---------------------------------------------------------------------------
 
-#: Per-process campaign engines for group execution, keyed like
-#: :data:`repro.campaign.engine._WORKER_STORES` — the pid guard matters
-#: under fork, where a parent's engine would otherwise be inherited.
+#: Per-process campaign engines for group execution, keyed by (pid,
+#: store path) — the pid guard matters under fork, where a parent's
+#: engine (and its store handle) would otherwise be inherited.
 _WORKER_CAMPAIGNS: dict[tuple[int, str | None], CampaignEngine] = {}
 
 
@@ -198,8 +197,8 @@ def _worker_options(spec: WorkerSpec) -> api.ExecutionOptions:
         key = (os.getpid(), spec.store_path)
         engine = _WORKER_CAMPAIGNS.get(key)
         if engine is None:
-            store = _worker_store(spec.store_path, spec.store_backend)
-            engine = CampaignEngine(store=store, max_workers=0)
+            store = ResultStore(spec.store_path, backend=spec.store_backend)
+            engine = CampaignEngine(store=store)
             _WORKER_CAMPAIGNS[key] = engine
     return api.ExecutionOptions(
         campaign=engine,
@@ -240,6 +239,21 @@ def _run_group(
 # ---------------------------------------------------------------------------
 # Parent-side pool
 # ---------------------------------------------------------------------------
+
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a broken pool down, killing workers that will not exit (its
+    survivors cannot be cancelled through the executor API)."""
+    procs = getattr(pool, "_processes", None)
+    processes = list(procs.values()) if procs else []
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in processes:
+        if proc.is_alive():
+            proc.terminate()
+    for proc in processes:
+        proc.join(timeout=5.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=5.0)
 
 
 class GroupDispatch:
@@ -431,5 +445,5 @@ class WorkerPool:
             self._executor = self._make_pool()
             self._generation += 1
             await asyncio.get_running_loop().run_in_executor(
-                None, lambda: _shutdown_pool(broken, force=True)
+                None, _kill_pool, broken
             )

@@ -101,9 +101,7 @@ def _tune_json(args: argparse.Namespace) -> int:
             from repro.campaign.store import ResultStore
 
             options = api.ExecutionOptions(
-                campaign=CampaignEngine(
-                    store=ResultStore(args.store), max_workers=0
-                )
+                campaign=CampaignEngine(store=ResultStore(args.store))
             )
         answer = api.tune(request, options)
     except TuningError as exc:
@@ -313,7 +311,7 @@ def main_campaign(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
         description="Plan, execute and inspect simulation campaigns "
-        "(parallel workers + content-addressed on-disk result store).",
+        "(content-addressed on-disk result store).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -337,22 +335,11 @@ def main_campaign(argv: list[str] | None = None) -> int:
         help="force the store backend instead of auto-detecting from the path",
     )
     run_p.add_argument(
-        "--workers",
-        type=int,
-        help="worker processes (default: $REPRO_CAMPAIGN_WORKERS or cpu count)",
-    )
-    run_p.add_argument(
         "--retries",
         type=int,
         default=2,
-        help="extra attempts per job on transient failures (worker crash, "
-        "timeout; default: 2)",
-    )
-    run_p.add_argument(
-        "--job-timeout",
-        type=float,
-        help="per-job wall-clock timeout in seconds (default: none); an "
-        "expired job costs one attempt and the pool is respawned",
+        help="extra attempts per job on transient failures (I/O errors; "
+        "default: 2)",
     )
     run_p.add_argument(
         "--on-failure",
@@ -424,11 +411,24 @@ def main_campaign(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _existing_store(path: str):
+    """Open the store at ``path`` for a command that only reads or
+    maintains it: a missing path is refused, never created."""
+    from pathlib import Path
+
+    from repro.campaign import ResultStore
+    from repro.errors import CampaignError
+
+    if not Path(path).exists():
+        raise CampaignError(f"no result store at {path}")
+    return ResultStore(path)
+
+
 def _campaign_dispatch(args) -> int:
     from repro.campaign import CampaignEngine, ResultStore, job_key
 
     if args.command == "status":
-        with ResultStore(args.store) as store:
+        with _existing_store(args.store) as store:
             summary = store.summary()
         print(f"store:   {summary['path']} ({summary['backend']})")
         print(f"results: {summary['results']}")
@@ -460,7 +460,7 @@ def _campaign_dispatch(args) -> int:
         _print_breakdown("by mode", description["modes"])
         _print_breakdown("by app", description["apps"])
         if args.store:
-            with ResultStore(args.store) as store:
+            with _existing_store(args.store) as store:
                 cached = sum(
                     1 for job in plan if job_key(job.descriptor()) in store
                 )
@@ -474,13 +474,9 @@ def _campaign_dispatch(args) -> int:
     if args.resume:
         _check_resume_manifest(args.store, manifest_path, plan)
 
-    policy = RetryPolicy(
-        max_retries=args.retries, job_timeout_s=args.job_timeout
-    )
+    policy = RetryPolicy(max_retries=args.retries)
     with ResultStore(args.store, backend=args.backend) as store:
-        engine = CampaignEngine(
-            store=store, max_workers=args.workers, retry_policy=policy
-        )
+        engine = CampaignEngine(store=store, retry_policy=policy)
         print(
             f"running {description['jobs']} jobs "
             f"({', '.join(f'{m}: {n}' for m, n in description['modes'].items())})"
@@ -507,8 +503,7 @@ def _campaign_dispatch(args) -> int:
             return 130
         report = results.report
         print(f"cache hits:      {report.cached}")
-        print(f"new simulations: {report.executed} "
-              f"(workers: {report.workers})")
+        print(f"new simulations: {report.executed}")
         if report.retried:
             print(f"retried:         {report.retried} transient failure(s)")
         if report.quarantined:
@@ -565,7 +560,7 @@ def _check_resume_manifest(store_path: str, manifest_path: str, plan) -> None:
 
 def _store_dispatch(args) -> int:
     """``repro-campaign store {migrate,compact,verify}``."""
-    from repro.campaign import ResultStore, migrate_store
+    from repro.campaign import migrate_store
 
     if args.store_command == "migrate":
         stats = migrate_store(args.source, args.dest, backend=args.backend)
@@ -581,7 +576,7 @@ def _store_dispatch(args) -> int:
         return 0
 
     if args.store_command == "compact":
-        with ResultStore(args.store) as store:
+        with _existing_store(args.store) as store:
             stats = store.compact()
         print(
             f"compacted {args.store}: kept {stats['kept']} record(s), "
@@ -590,7 +585,7 @@ def _store_dispatch(args) -> int:
         return 0
 
     # verify
-    with ResultStore(args.store) as store:
+    with _existing_store(args.store) as store:
         issues = store.verify()
         results = len(store)
     if not issues:

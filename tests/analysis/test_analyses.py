@@ -175,7 +175,7 @@ class TestSavings:
         )
         via_campaign = compare_static_dynamic(
             "Lulesh", static, tmm, cluster=cluster, runs=2,
-            options=api.ExecutionOptions(campaign=CampaignEngine(max_workers=0)),
+            options=api.ExecutionOptions(campaign=CampaignEngine()),
         )
         assert via_campaign == row
 
@@ -206,7 +206,7 @@ class TestSavings:
             )
 
         cases = [case("Lulesh"), case("EP")]
-        engine = CampaignEngine(max_workers=0)
+        engine = CampaignEngine()
         options = api.ExecutionOptions(campaign=engine, cluster=cluster)
         rows = compare_static_dynamic_many(
             cases, runs=2, options=options

@@ -93,7 +93,7 @@ class TestCampaignHeatmap:
     def test_campaign_rows_cache_and_match(self, tmp_path):
         cluster = Cluster(2)
         engine = CampaignEngine(
-            store=ResultStore(tmp_path / "store.jsonl"), max_workers=0
+            store=ResultStore(tmp_path / "store.jsonl")
         )
         direct = energy_heatmap("EP", threads=24, cluster=cluster)
         cached = energy_heatmap(

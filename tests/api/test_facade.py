@@ -120,7 +120,7 @@ class TestTune:
         assert api.sweep_grids([]) == []
 
     def test_campaign_backed_tune_matches_direct(self):
-        engine = CampaignEngine(store=ResultStore(), max_workers=0)
+        engine = CampaignEngine(store=ResultStore())
         request = api.TuningRequest("EP", stride=7)
         direct = api.tune(request)
         campaign = api.tune(request, api.ExecutionOptions(campaign=engine))
@@ -145,7 +145,7 @@ class TestVerbOptions:
     def test_static_tuning_accepts_options(self):
         from repro.ptf.static_tuning import exhaustive_static_search
 
-        engine = CampaignEngine(store=ResultStore(), max_workers=0)
+        engine = CampaignEngine(store=ResultStore())
         cluster = Cluster(2)
         app = registry.build("EP")
         direct = exhaustive_static_search(
@@ -261,7 +261,7 @@ def test_failure_policy_reaches_campaign(verb, tmp_path, monkeypatch):
 
     def run(**policy):
         engine = CampaignEngine(
-            store=store, max_workers=0, retry_policy=FAST_POLICY
+            store=store, retry_policy=FAST_POLICY
         )
         return engine, call(api.ExecutionOptions(campaign=engine, **policy))
 

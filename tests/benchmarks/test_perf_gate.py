@@ -45,20 +45,10 @@ def grid_report(speedup: float, identical: bool = True) -> dict:
     }
 
 
-def regen_report(
-    speedup: float,
-    identical: bool = True,
-    pooled_speedup: float = 2.5,
-    pooled_identical: bool = True,
-) -> dict:
+def regen_report(speedup: float, identical: bool = True) -> dict:
     return {
         "benchmark": "paper_regen",
-        "aggregate": {
-            "speedup": speedup,
-            "artifacts_identical": identical,
-            "pooled_speedup": pooled_speedup,
-            "pooled_identical": pooled_identical,
-        },
+        "aggregate": {"speedup": speedup, "artifacts_identical": identical},
     }
 
 
@@ -165,20 +155,6 @@ class TestGate:
         baseline = write(tmp_path / "b.json", regen_report(4.5))
         assert gate.main([str(current), str(baseline)]) == 0
 
-    def test_fails_on_pooled_regen_slowdown(self, tmp_path):
-        current = write(
-            tmp_path / "a.json", regen_report(4.5, pooled_speedup=1.0)
-        )
-        baseline = write(tmp_path / "b.json", regen_report(4.5))
-        assert gate.main([str(current), str(baseline)]) == 1
-
-    def test_fails_when_pooled_regen_diverges(self, tmp_path):
-        current = write(
-            tmp_path / "a.json", regen_report(4.5, pooled_identical=False)
-        )
-        baseline = write(tmp_path / "b.json", regen_report(4.5))
-        assert gate.main([str(current), str(baseline)]) == 1
-
     def test_fails_on_loocv_slowdown(self, tmp_path):
         current = write(tmp_path / "a.json", loocv_report(10.0))
         baseline = write(tmp_path / "b.json", loocv_report(25.0))
@@ -269,10 +245,6 @@ class TestCommittedBaselines:
         # The fleet kernel's acceptance claim, pinned at baseline time.
         assert report["aggregate"]["speedup"] >= 3
         assert report["aggregate"]["artifacts_identical"] is True
-        # The pooled-fleet arm rides the same report: bit-identical, and
-        # still well ahead of the per-cell loop even paying fork costs.
-        assert report["aggregate"]["pooled_speedup"] >= 1.5
-        assert report["aggregate"]["pooled_identical"] is True
 
     def test_serving_scaling_baseline(self):
         report = json.loads(

@@ -10,6 +10,14 @@ def run_cli(capsys, *argv: str) -> str:
     return capsys.readouterr().out
 
 
+def assert_refuses_missing_store(capsys, path, *argv: str) -> None:
+    """A read-only store command exits 2 on a missing store path and
+    leaves nothing behind."""
+    assert main_campaign(list(argv)) == 2
+    assert f"no result store at {path}" in capsys.readouterr().err
+    assert not path.exists()
+
+
 class TestPlanCommand:
     def test_plan_prints_breakdown(self, capsys):
         out = run_cli(
@@ -27,7 +35,7 @@ class TestPlanCommand:
             capsys,
             "run", "--benchmarks", "EP", "--campaign", "static",
             "--threads", "24", "--stride", "9",
-            "--store", str(store), "--workers", "1",
+            "--store", str(store),
         )
         out = run_cli(
             capsys,
@@ -35,6 +43,14 @@ class TestPlanCommand:
             "--threads", "24", "--stride", "9", "--store", str(store),
         )
         assert "already cached:   5 / 5" in out
+
+    def test_plan_refuses_missing_store(self, capsys, tmp_path):
+        store = tmp_path / "nothere.sqlite"
+        assert_refuses_missing_store(
+            capsys, store,
+            "plan", "--benchmarks", "EP", "--campaign", "static",
+            "--threads", "24", "--stride", "9", "--store", str(store),
+        )
 
     def test_rejects_unknown_benchmark(self, capsys):
         with pytest.raises(SystemExit):
@@ -54,7 +70,7 @@ class TestRunCommand:
         argv = (
             "run", "--benchmarks", "EP", "--campaign", "static",
             "--threads", "24", "--stride", "9",
-            "--store", str(store), "--workers", "1",
+            "--store", str(store),
         )
         first = run_cli(capsys, *argv)
         assert "new simulations: 5" in first
@@ -72,15 +88,15 @@ class TestStatusCommand:
             capsys,
             "run", "--benchmarks", "EP", "--campaign", "static",
             "--threads", "24", "--stride", "9",
-            "--store", str(store), "--workers", "1",
+            "--store", str(store),
         )
         out = run_cli(capsys, "status", "--store", str(store))
         assert "results: 5" in out
         assert "static" in out and "EP" in out
 
-    def test_status_on_missing_store_is_empty(self, capsys, tmp_path):
-        out = run_cli(capsys, "status", "--store", str(tmp_path / "nope.jsonl"))
-        assert "results: 0" in out
+    def test_status_refuses_missing_store(self, capsys, tmp_path):
+        store = tmp_path / "missing.sqlite"
+        assert_refuses_missing_store(capsys, store, "status", "--store", str(store))
 
 
 class TestBackendFlag:
@@ -94,7 +110,7 @@ class TestBackendFlag:
             capsys,
             "run", "--benchmarks", "EP", "--campaign", "static",
             "--threads", "24", "--stride", "9",
-            "--store", str(store), "--backend", backend, "--workers", "1",
+            "--store", str(store), "--backend", backend,
         )
         assert f"({backend})" in out
         out = run_cli(capsys, "status", "--store", str(store))
@@ -104,7 +120,7 @@ class TestBackendFlag:
             capsys,
             "run", "--benchmarks", "EP", "--campaign", "static",
             "--threads", "24", "--stride", "9",
-            "--store", str(store), "--workers", "1",
+            "--store", str(store),
         )
         assert "cache hits:      5" in out
         assert "new simulations: 0" in out
@@ -117,7 +133,7 @@ class TestStoreSubcommands:
             capsys,
             "run", "--benchmarks", "EP", "--campaign", "static",
             "--threads", "24", "--stride", "9",
-            "--store", str(store), "--workers", "1",
+            "--store", str(store),
         )
         return store
 
@@ -159,6 +175,18 @@ class TestStoreSubcommands:
         source = self.seed_store(capsys, tmp_path)
         out = run_cli(capsys, "store", "verify", "--store", str(source))
         assert "ok (5 readable records, no damage)" in out
+
+    def test_compact_refuses_missing_store(self, capsys, tmp_path):
+        store = tmp_path / "b.sqlite"
+        assert_refuses_missing_store(
+            capsys, store, "store", "compact", "--store", str(store)
+        )
+
+    def test_verify_refuses_missing_store(self, capsys, tmp_path):
+        store = tmp_path / "b.sqlite"
+        assert_refuses_missing_store(
+            capsys, store, "store", "verify", "--store", str(store)
+        )
 
     def test_verify_damaged_store_exits_nonzero(self, capsys, tmp_path):
         source = self.seed_store(capsys, tmp_path)

@@ -1,9 +1,8 @@
-"""Tests for campaign planning and the (serial/parallel) engine.
+"""Tests for campaign planning and the engine.
 
-The load-bearing properties: parallel execution is bit-identical to
-serial, campaign results are bit-identical to the legacy per-run serial
-code path, and a warm store answers a repeat campaign with zero new
-simulations.
+The load-bearing properties: campaign results are bit-identical to the
+legacy per-run serial code path, and a warm store answers a repeat
+campaign with zero new simulations.
 """
 
 import pytest
@@ -103,19 +102,11 @@ class TestPlan:
 
 
 class TestEngine:
-    def test_parallel_bit_identical_to_serial(self):
-        plan = small_plan()
-        serial = CampaignEngine(max_workers=1).run(plan)
-        parallel = CampaignEngine(max_workers=2).run(plan)
-        assert parallel.report.workers == 2
-        for job in plan:
-            assert serial[job] == parallel[job]
-
     def test_matches_legacy_serial_code_path(self):
         """An engine 'sweep' job equals running the simulator by hand
         exactly as the pre-campaign serial code did."""
         job = sweep_jobs("EP", threads=24, seed=config.DEFAULT_SEED)[2]
-        payload = CampaignEngine(max_workers=1).run(CampaignPlan((job,)))[job]
+        payload = CampaignEngine().run(CampaignPlan((job,)))[job]
         node = Cluster(4).fresh_node(0)
         node.set_frequencies(job.core_freq_ghz, job.uncore_freq_ghz)
         run = ExecutionSimulator(node).run(
@@ -130,7 +121,7 @@ class TestEngine:
     def test_store_turns_second_run_into_pure_cache_hits(self, tmp_path):
         plan = small_plan()
         store = ResultStore(tmp_path / "store.jsonl")
-        engine = CampaignEngine(store=store, max_workers=1)
+        engine = CampaignEngine(store=store)
         first = engine.run(plan)
         assert first.report.executed == len(plan)
         assert first.report.cached == 0
@@ -146,9 +137,9 @@ class TestEngine:
         plan = small_plan()
         path = tmp_path / "store.jsonl"
         first_store = ResultStore(path)
-        first = CampaignEngine(store=first_store, max_workers=1).run(plan)
+        first = CampaignEngine(store=first_store).run(plan)
         first_store.close()
-        fresh = CampaignEngine(store=ResultStore(path), max_workers=1)
+        fresh = CampaignEngine(store=ResultStore(path))
         second = fresh.run(plan)
         assert second.report.executed == 0
         assert fresh.total_executed == 0
@@ -170,46 +161,14 @@ class TestEngine:
             execute_job(job)
 
     def test_missing_result_raises(self):
-        results = CampaignEngine(max_workers=1).run(CampaignPlan(()))
+        results = CampaignEngine().run(CampaignPlan(()))
         with pytest.raises(CampaignError):
             results[CampaignJob(app="EP", mode="sweep", threads=24)]
 
     def test_run_accepts_bare_job_iterables(self):
         jobs = sweep_jobs("EP", threads=24)[:2]
-        results = CampaignEngine(max_workers=1).run(jobs)
+        results = CampaignEngine().run(jobs)
         assert len(results) == 2
-
-    def test_auto_sizing_stays_serial_for_small_plans(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "4")
-        plan = CampaignPlan(sweep_jobs("EP", threads=24)[:3])
-        report = CampaignEngine().run(plan).report
-        assert report.workers == 1  # pool overhead would dominate 3 jobs
-
-    def test_explicit_workers_honoured_for_small_plans(self):
-        # Counters jobs run one task each, so three of them fill a pool.
-        plan = CampaignPlan(
-            counter_jobs("EP", threads=24, counters=("PAPI_TOT_INS",), runs=3)
-        )
-        report = CampaignEngine(max_workers=2).run(plan).report
-        assert report.workers == 2
-
-    def test_report_shows_the_width_a_one_shard_plan_used(self):
-        # Three sweep jobs make one fleet shard: one task, one worker.
-        plan = CampaignPlan(sweep_jobs("EP", threads=24)[:3])
-        report = CampaignEngine(max_workers=2).run(plan).report
-        assert report.workers == 1
-
-    def test_auto_width_runs_a_one_shard_plan_in_process(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "4")
-
-        def no_pool(workers):
-            raise AssertionError("a one-task plan forked a pool")
-
-        monkeypatch.setattr(CampaignEngine, "_pool", staticmethod(no_pool))
-        plan = CampaignPlan(sweep_jobs("EP", threads=24)[:16])
-        report = CampaignEngine().run(plan).report
-        assert report.workers == 1
-        assert report.executed == 16
 
     def test_stale_cached_payload_surfaces_clear_error(self, tmp_path):
         """A cached entry whose payload predates the current result
@@ -230,7 +189,7 @@ class TestEngine:
             "result": {"energy": 1.0},  # pre-campaign payload layout
         }
         path.write_text(json.dumps(record) + "\n")
-        engine = CampaignEngine(store=ResultStore(path), max_workers=1)
+        engine = CampaignEngine(store=ResultStore(path))
         with pytest.raises(CampaignError, match="older result schema"):
             engine.run(CampaignPlan((job,)))
 
@@ -241,12 +200,12 @@ class TestEngine:
         path = tmp_path / "store.jsonl"
         small = NodeTopology.build(1, 12)
         custom = CampaignEngine(
-            store=ResultStore(path), max_workers=1, topology=small
+            store=ResultStore(path), topology=small
         )
         custom_results = custom.run(plan)
         assert custom_results.report.executed == 2
         custom.store.close()
-        default = CampaignEngine(store=ResultStore(path), max_workers=1)
+        default = CampaignEngine(store=ResultStore(path))
         default_results = default.run(plan)
         assert default_results.report.cached == 0  # different physics
         for job in plan:
@@ -255,25 +214,23 @@ class TestEngine:
 
 class TestConsumerEquivalence:
     """build_dataset / exhaustive_static_search produce identical results
-    through serial engines, parallel engines, and warm stores."""
+    through fresh engines and warm stores."""
 
-    def test_build_dataset_serial_parallel_and_cached_identical(self, tmp_path):
+    def test_build_dataset_serial_and_cached_identical(self, tmp_path):
         import numpy as np
 
         from repro.modeling.dataset import build_dataset
 
         kwargs = dict(thread_counts=(24,))
-        serial = build_dataset(("EP",), engine=CampaignEngine(max_workers=1), **kwargs)
-        parallel = build_dataset(("EP",), engine=CampaignEngine(max_workers=2), **kwargs)
+        serial = build_dataset(("EP",), engine=CampaignEngine(), **kwargs)
         store = ResultStore(tmp_path / "store.jsonl")
-        warm_engine = CampaignEngine(store=store, max_workers=1)
+        warm_engine = CampaignEngine(store=store)
         build_dataset(("EP",), engine=warm_engine, **kwargs)  # populate
         cached = build_dataset(("EP",), engine=warm_engine, **kwargs)
         assert warm_engine.total_executed == 34  # second build added nothing
-        for other in (parallel, cached):
-            assert np.array_equal(serial.features, other.features)
-            assert np.array_equal(serial.targets, other.targets)
-            assert np.array_equal(serial.times, other.times)
+        assert np.array_equal(serial.features, cached.features)
+        assert np.array_equal(serial.targets, cached.targets)
+        assert np.array_equal(serial.times, cached.times)
 
     def test_static_search_cached_run_simulates_nothing(self, tmp_path):
         from repro.api import ExecutionOptions
@@ -286,7 +243,7 @@ class TestConsumerEquivalence:
         app = registry.build("EP")
         store = ResultStore(tmp_path / "store.jsonl")
         options = ExecutionOptions(
-            campaign=CampaignEngine(store=store, max_workers=1)
+            campaign=CampaignEngine(store=store)
         )
         first = exhaustive_static_search(
             app, cluster, stride=6, thread_counts=(24,), options=options
@@ -325,7 +282,7 @@ class TestConsumerEquivalence:
         good = sweep_jobs("EP", threads=24)[0]
         bad = CampaignJob(app="NotABenchmark", mode="sweep", threads=24)
         store = ResultStore(tmp_path / "store.jsonl")
-        engine = CampaignEngine(store=store, max_workers=1)
+        engine = CampaignEngine(store=store)
         with pytest.raises(CampaignExecutionError) as excinfo:
             engine.run((good, bad))
         # The original failure is chained, partial completion is reported.
@@ -377,43 +334,3 @@ class TestConsumerEquivalence:
             exhaustive_static_search(app, cluster, node_id=99)
         with pytest.raises(JobError):
             build_dataset(("EP",), cluster=cluster, node_id=99)
-
-
-class TestDirectWorkerWrites:
-    """On concurrent-writer backends (SQLite, segments) pool workers
-    persist their own results instead of funneling through the parent;
-    results must stay bit-identical to the serial JSONL path."""
-
-    @pytest.mark.parametrize("name, backend", [
-        ("store.sqlite", "sqlite"),
-        ("store-segments", "segment"),
-    ])
-    def test_pool_direct_writes_bit_identical_to_serial(
-        self, tmp_path, name, backend
-    ):
-        plan = small_plan()
-        serial = CampaignEngine(max_workers=1).run(plan)
-        with ResultStore(tmp_path / name, backend=backend) as store:
-            engine = CampaignEngine(store=store, max_workers=2)
-            assert engine._direct_write()
-            parallel = engine.run(plan)
-            assert parallel.report.executed == len(plan)
-            for job in plan:
-                assert parallel[job] == serial[job]
-            # The workers, not the parent, persisted every record.
-            assert len(store) == len(plan)
-        # A fresh session recalls everything from the worker-written store.
-        with ResultStore(tmp_path / name) as reopened:
-            fresh = CampaignEngine(store=reopened, max_workers=1)
-            second = fresh.run(plan)
-            assert second.report.executed == 0
-            assert second.report.cached == len(plan)
-            for job in plan:
-                assert second[job] == serial[job]
-
-    def test_jsonl_store_keeps_parent_funnel(self, tmp_path):
-        with ResultStore(tmp_path / "store.jsonl") as store:
-            engine = CampaignEngine(store=store, max_workers=2)
-            assert not engine._direct_write()
-            engine.run(small_plan())
-            assert len(store) == len(small_plan())

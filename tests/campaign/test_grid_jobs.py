@@ -105,7 +105,7 @@ class TestGridExecution:
 
     def test_store_roundtrip_caches_rows(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
-        engine = CampaignEngine(store=store, max_workers=0)
+        engine = CampaignEngine(store=store)
         jobs = grid_jobs("EP", label="heatmap", points=small_grid())
         first = engine.run(jobs)
         assert first.report.executed == len(jobs)
@@ -121,6 +121,6 @@ class TestGridExecution:
         job = grid_jobs("EP", label="heatmap", points=small_grid())[0]
         key = topology_job_key(job, None)
         store.put(key, job.descriptor(), {"node_energy_j": [1.0]})
-        engine = CampaignEngine(store=store, max_workers=0)
+        engine = CampaignEngine(store=store)
         with pytest.raises(CampaignError, match="older"):
             engine.run([job])

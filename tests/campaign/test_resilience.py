@@ -3,12 +3,10 @@
 Fast tests exercise the pure pieces (classification, deterministic
 backoff, failure records, manifests, the serial retry loop) and the
 engine's quarantine lifecycle in-process.  The ``chaos``-marked tests
-(excluded from the default run, selected with ``pytest -m chaos``) spawn
-real worker pools and real signals: SIGKILLed workers, hung jobs hitting
-the per-job timeout, and SIGTERM-drained campaigns resumed through the
-CLI — asserting the headline guarantees: a worker crash loses zero
-completed jobs, and a drained-then-resumed campaign is bit-identical to
-an uninterrupted one on every store backend.
+(excluded from the default run, selected with ``pytest -m chaos``) send
+real signals to CLI campaigns: a SIGTERM-drained campaign resumed
+through the CLI is bit-identical to an uninterrupted one on every store
+backend.
 """
 
 import json
@@ -38,17 +36,13 @@ from repro.campaign.faultinject import (
     active_schedule,
     maybe_fault,
 )
-from repro.campaign.plan import DEFAULT_FLEET_SHARD_SIZE, sweep_jobs
+from repro.campaign.plan import sweep_jobs
 from repro.campaign.resilience import (
     backoff_s,
     classify,
     run_resilient_serial,
 )
-from repro.errors import (
-    CampaignError,
-    CampaignExecutionError,
-    JobTimeoutError,
-)
+from repro.errors import CampaignError, CampaignExecutionError
 
 FAST_POLICY = RetryPolicy(max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01)
 
@@ -59,14 +53,7 @@ FAST_POLICY = RetryPolicy(max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.0
 
 class TestClassify:
     def test_transient_types(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        for exc in (
-            BrokenProcessPool("worker died"),
-            JobTimeoutError("too slow"),
-            OSError("disk hiccup"),
-            EOFError(),
-        ):
+        for exc in (OSError("disk hiccup"), EOFError()):
             assert classify(exc) == "transient"
 
     def test_deterministic_default(self):
@@ -98,8 +85,6 @@ class TestBackoff:
     def test_policy_validation(self):
         with pytest.raises(CampaignError):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(CampaignError):
-            RetryPolicy(job_timeout_s=0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +131,7 @@ class TestFaultInject:
     def test_inactive_when_env_unset(self, monkeypatch):
         monkeypatch.delenv(FAULT_ENV, raising=False)
         assert active_schedule() == ()
-        maybe_fault("execute", app="EP", index=0)  # no-op
+        maybe_fault(app="EP", index=0)  # no-op
 
     def test_inline_json_and_single_dict(self, monkeypatch):
         monkeypatch.setenv(FAULT_ENV, '{"action": "raise", "index": 3}')
@@ -170,20 +155,19 @@ class TestFaultInject:
 
     def test_matching_is_keyed_and_attempt_scoped(self):
         directive = FaultDirective(action="raise", app="EP", index=1, attempts=(0,))
-        assert directive.matches("execute", "EP", "sweep", 1, 0)
-        assert not directive.matches("execute", "EP", "sweep", 1, 1)  # retry passes
-        assert not directive.matches("execute", "CG", "sweep", 1, 0)
-        assert not directive.matches("store", "EP", "sweep", 1, 0)
+        assert directive.matches("EP", "sweep", 1, 0)
+        assert not directive.matches("EP", "sweep", 1, 1)  # retry passes
+        assert not directive.matches("CG", "sweep", 1, 0)
 
     def test_transient_vs_deterministic_raise(self, monkeypatch):
         monkeypatch.setenv(
             FAULT_ENV, '[{"action": "raise", "error": "transient"}]'
         )
         with pytest.raises(InjectedTransientFault):
-            maybe_fault("execute", app="EP", index=0)
+            maybe_fault(app="EP", index=0)
         monkeypatch.setenv(FAULT_ENV, '[{"action": "raise"}]')
         with pytest.raises(InjectedFault) as excinfo:
-            maybe_fault("execute", app="EP", index=0)
+            maybe_fault(app="EP", index=0)
         assert not isinstance(excinfo.value, InjectedTransientFault)
 
 
@@ -251,7 +235,7 @@ class TestQuarantineLifecycle:
     def _engine(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
         return CampaignEngine(
-            store=store, max_workers=1, retry_policy=FAST_POLICY
+            store=store, retry_policy=FAST_POLICY
         )
 
     def _plan(self):
@@ -333,38 +317,6 @@ class TestQuarantineLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# Satellite regression: direct-write pool path refreshes the store even
-# when a future raises.
-# ---------------------------------------------------------------------------
-
-class TestDirectWriteRefresh:
-    def test_store_rehydrated_despite_raising_job(self, tmp_path, monkeypatch):
-        """Workers write the sqlite store directly; when one job raises,
-        the parent must still refresh its handle in the finally path so
-        completed results are visible (historically they were not)."""
-        monkeypatch.setenv(
-            FAULT_ENV, '[{"action": "raise", "index": 0, "attempts": "all"}]'
-        )
-        jobs = sweep_jobs("EP", threads=24)[:4]
-        with ResultStore(tmp_path / "store.sqlite") as store:
-            assert store.supports_concurrent_writers
-            engine = CampaignEngine(
-                store=store, max_workers=2, retry_policy=FAST_POLICY
-            )
-            with pytest.raises(CampaignExecutionError) as excinfo:
-                engine.run(jobs, on_failure="raise")
-            # raise policy stops submissions after the failure, but
-            # whatever DID complete must be visible through the
-            # parent's (refreshed) handle — not stranded in released
-            # connections.
-            completed = excinfo.value.completed
-            assert completed
-            assert len(store) == len(completed)
-            for key in completed:
-                assert store.get(key) is not None
-
-
-# ---------------------------------------------------------------------------
 # Resume manifests
 # ---------------------------------------------------------------------------
 
@@ -414,7 +366,7 @@ class TestResumeManifest:
 
 
 # ---------------------------------------------------------------------------
-# Chaos suite: real pools, real signals (pytest -m chaos)
+# Chaos suite: real signals (pytest -m chaos)
 # ---------------------------------------------------------------------------
 
 BACKENDS = ("jsonl", "sqlite", "segment")
@@ -433,116 +385,6 @@ def _payloads(store_path, backend):
             for r in store.iter_records()
             if r["job"].get("mode") != "failure"
         }
-
-
-@pytest.mark.chaos
-class TestChaosWorkerCrash:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sigkill_loses_no_completed_work(self, tmp_path, monkeypatch, backend):
-        """A SIGKILLed worker (the real signal, injected in-process)
-        breaks the pool mid-campaign; the engine respawns, retries, and
-        the final store is bit-identical to an undisturbed serial run."""
-        jobs = sweep_jobs("EP", threads=24)[:6]
-
-        # Reference: serial, no faults.
-        monkeypatch.delenv(FAULT_ENV, raising=False)
-        ref_path = _store_arg(tmp_path / "ref", "jsonl")
-        with ResultStore(ref_path, backend="jsonl") as ref_store:
-            CampaignEngine(store=ref_store, max_workers=1).run(jobs)
-        reference = _payloads(ref_path, "jsonl")
-
-        # Chaos run: SIGKILL the worker executing job 2, first attempt.
-        monkeypatch.setenv(
-            FAULT_ENV, '[{"action": "crash", "index": 2, "attempts": [0]}]'
-        )
-        chaos_path = _store_arg(tmp_path, backend)
-        with ResultStore(chaos_path, backend=backend) as store:
-            engine = CampaignEngine(
-                store=store, max_workers=2, retry_policy=FAST_POLICY
-            )
-            results = engine.run(jobs)
-        assert results.report.failed == 0
-        assert results.report.retried >= 1  # the crash cost at least one retry
-
-        chaos = _payloads(chaos_path, backend)
-        # Same keys, bit-identical payloads: zero completed jobs lost,
-        # and the respawn/retry changed nothing about the results.
-        assert chaos == reference
-
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sigkill_in_second_shard_loses_no_completed_work(
-        self, tmp_path, monkeypatch, backend
-    ):
-        """The 31-job EP sweep makes two fleet shards, so both are in
-        flight on the two workers when a member of the second one
-        SIGKILLs its worker: the broken pool is respawned, the innocent
-        shard resubmitted, and the store still equals a serial run."""
-        jobs = sweep_jobs("EP", threads=24)
-        assert len(jobs) > 2 * DEFAULT_FLEET_SHARD_SIZE - 2
-
-        monkeypatch.delenv(FAULT_ENV, raising=False)
-        ref_path = _store_arg(tmp_path / "ref", "jsonl")
-        with ResultStore(ref_path, backend="jsonl") as ref_store:
-            CampaignEngine(store=ref_store, max_workers=1).run(jobs)
-        reference = _payloads(ref_path, "jsonl")
-
-        crash_index = DEFAULT_FLEET_SHARD_SIZE + 3  # a member of shard 1
-        monkeypatch.setenv(
-            FAULT_ENV,
-            '[{"action": "crash", "index": %d, "attempts": [0]}]'
-            % crash_index,
-        )
-        chaos_path = _store_arg(tmp_path, backend)
-        with ResultStore(chaos_path, backend=backend) as store:
-            engine = CampaignEngine(
-                store=store, max_workers=2, retry_policy=FAST_POLICY
-            )
-            results = engine.run(jobs)
-        assert results.report.workers == 2
-        assert results.report.failed == 0
-        assert results.report.retried >= 1
-        assert _payloads(chaos_path, backend) == reference
-
-@pytest.mark.chaos
-class TestChaosTimeout:
-    def test_hung_job_times_out_retries_and_completes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(
-            FAULT_ENV, '[{"action": "hang", "index": 0, "attempts": [0]}]'
-        )
-        jobs = sweep_jobs("EP", threads=24)[:4]
-        policy = RetryPolicy(
-            max_retries=2,
-            backoff_base_s=0.001,
-            backoff_cap_s=0.01,
-            job_timeout_s=1.5,
-        )
-        with ResultStore(tmp_path / "store.sqlite") as store:
-            engine = CampaignEngine(store=store, max_workers=2, retry_policy=policy)
-            results = engine.run(jobs)
-        assert results.report.failed == 0
-        assert results.report.retried >= 1
-        assert results.report.executed == 4
-
-    def test_job_hanging_every_attempt_is_quarantined(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(
-            FAULT_ENV, '[{"action": "hang", "index": 0, "attempts": "all"}]'
-        )
-        jobs = sweep_jobs("EP", threads=24)[:3]
-        policy = RetryPolicy(
-            max_retries=1,
-            backoff_base_s=0.001,
-            backoff_cap_s=0.01,
-            job_timeout_s=1.0,
-        )
-        with ResultStore(tmp_path / "store.sqlite") as store:
-            engine = CampaignEngine(store=store, max_workers=2, retry_policy=policy)
-            results = engine.run(jobs, on_failure="quarantine")
-            assert results.report.failed == 1
-            assert results.report.executed == 2
-            (failure,) = results.failures.values()
-            assert failure.error_type == "JobTimeoutError"
-            assert store.summary()["quarantined"] == 1
 
 
 _CLI = "from repro.tools.cli import main_campaign; import sys; sys.exit(main_campaign(sys.argv[1:]))"
@@ -576,7 +418,7 @@ class TestChaosDrainResume:
         """SIGTERM drains a running CLI campaign (exit 130 + manifest);
         ``--resume`` finishes it; the store ends bit-identical to an
         uninterrupted run of the same campaign."""
-        flags = ["--benchmarks", "EP", "--threads", "24", "--workers", "2"]
+        flags = ["--benchmarks", "EP", "--threads", "24"]
 
         # Reference: uninterrupted run.
         ref_path = _store_arg(tmp_path / "ref", backend)

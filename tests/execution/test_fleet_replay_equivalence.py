@@ -294,20 +294,11 @@ def entry_state_sequence(recursive: bool):
             run_key=("entry", 2),
         )
     )
-    if recursive:
-        collector = PhaseCounterCollector(ENTRY_COUNTERS)
-        result = run(
-            app,
-            listeners=(collector,),
-            collect_counters=True,
-            run_key=("entry", 3),
-        )
-        record(result, (collector.totals, collector.phase_time))
-    else:
-        product = sim.run_phase_counters(
-            app, counters=ENTRY_COUNTERS, run_key=("entry", 3)
-        )
-        record(product.result, (product.totals, product.phase_time_s))
+    collector = PhaseCounterCollector(ENTRY_COUNTERS)
+    result = run(
+        app, listeners=(collector,), collect_counters=True, run_key=("entry", 3)
+    )
+    record(result, (collector.totals, collector.phase_time))
     record(run(app, instrumentation=filtered, run_key=("entry", 4)))
     return steps, node.hdeem.stop()
 

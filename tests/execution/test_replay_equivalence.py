@@ -122,34 +122,33 @@ class TestReplayEquivalence:
 
 
 class TestPhaseCounterEquivalence:
+    """The production listened run's phase counters (events replayed
+    from the priced run) against the recursive engine's."""
+
     @pytest.mark.parametrize("app_name", APPS)
     def test_totals_bit_identical_to_listener_path(self, app_name):
         app = registry.build(app_name)
         n1, n2 = make_node(seed=7), make_node(seed=7)
-        collector = PhaseCounterCollector(CANONICAL_COUNTERS)
+        listened = dict(collect_counters=True, run_key=("counters", None, 0))
+        expected = PhaseCounterCollector(CANONICAL_COUNTERS)
         reference = recursive_run(
-            n1,
-            app,
-            seed=3,
-            listeners=(collector,),
-            collect_counters=True,
-            run_key=("counters", None, 0),
+            n1, app, seed=3, listeners=(expected,), **listened
         )
-        product = ExecutionSimulator(n2, seed=3).run_phase_counters(
-            app, counters=CANONICAL_COUNTERS, run_key=("counters", None, 0)
+        collector = PhaseCounterCollector(CANONICAL_COUNTERS)
+        result = ExecutionSimulator(n2, seed=3).run(
+            app, listeners=(collector,), **listened
         )
-        assert product.totals == collector.totals
-        assert product.phase_time_s == collector.phase_time
-        # The underlying instrumented run is also identical.
-        assert product.result == reference
+        assert collector.totals == expected.totals
+        assert collector.phase_time == expected.phase_time
+        assert result == reference
         assert meter_state(n1) == meter_state(n2)
 
     def test_unknown_counter_totals_zero(self):
-        app = registry.build("EP")
-        product = ExecutionSimulator(make_node()).run_phase_counters(
-            app, counters=("NOT_A_COUNTER",), run_key=()
+        collector = PhaseCounterCollector(("NOT_A_COUNTER",))
+        ExecutionSimulator(make_node()).run(
+            registry.build("EP"), listeners=(collector,), collect_counters=True
         )
-        assert product.totals == {"NOT_A_COUNTER": 0.0}
+        assert collector.totals == {"NOT_A_COUNTER": 0.0}
 
 
 class TestInstanceLog:

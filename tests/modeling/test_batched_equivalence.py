@@ -269,12 +269,12 @@ class TestLOOCVEquivalence:
     ):
         config = TrainingConfig(epochs=3)
         store = ResultStore(tmp_path / "store.jsonl")
-        campaign = CampaignEngine(store=store, max_workers=1)
+        campaign = CampaignEngine(store=store)
         cold = network_loocv_mape(dataset, config=config, campaign=campaign)
         assert len(store) == len(dataset.benchmarks)
         store.close()
         warm_campaign = CampaignEngine(
-            store=ResultStore(tmp_path / "store.jsonl"), max_workers=1
+            store=ResultStore(tmp_path / "store.jsonl")
         )
         warm = network_loocv_mape(dataset, config=config, campaign=warm_campaign)
         assert cold == warm

@@ -63,7 +63,7 @@ class PerJobEngine(CampaignEngine):
             for job in plan
         }
         report = CampaignReport(
-            planned=len(payloads), cached=0, executed=len(payloads), workers=1
+            planned=len(payloads), cached=0, executed=len(payloads)
         )
         return CampaignResults(payloads, report, topology=self.topology)
 

@@ -253,7 +253,8 @@ class PhaseCounterCollector:
     """RunListener summing phase-region counter totals (Section III-C).
 
     The reference for the campaign ``counters`` mode, whose production
-    path is :meth:`~repro.execution.simulator.ExecutionSimulator.run_phase_counters`.
+    path reads the totals from a shard member's priced run
+    (:func:`repro.execution.replay.phase_counters`).
     """
 
     def __init__(self, counters: tuple[str, ...]):

@@ -166,7 +166,6 @@ class TestStructuralConcurrency:
                 [
                     {
                         "action": "delay",
-                        "stage": "execute",
                         "app": "EP",
                         "mode": "fleet",
                         "delay_s": 2.5,
@@ -218,7 +217,6 @@ class TestWorkConservingPool:
                 [
                     {
                         "action": "delay",
-                        "stage": "execute",
                         "app": app,
                         "mode": "fleet",
                         "delay_s": 0.8,
@@ -434,7 +432,6 @@ class TestWorkerCrash:
                 [
                     {
                         "action": "delay",
-                        "stage": "execute",
                         "app": "EP",
                         "mode": "fleet",
                         "delay_s": 2.0,

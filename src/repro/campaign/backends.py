@@ -56,6 +56,9 @@ STORE_VERSION = 2
 BACKEND_KINDS: tuple[str, ...] = ("jsonl", "sqlite", "segment")
 
 _SQLITE_MAGIC = b"SQLite format 3\x00"
+#: Keys bound in one ``IN (...)`` lookup: SQLite builds before 3.32
+#: cap a statement at 999 host parameters.
+SQLITE_KEYS_PER_QUERY = 999
 _SQLITE_SUFFIXES = {".sqlite", ".sqlite3", ".db"}
 _JSONL_SUFFIXES = {".jsonl", ".json", ".ndjson"}
 
@@ -86,6 +89,23 @@ def record_is_wellformed(record: Any) -> bool:
     )
 
 
+def _records_of(
+    records: dict[str, dict[str, Any]], keys: list[str]
+) -> dict[str, dict[str, Any]]:
+    """The entries of an in-memory index for the ``keys`` it holds."""
+    return {key: records[key] for key in keys if key in records}
+
+
+def _parse_row(line: str) -> dict[str, Any] | None:
+    """A stored record line, or ``None`` when it is damaged (a miss,
+    never a crash)."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    return record if record_is_wellformed(record) else None
+
+
 def encode_record(record: dict[str, Any]) -> str:
     """Canonical serialisation shared by every backend (sorted-key JSON,
     floats via shortest-repr — payloads round-trip bit-identically)."""
@@ -96,7 +116,9 @@ class StoreBackend(Protocol):
     """The byte-level contract behind :class:`ResultStore`.
 
     ``get_record`` returns the *effective* record for a key — the
-    last-wins survivor, whatever its schema version — or ``None``.
+    last-wins survivor, whatever its schema version — or ``None``;
+    ``get_records`` maps each of many keys that has one to it, in one
+    read where the layout allows.
     ``put_record`` makes its argument the effective record for its key
     (healing any other-version record).  ``iter_records`` streams every
     effective record; ``stale_count`` counts keys whose effective record
@@ -110,6 +132,7 @@ class StoreBackend(Protocol):
     path: Path | None
 
     def get_record(self, key: str) -> dict[str, Any] | None: ...
+    def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]: ...
     def put_record(self, record: dict[str, Any]) -> None: ...
     def put_records(self, records: list[dict[str, Any]]) -> None: ...
     def iter_records(self) -> Iterator[dict[str, Any]]: ...
@@ -140,6 +163,9 @@ class MemoryBackend:
 
     def get_record(self, key: str) -> dict[str, Any] | None:
         return self._records.get(key)
+
+    def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]:
+        return _records_of(self._records, keys)
 
     def put_record(self, record: dict[str, Any]) -> None:
         self._records[record["key"]] = record
@@ -233,6 +259,9 @@ class JsonlBackend:
     # -- record contract -----------------------------------------------
     def get_record(self, key: str) -> dict[str, Any] | None:
         return self._records.get(key)
+
+    def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]:
+        return _records_of(self._records, keys)
 
     def put_record(self, record: dict[str, Any]) -> None:
         self._records[record["key"]] = record
@@ -428,13 +457,37 @@ class SqliteBackend:
         except sqlite3.Error as exc:
             self._note_damage(exc)
             return None
-        if row is None:
-            return None
+        return None if row is None else _parse_row(row[0])
+
+    def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]:
+        """One ``key IN (...)`` query per chunk of keys; per key, the
+        current schema version's row, else the latest one."""
+        conn = self._connect()
+        if conn is None:
+            return {}
+        unique = list(dict.fromkeys(keys))
+        chosen: dict[str, tuple[bool, int, str]] = {}
         try:
-            record = json.loads(row[0])
-        except ValueError:
-            return None  # damaged row: a miss, never a crash
-        return record if record_is_wellformed(record) else None
+            for at in range(0, len(unique), SQLITE_KEYS_PER_QUERY):
+                chunk = unique[at : at + SQLITE_KEYS_PER_QUERY]
+                marks = ",".join("?" * len(chunk))
+                for key, version, rowid, line in conn.execute(
+                    "SELECT key, store_version, rowid, record FROM records"
+                    f" WHERE key IN ({marks})",
+                    chunk,
+                ):
+                    # (current version, rowid) orders a key's rows.
+                    rank = (version == STORE_VERSION, rowid, line)
+                    if key not in chosen or rank[:2] > chosen[key][:2]:
+                        chosen[key] = rank
+        except sqlite3.Error as exc:
+            self._note_damage(exc)
+            return {}
+        return {
+            key: record
+            for key, (_, _, line) in chosen.items()
+            if (record := _parse_row(line)) is not None
+        }
 
     def put_record(self, record: dict[str, Any]) -> None:
         self.put_records([record])
@@ -823,6 +876,13 @@ class SegmentBackend:
             segment = self._reload(index)
             return self._get_from(segment, index, key)
         return None
+
+    def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]:
+        return {
+            key: record
+            for key in dict.fromkeys(keys)
+            if (record := self.get_record(key)) is not None
+        }
 
     def _get_from(
         self, segment: _Segment, index: int, key: str

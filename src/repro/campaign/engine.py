@@ -56,7 +56,6 @@ from repro.campaign.resilience import (
     run_resilient_serial,
 )
 from repro.campaign.store import ResultStore, job_key
-from repro.counters.generation import CounterGenerator
 from repro.errors import (
     CampaignError,
     CampaignExecutionError,
@@ -159,12 +158,9 @@ def execute_job(
     :class:`~repro.workloads.application.Application` instance that is
     not registered under ``job.app`` (such jobs bypass stores).
     """
-    from repro.execution.fleet_replay import fleet_run
-
-    if app is None:
-        app = registry.build(job.app)
-    fleet = fleet_run(_job_fleet_members(job, app, topology))
-    return _fleet_payload(job, fleet.results, fleet.traces)
+    apps = {job.app: app} if app is not None else None
+    (payload,) = _price_jobs((job,), topology, apps)
+    return payload
 
 
 def execute_job_faulted(
@@ -172,16 +168,19 @@ def execute_job_faulted(
     topology: NodeTopology | None,
     index: int | None,
     attempt: int = 0,
+    apps: dict[str, Application] | None = None,
 ) -> dict[str, Any]:
     """:func:`execute_job` with a fault-injection checkpoint.
 
     The engine's execution paths route through this wrapper so the
     deterministic fault harness (:mod:`repro.campaign.faultinject`) can
     target a job by (app, mode, pending index, attempt).  A no-op
-    passthrough when ``REPRO_FAULT_INJECT`` is unset.
+    passthrough when ``REPRO_FAULT_INJECT`` is unset.  ``apps`` holds
+    the applications already built by the calling run.
     """
     maybe_fault(app=job.app, mode=job.mode, index=index, attempt=attempt)
-    return execute_job(job, topology)
+    (payload,) = _price_jobs((job,), topology, apps)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +240,52 @@ def _job_fleet_members(job: CampaignJob, app: Application, topology):
     ]
 
 
-def _fleet_payload(job: CampaignJob, results, traces) -> dict[str, Any]:
-    """Assemble one job's store payload from its fleet members' runs and
-    priced traces — the store layout of the job's mode."""
-    if job.mode == "counters":
-        totals, phase_time_s = phase_counters(
-            results[0],
-            traces[0],
-            CounterGenerator(job.seed),
-            run_key=job.run_key(),
-            counters=job.counters,
+def _price_jobs(
+    jobs, topology: NodeTopology | None, apps: dict[str, Application] | None
+) -> list[dict[str, Any]]:
+    """Price ``jobs`` in one fleet-kernel pass; their payloads, in order.
+
+    ``apps`` caches registry builds by name (a run shares one across
+    its shards; ``None`` builds afresh).  The ``counters`` jobs' PAPI
+    noise is drawn in one batch over all their members' slots.
+    """
+    from repro.execution.fleet_replay import fleet_run
+
+    if apps is None:
+        apps = {}
+    members: list = []
+    spans: list[tuple[int, int]] = []
+    for job in jobs:
+        app = apps.get(job.app)
+        if app is None:
+            app = apps[job.app] = registry.build(job.app)
+        job_members = _job_fleet_members(job, app, topology)
+        spans.append((len(members), len(job_members)))
+        members.extend(job_members)
+    fleet = fleet_run(members)
+    counted = iter(
+        phase_counters(
+            [
+                (fleet.results[start], fleet.traces[start], job.seed, job.run_key(),
+                 job.counters)
+                for job, (start, _) in zip(jobs, spans)
+                if job.mode == "counters"
+            ]
         )
-        return {"totals": totals, "phase_time_s": phase_time_s}
+    )
+    payloads = []
+    for job, (start, count) in zip(jobs, spans):
+        if job.mode == "counters":
+            totals, phase_time_s = next(counted)
+            payloads.append({"totals": totals, "phase_time_s": phase_time_s})
+        else:
+            payloads.append(_fleet_payload(job, fleet.results[start:start + count]))
+    return payloads
+
+
+def _fleet_payload(job: CampaignJob, results) -> dict[str, Any]:
+    """One non-``counters`` job's store payload from its fleet members'
+    runs — the store layout of the job's mode."""
     if job.mode == "grid":
         return {
             "uncore_freqs_ghz": list(job.uncore_freqs_ghz),
@@ -273,36 +306,22 @@ def _fleet_payload(job: CampaignJob, results, traces) -> dict[str, Any]:
 
 
 def execute_fleet_shard(
-    shard: FleetShard, topology: NodeTopology | None = None
+    shard: FleetShard,
+    topology: NodeTopology | None = None,
+    *,
+    keys: tuple[str, ...] | None = None,
+    apps: dict[str, Application] | None = None,
 ) -> dict[str, dict[str, Any]]:
     """Price one shard's jobs in a single fleet-kernel pass.
 
     Returns ``{store key: payload}`` with exactly the payloads (and
     keys) :func:`execute_job` produces job by job — sharding is a
-    strategy, not a schema.
+    strategy, not a schema.  ``keys`` are the jobs' store keys when the
+    caller already holds them; ``apps`` as for :func:`_price_jobs`.
     """
-    from repro.execution.fleet_replay import fleet_run
-
-    apps: dict[str, Application] = {}
-    members: list = []
-    spans: list[tuple[int, int]] = []
-    for job in shard.jobs:
-        app = apps.get(job.app)
-        if app is None:
-            app = registry.build(job.app)
-            apps[job.app] = app
-        job_members = _job_fleet_members(job, app, topology)
-        spans.append((len(members), len(job_members)))
-        members.extend(job_members)
-    fleet = fleet_run(members)
-    return {
-        topology_job_key(job, topology): _fleet_payload(
-            job,
-            fleet.results[start:start + count],
-            fleet.traces[start:start + count],
-        )
-        for job, (start, count) in zip(shard.jobs, spans)
-    }
+    if keys is None:
+        keys = tuple(topology_job_key(job, topology) for job in shard.jobs)
+    return dict(zip(keys, _price_jobs(shard.jobs, topology, apps)))
 
 
 def execute_fleet_shard_faulted(
@@ -311,6 +330,9 @@ def execute_fleet_shard_faulted(
     index: int,
     indices: tuple[int, ...],
     attempt: int = 0,
+    *,
+    keys: tuple[str, ...] | None = None,
+    apps: dict[str, Application] | None = None,
 ) -> dict[str, dict[str, Any]]:
     """:func:`execute_fleet_shard` with fault-injection checkpoints.
 
@@ -323,7 +345,7 @@ def execute_fleet_shard_faulted(
     maybe_fault(app=shard.jobs[0].app, mode="fleet", index=index, attempt=attempt)
     for job, job_index in zip(shard.jobs, indices):
         maybe_fault(app=job.app, mode=job.mode, index=job_index, attempt=attempt)
-    return execute_fleet_shard(shard, topology)
+    return execute_fleet_shard(shard, topology, keys=keys, apps=apps)
 
 
 @dataclass(frozen=True)
@@ -380,22 +402,30 @@ class CampaignResults:
         report: CampaignReport,
         topology: NodeTopology | None = None,
         failures: dict[str, FailureRecord] | None = None,
+        keys: dict[CampaignJob, str] | None = None,
     ):
         self._payloads = payloads
         self._topology = topology
+        self._keys = keys or {}
         self.report = report
         self.failures = failures or {}
 
     def __len__(self) -> int:
         return len(self._payloads)
 
+    def _key(self, job: CampaignJob | str) -> str:
+        """A job's store key: the run's own for its plan's jobs."""
+        if isinstance(job, str):
+            return job
+        key = self._keys.get(job)
+        return key if key is not None else topology_job_key(job, self._topology)
+
     def failure_for(self, job: CampaignJob | str) -> FailureRecord | None:
         """The failure record for a job, or ``None`` if it succeeded."""
-        key = job if isinstance(job, str) else topology_job_key(job, self._topology)
-        return self.failures.get(key)
+        return self.failures.get(self._key(job))
 
     def __getitem__(self, job: CampaignJob | str) -> dict[str, Any]:
-        key = job if isinstance(job, str) else topology_job_key(job, self._topology)
+        key = self._key(job)
         try:
             return self._payloads[key]
         except KeyError:
@@ -476,27 +506,11 @@ class CampaignEngine:
             )
         if not isinstance(plan, CampaignPlan):
             plan = CampaignPlan(tuple(plan))
-        payloads: dict[str, dict[str, Any]] = {}
-        pending: list[tuple[str, CampaignJob]] = []
-        quarantined: dict[str, FailureRecord] = {}
-        store_path = (
-            str(self.store.path)
-            if self.store is not None and self.store.path is not None
-            else "store"
-        )
-        for job in plan:
-            key = topology_job_key(job, self.topology)
-            cached = self.store.get(key) if self.store is not None else None
-            if cached is not None:
-                validate_payload(job, cached, source=store_path)
-                payloads[key] = cached
-                continue
-            if self.store is not None and not retry_failed:
-                record = self._quarantine_record(job)
-                if record is not None:
-                    quarantined[key] = record
-                    continue
-            pending.append((key, job))
+        # Each job's key is hashed once per run; results and records
+        # reuse it.
+        keys = {job: topology_job_key(job, self.topology) for job in plan}
+        store_path = self._store_path()
+        payloads, quarantined, pending = self.recall(keys, retry_failed=retry_failed)
 
         if quarantined and on_failure == "raise":
             listed = "; ".join(
@@ -529,10 +543,12 @@ class CampaignEngine:
                 kind=task_failure.kind,
                 attempts=task_failure.attempts,
             )
-        if on_failure == "quarantine" and self.store is not None:
+        if on_failure == "quarantine" and self.store is not None and failed:
+            records = []
             for key, record in failed.items():
-                descriptor = failure_descriptor(self._descriptor(jobs_by_key[key]))
-                self.store.put(job_key(descriptor), descriptor, record.payload())
+                failure_key, descriptor = self._failure_key(jobs_by_key[key])
+                records.append((failure_key, descriptor, record.payload()))
+            self.store.put_many(records)
 
         self.total_executed += len(outcome.results)
         self.total_cached += cached_count
@@ -596,29 +612,63 @@ class CampaignEngine:
                 not_run=outcome.not_run,
             ) from first.exception
         return CampaignResults(
-            payloads, report, topology=self.topology, failures=all_failures
+            payloads, report, topology=self.topology, failures=all_failures, keys=keys
         )
 
     # ------------------------------------------------------------------
     def _descriptor(self, job: CampaignJob) -> dict[str, Any]:
         return qualified_descriptor(job, self.topology)
 
-    def _persist(self, key: str, job: CampaignJob, payload: dict[str, Any]) -> None:
-        if self.store is not None:
-            self.store.put(key, self._descriptor(job), payload)
-
-    def _quarantine_record(self, job: CampaignJob) -> FailureRecord | None:
-        """The persisted failure record for ``job``, if any.
-
-        Checked only after the result-cache lookup misses: a job that
-        eventually succeeded (e.g. after ``retry_failed``) hits the
-        result cache first, so its stale failure record is harmless.
-        """
+    def _failure_key(self, job: CampaignJob) -> tuple[str, dict[str, Any]]:
+        """The store key and descriptor of ``job``'s failure record."""
         descriptor = failure_descriptor(self._descriptor(job))
-        payload = self.store.get(job_key(descriptor))
-        if payload is None:
-            return None
-        return FailureRecord.from_payload(payload)
+        return job_key(descriptor), descriptor
+
+    def _store_path(self) -> str:
+        if self.store is not None and self.store.path is not None:
+            return str(self.store.path)
+        return "store"
+
+    def recall(
+        self, keys: dict[CampaignJob, str], *, retry_failed: bool = False
+    ) -> tuple[dict, dict, list]:
+        """Split jobs (mapped to their store keys) by what the store
+        holds for them: the stored payloads and the persisted failure
+        records (by job key, in job order), and the pending
+        ``(key, job)`` pairs.  With ``retry_failed`` failure records
+        are not looked up.
+
+        The result keys take one batched store read, the misses' failure
+        keys another.  A stored result wins over a failure record for
+        the same job: a job that eventually succeeded (e.g. after
+        ``retry_failed``) hits the result cache first, so its stale
+        failure record is harmless.
+        """
+        if self.store is None:
+            return {}, {}, [(key, job) for job, key in keys.items()]
+        stored = self.store.get_many(list(keys.values()))
+        payloads: dict[str, dict[str, Any]] = {}
+        misses: list[tuple[str, CampaignJob]] = []
+        for job, key in keys.items():
+            cached = stored.get(key)
+            if cached is None:
+                misses.append((key, job))
+            else:
+                validate_payload(job, cached, source=self._store_path())
+                payloads[key] = cached
+        if retry_failed or not misses:
+            return payloads, {}, misses
+        failure_keys = [self._failure_key(job)[0] for _, job in misses]
+        records = self.store.get_many(failure_keys)
+        quarantined: dict[str, FailureRecord] = {}
+        pending: list[tuple[str, CampaignJob]] = []
+        for (key, job), failure_key in zip(misses, failure_keys):
+            record = records.get(failure_key)
+            if record is None:
+                pending.append((key, job))
+            else:
+                quarantined[key] = FailureRecord.from_payload(record)
+        return payloads, quarantined, pending
 
     def _execute_pending(
         self,
@@ -641,10 +691,12 @@ class CampaignEngine:
         """
         jobs_by_key = dict(pending)
         index_of = {key: index for index, (key, _) in enumerate(pending)}
+        apps: dict[str, Application] = {}  # one registry build per app
+        price_job = functools.partial(execute_job_faulted, apps=apps)
 
         def job_task(key: str) -> tuple:
             args = (jobs_by_key[key], self.topology, index_of[key])
-            return (key, execute_job_faulted, args)
+            return (key, price_job, args)
 
         shard_keys: list[tuple[str, ...]] = []
         tasks: list[tuple] = []
@@ -658,16 +710,26 @@ class CampaignEngine:
                 continue
             position = len(shard_keys)
             args = (shard, self.topology, position, indices)
-            tasks.append((position, execute_fleet_shard_faulted, args))
+            price_shard = functools.partial(
+                execute_fleet_shard_faulted, keys=keys, apps=apps
+            )
+            tasks.append((position, price_shard, args))
             shard_keys.append(keys)
 
         def by_job(task_id, result) -> dict[str, dict[str, Any]]:
             return result if isinstance(task_id, int) else {task_id: result}
 
         def on_success(task_id, result) -> None:
-            for key, payload in by_job(task_id, result).items():
-                payloads[key] = payload
-                self._persist(key, jobs_by_key[key], payload)
+            # A task's payloads persist in one store write.
+            done = by_job(task_id, result)
+            payloads.update(done)
+            if self.store is not None:
+                self.store.put_many(
+                    [
+                        (key, self._descriptor(jobs_by_key[key]), payload)
+                        for key, payload in done.items()
+                    ]
+                )
 
         def keys_of(task_id) -> tuple[str, ...]:
             return shard_keys[task_id] if isinstance(task_id, int) else (task_id,)

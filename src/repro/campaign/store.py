@@ -54,6 +54,12 @@ __all__ = [
 ]
 
 
+#: Keys per backend read of :meth:`ResultStore.get_many`: whole records
+#: (descriptors included) are parsed per read, so a chunk bounds how
+#: many are held at once when a large plan is recalled.
+READ_CHUNK = 256
+
+
 def job_key(descriptor: dict[str, Any]) -> str:
     """Content hash of a job descriptor (stable across processes/runs)."""
     payload = json.dumps(
@@ -114,8 +120,24 @@ class ResultStore:
         deep inside dataset assembly).
         """
         record = self._backend.get_record(key)
-        if record is None:
-            return None
+        return None if record is None else self._payload(key, record)
+
+    def get_many(self, keys: list[str]) -> dict[str, dict[str, Any]]:
+        """:meth:`get` for many keys, one backend read per
+        :data:`READ_CHUNK` keys: the payload of every key that hits
+        (misses are absent), raising the same
+        :class:`~repro.errors.CampaignError` for the first key, in
+        ``keys`` order, whose record has another schema version."""
+        payloads = {}
+        for at in range(0, len(keys), READ_CHUNK):
+            chunk = keys[at : at + READ_CHUNK]
+            records = self._backend.get_records(chunk)
+            for key in chunk:
+                if key in records:
+                    payloads[key] = self._payload(key, records[key])
+        return payloads
+
+    def _payload(self, key: str, record: dict[str, Any]) -> dict[str, Any]:
         written = record.get("store_version")
         if written != STORE_VERSION:
             where = self.path if self.path is not None else "<in-memory store>"
@@ -141,44 +163,39 @@ class ResultStore:
         replacement becomes the effective record across sessions too
         (append + last-wins on JSONL/segments, an upsert on SQLite).
         """
-        existing = self._backend.get_record(key)
-        if existing is not None and existing.get("store_version") == STORE_VERSION:
-            return
-        if job_key(descriptor) != key:
-            raise CampaignError("store key does not match the job descriptor")
-        self._backend.put_record(
-            {
+        self.put_many([(key, descriptor, result)])
+
+    def put_many(
+        self, items: list[tuple[str, dict[str, Any], dict[str, Any]]]
+    ) -> None:
+        """:meth:`put` for many ``(key, descriptor, result)`` triples in
+        one backend write (one transaction on SQLite): the campaign
+        engine's per-shard write, and the bulk load of a fresh store.
+
+        Each triple keeps :meth:`put`'s semantics: its key must match
+        its descriptor, a key already held at the current schema
+        version is left untouched, and one held at another version is
+        healed.  Segment sidecar indexes are flushed by :meth:`flush`
+        or :meth:`close`.
+        """
+        existing = self._backend.get_records([key for key, _, _ in items])
+        records: dict[str, dict[str, Any]] = {}
+        for key, descriptor, result in items:
+            held = existing.get(key)
+            if key in records or (
+                held is not None and held.get("store_version") == STORE_VERSION
+            ):
+                continue
+            if job_key(descriptor) != key:
+                raise CampaignError("store key does not match the job descriptor")
+            records[key] = {
                 "key": key,
                 "store_version": STORE_VERSION,
                 "job": descriptor,
                 "result": result,
             }
-        )
-
-    def put_many(
-        self, items: list[tuple[str, dict[str, Any], dict[str, Any]]]
-    ) -> None:
-        """Bulk-insert ``(key, descriptor, result)`` triples.
-
-        The fast path for store population (migration, synthetic load
-        generation): records are batched into one backend write and
-        index flushing is deferred to :meth:`flush`/:meth:`close`.
-        Unlike :meth:`put`, existing keys are overwritten (callers bulk
-        load into fresh stores).
-        """
-        records = []
-        for key, descriptor, result in items:
-            if job_key(descriptor) != key:
-                raise CampaignError("store key does not match the job descriptor")
-            records.append(
-                {
-                    "key": key,
-                    "store_version": STORE_VERSION,
-                    "job": descriptor,
-                    "result": result,
-                }
-            )
-        self._backend.put_records(records)
+        if records:
+            self._backend.put_records(list(records.values()))
 
     def iter_records(self) -> Iterator[dict[str, Any]]:
         """Stream every effective record (including other-version ones).

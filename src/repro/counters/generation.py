@@ -195,6 +195,13 @@ class CounterGenerator:
             for (name, value), n in zip(exact.items(), noise)
         }
 
+    def noise_digests(self, key_prefix: tuple, iterations: int) -> list[bytes]:
+        """Seed digests of the per-iteration noise streams behind
+        :meth:`sample_batch` (see
+        :meth:`~repro.util.rng.StreamPrefix.iteration_digests`)."""
+        prefix = StreamPrefix("papi", *key_prefix, seed=self._seed)
+        return prefix.iteration_digests(iterations)
+
     def sample_batch(
         self,
         chars: WorkloadCharacteristics,
@@ -211,15 +218,32 @@ class CounterGenerator:
         the noise factors come from the same per-key streams via the
         batched draw machinery in :mod:`repro.util.rng`.
         """
-        iterations = len(ctx.elapsed_s)
-        exact = exact_counters_batch(chars, ctx)
-        prefix = StreamPrefix("papi", *key_prefix, seed=self._seed)
+        digests = self.noise_digests(key_prefix, len(ctx.elapsed_s))
         noise = batched_lognormal(
-            prefix.seeds_for_iterations(iterations),
+            np.frombuffer(b"".join(digests), dtype="<u8"),
             COUNTER_NOISE_SIGMA,
-            size=len(exact),
+            size=len(PAPI_PRESETS),
         )
-        return {
-            name: value * noise[:, column]
-            for column, (name, value) in enumerate(exact.items())
-        }
+        return noisy_counters(chars, ctx, noise)
+
+
+def noisy_counters(
+    chars: WorkloadCharacteristics,
+    ctx: MeasurementContext,
+    noise: np.ndarray,
+    names=None,
+) -> dict[str, np.ndarray]:
+    """Per-iteration noisy values of the ``names`` counters (all 56, in
+    derivation order, by default).
+
+    ``noise`` holds one row of :data:`COUNTER_NOISE_SIGMA` lognormal
+    factors per iteration of ``ctx``, drawn from the iteration's stream;
+    a preset's factor is the column of its formula in the derivation,
+    so each value is what :meth:`CounterGenerator.sample` gives.
+    """
+    exact = exact_counters_batch(chars, ctx)
+    column = {name: j for j, name in enumerate(exact)}
+    return {
+        name: exact[name] * noise[:, column[name]]
+        for name in (exact if names is None else names)
+    }

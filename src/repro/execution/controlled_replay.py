@@ -755,38 +755,57 @@ def inclusive_counters(span, generator, *, node_id: int, run_key: tuple):
     matrix (``None`` where the subtree holds no work).  Each work slot's
     own values are one ``generator.sample_batch`` over the span's
     iterations, at its body time (probe included) and its own operating
-    point; the fold adds children in order, then the slot's own values —
-    the reference engine's dict-merge order.  Sample keys count
+    point, folded by :func:`fold_inclusive`.  Sample keys count
     iterations from zero, so the span must start the run (an
     uncontrolled run is one such span).
     """
     slots, _, _, _, _, durations_work = span
     names: tuple[str, ...] = ()
+
+    def own(k: int) -> np.ndarray:
+        nonlocal names
+        slot = slots[k]
+        sampled = generator.sample_batch(
+            slot.region.characteristics,
+            slot_context(slot, durations_work),
+            key_prefix=(node_id, run_key, slot.region.name),
+        )
+        names = tuple(sampled)
+        return np.column_stack(list(sampled.values()))
+
+    inclusive = fold_inclusive(slots, own)
+    return names, inclusive
+
+
+def slot_context(slot, durations_work) -> MeasurementContext:
+    """A work slot's counter-measurement context over a span: its body
+    time per iteration (probe included) at its own operating point."""
+    elapsed = durations_work[slot.work_index]
+    if slot.probed:
+        elapsed = elapsed + slot.probe_s
+    return MeasurementContext(
+        elapsed_s=elapsed,
+        core_freq_ghz=slot.point.core_freq_ghz,
+        threads=slot.point.threads,
+    )
+
+
+def fold_inclusive(slots, own) -> list:
+    """Per slot, its subtree's sum of ``own(k)`` over the work slots
+    ``k`` (``None`` where the subtree holds no work).  Children are
+    added in order, then the slot's own values: the reference engine's
+    dict-merge order."""
     inclusive: list = [None] * len(slots)
     for k in range(len(slots) - 1, -1, -1):  # pre-order: children come later
-        slot = slots[k]
         acc = None
-        for child in slot.children:
+        for child in slots[k].children:
             if inclusive[child] is not None:
                 acc = inclusive[child] if acc is None else acc + inclusive[child]
-        if slot.has_work:
-            elapsed = durations_work[slot.work_index]
-            if slot.probed:
-                elapsed = elapsed + slot.probe_s
-            sampled = generator.sample_batch(
-                slot.region.characteristics,
-                MeasurementContext(
-                    elapsed_s=elapsed,
-                    core_freq_ghz=slot.point.core_freq_ghz,
-                    threads=slot.point.threads,
-                ),
-                key_prefix=(node_id, run_key, slot.region.name),
-            )
-            names = tuple(sampled)
-            own = np.column_stack(list(sampled.values()))
-            acc = own if acc is None else acc + own
+        if slots[k].has_work:
+            values = own(k)
+            acc = values if acc is None else acc + values
         inclusive[k] = acc
-    return names, inclusive
+    return inclusive
 
 
 def _tree_events(slots) -> list[tuple[int, bool]]:

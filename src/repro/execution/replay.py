@@ -46,14 +46,25 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.counters.generation import (
+    COUNTER_NOISE_SIGMA,
+    CounterGenerator,
+    noisy_counters,
+)
+from repro.counters.papi import PAPI_PRESETS
 from repro.errors import FrequencyError
-from repro.execution.controlled_replay import RunTrace, _Slot, inclusive_counters
+from repro.execution.controlled_replay import (
+    RunTrace,
+    _Slot,
+    fold_inclusive,
+    slot_context,
+)
 from repro.execution.simulator import probe_overhead_s
 from repro.execution.timing import region_timing, region_timings
 from repro.hardware.frequency import quantize_frequency
 from repro.hardware.msr import ghz_of_ratio, ratio_of_ghz
 from repro.hardware.power import PowerModel
-from repro.util.rng import StreamPrefix
+from repro.util.rng import StreamPrefix, batched_lognormal
 from repro.workloads.application import Application
 from repro.workloads.region import Region
 
@@ -394,38 +405,63 @@ def _block_spans(
     )
 
 
-def phase_counters(
-    result, trace: RunTrace, generator, *, run_key: tuple,
-    counters: tuple[str, ...],
-) -> tuple[dict[str, float], float]:
-    """Phase counter totals and accumulated phase time of one
-    instrumented uncontrolled run.
+def phase_counters(runs) -> list[tuple[dict[str, float], float]]:
+    """Phase counter totals and accumulated phase time of instrumented
+    uncontrolled runs.
 
-    ``trace`` is the priced run behind ``result``; the totals are the
-    phase slot of its :func:`~repro.execution.controlled_replay.inclusive_counters`
-    fold, summed over the iterations — field for field what summing the
-    phase region's inclusive metrics over a listened run
-    (``collect_counters=True``) gives.
+    ``runs`` holds one ``(result, trace, seed, run_key, counters)`` per
+    run: ``trace`` is the priced run behind ``result`` and ``seed`` its
+    counter generator's.  A run's totals are the phase slot of its
+    :func:`~repro.execution.controlled_replay.inclusive_counters` fold,
+    summed over the iterations — field for field what summing the phase
+    region's inclusive metrics over a listened run
+    (``collect_counters=True``) gives.  The PAPI noise of every work slot
+    of every run is drawn in one batch, and only the requested counters
+    are computed and folded.
     """
-    (span,) = trace.spans
-    names, inclusive = inclusive_counters(
-        span, generator, node_id=result.node_id, run_key=run_key
+    spans, digests = [], []
+    for result, trace, seed, run_key, _ in runs:
+        (span,) = trace.spans
+        generator = CounterGenerator(seed)
+        first_row = {}  # work slot -> its first row of the noise matrix
+        for k, slot in enumerate(span[0]):
+            if slot.has_work:
+                first_row[k] = len(digests)
+                digests += generator.noise_digests(
+                    (result.node_id, run_key, slot.region.name), span[3]
+                )
+        spans.append((span, first_row))
+    noise = batched_lognormal(
+        np.frombuffer(b"".join(digests), dtype="<u8"),
+        COUNTER_NOISE_SIGMA,
+        size=len(PAPI_PRESETS),
     )
-    phase_matrix = inclusive[0]
-    column = {name: j for j, name in enumerate(names)}
-    totals = {}
-    for counter in counters:
-        j = column.get(counter)
-        if phase_matrix is None or j is None:
-            totals[counter] = 0.0
-        else:
-            totals[counter] = float(np.add.accumulate(phase_matrix[:, j])[-1])
-    slots, num_charges, _, iterations, _, _ = span
-    offsets = np.arange(iterations) * num_charges
-    phase = slots[0]
-    phase_times = (
-        trace.timeline[offsets + phase.charge_end]
-        - trace.timeline[offsets + phase.charge_start]
-    )
-    phase_time_s = float(np.add.accumulate(phase_times)[-1])
-    return totals, phase_time_s
+    out = []
+    for (_, trace, _, _, counters), (span, first_row) in zip(runs, spans):
+        slots, num_charges, _, iterations, _, durations_work = span
+        known = list(dict.fromkeys(c for c in counters if c in PAPI_PRESETS))
+
+        def own(k: int) -> np.ndarray:
+            slot, row = slots[k], first_row[k]
+            values = noisy_counters(
+                slot.region.characteristics,
+                slot_context(slot, durations_work),
+                noise[row : row + iterations],
+                known,
+            )
+            return np.column_stack(list(values.values()))
+
+        sums = {}
+        phase_matrix = fold_inclusive(slots, own)[0] if known else None
+        if phase_matrix is not None:
+            totals = np.add.accumulate(phase_matrix, axis=0)[-1]
+            sums = dict(zip(known, totals.tolist()))
+        totals = {counter: sums.get(counter, 0.0) for counter in counters}
+        offsets = np.arange(iterations) * num_charges
+        phase = slots[0]
+        phase_times = (
+            trace.timeline[offsets + phase.charge_end]
+            - trace.timeline[offsets + phase.charge_start]
+        )
+        out.append((totals, float(np.add.accumulate(phase_times)[-1])))
+    return out

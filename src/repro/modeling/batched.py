@@ -19,7 +19,8 @@ This module answers it for *all* rate vectors at once:
   exact per-layer operations of :class:`~repro.modeling.layers.Dense`
   and :class:`~repro.modeling.layers.ReLU`; a leading stack axis runs
   K networks at once (the lockstep trainer of
-  :func:`repro.modeling.training.train_networks`);
+  :func:`repro.modeling.training.train_networks`, for batches longer
+  than one row);
 * :class:`BatchedModelEvaluator` wraps a trained model (network +
   scaler) and exposes grid-shaped prediction.
 

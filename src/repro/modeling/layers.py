@@ -2,8 +2,9 @@
 
 Only what the paper's architecture needs: dense layers with He
 initialisation [32] and ReLU activations [30].  Gradients come from
-:func:`repro.modeling.batched.backward_batch`, which trains every
-network (:mod:`repro.modeling.training`).
+the lockstep trainer (:mod:`repro.modeling.training`): its one-row
+step, or :func:`repro.modeling.batched.backward_batch` for longer
+batches.
 """
 
 from __future__ import annotations

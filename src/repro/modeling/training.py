@@ -16,6 +16,7 @@ layer-by-layer loop this replaced is kept as the test oracle
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+#: Rows per network gathered and standardised at once: enough to
+#: amortise the gather, few enough that a block of the 19 LOOCV folds
+#: stays below 100 KB however many rows a network trains on.
+BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -42,10 +48,22 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ModelError(f"{name} must be an int, got {value!r}")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ModelError("epochs and batch size must be positive")
-        if self.learning_rate <= 0:
-            raise ModelError("learning rate must be positive")
+        rate = self.learning_rate
+        if (
+            isinstance(rate, bool)
+            or not isinstance(rate, numbers.Real)
+            or not math.isfinite(rate)
+            or rate <= 0
+        ):
+            raise ModelError(
+                f"learning rate must be a positive finite number, got {rate!r}"
+            )
 
 
 @dataclass
@@ -85,11 +103,17 @@ def train_networks(
     """Train one network per row subset of a shared dataset, in lockstep.
 
     Model ``k`` is bit-identical to :func:`train_network` on
-    ``features[row_sets[k]]``: its scaler is fitted on those rows, each
-    step gathers its next batch from the shared matrix and standardises
-    it on the fly, and ADAM's bias correction counts its own steps.
-    All networks walk their epochs together; one that has used up its
-    epoch's rows sits out the remaining steps of that epoch.
+    ``features[row_sets[k]]``: its scaler is fitted on those rows, its
+    permuted rows are standardised a bounded block of steps at a time,
+    and ADAM's bias correction counts its own steps.  All networks walk
+    their epochs together; one that has used up its epoch's rows sits
+    out the remaining steps of that epoch.
+
+    A step is one forward, one backward and one ADAM update over the
+    stack, about thirty numpy calls whatever K is.  With the paper's
+    batch length of one, the back-propagated row of a layer *is* its
+    bias gradient (a one-row sum is that row), so it is written straight
+    into the gradient buffer; longer batches sum their rows.
     """
     features, targets = _check_shapes(features, targets)
     rows = [_check_rows(r, features.shape[0]) for r in row_sets]
@@ -104,64 +128,91 @@ def train_networks(
     order = sorted(range(len(rows)), key=lambda f: -rows[f].size)
     sizes = [rows[f].size for f in order]
     k, batch = len(order), config.batch_size
-    n_batches = [-(-size // batch) for size in sizes]
+    n_batches = np.array([-(-size // batch) for size in sizes])
+    steps = int(n_batches[0])
+    block_steps = max(1, BLOCK_ROWS // batch)
 
     params = np.tile(np.concatenate([p.ravel() for p in init.parameters]), (k, 1))
     grads = np.zeros_like(params)
-    moment1 = np.zeros_like(params)
-    moment2 = np.zeros_like(params)
     weights = _layer_views(params, shapes)
     gradients = _layer_views(grads, shapes)
+    # ADAM's two moments in one buffer, with their decay rates and
+    # gradient weights laid out alike, so each stage of the update is
+    # one numpy call over both; ``scratch`` holds the step's
+    # bias-corrected estimates.
+    moments = np.zeros((2, *params.shape))
+    scratch = np.empty_like(moments)
+    decay = np.empty_like(moments)
+    decay[0], decay[1] = ADAM_BETA1, ADAM_BETA2
+    keep = np.empty_like(moments)
+    keep[0], keep[1] = 1 - ADAM_BETA1, 1 - ADAM_BETA2
     mean = np.stack([scalers[f].mean_ for f in order])[:, None, :]
     scale = np.stack([scalers[f].scale_ for f in order])[:, None, :]
-    y = targets[:, None]
     # Bias corrections by step count, with Python-int exponents:
     # 0.9 ** np.int64(t) can differ from 0.9 ** t in the last bit.
-    total = config.epochs * n_batches[0]
-    correction1 = np.array([1.0] + [1 - ADAM_BETA1**t for t in range(1, total + 1)])
-    correction2 = np.array([1.0] + [1 - ADAM_BETA2**t for t in range(1, total + 1)])
-    steps = np.zeros(k, dtype=np.intp)
-    epoch_loss = np.zeros(k)
+    total = config.epochs * steps
+    corrections = np.ones((total + 1, 2))
+    for column, beta in enumerate((ADAM_BETA1, ADAM_BETA2)):
+        corrections[1:, column] = np.fromiter(
+            (1 - beta**t for t in range(1, total + 1)), float, count=total
+        )
 
-    views: dict[tuple[int, int], tuple] = {}
+    views: dict[tuple[int, int], _StackSlice] = {}
 
-    def stack_slice(lo: int, hi: int) -> tuple:
+    def stack_slice(lo: int, hi: int) -> _StackSlice:
         if (lo, hi) not in views:
-            part = slice(lo, hi)
-            views[lo, hi] = (
-                [w[part] for w in weights],
-                [g[part] for g in gradients],
-                params[part], grads[part], moment1[part], moment2[part],
-                mean[part], scale[part], steps[part], epoch_loss[part],
+            views[lo, hi] = _StackSlice(
+                slice(lo, hi),
+                weights,
+                gradients,
+                params,
+                grads,
+                moments,
+                scratch,
+                decay,
+                keep,
             )
         return views[lo, hi]
 
-    runs = [_batch_runs(sizes, start, batch) for start in range(0, sizes[0], batch)]
+    # Each step's runs; consecutive steps with equal runs share one list.
+    runs: list[list[tuple]] = []
+    for start in range(0, sizes[0], batch):
+        step_runs = _batch_runs(sizes, start, batch)
+        runs.append(runs[-1] if runs and runs[-1] == step_runs else step_runs)
     rngs = [rng_for("training-shuffle", seed=config.seed) for _ in order]
     table = np.zeros((k, sizes[0]), dtype=np.intp)
+    # A block's per-step batch losses, zero where a network sits out,
+    # after row 0: the epoch's running sum so far.  Folding the rows in
+    # order adds the steps one by one, as a running total does.
+    block_losses = np.zeros((block_steps + 1, k, 1, 1))
     losses: list[list[float]] = [[] for _ in order]
-    for _epoch in range(config.epochs):
+    for epoch in range(config.epochs):
         for f, (src, rng) in enumerate(zip(order, rngs)):
             table[f, : sizes[f]] = rows[src][rng.permutation(sizes[f])]
-        epoch_loss[:] = 0.0
-        for step, step_runs in enumerate(runs):
-            start = step * batch
-            for lo, hi, length in step_runs:
-                w, g, p, gp, m, v, mu, sigma, t, loss = stack_slice(lo, hi)
-                picked = table[lo:hi, start : start + length]
-                x = (features[picked] - mu) / sigma
-                saved: list[np.ndarray] = []
-                diff = forward_batch(w, x, saved=saved) - y[picked]
-                loss += np.add.reduce(diff**2, axis=(1, 2)) / length
-                backward_batch(w, x, 2.0 * diff / length, saved=saved, out=g)
-                t += 1
-                _adam_update(
-                    p, gp, m, v,
-                    correction1[t][:, None], correction2[t][:, None],
-                    config.learning_rate,
-                )
+        block_losses[0] = 0.0
+        for first in range(0, steps, block_steps):
+            last = min(first + block_steps, steps)
+            picked = table[:, first * batch : last * batch]
+            x_block = (features[picked] - mean) / scale
+            y_block = targets[picked][..., None]
+            # Network f's step count at epoch step s: epoch * n_f + s + 1.
+            counts = epoch * n_batches + np.arange(first + 1, last + 1)[:, None]
+            c_block = corrections[counts].swapaxes(1, 2)[..., None]
+            block_losses[1:] = 0.0
+            for step in range(first, last):
+                at = (step - first) * batch
+                for lo, hi, length in runs[step]:
+                    part = stack_slice(lo, hi)
+                    rows_at = slice(at, at + length)
+                    part.backprop(
+                        x_block[lo:hi, rows_at],
+                        y_block[lo:hi, rows_at],
+                        block_losses[step - first + 1, lo:hi],
+                    )
+                    part.adam(c_block[step - first, :, lo:hi], config.learning_rate)
+            block_losses[0] = np.add.accumulate(block_losses, axis=0)[-1]
         for f in range(k):
-            losses[f].append(float(epoch_loss[f] / n_batches[f]))
+            losses[f].append(float(block_losses[0, f, 0, 0] / n_batches[f]))
 
     models: list[TrainedModel | None] = [None] * len(rows)
     for f, src in enumerate(order):
@@ -229,13 +280,78 @@ def _batch_runs(sizes: list[int], start: int, batch: int) -> list[tuple]:
     return [tuple(run) for run in runs]
 
 
-def _adam_update(params, grads, m, v, correction1, correction2, learning_rate):
-    """One ADAM step over ``(K, P)`` rows, each with its own bias
-    correction column; the operations of a per-array ADAM, in order."""
-    m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * grads
-    v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * grads * grads
-    params -= (
-        learning_rate * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPSILON)
-    )
+class _StackSlice:
+    """Cached views of networks ``lo:hi`` of the lockstep buffers, and
+    the two halves of one training step over them."""
+
+    def __init__(
+        self, part, weights, gradients, params, grads, moments, scratch, decay, keep
+    ):
+        self.weights = [w[part] for w in weights]
+        self.w2_t = self.weights[2].swapaxes(-1, -2)
+        self.w3_t = self.weights[4].swapaxes(-1, -2)
+        self.gradients = [g[part] for g in gradients]
+        self.params = params[part]
+        self.grads = grads[part]
+        self.moments = moments[:, part]
+        self.estimates = scratch[:, part]
+        self.mean_estimate = scratch[0, part]
+        self.var_estimate = scratch[1, part]
+        self.decay = decay[:, part]
+        self.keep = keep[:, part]
+
+    def backprop(self, x, y, loss) -> None:
+        """Forward and backward of one batch (``(K, rows, in)`` inputs,
+        ``(K, rows, 1)`` targets): fills the gradient views and writes
+        each network's batch loss to ``loss``."""
+        length = x.shape[-2]
+        if length != 1:
+            saved: list[np.ndarray] = []
+            diff = forward_batch(self.weights, x, saved=saved) - y
+            np.divide(np.add.reduce(diff**2, axis=(1, 2)), length, out=loss[:, 0, 0])
+            grad = 2.0 * diff / length
+            backward_batch(self.weights, x, grad, saved=saved, out=self.gradients)
+            return
+        # One row, through Figure 4's two hidden layers and one output
+        # neuron: the operations of forward_batch and backward_batch in
+        # order.  A one-row sum is that row, so the loss is the squared
+        # error and each back-propagated row is its layer's bias
+        # gradient.  A product with a one-entry factor (the output
+        # neuron's error) is an elementwise multiply: one term per
+        # entry, exact up to the sign of a zero (which ADAM's moments
+        # cannot see), without np.matmul's slow stacked path for that
+        # shape.
+        w1, b1, w2, b2, w3, b3 = self.weights
+        gw1, gb1, gw2, gb2, gw3, gb3 = self.gradients
+        h1 = x @ w1 + b1
+        m1 = h1 > 0
+        a1 = np.where(m1, h1, 0.0)
+        h2 = a1 @ w2 + b2
+        m2 = h2 > 0
+        a2 = np.where(m2, h2, 0.0)
+        diff = a2 @ w3 + b3 - y
+        np.square(diff, out=loss)
+        np.multiply(2.0, diff, out=gb3)
+        np.multiply(a2.swapaxes(-1, -2), gb3, out=gw3)
+        np.multiply(gb3 * self.w3_t, m2, out=gb2)
+        np.matmul(a1.swapaxes(-1, -2), gb2, out=gw2)
+        np.multiply(gb2 @ self.w2_t, m1, out=gb1)
+        np.matmul(x.swapaxes(-1, -2), gb1, out=gw1)
+
+    def adam(self, correction, learning_rate: float) -> None:
+        """One ADAM update from the gradient views; ``correction`` is the
+        ``(2, K, 1)`` bias correction of each network's step.  The
+        operations of a per-array update, in order:
+        ``m, v = b1 * m + (1 - b1) * g, b2 * v + ((1 - b2) * g) * g`` and
+        ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``."""
+        estimates, var = self.estimates, self.var_estimate
+        self.moments *= self.decay
+        np.multiply(self.keep, self.grads, out=estimates)
+        var *= self.grads
+        self.moments += estimates
+        np.divide(self.moments, correction, out=estimates)
+        np.sqrt(var, out=var)
+        var += ADAM_EPSILON
+        step = np.multiply(learning_rate, self.mean_estimate, out=self.mean_estimate)
+        step /= var
+        self.params -= step

@@ -61,14 +61,9 @@ from typing import Any
 import numpy as np
 
 from repro import api
-from repro.campaign.engine import (
-    CampaignEngine,
-    qualified_descriptor,
-    topology_job_key,
-)
+from repro.campaign.engine import CampaignEngine, topology_job_key
 from repro.campaign.plan import grid_jobs
-from repro.campaign.resilience import FailureRecord, failure_descriptor
-from repro.campaign.store import ResultStore, job_key
+from repro.campaign.store import ResultStore
 from repro.errors import ReproError, SchemaError, TuningError
 from repro.execution.simulator import OperatingPoint
 from repro.serve import batcher as batching
@@ -353,35 +348,28 @@ class TuningService:
         the normal coalesce/execute path.  A result record always wins
         over a failure record for the same job: stale quarantine
         entries (failed once, re-run successfully later) never shadow a
-        stored answer.
+        stored answer.  The lookup is the engine's
+        (:meth:`~repro.campaign.engine.CampaignEngine.recall`): one
+        batched store read for the rows, one for the missing rows'
+        failure records.
         """
-        store = self.engine.store
         topology = self.engine.topology
         jobs, cfs, ucfs = self._grid_jobs(request)
-        payloads = []
-        for job in jobs:
-            payload = store.get(topology_job_key(job, topology))
-            if payload is not None:
-                # Results shadow failure records, not the reverse.
-                payloads.append(payload)
-                continue
-            if not self.retry_failed:
-                failure = store.get(
-                    job_key(
-                        failure_descriptor(
-                            qualified_descriptor(job, topology)
-                        )
-                    )
-                )
-                if failure is not None:
-                    record = FailureRecord.from_payload(failure)
-                    self.metrics.quarantined += 1
-                    return error_response(
-                        "quarantined",
-                        f"job is quarantined: {record.describe()}; "
-                        "restart the service with --retry-failed to retry",
-                    )
+        keys = {job: topology_job_key(job, topology) for job in jobs}
+        stored, quarantined, pending = self.engine.recall(
+            keys, retry_failed=self.retry_failed
+        )
+        if quarantined:
+            record = next(iter(quarantined.values()))
+            self.metrics.quarantined += 1
+            return error_response(
+                "quarantined",
+                f"job is quarantined: {record.describe()}; "
+                "restart the service with --retry-failed to retry",
+            )
+        if pending:
             return None
+        payloads = [stored[key] for key in keys.values()]
         # TMM-carrying requests still need their dynamic run priced; let
         # the execution path do it (the engine caches that job too).
         if request.tmm is not None:

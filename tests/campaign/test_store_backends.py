@@ -18,7 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.backends import BACKEND_KINDS, detect_backend_kind
+from repro.campaign.backends import (
+    BACKEND_KINDS,
+    SQLITE_KEYS_PER_QUERY,
+    detect_backend_kind,
+)
 from repro.campaign.store import STORE_VERSION, ResultStore, job_key
 from repro.errors import CampaignError
 
@@ -223,6 +227,98 @@ class TestPerBackendSemantics:
     def test_summary_names_backend(self, tmp_path, backend):
         with store_for(tmp_path, backend) as store:
             assert store.summary()["backend"] == backend
+
+
+# ---------------------------------------------------------------------------
+# Batched reads and shard writes, once per backend
+# ---------------------------------------------------------------------------
+
+
+def any_store(tmp_path, backend: str) -> ResultStore:
+    return ResultStore() if backend == "memory" else store_for(tmp_path, backend)
+
+
+def stale_record(i: int) -> dict:
+    return {
+        "key": job_key(descriptor(i)),
+        "store_version": STORE_VERSION - 1,
+        "job": descriptor(i),
+        "result": result(i),
+    }
+
+
+@pytest.mark.parametrize("backend", ("memory",) + DISK_BACKENDS)
+class TestBatchedContract:
+    def test_mixed_batch_matches_per_key_gets(self, tmp_path, backend):
+        with any_store(tmp_path, backend) as store:
+            for i in range(0, 10, 2):
+                store.put(job_key(descriptor(i)), descriptor(i), result(i))
+            keys = [job_key(descriptor(i)) for i in (3, 0, 4, 4, 9, 8)]
+            got = store.get_many(keys)
+            assert got == {k: store.get(k) for k in keys if store.get(k) is not None}
+            assert set(got) == {keys[1], keys[2], keys[5]}
+
+    def test_stale_record_raises_as_get_does(self, tmp_path, backend):
+        with any_store(tmp_path, backend) as store:
+            store.put(job_key(descriptor(0)), descriptor(0), result(0))
+            store._backend.put_record(stale_record(1))
+            store.refresh()
+            keys = [job_key(descriptor(i)) for i in (0, 1, 2)]
+            with pytest.raises(CampaignError) as single:
+                store.get(keys[1])
+            with pytest.raises(CampaignError) as batch:
+                store.get_many(keys)
+            assert str(batch.value) == str(single.value)
+
+    def test_batch_beyond_sqlite_chunk_size(self, tmp_path, backend):
+        n = SQLITE_KEYS_PER_QUERY + 250
+        items = [(job_key(descriptor(i)), descriptor(i), result(i)) for i in range(n)]
+        with any_store(tmp_path, backend) as store:
+            store.put_many(items[::2])
+            keys = [key for key, _, _ in items]
+            got = store.get_many(keys)
+            assert got == {key: payload for key, _, payload in items[::2]}
+            assert len(keys) > SQLITE_KEYS_PER_QUERY
+
+    def test_shard_write_leaves_current_record_untouched(self, tmp_path, backend):
+        with any_store(tmp_path, backend) as store:
+            key0 = job_key(descriptor(0))
+            store.put(key0, descriptor(0), result(0, generation=0))
+            store.put_many(
+                [
+                    (job_key(descriptor(i)), descriptor(i), result(i, generation=1))
+                    for i in range(3)
+                ]
+            )
+            assert store.get(key0) == result(0, generation=0)
+            for i in (1, 2):
+                assert store.get(job_key(descriptor(i))) == result(i, generation=1)
+            assert len(store) == 3
+            path = store.path
+        if path is not None:
+            with ResultStore(path) as reopened:
+                assert reopened.get(key0) == result(0, generation=0)
+
+    def test_shard_write_heals_other_version_record(self, tmp_path, backend):
+        with any_store(tmp_path, backend) as store:
+            store._backend.put_record(stale_record(1))
+            store.refresh()
+            assert store.stale_records == 1
+            store.put_many(
+                [
+                    (job_key(descriptor(i)), descriptor(i), result(i, generation=9))
+                    for i in range(3)
+                ]
+            )
+            assert store.stale_records == 0
+            got = store.get_many([job_key(descriptor(i)) for i in range(3)])
+            assert list(got.values()) == [result(i, generation=9) for i in range(3)]
+
+    def test_shard_write_checks_every_new_key(self, tmp_path, backend):
+        with any_store(tmp_path, backend) as store:
+            good = (job_key(descriptor(0)), descriptor(0), result(0))
+            with pytest.raises(CampaignError, match="does not match"):
+                store.put_many([good, ("0" * 32, descriptor(1), result(1))])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ selections — is *bit-identical* between the stacked fast path and the
 historical pointwise loops, across applications, regions and seeds.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,9 @@ class TestLockstepTraining:
             rng_for("row-subset").permutation(len(groups))[:201],
         ]
         assert all(len(rows) % batch_size or batch_size == 1 for rows in row_sets)
-        config = TrainingConfig(epochs=2, batch_size=batch_size)
+        # Three epochs: each network's ADAM step count restarts from its
+        # own row count at every epoch boundary.
+        config = TrainingConfig(epochs=3, batch_size=batch_size)
         models = train_networks(dataset.features, dataset.targets, row_sets, config)
         for rows, model in zip(row_sets, models):
             reference = serial_train_network(
@@ -151,6 +155,23 @@ class TestLockstepTraining:
                 model.network.get_weights(), reference.network.get_weights()
             ):
                 assert np.array_equal(got, want)
+
+    def test_standardised_rows_stay_in_bounded_blocks(self):
+        """Rows are standardised a block of steps at a time: training
+        allocates less than one ``(K, rows, features)`` float64 block,
+        so a whole-epoch standardised copy cannot creep back in."""
+        rng = rng_for("bounded-blocks")
+        features = rng.normal(size=(4000, 9))
+        targets = rng.normal(size=4000)
+        row_sets = [np.arange(4000), np.arange(3900), np.arange(100, 4000)] * 2
+        config = TrainingConfig(epochs=1)
+        tracemalloc.start()
+        try:
+            train_networks(features, targets, row_sets, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(row_sets) * features.nbytes
 
     def test_no_row_sets_trains_nothing(self, dataset):
         assert train_networks(dataset.features, dataset.targets, []) == []

@@ -221,6 +221,31 @@ class TestTraining:
         with pytest.raises(ModelError):
             TrainingConfig(learning_rate=-1)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), "1e-3", True])
+    def test_non_finite_or_non_numeric_rate_rejected(self, rate):
+        """A NaN or infinite rate used to train silently to NaN weights."""
+        with pytest.raises(ModelError, match="learning rate"):
+            TrainingConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"epochs": 2.0},
+            {"epochs": True},
+            {"epochs": "5"},
+            {"batch_size": 1.0},
+            {"batch_size": False},
+        ],
+    )
+    def test_counts_must_be_ints(self, field):
+        """Float counts used to fail later with a raw TypeError, and
+        ``epochs=True`` trained one epoch."""
+        with pytest.raises(ModelError, match="must be an int"):
+            TrainingConfig(**field)
+
+    def test_integral_rate_accepted(self):
+        assert TrainingConfig(learning_rate=1).learning_rate == 1
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=100))
     def test_prediction_finite_for_any_seed(self, seed):

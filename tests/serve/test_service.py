@@ -29,13 +29,13 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def failure_record_for(service, request, *, message="boom"):
-    """A persisted FailureRecord for the first grid row of ``request``."""
+def failure_record_for(service, request, *, message="boom", row=0):
+    """A persisted FailureRecord for grid row ``row`` of ``request``."""
     jobs, _, _ = service._grid_jobs(request.resolved())
     topology = service.engine.topology
-    descriptor = failure_descriptor(qualified_descriptor(jobs[0], topology))
+    descriptor = failure_descriptor(qualified_descriptor(jobs[row], topology))
     record = FailureRecord(
-        job_store_key=topology_job_key(jobs[0], topology),
+        job_store_key=topology_job_key(jobs[row], topology),
         app=request.benchmark,
         mode="grid",
         error_type="InjectedFault",
@@ -225,6 +225,27 @@ class TestStoreDedup:
         assert response["error"]["code"] == "quarantined"
         assert "boom" in response["error"]["message"]
         assert service.engine.total_executed == executed_before
+        assert service.metrics.quarantined == 1
+
+    def test_later_quarantined_row_answers_without_executing(self):
+        """Regression: the store fast path checks every missing row's
+        failure record, not only the first missing row's, so a request
+        whose last row is quarantined (and whose other rows are clean
+        misses) is refused before anything is queued or priced."""
+
+        async def scenario():
+            service = TuningService(store=ResultStore())
+            request = api.TuningRequest("EP", stride=7)
+            rows = len(service._grid_jobs(request.resolved())[0])
+            failure_record_for(service, request, row=rows - 1)
+            response = await service.handle(dict(EP))
+            await service.aclose()
+            return service, rows, response
+
+        service, rows, response = run(scenario())
+        assert rows > 1
+        assert response["error"]["code"] == "quarantined"
+        assert service.engine.total_executed == 0
         assert service.metrics.quarantined == 1
 
     def test_retry_failed_service_executes_quarantined_jobs(self):

@@ -1,21 +1,21 @@
-"""Result-store scale: indexed backends vs JSONL at a million records.
+"""Result-store scale: the SQLite backend vs JSONL at a million records.
 
-Populates one store per backend (jsonl, sqlite, segment) with N
+Populates one store per backend (jsonl, sqlite) with N
 synthetic campaign records and measures the two costs that dominate
 store use at scale:
 
 * **cold open** — constructing a ``ResultStore`` over the existing
   store and answering one membership probe.  The JSONL tier parses the
-  whole file; the indexed tiers open in (near-)constant time.
+  whole file; SQLite opens in (near-)constant time.
 * **recall-by-key** — a *fresh* store instance answering K random
   ``get()`` calls, i.e. what a new campaign/serving process pays to
   recall a handful of results.  This is measured with warm OS page
   caches (every store is written then immediately re-read), so the
   ratio isolates store architecture from disk speed: JSONL must still
-  scan everything before the first hit, the indexed backends touch an
-  index and K records.
+  scan everything before the first hit, SQLite touches an index and K
+  records.
 
-Reported speedups are ratios of JSONL cost over backend cost measured
+Reported speedups are ratios of JSONL cost over SQLite cost measured
 in the same process, so they are comparable across machines and gated
 in CI (``store_scale`` kind in ``scripts/check_perf_regression.py``).
 CI runs a reduced 10^5-record smoke configuration against its own
@@ -36,7 +36,6 @@ import argparse
 import json
 import platform
 import random
-import shutil
 import sys
 import time
 from pathlib import Path
@@ -52,13 +51,7 @@ DEFAULT_LOOKUPS = 64
 #: Synthetic app axis (keeps summary() breakdowns non-trivial).
 APPS = 512
 
-BACKENDS = ("jsonl", "sqlite", "segment")
-
-_STORE_NAMES = {
-    "jsonl": "store.jsonl",
-    "sqlite": "store.sqlite",
-    "segment": "store-segments",
-}
+BACKENDS = ("jsonl", "sqlite")
 
 
 def synthetic_item(i: int) -> tuple[str, dict, dict]:
@@ -84,8 +77,6 @@ def populate(path: Path, backend: str, records: int, chunk: int = 50_000) -> flo
 
 
 def store_size_bytes(path: Path) -> int:
-    if path.is_dir():
-        return sum(p.stat().st_size for p in path.iterdir())
     total = path.stat().st_size
     wal = path.with_name(path.name + "-wal")  # sqlite sidecar files
     if wal.exists():
@@ -130,9 +121,8 @@ def run_benchmark(
     report_backends: dict[str, dict] = {}
     payloads: dict[str, list] = {}
     for backend in BACKENDS:
-        path = workdir / _STORE_NAMES[backend]
-        if path.exists():
-            shutil.rmtree(path) if path.is_dir() else path.unlink()
+        path = workdir / f"store.{backend}"
+        path.unlink(missing_ok=True)
         populate_s = populate(path, backend, records)
         cold_open_s = measure_cold_open(path, probe_key, repeats)
         recall_s = measure_recall(path, sample_keys, repeats)
@@ -148,11 +138,9 @@ def run_benchmark(
 
     expected = [result for _, _, result in sample]
     identical = all(payloads[backend] == expected for backend in BACKENDS)
-    jsonl = report_backends["jsonl"]
-    for backend in ("sqlite", "segment"):
-        entry = report_backends[backend]
-        entry["cold_open_speedup"] = jsonl["cold_open_s"] / entry["cold_open_s"]
-        entry["recall_speedup"] = jsonl["recall_s"] / entry["recall_s"]
+    jsonl, sqlite = report_backends["jsonl"], report_backends["sqlite"]
+    sqlite["cold_open_speedup"] = jsonl["cold_open_s"] / sqlite["cold_open_s"]
+    sqlite["recall_speedup"] = jsonl["recall_s"] / sqlite["recall_s"]
 
     return {
         "benchmark": "store_scale",
@@ -209,8 +197,7 @@ def test_store_scale(benchmark, tmp_path):
     # dominate, so the at-scale ratios are asserted by the committed
     # baseline + CI gate, not here.  Equivalence must hold at any size.
     assert report["payloads_identical"] is True
-    for backend in ("sqlite", "segment"):
-        assert report["backends"][backend]["recall_speedup"] > 0
+    assert report["backends"]["sqlite"]["recall_speedup"] > 0
 
 
 def main(argv=None) -> int:

@@ -20,9 +20,9 @@ savings are computed relative to the default run and averaged over
 Controlled runs execute through the simulator's controlled replay
 (bit-identical to the recursive reference engine).  With a
 :class:`~repro.campaign.engine.CampaignEngine` attached, the four run
-variants become ``savings``-mode campaign jobs instead — parallelisable
-across a worker pool and cacheable in the result store, bit-identical
-to the in-process loop.
+variants become ``savings``-mode campaign jobs instead — priced in
+fleet shards and cacheable in the result store, bit-identical to the
+in-process loop.
 """
 
 from __future__ import annotations

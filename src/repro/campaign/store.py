@@ -10,12 +10,10 @@ would be bit-identical to a fresh simulation.  Records are dicts ::
 
 serialised as sorted-key JSON by whichever backend holds them (see
 :mod:`repro.campaign.backends`): the original append-only JSON-lines
-file, an indexed SQLite database (WAL mode, concurrent multi-process
-writers), or a directory of key-prefix-sharded segment files with
-sidecar offset indexes.  The backend is auto-detected from the path
-(``.jsonl`` file / ``.sqlite`` file / directory); all backends are
-record-for-record equivalent, and :func:`migrate_store` converts
-between them.
+file, or an indexed SQLite database (WAL mode, concurrent multi-process
+writers).  The backend is auto-detected from the path (``.jsonl`` file /
+``.sqlite`` file); both are record-for-record equivalent, and
+:func:`migrate_store` converts between them.  A directory is refused.
 
 JSON serialises floats via ``repr`` (shortest round-trip), so payloads
 read back from a warm store compare equal to freshly simulated ones.
@@ -72,15 +70,16 @@ class ResultStore:
     """Persistent (or, with ``path=None``, in-memory) job-result cache.
 
     The backend is auto-detected from the path unless named explicitly
-    (``backend="jsonl" | "sqlite" | "segment"``).  The JSONL backend
+    (``backend="jsonl" | "sqlite"``); an existing directory raises
+    :class:`~repro.errors.CampaignError` either way.  The JSONL backend
     keeps the historical behaviour — eagerly loaded, appended on every
-    :meth:`put` — while the indexed backends open lazily and look keys
-    up on demand.  Unparseable bytes (a truncated tail after a crash, a
-    torn WAL, a garbled index sidecar) load as misses, never as
-    crashes; the next ``put`` of an affected key rewrites the record.
+    :meth:`put` — while SQLite opens lazily and looks keys up through
+    its index.  Unparseable bytes (a truncated tail after a crash, a
+    torn WAL) load as misses, never as crashes; the next ``put`` of an
+    affected key rewrites the record.
 
     The store is a context manager; ``with ResultStore(p) as store:``
-    guarantees indexes and handles are flushed on the way out.
+    guarantees open handles are closed on the way out.
     """
 
     def __init__(
@@ -92,8 +91,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     @property
     def backend(self) -> str:
-        """The active backend kind (``memory``/``jsonl``/``sqlite``/
-        ``segment``)."""
+        """The active backend kind (``memory``/``jsonl``/``sqlite``)."""
         return self._backend.kind
 
     @property
@@ -161,7 +159,7 @@ class ResultStore:
         engine itself never reaches this — :meth:`get` raises on such
         records and the documented recovery is deleting the file).  The
         replacement becomes the effective record across sessions too
-        (append + last-wins on JSONL/segments, an upsert on SQLite).
+        (append + last-wins on JSONL, an upsert on SQLite).
         """
         self.put_many([(key, descriptor, result)])
 
@@ -175,8 +173,7 @@ class ResultStore:
         Each triple keeps :meth:`put`'s semantics: its key must match
         its descriptor, a key already held at the current schema
         version is left untouched, and one held at another version is
-        healed.  Segment sidecar indexes are flushed by :meth:`flush`
-        or :meth:`close`.
+        healed.
         """
         existing = self._backend.get_records([key for key, _, _ in items])
         records: dict[str, dict[str, Any]] = {}
@@ -208,16 +205,12 @@ class ResultStore:
         return self._backend.iter_records()
 
     def close(self) -> None:
-        """Flush indexes and drop any open handles (idempotent)."""
+        """Drop any open handles (idempotent)."""
         self._backend.close()
 
-    def flush(self) -> None:
-        """Persist index state without dropping caches/handles."""
-        self._backend.flush()
-
     def release(self) -> None:
-        """Flush and drop open handles — required before forking worker
-        pools (a forked SQLite connection shares POSIX locks)."""
+        """Drop open handles — required before forking worker pools (a
+        forked SQLite connection shares POSIX locks)."""
         self._backend.release()
 
     def refresh(self) -> None:
@@ -227,8 +220,8 @@ class ResultStore:
     def verify(self) -> list[dict[str, Any]]:
         """Report damaged entries (``{"file", "where", "problem"}``).
 
-        Damage — truncated/corrupt lines, unreadable databases, garbled
-        index sidecars — always loads as misses; this names exactly
+        Damage — truncated/corrupt lines, unreadable databases — always
+        loads as misses; this names exactly
         what is damaged so operators can decide whether to compact,
         re-simulate or restore.
         """
@@ -237,9 +230,9 @@ class ResultStore:
     def compact(self) -> dict[str, int]:
         """Drop superseded and other-schema-version records in place.
 
-        Returns ``{"kept": n, "dropped": m}``.  On JSONL/segment
-        backends this rewrites the files (reclaiming dead lines); on
-        SQLite it deletes stale rows and vacuums.
+        Returns ``{"kept": n, "dropped": m}``.  On JSONL this rewrites
+        the file (reclaiming dead lines); on SQLite it deletes stale
+        rows and vacuums.
         """
         return self._backend.compact()
 
@@ -296,7 +289,6 @@ def migrate_store(
     dest: str | Path,
     *,
     backend: str | None = None,
-    source_backend: str | None = None,
 ) -> dict[str, Any]:
     """Copy every record of ``source`` into a fresh store at ``dest``.
 
@@ -318,7 +310,7 @@ def migrate_store(
         raise CampaignError(f"source store {source_path} does not exist")
     if source_path.resolve() == dest_path.resolve():
         raise CampaignError("source and destination stores are the same path")
-    with ResultStore(source_path, backend=source_backend) as src:
+    with ResultStore(source_path) as src:
         records = []
         for record in src.iter_records():
             if "store_version" not in record:

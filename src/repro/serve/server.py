@@ -272,9 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="execute independent coalesced groups on this many warm "
-             "worker processes (needs a concurrent-writer store backend "
-             "such as SQLite/segments; JSONL/in-memory stores fall back "
-             "to the serial in-process path)",
+             "worker processes (needs a concurrent-writer store backend, "
+             "SQLite; JSONL/in-memory stores fall back to the serial "
+             "in-process path)",
     )
     parser.add_argument(
         "--drain-deadline-s",

@@ -147,7 +147,7 @@ class TuningService:
 
     ``workers >= 2`` executes independent groups concurrently on a
     warm process pool (:mod:`repro.serve.workers`) when the store can
-    take parallel writers (SQLite/segments, or no store at all); a
+    take parallel writers (SQLite, or no store at all); a
     JSONL or in-memory store falls back to the serial in-process path
     and records why under ``worker_pool.fallback`` in the metrics.
     ``warm`` names benchmarks whose caches are preloaded before the
@@ -583,10 +583,8 @@ class TuningService:
             await asyncio.gather(*futures, return_exceptions=True)
 
     async def aclose(self) -> None:
-        """Drain, then release the execution backends and the store."""
+        """Drain, then release the execution backends."""
         await self.drain()
         self._executor.shutdown(wait=True)
         if self._pool is not None:
             self._pool.close()
-        if self.engine is not None and self.engine.store is not None:
-            self.engine.store.flush()

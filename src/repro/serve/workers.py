@@ -25,8 +25,8 @@ pool initializer re-warms in each worker instead — same caches, paid
 once per worker.)
 
 **Direct store writes.**  With a concurrent-writer store backend
-(SQLite, sharded segments), each worker opens its own handle (one
-campaign engine per pid, :func:`_worker_options`) and persists grid
+(SQLite), each worker opens its own handle (one campaign engine per
+pid, :func:`_worker_options`) and persists grid
 rows as it executes them — same keys, same payloads as the serial
 service path, no funneling through the parent.  The service refuses to
 pool against a JSONL or in-memory store (:func:`pool_supported`) and
@@ -100,8 +100,8 @@ def pool_supported(store) -> str | None:
     """Why ``store`` cannot take pool workers (``None`` when it can).
 
     Parallel workers write (and read) the store concurrently, so the
-    backend must support concurrent writers — SQLite (WAL) and sharded
-    segments do; the JSONL tier and in-memory stores do not.
+    backend must support concurrent writers — SQLite (WAL) does; the
+    JSONL tier and in-memory stores do not.
     """
     if store is None:
         return None
@@ -215,25 +215,17 @@ def _run_group(
     Returns ``("ok", [TuningAnswer.payload(), ...], pid)`` — payload
     dicts, not answers, so nothing model-shaped crosses the process
     boundary — or ``("error", envelope, pid)`` with the same structured
-    envelope the serial path produces.  The worker's store handle is
-    flushed before returning, so every grid row of an answered group is
-    durable (and visible to other workers) by the time the client has
-    its response.
+    envelope the serial path produces.  Each store write commits its
+    own transaction, so every grid row of an answered group is durable
+    (and visible to other workers) by the time the client has its
+    response.
     """
     options = _worker_options(spec)
     try:
         answers = batching.answer_group(list(requests), options)
     except ReproError as exc:
-        outcome = ("error", failure_envelope(exc), os.getpid())
-    else:
-        outcome = (
-            "ok",
-            [answer.payload() for answer in answers],
-            os.getpid(),
-        )
-    if options.campaign is not None and options.campaign.store is not None:
-        options.campaign.store.flush()
-    return outcome
+        return ("error", failure_envelope(exc), os.getpid())
+    return ("ok", [answer.payload() for answer in answers], os.getpid())
 
 
 # ---------------------------------------------------------------------------

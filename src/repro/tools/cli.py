@@ -308,6 +308,8 @@ def _print_breakdown(title: str, counts: dict[str, int]) -> None:
 
 def main_campaign(argv: list[str] | None = None) -> int:
     """``repro-campaign {plan,run,status} ...``"""
+    from repro.campaign.backends import BACKEND_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
         description="Plan, execute and inspect simulation campaigns "
@@ -327,11 +329,11 @@ def main_campaign(argv: list[str] | None = None) -> int:
         "--store",
         default="campaign-store.jsonl",
         help="result store path (created if missing; backend auto-detected: "
-        "*.jsonl file, *.sqlite database, or a directory of segments)",
+        "*.jsonl file or *.sqlite database; a directory is refused)",
     )
     run_p.add_argument(
         "--backend",
-        choices=("jsonl", "sqlite", "segment"),
+        choices=BACKEND_KINDS,
         help="force the store backend instead of auto-detecting from the path",
     )
     run_p.add_argument(
@@ -380,7 +382,7 @@ def main_campaign(argv: list[str] | None = None) -> int:
     migrate_p.add_argument("dest", help="destination store path (must be fresh)")
     migrate_p.add_argument(
         "--backend",
-        choices=("jsonl", "sqlite", "segment"),
+        choices=BACKEND_KINDS,
         help="destination backend (default: auto-detect from the path)",
     )
 

@@ -100,21 +100,17 @@ class TestStatusCommand:
 
 
 class TestBackendFlag:
-    @pytest.mark.parametrize("backend, name", [
-        ("sqlite", "store.sqlite"),
-        ("segment", "store-segments"),
-    ])
-    def test_run_with_indexed_backend(self, capsys, tmp_path, backend, name):
-        store = tmp_path / name
+    def test_run_with_sqlite_backend(self, capsys, tmp_path):
+        store = tmp_path / "store.cache"
         out = run_cli(
             capsys,
             "run", "--benchmarks", "EP", "--campaign", "static",
             "--threads", "24", "--stride", "9",
-            "--store", str(store), "--backend", backend,
+            "--store", str(store), "--backend", "sqlite",
         )
-        assert f"({backend})" in out
+        assert "(sqlite)" in out
         out = run_cli(capsys, "status", "--store", str(store))
-        assert "results: 5" in out and f"({backend})" in out
+        assert "results: 5" in out and "(sqlite)" in out
         # Second run over the same store is pure cache hits.
         out = run_cli(
             capsys,
@@ -124,6 +120,38 @@ class TestBackendFlag:
         )
         assert "cache hits:      5" in out
         assert "new simulations: 0" in out
+
+    def test_run_rejects_segment_backend(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as excinfo:
+            main_campaign(["run", "--store", str(store), "--backend", "segment"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'segment'" in capsys.readouterr().err
+        assert not store.exists()
+
+
+class TestDirectoryStore:
+    """A directory is not a store: every store command refuses it with
+    exit 2 and writes nothing into it or next to it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("status",),
+        ("store", "verify"),
+        ("store", "compact"),
+        ("run", "--benchmarks", "EP", "--campaign", "static",
+         "--threads", "24", "--stride", "9"),
+        ("run", "--benchmarks", "EP", "--campaign", "static",
+         "--threads", "24", "--stride", "9", "--backend", "sqlite"),
+    ], ids=["status", "verify", "compact", "run", "run-sqlite"])
+    def test_directory_store_is_refused(self, capsys, tmp_path, argv):
+        directory = tmp_path / "some-dir"
+        directory.mkdir()
+        assert main_campaign([*argv, "--store", str(directory)]) == 2
+        err = capsys.readouterr().err
+        assert f"store path {directory} is a directory" in err
+        assert "Traceback" not in err
+        assert list(directory.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [directory]
 
 
 class TestStoreSubcommands:
@@ -144,15 +172,6 @@ class TestStoreSubcommands:
         assert "migrated 5 record(s)" in out and "(sqlite)" in out
         out = run_cli(capsys, "status", "--store", str(dest))
         assert "results: 5" in out and "(sqlite)" in out
-
-    def test_migrate_explicit_backend_flag(self, capsys, tmp_path):
-        source = self.seed_store(capsys, tmp_path)
-        dest = tmp_path / "migrated-anywhere"
-        out = run_cli(
-            capsys, "store", "migrate", str(source), str(dest),
-            "--backend", "segment",
-        )
-        assert "(segment)" in out and dest.is_dir()
 
     def test_migrate_refusal_prints_clean_error(self, capsys, tmp_path):
         source = tmp_path / "pre-v2.jsonl"

@@ -369,12 +369,11 @@ class TestResumeManifest:
 # Chaos suite: real signals (pytest -m chaos)
 # ---------------------------------------------------------------------------
 
-BACKENDS = ("jsonl", "sqlite", "segment")
+BACKENDS = ("jsonl", "sqlite")
 
 
 def _store_arg(tmp_path, backend):
-    suffix = {"jsonl": "store.jsonl", "sqlite": "store.sqlite", "segment": "store"}
-    return str(tmp_path / suffix[backend])
+    return str(tmp_path / f"store.{backend}")
 
 
 def _payloads(store_path, backend):

@@ -1,6 +1,6 @@
 """Property-based equivalence of the pluggable store backends.
 
-Every backend (jsonl, sqlite, segment — plus the in-memory reference)
+Every backend (jsonl, sqlite — plus the in-memory reference)
 must expose *identical* observable ``ResultStore`` semantics: the same
 gets, membership, lengths, summaries, stale accounting, version-mismatch
 errors and stale-healing behaviour for any sequence of operations.  The
@@ -26,10 +26,10 @@ from repro.campaign.backends import (
 from repro.campaign.store import STORE_VERSION, ResultStore, job_key
 from repro.errors import CampaignError
 
-DISK_BACKENDS = tuple(BACKEND_KINDS)  # ("jsonl", "sqlite", "segment")
+DISK_BACKENDS = tuple(BACKEND_KINDS)  # ("jsonl", "sqlite")
 
 
-_SUFFIXES = {"jsonl": ".jsonl", "sqlite": ".sqlite", "segment": ""}
+_SUFFIXES = {"jsonl": ".jsonl", "sqlite": ".sqlite"}
 
 
 def store_for(tmp_path, backend: str, name: str = "store") -> ResultStore:
@@ -335,16 +335,33 @@ class TestDetection:
             ("store.sqlite", "sqlite"),
             ("store.sqlite3", "sqlite"),
             ("store.db", "sqlite"),
-            ("store-directory", "segment"),
+            ("store", "jsonl"),
+            ("store.cache", "jsonl"),
         ],
     )
     def test_kind_from_fresh_path(self, tmp_path, name, expected):
         assert detect_backend_kind(tmp_path / name) == expected
 
-    def test_existing_directory_is_segment(self, tmp_path):
-        target = tmp_path / "store.weird"
+    def test_suffixless_fresh_path_opens_as_jsonl(self, tmp_path):
+        target = tmp_path / "store"
+        desc = descriptor(7)
+        with ResultStore(target) as store:
+            assert store.backend == "jsonl"
+            store.put(job_key(desc), desc, result(7))
+        assert target.is_file()
+        with ResultStore(target) as reopened:
+            assert reopened.backend == "jsonl"
+            assert reopened.get(job_key(desc)) == result(7)
+
+    @pytest.mark.parametrize("backend", (None,) + DISK_BACKENDS)
+    @pytest.mark.parametrize("name", ("store-directory", "store.sqlite"))
+    def test_existing_directory_is_refused(self, tmp_path, name, backend):
+        target = tmp_path / name
         target.mkdir()
-        assert detect_backend_kind(target) == "segment"
+        with pytest.raises(CampaignError, match="is a directory") as excinfo:
+            ResultStore(target, backend=backend)
+        assert str(target) in str(excinfo.value)
+        assert list(target.iterdir()) == []
 
     def test_existing_sqlite_file_sniffed_by_magic(self, tmp_path):
         target = tmp_path / "store.cache"

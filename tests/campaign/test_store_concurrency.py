@@ -1,15 +1,14 @@
-"""Multi-process write stress for the concurrent store backends.
+"""Multi-process write stress for the concurrent store backend.
 
-The SQLite and segment backends advertise
-``supports_concurrent_writers``: several worker processes may put
-results into the same store at once (this is what lets campaign pool
-workers write directly instead of funnelling results through the
-parent).  The contract under contention:
+The SQLite backend advertises ``supports_concurrent_writers``: several
+worker processes may put results into the same store at once (this is
+what lets ``repro-serve`` pool workers write grid rows directly instead
+of funnelling them through the parent).  The contract under contention:
 
 * **no lost records** — every key written by any process is readable
   afterwards;
 * **no duplicate-key divergence** — concurrent writers of the same key
-  (campaign workers always compute bit-identical payloads for the same
+  (workers always compute bit-identical payloads for the same
   descriptor) never leave a reader seeing a third value;
 * **stale healing is last-wins** — records pre-seeded under an older
   schema version end up healed to the current-version payload.
@@ -21,11 +20,7 @@ from __future__ import annotations
 
 import multiprocessing
 
-import pytest
-
 from repro.campaign.store import STORE_VERSION, ResultStore, job_key
-
-CONCURRENT_BACKENDS = ("sqlite", "segment")
 
 #: Keys are deliberately shared across writers: with 4 writers over 80
 #: keys each from a 120-key space, most keys see multiple writers.
@@ -50,8 +45,6 @@ def writer(path_str: str, worker: int) -> None:
         for n in range(KEYS_PER_WRITER):
             i = (worker * 31 + n * 7) % KEY_SPACE  # overlapping stride
             store.put(job_key(descriptor(i)), descriptor(i), result(i))
-            if n % 16 == 0:
-                store.flush()  # interleave index flushes across writers
 
 
 def written_indices() -> set[int]:
@@ -62,10 +55,9 @@ def written_indices() -> set[int]:
     }
 
 
-@pytest.mark.parametrize("backend", CONCURRENT_BACKENDS)
-def test_concurrent_writers_lose_nothing(tmp_path, backend):
-    path = tmp_path / ("store.sqlite" if backend == "sqlite" else "store-seg")
-    with ResultStore(path, backend=backend) as store:
+def test_concurrent_writers_lose_nothing(tmp_path):
+    path = tmp_path / "store.sqlite"
+    with ResultStore(path) as store:
         assert store.supports_concurrent_writers
         # Pre-seed a few stale-version records; concurrent writers must
         # heal them (last-wins) rather than trip over them.
@@ -103,15 +95,13 @@ def test_concurrent_writers_lose_nothing(tmp_path, backend):
         assert sum(summary["apps"].values()) == KEY_SPACE
 
 
-@pytest.mark.parametrize("backend", CONCURRENT_BACKENDS)
-def test_live_store_sees_other_processes_after_refresh(tmp_path, backend):
+def test_live_store_sees_other_processes_after_refresh(tmp_path):
     """A store held open while another process writes picks the new
-    records up on refresh() — the engine's post-pool resync path."""
-    path = tmp_path / ("live.sqlite" if backend == "sqlite" else "live-seg")
-    with ResultStore(path, backend=backend) as store:
+    records up on refresh()."""
+    path = tmp_path / "live.sqlite"
+    with ResultStore(path) as store:
         desc = descriptor(0)
         store.put(job_key(desc), desc, result(0))
-        store.flush()
 
         process = multiprocessing.Process(target=writer, args=(str(path), 1))
         process.start()

@@ -21,19 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.store import ResultStore, migrate_store
+from repro.campaign.store import BACKEND_KINDS, ResultStore, migrate_store
 from repro.errors import CampaignError
 
 GOLDEN = Path(__file__).parent / "golden"
 V2_FIXTURE = GOLDEN / "store-v2.jsonl"
 PRE_V2_FIXTURE = GOLDEN / "store-pre-v2.jsonl"
-
-DEST_NAMES = {
-    "jsonl": "migrated.jsonl",
-    "sqlite": "migrated.sqlite",
-    "segment": "migrated-segments",
-}
-
 
 def fixture_records() -> list[dict]:
     return [
@@ -51,11 +44,11 @@ def test_fixture_is_what_the_docstring_claims():
     assert len(versions) == 2  # current + one stale generation
 
 
-@pytest.mark.parametrize("backend", ("jsonl", "sqlite", "segment"))
+@pytest.mark.parametrize("backend", BACKEND_KINDS)
 def test_migrate_fixture_to_each_backend(tmp_path, backend):
     source = tmp_path / "source.jsonl"
     shutil.copy(V2_FIXTURE, source)
-    dest = tmp_path / DEST_NAMES[backend]
+    dest = tmp_path / f"migrated.{backend}"
 
     stats = migrate_store(source, dest, backend=backend)
     assert stats["migrated"] == 14
@@ -89,10 +82,10 @@ def test_migrate_fixture_to_each_backend(tmp_path, backend):
 
 
 def test_migrate_round_trip_back_to_jsonl(tmp_path):
-    """jsonl -> segment -> jsonl carries every record unchanged."""
+    """jsonl -> sqlite -> jsonl carries every record unchanged."""
     source = tmp_path / "source.jsonl"
     shutil.copy(V2_FIXTURE, source)
-    middle = tmp_path / "middle-segments"
+    middle = tmp_path / "middle.sqlite"
     final = tmp_path / "final.jsonl"
     migrate_store(source, middle)
     migrate_store(middle, final)

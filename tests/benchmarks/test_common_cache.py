@@ -37,6 +37,22 @@ def test_cache_dir_env_override(harness_cache):
     assert common.cache_dir() == harness_cache
 
 
+@pytest.mark.parametrize(
+    "backend, name",
+    [("jsonl", "campaign-store.jsonl"), ("sqlite", "campaign-store.sqlite")],
+)
+def test_cache_backend_env_picks_store(harness_cache, monkeypatch, backend, name):
+    monkeypatch.setenv(common.CACHE_BACKEND_ENV, backend)
+    assert common.store_path() == harness_cache / name
+
+
+def test_cache_backend_env_rejects_unknown_backend(harness_cache, monkeypatch):
+    monkeypatch.setenv(common.CACHE_BACKEND_ENV, "segment")
+    with pytest.raises(ValueError, match="must be one of"):
+        common.store_path()
+    assert list(harness_cache.iterdir()) == []
+
+
 def test_artefacts_reused_across_two_invocations(harness_cache):
     # Session one builds and persists everything.
     first_engine = common.campaign_engine()

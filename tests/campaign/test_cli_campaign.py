@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign.backends import BACKEND_KINDS
 from repro.tools.cli import main_campaign
 
 
@@ -129,12 +130,41 @@ class TestBackendFlag:
         assert "invalid choice: 'segment'" in capsys.readouterr().err
         assert not store.exists()
 
+    def test_migrate_rejects_segment_backend(self, capsys, tmp_path):
+        source = tmp_path / "source.jsonl"
+        source.write_text("")
+        dest = tmp_path / "dest"
+        with pytest.raises(SystemExit) as excinfo:
+            main_campaign(
+                ["store", "migrate", str(source), str(dest), "--backend", "segment"]
+            )
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'segment'" in capsys.readouterr().err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--store", "unused.jsonl"),
+        ("store", "migrate", "unused.jsonl", "unused.sqlite"),
+    ], ids=["run", "migrate"])
+    def test_backend_choices_are_backend_kinds(self, capsys, argv):
+        """Both ``--backend`` flags offer exactly the store's backends."""
+        with pytest.raises(SystemExit) as excinfo:
+            main_campaign([*argv, "--backend", "parquet"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        offered = err.split("choose from", 1)[1]
+        assert [k for k in ("jsonl", "sqlite", "segment") if k in offered] == list(
+            BACKEND_KINDS
+        )
+
 
 class TestDirectoryStore:
     """A directory is not a store: every store command refuses it with
     exit 2 and writes nothing into it or next to it."""
 
     @pytest.mark.parametrize("argv", [
+        ("plan", "--benchmarks", "EP", "--campaign", "static",
+         "--threads", "24", "--stride", "9"),
         ("status",),
         ("store", "verify"),
         ("store", "compact"),
@@ -142,7 +172,7 @@ class TestDirectoryStore:
          "--threads", "24", "--stride", "9"),
         ("run", "--benchmarks", "EP", "--campaign", "static",
          "--threads", "24", "--stride", "9", "--backend", "sqlite"),
-    ], ids=["status", "verify", "compact", "run", "run-sqlite"])
+    ], ids=["plan", "status", "verify", "compact", "run", "run-sqlite"])
     def test_directory_store_is_refused(self, capsys, tmp_path, argv):
         directory = tmp_path / "some-dir"
         directory.mkdir()
@@ -152,6 +182,28 @@ class TestDirectoryStore:
         assert "Traceback" not in err
         assert list(directory.iterdir()) == []
         assert list(tmp_path.iterdir()) == [directory]
+
+    @pytest.mark.parametrize("side", ["source", "dest"])
+    def test_migrate_with_directory_is_refused(self, capsys, tmp_path, side):
+        store = tmp_path / "store.jsonl"
+        run_cli(
+            capsys,
+            "run", "--benchmarks", "EP", "--campaign", "static",
+            "--threads", "24", "--stride", "9", "--store", str(store),
+        )
+        directory = tmp_path / "some-dir"
+        directory.mkdir()
+        source, dest = (
+            (directory, tmp_path / "dest.sqlite")
+            if side == "source"
+            else (store, directory)
+        )
+        assert main_campaign(["store", "migrate", str(source), str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert f"store path {directory} is a directory" in err
+        assert "Traceback" not in err
+        assert list(directory.iterdir()) == []
+        assert sorted(tmp_path.iterdir()) == [directory, store]
 
 
 class TestStoreSubcommands:

@@ -373,6 +373,17 @@ class TestDetection:
             assert reopened.backend == "sqlite"
             assert reopened.get(job_key(descriptor(6))) == result(6)
 
+    @pytest.mark.parametrize("backend", DISK_BACKENDS)
+    def test_existing_suffixless_file_sniffed(self, tmp_path, backend):
+        target = tmp_path / "store"
+        desc = descriptor(9)
+        with ResultStore(target, backend=backend) as store:
+            store.put(job_key(desc), desc, result(9))
+        assert detect_backend_kind(target) == backend
+        with ResultStore(target) as reopened:
+            assert reopened.backend == backend
+            assert reopened.get(job_key(desc)) == result(9)
+
     def test_unknown_backend_name_rejected(self, tmp_path):
         with pytest.raises(CampaignError, match="unknown store backend"):
             ResultStore(tmp_path / "x.jsonl", backend="parquet")

@@ -119,6 +119,21 @@ def test_migrate_refuses_same_path(tmp_path):
         migrate_store(source, source)
 
 
+@pytest.mark.parametrize("side", ["source", "dest"])
+def test_migrate_refuses_directory(tmp_path, side):
+    store = tmp_path / "store.jsonl"
+    shutil.copy(V2_FIXTURE, store)
+    directory = tmp_path / "some-dir"
+    directory.mkdir()
+    source, dest = (
+        (directory, tmp_path / "dest.sqlite") if side == "source" else (store, directory)
+    )
+    with pytest.raises(CampaignError, match="is a directory"):
+        migrate_store(source, dest)
+    assert list(directory.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == [directory, store]
+
+
 def test_migrate_refuses_non_empty_destination(tmp_path):
     source = tmp_path / "source.jsonl"
     shutil.copy(V2_FIXTURE, source)

@@ -7,8 +7,8 @@ static-vs-dynamic savings rows — through two execution arms:
 
 * ``loop`` — the per-cell / per-run references: one simulator pass
   per variability cell and one per grid cell (the loop oracles of
-  ``tests/oracles/grids.py``), one in-process controlled run per
-  savings variant;
+  ``tests/oracles/grids.py``), one simulator run per savings variant
+  repetition (``tests/oracles/savings.py::loop_savings``);
 * ``fleet`` — the batched fleet replay kernel
   (:mod:`repro.execution.fleet_replay`): all variability cells in one
   fleet, all grids in one :func:`repro.api.sweep_grids` pass, all
@@ -47,6 +47,7 @@ from repro.analysis.savings import SavingsCase, compare_static_dynamic_many
 from repro.analysis.variability import variability_study
 from repro.campaign.engine import CampaignEngine
 from tests.oracles.grids import loop_grid, loop_variability
+from tests.oracles.savings import loop_savings
 
 ENGINES = ("loop", "fleet")
 
@@ -181,12 +182,22 @@ def regenerate_artifacts(
     }
 
     if engine == "fleet":
-        options = api.ExecutionOptions(campaign=CampaignEngine())
+        rows = compare_static_dynamic_many(
+            savings_cases(),
+            runs=runs,
+            options=api.ExecutionOptions(campaign=CampaignEngine()),
+        )
     else:
-        options = api.ExecutionOptions()
-    rows = compare_static_dynamic_many(
-        savings_cases(), runs=runs, options=options
-    )
+        rows = [
+            loop_savings(
+                case.benchmark,
+                case.static_config,
+                case.tuning_model,
+                instrumentation=case.instrumentation,
+                runs=runs,
+            )
+            for case in savings_cases()
+        ]
     artifacts["table6_savings"] = {
         row.benchmark: _savings_payload(row) for row in rows
     }

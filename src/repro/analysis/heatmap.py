@@ -5,15 +5,15 @@ measured normalized node energy of every frequency combination, with the
 true optimum, the plugin-selected configuration and the set of
 configurations within 2% of the optimum highlighted.
 
-Measuring the 14 x 18 grid is one pass of the **fleet kernel**
-(:mod:`repro.execution.fleet_replay`): the 252 configurations share one
+Measuring the 14 x 18 grid is one campaign plan of ``grid``-mode row
+jobs, priced in shards of the **fleet kernel**
+(:mod:`repro.execution.fleet_replay`): a row's configurations share one
 compiled structure and flatten as one block, bit-identical to building
 a fresh node and running one configuration at a time (the per-cell
 reference lives in ``tests/oracles/grids.py``).  Attaching a
-:class:`~repro.campaign.engine.CampaignEngine` through
-:class:`repro.api.ExecutionOptions` routes the sweep through
-``grid``-mode campaign jobs instead, making grid rows cacheable,
-parallelisable units in the result store.
+:class:`~repro.campaign.engine.CampaignEngine` with a result store
+through :class:`repro.api.ExecutionOptions` makes the rows cacheable
+units in that store.
 
 The measurement itself lives in :func:`repro.api.sweep_grid`; this
 module adds the figures' normalization and plateau analysis on top.
@@ -117,9 +117,8 @@ def energy_heatmap(
 ) -> EnergyHeatmap:
     """Measure the full grid for one benchmark at a fixed thread count.
 
-    ``options`` may attach a campaign engine to execute the grid as
-    per-row jobs with store caching and worker parallelism; ``cluster``
-    overrides the options' cluster.
+    ``options`` may attach a campaign engine whose result store caches
+    the grid's row jobs; ``cluster`` overrides the options' cluster.
     """
     options = options if options is not None else api.ExecutionOptions()
     if cluster is not None:

@@ -17,12 +17,14 @@ For one benchmark:
 savings are computed relative to the default run and averaged over
 ``runs`` repetitions (the paper averages over five).
 
-Controlled runs execute through the simulator's controlled replay
-(bit-identical to the recursive reference engine).  With a
-:class:`~repro.campaign.engine.CampaignEngine` attached, the four run
-variants become ``savings``-mode campaign jobs instead — priced in
-fleet shards and cacheable in the result store, bit-identical to the
-in-process loop.
+The four run variants are ``savings``-mode campaign jobs, priced in
+fleet shards by one :class:`~repro.campaign.engine.CampaignEngine` —
+the options' engine, whose result store caches them, or a store-less
+one — and bit-identical to a per-run loop of controlled simulator runs
+(the reference in ``tests/oracles/savings.py``).  ``sacct`` job energy
+is node energy and elapsed time is run time
+(:meth:`~repro.execution.job.JobRecord.from_run`), so the payload
+triple reproduces the batch system's accounting exactly.
 """
 
 from __future__ import annotations
@@ -33,11 +35,8 @@ import numpy as np
 
 from repro import api, config
 from repro.campaign.plan import savings_jobs
-from repro.errors import CampaignError
-from repro.execution.simulator import ExecutionSimulator, OperatingPoint
-from repro.execution.slurm import SlurmAccounting
+from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
-from repro.readex.rrl import RRL, StaticController
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.instrumentation import Instrumentation
 from repro.workloads import registry
@@ -101,56 +100,8 @@ class BenchmarkSavings:
         return self.dynamic_time_saving - self.config_setting_perf_reduction
 
 
-def _averaged_runs(
-    benchmark: str,
-    cluster: Cluster,
-    node_id: int,
-    *,
-    controller_factory,
-    threads: int,
-    instrumented: bool,
-    instrumentation: Instrumentation | None,
-    runs: int,
-    key: str,
-    seed: int,
-) -> RunAverages:
-    accounting = SlurmAccounting()
-    cpu, job, time = [], [], []
-    # One registry build serves every repetition: runs never mutate the
-    # application, and no simulated quantity is keyed on object identity.
-    app = registry.build(benchmark)
-    for r in range(runs):
-        node = cluster.fresh_node(node_id)
-        node.reset_to_default()
-        instr = instrumentation
-        if instr is not None:
-            instr = Instrumentation(app=app, filtered=set(instr.filtered))
-        result = ExecutionSimulator(node, seed=seed).run(
-            app,
-            threads=threads,
-            controller=controller_factory() if controller_factory else None,
-            instrumented=instrumented,
-            instrumentation=instr,
-            run_key=(key, r),
-        )
-        record = accounting.submit(result)
-        job.append(record.consumed_energy_j)
-        time.append(record.elapsed_s)
-        cpu.append(result.cpu_energy_j)
-    return RunAverages(
-        job_energy_j=float(np.mean(job)),
-        cpu_energy_j=float(np.mean(cpu)),
-        time_s=float(np.mean(time)),
-    )
-
-
 def _averaged_jobs(results, jobs) -> RunAverages:
-    """Fold one variant's campaign payloads into run averages.
-
-    ``sacct`` job energy is node energy and elapsed time is run time
-    (see :meth:`~repro.execution.job.JobRecord.from_run`), so the
-    payload triple reproduces the in-process accounting exactly.
-    """
+    """Fold one variant's campaign payloads into run averages."""
     payloads = [results[job] for job in jobs]
     return RunAverages(
         job_energy_j=float(np.mean([p["node_energy_j"] for p in payloads])),
@@ -171,65 +122,13 @@ def compare_static_dynamic(
     seed: int = config.DEFAULT_SEED,
     options: api.ExecutionOptions | None = None,
 ) -> BenchmarkSavings:
-    """Produce one Table VI row for ``benchmark``.
-
-    With ``options.campaign``
-    (:class:`~repro.campaign.engine.CampaignEngine`), the runs execute
-    as ``savings``-mode campaign jobs — cached in the engine's result
-    store, parallelisable and subject to the options' failure policy —
-    bit-identical to the in-process loop.  ``cluster`` overrides the
-    options' cluster.
-    """
-    options = options if options is not None else api.ExecutionOptions()
-    if cluster is not None:
-        options = replace(options, cluster=cluster)
-    cluster = options.resolve_cluster(seed)
-    if options.campaign is not None:
-        return _compare_via_campaign(
-            benchmark, static_config, tuning_model,
-            instrumentation=instrumentation, cluster=cluster,
-            node_id=node_id, runs=runs, seed=seed, options=options,
-        )
-    default = _averaged_runs(
-        benchmark, cluster, node_id,
-        controller_factory=None,
-        threads=config.DEFAULT_OPENMP_THREADS,
-        instrumented=False,
-        instrumentation=None,
-        runs=runs, key="default", seed=seed,
-    )
-    static = _averaged_runs(
-        benchmark, cluster, node_id,
-        controller_factory=lambda: StaticController(static_config),
-        threads=static_config.threads,
-        instrumented=False,
-        instrumentation=None,
-        runs=runs, key="static", seed=seed,
-    )
-    dynamic = _averaged_runs(
-        benchmark, cluster, node_id,
-        controller_factory=lambda: RRL(tuning_model),
-        threads=config.DEFAULT_OPENMP_THREADS,
-        instrumented=True,
-        instrumentation=instrumentation,
-        runs=runs, key="dynamic", seed=seed,
-    )
-    config_only = _averaged_runs(
-        benchmark, cluster, node_id,
-        controller_factory=lambda: RRL(tuning_model),
-        threads=config.DEFAULT_OPENMP_THREADS,
-        instrumented=False,
-        instrumentation=None,
-        runs=runs, key="config-only", seed=seed,
-    )
-    return BenchmarkSavings(
-        benchmark=benchmark,
-        static_config=static_config,
-        default=default,
-        static=static,
-        dynamic=dynamic,
-        config_only=config_only,
-    )
+    """Produce one Table VI row for ``benchmark``:
+    :func:`compare_static_dynamic_many` of this one case."""
+    case = SavingsCase(benchmark, static_config, tuning_model, instrumentation)
+    return compare_static_dynamic_many(
+        [case], cluster=cluster, node_id=node_id, runs=runs, seed=seed,
+        options=options,
+    )[0]
 
 
 def savings_campaign_jobs(
@@ -277,50 +176,6 @@ def savings_campaign_jobs(
     }
 
 
-def _compare_via_campaign(
-    benchmark: str,
-    static_config: OperatingPoint,
-    tuning_model: TuningModel,
-    *,
-    instrumentation: Instrumentation | None,
-    cluster: Cluster,
-    node_id: int,
-    runs: int,
-    seed: int,
-    options: api.ExecutionOptions,
-) -> BenchmarkSavings:
-    from repro.campaign.engine import run_app_jobs
-
-    campaign = options.campaign
-    if campaign.topology != cluster.topology:
-        # run_app_jobs lets an explicit engine's topology win, which
-        # would silently simulate different physics than the caller's
-        # cluster describes — and different rows than the in-process
-        # loop the campaign path promises to match bit-for-bit.
-        raise CampaignError(
-            f"campaign engine topology {campaign.topology!r} does not "
-            f"match the cluster's {cluster.topology!r}"
-        )
-    batches = savings_campaign_jobs(
-        benchmark, static_config, tuning_model,
-        instrumentation=instrumentation, node_id=node_id,
-        runs=runs, seed=seed, node_seed=cluster.seed,
-    )
-    jobs = tuple(job for batch in batches.values() for job in batch)
-    results = run_app_jobs(
-        jobs, registry.build(benchmark), cluster=cluster, engine=campaign,
-        on_failure=options.on_failure, retry_failed=options.retry_failed,
-    )
-    return BenchmarkSavings(
-        benchmark=benchmark,
-        static_config=static_config,
-        default=_averaged_jobs(results, batches["default"]),
-        static=_averaged_jobs(results, batches["static"]),
-        dynamic=_averaged_jobs(results, batches["dynamic"]),
-        config_only=_averaged_jobs(results, batches["config-only"]),
-    )
-
-
 @dataclass(frozen=True)
 class SavingsCase:
     """One Table VI row's inputs, as a value — the unit
@@ -343,54 +198,37 @@ def compare_static_dynamic_many(
 ) -> list[BenchmarkSavings]:
     """Produce many Table VI rows from one batched campaign run.
 
-    The multi-benchmark generalisation of
-    :func:`compare_static_dynamic`: with ``options.campaign``, every
-    case's four run variants go into a *single* campaign plan, so all
-    benchmarks' default / static / dynamic / config-only runs share
-    fleet-kernel invocations (and the
-    engine's result store caches each row under its usual per-job key).
-    Each returned row is bit-identical to its solo
-    ``compare_static_dynamic`` call.  Without a campaign engine the
-    cases simply run one at a time.
+    Every case's four run variants go into a *single* campaign plan, so
+    all benchmarks' default / static / dynamic / config-only runs share
+    fleet-kernel invocations.  With ``options.campaign`` the engine's
+    result store caches each run under its usual per-job key, and the
+    options' failure policy applies to them.  Each returned row is
+    bit-identical to its solo :func:`compare_static_dynamic` call.
+    ``cluster`` overrides the options' cluster.
     """
     opts = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
         opts = replace(opts, cluster=cluster)
-    if opts.campaign is None:
-        return [
-            compare_static_dynamic(
+    resolved_cluster = opts.resolve_cluster(seed)
+    resolved_cluster.check_node_id(node_id)
+    case_batches = []
+    for case in cases:
+        registry.check_name(case.benchmark)
+        case_batches.append(
+            savings_campaign_jobs(
                 case.benchmark, case.static_config, case.tuning_model,
                 instrumentation=case.instrumentation, node_id=node_id,
-                runs=runs, seed=seed, options=opts,
+                runs=runs, seed=seed, node_seed=resolved_cluster.seed,
             )
-            for case in cases
-        ]
-    resolved_cluster = opts.resolve_cluster(seed)
-    if opts.campaign.topology != resolved_cluster.topology:
-        raise CampaignError(
-            f"campaign engine topology {opts.campaign.topology!r} does "
-            f"not match the cluster's {resolved_cluster.topology!r}"
         )
-    from repro.campaign.plan import CampaignPlan
-
-    case_batches = [
-        savings_campaign_jobs(
-            case.benchmark, case.static_config, case.tuning_model,
-            instrumentation=case.instrumentation, node_id=node_id,
-            runs=runs, seed=seed, node_seed=resolved_cluster.seed,
-        )
-        for case in cases
-    ]
-    all_jobs = tuple(
-        job
-        for batches in case_batches
-        for batch in batches.values()
-        for job in batch
-    )
-    results = opts.campaign.run(
-        CampaignPlan(all_jobs),
-        on_failure=opts.on_failure,
-        retry_failed=opts.retry_failed,
+    results = opts.run_jobs(
+        [
+            job
+            for batches in case_batches
+            for batch in batches.values()
+            for job in batch
+        ],
+        resolved_cluster,
     )
     return [
         BenchmarkSavings(

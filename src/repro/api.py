@@ -5,15 +5,16 @@ Every consumer that used to reach into :mod:`repro.analysis`,
 module instead:
 
 :class:`ExecutionOptions`
-    The one normalized description of *how* to execute: whether a
-    :class:`~repro.campaign.engine.CampaignEngine` (fleet shards +
-    content-addressed result store) backs the runs, which simulated
-    cluster they run on, and what a definitive job failure does.
+    The one normalized description of *how* to execute: which
+    :class:`~repro.campaign.engine.CampaignEngine` (and so which
+    content-addressed result store, if any) prices the runs, which
+    simulated cluster they run on, and what a definitive job failure
+    does.
 
 :class:`TuningRequest` / :func:`tune`
     The paper's end product as a callable: "for (benchmark, threads,
     objective, TMM), which CF x UCF configuration should run?".  The
-    grid is measured in one pass through the fleet kernel
+    grid is measured as campaign row jobs priced in fleet-kernel shards
     (:mod:`repro.execution.fleet_replay`) and the objective argmin is
     evaluated vectorised; an optional serialised tuning model (TMM)
     adds a dynamic-tuning (RRL) outcome priced through the
@@ -29,6 +30,10 @@ module instead:
 :func:`replay` / :func:`savings`
     One-configuration execution and the Table VI static/dynamic
     comparison, with the same options object.
+
+Every verb measures through one campaign engine
+(:meth:`ExecutionOptions.run_jobs`): the attached one, or a store-less
+engine built for the cluster.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ from repro.util.validation import frequency_index
 from repro.workloads import registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.campaign.engine import CampaignEngine
+    from repro.campaign.engine import CampaignEngine, CampaignResults
+    from repro.campaign.plan import CampaignJob
     from repro.hardware.cluster import Cluster
 
 __all__ = [
@@ -74,18 +80,21 @@ ON_FAILURE: tuple[str, ...] = ("raise", "quarantine", "skip")
 class ExecutionOptions:
     """How (not what) to execute — the one normalized options object.
 
-    ``campaign`` attaches a campaign engine + content-addressed result
-    store so measurements cache and batch; ``cluster`` supplies
-    the simulated hardware (one is built from the seed when omitted).
-    Campaign-backed and in-process runs are bit-identical — these
-    options trade speed and caching, never results.
+    Every verb runs its jobs through one campaign engine
+    (:meth:`run_jobs`).  ``campaign`` attaches an engine with a
+    content-addressed result store so measurements cache; without it a
+    store-less engine is built for the cluster.  ``cluster`` supplies
+    the simulated hardware (one is built from the seed when omitted);
+    an attached engine simulating another topology is refused.  Runs
+    with and without a store are bit-identical — these options trade
+    caching, never results.
     """
 
     campaign: "CampaignEngine | None" = None
     cluster: "Cluster | None" = None
-    #: Campaign-backed runs only: what a definitive job failure does
-    #: (``raise``/``quarantine``/``skip``) and whether jobs quarantined
-    #: by an earlier run are re-attempted.
+    #: What a definitive job failure does (``raise``/``quarantine``/
+    #: ``skip``) and whether jobs quarantined by an earlier run are
+    #: re-attempted; a quarantine is only persisted with a store.
     on_failure: str = "raise"
     retry_failed: bool = False
 
@@ -104,6 +113,20 @@ class ExecutionOptions:
         if self.cluster is not None:
             return self.cluster
         return Cluster(2, seed=seed)
+
+    def run_jobs(
+        self, jobs: "tuple[CampaignJob, ...] | list[CampaignJob]", cluster: "Cluster"
+    ) -> "CampaignResults":
+        """Run campaign jobs on ``cluster`` under this failure policy,
+        through :func:`~repro.campaign.engine.engine_for` the cluster."""
+        from repro.campaign.engine import engine_for
+        from repro.campaign.plan import CampaignPlan
+
+        return engine_for(cluster, self.campaign).run(
+            CampaignPlan(tuple(jobs)),
+            on_failure=self.on_failure,
+            retry_failed=self.retry_failed,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +185,7 @@ class TuningRequest:
         if self.threads is not None:
             return self
         return replace(
-            self, threads=registry.build(self.benchmark).default_threads
+            self, threads=registry.default_threads(self.benchmark)
         )
 
     def grid_key(self) -> tuple:
@@ -226,11 +249,10 @@ class GridMeasurement:
     """A rectangular CF x UCF measurement at one thread count.
 
     Arrays are shaped ``(len(core_frequencies), len(uncore_frequencies))``
-    and every cell is bit-identical to a fresh-node
-    :meth:`~repro.execution.simulator.ExecutionSimulator.run` at that
+    and every cell is bit-identical to a solo fresh-node run at that
     configuration with the canonical ``("heatmap", cf, ucf)`` noise key
-    — independent of how (sweep, fleet, campaign rows) or with which
-    batch-mates the grid was measured.
+    — independent of whether the rows came from a store or with which
+    batch-mates they were priced.
     """
 
     benchmark: str
@@ -378,9 +400,9 @@ def sweep_grid(
 ) -> GridMeasurement:
     """Measure the CF x UCF grid for one benchmark at one thread count.
 
-    :func:`sweep_grids` of this one spec: every cell is a member of one
-    fleet-kernel pass, or ``options.campaign`` executes the grid as
-    cacheable per-row campaign jobs.  Cells carry the canonical
+    :func:`sweep_grids` of this one spec: the grid's rows are campaign
+    jobs, priced in fleet-kernel shards and cached in the store of
+    ``options.campaign`` when one is attached.  Cells carry the canonical
     ``("heatmap", cf, ucf)`` noise keys, so the measurement equals the
     Figures 6/7 heatmap cells and any solo run at the same coordinates.
     """
@@ -399,6 +421,44 @@ class GridSpec:
     node_id: int = 0
     seed: int = config.DEFAULT_SEED
 
+    def jobs(self, node_seed: int) -> "tuple[CampaignJob, ...]":
+        """The grid's campaign plan: one ``grid`` row job per CF, its
+        cells keyed ``("heatmap", cf, ucf)`` (``threads`` resolved)."""
+        from repro.campaign.plan import grid_jobs
+
+        cfs, ucfs = grid_axes(self.stride)
+        return grid_jobs(
+            self.benchmark,
+            label="heatmap",
+            points=[
+                OperatingPoint(cf, ucf, self.threads) for cf in cfs for ucf in ucfs
+            ],
+            node_id=self.node_id,
+            seed=self.seed,
+            node_seed=node_seed,
+        )
+
+    def measurement(self, payloads: list[dict[str, Any]]) -> GridMeasurement:
+        """Assemble the row payloads of :meth:`jobs`, in plan order, into
+        the rectangular grid."""
+        cfs, ucfs = grid_axes(self.stride)
+        shape = (len(cfs), len(ucfs))
+
+        def cells(name: str) -> np.ndarray:
+            return np.array([v for p in payloads for v in p[name]]).reshape(shape)
+
+        return GridMeasurement(
+            benchmark=self.benchmark,
+            threads=self.threads,
+            node_id=self.node_id,
+            seed=self.seed,
+            core_frequencies=cfs,
+            uncore_frequencies=ucfs,
+            node_energy_j=cells("node_energy_j"),
+            cpu_energy_j=cells("cpu_energy_j"),
+            time_s=cells("time_s"),
+        )
+
 
 def sweep_grids(
     specs: "list[GridSpec] | tuple[GridSpec, ...]",
@@ -408,135 +468,33 @@ def sweep_grids(
     """Measure many CF x UCF grids — across benchmarks, thread counts,
     nodes and seeds — in one batched pass.
 
-    Every cell of every grid becomes one member of a single fleet-kernel
-    invocation (:func:`repro.execution.fleet_replay.fleet_run`), so the
-    structural schedules compile once per application, the cells of one
-    grid flatten as one block, the keyed noise for the whole fleet is
-    drawn in one batched pass, and pricing is a handful of padded-matrix
-    folds.  Each returned grid is bit-identical to ``sweep_grid`` of its
-    spec measured alone — batch-mates never change a cell.
-
-    With ``options.campaign``, all grids go into one campaign plan
-    (which the engine prices in fleet-kernel shards) — rows cache
-    under their usual per-job store keys.
+    All grids go into one campaign plan of per-row ``grid`` jobs, which
+    the engine prices in fleet-kernel shards: the structural schedules
+    compile once per application, the keyed noise is drawn in batches,
+    and pricing is a handful of padded-matrix folds.  Each returned
+    grid is bit-identical to ``sweep_grid`` of its spec measured alone
+    — batch-mates never change a cell — and with ``options.campaign``
+    its rows cache under their usual per-job store keys.
     """
     options = options if options is not None else ExecutionOptions()
     specs = list(specs)
     if not specs:
         return []
-
     resolved = []
+    all_jobs: list = []
     for s in specs:
-        app = registry.build(s.benchmark)
-        threads = s.threads if s.threads is not None else app.default_threads
-        cfs, ucfs = grid_axes(s.stride)
+        registry.check_name(s.benchmark)
+        if s.threads is None:
+            s = replace(s, threads=registry.default_threads(s.benchmark))
         cluster = options.resolve_cluster(s.seed)
         cluster.check_node_id(s.node_id)
-        points = [
-            OperatingPoint(cf, ucf, threads) for cf in cfs for ucf in ucfs
-        ]
-        resolved.append((s, app, threads, cfs, ucfs, cluster, points))
-
-    if options.campaign is not None:
-        from repro.campaign.plan import CampaignPlan, grid_jobs
-
-        all_jobs: list = []
-        spec_jobs: list[tuple] = []
-        for s, app, threads, cfs, ucfs, cluster, points in resolved:
-            if options.campaign.topology != cluster.topology:
-                raise CampaignError(
-                    f"campaign engine topology "
-                    f"{options.campaign.topology!r} does not match the "
-                    f"cluster's {cluster.topology!r}"
-                )
-            jobs = grid_jobs(
-                s.benchmark,
-                label="heatmap",
-                points=points,
-                node_id=s.node_id,
-                seed=s.seed,
-                node_seed=cluster.seed,
-            )
-            spec_jobs.append(jobs)
-            all_jobs.extend(jobs)
-        results = options.campaign.run(
-            CampaignPlan(tuple(all_jobs)),
-            on_failure=options.on_failure,
-            retry_failed=options.retry_failed,
-        )
-        grids = []
-        for (s, app, threads, cfs, ucfs, cluster, points), jobs in zip(
-            resolved, spec_jobs
-        ):
-            payloads = [results[job] for job in jobs]
-            shape = (len(cfs), len(ucfs))
-            grids.append(
-                GridMeasurement(
-                    benchmark=s.benchmark,
-                    threads=threads,
-                    node_id=s.node_id,
-                    seed=s.seed,
-                    core_frequencies=cfs,
-                    uncore_frequencies=ucfs,
-                    node_energy_j=np.array(
-                        [e for p in payloads for e in p["node_energy_j"]]
-                    ).reshape(shape),
-                    cpu_energy_j=np.array(
-                        [e for p in payloads for e in p["cpu_energy_j"]]
-                    ).reshape(shape),
-                    time_s=np.array(
-                        [t for p in payloads for t in p["time_s"]]
-                    ).reshape(shape),
-                )
-            )
-        return grids
-
-    from repro.execution.fleet_replay import FleetMember, fleet_run
-
-    members: list[FleetMember] = []
-    spans: list[tuple[int, int]] = []
-    for s, app, threads, cfs, ucfs, cluster, points in resolved:
-        start = len(members)
-        for point in points:
-            members.append(
-                FleetMember(
-                    app=app,
-                    run_key=(
-                        "heatmap", point.core_freq_ghz, point.uncore_freq_ghz
-                    ),
-                    node_id=s.node_id,
-                    seed=s.seed,
-                    node_seed=cluster.seed,
-                    topology=cluster.topology,
-                    point=point,
-                )
-            )
-        spans.append((start, len(points)))
-    fleet = fleet_run(members)
-    grids = []
-    for (s, app, threads, cfs, ucfs, cluster, points), (start, count) in zip(
-        resolved, spans
-    ):
-        rows = fleet.results[start:start + count]
-        shape = (len(cfs), len(ucfs))
-        grids.append(
-            GridMeasurement(
-                benchmark=s.benchmark,
-                threads=threads,
-                node_id=s.node_id,
-                seed=s.seed,
-                core_frequencies=cfs,
-                uncore_frequencies=ucfs,
-                node_energy_j=np.array(
-                    [r.node_energy_j for r in rows]
-                ).reshape(shape),
-                cpu_energy_j=np.array(
-                    [r.cpu_energy_j for r in rows]
-                ).reshape(shape),
-                time_s=np.array([r.time_s for r in rows]).reshape(shape),
-            )
-        )
-    return grids
+        jobs = s.jobs(cluster.seed)
+        resolved.append((s, jobs))
+        all_jobs.extend(jobs)
+    # Every spec's cluster comes from the same options, so all share
+    # the last one's topology.
+    results = options.run_jobs(all_jobs, cluster)
+    return [s.measurement([results[job] for job in jobs]) for s, jobs in resolved]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +505,6 @@ def _dynamic_outcome(
     request: TuningRequest, options: ExecutionOptions
 ) -> DynamicOutcome:
     """Price one RRL-controlled run of the request's TMM (cacheable)."""
-    from repro.campaign.engine import run_app_jobs
     from repro.campaign.plan import savings_jobs
     from repro.readex.tuning_model import TuningModel
 
@@ -565,15 +522,7 @@ def _dynamic_outcome(
         seed=request.seed,
         node_seed=cluster.seed,
     )
-    results = run_app_jobs(
-        jobs,
-        registry.build(request.benchmark),
-        cluster=cluster,
-        engine=options.campaign,
-        on_failure=options.on_failure,
-        retry_failed=options.retry_failed,
-    )
-    payload = results[jobs[0]]
+    payload = options.run_jobs(jobs, cluster)[jobs[0]]
     return DynamicOutcome(
         node_energy_j=payload["node_energy_j"],
         cpu_energy_j=payload["cpu_energy_j"],
@@ -623,50 +572,21 @@ def replay(
     noise key, so it is bit-identical to (and cache-compatible with)
     the exhaustive static search's per-cell jobs.
     """
+    from repro.campaign.plan import static_jobs
+
     options = options if options is not None else ExecutionOptions()
     point = point if point is not None else OperatingPoint()
     cluster = options.resolve_cluster(seed)
     cluster.check_node_id(node_id)
-    app = registry.build(benchmark)
-    if options.campaign is not None:
-        from repro.campaign.engine import run_app_jobs
-        from repro.campaign.plan import static_jobs
-
-        jobs = static_jobs(
-            benchmark,
-            points=[point],
-            node_id=node_id,
-            seed=seed,
-            node_seed=cluster.seed,
-        )
-        payload = run_app_jobs(
-            jobs,
-            app,
-            cluster=cluster,
-            engine=options.campaign,
-            on_failure=options.on_failure,
-            retry_failed=options.retry_failed,
-        )[jobs[0]]
-        return RunTriple(
-            node_energy_j=payload["node_energy_j"],
-            cpu_energy_j=payload["cpu_energy_j"],
-            time_s=payload["time_s"],
-        )
-    from repro.execution.simulator import ExecutionSimulator
-
-    node = cluster.fresh_node(node_id)
-    node.set_frequencies(point.core_freq_ghz, point.uncore_freq_ghz)
-    run = ExecutionSimulator(node, seed=seed).run(
-        app,
-        threads=point.threads,
-        run_key=(
-            "static", point.core_freq_ghz, point.uncore_freq_ghz, point.threads
-        ),
+    registry.check_name(benchmark)
+    jobs = static_jobs(
+        benchmark, points=[point], node_id=node_id, seed=seed, node_seed=cluster.seed
     )
+    payload = options.run_jobs(jobs, cluster)[jobs[0]]
     return RunTriple(
-        node_energy_j=run.node_energy_j,
-        cpu_energy_j=run.cpu_energy_j,
-        time_s=run.time_s,
+        node_energy_j=payload["node_energy_j"],
+        cpu_energy_j=payload["cpu_energy_j"],
+        time_s=payload["time_s"],
     )
 
 

@@ -37,6 +37,7 @@ from repro.campaign.engine import (
     CampaignEngine,
     CampaignReport,
     CampaignResults,
+    engine_for,
     execute_job,
     qualified_descriptor,
     run_app_jobs,
@@ -91,6 +92,7 @@ __all__ = [
     "failure_descriptor",
     "counter_jobs",
     "detect_backend_kind",
+    "engine_for",
     "execute_job",
     "job_key",
     "migrate_store",

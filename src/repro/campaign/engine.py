@@ -784,6 +784,27 @@ def _registry_faithful(app: Application) -> bool:
     return app == stock
 
 
+def engine_for(
+    cluster: Cluster, engine: CampaignEngine | None = None
+) -> CampaignEngine:
+    """The engine that measures on ``cluster``.
+
+    Without ``engine``, a store-less engine simulating the cluster's
+    topology.  An attached engine must simulate the cluster's topology:
+    its store keys and physics follow its own, so a mismatch would
+    silently price different hardware than the caller's cluster
+    describes, and raises :class:`CampaignError` instead.
+    """
+    if engine is None:
+        return CampaignEngine(topology=cluster.topology)
+    if engine.topology != cluster.topology:
+        raise CampaignError(
+            f"campaign engine topology {engine.topology!r} does not match "
+            f"the cluster's {cluster.topology!r}"
+        )
+    return engine
+
+
 def run_app_jobs(
     jobs: tuple[CampaignJob, ...],
     app: Application,
@@ -799,15 +820,14 @@ def run_app_jobs(
     can rebuild them and stores can address them — which is only sound
     when ``app`` is exactly what the registry would build.  Custom or
     mutated instances therefore run job by job against the live object,
-    and are never cached.  An explicitly passed ``engine`` wins (including
-    its topology); otherwise an ad-hoc engine simulates the cluster's
-    topology.  ``on_failure`` and ``retry_failed`` carry
-    :meth:`CampaignEngine.run`'s failure semantics through (the
-    custom-instance path has no store, so they only shape engine runs).
+    and are never cached.  The engine is :func:`engine_for` the cluster
+    (so a topology mismatch is refused on either path).  ``on_failure``
+    and ``retry_failed`` carry :meth:`CampaignEngine.run`'s failure
+    semantics through (the custom-instance path has no store, so they
+    only shape engine runs).
     """
+    engine = engine_for(cluster, engine)
     if _registry_faithful(app):
-        if engine is None:
-            engine = CampaignEngine(topology=cluster.topology)
         return engine.run(
             CampaignPlan(tuple(jobs)),
             on_failure=on_failure,

@@ -493,8 +493,8 @@ def savings_jobs(
     """One controlled production run per averaged repetition (Table VI).
 
     ``label`` is mixed verbatim into the noise streams, so these jobs
-    are bit-identical to :mod:`repro.analysis.savings`' historical
-    in-process runs.  The node always starts at the platform default
+    are bit-identical to the per-run loop reference of
+    ``tests/oracles/savings.py``.  The node always starts at the platform default
     operating point; with ``controller="static"`` the job's
     frequency/thread fields describe the configuration the one-shot
     controller applies, and with ``"rrl"`` the serialised tuning model

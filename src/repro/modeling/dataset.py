@@ -38,7 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import config
-from repro.campaign.engine import CampaignEngine, CampaignResults, run_app_jobs
+from repro.campaign.engine import (
+    CampaignEngine,
+    CampaignResults,
+    engine_for,
+    run_app_jobs,
+)
 from repro.campaign.plan import (
     COUNTER_MEASUREMENT_RUNS,
     CampaignJob,
@@ -256,9 +261,7 @@ def build_dataset(
         seed=seed,
         node_seed=cluster.seed,
     )
-    if engine is None:
-        engine = CampaignEngine(topology=cluster.topology)
-    results = engine.run(plan)
+    results = engine_for(cluster, engine).run(plan)
 
     rows, targets, times, groups = [], [], [], []
     counter_rates: dict[tuple[str, int], np.ndarray] = {}

@@ -58,14 +58,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro import api
 from repro.campaign.engine import CampaignEngine, topology_job_key
-from repro.campaign.plan import grid_jobs
 from repro.campaign.store import ResultStore
 from repro.errors import ReproError, SchemaError, TuningError
-from repro.execution.simulator import OperatingPoint
 from repro.serve import batcher as batching
 from repro.serve import workers as pooling
 from repro.serve.schema import (
@@ -322,24 +318,6 @@ class TuningService:
         return await self._enqueue(request)
 
     # ------------------------------------------------------------------
-    def _grid_jobs(self, request: api.TuningRequest):
-        cfs, ucfs = api.grid_axes(request.stride)
-        cluster = self.options.resolve_cluster(request.seed)
-        points = [
-            OperatingPoint(cf, ucf, request.threads)
-            for cf in cfs
-            for ucf in ucfs
-        ]
-        jobs = grid_jobs(
-            request.benchmark,
-            label="heatmap",
-            points=points,
-            node_id=request.node_id,
-            seed=request.seed,
-            node_seed=cluster.seed,
-        )
-        return jobs, cfs, ucfs
-
     async def _from_store(self, request: api.TuningRequest) -> dict | None:
         """Answer (or quarantine) one request from the result store.
 
@@ -354,7 +332,8 @@ class TuningService:
         failure records.
         """
         topology = self.engine.topology
-        jobs, cfs, ucfs = self._grid_jobs(request)
+        spec = request.grid_spec()
+        jobs = spec.jobs(self.options.resolve_cluster(request.seed).seed)
         keys = {job: topology_job_key(job, topology) for job in jobs}
         stored, quarantined, pending = self.engine.recall(
             keys, retry_failed=self.retry_failed
@@ -374,24 +353,7 @@ class TuningService:
         # the execution path do it (the engine caches that job too).
         if request.tmm is not None:
             return None
-        shape = (len(cfs), len(ucfs))
-        grid = api.GridMeasurement(
-            benchmark=request.benchmark,
-            threads=request.threads,
-            node_id=request.node_id,
-            seed=request.seed,
-            core_frequencies=cfs,
-            uncore_frequencies=ucfs,
-            node_energy_j=np.array(
-                [e for p in payloads for e in p["node_energy_j"]]
-            ).reshape(shape),
-            cpu_energy_j=np.array(
-                [e for p in payloads for e in p["cpu_energy_j"]]
-            ).reshape(shape),
-            time_s=np.array(
-                [t for p in payloads for t in p["time_s"]]
-            ).reshape(shape),
-        )
+        grid = spec.measurement(payloads)
         self.metrics.cached_hits += 1
         return ok_response(
             grid.answer(request), meta={"cached": True, "coalesced": 0}

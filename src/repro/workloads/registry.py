@@ -8,6 +8,7 @@ model).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from repro.errors import WorkloadError
@@ -30,15 +31,24 @@ def benchmark_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def build(name: str) -> Application:
-    """Construct a fresh application instance for ``name``."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
+def check_name(name: str) -> None:
+    """Raise :class:`WorkloadError` unless ``name`` is registered."""
+    if name not in _BUILDERS:
         raise WorkloadError(
             f"unknown benchmark: {name!r}; known: {sorted(_BUILDERS)}"
-        ) from None
-    return builder()
+        )
+
+
+def build(name: str) -> Application:
+    """Construct a fresh application instance for ``name``."""
+    check_name(name)
+    return _BUILDERS[name]()
+
+
+@functools.lru_cache(maxsize=None)
+def default_threads(name: str) -> int:
+    """``build(name).default_threads``, building each benchmark once."""
+    return build(name).default_threads
 
 
 def build_all() -> dict[str, Application]:

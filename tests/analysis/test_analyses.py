@@ -153,10 +153,11 @@ class TestSavings:
         assert "Lulesh" in text and "average" in text
 
     def test_engines_and_campaign_bit_identical(self, cluster):
-        """The replayed row equals the recursive-engine oracle, and the
-        campaign-backed path reproduces the in-process loop exactly."""
+        """The row equals the recursive-engine oracle, and a
+        store-backed run reproduces the store-less one exactly."""
         from repro import api
         from repro.campaign.engine import CampaignEngine
+        from repro.campaign.store import ResultStore
 
         tmm = TuningModel.from_best_configs(
             "Lulesh", "phase",
@@ -173,24 +174,28 @@ class TestSavings:
         assert row == recursive_savings(
             "Lulesh", static, tmm, cluster=cluster, runs=2
         )
-        via_campaign = compare_static_dynamic(
+        stored = compare_static_dynamic(
             "Lulesh", static, tmm, cluster=cluster, runs=2,
-            options=api.ExecutionOptions(campaign=CampaignEngine()),
+            options=api.ExecutionOptions(
+                campaign=CampaignEngine(store=ResultStore())
+            ),
         )
-        assert via_campaign == row
+        assert stored == row
 
     def test_many_matches_solo_rows_and_shares_one_campaign_run(
         self, cluster
     ):
         """compare_static_dynamic_many batches every benchmark's four
-        variants into one fleet campaign run, each row bit-identical
-        to its solo compare_static_dynamic call."""
+        variants into one store-backed campaign run, each row
+        bit-identical to its solo store-less compare_static_dynamic
+        call."""
         from repro import api
         from repro.analysis.savings import (
             SavingsCase,
             compare_static_dynamic_many,
         )
         from repro.campaign.engine import CampaignEngine
+        from repro.campaign.store import ResultStore
 
         def case(benchmark):
             app = registry.build(benchmark)
@@ -206,7 +211,7 @@ class TestSavings:
             )
 
         cases = [case("Lulesh"), case("EP")]
-        engine = CampaignEngine()
+        engine = CampaignEngine(store=ResultStore())
         options = api.ExecutionOptions(campaign=engine, cluster=cluster)
         rows = compare_static_dynamic_many(
             cases, runs=2, options=options
@@ -220,8 +225,8 @@ class TestSavings:
             for c in cases
         ]
         assert rows == solo
-        # without a campaign engine, the cases run one at a time and
-        # still produce identical rows
+        # without an attached engine, the cases share one store-less
+        # engine run and still produce identical rows
         plain = compare_static_dynamic_many(
             cases, runs=2, options=api.ExecutionOptions(cluster=cluster)
         )

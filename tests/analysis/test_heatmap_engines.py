@@ -95,12 +95,12 @@ class TestCampaignHeatmap:
         engine = CampaignEngine(
             store=ResultStore(tmp_path / "store.jsonl")
         )
-        direct = energy_heatmap("EP", threads=24, cluster=cluster)
+        storeless = energy_heatmap("EP", threads=24, cluster=cluster)
         cached = energy_heatmap(
             "EP", threads=24, cluster=cluster,
             options=ExecutionOptions(campaign=engine),
         )
-        assert np.array_equal(direct.normalized, cached.normalized)
+        assert np.array_equal(storeless.normalized, cached.normalized)
         executed = engine.total_executed
         assert executed == len(config.CORE_FREQUENCIES_GHZ)  # one per row
         again = energy_heatmap(
@@ -108,7 +108,7 @@ class TestCampaignHeatmap:
             options=ExecutionOptions(campaign=engine),
         )
         assert engine.total_executed == executed  # all rows recalled
-        assert np.array_equal(again.normalized, direct.normalized)
+        assert np.array_equal(again.normalized, storeless.normalized)
 
     def test_topology_mismatch_rejected(self):
         engine = CampaignEngine(topology=NodeTopology.build(1, 8))

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from repro import api, config
-from repro.campaign.engine import CampaignEngine
+from repro.campaign.engine import CampaignEngine, topology_job_key
 from repro.campaign.faultinject import FAULT_ENV
 from repro.campaign.resilience import RetryPolicy
 from repro.campaign.store import ResultStore
-from repro.errors import CampaignError, TuningError
-from repro.execution.simulator import OperatingPoint
+from repro.errors import CampaignError, CampaignExecutionError, TuningError
+from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.hardware.cluster import Cluster
+from repro.hardware.topology import NodeTopology
 from repro.readex.tuning_model import TuningModel
 from repro.workloads import registry
 from tests.oracles.grids import loop_grid
+from tests.oracles.savings import loop_savings
 
 
 class TestExecutionOptions:
@@ -122,13 +124,13 @@ class TestTune:
     def test_campaign_backed_tune_matches_direct(self):
         engine = CampaignEngine(store=ResultStore())
         request = api.TuningRequest("EP", stride=7)
-        direct = api.tune(request)
-        campaign = api.tune(request, api.ExecutionOptions(campaign=engine))
-        assert campaign.payload() == direct.payload()
+        storeless = api.tune(request)
+        stored = api.tune(request, api.ExecutionOptions(campaign=engine))
+        assert stored.payload() == storeless.payload()
         executed = engine.total_executed
         assert executed > 0
         again = api.tune(request, api.ExecutionOptions(campaign=engine))
-        assert again.payload() == direct.payload()
+        assert again.payload() == storeless.payload()
         assert engine.total_executed == executed  # warm cache
 
     def test_payload_json_round_trips(self):
@@ -148,18 +150,18 @@ class TestVerbOptions:
         engine = CampaignEngine(store=ResultStore())
         cluster = Cluster(2)
         app = registry.build("EP")
-        direct = exhaustive_static_search(
+        storeless = exhaustive_static_search(
             app, cluster, stride=7, thread_counts=(24,)
         )
-        campaign = exhaustive_static_search(
+        stored = exhaustive_static_search(
             app,
             cluster,
             stride=7,
             thread_counts=(24,),
             options=api.ExecutionOptions(campaign=engine),
         )
-        assert campaign.best == direct.best
-        assert campaign.best_energy_j == direct.best_energy_j
+        assert stored.best == storeless.best
+        assert stored.best_energy_j == storeless.best_energy_j
 
 
 def _removed_selectors():
@@ -226,28 +228,45 @@ def _static_search(options):
 
 
 def _static_search_jobs():
-    from repro.campaign.plan import grid_rows, static_operating_points
+    from repro.campaign.plan import grid_jobs, static_operating_points
 
     points = static_operating_points(
         registry.build("EP"), stride=7, thread_counts=(24,)
     )
-    return len(grid_rows(points))
-
-
-def _savings(options):
-    from repro.analysis.savings import compare_static_dynamic
-
-    static = OperatingPoint(2.4, 2.0, 24)
-    tmm = TuningModel.from_best_configs("EP", "phase", {"phase": static})
-    return compare_static_dynamic(
-        "EP", static, tmm, cluster=Cluster(2), runs=1, options=options
+    return grid_jobs(
+        "EP", label="static", points=points, node_seed=Cluster(2).seed
     )
 
 
-#: verb -> (call with options, number of jobs it plans)
+SAVINGS_STATIC = OperatingPoint(2.4, 2.0, 24)
+SAVINGS_TMM = TuningModel.from_best_configs(
+    "EP", "phase", {"phase": SAVINGS_STATIC}
+)
+
+
+def _savings(options, runs=1):
+    from repro.analysis.savings import compare_static_dynamic
+
+    return compare_static_dynamic(
+        "EP", SAVINGS_STATIC, SAVINGS_TMM, cluster=Cluster(2), runs=runs,
+        options=options,
+    )
+
+
+def _savings_jobs():
+    from repro.analysis.savings import savings_campaign_jobs
+
+    batches = savings_campaign_jobs(
+        "EP", SAVINGS_STATIC, SAVINGS_TMM, instrumentation=None, node_id=0,
+        runs=1, seed=config.DEFAULT_SEED, node_seed=Cluster(2).seed,
+    )
+    return tuple(job for batch in batches.values() for job in batch)
+
+
+#: verb -> (call with options, the jobs it plans, in plan order)
 FAILURE_POLICY_VERBS = {
     "exhaustive_static_search": (_static_search, _static_search_jobs),
-    "compare_static_dynamic": (_savings, lambda: 4),
+    "compare_static_dynamic": (_savings, _savings_jobs),
 }
 
 
@@ -272,9 +291,131 @@ def test_failure_policy_reaches_campaign(verb, tmp_path, monkeypatch):
         run(on_failure="quarantine")
     summary = store.summary()
     assert summary["quarantined"] == 1
-    assert summary["results"] == planned() - 1
+    assert summary["results"] == len(planned()) - 1
 
     monkeypatch.delenv(FAULT_ENV)
     engine, healed = run(retry_failed=True)
     assert engine.total_executed == 1
     assert healed == call(api.ExecutionOptions())
+
+
+@pytest.mark.parametrize("verb", sorted(FAILURE_POLICY_VERBS))
+def test_fault_reaches_storeless_run(verb, monkeypatch):
+    """Without an attached engine the verb still runs through the
+    resilient engine loop: a fault aimed at one of its jobs fails the
+    run with a CampaignExecutionError naming exactly that job."""
+    call, planned = FAILURE_POLICY_VERBS[verb]
+    target = planned()[1]
+    monkeypatch.setenv(
+        FAULT_ENV,
+        json.dumps(
+            [{"action": "raise", "mode": target.mode, "index": 1,
+              "attempts": "all"}]
+        ),
+    )
+    with pytest.raises(
+        CampaignExecutionError, match=f"{target.app}/{target.mode}"
+    ) as info:
+        call(api.ExecutionOptions())
+    assert list(info.value.failures) == [topology_job_key(target, None)]
+
+
+def test_storeless_savings_is_one_engine_run(monkeypatch):
+    """A store-less Table VI row is one engine run over all 4 x runs
+    jobs, not one solo simulator run per repetition, and it equals the
+    per-run loop reference."""
+    plans, solo = [], []
+    engine_run, simulator_run = CampaignEngine.run, ExecutionSimulator.run
+
+    def count_plan(self, plan, **kwargs):
+        plans.append(len(plan))
+        return engine_run(self, plan, **kwargs)
+
+    def count_solo(self, *args, **kwargs):
+        solo.append(args)
+        return simulator_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(CampaignEngine, "run", count_plan)
+    monkeypatch.setattr(ExecutionSimulator, "run", count_solo)
+    row = _savings(api.ExecutionOptions(), runs=2)
+    assert plans == [8]
+    assert solo == []
+    monkeypatch.undo()
+    assert row == loop_savings(
+        "EP", SAVINGS_STATIC, SAVINGS_TMM, cluster=Cluster(2), runs=2
+    )
+
+
+# ---------------------------------------------------------------------------
+# An attached engine must simulate the cluster's topology, for every verb
+# ---------------------------------------------------------------------------
+
+def _mismatched(engine):
+    return api.ExecutionOptions(cluster=Cluster(2), campaign=engine)
+
+
+def _measure_front_end(name):
+    def call(engine):
+        from repro.modeling import dataset
+
+        return getattr(dataset, name)(
+            registry.build("EP"), Cluster(2), threads=24, engine=engine
+        )
+
+    return call
+
+
+def _build_dataset(engine):
+    from repro.modeling.dataset import build_dataset
+
+    return build_dataset(
+        ("EP",), cluster=Cluster(2), thread_counts=(24,), engine=engine
+    )
+
+
+TOPOLOGY_VERBS = {
+    "replay": lambda engine: api.replay(
+        "EP", OperatingPoint(2.0, 2.0, 8), options=_mismatched(engine)
+    ),
+    "tune_with_tmm": lambda engine: api.tune(
+        api.TuningRequest("EP", stride=7, tmm=SAVINGS_TMM.to_json()),
+        _mismatched(engine),
+    ),
+    "exhaustive_static_search": lambda engine: _static_search(
+        api.ExecutionOptions(campaign=engine)
+    ),
+    "measure_counter_rates": _measure_front_end("measure_counter_rates"),
+    "measure_normalized_energy": _measure_front_end(
+        "measure_normalized_energy"
+    ),
+    "build_dataset": _build_dataset,
+}
+
+
+@pytest.mark.parametrize("verb", sorted(TOPOLOGY_VERBS))
+def test_engine_topology_mismatch_refused(verb):
+    """An engine simulating another topology than the cluster's is
+    refused before anything is priced."""
+    engine = CampaignEngine(topology=NodeTopology.build(1, 8))
+    with pytest.raises(CampaignError, match="topology"):
+        TOPOLOGY_VERBS[verb](engine)
+    assert engine.total_executed == 0
+
+
+def test_engine_with_the_clusters_topology_is_accepted():
+    topology = NodeTopology.build(1, 8)
+    point = OperatingPoint(2.0, 2.0, 8)
+    storeless = api.replay(
+        "EP", point, options=api.ExecutionOptions(cluster=Cluster(2, topology=topology))
+    )
+    engine = CampaignEngine(store=ResultStore(), topology=NodeTopology.build(1, 8))
+    stored = api.replay(
+        "EP",
+        point,
+        options=api.ExecutionOptions(
+            cluster=Cluster(2, topology=topology), campaign=engine
+        ),
+    )
+    assert stored == storeless
+    assert engine.total_executed == 1
+    assert storeless != api.replay("EP", point)  # the topology is priced

@@ -1,10 +1,14 @@
-"""The Table VI comparison on the recursive simulator engine.
+"""The Table VI comparison as a per-run loop.
 
-:func:`repro.analysis.savings.compare_static_dynamic` runs the four
-variants (default, static, dynamic, config-only) through the
-controlled replay.  This oracle runs the same repetitions on the
-recursive engine (:func:`tests.oracles.engine.recursive_run`) every
-replay kernel is bit-identical to.
+:func:`repro.analysis.savings.compare_static_dynamic` prices the four
+variants (default, static, dynamic, config-only) as one campaign plan
+in fleet shards.  These references run the same repetitions one
+simulator run at a time through ``sacct`` accounting:
+:func:`recursive_savings` on the recursive engine
+(:func:`tests.oracles.engine.recursive_run`) every replay kernel is
+bit-identical to, and :func:`loop_savings` through the production
+:meth:`~repro.execution.simulator.ExecutionSimulator.run` (a fleet of
+one per run).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 
 from repro import config
 from repro.analysis.savings import BenchmarkSavings, RunAverages
-from repro.execution.simulator import OperatingPoint
+from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.execution.slurm import SlurmAccounting
 from repro.hardware.cluster import Cluster
 from repro.readex.rrl import RRL, StaticController
@@ -24,9 +28,11 @@ from tests.oracles.engine import recursive_run
 
 
 def _averaged_runs(
-    benchmark, cluster, node_id, *, controller_factory, threads,
+    run, benchmark, cluster, node_id, *, controller_factory, threads,
     instrumented, instrumentation, runs, key, seed,
 ) -> RunAverages:
+    """One variant's averages over ``runs`` fresh-node runs of
+    ``run(node, app, seed=..., **run_kwargs)``."""
     accounting = SlurmAccounting()
     cpu, job, time = [], [], []
     app = registry.build(benchmark)
@@ -36,7 +42,7 @@ def _averaged_runs(
         instr = instrumentation
         if instr is not None:
             instr = Instrumentation(app=app, filtered=set(instr.filtered))
-        result = recursive_run(
+        result = run(
             node,
             app,
             seed=seed,
@@ -57,7 +63,8 @@ def _averaged_runs(
     )
 
 
-def recursive_savings(
+def _loop_savings(
+    run,
     benchmark: str,
     static_config: OperatingPoint,
     tuning_model: TuningModel,
@@ -68,7 +75,6 @@ def recursive_savings(
     runs: int = 5,
     seed: int = config.DEFAULT_SEED,
 ) -> BenchmarkSavings:
-    """One Table VI row, every run on the recursive engine."""
     cluster = cluster if cluster is not None else Cluster(2, seed=seed)
     common = dict(runs=runs, seed=seed)
     default_threads = config.DEFAULT_OPENMP_THREADS
@@ -76,26 +82,41 @@ def recursive_savings(
         benchmark=benchmark,
         static_config=static_config,
         default=_averaged_runs(
-            benchmark, cluster, node_id, controller_factory=None,
+            run, benchmark, cluster, node_id, controller_factory=None,
             threads=default_threads, instrumented=False,
             instrumentation=None, key="default", **common,
         ),
         static=_averaged_runs(
-            benchmark, cluster, node_id,
+            run, benchmark, cluster, node_id,
             controller_factory=lambda: StaticController(static_config),
             threads=static_config.threads, instrumented=False,
             instrumentation=None, key="static", **common,
         ),
         dynamic=_averaged_runs(
-            benchmark, cluster, node_id,
+            run, benchmark, cluster, node_id,
             controller_factory=lambda: RRL(tuning_model),
             threads=default_threads, instrumented=True,
             instrumentation=instrumentation, key="dynamic", **common,
         ),
         config_only=_averaged_runs(
-            benchmark, cluster, node_id,
+            run, benchmark, cluster, node_id,
             controller_factory=lambda: RRL(tuning_model),
             threads=default_threads, instrumented=False,
             instrumentation=None, key="config-only", **common,
         ),
     )
+
+
+def _simulator_run(node, app, *, seed, **kwargs):
+    return ExecutionSimulator(node, seed=seed).run(app, **kwargs)
+
+
+def recursive_savings(*args, **kwargs) -> BenchmarkSavings:
+    """One Table VI row, every run on the recursive engine
+    (:func:`compare_static_dynamic`'s arguments, minus ``options``)."""
+    return _loop_savings(recursive_run, *args, **kwargs)
+
+
+def loop_savings(*args, **kwargs) -> BenchmarkSavings:
+    """One Table VI row, one production simulator run at a time."""
+    return _loop_savings(_simulator_run, *args, **kwargs)

@@ -29,9 +29,14 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def grid_jobs_of(request):
+    """The grid row jobs a default-cluster service plans for ``request``."""
+    return request.resolved().grid_spec().jobs(node_seed=request.seed)
+
+
 def failure_record_for(service, request, *, message="boom", row=0):
     """A persisted FailureRecord for grid row ``row`` of ``request``."""
-    jobs, _, _ = service._grid_jobs(request.resolved())
+    jobs = grid_jobs_of(request)
     topology = service.engine.topology
     descriptor = failure_descriptor(qualified_descriptor(jobs[row], topology))
     record = FailureRecord(
@@ -236,7 +241,7 @@ class TestStoreDedup:
         async def scenario():
             service = TuningService(store=ResultStore())
             request = api.TuningRequest("EP", stride=7)
-            rows = len(service._grid_jobs(request.resolved())[0])
+            rows = len(grid_jobs_of(request))
             failure_record_for(service, request, row=rows - 1)
             response = await service.handle(dict(EP))
             await service.aclose()

@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro import config
+from repro.campaign.resilience import ON_FAILURE_POLICIES
 from repro.errors import CampaignError, TuningError
 from repro.execution.simulator import OperatingPoint
 from repro.ptf.objectives import OBJECTIVES, Objective, get_objective
@@ -71,11 +72,6 @@ __all__ = [
     "savings",
 ]
 
-#: Definitive-failure policies (mirrors
-#: :data:`repro.campaign.resilience.ON_FAILURE_POLICIES`).
-ON_FAILURE: tuple[str, ...] = ("raise", "quarantine", "skip")
-
-
 @dataclass(frozen=True)
 class ExecutionOptions:
     """How (not what) to execute — the one normalized options object.
@@ -99,10 +95,10 @@ class ExecutionOptions:
     retry_failed: bool = False
 
     def __post_init__(self):
-        if self.on_failure not in ON_FAILURE:
+        if self.on_failure not in ON_FAILURE_POLICIES:
             raise CampaignError(
                 f"unknown on_failure policy: {self.on_failure!r}; "
-                f"known: {ON_FAILURE}"
+                f"known: {ON_FAILURE_POLICIES}"
             )
 
     # ------------------------------------------------------------------

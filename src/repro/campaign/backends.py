@@ -103,7 +103,7 @@ class StoreBackend(Protocol):
     last-wins survivor, whatever its schema version — or ``None``;
     ``get_records`` maps each of many keys that has one to it, in one
     read where the layout allows.
-    ``put_record`` makes its argument the effective record for its key
+    ``put_records`` makes each argument the effective record for its key
     (healing any other-version record).  ``iter_records`` streams every
     effective record; ``stale_count`` counts keys whose effective record
     carries another schema version.  ``release`` drops open handles
@@ -117,7 +117,6 @@ class StoreBackend(Protocol):
 
     def get_record(self, key: str) -> dict[str, Any] | None: ...
     def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]: ...
-    def put_record(self, record: dict[str, Any]) -> None: ...
     def put_records(self, records: list[dict[str, Any]]) -> None: ...
     def iter_records(self) -> Iterator[dict[str, Any]]: ...
     def contains(self, key: str) -> bool: ...
@@ -150,12 +149,9 @@ class MemoryBackend:
     def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]:
         return _records_of(self._records, keys)
 
-    def put_record(self, record: dict[str, Any]) -> None:
-        self._records[record["key"]] = record
-
     def put_records(self, records: list[dict[str, Any]]) -> None:
         for record in records:
-            self.put_record(record)
+            self._records[record["key"]] = record
 
     def iter_records(self) -> Iterator[dict[str, Any]]:
         yield from list(self._records.values())
@@ -242,10 +238,6 @@ class JsonlBackend:
 
     def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]:
         return _records_of(self._records, keys)
-
-    def put_record(self, record: dict[str, Any]) -> None:
-        self._records[record["key"]] = record
-        self._write_lines([encode_record(record)])
 
     def put_records(self, records: list[dict[str, Any]]) -> None:
         lines = []
@@ -465,9 +457,6 @@ class SqliteBackend:
             for key, (_, _, line) in chosen.items()
             if (record := _parse_row(line)) is not None
         }
-
-    def put_record(self, record: dict[str, Any]) -> None:
-        self.put_records([record])
 
     def put_records(self, records: list[dict[str, Any]]) -> None:
         conn = self._connect()

@@ -1,18 +1,18 @@
 """Campaign execution: every job priced in-process by the fleet kernel.
 
-:func:`execute_job` rebuilds the job's application from the registry,
-prices it as fresh-node members of the fleet kernel
-(:mod:`repro.execution.fleet_replay`), and returns a small JSON-able
-payload.  Because every noise stream is keyed through
+:func:`execute_job` looks the job's application up in the registry
+(one build per name and process), prices it as fresh-node members of
+the fleet kernel (:mod:`repro.execution.fleet_replay`), and returns a
+small JSON-able payload.  Because every noise stream is keyed through
 :func:`repro.util.rng.rng_for` by (seed, node, run key, region,
 iteration) — never by call order or batch composition — the payload is
 bit-identical whether the job runs alone, inside a shard, or in a
 different session entirely.  That property is what makes the
 content-addressed :class:`~repro.campaign.store.ResultStore` sound.
 :class:`CampaignEngine` prices a plan's uncached jobs, of every mode, in
-:class:`~repro.campaign.plan.FleetShard`\\ s — every path bit-identical
-to the recursive reference engine — so stores written by any strategy
-agree.
+shards — tuples of the jobs' store keys, one fleet-kernel pass each,
+bit-identical to the recursive reference engine — so stores written by
+any shard size agree.
 
 Payload layout by mode:
 
@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.campaign.faultinject import maybe_fault
-from repro.campaign.plan import CampaignJob, CampaignPlan, FleetShard, fleet_jobs
+from repro.campaign.plan import DEFAULT_FLEET_SHARD_SIZE, CampaignJob, CampaignPlan
 from repro.campaign.resilience import (
     ON_FAILURE_POLICIES,
     DrainFlag,
@@ -145,10 +145,20 @@ def _build_instrumentation(job: CampaignJob, app: Application):
     return Instrumentation(app=app, filtered=set(job.filtered_regions))
 
 
+@functools.lru_cache(maxsize=None)
+def _stock_app(name: str) -> Application:
+    """The registry's application ``name``, built once per process.
+
+    Pricing only reads an application, so every job of a name shares
+    one build; the instance never leaves this module.
+    """
+    return registry.build(name)
+
+
 def execute_job(
     job: CampaignJob,
     topology: NodeTopology | None = None,
-    app=None,
+    app: Application | None = None,
 ) -> dict[str, Any]:
     """Run one campaign job from scratch and return its payload.
 
@@ -158,28 +168,7 @@ def execute_job(
     :class:`~repro.workloads.application.Application` instance that is
     not registered under ``job.app`` (such jobs bypass stores).
     """
-    apps = {job.app: app} if app is not None else None
-    (payload,) = _price_jobs((job,), topology, apps)
-    return payload
-
-
-def execute_job_faulted(
-    job: CampaignJob,
-    topology: NodeTopology | None,
-    index: int | None,
-    attempt: int = 0,
-    apps: dict[str, Application] | None = None,
-) -> dict[str, Any]:
-    """:func:`execute_job` with a fault-injection checkpoint.
-
-    The engine's execution paths route through this wrapper so the
-    deterministic fault harness (:mod:`repro.campaign.faultinject`) can
-    target a job by (app, mode, pending index, attempt).  A no-op
-    passthrough when ``REPRO_FAULT_INJECT`` is unset.  ``apps`` holds
-    the applications already built by the calling run.
-    """
-    maybe_fault(app=job.app, mode=job.mode, index=index, attempt=attempt)
-    (payload,) = _price_jobs((job,), topology, apps)
+    (payload,) = _price_jobs((job,), topology, app)
     return payload
 
 
@@ -241,25 +230,21 @@ def _job_fleet_members(job: CampaignJob, app: Application, topology):
 
 
 def _price_jobs(
-    jobs, topology: NodeTopology | None, apps: dict[str, Application] | None
+    jobs, topology: NodeTopology | None, app: Application | None = None
 ) -> list[dict[str, Any]]:
     """Price ``jobs`` in one fleet-kernel pass; their payloads, in order.
 
-    ``apps`` caches registry builds by name (a run shares one across
-    its shards; ``None`` builds afresh).  The ``counters`` jobs' PAPI
-    noise is drawn in one batch over all their members' slots.
+    Each job runs against its registry application, or against ``app``
+    (for every job) when given.  The ``counters`` jobs' PAPI noise is
+    drawn in one batch over all their members' slots.
     """
     from repro.execution.fleet_replay import fleet_run
 
-    if apps is None:
-        apps = {}
     members: list = []
     spans: list[tuple[int, int]] = []
     for job in jobs:
-        app = apps.get(job.app)
-        if app is None:
-            app = apps[job.app] = registry.build(job.app)
-        job_members = _job_fleet_members(job, app, topology)
+        job_app = app if app is not None else _stock_app(job.app)
+        job_members = _job_fleet_members(job, job_app, topology)
         spans.append((len(members), len(job_members)))
         members.extend(job_members)
     fleet = fleet_run(members)
@@ -303,49 +288,6 @@ def _fleet_payload(job: CampaignJob, results) -> dict[str, Any]:
         payload["switching_time_s"] = run.switching_time_s
         payload["instrumentation_time_s"] = run.instrumentation_time_s
     return payload
-
-
-def execute_fleet_shard(
-    shard: FleetShard,
-    topology: NodeTopology | None = None,
-    *,
-    keys: tuple[str, ...] | None = None,
-    apps: dict[str, Application] | None = None,
-) -> dict[str, dict[str, Any]]:
-    """Price one shard's jobs in a single fleet-kernel pass.
-
-    Returns ``{store key: payload}`` with exactly the payloads (and
-    keys) :func:`execute_job` produces job by job — sharding is a
-    strategy, not a schema.  ``keys`` are the jobs' store keys when the
-    caller already holds them; ``apps`` as for :func:`_price_jobs`.
-    """
-    if keys is None:
-        keys = tuple(topology_job_key(job, topology) for job in shard.jobs)
-    return dict(zip(keys, _price_jobs(shard.jobs, topology, apps)))
-
-
-def execute_fleet_shard_faulted(
-    shard: FleetShard,
-    topology: NodeTopology | None,
-    index: int,
-    indices: tuple[int, ...],
-    attempt: int = 0,
-    *,
-    keys: tuple[str, ...] | None = None,
-    apps: dict[str, Application] | None = None,
-) -> dict[str, dict[str, Any]]:
-    """:func:`execute_fleet_shard` with fault-injection checkpoints.
-
-    The shard as a whole answers to ``mode="fleet"`` directives
-    (``index`` is the shard's position); each member job additionally
-    answers to directives targeting its own (app, mode, pending index —
-    ``indices`` runs parallel to ``shard.jobs``), so a fault aimed at
-    one job fires whether that job runs in a shard or on its own.
-    """
-    maybe_fault(app=shard.jobs[0].app, mode="fleet", index=index, attempt=attempt)
-    for job, job_index in zip(shard.jobs, indices):
-        maybe_fault(app=job.app, mode=job.mode, index=job_index, attempt=attempt)
-    return execute_fleet_shard(shard, topology, keys=keys, apps=apps)
 
 
 @dataclass(frozen=True)
@@ -477,14 +419,12 @@ class CampaignEngine:
     ) -> CampaignResults:
         """Execute (or recall) every job of ``plan``.
 
-        Uncached jobs are cut, in plan order, into
-        :class:`~repro.campaign.plan.FleetShard`\\ s of
-        :data:`~repro.campaign.plan.DEFAULT_FLEET_SHARD_SIZE` jobs and
-        priced through the batched fleet kernel — one kernel invocation
-        per shard.  A slice holding a single job (a one-job plan gains
-        nothing from batching) runs through :func:`execute_job` in the
-        same resilient pass.  Payloads and store keys are those of
-        :func:`execute_job` whichever way a job runs.
+        Uncached jobs are cut, in plan order, into shards of
+        :data:`~repro.campaign.plan.DEFAULT_FLEET_SHARD_SIZE` store keys
+        and priced through the batched fleet kernel — one kernel
+        invocation per shard, whatever its size.  Payloads and store
+        keys are those of :func:`execute_job` whichever shard a job
+        runs in.
 
         ``on_failure`` decides what a definitive job failure does:
         ``"raise"`` (the default) aborts with a
@@ -679,49 +619,45 @@ class CampaignEngine:
     ) -> PassOutcome:
         """Run the uncached jobs through the resilient serial loop.
 
-        Jobs are sliced into shards (one fleet-kernel pass each); a
-        single-job slice runs per job.  Tasks are identified by shard
-        position (``int``) or job store key (``str``); the returned
-        outcome is in job-key space.  A shard that fails definitively
-        does not fail its members: they re-run per job in a follow-up
-        pass (with any tasks a ``"raise"`` pass left unstarted on that
-        failure), so failure records, quarantine and partial-result
-        accounting stay per job.  Fault directives see a job's position
-        in ``pending`` as its index whichever way it runs.
+        Every task is a shard: a tuple of its jobs' store keys, priced
+        in one fleet-kernel pass.  ``pending`` is cut in order into
+        shards of :data:`~repro.campaign.plan.DEFAULT_FLEET_SHARD_SIZE`
+        keys.  A shard of two or more keys that fails definitively does
+        not fail its jobs: they re-run as one-key shards, first in the
+        next pass (with any tasks a ``"raise"`` pass left unstarted on
+        that failure), so failure records, quarantine and partial-result
+        accounting stay per job.  Such a shard answers to
+        ``mode="fleet"`` fault directives at its position among such
+        shards; each job answers at its index in ``pending``.
         """
         jobs_by_key = dict(pending)
         index_of = {key: index for index, (key, _) in enumerate(pending)}
-        apps: dict[str, Application] = {}  # one registry build per app
-        price_job = functools.partial(execute_job_faulted, apps=apps)
+        size = DEFAULT_FLEET_SHARD_SIZE
+        tasks = [
+            tuple(key for key, _ in pending[start:start + size])
+            for start in range(0, len(pending), size)
+        ]
+        fleet_index = {
+            task: position
+            for position, task in enumerate(t for t in tasks if len(t) > 1)
+        }
 
-        def job_task(key: str) -> tuple:
-            args = (jobs_by_key[key], self.topology, index_of[key])
-            return (key, price_job, args)
+        def price(task: tuple[str, ...], attempt: int) -> dict[str, Any]:
+            jobs = [jobs_by_key[key] for key in task]
+            if len(task) > 1:
+                maybe_fault(
+                    app=jobs[0].app, mode="fleet", index=fleet_index[task],
+                    attempt=attempt,
+                )
+            for key, job in zip(task, jobs):
+                maybe_fault(
+                    app=job.app, mode=job.mode, index=index_of[key],
+                    attempt=attempt,
+                )
+            return dict(zip(task, _price_jobs(jobs, self.topology)))
 
-        shard_keys: list[tuple[str, ...]] = []
-        tasks: list[tuple] = []
-        start = 0
-        for shard in fleet_jobs(job for _, job in pending):
-            keys = tuple(key for key, _ in pending[start:start + len(shard)])
-            indices = tuple(range(start, start + len(shard)))
-            start += len(shard)
-            if len(shard) == 1:
-                tasks.append(job_task(keys[0]))
-                continue
-            position = len(shard_keys)
-            args = (shard, self.topology, position, indices)
-            price_shard = functools.partial(
-                execute_fleet_shard_faulted, keys=keys, apps=apps
-            )
-            tasks.append((position, price_shard, args))
-            shard_keys.append(keys)
-
-        def by_job(task_id, result) -> dict[str, dict[str, Any]]:
-            return result if isinstance(task_id, int) else {task_id: result}
-
-        def on_success(task_id, result) -> None:
+        def on_success(task, done: dict[str, dict[str, Any]]) -> None:
             # A task's payloads persist in one store write.
-            done = by_job(task_id, result)
             payloads.update(done)
             if self.store is not None:
                 self.store.put_many(
@@ -731,18 +667,15 @@ class CampaignEngine:
                     ]
                 )
 
-        def keys_of(task_id) -> tuple[str, ...]:
-            return shard_keys[task_id] if isinstance(task_id, int) else (task_id,)
-
-        # Each pass turns every failed shard into per-job tasks, so the
+        # Each pass turns every failed shard into one-key shards, so the
         # loop ends: a shard failure that stopped a "raise" pass is not
         # a job failure, and the tasks it left unstarted go again.
         stop = on_failure == "raise"
-        task_of = {task[0]: task for task in tasks}
         outcome = PassOutcome()
         while tasks:
             done = run_resilient_serial(
                 tasks,
+                price,
                 policy=self.retry_policy,
                 on_success=on_success,
                 stop_on_failure=stop,
@@ -750,24 +683,21 @@ class CampaignEngine:
             )
             outcome.retried += done.retried
             outcome.drained = done.drained
-            for task_id, result in done.results.items():
-                outcome.results.update(by_job(task_id, result))
-            rerun: list[str] = []
-            for task_id, failure in done.failures.items():
-                if isinstance(task_id, int):
-                    rerun.extend(keys_of(task_id))
+            for result in done.results.values():
+                outcome.results.update(result)
+            rerun: list[tuple[str, ...]] = []
+            for task, failure in done.failures.items():
+                if len(task) > 1:
+                    rerun.extend((key,) for key in task)
                 else:
-                    outcome.failures[task_id] = failure
+                    outcome.failures[task[0]] = failure
             if done.drained or (stop and outcome.failures):
-                for task_id in done.not_run:
-                    outcome.not_run.extend(keys_of(task_id))
-                outcome.not_run.extend(rerun)
+                for task in done.not_run + rerun:
+                    outcome.not_run.extend(task)
                 break
-            rerun_tasks = [job_task(key) for key in rerun]
-            task_of.update((task[0], task) for task in rerun_tasks)
-            # Re-runs go first, so a member that fails for good under
+            # Re-runs go first, so a job that fails for good under
             # "raise" stops the run before the rest of the plan.
-            tasks = rerun_tasks + [task_of[task_id] for task_id in done.not_run]
+            tasks = rerun + done.not_run
         return outcome
 
 
@@ -778,10 +708,9 @@ class CampaignEngine:
 def _registry_faithful(app: Application) -> bool:
     """Whether ``app`` is exactly what the registry builds for its name."""
     try:
-        stock = registry.build(app.name)
+        return app == _stock_app(app.name)
     except WorkloadError:
         return False
-    return app == stock
 
 
 def engine_for(
@@ -819,12 +748,12 @@ def run_app_jobs(
     Campaign jobs reference applications by registry name so the engine
     can rebuild them and stores can address them — which is only sound
     when ``app`` is exactly what the registry would build.  Custom or
-    mutated instances therefore run job by job against the live object,
-    and are never cached.  The engine is :func:`engine_for` the cluster
-    (so a topology mismatch is refused on either path).  ``on_failure``
-    and ``retry_failed`` carry :meth:`CampaignEngine.run`'s failure
-    semantics through (the custom-instance path has no store, so they
-    only shape engine runs).
+    mutated instances therefore run against the live object, in one
+    fleet-kernel pass, and are never cached.  The engine is
+    :func:`engine_for` the cluster (so a topology mismatch is refused on
+    either path).  ``on_failure`` and ``retry_failed`` carry
+    :meth:`CampaignEngine.run`'s failure semantics through (the
+    custom-instance path has no store, so they only shape engine runs).
     """
     engine = engine_for(cluster, engine)
     if _registry_faithful(app):
@@ -833,11 +762,11 @@ def run_app_jobs(
             on_failure=on_failure,
             retry_failed=retry_failed,
         )
-    payloads = {
-        topology_job_key(job, cluster.topology): execute_job(
-            job, cluster.topology, app=app
+    payloads = dict(
+        zip(
+            (topology_job_key(job, cluster.topology) for job in jobs),
+            _price_jobs(jobs, cluster.topology, app),
         )
-        for job in jobs
-    }
+    )
     report = CampaignReport(planned=len(jobs), cached=0, executed=len(jobs))
     return CampaignResults(payloads, report, topology=cluster.topology)

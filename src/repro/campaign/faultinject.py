@@ -17,7 +17,7 @@ serving worker pool).  It is a list of directives::
      {"action": "raise", "error": "transient", "attempts": "all"},
      {"action": "delay", "delay_s": 0.2}]
 
-Directives fire just before a job (or a fleet shard) is priced.
+Directives fire just before a shard of jobs is priced.
 Directive fields (all matchers optional; an omitted matcher matches
 everything):
 
@@ -30,9 +30,10 @@ everything):
     mid-flight; not a failure).
 ``app`` / ``mode`` / ``index``
     Match the job's application name, campaign mode, and position in
-    the engine's pending list — whether the job runs alone or inside a
-    fleet shard.  A shard itself answers to ``mode="fleet"`` with its
-    shard position as the index, under its first job's app.
+    the engine's pending list — whatever shard the job runs in.  A
+    shard of two or more jobs also answers to ``mode="fleet"``, under
+    its first job's app, with its position among such shards as the
+    index; a one-job shard answers only as its job.
 ``attempts``
     List of attempt numbers (0-based) the directive fires on, or
     ``"all"``.  Default ``[0]`` — fault the first attempt only, so the

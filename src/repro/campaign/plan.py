@@ -209,45 +209,6 @@ class CampaignJob:
 
 
 @dataclass(frozen=True)
-class FleetShard:
-    """One fleet-kernel invocation's worth of campaign jobs.
-
-    A shard is the unit of campaign execution: its jobs, of any mode,
-    are converted to :class:`~repro.execution.fleet_replay.FleetMember`
-    requests and priced in one batched pass.  Results remain addressed
-    per job — the shard grouping never appears in store keys, so fleet
-    and per-job runs share one cache.
-    """
-
-    jobs: tuple[CampaignJob, ...]
-
-    def __post_init__(self):
-        if not self.jobs:
-            raise CampaignError("a fleet shard needs at least one job")
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def __iter__(self) -> Iterator[CampaignJob]:
-        return iter(self.jobs)
-
-
-def fleet_jobs(jobs) -> tuple[FleetShard, ...]:
-    """Slice jobs into :data:`DEFAULT_FLEET_SHARD_SIZE`-job shards,
-    preserving job order.
-
-    The flattened shards visit ``jobs`` exactly in input order, so
-    callers can align shard members with their own bookkeeping by
-    position (store keys never see the shard grouping).
-    """
-    jobs = tuple(jobs)
-    size = DEFAULT_FLEET_SHARD_SIZE
-    return tuple(
-        FleetShard(jobs[i:i + size]) for i in range(0, len(jobs), size)
-    )
-
-
-@dataclass(frozen=True)
 class CampaignPlan:
     """An ordered, duplicate-free sequence of jobs."""
 

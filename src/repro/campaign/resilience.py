@@ -5,8 +5,8 @@ campaign must keep its completed work.  This module supplies the pieces
 that make campaign execution survive both:
 
 :class:`RetryPolicy` / :func:`backoff_s`
-    Bounded per-job retries with *deterministic* seeded backoff — the
-    delay is derived from a BLAKE2b digest of ``(job key, attempt)``,
+    Bounded per-task retries with *deterministic* seeded backoff — the
+    delay is derived from a BLAKE2b digest of ``(task, attempt)``,
     never from a wall-clock or process-global RNG, so two runs of the
     same campaign retry on the same schedule.
 
@@ -106,7 +106,7 @@ class RetryPolicy:
     ``max_retries`` bounds *re*-executions: a job runs at most
     ``1 + max_retries`` times.  Backoff before a retry is
     ``backoff_base_s * 2**(attempt-1)``, capped at ``backoff_cap_s``
-    and jittered deterministically per (job, attempt) — see
+    and jittered deterministically per (task, attempt) — see
     :func:`backoff_s`.
     """
 
@@ -227,7 +227,7 @@ class PassOutcome:
 
     results: dict[Any, Any] = field(default_factory=dict)
     failures: dict[Any, TaskFailure] = field(default_factory=dict)
-    #: Task ids never attempted (drain requested, or stop_on_failure).
+    #: Tasks never attempted (drain requested, or stop_on_failure).
     not_run: list[Any] = field(default_factory=list)
     #: Number of retry re-submissions performed.
     retried: int = 0
@@ -285,34 +285,33 @@ def _drain_requested(drain: DrainFlag | None) -> bool:
 
 
 def run_resilient_serial(
-    tasks: Sequence[tuple[Any, Callable[..., Any], tuple]],
+    tasks: Sequence[Any],
+    run: Callable[[Any, int], Any],
     *,
     policy: RetryPolicy,
     on_success: Callable[[Any, Any], None] | None = None,
     stop_on_failure: bool = False,
     drain: DrainFlag | None = None,
 ) -> PassOutcome:
-    """Execute ``(task_id, fn, args)`` triples in-process with retries.
+    """Call ``run(task, attempt)`` for each (hashable) task, in order,
+    in-process with retries.
 
-    The 0-based attempt number is appended to the call's arguments (the
-    engine threads it into the fault-injection schedule).  A transient
-    failure is retried after its deterministic backoff, up to
-    ``policy.max_retries`` times; ``stop_on_failure`` leaves every task
-    after the first definitive failure unrun, and so does a drain.
+    ``attempt`` counts from 0 (the engine threads it into the
+    fault-injection schedule).  A transient failure is retried after its
+    deterministic backoff, up to ``policy.max_retries`` times;
+    ``stop_on_failure`` leaves every task after the first definitive
+    failure unrun, and so does a drain.
     """
     outcome = PassOutcome()
-    remaining: deque[tuple[Any, Callable, tuple, int]] = deque(
-        (tid, fn, args, 0) for tid, fn, args in tasks
-    )
+    remaining: deque[tuple[Any, int]] = deque((task, 0) for task in tasks)
     stop = False
     while remaining:
         if stop or _drain_requested(drain):
-            outcome.not_run = [entry[0] for entry in remaining]
+            outcome.not_run = [task for task, _ in remaining]
             break
-        tid, fn, args, attempt = remaining.popleft()
-        call_args = args + (attempt,)
+        task, attempt = remaining.popleft()
         try:
-            result = fn(*call_args)
+            result = run(task, attempt)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -320,16 +319,16 @@ def run_resilient_serial(
             attempts = attempt + 1
             if kind == "transient" and attempts <= policy.max_retries:
                 outcome.retried += 1
-                time.sleep(backoff_s(str(tid), attempts, policy))
-                remaining.appendleft((tid, fn, args, attempts))
+                time.sleep(backoff_s(str(task), attempts, policy))
+                remaining.appendleft((task, attempts))
                 continue
-            outcome.failures[tid] = TaskFailure(attempts, kind, exc)
+            outcome.failures[task] = TaskFailure(attempts, kind, exc)
             if stop_on_failure:
                 stop = True
         else:
-            outcome.results[tid] = result
+            outcome.results[task] = result
             if on_success is not None:
-                on_success(tid, result)
+                on_success(task, result)
     outcome.drained = _drain_requested(drain)
     return outcome
 

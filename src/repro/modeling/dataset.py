@@ -186,7 +186,8 @@ def measure_counter_rates(
     """Counter rates (events per second of phase time) at calibration.
 
     Registry benchmarks run through the campaign engine; custom or
-    mutated application instances run serially against the live object.
+    mutated application instances run against the live object, in one
+    fleet-kernel pass.
     """
     cluster.check_node_id(node_id)
     canonical = [preset(c).name for c in counters]

@@ -309,6 +309,7 @@ def _print_breakdown(title: str, counts: dict[str, int]) -> None:
 def main_campaign(argv: list[str] | None = None) -> int:
     """``repro-campaign {plan,run,status} ...``"""
     from repro.campaign.backends import BACKEND_KINDS
+    from repro.campaign.resilience import ON_FAILURE_POLICIES
 
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
@@ -345,7 +346,7 @@ def main_campaign(argv: list[str] | None = None) -> int:
     )
     run_p.add_argument(
         "--on-failure",
-        choices=("raise", "quarantine", "skip"),
+        choices=ON_FAILURE_POLICIES,
         default="raise",
         help="what to do with jobs that exhaust their retries: abort the "
         "campaign (raise, default), persist a failure record so later runs "

@@ -1,8 +1,11 @@
 """Tests for the ``repro-campaign`` console entry point."""
 
+import re
+
 import pytest
 
 from repro.campaign.backends import BACKEND_KINDS
+from repro.campaign.resilience import ON_FAILURE_POLICIES
 from repro.tools.cli import main_campaign
 
 
@@ -156,6 +159,14 @@ class TestBackendFlag:
         assert [k for k in ("jsonl", "sqlite", "segment") if k in offered] == list(
             BACKEND_KINDS
         )
+
+    def test_on_failure_choices_are_policies(self, capsys):
+        """``--on-failure`` offers exactly the engine's failure policies."""
+        with pytest.raises(SystemExit) as excinfo:
+            main_campaign(["run", "--store", "unused.jsonl", "--on-failure", "retry"])
+        assert excinfo.value.code == 2
+        offered = capsys.readouterr().err.split("choose from", 1)[1]
+        assert re.findall(r"'(\w+)'", offered) == list(ON_FAILURE_POLICIES)
 
 
 class TestDirectoryStore:

@@ -1,6 +1,6 @@
 """Campaign ``counters`` jobs against the recursive engine.
 
-A counters job is a fleet-shard member like any other job: one
+A counters job is a shard member like any other job: one
 instrumented run at the calibration point, whose phase counter totals
 are read from the member's priced run.  :func:`execute_job` prices a
 lone job the same way, so a per-job reference cannot catch a counters
@@ -11,8 +11,8 @@ region's inclusive counters.
 
 import pytest
 
-from repro.campaign.engine import execute_fleet_shard, topology_job_key
-from repro.campaign.plan import FleetShard, counter_jobs
+from repro.campaign.engine import CampaignEngine
+from repro.campaign.plan import counter_jobs
 from repro.counters.papi import TABLE1_COUNTERS, preset
 from repro.hardware.node import ComputeNode
 from repro.workloads import registry
@@ -42,7 +42,7 @@ def recursive_counters(job) -> tuple[dict[str, float], float]:
 
 @pytest.fixture(scope="module")
 def priced():
-    """One counters job per registry benchmark, priced as one shard."""
+    """One counters job per registry benchmark, priced by the engine."""
     jobs = tuple(
         counter_jobs(
             name, threads=None, counters=COUNTERS, runs=2,
@@ -50,8 +50,8 @@ def priced():
         )[1]
         for name in registry.benchmark_names()
     )
-    payloads = execute_fleet_shard(FleetShard(jobs))
-    return {job.app: (job, payloads[topology_job_key(job, None)]) for job in jobs}
+    results = CampaignEngine().run(jobs)
+    return {job.app: (job, results[job]) for job in jobs}
 
 
 @pytest.mark.parametrize("app_name", registry.benchmark_names())

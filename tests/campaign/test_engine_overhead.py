@@ -5,9 +5,11 @@ arm, so a slowdown in code both arms share — key hashing, store I/O,
 registry builds — passes them all.  These tests pin the per-run counts
 instead: a cold multi-shard run hashes each job's store key once (plus
 the store's key/descriptor check), reads the store in batches, writes
-one transaction per shard and builds each application once.
+one transaction per shard and builds each application once per
+process.
 """
 
+import math
 from collections import Counter
 
 import pytest
@@ -15,16 +17,20 @@ import pytest
 from repro.campaign import engine as engine_module
 from repro.campaign import store as store_module
 from repro.campaign.engine import CampaignEngine, topology_job_key
-from repro.campaign.plan import fleet_jobs, plan_dataset_campaign
+from repro.campaign.plan import DEFAULT_FLEET_SHARD_SIZE, plan_dataset_campaign
 from repro.campaign.resilience import failure_descriptor
 from repro.campaign.store import ResultStore, job_key
 from repro.workloads import registry
 
 
+def shard_count(plan) -> int:
+    return math.ceil(len(plan) / DEFAULT_FLEET_SHARD_SIZE)
+
+
 @pytest.fixture(scope="module")
 def plan():
     plan = plan_dataset_campaign(("EP", "Mcb"), thread_counts=(24,))
-    assert len(fleet_jobs(plan)) >= 3
+    assert shard_count(plan) >= 3
     return plan
 
 
@@ -34,7 +40,7 @@ def test_one_write_transaction_per_shard(tmp_path, plan):
         store._backend._connect().set_trace_callback(statements.append)
         CampaignEngine(store=store).run(plan)
         begins = [s for s in statements if s.startswith("BEGIN")]
-        assert len(begins) == len(fleet_jobs(plan))
+        assert len(begins) == shard_count(plan)
         assert len(store) == len(plan)
 
 
@@ -58,6 +64,8 @@ def test_each_key_hashed_once_per_run(monkeypatch, plan):
 
 
 def test_each_app_built_once_per_run(monkeypatch, plan):
+    """Registry builds are memoised per process: a second run of the
+    plan builds nothing."""
     built: Counter = Counter()
     build = registry.build
 
@@ -66,5 +74,7 @@ def test_each_app_built_once_per_run(monkeypatch, plan):
         return build(name)
 
     monkeypatch.setattr(registry, "build", counting)
+    engine_module._stock_app.cache_clear()
+    CampaignEngine().run(plan)
     CampaignEngine().run(plan)
     assert built == {"EP": 1, "Mcb": 1}

@@ -1,12 +1,12 @@
 """Fleet-sharded campaign execution: batched pricing, per-job schema.
 
-:meth:`CampaignEngine.run` cuts jobs of every mode into
-:class:`~repro.campaign.plan.FleetShard`\\ s and prices each shard in
-one pass through the fleet replay kernel; a single-job slice runs per
-job.  Sharding is a strategy, not a schema: every payload equals the
-per-job :func:`execute_job` payload, and store keys are per job, so a
-store written job by job recalls bit-identically.  A shard that fails
-re-runs its members per job, so one bad job is quarantined alone.
+:meth:`CampaignEngine.run` cuts jobs of every mode into shards — tuples
+of their store keys — and prices each shard in one pass through the
+fleet replay kernel, a one-job shard included.  Sharding is a strategy,
+not a schema: every payload equals the per-job :func:`execute_job`
+payload, and store keys are per job, so a store written job by job
+recalls bit-identically.  A shard that fails re-runs its members as
+one-key shards, so one bad job is quarantined alone.
 """
 
 import json
@@ -19,15 +19,13 @@ from repro.campaign.faultinject import FAULT_ENV
 from repro.campaign.plan import (
     CampaignPlan,
     DEFAULT_FLEET_SHARD_SIZE,
-    FleetShard,
     counter_jobs,
-    fleet_jobs,
     grid_jobs,
     savings_jobs,
     static_jobs,
     sweep_jobs,
 )
-from repro.errors import CampaignError, CampaignExecutionError
+from repro.errors import CampaignExecutionError
 from repro.execution import fleet_replay
 from repro.execution.simulator import OperatingPoint
 from repro.readex.tuning_model import TuningModel
@@ -102,9 +100,9 @@ class TestFleetStrategy:
         assert got == per_job(plan)
 
     def test_full_shard_plus_trailing_single_job(self, tmp_path, fleet_calls):
-        """17 fleet-able jobs: one full shard through the kernel, and
-        the single-job remainder priced per job (a fleet of its one
-        member), both bit-identical."""
+        """17 jobs: one full shard through the kernel, and the one-key
+        remainder shard (a fleet of its one member), both
+        bit-identical."""
         plan = CampaignPlan(sweep_jobs("EP", threads=24)[:17])
         _, got = run_plan(tmp_path, "split.jsonl", plan)
         assert fleet_calls == [DEFAULT_FLEET_SHARD_SIZE, 1]
@@ -147,9 +145,9 @@ class TestFleetStrategy:
 
 class TestSingleJobPlan:
     def test_one_savings_job_skips_the_fleet_kernel(self, fleet_calls):
-        """The shape of a served TMM pricing: one RRL-controlled job
-        runs per job — a fleet of one member, not a shard —
-        byte-for-byte the :func:`execute_job` payload."""
+        """The shape of a served TMM pricing: one RRL-controlled job is
+        a one-key shard — a fleet of one member — byte-for-byte the
+        :func:`execute_job` payload."""
         (job,) = savings_jobs(
             "Lulesh", label="dynamic", runs=1, threads=24,
             controller="rrl", tuning_model=tmm_json("Lulesh"),
@@ -236,6 +234,43 @@ class TestShardFailure:
             len(plan) - DEFAULT_FLEET_SHARD_SIZE
         ]
 
+    def test_transient_shard_fault_retries_the_whole_shard(
+        self, tmp_path, monkeypatch, fleet_calls
+    ):
+        plan = CampaignPlan(sweep_jobs("EP", threads=24))
+        self._fault_env(
+            monkeypatch,
+            {"action": "raise", "mode": "fleet", "index": 0,
+             "error": "transient", "attempts": [0]},
+        )
+        with ResultStore(str(tmp_path / "transient.jsonl")) as store:
+            engine = CampaignEngine(store=store, retry_policy=FAST_POLICY)
+            results = engine.run(plan)
+        assert results.report.retried == 1
+        assert results.report.executed == len(plan)
+        # the retry priced the shard whole: no per-job split
+        assert fleet_calls == [
+            DEFAULT_FLEET_SHARD_SIZE, len(plan) - DEFAULT_FLEET_SHARD_SIZE
+        ]
+
+    def test_fleet_fault_skips_trailing_one_job_shard(
+        self, tmp_path, monkeypatch, fleet_calls
+    ):
+        """Only shards of two or more jobs count as fleet positions: the
+        trailing one-job shard of 17 jobs is not fleet shard 1."""
+        plan = CampaignPlan(sweep_jobs("EP", threads=24)[:17])
+        self._fault_env(
+            monkeypatch,
+            {"action": "raise", "mode": "fleet", "index": 1, "attempts": "all"},
+        )
+        with ResultStore(str(tmp_path / "trailing.jsonl")) as store:
+            engine = CampaignEngine(store=store, retry_policy=FAST_POLICY)
+            results = engine.run(plan)
+        assert results.report.failed == 0
+        assert results.report.retried == 0
+        assert results.report.executed == len(plan)
+        assert fleet_calls == [DEFAULT_FLEET_SHARD_SIZE, 1]
+
     def test_member_failure_raises_per_job_accounting(
         self, tmp_path, monkeypatch
     ):
@@ -266,19 +301,28 @@ class TestShardFailure:
         reference = per_job(CampaignPlan(tuple(keys[k] for k in completed)))
         assert {keys[k]: v for k, v in err.completed.items()} == reference
 
+class TestCustomApplication:
+    def test_mutated_app_priced_in_one_fleet_pass(self, fleet_calls):
+        """A mutated registry application bypasses the engine, yet its
+        jobs still share one kernel pass, bit-identical job by job."""
+        import dataclasses
 
-class TestFleetSharding:
-    def test_shards_partition_in_order(self):
-        jobs = sweep_jobs("EP", threads=24)
-        shards = fleet_jobs(list(jobs))
-        sizes = [len(s) for s in shards]
-        assert sizes[:-1] == [DEFAULT_FLEET_SHARD_SIZE] * (len(sizes) - 1)
-        assert 1 <= sizes[-1] <= DEFAULT_FLEET_SHARD_SIZE
-        assert tuple(j for s in shards for j in s) == jobs
+        from repro.campaign import counter_jobs, run_app_jobs
+        from repro.counters.papi import preset
+        from repro.hardware.cluster import Cluster
+        from repro.modeling.dataset import FEATURE_COUNTERS, measure_counter_rates
 
-    def test_empty_shard_rejected(self):
-        with pytest.raises(CampaignError):
-            FleetShard(jobs=())
+        cluster = Cluster(2)
+        mutated = dataclasses.replace(registry.build("EP"), phase_iterations=3)
+        measure_counter_rates(mutated, cluster, threads=24, runs=3)
+        assert fleet_calls == [3]
+        jobs = counter_jobs(
+            "EP", threads=24, runs=3, node_seed=cluster.seed,
+            counters=tuple(preset(c).name for c in FEATURE_COUNTERS),
+        )
+        results = run_app_jobs(jobs, mutated, cluster=cluster)
+        for job in jobs:
+            assert results[job] == execute_job(job, cluster.topology, app=mutated)
 
 
 def _store_rows(path, backend):

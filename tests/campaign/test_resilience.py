@@ -185,25 +185,19 @@ class TestSerialLoop:
                 raise InjectedTransientFault("first attempt dies")
             return f"{name}-ok"
 
-        outcome = run_resilient_serial(
-            [("t1", flaky, ("t1",)), ("t2", flaky, ("t2",))],
-            policy=FAST_POLICY,
-        )
+        outcome = run_resilient_serial(["t1", "t2"], flaky, policy=FAST_POLICY)
         assert outcome.results == {"t1": "t1-ok", "t2": "t2-ok"}
         assert outcome.retried == 2
         assert not outcome.failures
         assert calls == [("t1", 0), ("t1", 1), ("t2", 0), ("t2", 1)]
 
     def test_deterministic_failure_fails_fast(self):
-        def bad(attempt):
-            raise ValueError("always broken")
-
-        def good(attempt):
+        def run(task, attempt):
+            if task == "bad":
+                raise ValueError("always broken")
             return 42
 
-        outcome = run_resilient_serial(
-            [("bad", bad, ()), ("good", good, ())], policy=FAST_POLICY
-        )
+        outcome = run_resilient_serial(["bad", "good"], run, policy=FAST_POLICY)
         assert outcome.results == {"good": 42}
         failure = outcome.failures["bad"]
         assert failure.kind == "deterministic"
@@ -213,13 +207,11 @@ class TestSerialLoop:
     def test_retries_are_bounded(self):
         attempts = []
 
-        def always_flaky(attempt):
+        def always_flaky(task, attempt):
             attempts.append(attempt)
             raise InjectedTransientFault("never succeeds")
 
-        outcome = run_resilient_serial(
-            [("t", always_flaky, ())], policy=FAST_POLICY
-        )
+        outcome = run_resilient_serial(["t"], always_flaky, policy=FAST_POLICY)
         assert attempts == [0, 1, 2]  # 1 + max_retries
         assert outcome.failures["t"].attempts == 3
         assert outcome.failures["t"].kind == "transient"

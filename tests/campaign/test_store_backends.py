@@ -136,13 +136,15 @@ class TestPerBackendSemantics:
         with store_for(tmp_path, backend) as store:
             desc = descriptor(0)
             key = job_key(desc)
-            store._backend.put_record(
-                {
-                    "key": key,
-                    "store_version": STORE_VERSION - 1,
-                    "job": desc,
-                    "result": result(0),
-                }
+            store._backend.put_records(
+                [
+                    {
+                        "key": key,
+                        "store_version": STORE_VERSION - 1,
+                        "job": desc,
+                        "result": result(0),
+                    }
+                ]
             )
             store.refresh()
             assert store.stale_records == 1
@@ -153,13 +155,15 @@ class TestPerBackendSemantics:
         with store_for(tmp_path, backend) as store:
             desc = descriptor(1)
             key = job_key(desc)
-            store._backend.put_record(
-                {
-                    "key": key,
-                    "store_version": STORE_VERSION - 1,
-                    "job": desc,
-                    "result": result(1),
-                }
+            store._backend.put_records(
+                [
+                    {
+                        "key": key,
+                        "store_version": STORE_VERSION - 1,
+                        "job": desc,
+                        "result": result(1),
+                    }
+                ]
             )
             store.refresh()
             assert store.stale_records == 1
@@ -201,13 +205,15 @@ class TestPerBackendSemantics:
         with store_for(tmp_path, backend) as store:
             stale_desc = descriptor(4)
             stale_key = job_key(stale_desc)
-            store._backend.put_record(
-                {
-                    "key": stale_key,
-                    "store_version": STORE_VERSION - 1,
-                    "job": stale_desc,
-                    "result": result(4),
-                }
+            store._backend.put_records(
+                [
+                    {
+                        "key": stale_key,
+                        "store_version": STORE_VERSION - 1,
+                        "job": stale_desc,
+                        "result": result(4),
+                    }
+                ]
             )
             store.refresh()
             other = descriptor(5)
@@ -261,7 +267,7 @@ class TestBatchedContract:
     def test_stale_record_raises_as_get_does(self, tmp_path, backend):
         with any_store(tmp_path, backend) as store:
             store.put(job_key(descriptor(0)), descriptor(0), result(0))
-            store._backend.put_record(stale_record(1))
+            store._backend.put_records([stale_record(1)])
             store.refresh()
             keys = [job_key(descriptor(i)) for i in (0, 1, 2)]
             with pytest.raises(CampaignError) as single:
@@ -301,7 +307,7 @@ class TestBatchedContract:
 
     def test_shard_write_heals_other_version_record(self, tmp_path, backend):
         with any_store(tmp_path, backend) as store:
-            store._backend.put_record(stale_record(1))
+            store._backend.put_records([stale_record(1)])
             store.refresh()
             assert store.stale_records == 1
             store.put_many(

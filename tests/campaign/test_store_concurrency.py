@@ -63,13 +63,15 @@ def test_concurrent_writers_lose_nothing(tmp_path):
         # heal them (last-wins) rather than trip over them.
         for i in range(0, KEY_SPACE, 10):
             desc = descriptor(i)
-            store._backend.put_record(
-                {
-                    "key": job_key(desc),
-                    "store_version": STORE_VERSION - 1,
-                    "job": desc,
-                    "result": {"obsolete": True},
-                }
+            store._backend.put_records(
+                [
+                    {
+                        "key": job_key(desc),
+                        "store_version": STORE_VERSION - 1,
+                        "job": desc,
+                        "result": {"obsolete": True},
+                    }
+                ]
             )
 
     processes = [

@@ -52,7 +52,7 @@ def measure_app(app_name: str, primary: str = "sweep") -> dict:
         return heatmap[engine](app_name, threads=threads, cluster=Cluster(2))
 
     order = (primary, "loop" if primary == "sweep" else "sweep")
-    grid(primary)  # warm-up: registry, memoised timings, RNG fast path
+    grid(primary)  # warm-up: registry, frequency table, RNG fast path
     timings, maps = {}, {}
     for engine in order:
         # A full collection landing inside one arm's timed call would

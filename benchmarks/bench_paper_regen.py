@@ -212,8 +212,8 @@ def checksum(artifact: dict) -> str:
 def run_benchmark(
     stride: int = DEFAULT_STRIDE, runs: int = DEFAULT_RUNS
 ) -> dict:
-    # Warm-up at token scale: registry, memoised region timings and
-    # compiled structural schedules, so neither timed arm pays them.
+    # Warm-up at token scale: registry builds, compiled and priced
+    # control schedules, so neither timed arm pays them.
     regenerate_artifacts("fleet", stride=max(stride, 7), runs=1)
 
     timings, arms = {}, {}

@@ -22,7 +22,11 @@ time, each a fresh grid, to a batched and to an unbatched service.
 Nothing can coalesce, so batching must cost nothing: the gated flag
 ``no_admission_delay`` holds when the batched p50 is at most
 ``LIGHT_LOAD_P50_BOUND`` times the unbatched p50.  An admission timer
-that makes a lone request wait for batch-mates fails it.
+that makes a lone request wait for batch-mates fails it.  One such p50
+covers a dozen requests of a few milliseconds, so a single scheduler
+hiccup can move it past the bound: the pair of arms is measured
+``LIGHT_LOAD_REPETITIONS`` times, alternating which arm runs first, and
+the flag gates the median of the per-repetition ratios.
 
 ``--workers N`` switches to the **scaling** benchmark instead: each
 client tunes its *own* grid (distinct seeds — no coalescing between
@@ -57,6 +61,7 @@ import asyncio
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -79,6 +84,9 @@ OBJECTIVES = ("energy", "edp", "ed2p")
 #: The light-load gate: batched p50 over unbatched p50 stays at or
 #: under this when no request has a batch-mate.
 LIGHT_LOAD_P50_BOUND = 1.25
+
+#: Light-load repetitions; odd, so the median is one measured ratio.
+LIGHT_LOAD_REPETITIONS = 5
 
 
 def client_tmm(index: int) -> str:
@@ -189,6 +197,31 @@ def light_load_requests(
     ]
 
 
+def measure_light_load(
+    requests: int, benchmark: str, stride: int
+) -> list[tuple[dict, dict]]:
+    """``LIGHT_LOAD_REPETITIONS`` (batched, unbatched) light-load pairs.
+
+    Which arm runs first alternates between repetitions, so neither
+    always meets the warmer (or the busier) machine.  Every arm of every
+    repetition gets its own seeds, which keeps all grids cold.
+    """
+    pairs = []
+    for repetition in range(LIGHT_LOAD_REPETITIONS):
+        order = ("batched", "unbatched")
+        if repetition % 2:
+            order = order[::-1]
+        arms = {}
+        for admission in order:
+            first_seed = 20_000 + (2 * repetition + len(arms)) * requests
+            arms[admission] = measure_arm(
+                admission,
+                light_load_requests(requests, first_seed, benchmark, stride),
+            )
+        pairs.append((arms["batched"], arms["unbatched"]))
+    return pairs
+
+
 def run_benchmark(
     clients: int = DEFAULT_CLIENTS,
     rounds: int = DEFAULT_ROUNDS,
@@ -198,8 +231,9 @@ def run_benchmark(
     load = [
         round_requests(clients, r, benchmark, stride) for r in range(rounds)
     ]
-    # warm-up round outside the measurement: registry caches, memoised
-    # region timings (same for both arms)
+    # warm-up round outside the measurement: registry builds, the
+    # effective-frequency table, the RNG fast-path tables and first-call
+    # imports (same for both arms)
     measure_arm("batched", [round_requests(clients, 10_000, benchmark, stride)])
 
     batched = measure_arm("batched", load)
@@ -211,26 +245,27 @@ def run_benchmark(
         for b, u in zip(batched.pop("responses"), unbatched.pop("responses"))
     )
 
-    # Distinct seeds per arm keep both arms' grids cold.
-    requests = clients * rounds
-    light_batched = measure_arm(
-        "batched", light_load_requests(requests, 20_000, benchmark, stride)
-    )
-    light_unbatched = measure_arm(
-        "unbatched", light_load_requests(requests, 30_000, benchmark, stride)
-    )
+    light = measure_light_load(clients * rounds, benchmark, stride)
+    light_ratios = [
+        batched_arm["p50_ms"] / unbatched_arm["p50_ms"]
+        for batched_arm, unbatched_arm in light
+    ]
+    light_ratio = statistics.median(light_ratios)
     light_ok = all(
         response.get("status") == "ok"
-        for arm in (light_batched, light_unbatched)
+        for pair in light
+        for arm in pair
         for response in arm.pop("responses")
     )
-    light_ratio = light_batched["p50_ms"] / light_unbatched["p50_ms"]
+    # The reported light-load arms are the repetition at the median.
+    light_batched, light_unbatched = light[light_ratios.index(light_ratio)]
     aggregate = {
         "speedup": batched["rps"] / unbatched["rps"],
         "responses_identical": identical and light_ok,
         "coalesced": batched["coalesced"],
         "coalescing_engaged": batched["coalesced"] > 0,
         "light_load_p50_ratio": light_ratio,
+        "light_load_p50_ratios": light_ratios,
         "no_admission_delay": light_ratio <= LIGHT_LOAD_P50_BOUND,
     }
     return {
@@ -394,7 +429,8 @@ def render(report: dict) -> str:
         f"{'aggregate':<16} speedup {a['speedup']:.1f}x  "
         f"coalesced {a['coalesced']}  "
         f"identical {a['responses_identical']}  "
-        f"light p50 ratio {a['light_load_p50_ratio']:.2f} "
+        f"light p50 ratio {a['light_load_p50_ratio']:.2f} (median of "
+        f"{len(a['light_load_p50_ratios'])}) "
         f"(no admission delay {a['no_admission_delay']})"
     )
     return "\n".join(lines)
@@ -418,7 +454,8 @@ def test_serving_throughput(benchmark):
     # under load is diagnosable from the assertion alone.
     measured = (
         f"speedup={aggregate['speedup']:.3f}, "
-        f"light_load_p50_ratio={aggregate['light_load_p50_ratio']:.3f}\n"
+        f"light_load_p50_ratio={aggregate['light_load_p50_ratio']:.3f} "
+        f"(median of {aggregate['light_load_p50_ratios']})\n"
         f"{rendered}"
     )
     assert aggregate["responses_identical"]

@@ -53,7 +53,7 @@ CANONICAL_COUNTERS = tuple(preset(c).name for c in TABLE1_COUNTERS)
 
 
 def _time_per_run(run_once, runs: int) -> float:
-    run_once(0)  # warm-up: registry caches, memoised timings
+    run_once(0)  # warm-up: registry caches; the oracle's scalar-physics memo
     start = time.perf_counter()
     for i in range(runs):
         run_once(i + 1)

@@ -83,7 +83,7 @@ def measure_app(
         return compare[engine](app_name, CANNED_STATIC, model, runs=runs)
 
     order = (primary, "recursive" if primary == "replay" else "replay")
-    sweep(primary)  # warm-up: registry, memoised timings, schedule cache
+    sweep(primary)  # warm-up: registry, schedule cache and its pricing
     timings, rows = {}, {}
     for engine in order:
         start = time.perf_counter()

@@ -6,7 +6,7 @@ plays in the paper.
 """
 
 from repro.execution.speedup import thread_speedup, memory_bandwidth_gbs
-from repro.execution.timing import RegionTiming, region_timing
+from repro.execution.timing import RegionTiming
 from repro.execution.simulator import (
     ExecutionSimulator,
     OperatingPoint,
@@ -22,7 +22,6 @@ __all__ = [
     "thread_speedup",
     "memory_bandwidth_gbs",
     "RegionTiming",
-    "region_timing",
     "ExecutionSimulator",
     "OperatingPoint",
     "RegionInstance",

@@ -10,16 +10,23 @@ state, never on durations or noise — so the run splits into two phases:
 The region trace is walked symbolically against the controller: the real
 ``on_region_enter``/``on_region_exit`` hooks run against the live node's
 frequency subsystem (MSRs, DVFS/UFS transition logs), but no simulated
-time passes and no meter is charged.  The walk records, per iteration,
-the ordered *charge sequence* — switch latencies, region bodies, probe
-overheads, each with its operating point and power breakdown — i.e. the
-switch schedule plus everything needed to price it.  Because controller
+time passes, no meter is charged and nothing is priced.  The walk
+records, per iteration, the ordered *charge sequence* — switch
+latencies, region bodies, probe overheads, each with its kind, slot and
+operating point — i.e. the symbolic switch schedule.  Because controller
 decisions are iteration-independent, the walk reaches a fixed point
 after at most two iterations in practice: once an iteration starts from
 the same (frequencies, pending transitions, controller state) as its
 predecessor, its pattern — and every later iteration's — is already
 known, and the controller's statistics are extrapolated instead of
-re-walked.
+re-walked.  Controller hooks therefore never see a priced value.
+
+**Pricing** (:meth:`ControlSchedule.prices`).  Each compiled schedule is
+priced in one pass against a node's physics: its distinct operating
+points x distinct work characteristics through the array forms of the
+timing and power models (:func:`~repro.execution.timing.region_timings`,
+:meth:`~repro.hardware.power.PowerModel.power_array`), the same pricing
+uncontrolled grids use, and gathered into per-pattern charge arrays.
 
 **Phase 2 — segmented replay** (:func:`flatten_control_schedule`).  The
 trace is segmented by compiled pattern (*segments partition the
@@ -45,14 +52,13 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from repro import config
 from repro.counters.generation import MeasurementContext
-from repro.execution.timing import RegionTiming, region_timing
 from repro.workloads.application import Application
 from repro.workloads.region import Region
 
@@ -81,50 +87,64 @@ class _Charge:
     kind: int
     slot: int
     duration_s: float             #: fixed for SWITCH/PROBE, 0.0 for BODY
-    node_w: float
-    package_w: float
-    dram_w: float
+    point: object                 #: OperatingPoint the charge is priced at
 
 
 @dataclass
 class _Slot:
     """One region of the flattened phase subtree (pre-order), under the
-    operating point the walk observed for this pattern."""
+    operating point the walk observed for this pattern.  The walk leaves
+    the three power fields at zero; :meth:`ControlSchedule.prices` fills
+    them in priced copies."""
 
     region: Region
     children: tuple[int, ...]
     has_work: bool
     probed: bool
-    timing: RegionTiming | None
-    base_time_s: float
-    node_w: float                 #: body power
-    cpu_fraction: float
     probe_s: float
-    probe_node_w: float
     work_index: int               #: row in the work-region arrays, -1
     point: object                 #: OperatingPoint of the body
     charge_start: int             #: span in this pattern's charge sequence
     charge_end: int
+    node_w: float = 0.0           #: body power
+    cpu_fraction: float = 0.0
+    probe_node_w: float = 0.0
 
 
 @dataclass
 class _Pattern:
-    """The compiled charge plan of one distinct iteration shape."""
+    """The symbolic charge plan of one distinct iteration shape."""
 
     slots: tuple[_Slot, ...]
     charges: tuple[_Charge, ...]
     fixed_durations: np.ndarray   #: (C,) switch/probe durations, 0 for bodies
     body_rows: np.ndarray         #: (C,) work-region row per charge, -1 fixed
-    node_w: np.ndarray            #: (C,) power components per charge
-    package_w: np.ndarray
-    dram_w: np.ndarray
     switch_latencies: np.ndarray  #: SWITCH-charge durations, in order
     probe_overheads: np.ndarray   #: PROBE-charge durations, in order
-    base_times: np.ndarray        #: (W,) body durations at this pattern's ops
 
     @property
     def num_switches(self) -> int:
         return int(self.switch_latencies.size)
+
+
+@dataclass
+class _PatternPrices:
+    """One pattern's charges priced against one node's physics."""
+
+    slots: tuple[_Slot, ...]      #: the pattern's slots, power fields filled
+    node_w: np.ndarray            #: (C,) power components per charge
+    package_w: np.ndarray
+    dram_w: np.ndarray
+    base_times: np.ndarray        #: (W,) body durations at this pattern's ops
+
+
+@dataclass(frozen=True)
+class _WorkSet:
+    """What :func:`~repro.execution.replay._evaluate_block` prices: work
+    characteristics (one column each) and whether probes are charged."""
+
+    work_chars: tuple
+    any_probed: bool
 
 
 @dataclass
@@ -133,7 +153,8 @@ class ControlSchedule:
 
     ``spans`` segments the iteration axis: ``(pattern index, first
     iteration, count)`` triples in order, jointly covering every
-    iteration exactly once.
+    iteration exactly once.  The patterns are symbolic; :meth:`prices`
+    prices them.
     """
 
     patterns: list[_Pattern]
@@ -141,6 +162,24 @@ class ControlSchedule:
     post_order: tuple[int, ...]
     iterations: int
     num_work: int
+    _priced: tuple | None = field(default=None, repr=False, compare=False)
+
+    def prices(self, power_model) -> list[_PatternPrices]:
+        """Every pattern priced against ``power_model``, one
+        :class:`_PatternPrices` per pattern.
+
+        The pricing depends on the model's physics (variability and
+        socket/core counts) alone, so a cached schedule replayed on
+        fresh nodes of one physics prices once.
+        """
+        physics = (
+            power_model.variability,
+            power_model.num_sockets,
+            power_model.num_cores,
+        )
+        if self._priced is None or self._priced[0] != physics:
+            self._priced = (physics, _price_patterns(self.patterns, power_model))
+        return self._priced[1]
 
     @property
     def work_names(self) -> list[str]:
@@ -393,8 +432,8 @@ def _walk_iteration(
 ) -> _Pattern:
     """One symbolic pre-order walk of a region-by-region run minus the
     meters: controller hooks fire for real, switching latencies are read
-    off the live transition logs, timings/powers are evaluated at the
-    frequencies the node holds at that moment."""
+    off the live transition logs, and each charge records the operating
+    point the node holds at that moment.  Nothing is priced here."""
     from repro.execution.simulator import OperatingPoint, probe_overhead_s
 
     slots: list[_Slot | None] = []
@@ -408,22 +447,12 @@ def _walk_iteration(
         node.ufs.log.clear()
         latency = pending_switch_latency_s(dvfs_n, ufs_n)
         if latency > 0:
-            breakdown = node.compute_power(
-                active_threads=frame_threads,
-                core_activity=config.STALLED_CORE_ACTIVITY,
-                uncore_activity=0.0,
-                membw_gbs=0.0,
+            point = OperatingPoint(
+                core_freq_ghz=node.core_freq_ghz,
+                uncore_freq_ghz=node.uncore_freq_ghz,
+                threads=frame_threads,
             )
-            charges.append(
-                _Charge(
-                    kind=SWITCH,
-                    slot=slot_index,
-                    duration_s=latency,
-                    node_w=breakdown.node_w,
-                    package_w=breakdown.rapl_package_w,
-                    dram_w=breakdown.rapl_dram_w,
-                )
-            )
+            charges.append(_Charge(SWITCH, slot_index, latency, point))
 
     def visit(region: Region, frame_threads: int) -> int:
         nonlocal work_count
@@ -434,67 +463,23 @@ def _walk_iteration(
             frame_threads = new_threads
         drain_switches(index, frame_threads)
         charge_start = len(charges)
-        core_ghz = node.core_freq_ghz
-        uncore_ghz = node.uncore_freq_ghz
+        point = OperatingPoint(
+            core_freq_ghz=node.core_freq_ghz,
+            uncore_freq_ghz=node.uncore_freq_ghz,
+            threads=frame_threads,
+        )
         probed = instrumented and (
             instrumentation is None or instrumentation.is_instrumented(region)
         )
-        timing = None
-        base_time = node_w = cpu_fraction = 0.0
         work_index = -1
         if region.has_work:
-            timing = region_timing(
-                region.characteristics,
-                threads=frame_threads,
-                core_freq_ghz=core_ghz,
-                uncore_freq_ghz=uncore_ghz,
-            )
-            breakdown = node.compute_power(
-                active_threads=frame_threads,
-                core_activity=timing.core_activity,
-                uncore_activity=timing.uncore_activity,
-                membw_gbs=timing.membw_gbs,
-            )
-            base_time = timing.time_s
-            node_w = breakdown.node_w
-            cpu_fraction = breakdown.cpu_w / breakdown.node_w
             work_index = work_count
             work_count += 1
-            charges.append(
-                _Charge(
-                    kind=BODY,
-                    slot=index,
-                    duration_s=0.0,
-                    node_w=breakdown.node_w,
-                    package_w=breakdown.rapl_package_w,
-                    dram_w=breakdown.rapl_dram_w,
-                )
-            )
-        probe_s = probe_node_w = 0.0
+            charges.append(_Charge(BODY, index, 0.0, point))
+        probe_s = 0.0
         if probed:
-            breakdown = node.compute_power(
-                active_threads=frame_threads,
-                core_activity=1.0,
-                uncore_activity=0.1,
-                membw_gbs=0.0,
-            )
             probe_s = probe_overhead_s(region)
-            probe_node_w = breakdown.node_w
-            charges.append(
-                _Charge(
-                    kind=PROBE,
-                    slot=index,
-                    duration_s=probe_s,
-                    node_w=breakdown.node_w,
-                    package_w=breakdown.rapl_package_w,
-                    dram_w=breakdown.rapl_dram_w,
-                )
-            )
-        point = OperatingPoint(
-            core_freq_ghz=core_ghz,
-            uncore_freq_ghz=uncore_ghz,
-            threads=frame_threads,
-        )
+            charges.append(_Charge(PROBE, index, probe_s, point))
         children = tuple(visit(child, frame_threads) for child in region.children)
         charge_end = len(charges)
         controller.on_region_exit(region, iteration, node)
@@ -504,12 +489,7 @@ def _walk_iteration(
             children=children,
             has_work=region.has_work,
             probed=probed,
-            timing=timing,
-            base_time_s=base_time,
-            node_w=node_w,
-            cpu_fraction=cpu_fraction,
             probe_s=probe_s,
-            probe_node_w=probe_node_w,
             work_index=work_index,
             point=point,
             charge_start=charge_start,
@@ -523,13 +503,7 @@ def _walk_iteration(
     num_charges = len(charges)
     fixed_durations = np.zeros(num_charges)
     body_rows = np.full(num_charges, -1, dtype=np.intp)
-    node_w = np.empty(num_charges)
-    package_w = np.empty(num_charges)
-    dram_w = np.empty(num_charges)
     for c, charge in enumerate(charges):
-        node_w[c] = charge.node_w
-        package_w[c] = charge.package_w
-        dram_w[c] = charge.dram_w
         if charge.kind == BODY:
             body_rows[c] = compiled[charge.slot].work_index
         else:
@@ -539,19 +513,98 @@ def _walk_iteration(
         charges=tuple(charges),
         fixed_durations=fixed_durations,
         body_rows=body_rows,
-        node_w=node_w,
-        package_w=package_w,
-        dram_w=dram_w,
         switch_latencies=np.array(
             [c.duration_s for c in charges if c.kind == SWITCH], dtype=float
         ),
         probe_overheads=np.array(
             [c.duration_s for c in charges if c.kind == PROBE], dtype=float
         ),
-        base_times=np.array(
-            [s.base_time_s for s in compiled if s.has_work], dtype=float
-        ),
     )
+
+
+def _price_patterns(patterns: list[_Pattern], power_model) -> list[_PatternPrices]:
+    """The one pricing pass of a compiled schedule.
+
+    A charge's numbers depend on its kind, its operating point and, for
+    a body, its region's characteristics.  The schedule's distinct
+    points x distinct work characteristics are priced as one block by
+    :func:`~repro.execution.replay._evaluate_block` (bodies and probes,
+    one :func:`~repro.execution.timing.region_timings` call), the
+    switches by one :meth:`~repro.hardware.power.PowerModel.power_array`
+    call, and every pattern gathers its charges' values from them.  The
+    array forms equal the scalar model bit for bit.
+    """
+    from repro.execution.replay import _evaluate_block
+
+    points = list(dict.fromkeys(c.point for p in patterns for c in p.charges))
+    point_row = {point: g for g, point in enumerate(points)}
+    work_chars = [s.region.characteristics for s in patterns[0].slots if s.has_work]
+    chars = tuple(dict.fromkeys(work_chars))
+    char_col = {c: w for w, c in enumerate(chars)}
+    work_col = [char_col[c] for c in work_chars]
+    probed = any(c.kind == PROBE for p in patterns for c in p.charges)
+    block = _evaluate_block(_WorkSet(chars, probed), power_model, points)
+    switch = power_model.power_array(
+        core_freq_ghz=[p.core_freq_ghz for p in points],
+        uncore_freq_ghz=[p.uncore_freq_ghz for p in points],
+        active_threads=[p.threads for p in points],
+        core_activity=config.STALLED_CORE_ACTIVITY,
+        uncore_activity=0.0,
+        membw_gbs=np.zeros((len(points), 1)),
+    )
+    # One column per work characteristic, then the probe and the switch
+    # column; one row per point.
+    kind_col = {PROBE: len(chars), SWITCH: len(chars) + 1}
+    tables = [
+        np.column_stack(parts)
+        for parts in (
+            (block.node_w, block.probe_node_w, switch.node_w),
+            (block.package_w, block.probe_package_w, switch.rapl_package_w),
+            (block.dram_w, block.probe_dram_w, switch.rapl_dram_w),
+        )
+    ]
+
+    priced = []
+    for pattern in patterns:
+        slots, charges = pattern.slots, pattern.charges
+        rows = np.array([point_row[c.point] for c in charges], dtype=np.intp)
+        cols = np.array(
+            [
+                work_col[slots[c.slot].work_index] if c.kind == BODY
+                else kind_col[c.kind]
+                for c in charges
+            ],
+            dtype=np.intp,
+        )
+        node_w, package_w, dram_w = (table[rows, cols] for table in tables)
+        # Body charges come in work-row order.
+        body = pattern.body_rows >= 0
+        body_at = (rows[body], cols[body])
+        body_w = node_w[body].tolist()
+        shares = block.cpu_fraction[body_at].tolist()
+        probe_w = {
+            c.slot: w for c, w in zip(charges, node_w.tolist()) if c.kind == PROBE
+        }
+        priced.append(
+            _PatternPrices(
+                slots=tuple(
+                    replace(
+                        s,
+                        node_w=body_w[s.work_index] if s.has_work else 0.0,
+                        cpu_fraction=shares[s.work_index] if s.has_work else 0.0,
+                        probe_node_w=probe_w.get(k, 0.0),
+                    )
+                    if s.has_work or s.probed
+                    else s
+                    for k, s in enumerate(slots)
+                ),
+                node_w=node_w,
+                package_w=package_w,
+                dram_w=dram_w,
+                base_times=block.base_times[body_at],
+            )
+        )
+    return priced
 
 
 @dataclass
@@ -580,11 +633,12 @@ def _tile(vector: np.ndarray, count: int) -> np.ndarray:
 
 
 def flatten_control_schedule(
-    schedule: ControlSchedule, noise: np.ndarray
+    schedule: ControlSchedule, prices: list[_PatternPrices], noise: np.ndarray
 ) -> FlatControlSchedule:
     """Flatten every segment's charges into one run-long sequence.
 
-    ``noise`` is the run's global (work region x iteration) lognormal
+    ``prices`` are the schedule's :meth:`ControlSchedule.prices` on the
+    run's node.  ``noise`` is the run's global (work region x iteration) lognormal
     matrix; spans slice it by iteration range, so the flattened body
     durations consume exactly the keyed streams a region-by-region run
     draws one at a time.
@@ -596,26 +650,26 @@ def flatten_control_schedule(
     spans: list[tuple] = []
     offset = 0
     for index, start, count in schedule.spans:
-        pattern = schedule.patterns[index]
+        pattern, priced = schedule.patterns[index], prices[index]
         num_charges = len(pattern.charges)
         matrix = pattern.fixed_durations[None, :].repeat(count, axis=0)
         durations_work = None
         if schedule.num_work:
-            durations_work = pattern.base_times[:, None] * noise[:, start:start + count]
+            durations_work = priced.base_times[:, None] * noise[:, start:start + count]
             body = pattern.body_rows >= 0
             matrix[:, body] = durations_work[pattern.body_rows[body]].T
         flat_parts.append(matrix.reshape(-1))
         power_parts.append(
             (
-                _tile(pattern.node_w, count),
-                _tile(pattern.package_w, count),
-                _tile(pattern.dram_w, count),
+                _tile(priced.node_w, count),
+                _tile(priced.package_w, count),
+                _tile(priced.dram_w, count),
             )
         )
         switch_parts.append(_tile(pattern.switch_latencies, count))
         probe_parts.append(_tile(pattern.probe_overheads, count))
         spans.append(
-            (pattern.slots, num_charges, start, count, offset, durations_work)
+            (priced.slots, num_charges, start, count, offset, durations_work)
         )
         offset += count * num_charges
     return FlatControlSchedule(
@@ -717,7 +771,6 @@ def materialise_instances(spans, post_order, timeline: np.ndarray) -> list:
                         node_energy_j=float(inclusive[k][i]),
                         cpu_energy_j=float(cpu_energy[k][i]),
                         operating_point=slot.point,
-                        timing=slot.timing,
                     )
                 )
     return rows
@@ -730,8 +783,8 @@ class RunTrace:
     ``timeline`` is the simulated clock after each flattened charge (with
     a leading entry time), ``post_order`` the slots' exit order, and
     ``spans`` the :func:`materialise_instances` spans.  ``build_spans``
-    makes them on first read: an uncontrolled run's slots look up their
-    timings only then, so grid sweeps that never read rows never pay.
+    makes them on first read: an uncontrolled run's slots are built only
+    then, so grid sweeps that never read rows never pay for them.
     Calling the trace materialises the rows, so it is its run's deferred
     instance-log producer.
     """

@@ -26,8 +26,12 @@ members compile their switch schedule
 (:func:`~repro.execution.controlled_replay.compile_schedule_by_walk`
 via the controller's ``compile_schedule``) against a real node, so RRL
 statistics and MSR/DVFS side effects are byte-for-byte those of a
-region-by-region run; a controller that does not compile is refused
-with a :class:`~repro.errors.TuningError` before any member is priced.
+region-by-region run; the symbolic schedule is then priced once per
+node physics
+(:meth:`~repro.execution.controlled_replay.ControlSchedule.prices`,
+through the same array forms).  A controller that does not compile is
+refused with a :class:`~repro.errors.TuningError` before any member is
+priced.
 
 **Phase 2 — one fleet-wide noise draw.**  Every member's keyed
 (work region x iteration) seed digests join into one buffer, read as
@@ -252,6 +256,7 @@ class _MemberPlan:
     durations_work: np.ndarray | None = None  #: (W, I) after flattening
     # controlled
     schedule: object = None
+    prices: list | None = None        #: the schedule priced on its node
     entry_point: object = None
     final_core_ghz: float = 0.0
     final_uncore_ghz: float = 0.0
@@ -269,13 +274,14 @@ def _member_threads(member: FleetMember) -> int | None:
 
 
 def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
-    """Compile a controller-driven member's switch schedule.
+    """Compile a controller-driven member's switch schedule and price it.
 
     The schedule walk needs a node: MSRs, DVFS/UFS logs and the
     controller statistics all mutate exactly as in a region-by-region
     run.  A live member walks its own node; a fresh one a node built
     here.  A controller that declines (returns ``None``) must leave both
-    untouched; it is refused.
+    untouched; it is refused.  The schedule is priced against that
+    node's power model after the walk.
     """
     app = member.app
     controller = member.controller
@@ -316,6 +322,7 @@ def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
         num_sockets=node.topology.num_sockets,
         iterations=schedule.iterations,
         schedule=schedule,
+        prices=schedule.prices(node.power_model),
         entry_point=entry_point,
         final_core_ghz=node.core_freq_ghz,
         final_uncore_ghz=node.uncore_freq_ghz,
@@ -549,7 +556,9 @@ def fleet_run(members) -> FleetReplay:
                 plan.durations_work = flat.durations_work[g]
             charges = (flat.durations, flat.node_w, flat.package_w, flat.dram_w)
         else:
-            flat = first.flat = flatten_control_schedule(first.schedule, noise[0])
+            flat = first.flat = flatten_control_schedule(
+                first.schedule, first.prices, noise[0]
+            )
             charges = (
                 flat.durations[None], flat.node_w[None],
                 flat.package_w[None], flat.dram_w[None],

@@ -22,9 +22,8 @@ totals :func:`phase_counters` reads from the priced run) and, as
 live-node members, the simulator's solo runs.  A priced run is
 one span of one pattern of a
 :class:`~repro.execution.controlled_replay.RunTrace`
-(:func:`_block_spans`); only when its rows or events are read are its
-per-region :class:`~repro.execution.timing.RegionTiming` payloads
-looked up from the memoised scalar model.
+(:func:`_block_spans`), whose slots are built only when its rows or
+events are read.
 
 The output is **bit-identical** to the recursive reference engine in
 ``tests/oracles/engine.py``.  Identity holds because every
@@ -53,14 +52,9 @@ from repro.counters.generation import (
 )
 from repro.counters.papi import PAPI_PRESETS
 from repro.errors import FrequencyError
-from repro.execution.controlled_replay import (
-    RunTrace,
-    _Slot,
-    fold_inclusive,
-    slot_context,
-)
+from repro.execution.controlled_replay import _Slot, fold_inclusive, slot_context
 from repro.execution.simulator import probe_overhead_s
-from repro.execution.timing import region_timing, region_timings
+from repro.execution.timing import region_timings
 from repro.hardware.frequency import quantize_frequency
 from repro.hardware.msr import ghz_of_ratio, ratio_of_ghz
 from repro.hardware.power import PowerModel
@@ -226,7 +220,9 @@ def _evaluate_block(
     One :func:`~repro.execution.timing.region_timings` and one
     :meth:`~repro.hardware.power.PowerModel.power_array` call price the
     whole ``(G, W)`` block; every element equals the scalar model at its
-    point bit for bit.
+    point bit for bit.  Of ``structure`` only ``work_chars`` and
+    ``any_probed`` are read, so a controlled schedule's pricing pass
+    passes its distinct work characteristics the same way.
     """
     threads = [p.threads for p in points]
     core = [p.core_freq_ghz for p in points]
@@ -348,20 +344,9 @@ def _flatten_block(block: _BlockEval, noise: np.ndarray) -> _FlatBlock:
 
 def _structure_slots(block: _BlockEval, g: int) -> tuple:
     """Row ``g`` of a priced block, as the compiled slots of a
-    one-pattern control schedule.  The rows' RegionTiming payloads come
-    from the memoised scalar model, and only here: grid sweeps that
-    never read instance rows or events never pay for them."""
+    one-pattern control schedule."""
     structure = block.structure
     point = block.points[g]
-    timings = [
-        region_timing(
-            chars,
-            threads=point.threads,
-            core_freq_ghz=point.core_freq_ghz,
-            uncore_freq_ghz=point.uncore_freq_ghz,
-        )
-        for chars in structure.work_chars
-    ]
     probe_node_w = block.probe_node_w[g].item()
     slots = []
     for k, region in enumerate(structure.regions):
@@ -373,8 +358,6 @@ def _structure_slots(block: _BlockEval, g: int) -> tuple:
                 children=structure.children[k],
                 has_work=work,
                 probed=structure.probed[k],
-                timing=timings[row] if work else None,
-                base_time_s=block.base_times[g, row] if work else 0.0,
                 node_w=block.node_w[g, row] if work else 0.0,
                 cpu_fraction=block.cpu_fraction[g, row] if work else 0.0,
                 probe_s=structure.probe_s[k],

@@ -32,7 +32,6 @@ from typing import Protocol
 from repro import config
 from repro.counters.generation import CounterGenerator
 from repro.errors import TuningError, WorkloadError
-from repro.execution.timing import RegionTiming
 from repro.hardware.node import ComputeNode
 from repro.workloads.application import Application
 from repro.workloads.region import Region
@@ -138,7 +137,6 @@ class RegionInstance:
     node_energy_j: float
     cpu_energy_j: float
     operating_point: OperatingPoint
-    timing: RegionTiming | None
 
 
 class InstanceLog:

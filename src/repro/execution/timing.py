@@ -14,30 +14,31 @@ paper's qualitative behaviour: compute-bound regions can lower UFS until
 regions can lower CF until ``t_c`` emerges from under ``t_m`` (interior
 CF optimum); and both suffer when either knob goes too low.
 
-:func:`region_timing` evaluates one region at one operating point and
-:func:`region_timings` a whole block — G operating points by W regions
-— as arrays, in the same IEEE operation order, so every element is
-bit-identical to the scalar call.  The fleet kernel prices uncontrolled
-runs with the array form; controlled schedules (which switch the
-operating point region by region) and the lazy instance rows use the
-scalar one.
+:func:`region_timings` evaluates a whole block — G operating points by
+W regions — as arrays.  It is the only production form: the fleet
+kernel prices uncontrolled grids with it, and a controlled schedule's
+pricing pass over its distinct operating points.  The scalar reference,
+one region at one point, lives in ``tests/oracles/physics.py``; every
+array element equals it bit for bit, because each elementwise operation
+is the scalar one, in its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from repro import config
-from repro.execution.speedup import memory_bandwidth_gbs, thread_speedup
-from repro.workloads.characteristics import WorkloadCharacteristics
+from repro.execution.speedup import memory_bandwidth_gbs
 
 
 @dataclass(frozen=True)
 class RegionTiming:
-    """Ground-truth execution profile of one region instance."""
+    """Ground-truth execution profile of regions at operating points.
+
+    :func:`region_timings` fills the fields with arrays; the scalar
+    reference fills them for one region at one point."""
 
     time_s: float
     compute_time_s: float
@@ -54,57 +55,6 @@ class RegionTiming:
         return self.memory_time_s > self.compute_time_s
 
 
-def region_timing(
-    chars: WorkloadCharacteristics,
-    *,
-    threads: int,
-    core_freq_ghz: float,
-    uncore_freq_ghz: float,
-) -> RegionTiming:
-    """Evaluate the timing model for one region instance.
-
-    The model is a pure function of frozen inputs.  Its callers — a
-    controlled schedule's compile walk and the lazy instance rows of
-    fleet runs — evaluate the same few (region,
-    operating point) pairs over and over, so results are memoised;
-    callers receive a shared frozen :class:`RegionTiming`.
-    """
-    return _region_timing_cached(chars, threads, core_freq_ghz, uncore_freq_ghz)
-
-
-@lru_cache(maxsize=32768)
-def _region_timing_cached(
-    chars: WorkloadCharacteristics,
-    threads: int,
-    core_freq_ghz: float,
-    uncore_freq_ghz: float,
-) -> RegionTiming:
-    speedup = thread_speedup(threads, chars.parallel_fraction, chars.thread_overhead)
-    t_c = chars.compute_cycles / (core_freq_ghz * 1e9 * speedup)
-    bandwidth = memory_bandwidth_gbs(uncore_freq_ghz, threads)
-    t_m = chars.memory_bytes / (bandwidth * 1e9)
-    o = chars.overlap
-    time_s = o * max(t_c, t_m) + (1.0 - o) * (t_c + t_m)
-    # Cores are fully active while computing and partially active (clock
-    # running, pipelines stalled) for the remainder of the region.
-    busy_frac = min(1.0, t_c / time_s) if time_s > 0 else 0.0
-    core_activity = busy_frac + config.STALLED_CORE_ACTIVITY * (1.0 - busy_frac)
-    achieved_gbs = chars.memory_bytes / time_s / 1e9 if time_s > 0 else 0.0
-    # Uncore activity = achieved traffic relative to the node's peak.
-    uncore_activity = min(1.0, achieved_gbs / config.PEAK_MEMBW_GBS)
-    return RegionTiming(
-        time_s=time_s,
-        compute_time_s=t_c,
-        memory_time_s=t_m,
-        core_activity=core_activity,
-        uncore_activity=uncore_activity,
-        membw_gbs=achieved_gbs,
-        threads=threads,
-        core_freq_ghz=core_freq_ghz,
-        uncore_freq_ghz=uncore_freq_ghz,
-    )
-
-
 def region_timings(
     chars,
     *,
@@ -119,8 +69,8 @@ def region_timings(
     operating point.  Returns a :class:`RegionTiming` whose time,
     activity and bandwidth fields are ``(G, W)`` arrays and whose
     operating-point fields are ``(G, 1)`` columns.  Element ``[g, w]``
-    equals :func:`region_timing` of region ``w`` at point ``g`` bit for
-    bit: each elementwise operation is the scalar path's, in its order.
+    equals the scalar model of region ``w`` at point ``g`` bit for bit:
+    each elementwise operation is the scalar path's, in its order.
     """
     threads = list(threads)
     for t in threads:

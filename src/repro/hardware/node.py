@@ -90,24 +90,6 @@ class ComputeNode:
         )
 
     # ------------------------------------------------------------------
-    def compute_power(
-        self,
-        *,
-        active_threads: int,
-        core_activity: float,
-        uncore_activity: float,
-        membw_gbs: float,
-    ) -> PowerBreakdown:
-        """Ground-truth power at the node's current frequencies."""
-        return self.power_model.power(
-            core_freq_ghz=self.core_freq_ghz,
-            uncore_freq_ghz=self.uncore_freq_ghz,
-            active_threads=active_threads,
-            core_activity=core_activity,
-            uncore_activity=uncore_activity,
-            membw_gbs=membw_gbs,
-        )
-
     def advance(self, duration_s: float, breakdown: PowerBreakdown) -> None:
         """Advance simulated time, charging every meter.
 
@@ -188,10 +170,3 @@ class ComputeNode:
                 pairs.append((raw, acc.residual(domain)))
             state[domain.name.lower()] = tuple(pairs)
         return state
-
-    def advance_idle(self, duration_s: float) -> None:
-        """Advance time with no workload running."""
-        self.advance(
-            duration_s,
-            self.power_model.idle_power(self.core_freq_ghz, self.uncore_freq_ghz),
-        )

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro import config
 from repro.util.rng import rng_for
-from repro.util.validation import check_fraction, check_positive
+from repro.util.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -122,30 +122,6 @@ class PowerModel:
         self.variability = variability or NodeVariability.nominal()
         self.num_sockets = num_sockets
         self.num_cores = num_cores
-        # Breakdown memo: the simulator evaluates the model at a handful
-        # of distinct operating/activity points but once per region
-        # *instance*; PowerBreakdown is frozen, so sharing is safe.
-        self._breakdown_cache: dict[tuple, PowerBreakdown] = {}
-
-    def core_dynamic_power_w(
-        self, core_freq_ghz: float, active_threads: int, core_activity: float
-    ) -> float:
-        """Dynamic power of the active cores.
-
-        ``core_activity`` in [0, 1] is the effective switching activity: 1
-        for a core retiring at full tilt, lower when stalled on memory
-        (stalled cores still clock but large units idle).
-        """
-        scale = self._core_scale(core_freq_ghz, active_threads)
-        check_fraction("core_activity", core_activity)
-        return scale * core_activity * self.variability.dynamic_factor
-
-    def uncore_dynamic_power_w(self, uncore_freq_ghz: float, uncore_activity: float) -> float:
-        """Dynamic power of the uncore (L3, ring, memory controllers)."""
-        scale = self._uncore_scale(uncore_freq_ghz)
-        check_fraction("uncore_activity", uncore_activity)
-        act = _uncore_activity_factor(uncore_activity)
-        return scale * act * self.variability.dynamic_factor
 
     # The frequency polynomials take Python floats, in the array path
     # too: ``float ** 3`` is C ``pow``, which ``np.power`` does not
@@ -172,47 +148,6 @@ class PowerModel:
         )
         return self.num_sockets * per_socket
 
-    def dram_power_w(self, membw_gbs: float) -> float:
-        """DRAM power: background refresh plus traffic-proportional term."""
-        check_positive("membw_gbs", membw_gbs, strict=False)
-        return _dram_w(membw_gbs)
-
-    def power(
-        self,
-        *,
-        core_freq_ghz: float,
-        uncore_freq_ghz: float,
-        active_threads: int,
-        core_activity: float,
-        uncore_activity: float,
-        membw_gbs: float,
-    ) -> PowerBreakdown:
-        """Full node power breakdown at the given operating point."""
-        key = (
-            core_freq_ghz,
-            uncore_freq_ghz,
-            active_threads,
-            core_activity,
-            uncore_activity,
-            membw_gbs,
-        )
-        cached = self._breakdown_cache.get(key)
-        if cached is not None:
-            return cached
-        breakdown = PowerBreakdown(
-            static_w=config.NODE_IDLE_POWER_W * self.variability.static_factor,
-            core_dynamic_w=self.core_dynamic_power_w(
-                core_freq_ghz, active_threads, core_activity
-            ),
-            uncore_dynamic_w=self.uncore_dynamic_power_w(uncore_freq_ghz, uncore_activity),
-            dram_w=self.dram_power_w(membw_gbs),
-            blade_w=config.BLADE_POWER_W,
-        )
-        if len(self._breakdown_cache) >= 8192:
-            self._breakdown_cache.clear()
-        self._breakdown_cache[key] = breakdown
-        return breakdown
-
     def power_array(
         self,
         *,
@@ -223,15 +158,16 @@ class PowerModel:
         uncore_activity,
         membw_gbs,
     ) -> PowerBreakdown:
-        """:meth:`power` at G operating points at once.
+        """The full node power breakdown at G operating points at once.
 
         ``core_freq_ghz``, ``uncore_freq_ghz`` and ``active_threads``
         hold one value per point; the activities and the bandwidth are
         ``(G, W)`` arrays (or broadcast to them).  Returns a
         :class:`PowerBreakdown` of arrays whose every element equals the
-        scalar breakdown bit for bit: the per-point factors come from the
-        scalar path's helpers (validation included), once per distinct
-        input, and the rest is elementwise in the scalar order.
+        scalar breakdown of one point (``tests/oracles/physics.py``) bit
+        for bit: the per-point factors come from the frequency
+        polynomials (validation included), once per distinct input, and
+        the rest is elementwise in the scalar order.
         """
         cores = list(zip(core_freq_ghz, active_threads))
         core_scale = _per_point(self._core_scale, cores)
@@ -246,17 +182,6 @@ class PowerModel:
             blade_w=config.BLADE_POWER_W,
         )
 
-    def idle_power(self, core_freq_ghz: float, uncore_freq_ghz: float) -> PowerBreakdown:
-        """Node power with no workload running."""
-        return self.power(
-            core_freq_ghz=core_freq_ghz,
-            uncore_freq_ghz=uncore_freq_ghz,
-            active_threads=0,
-            core_activity=0.0,
-            uncore_activity=0.0,
-            membw_gbs=0.0,
-        )
-
 
 def _per_point(scale, args: list) -> np.ndarray:
     """``scale(*a)`` for each ``a`` as a column, evaluated once per
@@ -265,7 +190,7 @@ def _per_point(scale, args: list) -> np.ndarray:
     return np.array([memo[a] for a in args]).reshape(-1, 1)
 
 
-# Formulas shared by the scalar and the array path.
+# Formulas shared with the scalar reference (tests/oracles/physics.py).
 
 def _uncore_activity_factor(uncore_activity):
     idle = config.UNCORE_IDLE_ACTIVITY

@@ -16,9 +16,8 @@ respawn-and-resubmit.
 
 **Warm forks.**  Workers are forked from the parent *after*
 :func:`warm_process` has populated the expensive per-process state —
-built registry applications, compiled structural/controlled schedule
-caches, the memoised region-timing and power-breakdown tables, the RNG
-digest-prefix hash states and ziggurat tables.  Fork's copy-on-write
+imported modules, built registry applications, the effective-frequency
+table, the RNG digest-prefix hash states and ziggurat tables.  Fork's copy-on-write
 semantics hand every worker that state for free, so steady-state
 dispatch pays no per-worker warm-up.  (On platforms without fork, the
 pool initializer re-warms in each worker instead — same caches, paid
@@ -150,11 +149,10 @@ _WARMED: set[str] = set()
 def warm_process(benchmarks: tuple[str, ...]) -> None:
     """Populate this process's expensive per-request caches.
 
-    One minimal-stride sweep per benchmark builds the registry
-    application, compiles its structural schedule into the owner-keyed
-    :class:`~repro.execution.controlled_replay.ScheduleCache` pool,
-    fills the memoised region-timing and power-breakdown tables for the
-    default operating points, and draws through the RNG digest-prefix /
+    One minimal-stride sweep per benchmark imports the pricing path,
+    builds the registry application (the campaign engine's memoised
+    stock build), fills the effective-frequency table for the grid's
+    operating points, and draws through the RNG digest-prefix /
     ziggurat fast paths so their tables exist.  Idempotent per
     benchmark; results are deliberately not stored anywhere.
     """

@@ -1,13 +1,13 @@
 """The array timing/power model equals the scalar model bit for bit.
 
-The fleet kernel prices every uncontrolled block of members with
+Production prices every run — uncontrolled blocks of members and each
+controlled schedule's pricing pass — with
 :func:`~repro.execution.timing.region_timings` and
-:meth:`~repro.hardware.power.PowerModel.power_array`; controlled
-schedules and the recursive engine use the scalar
-:func:`~repro.execution.timing.region_timing` and
-:meth:`~repro.hardware.power.PowerModel.power`.  Every element must be
-the same float, so the comparisons use ``np.array_equal`` — never a
-tolerance.
+:meth:`~repro.hardware.power.PowerModel.power_array`.  The scalar
+reference, ``region_timing`` and ``ScalarPowerModel.power`` in
+``tests/oracles/physics.py``, is what the recursive engine prices
+with.  Every element must be the same float, so the comparisons use
+``np.array_equal`` — never a tolerance.
 """
 
 import numpy as np
@@ -21,10 +21,11 @@ from repro.execution.replay import (
     _evaluate_on_node,
 )
 from repro.execution.simulator import OperatingPoint
-from repro.execution.timing import region_timing, region_timings
+from repro.execution.timing import region_timings
 from repro.hardware.power import NodeVariability, PowerModel
 from repro.workloads import registry
 from repro.workloads.characteristics import WorkloadCharacteristics
+from tests.oracles.physics import region_timing, scalar_power_model
 
 GRID = [
     (cf, ucf)
@@ -117,7 +118,7 @@ def test_array_model_matches_scalar_model(block):
                 core_freq_ghz=p.core_freq_ghz,
                 uncore_freq_ghz=p.uncore_freq_ghz,
             )
-            b = model.power(
+            b = scalar_power_model(model).power(
                 core_freq_ghz=p.core_freq_ghz,
                 uncore_freq_ghz=p.uncore_freq_ghz,
                 active_threads=p.threads,
@@ -133,7 +134,7 @@ def test_array_model_matches_scalar_model(block):
             rows["share"].append(b.cpu_w / b.node_w)
         for name in want:
             want[name].append(rows[name])
-        b = model.power(
+        b = scalar_power_model(model).power(
             core_freq_ghz=p.core_freq_ghz,
             uncore_freq_ghz=p.uncore_freq_ghz,
             active_threads=p.threads,
@@ -171,7 +172,7 @@ def test_evaluate_block_matches_per_point_scalar_pricing(app_name):
         )
         for w, chars in enumerate(structure.work_chars):
             t = region_timing(chars, threads=p.threads, **kwargs)
-            b = model.power(
+            b = scalar_power_model(model).power(
                 active_threads=p.threads,
                 core_activity=t.core_activity,
                 uncore_activity=t.uncore_activity,
@@ -183,7 +184,7 @@ def test_evaluate_block_matches_per_point_scalar_pricing(app_name):
             assert block.package_w[g, w] == b.rapl_package_w
             assert block.dram_w[g, w] == b.rapl_dram_w
             assert block.cpu_fraction[g, w] == b.cpu_w / b.node_w
-        b = model.power(
+        b = scalar_power_model(model).power(
             active_threads=p.threads,
             core_activity=1.0,
             uncore_activity=0.1,

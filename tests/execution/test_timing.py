@@ -10,10 +10,10 @@ from repro.execution.speedup import (
     thread_speedup,
     uncore_bandwidth_shape,
 )
-from repro.execution.timing import region_timing
 from repro.workloads.characteristics import WorkloadCharacteristics
 from repro.workloads.generator import random_characteristics
 from repro.util.rng import rng_for
+from tests.oracles.physics import region_timing
 
 
 class TestSpeedup:

@@ -14,6 +14,14 @@ from repro.hardware.rapl import (
     RaplDomain,
     RaplReader,
 )
+from tests.oracles.physics import compute_power
+
+
+def idle_breakdown(node):
+    """The node's power with no workload running."""
+    return compute_power(
+        node, active_threads=0, core_activity=0.0, uncore_activity=0.0, membw_gbs=0.0
+    )
 
 
 @pytest.fixture
@@ -133,8 +141,12 @@ class TestComputeNode:
         node = ComputeNode(0)
         node.rapl.read_cpu_energy_joules()  # baseline
         node.hdeem.start()
-        b = node.compute_power(
-            active_threads=24, core_activity=1.0, uncore_activity=0.5, membw_gbs=30.0
+        b = compute_power(
+            node,
+            active_threads=24,
+            core_activity=1.0,
+            uncore_activity=0.5,
+            membw_gbs=30.0,
         )
         node.advance(2.0, b)
         hdeem = node.hdeem.stop()
@@ -156,13 +168,13 @@ class TestComputeNode:
 
     def test_time_advances(self):
         node = ComputeNode(0)
-        node.advance_idle(1.5)
+        node.advance(1.5, idle_breakdown(node))
         assert node.now_s == pytest.approx(1.5)
 
     def test_negative_advance_rejected(self):
         node = ComputeNode(0)
         with pytest.raises(HardwareError):
-            node.advance_idle(-1.0)
+            node.advance(-1.0, idle_breakdown(node))
 
 
 class TestCluster:
@@ -174,7 +186,7 @@ class TestCluster:
         cluster = Cluster(4)
         node = cluster.node(1)
         var = node.power_model.variability
-        node.advance_idle(5.0)
+        node.advance(5.0, idle_breakdown(node))
         fresh = cluster.fresh_node(1)
         assert fresh.now_s == 0.0
         assert fresh.power_model.variability == var
@@ -192,8 +204,12 @@ class TestCluster:
         cluster = Cluster(8)
         draws = set()
         for i in range(8):
-            b = cluster.node(i).compute_power(
-                active_threads=24, core_activity=1.0, uncore_activity=1.0, membw_gbs=50.0
+            b = compute_power(
+                cluster.node(i),
+                active_threads=24,
+                core_activity=1.0,
+                uncore_activity=1.0,
+                membw_gbs=50.0,
             )
             draws.add(round(b.node_w, 6))
         assert len(draws) == 8  # variability separates every node

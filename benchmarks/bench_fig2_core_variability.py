@@ -6,14 +6,17 @@ calibration point (2.0|1.5 GHz) collapses the spread.  Expected shape:
 clearly separated raw curves, near-identical normalized curves.
 """
 
-from benchmarks._common import cluster
+from benchmarks._common import campaign_engine, cluster
 from repro.analysis.reporting import render_variability
 from repro.analysis.variability import variability_study
+from repro.api import ExecutionOptions
 
 
 def _study():
     return variability_study(
-        "Lulesh", axis="core", nodes=(0, 1, 2, 3), cluster=cluster()
+        "Lulesh", axis="core", nodes=(0, 1, 2, 3),
+        cluster=cluster(),
+        options=ExecutionOptions(campaign=campaign_engine()),
     )
 
 

@@ -5,14 +5,17 @@ sweeps 1.3--3.0 GHz with the core frequency fixed at 2.0 GHz; raw
 energies spread across nodes, normalized energies collapse.
 """
 
-from benchmarks._common import cluster
+from benchmarks._common import campaign_engine, cluster
 from repro.analysis.reporting import render_variability
 from repro.analysis.variability import variability_study
+from repro.api import ExecutionOptions
 
 
 def _study():
     return variability_study(
-        "Lulesh", axis="uncore", nodes=(0, 1, 2, 3), cluster=cluster()
+        "Lulesh", axis="uncore", nodes=(0, 1, 2, 3),
+        cluster=cluster(),
+        options=ExecutionOptions(campaign=campaign_engine()),
     )
 
 

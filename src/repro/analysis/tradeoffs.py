@@ -5,9 +5,10 @@ trade-off frontier can be examined: static tuning may buy energy at no
 time cost for compute-bound codes, while aggressive core-frequency
 reduction trades time for energy on memory-bound codes.
 
-The configurations are fresh-node static runs, so they run as one
-fleet-kernel pass (:func:`repro.execution.fleet_replay.fleet_run`),
-bit-identical to the per-configuration loop kept as a test oracle.
+The configurations are fresh-node static runs: one campaign plan of
+``tradeoff``-labelled ``grid`` row jobs, measured through the options'
+engine (cached in its store when one is attached) and bit-identical to
+the per-configuration loop kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro import api, config
-from repro.errors import CampaignError
+from repro.campaign.plan import grid_cells, grid_jobs
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.workloads import registry
@@ -45,50 +46,34 @@ def energy_time_tradeoff(
 ) -> list[TradeoffPoint]:
     """Evaluate configurations relative to the platform default.
 
-    The whole configuration set (plus the default point) replays in
-    one fleet-kernel pass.  ``cluster`` overrides the options' cluster.
+    The whole configuration set (plus the default point) is one engine
+    run of grid-row jobs.  ``cluster`` overrides the options' cluster.
     """
-    from repro.execution.fleet_replay import FleetMember, fleet_run
-
     options = options if options is not None else api.ExecutionOptions()
     if cluster is not None:
         options = replace(options, cluster=cluster)
-    if options.campaign is not None:
-        raise CampaignError(
-            "tradeoff sweeps run over arbitrary configuration lists, not "
-            "grid rows; they are not campaign-backed — drop campaign"
-        )
     cluster = options.resolve_cluster(seed)
     cluster.check_node_id(node_id)
+    registry.check_name(benchmark)
     default_point = OperatingPoint()
-    points = list(configurations)
+    points = list(dict.fromkeys(configurations))
     if default_point not in points:
         points.insert(0, default_point)
-    app = registry.build(benchmark)
-    fleet = fleet_run(
-        FleetMember(
-            app=app,
-            run_key=("tradeoff", str(point)),
-            node_id=node_id,
-            seed=seed,
-            node_seed=cluster.seed,
-            topology=cluster.topology,
-            point=point,
-        )
-        for point in points
+    jobs = grid_jobs(
+        benchmark, label="tradeoff", points=points, node_id=node_id,
+        seed=seed, node_seed=cluster.seed,
     )
-    outcomes = {
-        point: (run.time_s, run.node_energy_j)
-        for point, run in zip(points, fleet.results)
-    }
-    t0, e0 = outcomes[default_point]
+    results = options.run_jobs(jobs, cluster)
+    times = grid_cells(jobs, results, "time_s")
+    energies = grid_cells(jobs, results, "node_energy_j")
+    t0, e0 = times[default_point], energies[default_point]
     return [
         TradeoffPoint(
             configuration=point,
-            relative_time=t / t0,
-            relative_energy=e / e0,
+            relative_time=times[point] / t0,
+            relative_energy=energies[point] / e0,
         )
-        for point, (t, e) in outcomes.items()
+        for point in points
     ]
 
 

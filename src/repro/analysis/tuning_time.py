@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import config
-from repro.execution.simulator import ExecutionSimulator
+from repro import api, config
+from repro.campaign.plan import grid_jobs
+from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.ptf.exhaustive_plugin import TuningTimeEstimate, estimate_tuning_time
 from repro.workloads import registry
@@ -55,21 +56,31 @@ def tuning_time_comparison(
     num_regions: int | None = None,
     seed: int = config.DEFAULT_SEED,
 ) -> TuningTimeComparison:
-    """Build the Section V-C comparison from a measured run time."""
+    """Build the Section V-C comparison from a measured run time.
+
+    The reference run is a one-cell ``tuning-time`` grid job at the
+    calibration point, measured through a store-less campaign engine.
+    """
     cluster = cluster or Cluster(2, seed=seed)
+    cluster.check_node_id(node_id)
     app = registry.build(benchmark)
-    node = cluster.fresh_node(node_id)
-    node.set_frequencies(
-        config.CALIBRATION_CORE_FREQ_GHZ, config.CALIBRATION_UNCORE_FREQ_GHZ
+    calibration = OperatingPoint(
+        config.CALIBRATION_CORE_FREQ_GHZ,
+        config.CALIBRATION_UNCORE_FREQ_GHZ,
+        app.default_threads,
     )
-    run = ExecutionSimulator(node, seed=seed).run(app, run_key=("tuning-time",))
-    phase_time = run.time_s / app.phase_iterations
+    jobs = grid_jobs(
+        benchmark, label="tuning-time", points=[calibration], node_id=node_id,
+        seed=seed, node_seed=cluster.seed,
+    )
+    (run_time_s,) = api.ExecutionOptions().run_jobs(jobs, cluster)[jobs[0]]["time_s"]
+    phase_time = run_time_s / app.phase_iterations
     if num_regions is None:
         num_regions = len(app.candidate_regions)
-    estimate = estimate_tuning_time(app, run.time_s, num_regions=num_regions)
+    estimate = estimate_tuning_time(app, run_time_s, num_regions=num_regions)
     return TuningTimeComparison(
         benchmark=benchmark,
-        single_run_time_s=run.time_s,
+        single_run_time_s=run_time_s,
         phase_time_s=phase_time,
         estimate=estimate,
         model_based_phase_time_s=estimate.model_based_experiments * phase_time,

@@ -7,13 +7,12 @@ normalising each node's series by its own energy at the calibration
 point collapses the spread — which is why the model predicts
 *normalized* energy.
 
-The study is a natural fleet: the same application at many
-(node x operating point) coordinates.  Every cell of the sweep — all
-nodes, all frequencies, plus each node's calibration run — executes as
-one pass through the fleet replay kernel
-(:mod:`repro.execution.fleet_replay`), bit-identical to a per-cell
-simulator loop (the equality is pinned against the loop oracle in
-``tests/analysis/test_analyses.py``).
+Every (node x operating point) cell of the sweep is a cell of a
+``variability-core``/``variability-uncore``-labelled ``grid`` row job,
+one batch per node, all measured in one run of the options' campaign
+engine (so the sweep caches and resumes in an attached store).  The
+result is bit-identical to a per-cell simulator loop (the equality is
+pinned against the loop oracle in ``tests/analysis/test_analyses.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import config
+from repro import api, config
+from repro.campaign.plan import grid_cells, grid_jobs
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.workloads import registry
@@ -65,35 +65,51 @@ def variability_study(
     threads: int = config.DEFAULT_OPENMP_THREADS,
     cluster: Cluster | None = None,
     seed: int = config.DEFAULT_SEED,
+    options: api.ExecutionOptions | None = None,
 ) -> VariabilityStudy:
     """Reproduce the Figure 2 (axis="core") / Figure 3 (axis="uncore") data.
 
     Scenario 1 of Section IV-B varies CF with UCF fixed at 1.5 GHz;
-    scenario 2 varies UCF with CF fixed at 2.0 GHz.
+    scenario 2 varies UCF with CF fixed at 2.0 GHz.  Both axes pass
+    through the calibration point each series is normalised by.
+    ``cluster`` overrides the options' cluster; without either, a
+    cluster just large enough for ``nodes`` is built from ``seed``.
     """
+    cal_cf = config.CALIBRATION_CORE_FREQ_GHZ
+    cal_ucf = config.CALIBRATION_UNCORE_FREQ_GHZ
     if axis == "core":
         frequencies = config.CORE_FREQUENCIES_GHZ
-        points = [(cf, config.CALIBRATION_UNCORE_FREQ_GHZ) for cf in frequencies]
+        sweep = [OperatingPoint(cf, cal_ucf, threads) for cf in frequencies]
     elif axis == "uncore":
         frequencies = config.UNCORE_FREQUENCIES_GHZ
-        points = [(config.CALIBRATION_CORE_FREQ_GHZ, ucf) for ucf in frequencies]
+        sweep = [OperatingPoint(cal_cf, ucf, threads) for ucf in frequencies]
     else:
         raise ValueError(f"axis must be 'core' or 'uncore', got {axis!r}")
-    cluster = cluster or Cluster(max(nodes) + 1, seed=seed)
-    cal_point = (
-        config.CALIBRATION_CORE_FREQ_GHZ,
-        config.CALIBRATION_UNCORE_FREQ_GHZ,
-    )
-    energies = _fleet_energies(
-        registry.build(benchmark), points, cal_point, nodes, threads,
-        cluster, seed, axis,
+    if not nodes:
+        raise ValueError("nodes must name at least one compute node")
+    options = options if options is not None else api.ExecutionOptions()
+    cluster = cluster or options.cluster or Cluster(max(nodes) + 1, seed=seed)
+    for node_id in nodes:
+        cluster.check_node_id(node_id)
+    registry.check_name(benchmark)
+    cal_index = sweep.index(OperatingPoint(cal_cf, cal_ucf, threads))
+    batches = {
+        node_id: grid_jobs(
+            benchmark, label=f"variability-{axis}", points=sweep,
+            node_id=node_id, seed=seed, node_seed=cluster.seed,
+        )
+        for node_id in nodes
+    }
+    results = options.run_jobs(
+        [job for jobs in batches.values() for job in jobs], cluster
     )
     raw: dict[int, np.ndarray] = {}
     normalized: dict[int, np.ndarray] = {}
-    for node_id in nodes:
-        series, cal_energy = energies[node_id]
-        raw[node_id] = np.asarray(series)
-        normalized[node_id] = np.asarray(series) / cal_energy
+    for node_id, jobs in batches.items():
+        energies = grid_cells(jobs, results, "node_energy_j")
+        series = np.asarray([energies[point] for point in sweep])
+        raw[node_id] = series
+        normalized[node_id] = series / series[cal_index]
     return VariabilityStudy(
         benchmark=benchmark,
         axis=axis,
@@ -101,46 +117,3 @@ def variability_study(
         raw_energy_j=raw,
         normalized_energy=normalized,
     )
-
-
-def _fleet_energies(app, points, cal_point, nodes, threads, cluster, seed,
-                    axis):
-    """Every (node, point) cell — and each node's calibration run when
-    the axis misses the calibration point — as members of one fleet."""
-    from repro.execution.fleet_replay import FleetMember, fleet_run
-
-    needs_cal = cal_point not in points
-
-    def member(node_id, cf, ucf, run_key):
-        return FleetMember(
-            app=app,
-            run_key=run_key,
-            node_id=node_id,
-            seed=seed,
-            node_seed=cluster.seed,
-            topology=cluster.topology,
-            point=OperatingPoint(cf, ucf, threads),
-            threads=threads,
-        )
-
-    members = []
-    for node_id in nodes:
-        for cf, ucf in points:
-            members.append(
-                member(node_id, cf, ucf, ("variability", axis, cf, ucf))
-            )
-        if needs_cal:
-            members.append(member(node_id, *cal_point, ("variability-cal",)))
-    fleet = fleet_run(members)
-    stride = len(points) + (1 if needs_cal else 0)
-    energies = {}
-    for i, node_id in enumerate(nodes):
-        rows = fleet.results[i * stride:(i + 1) * stride]
-        series = [r.node_energy_j for r in rows[:len(points)]]
-        cal_energy = (
-            rows[-1].node_energy_j
-            if needs_cal
-            else series[points.index(cal_point)]
-        )
-        energies[node_id] = (series, cal_energy)
-    return energies

@@ -25,11 +25,15 @@ expand benchmark lists into the paper's grids:
     One **row** of a static frequency grid — a fixed (threads, CF) at
     an explicit tuple of UCFs — executed in a single pass through the
     fleet kernel (:mod:`repro.execution.fleet_replay`).  Rows are the
-    cacheable unit of full-grid measurements (the Figures 6/7
-    heatmaps, the Table V exhaustive search); their per-cell noise keys
-    (``label``-selected, see :func:`grid_run_key`) match the historical
-    one-job-per-cell paths, so the measured numbers are bit-identical —
-    only the store addressing is coarser.
+    cacheable unit of every fresh-node static measurement: the Figures
+    6/7 heatmaps (label ``heatmap``), the Table V exhaustive search
+    (``static``), the Figures 2/3 node-variability sweeps
+    (``variability-core``/``variability-uncore``), the energy/time
+    trade-off (``tradeoff``) and the tuning-time reference run
+    (``tuning-time``).  Their per-cell noise keys (``label``-selected,
+    see :func:`grid_run_key`) match the historical one-run-per-cell
+    paths, so the measured numbers are bit-identical — only the store
+    addressing is coarser.
 
 ``sweep`` and ``static`` differ only in the label mixed into the noise
 streams; both labels are kept so campaign results stay bit-identical to
@@ -58,7 +62,10 @@ CONTROLLERS: tuple[str, ...] = ("none", "static", "rrl")
 #: Run-key layouts a ``grid`` job's cells may use.  Each reproduces one
 #: historical per-cell noise key verbatim, so grid-row payloads agree
 #: bit-for-bit with the loops they replace.
-GRID_RUN_KEY_LABELS: tuple[str, ...] = ("static", "heatmap")
+GRID_RUN_KEY_LABELS: tuple[str, ...] = (
+    "static", "heatmap", "variability-core", "variability-uncore",
+    "tradeoff", "tuning-time",
+)
 
 
 def grid_run_key(
@@ -69,6 +76,14 @@ def grid_run_key(
         return ("heatmap", core_freq_ghz, uncore_freq_ghz)
     if label == "static":
         return ("static", core_freq_ghz, uncore_freq_ghz, threads)
+    if label in ("variability-core", "variability-uncore"):
+        axis = label.removeprefix("variability-")
+        return ("variability", axis, core_freq_ghz, uncore_freq_ghz)
+    if label == "tradeoff":
+        point = OperatingPoint(core_freq_ghz, uncore_freq_ghz, threads)
+        return ("tradeoff", str(point))
+    if label == "tuning-time":
+        return ("tuning-time",)
     raise CampaignError(
         f"unknown grid run-key label: {label!r}; known: {GRID_RUN_KEY_LABELS}"
     )
@@ -407,6 +422,20 @@ def grid_rows(
     for p in points:
         rows.setdefault((p.threads, p.core_freq_ghz), []).append(p.uncore_freq_ghz)
     return [(t, cf, tuple(ucfs)) for (t, cf), ucfs in rows.items()]
+
+
+def grid_cells(
+    jobs: tuple[CampaignJob, ...], results, field: str
+) -> dict[OperatingPoint, float]:
+    """One payload ``field`` of every cell of grid-row ``jobs``, keyed by
+    the cell's operating point — :func:`grid_rows` inverted.  ``results``
+    maps each job to its payload (a
+    :class:`~repro.campaign.engine.CampaignResults`)."""
+    return {
+        OperatingPoint(job.core_freq_ghz, ucf, job.threads): value
+        for job in jobs
+        for ucf, value in zip(job.uncore_freqs_ghz, results[job][field])
+    }
 
 
 def grid_jobs(

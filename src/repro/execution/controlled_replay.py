@@ -162,24 +162,27 @@ class ControlSchedule:
     post_order: tuple[int, ...]
     iterations: int
     num_work: int
-    _priced: tuple | None = field(default=None, repr=False, compare=False)
+    _priced: dict = field(default_factory=dict, repr=False, compare=False)
 
     def prices(self, power_model) -> list[_PatternPrices]:
         """Every pattern priced against ``power_model``, one
         :class:`_PatternPrices` per pattern.
 
         The pricing depends on the model's physics (variability and
-        socket/core counts) alone, so a cached schedule replayed on
-        fresh nodes of one physics prices once.
+        socket/core counts) alone, so it is memoised per physics: a
+        cached schedule replayed on many nodes prices once per node.
         """
         physics = (
             power_model.variability,
             power_model.num_sockets,
             power_model.num_cores,
         )
-        if self._priced is None or self._priced[0] != physics:
-            self._priced = (physics, _price_patterns(self.patterns, power_model))
-        return self._priced[1]
+        prices = self._priced.get(physics)
+        if prices is None:
+            prices = self._priced[physics] = _price_patterns(
+                self.patterns, power_model
+            )
+        return prices
 
     @property
     def work_names(self) -> list[str]:
@@ -205,14 +208,15 @@ class ScheduleCache:
     """Equality-keyed cache of compiled control schedules.
 
     A compiled schedule is a pure function of (application, controller
-    configuration and state, node physics, entry hardware state,
+    configuration and state, node topology, entry hardware state,
     instrumentation) — everything *except* the run key, whose noise is
-    applied at replay time.  Production sweeps repeat the same
-    configuration many times (Table 6 averages five runs per variant),
-    so caching the compile amortises the symbolic walk to once per
-    configuration.  Applications are compared by value (registry builds
-    return fresh but equal trees every call); entries are evicted FIFO
-    beyond ``maxsize``.
+    applied at replay time, and the node's physics, which
+    :meth:`ControlSchedule.prices` applies.  Production sweeps repeat
+    the same configuration many times (Table 6 averages five runs per
+    variant), so caching the compile amortises the symbolic walk to
+    once per configuration.  Applications are compared by value
+    (registry builds return fresh but equal trees every call); entries
+    are evicted FIFO beyond ``maxsize``.
     """
 
     def __init__(self, maxsize: int = 32):
@@ -316,13 +320,14 @@ def schedule_cache_key(
     """The run-invariant part of a schedule cache key.
 
     Captures everything of the *environment* a compiled schedule bakes
-    in: node physics (topology plus the power model's variability
-    factors — the constructor accepts an explicit ``variability``
-    override, so id/seed alone would not pin the physics), entry
-    frequencies, pending transition-log state (only emptiness matters —
-    the charged latency is per-domain, not per-transition) and the
-    instrumentation configuration.  Controller state is the caller's to
-    append.
+    in: the node topology, entry frequencies, pending transition-log
+    state (only emptiness matters — the charged latency is per-domain,
+    not per-transition) and the instrumentation configuration.
+    Controller state is the caller's to append.  The node's id, seed
+    and variability stay out: the walk never prices and the frequency
+    subsystem is seed-free, so every node of one topology walks the
+    same schedule, and :meth:`ControlSchedule.prices` applies each
+    node's physics.
     """
     filter_key = (
         None
@@ -333,10 +338,7 @@ def schedule_cache_key(
         threads,
         instrumented,
         filter_key,
-        node.node_id,
-        node.seed,
         repr(node.topology),
-        node.power_model.variability,
         node.core_freq_ghz,
         node.uncore_freq_ghz,
         node.dvfs.log.count > 0,

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import config
 from repro.campaign.engine import run_app_jobs
-from repro.campaign.plan import grid_jobs, grid_rows, static_operating_points
+from repro.campaign.plan import grid_cells, grid_jobs, static_operating_points
 from repro.errors import TuningError
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
@@ -144,23 +144,10 @@ def exhaustive_static_search(
         on_failure=options.on_failure,
         retry_failed=options.retry_failed,
     )
-    # Map every point back to (its row's payload, its position in the
-    # row).  grid_rows appends a row's UCFs in point order, so the k-th
-    # occurrence of a (threads, CF) pair is row entry k.
-    row_payload = {
-        (threads, cf): results[job]
-        for job, (threads, cf, _ucfs) in zip(jobs, grid_rows(points))
-    }
-    occurrence: dict[tuple, int] = {}
-    energies = np.empty(len(points))
-    times = np.empty(len(points))
-    for k, p in enumerate(points):
-        key = (p.threads, p.core_freq_ghz)
-        i = occurrence.get(key, 0)
-        occurrence[key] = i + 1
-        payload = row_payload[key]
-        energies[k] = payload["node_energy_j"][i]
-        times[k] = payload["time_s"][i]
+    energy_of = grid_cells(jobs, results, "node_energy_j")
+    time_of = grid_cells(jobs, results, "time_s")
+    energies = np.array([energy_of[p] for p in points])
+    times = np.array([time_of[p] for p in points])
 
     # Vectorised selection: one objective evaluation + argmin over the
     # whole grid (first minimum, like the historical point loop).

@@ -201,7 +201,7 @@ class StaticController:
 
         Compiles are cached per static configuration (a bounded pool —
         oldest configurations evicted), keyed like the RRL's on app,
-        node physics, entry state and whether the one-shot apply
+        node topology, entry state and whether the one-shot apply
         already happened.
         """
         from repro.execution.controlled_replay import (

@@ -2,18 +2,21 @@
 
 import pytest
 
-from repro import config
+from repro import api, config
 from repro.analysis.heatmap import energy_heatmap
 from repro.analysis.savings import compare_static_dynamic
 from repro.analysis.tradeoffs import energy_time_tradeoff, pareto_front
 from repro.analysis.tuning_time import tuning_time_comparison
 from repro.analysis.variability import variability_study
 from repro.analysis import reporting
+from repro.campaign.engine import CampaignEngine
+from repro.campaign.store import ResultStore
+from repro.errors import JobError
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.readex.tuning_model import TuningModel
 from repro.workloads import registry
-from tests.oracles.grids import loop_variability
+from tests.oracles.grids import _fresh_run, loop_variability
 from tests.oracles.savings import recursive_savings
 
 
@@ -50,6 +53,31 @@ class TestVariability:
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError):
             variability_study("Lulesh", axis="dram")
+
+    def test_unknown_node_rejected(self):
+        with pytest.raises(JobError, match="no such node: 5"):
+            variability_study("EP", axis="uncore", nodes=(0, 5), cluster=Cluster(2))
+
+    def test_empty_nodes_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            variability_study("EP", axis="uncore", nodes=())
+
+    def test_second_study_recalls_every_job(self):
+        """Against one store, a repeated study simulates nothing and
+        returns the same series."""
+        engine = CampaignEngine(store=ResultStore())
+        options = api.ExecutionOptions(campaign=engine)
+        kwargs = dict(axis="core", nodes=(0, 1), cluster=Cluster(2), options=options)
+        first = variability_study("EP", **kwargs)
+        executed = engine.total_executed
+        assert executed == 2 * len(config.CORE_FREQUENCIES_GHZ)
+        second = variability_study("EP", **kwargs)
+        assert engine.total_executed == executed
+        for node_id in (0, 1):
+            assert (
+                second.raw_energy_j[node_id].tolist()
+                == first.raw_energy_j[node_id].tolist()
+            )
 
     @pytest.mark.parametrize("axis", ["core", "uncore"])
     def test_fleet_engine_bit_identical_to_loop(self, axis, cluster):
@@ -155,10 +183,6 @@ class TestSavings:
     def test_engines_and_campaign_bit_identical(self, cluster):
         """The row equals the recursive-engine oracle, and a
         store-backed run reproduces the store-less one exactly."""
-        from repro import api
-        from repro.campaign.engine import CampaignEngine
-        from repro.campaign.store import ResultStore
-
         tmm = TuningModel.from_best_configs(
             "Lulesh", "phase",
             {
@@ -189,13 +213,10 @@ class TestSavings:
         variants into one store-backed campaign run, each row
         bit-identical to its solo store-less compare_static_dynamic
         call."""
-        from repro import api
         from repro.analysis.savings import (
             SavingsCase,
             compare_static_dynamic_many,
         )
-        from repro.campaign.engine import CampaignEngine
-        from repro.campaign.store import ResultStore
 
         def case(benchmark):
             app = registry.build(benchmark)
@@ -233,8 +254,6 @@ class TestSavings:
         assert plain == solo
 
     def test_campaign_topology_mismatch_rejected(self, cluster):
-        from repro import api
-        from repro.campaign.engine import CampaignEngine
         from repro.errors import CampaignError
         from repro.hardware.topology import NodeTopology
 
@@ -266,6 +285,19 @@ class TestTuningTime:
     def test_rendering(self, cluster):
         text = reporting.render_tuning_time(tuning_time_comparison("Mcb", cluster=cluster))
         assert "exhaustive" in text
+
+    @pytest.mark.parametrize("name", ["Mcb", "Lulesh", "EP"])
+    def test_run_time_is_the_calibration_point_run(self, name, cluster):
+        """The measured run equals a fresh-node solo run at the
+        calibration point under the ``("tuning-time",)`` noise key."""
+        app = registry.build(name)
+        solo = _fresh_run(
+            cluster, 1,
+            config.CALIBRATION_CORE_FREQ_GHZ, config.CALIBRATION_UNCORE_FREQ_GHZ,
+            app, seed=config.DEFAULT_SEED, threads=None, run_key=("tuning-time",),
+        )
+        cmp = tuning_time_comparison(name, cluster=cluster, node_id=1)
+        assert cmp.single_run_time_s == solo.time_s
 
 
 class TestTradeoffs:

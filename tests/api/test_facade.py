@@ -263,10 +263,63 @@ def _savings_jobs():
     return tuple(job for batch in batches.values() for job in batch)
 
 
+TRADEOFF_CONFIGURATIONS = [OperatingPoint(1.6, 2.5, 20), OperatingPoint(2.4, 1.7, 24)]
+
+
+def _tradeoff(options):
+    from repro.analysis.tradeoffs import energy_time_tradeoff
+
+    return energy_time_tradeoff(
+        "EP", TRADEOFF_CONFIGURATIONS, cluster=Cluster(2), options=options
+    )
+
+
+def _tradeoff_jobs():
+    from repro.campaign.plan import grid_jobs
+
+    return grid_jobs(
+        "EP", label="tradeoff",
+        points=[OperatingPoint(), *TRADEOFF_CONFIGURATIONS],
+        node_seed=Cluster(2).seed,
+    )
+
+
+def _variability(options):
+    """The uncore-axis study on two nodes, as comparable lists."""
+    from repro.analysis.variability import variability_study
+
+    study = variability_study(
+        "EP", axis="uncore", nodes=(0, 1), cluster=Cluster(2), options=options
+    )
+    return [
+        (series.tolist(), study.normalized_energy[node_id].tolist())
+        for node_id, series in study.raw_energy_j.items()
+    ]
+
+
+def _variability_jobs():
+    from repro.campaign.plan import grid_jobs
+
+    points = [
+        OperatingPoint(config.CALIBRATION_CORE_FREQ_GHZ, ucf)
+        for ucf in config.UNCORE_FREQUENCIES_GHZ
+    ]
+    return tuple(
+        job
+        for node_id in (0, 1)
+        for job in grid_jobs(
+            "EP", label="variability-uncore", points=points, node_id=node_id,
+            node_seed=Cluster(2).seed,
+        )
+    )
+
+
 #: verb -> (call with options, the jobs it plans, in plan order)
 FAILURE_POLICY_VERBS = {
     "exhaustive_static_search": (_static_search, _static_search_jobs),
     "compare_static_dynamic": (_savings, _savings_jobs),
+    "energy_time_tradeoff": (_tradeoff, _tradeoff_jobs),
+    "variability_study": (_variability, _variability_jobs),
 }
 
 
@@ -389,6 +442,8 @@ TOPOLOGY_VERBS = {
         "measure_normalized_energy"
     ),
     "build_dataset": _build_dataset,
+    "energy_time_tradeoff": lambda engine: _tradeoff(_mismatched(engine)),
+    "variability_study": lambda engine: _variability(_mismatched(engine)),
 }
 
 

@@ -51,6 +51,19 @@ class TestGridPlan:
         heat = grid_jobs("EP", label="heatmap", points=small_grid())[0]
         assert heat.cell_run_keys()[0] == ("heatmap", 1.2, 1.3)
 
+    @pytest.mark.parametrize(
+        "label, key",
+        [
+            ("variability-core", ("variability", "core", 1.2, 1.3)),
+            ("variability-uncore", ("variability", "uncore", 1.2, 1.3)),
+            ("tradeoff", ("tradeoff", "24T 1.2|1.3 GHz (CF|UCF)")),
+            ("tuning-time", ("tuning-time",)),
+        ],
+    )
+    def test_analysis_labels_reproduce_their_run_keys(self, label, key):
+        job = grid_jobs("EP", label=label, points=small_grid())[0]
+        assert job.cell_run_keys()[0] == key
+
     def test_run_key_refuses_grid_jobs(self):
         job = grid_jobs("EP", label="static", points=small_grid())[0]
         with pytest.raises(CampaignError, match="cell_run_keys"):

@@ -189,6 +189,37 @@ class TestControlledReplayEquivalence:
         )
         assert_identical(fast, generic, n1, n2)
 
+    def test_nodes_share_one_schedule_walk(self, monkeypatch):
+        """The walk is node-invariant: runs of one tuning model on four
+        nodes walk the controller trace once, and each node still prices
+        its own physics (every run equals the recursive engine)."""
+        from repro.execution import controlled_replay
+
+        walks = []
+        walk = controlled_replay.compile_schedule_by_walk
+
+        def counting_walk(*args, **kwargs):
+            walks.append(args[2].node_id)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(
+            controlled_replay, "compile_schedule_by_walk", counting_walk
+        )
+        app = registry.build("Lulesh")
+        model = make_tmm(app)
+        for node_id in range(4):
+            for rep in range(2):
+                assert_identical(
+                    *run_both(
+                        app,
+                        lambda: RRL(model),
+                        node_id=node_id,
+                        instrumented=True,
+                        run_key=("nodes", node_id, rep),
+                    )
+                )
+        assert walks == [0]
+
     def test_schedule_cache_hits_stay_bit_identical(self):
         """Repetitions of one configuration (the Table 6 averaging loop)
         reuse the compiled schedule; results must not drift."""

@@ -1,10 +1,14 @@
-"""The package never imports from the test tree.
+"""Import layering of the package.
 
-The reference implementations (the recursive engine, the scalar timing
-and power models, the per-cell loops) live in ``tests/oracles/`` as
-independent checkers of the production fast paths.  Production code
-reaching back into them would make the checker part of what it checks,
-so every module under ``src/repro`` is parsed and its imports listed.
+The package never imports from the test tree.  The reference
+implementations (the recursive engine, the scalar timing and power
+models, the per-cell loops) live in ``tests/oracles/`` as independent
+checkers of the production fast paths.  Production code reaching back
+into them would make the checker part of what it checks, so every
+module under ``src/repro`` is parsed and its imports listed.
+
+Only the execution layer and the campaign engine build fleet-kernel
+requests; every other layer measures through the engine.
 """
 
 import ast
@@ -53,3 +57,54 @@ def test_detector_sees_test_imports():
         "tests.oracles",
         "tests.oracles.physics",
     ]
+
+
+#: The fleet kernel's request API; only the execution layer and the
+#: campaign engine build fleets — every other layer measures through
+#: the engine, so its runs cache, resume and honour the failure policy.
+FLEET_NAMES = frozenset({"fleet_run", "FleetMember"})
+
+
+def fleet_names_used(tree: ast.AST) -> set[str]:
+    """The fleet-kernel names a module imports or reads as attributes."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names} & FLEET_NAMES
+        elif isinstance(node, ast.Attribute) and node.attr in FLEET_NAMES:
+            used.add(node.attr)
+    return used
+
+
+def may_build_fleets(relative: Path) -> bool:
+    return relative.parts[0] == "execution" or relative == Path(
+        "campaign", "engine.py"
+    )
+
+
+def test_only_execution_and_engine_build_fleets():
+    offending = {}
+    for path in MODULES:
+        relative = path.relative_to(SRC)
+        if may_build_fleets(relative):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = fleet_names_used(tree)
+        if names:
+            offending[str(relative)] = sorted(names)
+    assert offending == {}
+
+
+def test_detector_sees_fleet_use():
+    tree = ast.parse(
+        "from repro.execution.fleet_replay import FleetMember as M\n"
+        "def f():\n"
+        "    from repro.execution import fleet_replay\n"
+        "    return fleet_replay.fleet_run([])\n"
+        "from repro.execution.fleet_replay import FleetReplay\n"
+    )
+    assert fleet_names_used(tree) == {"FleetMember", "fleet_run"}
+    assert may_build_fleets(Path("execution", "simulator.py"))
+    assert may_build_fleets(Path("campaign", "engine.py"))
+    assert not may_build_fleets(Path("campaign", "plan.py"))
+    assert not may_build_fleets(Path("analysis", "variability.py"))

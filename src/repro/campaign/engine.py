@@ -118,21 +118,37 @@ def _tuning_model_from_json(text: str):
     return TuningModel.from_json(text)
 
 
-def _build_controller(job: CampaignJob):
-    """Rebuild a ``savings`` job's controller from its description."""
+@functools.lru_cache(maxsize=64)
+def _static_tuning_model(app_name: str, phase_region: str, point):
+    """The tuning model of a static run: no scenarios, ``point`` as the
+    default the RRL applies at the phase region.  Shared per (phase,
+    point) like :func:`_tuning_model_from_json`'s models, so the five
+    repetitions of a static variant walk their schedule once."""
+    from repro.readex.tuning_model import TuningModel
+
+    return TuningModel(
+        app_name, phase_region=phase_region, scenarios=(), default=point
+    )
+
+
+def _build_controller(job: CampaignJob, app: Application):
+    """Rebuild a ``savings`` job's controller from its description.
+
+    A static job runs the RRL under a default-only tuning model: the
+    phase region's enter applies its configuration, core then uncore,
+    and pins its thread count for the whole run."""
     if job.controller == "none":
         return None
     from repro.execution.simulator import OperatingPoint
-    from repro.readex.rrl import RRL, StaticController
+    from repro.readex.rrl import RRL
 
     if job.controller == "static":
-        return StaticController(
-            OperatingPoint(
-                core_freq_ghz=job.core_freq_ghz,
-                uncore_freq_ghz=job.uncore_freq_ghz,
-                threads=job.threads,
-            )
+        point = OperatingPoint(
+            core_freq_ghz=job.core_freq_ghz,
+            uncore_freq_ghz=job.uncore_freq_ghz,
+            threads=job.threads,
         )
+        return RRL(_static_tuning_model(app.name, app.phase.name, point))
     return RRL(_tuning_model_from_json(job.tuning_model))
 
 
@@ -207,7 +223,7 @@ def _job_fleet_members(job: CampaignJob, app: Application, topology):
                 app=app,
                 run_key=job.run_key(),
                 threads=threads,
-                controller=_build_controller(job),
+                controller=_build_controller(job, app),
                 instrumented=job.instrumented,
                 instrumentation=_build_instrumentation(job, app),
                 **common,

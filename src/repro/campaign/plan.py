@@ -16,9 +16,9 @@ expand benchmark lists into the paper's grids:
     exhaustive static baseline (Section V-D).
 ``savings``
     Controlled production runs of the Table VI comparison: optionally
-    under a controller (the RRL with a serialised tuning model, or the
-    static-configuration controller), optionally instrumented with a
-    compile-time filter.  Controller-driven jobs replay their compiled
+    under the RRL, with a serialised tuning model or, for a static job,
+    a default-only one holding the job's configuration, and optionally
+    instrumented with a compile-time filter.  Controller-driven jobs replay their compiled
     switch schedule (:mod:`repro.execution.controlled_replay`).
 
 ``grid``

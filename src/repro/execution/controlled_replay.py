@@ -44,8 +44,9 @@ The output is **bit-identical** to the recursive reference engine
 ``RunResult``, same :class:`~repro.readex.rrl.RRLStatistics`, same keyed
 RNG streams, same observable node state afterwards.  Every controller
 compiles through ``compile_schedule`` (see
-:class:`~repro.execution.simulator.RunController`); the RRL, the
-static-tuning controller and the PTF experiment schedule do.
+:class:`~repro.execution.simulator.RunController`); the RRL (static
+tuning included, as a default-only tuning model) and the PTF experiment
+schedule do.
 """
 
 from __future__ import annotations
@@ -251,24 +252,6 @@ def schedule_cache_for(owner) -> ScheduleCache:
     return cache
 
 
-class ScheduleCachePool:
-    """Bounded pool of schedule caches keyed by *value* (for owners that
-    are value objects, like a static operating point).  Oldest
-    configurations are dropped beyond ``maxsize``."""
-
-    def __init__(self, maxsize: int = 64):
-        self._maxsize = maxsize
-        self._caches: dict[object, ScheduleCache] = {}
-
-    def for_value(self, value) -> ScheduleCache:
-        cache = self._caches.get(value)
-        if cache is None:
-            if len(self._caches) >= self._maxsize:
-                self._caches.pop(next(iter(self._caches)))
-            cache = self._caches[value] = ScheduleCache()
-        return cache
-
-
 @dataclass
 class CompiledControl:
     """One cached compile: the schedule plus everything a controller
@@ -276,29 +259,9 @@ class CompiledControl:
 
     schedule: ControlSchedule
     controller_state: object      #: the controller's final internal state
-    stats: object | None          #: opaque per-run statistics delta
+    stats: object                 #: the run's statistics delta
     final_core_ghz: float
     final_uncore_ghz: float
-
-
-def compile_or_reuse(
-    cache: ScheduleCache, app, node, key: tuple, build
-) -> CompiledControl:
-    """Serve a compiled control from ``cache`` or build and store it.
-
-    ``build()`` walks the live node (leaving it at the run's final
-    frequencies with drained logs); a cache hit fast-forwards the node
-    to that same state instead.
-    """
-    compiled = cache.get(app, key)
-    if compiled is None:
-        compiled = build()
-        cache.put(app, key, compiled)
-    else:
-        fast_forward_node(
-            node, compiled.final_core_ghz, compiled.final_uncore_ghz
-        )
-    return compiled
 
 
 def fast_forward_node(node, core_freq_ghz: float, uncore_freq_ghz: float) -> None:

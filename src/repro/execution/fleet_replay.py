@@ -177,10 +177,10 @@ class FleetMember:
     """One replay request: an application run on a fresh or a live node.
 
     A fresh-node member describes the experiment of one solo run:
-    build ``ComputeNode(node_id, seed=node_seed,
-    topology=..., variability=...)``, optionally program ``point``'s
-    frequencies, then ``ExecutionSimulator(node, seed=seed).run(app,
-    threads=..., controller=..., instrumented=..., instrumentation=...,
+    build ``ComputeNode(node_id, seed=node_seed, topology=...)``,
+    optionally program ``point``'s frequencies, then
+    ``ExecutionSimulator(node, seed=seed).run(app, threads=...,
+    controller=..., instrumented=..., instrumentation=...,
     run_key=run_key)``.  ``point=None`` leaves the node at its default
     frequencies (the ``reset_to_default()`` start every analysis layer
     uses).  ``controller`` is a per-member instance — its statistics
@@ -190,9 +190,9 @@ class FleetMember:
     :class:`~repro.hardware.node.ComputeNode` the run executes on
     instead, from its current frequencies, clock and meters, which the
     run advances (the simulator's solo runs are such members).
-    ``node_seed``, ``topology``, ``variability`` and ``point`` then do
-    not apply, and ``node_id`` must be the node's.  A live node hosts
-    at most one member per fleet.
+    ``node_seed``, ``topology`` and ``point`` then do not apply, and
+    ``node_id`` must be the node's.  A live node hosts at most one
+    member per fleet.
     """
 
     app: object
@@ -201,7 +201,6 @@ class FleetMember:
     seed: int = config.DEFAULT_SEED
     node_seed: int | None = None
     topology: NodeTopology | None = None
-    variability: NodeVariability | None = None
     point: object | None = None           #: OperatingPoint to program, or None
     threads: int | None = None
     controller: object | None = None
@@ -291,7 +290,6 @@ def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
             member.node_id,
             seed=node_seed,
             topology=member.topology,
-            variability=member.variability,
         )
         if member.point is not None:
             node.set_frequencies(
@@ -369,13 +367,12 @@ def _plan_member(member: FleetMember, structures: dict, models: dict) -> _Member
         # The power model depends on the variability and the socket/core
         # counts only; keying on the topology object's identity (members
         # stay alive for the whole pass) spares hashing its core tree.
-        mkey = (member.node_id, node_seed, id(member.topology), member.variability)
+        mkey = (member.node_id, node_seed, id(member.topology))
         power_model = models.get(mkey)
         if power_model is None:
             topo = member.topology or NodeTopology.default()
             power_model = models[mkey] = PowerModel(
-                member.variability
-                or NodeVariability.sample(member.node_id, seed=node_seed),
+                NodeVariability.sample(member.node_id, seed=node_seed),
                 num_sockets=topo.num_sockets,
                 num_cores=topo.num_cores,
             )

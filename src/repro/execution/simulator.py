@@ -80,8 +80,8 @@ class OperatingPoint:
 
 
 class RunController(Protocol):
-    """Hook interface for runtime tuning (the RRL, the static controller,
-    PTF's experiment schedule).
+    """Hook interface for runtime tuning (the RRL, which also runs static
+    tuning as a default-only tuning model, and PTF's experiment schedule).
 
     A controller's decisions depend only on region names and the
     hardware state it observes — never on simulated time or noise — so

@@ -22,18 +22,12 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.campaign.store import job_key
 from repro.errors import ModelError
 from repro.modeling.batched import BatchedModelEvaluator
 from repro.modeling.dataset import EnergyDataset
 from repro.modeling.metrics import mape
-from repro.modeling.model_cache import (
-    dataset_digest,
-    model_from_payload,
-    model_to_payload,
-    training_descriptor,
-)
-from repro.modeling.training import TrainedModel, TrainingConfig, train_networks
+from repro.modeling.model_cache import train_networks_cached
+from repro.modeling.training import TrainingConfig
 from repro.util.rng import rng_for
 
 if TYPE_CHECKING:
@@ -69,37 +63,19 @@ def network_loocv_mape(
 
     Each fold is a row subset of the dataset.  Folds whose trained
     weights ``campaign``'s result store holds are recalled; the rest
-    train together in one :func:`train_networks` pass and are
-    persisted.  Held-out benchmarks are predicted with the batched
-    evaluator — bit-identical to training and predicting one fold at a
-    time.
+    train together in one lockstep pass and are persisted
+    (:func:`~repro.modeling.model_cache.train_networks_cached`).
+    Held-out benchmarks are predicted with the batched evaluator —
+    bit-identical to training and predicting one fold at a time.
     """
     store = campaign.store if campaign is not None else None
     features, targets = dataset.features, dataset.targets
-    models: dict[str, TrainedModel] = {}
-    pending: list[tuple[str, str, dict, np.ndarray]] = []
-    for bench in dataset.benchmarks:
-        rows = np.flatnonzero(dataset.groups != bench)
-        descriptor = training_descriptor(
-            dataset_digest(features[rows], targets[rows]), config
-        )
-        key = job_key(descriptor)
-        cached = store.get(key) if store is not None else None
-        if cached is not None:
-            models[bench] = model_from_payload(cached)
-        else:
-            pending.append((bench, key, descriptor, rows))
-
-    trained = train_networks(features, targets, [rows for *_, rows in pending], config)
-    for (bench, key, descriptor, _rows), model in zip(pending, trained):
-        if store is not None:
-            store.put(key, descriptor, model_to_payload(model))
-        models[bench] = model
-
+    folds = [np.flatnonzero(dataset.groups != bench) for bench in dataset.benchmarks]
+    models = train_networks_cached(features, targets, folds, config=config, store=store)
     results = {}
-    for bench in dataset.benchmarks:
+    for bench, model in zip(dataset.benchmarks, models):
         test = dataset.groups == bench
-        predicted = BatchedModelEvaluator(models[bench]).predict(features[test])
+        predicted = BatchedModelEvaluator(model).predict(features[test])
         results[bench] = mape(predicted, targets[test])
     return results
 

@@ -26,7 +26,13 @@ from repro.campaign.store import ResultStore, job_key
 from repro.errors import CampaignError, ModelError
 from repro.modeling.network import EnergyNetwork
 from repro.modeling.scaler import StandardScaler
-from repro.modeling.training import TrainedModel, TrainingConfig, train_network
+from repro.modeling.training import (
+    TrainedModel,
+    TrainingConfig,
+    _check_shapes,
+    train_network,
+    train_networks,
+)
 
 #: Keys every cached model payload must carry; anything less was written
 #: by an older schema and must not be silently rebuilt into a model.
@@ -111,23 +117,62 @@ def train_network_cached(
     """
     if store is None:
         return train_network(features, targets, config=config)
+    (model,) = train_networks_cached(
+        features, targets, [np.arange(len(features))], config=config, store=store
+    )
+    return model
+
+
+def train_networks_cached(
+    features: np.ndarray,
+    targets: np.ndarray,
+    row_sets,
+    *,
+    config: TrainingConfig = TrainingConfig(),
+    store: ResultStore | str | Path | None = None,
+) -> list[TrainedModel]:
+    """:func:`train_networks`, recalling each row set's weights from the
+    result store.
+
+    Every row set is keyed by the digest of its rows and ``config``
+    (:func:`training_descriptor`).  Hits are read with one
+    :meth:`~ResultStore.get_many`; the misses train together in one
+    lockstep pass and are written with one :meth:`~ResultStore.put_many`.
+    ``store`` is handled as in :func:`train_network_cached`.  A recalled
+    entry whose layout is stale raises a :class:`CampaignError` naming
+    the store file.
+    """
+    if store is None:
+        return train_networks(features, targets, row_sets, config)
     if not isinstance(store, ResultStore):
         with ResultStore(store) as opened:
-            return train_network_cached(
-                features, targets, config=config, store=opened
+            return train_networks_cached(
+                features, targets, row_sets, config=config, store=opened
             )
-    descriptor = training_descriptor(dataset_digest(features, targets), config)
-    key = job_key(descriptor)
-    cached = store.get(key)
-    if cached is not None:
+    features, targets = _check_shapes(features, targets)
+    descriptors = [
+        training_descriptor(dataset_digest(features[rows], targets[rows]), config)
+        for rows in row_sets
+    ]
+    keys = [job_key(descriptor) for descriptor in descriptors]
+    cached = store.get_many(keys)
+    models: list[TrainedModel | None] = []
+    for key in keys:
+        payload = cached.get(key)
         try:
-            return model_from_payload(cached)
+            models.append(None if payload is None else model_from_payload(payload))
         except ModelError as exc:
             # A recalled entry whose payload layout is stale is a store
             # problem, not a modelling one: surface the campaign error
             # the rest of the cache layer documents, naming the file.
             where = store.path if store.path is not None else "<in-memory store>"
             raise CampaignError(f"{exc} (store: {where})") from None
-    model = train_network(features, targets, config=config)
-    store.put(key, descriptor, model_to_payload(model))
-    return model
+    pending = [k for k, model in enumerate(models) if model is None]
+    trained = train_networks(features, targets, [row_sets[k] for k in pending], config)
+    for k, model in zip(pending, trained):
+        models[k] = model
+    if pending:
+        store.put_many(
+            [(keys[k], descriptors[k], model_to_payload(models[k])) for k in pending]
+        )
+    return models

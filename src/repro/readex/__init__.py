@@ -17,7 +17,7 @@ from repro.readex.config_file import ReadexConfig
 from repro.readex.scenario import Scenario, classify_scenarios
 from repro.readex.tuning_model import TuningModel
 from repro.readex.pcp import CpuFreqPlugin, OpenMPTPlugin, UncoreFreqPlugin
-from repro.readex.rrl import RRL, RRLStatistics, StaticController
+from repro.readex.rrl import RRL, RRLStatistics
 
 __all__ = [
     "SignificantRegion",
@@ -31,5 +31,4 @@ __all__ = [
     "OpenMPTPlugin",
     "RRL",
     "RRLStatistics",
-    "StaticController",
 ]

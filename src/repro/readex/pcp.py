@@ -51,15 +51,14 @@ class OpenMPTPlugin:
 
     name = "openmp_plugin"
 
-    def __init__(self, max_threads: int = config.CORES_PER_NODE):
-        self._max_threads = max_threads
+    def __init__(self):
         self._requested = config.DEFAULT_OPENMP_THREADS
 
     def apply(self, node: ComputeNode, threads: int) -> int:
-        if not 1 <= threads <= self._max_threads:
-            raise RRLError(
-                f"requested thread count {threads} outside [1, {self._max_threads}]"
-            )
+        """Request ``threads``, bounded by ``node``'s core count."""
+        cores = node.topology.num_cores
+        if not 1 <= threads <= cores:
+            raise RRLError(f"requested thread count {threads} outside [1, {cores}]")
         self._requested = int(threads)
         return self._requested
 

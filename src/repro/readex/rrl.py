@@ -8,20 +8,21 @@ to a scenario whose configuration differs from the current hardware state
 phase-region enter it applies the phase scenario (or the model default),
 so untuned stretches run at a well-defined configuration.
 
-Because those decisions depend only on region names and the current
-hardware state, both the RRL and the static-tuning controller implement
-the ``compile_schedule`` protocol: the execution simulator compiles
-their switch schedule once (:mod:`repro.execution.controlled_replay`)
-and prices controlled runs through the fleet replay kernel,
-bit-identical to the recursive engine — including every field of
-:class:`RRLStatistics`.
+Static tuning is the RRL under a default-only tuning model: the phase
+region's enter applies the one configuration and nothing else matches.
+
+Because the RRL's decisions depend only on region names and the current
+hardware state, it implements the ``compile_schedule`` protocol: the
+execution simulator compiles its switch schedule once
+(:mod:`repro.execution.controlled_replay`) and prices controlled runs
+through the fleet replay kernel, bit-identical to the recursive engine —
+including every field of :class:`RRLStatistics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.execution.controlled_replay import ScheduleCachePool
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.node import ComputeNode
 from repro.readex.pcp import CpuFreqPlugin, OpenMPTPlugin, UncoreFreqPlugin
@@ -89,13 +90,21 @@ class RRL:
         """
         from repro.execution.controlled_replay import (
             CompiledControl,
-            compile_or_reuse,
             compile_schedule_by_walk,
+            fast_forward_node,
             schedule_cache_for,
             schedule_cache_key,
         )
 
-        def build() -> CompiledControl:
+        key = schedule_cache_key(
+            node,
+            threads=threads,
+            instrumented=instrumented,
+            instrumentation=instrumentation,
+        ) + (self._current_threads,)
+        cache = schedule_cache_for(self.tuning_model)
+        compiled = cache.get(app, key)
+        if compiled is None:
             probe = RRL(self.tuning_model)
             probe._current_threads = self._current_threads
             schedule = compile_schedule_by_walk(
@@ -109,23 +118,19 @@ class RRL:
                 ),
                 extrapolate_stats=probe._extrapolate_stats,
             )
-            return CompiledControl(
+            compiled = CompiledControl(
                 schedule=schedule,
                 controller_state=probe._current_threads,
                 stats=probe.stats,
                 final_core_ghz=node.core_freq_ghz,
                 final_uncore_ghz=node.uncore_freq_ghz,
             )
-
-        key = schedule_cache_key(
-            node,
-            threads=threads,
-            instrumented=instrumented,
-            instrumentation=instrumentation,
-        ) + (self._current_threads,)
-        compiled = compile_or_reuse(
-            schedule_cache_for(self.tuning_model), app, node, key, build
-        )
+            cache.put(app, key, compiled)
+        else:
+            # The walk left the node at these frequencies, logs drained.
+            fast_forward_node(
+                node, compiled.final_core_ghz, compiled.final_uncore_ghz
+            )
         self._absorb_stats(compiled.stats)
         self._current_threads = compiled.controller_state
         return compiled.schedule
@@ -168,81 +173,3 @@ class RRL:
             self._current_threads = configuration.threads
             self.stats.thread_switches += 1
 
-
-class StaticController:
-    """Degenerate controller applying one configuration at run start.
-
-    Used for the static-tuning baseline: equivalent to setting frequencies
-    with ``x86_adapt`` before launching the (uninstrumented) job.
-    """
-
-    def __init__(self, configuration: OperatingPoint):
-        self.configuration = configuration
-        self._applied = False
-        self._cpu_freq = CpuFreqPlugin()
-        self._uncore_freq = UncoreFreqPlugin()
-
-    def on_region_enter(self, region: Region, iteration: int, node: ComputeNode) -> int:
-        if not self._applied:
-            self._cpu_freq.apply(node, self.configuration.core_freq_ghz)
-            self._uncore_freq.apply(node, self.configuration.uncore_freq_ghz)
-            self._applied = True
-        return self.configuration.threads
-
-    def on_region_exit(self, region: Region, iteration: int, node: ComputeNode) -> None:
-        return None
-
-    # -- RunController.compile_schedule ------------------------------------
-    def compile_schedule(
-        self, app, node: ComputeNode, *, threads: int, instrumented: bool,
-        instrumentation,
-    ):
-        """One apply at run start, iteration-independent afterwards.
-
-        Compiles are cached per static configuration (a bounded pool —
-        oldest configurations evicted), keyed like the RRL's on app,
-        node topology, entry state and whether the one-shot apply
-        already happened.
-        """
-        from repro.execution.controlled_replay import (
-            CompiledControl,
-            compile_or_reuse,
-            compile_schedule_by_walk,
-            schedule_cache_key,
-        )
-
-        def build() -> CompiledControl:
-            probe = StaticController(self.configuration)
-            probe._applied = self._applied
-            schedule = compile_schedule_by_walk(
-                probe, app, node,
-                threads=threads,
-                instrumented=instrumented,
-                instrumentation=instrumentation,
-                state_key=lambda: probe._applied,
-            )
-            return CompiledControl(
-                schedule=schedule,
-                controller_state=probe._applied,
-                stats=None,
-                final_core_ghz=node.core_freq_ghz,
-                final_uncore_ghz=node.uncore_freq_ghz,
-            )
-
-        key = schedule_cache_key(
-            node,
-            threads=threads,
-            instrumented=instrumented,
-            instrumentation=instrumentation,
-        ) + (self._applied,)
-        compiled = compile_or_reuse(
-            _STATIC_SCHEDULE_CACHES.for_value(self.configuration),
-            app, node, key, build,
-        )
-        self._applied = compiled.controller_state
-        return compiled.schedule
-
-
-#: Compiled-schedule caches of the static controller, per configuration
-#: (bounded; see ScheduleCachePool).
-_STATIC_SCHEDULE_CACHES = ScheduleCachePool()

@@ -206,6 +206,31 @@ class TestSavings:
         )
         assert stored == row
 
+    @pytest.mark.parametrize(
+        "name,static",
+        [
+            ("Lulesh", OperatingPoint(2.4, 2.0, 24)),
+            ("Amg2013", OperatingPoint(2.2, 1.8, 20)),
+            ("miniMD", OperatingPoint(1.9, 2.6, 24)),
+            ("BEM4I", OperatingPoint(2.5, 1.6, 16)),
+            ("Mcb", OperatingPoint(1.6, 2.5, 20)),
+        ],
+    )
+    def test_static_variant_matches_the_static_controller(
+        self, cluster, name, static
+    ):
+        """The static variant, priced as the RRL under a default-only
+        tuning model, equals the oracle static controller's runs on the
+        recursive engine for every Table VI benchmark."""
+        assert name in registry.TEST_BENCHMARKS
+        phase = registry.build(name).phase.name
+        tmm = TuningModel.from_best_configs(
+            name, phase, {phase: OperatingPoint(2.5, 2.1, 24)}
+        )
+        row = compare_static_dynamic(name, static, tmm, cluster=cluster, runs=1)
+        reference = recursive_savings(name, static, tmm, cluster=cluster, runs=1)
+        assert row.static == reference.static
+
     def test_many_matches_solo_rows_and_shares_one_campaign_run(
         self, cluster
     ):

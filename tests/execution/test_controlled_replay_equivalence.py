@@ -18,7 +18,7 @@ from repro.errors import TuningError
 from repro.execution.fleet_replay import FleetMember, fleet_run
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.hardware.node import ComputeNode
-from repro.readex.rrl import RRL, StaticController
+from repro.readex.rrl import RRL
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.instrumentation import Instrumentation
 from repro.workloads import registry
@@ -29,6 +29,7 @@ from tests.oracles.engine import (
     recursive_run,
     run_both,
 )
+from tests.oracles.static import StaticController, static_rrl
 
 #: A spread of benchmarks: OpenMP / MPI / hybrid, small and large trees.
 APPS = ("Lulesh", "Mcb", "FT", "EP", "Kripke", "BT-MZ")
@@ -145,7 +146,12 @@ class TestControlledReplayEquivalence:
         app = registry.build(app_name)
         point = OperatingPoint(2.4, 1.3, 24)
         assert_identical(
-            *run_both(app, lambda: StaticController(point), run_key=("st", 0))
+            *run_both(
+                app,
+                lambda: static_rrl(app, point),
+                reference_factory=lambda: StaticController(point),
+                run_key=("st", 0),
+            )
         )
 
     def test_reused_controller_accumulates_identically(self):

@@ -24,11 +24,12 @@ from repro.execution.fleet_replay import FleetMember, fleet_run, meter_end_state
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.hardware.node import ComputeNode
-from repro.readex.rrl import RRL, StaticController
+from repro.readex.rrl import RRL
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.instrumentation import Instrumentation
 from repro.workloads import registry
 from tests.oracles.engine import PhaseCounterCollector, recursive_run, run_reference
+from tests.oracles.static import StaticController, static_rrl
 
 #: OpenMP / MPI / hybrid benchmarks with different tree sizes, so mixed
 #: fleets exercise genuinely ragged charge-row lengths.
@@ -53,7 +54,7 @@ def make_tmm(app) -> TuningModel:
 
 #: Member shapes, mirroring every analysis-layer call site: grid cells
 #: (programmed static points, plain or instrumented), savings variants
-#: (default / static controller / instrumented RRL / config-only RRL).
+#: (default / static / instrumented RRL / config-only RRL).
 KINDS = (
     "default",
     "static_point",
@@ -64,8 +65,12 @@ KINDS = (
 )
 
 
-def build_member(spec) -> FleetMember:
-    """A fresh FleetMember (fresh controller/instrumentation) per spec."""
+def build_member(spec, *, reference: bool = False) -> FleetMember:
+    """A fresh FleetMember (fresh controller/instrumentation) per spec.
+
+    A ``static_ctrl`` member runs static tuning's production form (the
+    RRL under a default-only tuning model) or, as the ``reference``,
+    the oracle :class:`StaticController`."""
     app = build_app(spec["app"])
     kind = spec["kind"]
     member = FleetMember(
@@ -83,7 +88,10 @@ def build_member(spec) -> FleetMember:
         )
         member.instrumented = kind == "instrumented_point"
     elif kind == "static_ctrl":
-        member.controller = StaticController(OperatingPoint(2.2, 1.8, 24))
+        point = OperatingPoint(2.2, 1.8, 24)
+        member.controller = (
+            StaticController(point) if reference else static_rrl(app, point)
+        )
         member.threads = 24
     elif kind == "rrl":
         member.controller = RRL(make_tmm(app))
@@ -94,8 +102,10 @@ def build_member(spec) -> FleetMember:
     return member
 
 
-def assert_member_identical(got, end, member_ref: FleetMember):
-    ref, node = run_reference(member_ref)
+def assert_member_identical(got, end, spec):
+    """``spec``'s fleet result and end state equal its reference
+    member's run on the recursive engine."""
+    ref, node = run_reference(build_member(spec, reference=True))
     assert got == ref
     assert list(got.instances) == list(ref.instances)
     assert end == meter_end_state(node)
@@ -108,9 +118,7 @@ class TestFleetEquivalence:
         fleet = fleet_run([build_member(s) for s in specs])
         assert len(fleet) == len(specs)
         for i, spec in enumerate(specs):
-            assert_member_identical(
-                fleet.results[i], fleet.end_states[i], build_member(spec)
-            )
+            assert_member_identical(fleet.results[i], fleet.end_states[i], spec)
 
     def test_mixed_apps_nodes_and_seeds(self):
         specs = [
@@ -125,9 +133,7 @@ class TestFleetEquivalence:
         ]
         fleet = fleet_run([build_member(s) for s in specs])
         for i, spec in enumerate(specs):
-            assert_member_identical(
-                fleet.results[i], fleet.end_states[i], build_member(spec)
-            )
+            assert_member_identical(fleet.results[i], fleet.end_states[i], spec)
 
     def test_interleaved_structure_block_bit_identical_to_recursive(self):
         """Members of one structure interleaved with others: the Lulesh
@@ -143,9 +149,7 @@ class TestFleetEquivalence:
         ]
         fleet = fleet_run([build_member(s) for s in specs])
         for i, spec in enumerate(specs):
-            assert_member_identical(
-                fleet.results[i], fleet.end_states[i], build_member(spec)
-            )
+            assert_member_identical(fleet.results[i], fleet.end_states[i], spec)
 
     def test_rrl_statistics_match_per_run_engine(self):
         app = build_app("Lulesh")
@@ -200,9 +204,7 @@ class TestFleetProperties:
     def test_random_compositions_bit_identical(self, specs):
         fleet = fleet_run([build_member(s) for s in specs])
         for i, spec in enumerate(specs):
-            assert_member_identical(
-                fleet.results[i], fleet.end_states[i], build_member(spec)
-            )
+            assert_member_identical(fleet.results[i], fleet.end_states[i], spec)
 
     @settings(max_examples=8, deadline=None)
     @given(specs=member_specs, data=st.data())
@@ -272,6 +274,7 @@ def entry_state_sequence(recursive: bool):
     filtered = Instrumentation(
         app=app, filtered={"CalcQForElems", "LagrangeNodal_misc"}
     )
+    static = OperatingPoint(2.2, 1.8, 24)
     node.hdeem.start()
     steps = []
 
@@ -290,7 +293,9 @@ def entry_state_sequence(recursive: bool):
     record(
         run(
             app,
-            controller=StaticController(OperatingPoint(2.2, 1.8, 24)),
+            controller=(
+                StaticController(static) if recursive else static_rrl(app, static)
+            ),
             run_key=("entry", 2),
         )
     )
@@ -346,9 +351,7 @@ class TestLiveNodeMembers:
         assert fleet.end_states[1] is None
         assert meter_end_state(live_node) == meter_end_state(solo_node)
         for i, spec in zip((0, 2, 3), specs):
-            assert_member_identical(
-                fleet.results[i], fleet.end_states[i], build_member(spec)
-            )
+            assert_member_identical(fleet.results[i], fleet.end_states[i], spec)
 
     def test_live_node_hosts_one_member_per_fleet(self):
         node = ComputeNode(0)

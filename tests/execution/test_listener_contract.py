@@ -7,13 +7,14 @@ listener must see exactly what the recursive engine
 exit events, in the same order, with the same times and metric dicts,
 compared with ``==``.  The cases cover every benchmark with counters
 on and off under full and filtered instrumentation, and every benchmark
-under the RRL and the static controller.
+under the RRL and under static tuning (the RRL under a default-only
+tuning model, against the oracle static controller).
 """
 
 import pytest
 
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
-from repro.readex.rrl import RRL, StaticController
+from repro.readex.rrl import RRL
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.hdeem_plugin import HdeemMetricPlugin
 from repro.scorep.instrumentation import Instrumentation
@@ -23,6 +24,7 @@ from repro.scorep.trace import TraceCollector
 from repro.workloads import registry
 from repro.workloads.region import RegionKind
 from tests.oracles.engine import make_node, meter_state, recursive_run
+from tests.oracles.static import StaticController, static_rrl
 
 BENCHMARKS = registry.benchmark_names()
 
@@ -70,11 +72,17 @@ def observe(run, app, **kwargs):
     return result, recorder.events, profile.profile().to_dict(), trace.trace().records
 
 
-def assert_same_observation(app, controller_factory=None, **kwargs):
+def assert_same_observation(
+    app, controller_factory=None, *, reference_factory=None, **kwargs
+):
+    """The simulator's run and the recursive engine's deliver the same
+    events and results; the recursive run's controller comes from
+    ``reference_factory`` when given."""
     n1, n2 = make_node(), make_node()
     c1 = c2 = None
     if controller_factory is not None:
-        c1, c2 = controller_factory(), controller_factory()
+        c1 = controller_factory()
+        c2 = (reference_factory or controller_factory)()
     got = observe(ExecutionSimulator(n1).run, app, controller=c1, **kwargs)
     want = observe(
         lambda *a, **kw: recursive_run(n2, *a, **kw), app, controller=c2, **kwargs
@@ -87,7 +95,7 @@ def assert_same_observation(app, controller_factory=None, **kwargs):
     assert records == want[3]
     assert result == want[0]
     assert meter_state(n1) == meter_state(n2)
-    if controller_factory is not None and hasattr(c1, "stats"):
+    if hasattr(c1, "stats") and hasattr(c2, "stats"):
         assert c1.stats == c2.stats
 
 
@@ -122,7 +130,10 @@ class TestListenerContract:
         app = registry.build(name)
         point = OperatingPoint(2.2, 1.8, 24)
         assert_same_observation(
-            app, lambda: StaticController(point), run_key=("static", name)
+            app,
+            lambda: static_rrl(app, point),
+            reference_factory=lambda: StaticController(point),
+            run_key=("static", name),
         )
 
     def test_filtered_rrl_events_match_recursion(self):

@@ -12,15 +12,14 @@ the recursive engine's to the bit.
 import pytest
 
 from repro import config
-from repro.execution.controlled_replay import ScheduleCachePool
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.hardware.node import ComputeNode
 from repro.ptf.experiments import _ScheduleController
-from repro.readex import rrl
-from repro.readex.rrl import RRL, StaticController
+from repro.readex.rrl import RRL
 from repro.readex.tuning_model import TuningModel
 from repro.workloads import registry
 from tests.oracles.engine import meter_state, recursive_run
+from tests.oracles.static import StaticController, static_rrl
 
 
 class _PricingGuard:
@@ -73,18 +72,17 @@ def experiment_schedule(app) -> list[OperatingPoint]:
     ][: app.phase_iterations]
 
 
+STATIC = OperatingPoint(2.1, 1.7, 20)
+
 CONTROLLERS = {
     "rrl": lambda app: RRL(fresh_tmm(app)),
-    "static": lambda app: StaticController(OperatingPoint(2.1, 1.7, 20)),
+    "static": lambda app: static_rrl(app, STATIC),
     "ptf": lambda app: _ScheduleController(experiment_schedule(app), app.phase.name),
 }
 
-
-@pytest.fixture(autouse=True)
-def empty_static_cache(monkeypatch):
-    """The static controller caches compiles per configuration across
-    the process; start from an empty pool so its compile walks too."""
-    monkeypatch.setattr(rrl, "_STATIC_SCHEDULE_CACHES", ScheduleCachePool())
+#: The recursive engine's controller where it differs from the compiled
+#: one: static tuning is checked against the oracle static controller.
+REFERENCES = {"static": lambda app: StaticController(STATIC)}
 
 
 @pytest.mark.parametrize("kind", sorted(CONTROLLERS))
@@ -115,7 +113,7 @@ def test_compile_walk_never_prices(kind, app_name, instrumented):
         instrumented=instrumented,
         run_key=run_key,
     )
-    reference_controller = make(app)
+    reference_controller = REFERENCES.get(kind, make)(app)
     expected = recursive_run(
         reference,
         app,

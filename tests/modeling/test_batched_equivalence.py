@@ -6,6 +6,7 @@ selections — is *bit-identical* between the stacked fast path and the
 historical pointwise loops, across applications, regions and seeds.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from repro.campaign.engine import CampaignEngine
 from repro.campaign.store import ResultStore, job_key
-from repro.errors import ModelError
+from repro.errors import CampaignError, ModelError
 from repro.modeling.batched import (
     BatchedModelEvaluator,
     backward_batch,
@@ -34,7 +35,7 @@ from repro.modeling.model_cache import (
 )
 from repro.modeling.network import EnergyNetwork
 from repro.modeling.selection import select_counters
-from repro.modeling import crossval
+from repro.modeling import model_cache
 from repro.modeling.training import TrainingConfig, train_network, train_networks
 from repro.ptf.region_model import RegionModelTuner
 from repro.ptf.static_tuning import select_static_configurations
@@ -275,7 +276,7 @@ class TestLOOCVEquivalence:
             trained_rows.extend(len(rows) for rows in row_sets)
             return train_networks(features, targets, row_sets, config)
 
-        monkeypatch.setattr(crossval, "train_networks", spy)
+        monkeypatch.setattr(model_cache, "train_networks", spy)
         got = network_loocv_mape(
             dataset, config=config, campaign=CampaignEngine(store=store)
         )
@@ -300,6 +301,26 @@ class TestLOOCVEquivalence:
         warm = network_loocv_mape(dataset, config=config, campaign=warm_campaign)
         assert cold == warm
         assert len(warm_campaign.store) == len(dataset.benchmarks)  # no retrain
+
+    def test_stale_fold_entry_raises_campaign_error_naming_the_store(
+        self, tmp_path, dataset
+    ):
+        """A recalled fold whose payload layout is stale is a store
+        problem, reported as :func:`train_network_cached` reports it."""
+        config = TrainingConfig(epochs=1)
+        path = tmp_path / "store.sqlite"
+        store = ResultStore(path)
+        for bench in dataset.benchmarks:
+            train, _ = dataset.split({bench})
+            descriptor = training_descriptor(
+                dataset_digest(train.features, train.targets), config
+            )
+            store.put(job_key(descriptor), descriptor, {"weights": []})
+        with pytest.raises(CampaignError, match=re.escape(f"(store: {path})")):
+            network_loocv_mape(
+                dataset, config=config, campaign=CampaignEngine(store=store)
+            )
+        store.close()
 
 
 class TestModelCache:

@@ -18,6 +18,9 @@ denominators.
   heatmaps, trade-off sweeps and the variability study;
 * :mod:`tests.oracles.savings` — the Table VI comparison on the
   recursive simulator engine;
+* :mod:`tests.oracles.static` — the static controller (one
+  configuration applied at run start), the reference for static runs'
+  production form, the RRL under a default-only tuning model;
 * :mod:`tests.oracles.models` — pointwise grid prediction, serial
   network training (layer-by-layer backward, per-array ADAM), LOOCV,
   counter selection and static-configuration selection;

@@ -311,16 +311,18 @@ def meter_state(node):
     )
 
 
-def run_both(app, controller_factory=None, *, node_id=0,
+def run_both(app, controller_factory=None, *, reference_factory=None, node_id=0,
              node_seed=config.DEFAULT_SEED, seed=config.DEFAULT_SEED, cf=None,
              ucf=None, **kwargs):
     """One run through each engine on identically prepared nodes, each
-    with its own controller from ``controller_factory`` (if any)."""
+    with its own controller from ``controller_factory`` (if any); the
+    recursive run's comes from ``reference_factory`` when given."""
     n1 = make_node(node_id, node_seed, cf, ucf)
     n2 = make_node(node_id, node_seed, cf, ucf)
     c1 = c2 = None
     if controller_factory is not None:
-        c1, c2 = controller_factory(), controller_factory()
+        c1 = controller_factory()
+        c2 = (reference_factory or controller_factory)()
     fast = ExecutionSimulator(n1, seed=seed).run(app, controller=c1, **kwargs)
     generic = recursive_run(n2, app, seed=seed, controller=c2, **kwargs)
     return fast, generic, n1, n2, c1, c2
@@ -341,7 +343,7 @@ def assert_identical(fast, generic, n1, n2, c1=None, c2=None):
     assert fast == generic
     # The node is left in an identical observable state.
     assert meter_state(n1) == meter_state(n2)
-    if hasattr(c1, "stats"):
+    if hasattr(c1, "stats") and hasattr(c2, "stats"):
         assert c1.stats == c2.stats
 
 
@@ -352,7 +354,6 @@ def run_reference(member):
         member.node_id,
         seed=member.seed if member.node_seed is None else member.node_seed,
         topology=member.topology,
-        variability=member.variability,
     )
     if member.point is not None:
         node.set_frequencies(member.point.core_freq_ghz, member.point.uncore_freq_ghz)

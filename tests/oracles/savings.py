@@ -6,9 +6,11 @@ in fleet shards.  These references run the same repetitions one
 simulator run at a time through ``sacct`` accounting:
 :func:`recursive_savings` on the recursive engine
 (:func:`tests.oracles.engine.recursive_run`) every replay kernel is
-bit-identical to, and :func:`loop_savings` through the production
+bit-identical to, with the static variant under the oracle
+:class:`~tests.oracles.static.StaticController`, and
+:func:`loop_savings` through the production
 :meth:`~repro.execution.simulator.ExecutionSimulator.run` (a fleet of
-one per run).
+one per run), with the static variant in its production form.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from repro.analysis.savings import BenchmarkSavings, RunAverages
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.execution.slurm import SlurmAccounting
 from repro.hardware.cluster import Cluster
-from repro.readex.rrl import RRL, StaticController
+from repro.readex.rrl import RRL
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.instrumentation import Instrumentation
 from repro.workloads import registry
 from tests.oracles.engine import recursive_run
+from tests.oracles.static import StaticController, static_tuning_model
 
 
 def _averaged_runs(
@@ -65,6 +68,7 @@ def _averaged_runs(
 
 def _loop_savings(
     run,
+    static_controller,
     benchmark: str,
     static_config: OperatingPoint,
     tuning_model: TuningModel,
@@ -88,7 +92,7 @@ def _loop_savings(
         ),
         static=_averaged_runs(
             run, benchmark, cluster, node_id,
-            controller_factory=lambda: StaticController(static_config),
+            controller_factory=static_controller,
             threads=static_config.threads, instrumented=False,
             instrumentation=None, key="static", **common,
         ),
@@ -111,12 +115,28 @@ def _simulator_run(node, app, *, seed, **kwargs):
     return ExecutionSimulator(node, seed=seed).run(app, **kwargs)
 
 
-def recursive_savings(*args, **kwargs) -> BenchmarkSavings:
+def recursive_savings(
+    benchmark: str, static_config: OperatingPoint, *args, **kwargs
+) -> BenchmarkSavings:
     """One Table VI row, every run on the recursive engine
-    (:func:`compare_static_dynamic`'s arguments, minus ``options``)."""
-    return _loop_savings(recursive_run, *args, **kwargs)
+    (:func:`compare_static_dynamic`'s arguments, minus ``options``); the
+    static variant runs the oracle :class:`StaticController`."""
+    return _loop_savings(
+        recursive_run,
+        lambda: StaticController(static_config),
+        benchmark, static_config, *args, **kwargs,
+    )
 
 
-def loop_savings(*args, **kwargs) -> BenchmarkSavings:
-    """One Table VI row, one production simulator run at a time."""
-    return _loop_savings(_simulator_run, *args, **kwargs)
+def loop_savings(
+    benchmark: str, static_config: OperatingPoint, *args, **kwargs
+) -> BenchmarkSavings:
+    """One Table VI row, one production simulator run at a time; the
+    static variant runs the RRL under one default-only tuning model, as
+    the campaign engine does."""
+    static_model = static_tuning_model(registry.build(benchmark), static_config)
+    return _loop_savings(
+        _simulator_run,
+        lambda: RRL(static_model),
+        benchmark, static_config, *args, **kwargs,
+    )

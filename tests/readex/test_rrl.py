@@ -6,11 +6,14 @@ from repro import config
 from repro.errors import RRLError, TuningModelError
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.hardware.node import ComputeNode
+from repro.hardware.topology import NodeTopology
 from repro.readex.pcp import CpuFreqPlugin, OpenMPTPlugin, UncoreFreqPlugin
-from repro.readex.rrl import RRL, StaticController
+from repro.readex.rrl import RRL
 from repro.readex.scenario import Scenario, classify_scenarios
 from repro.readex.tuning_model import TMM_PATH_ENV, TuningModel
 from repro.workloads import registry
+from tests.oracles.engine import meter_state, recursive_run
+from tests.oracles.static import StaticController, static_rrl
 
 
 def lulesh_tmm() -> TuningModel:
@@ -113,6 +116,33 @@ class TestPCPs:
         with pytest.raises(RRLError):
             plugin.apply(node, 25)
 
+    def test_rrl_thread_bound_is_the_nodes_core_count(self):
+        """On a 48-core node the RRL pins 32 threads, exactly as the
+        recursive engine runs the static controller; on an 8-core node
+        a 16-thread request is the RRL's error, not the power model's."""
+        app = registry.build("Lulesh")
+        wide = NodeTopology.build(4, 12)
+        point = OperatingPoint(2.2, 1.8, 32)
+        fast_node = ComputeNode(0, topology=wide)
+        ref_node = ComputeNode(0, topology=wide)
+        fast = ExecutionSimulator(fast_node).run(
+            app, controller=static_rrl(app, point), run_key=("wide", 0)
+        )
+        ref = recursive_run(
+            ref_node, app, controller=StaticController(point), run_key=("wide", 0)
+        )
+        assert fast == ref
+        assert fast.instances[0].operating_point.threads == 32
+        assert meter_state(fast_node) == meter_state(ref_node)
+
+        narrow = ComputeNode(0, topology=NodeTopology.build(1, 8))
+        with pytest.raises(RRLError, match=r"outside \[1, 8\]"):
+            ExecutionSimulator(narrow).run(
+                app,
+                threads=8,
+                controller=static_rrl(app, OperatingPoint(2.2, 1.8, 16)),
+            )
+
 
 class TestRRL:
     def test_rrl_switches_configs_during_run(self):
@@ -164,7 +194,7 @@ class TestRRL:
     def test_static_controller_applies_once(self):
         app = registry.build("EP")
         node = ComputeNode(0)
-        controller = StaticController(OperatingPoint(2.4, 1.3, 24))
+        controller = static_rrl(app, OperatingPoint(2.4, 1.3, 24))
         result = ExecutionSimulator(node).run(app, controller=controller)
         assert node.core_freq_ghz == 2.4
         assert node.uncore_freq_ghz == 1.3

@@ -171,7 +171,9 @@ async def _drive(service: TuningService, rounds: list[list[dict]]) -> dict:
 
 
 def measure_arm(admission: str, rounds: list[list[dict]]) -> dict:
-    service = TuningService(admission=admission, max_batch=64)
+    """Drive one arm: ``"batched"`` coalesces up to 64 requests per
+    group, ``"unbatched"`` (the control) fires every request alone."""
+    service = TuningService(max_batch=64 if admission == "batched" else 1)
     return asyncio.run(_drive(service, rounds))
 
 

@@ -9,7 +9,12 @@ Scans ``README.md`` and ``docs/*.md`` for
   ``benchmarks/_common.py`` — the path must exist at the repo root;
 * inline-code dotted module references like ``repro.modeling.dataset``
   or ``repro.util.rng.rng_for`` — the module must resolve under
-  ``src/``, and a trailing attribute (function/class) must exist on it.
+  ``src/``, and a trailing attribute (function/class) must exist on it;
+
+and ``src/**/*.py`` for Sphinx cross-reference roles (``:func:``,
+``:class:``, ``:meth:``, ``:mod:``, ``:attr:``, ``:data:``, ``:exc:``)
+on ``repro.*`` names, which must resolve the same way.  A dataclass
+field counts as an attribute of its class.
 
 Exits non-zero listing every dead reference.  Run from anywhere:
 ``python scripts/check_doc_links.py``.
@@ -34,6 +39,7 @@ PATH_PREFIXES = (
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 INLINE_CODE = re.compile(r"`([^`\n]+)`")
 DOTTED = re.compile(r"^repro(\.\w+)+$")
+ROLE = re.compile(r":(?:func|class|meth|mod|attr|data|exc):`~?(repro(?:\.\w+)+)`")
 
 
 def module_file(dotted: str) -> Path | None:
@@ -69,6 +75,8 @@ def check_dotted(token: str) -> str | None:
             sys.path.pop(0)
         for attr in parts[split:]:
             if not hasattr(obj, attr):
+                if attr in getattr(obj, "__dataclass_fields__", ()):
+                    return None  # a field without a class-level default
                 return f"{type(obj).__name__} {prefix} has no attribute {attr!r}"
             obj = getattr(obj, attr)
             prefix = f"{prefix}.{attr}"
@@ -107,19 +115,41 @@ def check_document(doc: Path) -> list[str]:
     return errors
 
 
+def check_source(path: Path) -> list[str]:
+    """Dead ``repro.*`` cross-reference roles in one source file."""
+    errors: list[str] = []
+    text = path.read_text(encoding="utf-8")
+    name = path.relative_to(REPO_ROOT) if path.is_relative_to(REPO_ROOT) else path
+    for match in ROLE.finditer(text):
+        problem = check_dotted(match.group(1))
+        if problem is not None:
+            lineno = text.count("\n", 0, match.start()) + 1
+            errors.append(
+                f"{name}:{lineno}: dead cross-reference "
+                f"{match.group(1)}: {problem}"
+            )
+    return errors
+
+
 def main() -> int:
     documents = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+    sources = sorted((SRC_ROOT / "repro").rglob("*.py"))
     missing = [d for d in documents if not d.exists()]
     errors = [f"missing document: {d}" for d in missing]
     for doc in documents:
         if doc.exists():
             errors.extend(check_document(doc))
+    for source in sources:
+        errors.extend(check_source(source))
     if errors:
         print(f"{len(errors)} dead reference(s):")
         for error in errors:
             print(f"  {error}")
         return 1
-    print(f"checked {len(documents)} documents: all intra-repo references resolve")
+    print(
+        f"checked {len(documents)} documents and {len(sources)} source files: "
+        "all intra-repo references resolve"
+    )
     return 0
 
 

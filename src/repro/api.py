@@ -465,7 +465,7 @@ def sweep_grids(
     nodes and seeds — in one batched pass.
 
     All grids go into one campaign plan of per-row ``grid`` jobs, which
-    the engine prices in fleet-kernel shards: the structural schedules
+    the engine prices in fleet-kernel shards: the switch schedules
     compile once per application, the keyed noise is drawn in batches,
     and pricing is a handful of padded-matrix folds.  Each returned
     grid is bit-identical to ``sweep_grid`` of its spec measured alone

@@ -1,43 +1,41 @@
-"""The controlled-run compiler: switch schedules for controller-driven runs.
+"""The run compiler: one switch schedule per run, controlled or not.
 
-The paper's headline numbers come from controlled production runs: the
-READEX RRL switches core/uncore frequency and thread count at region
-enters.  Such a run is still fully determined before any time passes —
-the RRL's decisions depend only on region names and the current hardware
-state, never on durations or noise — so the run splits into two phases:
+Every measurement in the paper is the same kind of run: the phase loop
+executes while the READEX RRL (or PTF's experiment schedule, or
+nothing) sets core/uncore frequency and thread count at region enters.
+Such a run is fully determined before any time passes — a controller's
+decisions depend only on region names and the current hardware state,
+never on durations or noise — so every run splits into three steps:
 
-**Phase 1 — schedule compilation** (:func:`compile_schedule_by_walk`).
-The region trace is walked symbolically against the controller: the real
-``on_region_enter``/``on_region_exit`` hooks run against the live node's
-frequency subsystem (MSRs, DVFS/UFS transition logs), but no simulated
-time passes, no meter is charged and nothing is priced.  The walk
-records, per iteration, the ordered *charge sequence* — switch
+**Compilation** (:func:`compile_schedule_by_walk`).  The region trace
+is walked symbolically (:func:`_walk_iteration`): a controller's real
+``on_region_enter``/``on_region_exit`` hooks run against the live
+node's frequency subsystem (MSRs, DVFS/UFS transition logs), but no
+simulated time passes, no meter is charged and nothing is priced.  The
+walk records, per iteration, the ordered *charge sequence* — switch
 latencies, region bodies, probe overheads, each with its kind, slot and
-operating point — i.e. the symbolic switch schedule.  Because controller
+operating point, the points interned as indices into the schedule's
+``points`` — i.e. the symbolic switch schedule.  Because controller
 decisions are iteration-independent, the walk reaches a fixed point
 after at most two iterations in practice: once an iteration starts from
 the same (frequencies, pending transitions, controller state) as its
 predecessor, its pattern — and every later iteration's — is already
 known, and the controller's statistics are extrapolated instead of
-re-walked.  Controller hooks therefore never see a priced value.
+re-walked.  Controller hooks therefore never see a priced value.  A run
+without a controller walks once, fires no hook and switches nothing:
+its schedule is one pattern spanning every iteration, with one unbound
+point (``None``) that each run binds to its effective operating point
+when it is priced.
 
-**Pricing** (:meth:`ControlSchedule.prices`).  Each compiled schedule is
-priced in one pass against a node's physics: its distinct operating
-points x distinct work characteristics through the array forms of the
-timing and power models (:func:`~repro.execution.timing.region_timings`,
-:meth:`~repro.hardware.power.PowerModel.power_array`), the same pricing
-uncontrolled grids use, and gathered into per-pattern charge arrays.
+**Pricing and flattening** happen in the fleet kernel
+(:mod:`repro.execution.fleet_replay`): the runs that share a schedule
+and a power model form one block, priced at their bound points in one
+array pass and flattened to a ``(runs, charges)`` matrix under their
+keyed lognormal noise.
 
-**Phase 2 — segmented replay** (:func:`flatten_control_schedule`).  The
-trace is segmented by compiled pattern (*segments partition the
-iterations*) and flattened to one run-long charge sequence under the
-run's keyed lognormal noise; the fleet kernel
-(:mod:`repro.execution.fleet_replay`) prices it — on a fresh node or,
-for the simulator's solo runs, on the live one.  The priced run is a
-:class:`RunTrace`: :func:`materialise_instances` derives its instance
-rows lazily and :func:`deliver_events` replays its region events to
-listeners.  Both are shared with uncontrolled runs, which are one span
-of one pattern.
+**Materialisation.**  A priced run is a :class:`RunTrace`:
+:func:`materialise_instances` derives its instance rows lazily and
+:func:`deliver_events` replays its region events to listeners.
 
 The output is **bit-identical** to the recursive reference engine
 (``tests/oracles/engine.py``) with the same controller attached: same
@@ -53,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,6 +63,11 @@ from repro.workloads.region import Region
 
 #: Charge kinds, in the only order they can appear at one region enter.
 SWITCH, BODY, PROBE = 0, 1, 2
+
+#: Price-table columns of the fixed-cost charges: a block's power
+#: tables hold one column per work region, then the probe and the
+#: switch column (see :func:`~repro.execution.replay._evaluate_block`).
+PROBE_COLUMN, SWITCH_COLUMN = -2, -1
 
 
 def pending_switch_latency_s(dvfs_transitions: int, ufs_transitions: int) -> float:
@@ -81,22 +84,11 @@ def pending_switch_latency_s(dvfs_transitions: int, ufs_transitions: int) -> flo
     return latency
 
 
-@dataclass(frozen=True)
-class _Charge:
-    """One meter charge of the per-iteration sequence."""
-
-    kind: int
-    slot: int
-    duration_s: float             #: fixed for SWITCH/PROBE, 0.0 for BODY
-    point: object                 #: OperatingPoint the charge is priced at
-
-
 @dataclass
 class _Slot:
-    """One region of the flattened phase subtree (pre-order), under the
-    operating point the walk observed for this pattern.  The walk leaves
-    the three power fields at zero; :meth:`ControlSchedule.prices` fills
-    them in priced copies."""
+    """One region of the flattened phase subtree (pre-order).  The walk
+    fills the symbolic fields; a priced run's copies also carry the
+    bound operating point and the power fields."""
 
     region: Region
     children: tuple[int, ...]
@@ -104,9 +96,10 @@ class _Slot:
     probed: bool
     probe_s: float
     work_index: int               #: row in the work-region arrays, -1
-    point: object                 #: OperatingPoint of the body
+    point_index: int              #: the body's point, in the schedule's points
     charge_start: int             #: span in this pattern's charge sequence
     charge_end: int
+    point: object = None          #: bound OperatingPoint of the body
     node_w: float = 0.0           #: body power
     cpu_fraction: float = 0.0
     probe_node_w: float = 0.0
@@ -117,78 +110,49 @@ class _Pattern:
     """The symbolic charge plan of one distinct iteration shape."""
 
     slots: tuple[_Slot, ...]
-    charges: tuple[_Charge, ...]
     fixed_durations: np.ndarray   #: (C,) switch/probe durations, 0 for bodies
-    body_rows: np.ndarray         #: (C,) work-region row per charge, -1 fixed
+    charge_points: np.ndarray     #: (C,) index into the schedule's points
+    #: (C,) price-table column per charge: the work row of a body,
+    #: :data:`PROBE_COLUMN` or :data:`SWITCH_COLUMN`.
+    charge_cols: np.ndarray
+    body: np.ndarray              #: body charge positions, in work-row order
     switch_latencies: np.ndarray  #: SWITCH-charge durations, in order
     probe_overheads: np.ndarray   #: PROBE-charge durations, in order
+
+    @property
+    def num_charges(self) -> int:
+        return int(self.fixed_durations.size)
 
     @property
     def num_switches(self) -> int:
         return int(self.switch_latencies.size)
 
 
-@dataclass
-class _PatternPrices:
-    """One pattern's charges priced against one node's physics."""
-
-    slots: tuple[_Slot, ...]      #: the pattern's slots, power fields filled
-    node_w: np.ndarray            #: (C,) power components per charge
-    package_w: np.ndarray
-    dram_w: np.ndarray
-    base_times: np.ndarray        #: (W,) body durations at this pattern's ops
-
-
-@dataclass(frozen=True)
-class _WorkSet:
-    """What :func:`~repro.execution.replay._evaluate_block` prices: work
-    characteristics (one column each) and whether probes are charged."""
-
-    work_chars: tuple
-    any_probed: bool
-
-
-@dataclass
+@dataclass(eq=False)
 class ControlSchedule:
-    """Compiled switch schedule of one controlled run.
+    """Compiled switch schedule of one run.
 
     ``spans`` segments the iteration axis: ``(pattern index, first
     iteration, count)`` triples in order, jointly covering every
-    iteration exactly once.  The patterns are symbolic; :meth:`prices`
-    prices them.
+    iteration exactly once.  ``points`` holds the distinct operating
+    points the charges run at, in first-seen order; slots and charges
+    name them by index.  A run without a controller has one unbound
+    point, ``None``, which each run binds to its effective operating
+    point when its block is priced.  The remaining fields are derived
+    from the patterns once, at compile time.
     """
 
     patterns: list[_Pattern]
     spans: list[tuple[int, int, int]]
+    points: tuple
     post_order: tuple[int, ...]
     iterations: int
-    num_work: int
-    _priced: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def prices(self, power_model) -> list[_PatternPrices]:
-        """Every pattern priced against ``power_model``, one
-        :class:`_PatternPrices` per pattern.
-
-        The pricing depends on the model's physics (variability and
-        socket/core counts) alone, so it is memoised per physics: a
-        cached schedule replayed on many nodes prices once per node.
-        """
-        physics = (
-            power_model.variability,
-            power_model.num_sockets,
-            power_model.num_cores,
-        )
-        prices = self._priced.get(physics)
-        if prices is None:
-            prices = self._priced[physics] = _price_patterns(
-                self.patterns, power_model
-            )
-        return prices
-
-    @property
-    def work_names(self) -> list[str]:
-        """Region name per work row (the rows of the run's noise matrix)."""
-        return [slot.region.name for slot in self.patterns[0].slots if slot.has_work]
+    work_names: tuple[str, ...]   #: region per work row (noise-matrix rows)
+    work_chars: tuple             #: characteristics per work row
+    any_probed: bool
+    any_switch: bool
+    switching_time_s: float       #: accumulated switch latency of the run
+    instrumentation_time_s: float  #: accumulated probe overhead of the run
 
     @property
     def region_enters(self) -> int:
@@ -211,8 +175,8 @@ class ScheduleCache:
     A compiled schedule is a pure function of (application, controller
     configuration and state, node topology, entry hardware state,
     instrumentation) — everything *except* the run key, whose noise is
-    applied at replay time, and the node's physics, which
-    :meth:`ControlSchedule.prices` applies.  Production sweeps repeat
+    applied at replay time, and the node's physics, which the fleet
+    kernel prices.  Production sweeps repeat
     the same configuration many times (Table 6 averages five runs per
     variant), so caching the compile amortises the symbolic walk to
     once per configuration.  Applications are compared by value
@@ -289,8 +253,8 @@ def schedule_cache_key(
     Controller state is the caller's to append.  The node's id, seed
     and variability stay out: the walk never prices and the frequency
     subsystem is seed-free, so every node of one topology walks the
-    same schedule, and :meth:`ControlSchedule.prices` applies each
-    node's physics.
+    same schedule, and the fleet kernel prices it against each node's
+    physics.
     """
     filter_key = (
         None
@@ -314,10 +278,10 @@ def compile_schedule_by_walk(
     app: Application,
     node,
     *,
-    threads: int,
+    threads: int | None,
     instrumented: bool,
     instrumentation,
-    state_key: Callable[[], object],
+    state_key: Callable[[], object] | None = None,
     snapshot_stats: Callable[[], object] | None = None,
     extrapolate_stats: Callable[[object, object, int], None] | None = None,
 ) -> ControlSchedule:
@@ -336,22 +300,27 @@ def compile_schedule_by_walk(
     asked to scale that pattern's statistics delta instead of walking.
     Controllers whose decisions depend on the iteration *index* must not
     use this compiler.
+
+    Without a controller (``controller``, ``node`` and ``threads`` are
+    ``None``) the walk fires no hook and switches nothing, so its one
+    pattern spans every iteration under one unbound point.
     """
     iterations = app.phase_iterations
+    points: dict = {}
     patterns: list[_Pattern] = []
     spans: list[tuple[int, int, int]] = []
     prev_key = None
     last_before = last_after = None
     walked = 0
     while walked < iterations:
-        key = (
+        key = None if controller is None else (
             node.core_freq_ghz,
             node.uncore_freq_ghz,
             node.dvfs.log.count,
             node.ufs.log.count,
             state_key(),
         )
-        if prev_key is not None and key == prev_key:
+        if walked and key == prev_key:
             remaining = iterations - walked
             index, start, count = spans[-1]
             spans[-1] = (index, start, count + remaining)
@@ -360,7 +329,8 @@ def compile_schedule_by_walk(
             break
         last_before = snapshot_stats() if snapshot_stats is not None else None
         pattern = _walk_iteration(
-            controller, app, node, threads, walked, instrumented, instrumentation
+            controller, app, node, threads, walked, instrumented, instrumentation,
+            points,
         )
         last_after = snapshot_stats() if snapshot_stats is not None else None
         patterns.append(pattern)
@@ -377,62 +347,95 @@ def compile_schedule_by_walk(
         post_order.append(index)
 
     order(0)
+    work = [slot.region for slot in slots if slot.has_work]
     return ControlSchedule(
         patterns=patterns,
         spans=spans,
+        points=tuple(points),
         post_order=tuple(post_order),
         iterations=iterations,
-        num_work=sum(1 for s in slots if s.has_work),
+        work_names=tuple([region.name for region in work]),
+        work_chars=tuple([region.characteristics for region in work]),
+        any_probed=any(p.probe_overheads.size for p in patterns),
+        any_switch=any(p.switch_latencies.size for p in patterns),
+        switching_time_s=_accumulated(patterns, spans, "switch_latencies"),
+        instrumentation_time_s=_accumulated(patterns, spans, "probe_overheads"),
     )
+
+
+def _accumulated(patterns: list[_Pattern], spans, field: str) -> float:
+    """Strict left-fold sum of one fixed charge kind over a run, 0.0
+    when it has none."""
+    parts = [
+        _tile(getattr(patterns[p], field), count)
+        for p, _start, count in spans
+        if getattr(patterns[p], field).size
+    ]
+    if not parts:
+        return 0.0
+    return float(np.add.accumulate(np.concatenate(parts))[-1])
 
 
 def _walk_iteration(
     controller,
     app: Application,
     node,
-    threads: int,
+    threads: int | None,
     iteration: int,
     instrumented: bool,
     instrumentation,
+    points: dict,
 ) -> _Pattern:
     """One symbolic pre-order walk of a region-by-region run minus the
     meters: controller hooks fire for real, switching latencies are read
     off the live transition logs, and each charge records the operating
-    point the node holds at that moment.  Nothing is priced here."""
+    point the node holds at that moment, interned in ``points``.
+    Nothing is priced here.  Without a controller every charge runs at
+    the one unbound point ``None``."""
     from repro.execution.simulator import OperatingPoint, probe_overhead_s
 
     slots: list[_Slot | None] = []
-    charges: list[_Charge] = []
+    fixed: list[float] = []
+    charge_points: list[int] = []
+    charge_cols: list[int] = []
+    body: list[int] = []
+    switches: list[float] = []
+    probes: list[float] = []
     work_count = 0
 
-    def drain_switches(slot_index: int, frame_threads: int) -> None:
+    def point_at(frame_threads: int) -> int:
+        point = OperatingPoint(
+            core_freq_ghz=node.core_freq_ghz,
+            uncore_freq_ghz=node.uncore_freq_ghz,
+            threads=frame_threads,
+        )
+        return points.setdefault(point, len(points))
+
+    def drain_switches(frame_threads: int) -> None:
         dvfs_n = node.dvfs.log.count
         ufs_n = node.ufs.log.count
         node.dvfs.log.clear()
         node.ufs.log.clear()
         latency = pending_switch_latency_s(dvfs_n, ufs_n)
         if latency > 0:
-            point = OperatingPoint(
-                core_freq_ghz=node.core_freq_ghz,
-                uncore_freq_ghz=node.uncore_freq_ghz,
-                threads=frame_threads,
-            )
-            charges.append(_Charge(SWITCH, slot_index, latency, point))
+            fixed.append(latency)
+            charge_points.append(point_at(frame_threads))
+            charge_cols.append(SWITCH_COLUMN)
+            switches.append(latency)
 
-    def visit(region: Region, frame_threads: int) -> int:
+    def visit(region: Region, frame_threads) -> int:
         nonlocal work_count
         index = len(slots)
         slots.append(None)
-        new_threads = controller.on_region_enter(region, iteration, node)
-        if new_threads:
-            frame_threads = new_threads
-        drain_switches(index, frame_threads)
-        charge_start = len(charges)
-        point = OperatingPoint(
-            core_freq_ghz=node.core_freq_ghz,
-            uncore_freq_ghz=node.uncore_freq_ghz,
-            threads=frame_threads,
-        )
+        if controller is None:
+            point = 0
+        else:
+            new_threads = controller.on_region_enter(region, iteration, node)
+            if new_threads:
+                frame_threads = new_threads
+            drain_switches(frame_threads)
+            point = point_at(frame_threads)
+        charge_start = len(fixed)
         probed = instrumented and (
             instrumentation is None or instrumentation.is_instrumented(region)
         )
@@ -440,15 +443,22 @@ def _walk_iteration(
         if region.has_work:
             work_index = work_count
             work_count += 1
-            charges.append(_Charge(BODY, index, 0.0, point))
+            body.append(charge_start)
+            fixed.append(0.0)
+            charge_points.append(point)
+            charge_cols.append(work_index)
         probe_s = 0.0
         if probed:
             probe_s = probe_overhead_s(region)
-            charges.append(_Charge(PROBE, index, probe_s, point))
-        children = tuple(visit(child, frame_threads) for child in region.children)
-        charge_end = len(charges)
-        controller.on_region_exit(region, iteration, node)
-        drain_switches(index, frame_threads)
+            fixed.append(probe_s)
+            charge_points.append(point)
+            charge_cols.append(PROBE_COLUMN)
+            probes.append(probe_s)
+        children = tuple([visit(child, frame_threads) for child in region.children])
+        charge_end = len(fixed)
+        if controller is not None:
+            controller.on_region_exit(region, iteration, node)
+            drain_switches(frame_threads)
         slots[index] = _Slot(
             region=region,
             children=children,
@@ -456,196 +466,30 @@ def _walk_iteration(
             probed=probed,
             probe_s=probe_s,
             work_index=work_index,
-            point=point,
+            point_index=point,
             charge_start=charge_start,
             charge_end=charge_end,
         )
         return index
 
+    if controller is None:
+        points.setdefault(None, 0)
     visit(app.phase, threads)
-    compiled = tuple(slots)  # type: ignore[arg-type]
-
-    num_charges = len(charges)
-    fixed_durations = np.zeros(num_charges)
-    body_rows = np.full(num_charges, -1, dtype=np.intp)
-    for c, charge in enumerate(charges):
-        if charge.kind == BODY:
-            body_rows[c] = compiled[charge.slot].work_index
-        else:
-            fixed_durations[c] = charge.duration_s
     return _Pattern(
-        slots=compiled,
-        charges=tuple(charges),
-        fixed_durations=fixed_durations,
-        body_rows=body_rows,
-        switch_latencies=np.array(
-            [c.duration_s for c in charges if c.kind == SWITCH], dtype=float
-        ),
-        probe_overheads=np.array(
-            [c.duration_s for c in charges if c.kind == PROBE], dtype=float
-        ),
+        slots=tuple(slots),  # type: ignore[arg-type]
+        fixed_durations=np.array(fixed, dtype=float),
+        charge_points=np.array(charge_points, dtype=np.intp),
+        charge_cols=np.array(charge_cols, dtype=np.intp),
+        body=np.array(body, dtype=np.intp),
+        switch_latencies=np.array(switches, dtype=float),
+        probe_overheads=np.array(probes, dtype=float),
     )
-
-
-def _price_patterns(patterns: list[_Pattern], power_model) -> list[_PatternPrices]:
-    """The one pricing pass of a compiled schedule.
-
-    A charge's numbers depend on its kind, its operating point and, for
-    a body, its region's characteristics.  The schedule's distinct
-    points x distinct work characteristics are priced as one block by
-    :func:`~repro.execution.replay._evaluate_block` (bodies and probes,
-    one :func:`~repro.execution.timing.region_timings` call), the
-    switches by one :meth:`~repro.hardware.power.PowerModel.power_array`
-    call, and every pattern gathers its charges' values from them.  The
-    array forms equal the scalar model bit for bit.
-    """
-    from repro.execution.replay import _evaluate_block
-
-    points = list(dict.fromkeys(c.point for p in patterns for c in p.charges))
-    point_row = {point: g for g, point in enumerate(points)}
-    work_chars = [s.region.characteristics for s in patterns[0].slots if s.has_work]
-    chars = tuple(dict.fromkeys(work_chars))
-    char_col = {c: w for w, c in enumerate(chars)}
-    work_col = [char_col[c] for c in work_chars]
-    probed = any(c.kind == PROBE for p in patterns for c in p.charges)
-    block = _evaluate_block(_WorkSet(chars, probed), power_model, points)
-    switch = power_model.power_array(
-        core_freq_ghz=[p.core_freq_ghz for p in points],
-        uncore_freq_ghz=[p.uncore_freq_ghz for p in points],
-        active_threads=[p.threads for p in points],
-        core_activity=config.STALLED_CORE_ACTIVITY,
-        uncore_activity=0.0,
-        membw_gbs=np.zeros((len(points), 1)),
-    )
-    # One column per work characteristic, then the probe and the switch
-    # column; one row per point.
-    kind_col = {PROBE: len(chars), SWITCH: len(chars) + 1}
-    tables = [
-        np.column_stack(parts)
-        for parts in (
-            (block.node_w, block.probe_node_w, switch.node_w),
-            (block.package_w, block.probe_package_w, switch.rapl_package_w),
-            (block.dram_w, block.probe_dram_w, switch.rapl_dram_w),
-        )
-    ]
-
-    priced = []
-    for pattern in patterns:
-        slots, charges = pattern.slots, pattern.charges
-        rows = np.array([point_row[c.point] for c in charges], dtype=np.intp)
-        cols = np.array(
-            [
-                work_col[slots[c.slot].work_index] if c.kind == BODY
-                else kind_col[c.kind]
-                for c in charges
-            ],
-            dtype=np.intp,
-        )
-        node_w, package_w, dram_w = (table[rows, cols] for table in tables)
-        # Body charges come in work-row order.
-        body = pattern.body_rows >= 0
-        body_at = (rows[body], cols[body])
-        body_w = node_w[body].tolist()
-        shares = block.cpu_fraction[body_at].tolist()
-        probe_w = {
-            c.slot: w for c, w in zip(charges, node_w.tolist()) if c.kind == PROBE
-        }
-        priced.append(
-            _PatternPrices(
-                slots=tuple(
-                    replace(
-                        s,
-                        node_w=body_w[s.work_index] if s.has_work else 0.0,
-                        cpu_fraction=shares[s.work_index] if s.has_work else 0.0,
-                        probe_node_w=probe_w.get(k, 0.0),
-                    )
-                    if s.has_work or s.probed
-                    else s
-                    for k, s in enumerate(slots)
-                ),
-                node_w=node_w,
-                package_w=package_w,
-                dram_w=dram_w,
-                base_times=block.base_times[body_at],
-            )
-        )
-    return priced
-
-
-@dataclass
-class FlatControlSchedule:
-    """One run's compiled charges, flattened to run-long sequences.
-
-    The pricing view of a :class:`ControlSchedule` under one noise
-    matrix: every span's charge plan tiled over its iterations and
-    concatenated in execution order, as the fleet kernel
-    (:mod:`repro.execution.fleet_replay`) prices it.
-    """
-
-    durations: np.ndarray         #: (L,) every charge duration, in order
-    node_w: np.ndarray            #: (L,) power components per charge
-    package_w: np.ndarray
-    dram_w: np.ndarray
-    switches: np.ndarray          #: SWITCH-charge durations, in order
-    probes: np.ndarray            #: PROBE-charge durations, in order
-    spans: tuple                  #: the :func:`materialise_instances` spans
 
 
 def _tile(vector: np.ndarray, count: int) -> np.ndarray:
     """``np.tile(vector, count)`` of a 1-D vector, minus its Python-level
-    overhead (this runs per span of every controlled run)."""
+    overhead."""
     return vector[None, :].repeat(count, axis=0).reshape(-1)
-
-
-def flatten_control_schedule(
-    schedule: ControlSchedule, prices: list[_PatternPrices], noise: np.ndarray
-) -> FlatControlSchedule:
-    """Flatten every segment's charges into one run-long sequence.
-
-    ``prices`` are the schedule's :meth:`ControlSchedule.prices` on the
-    run's node.  ``noise`` is the run's global (work region x iteration) lognormal
-    matrix; spans slice it by iteration range, so the flattened body
-    durations consume exactly the keyed streams a region-by-region run
-    draws one at a time.
-    """
-    flat_parts: list[np.ndarray] = []
-    power_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    switch_parts: list[np.ndarray] = []
-    probe_parts: list[np.ndarray] = []
-    spans: list[tuple] = []
-    offset = 0
-    for index, start, count in schedule.spans:
-        pattern, priced = schedule.patterns[index], prices[index]
-        num_charges = len(pattern.charges)
-        matrix = pattern.fixed_durations[None, :].repeat(count, axis=0)
-        durations_work = None
-        if schedule.num_work:
-            durations_work = priced.base_times[:, None] * noise[:, start:start + count]
-            body = pattern.body_rows >= 0
-            matrix[:, body] = durations_work[pattern.body_rows[body]].T
-        flat_parts.append(matrix.reshape(-1))
-        power_parts.append(
-            (
-                _tile(priced.node_w, count),
-                _tile(priced.package_w, count),
-                _tile(priced.dram_w, count),
-            )
-        )
-        switch_parts.append(_tile(pattern.switch_latencies, count))
-        probe_parts.append(_tile(pattern.probe_overheads, count))
-        spans.append(
-            (priced.slots, num_charges, start, count, offset, durations_work)
-        )
-        offset += count * num_charges
-    return FlatControlSchedule(
-        durations=np.concatenate(flat_parts),
-        node_w=np.concatenate([p[0] for p in power_parts]),
-        package_w=np.concatenate([p[1] for p in power_parts]),
-        dram_w=np.concatenate([p[2] for p in power_parts]),
-        switches=np.concatenate(switch_parts),
-        probes=np.concatenate(probe_parts),
-        spans=tuple(spans),
-    )
 
 
 def materialise_instances(spans, post_order, timeline: np.ndarray) -> list:

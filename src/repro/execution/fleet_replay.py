@@ -8,30 +8,28 @@ search, the trade-off study and every campaign job, in a shard or
 alone, are fleets of fresh-node members; the simulator's solo runs
 (:meth:`~repro.execution.simulator.ExecutionSimulator.run`, listened
 or not) are fleets of one *live-node* member, whose entry state is a
-real :class:`~repro.hardware.node.ComputeNode`:
+real :class:`~repro.hardware.node.ComputeNode`.
 
-**Phase 1 — compilation and block pricing.**  Uncontrolled members
-compile through the one structural walk of :mod:`repro.execution.replay`
-(:func:`~repro.execution.replay._compile_structure`, deduplicated
-across members sharing an application build and instrumentation) and
-resolve their effective operating point and power model — one per node
-recipe, or, live, the node's own at its current frequencies.  Members
-sharing a structure and a power model form one block, priced in one
-array pass (:func:`~repro.execution.replay._evaluate_block`: ``(members
-x work regions)`` timings and power components).  A live member is a
-block of one whose node keeps its last priced block
-(:func:`~repro.execution.replay._evaluate_on_node`), so repeated solo
-runs of one application at one operating point price once.  Controller-driven
-members compile their switch schedule
-(:func:`~repro.execution.controlled_replay.compile_schedule_by_walk`
-via the controller's ``compile_schedule``) against a real node, so RRL
-statistics and MSR/DVFS side effects are byte-for-byte those of a
-region-by-region run; the symbolic schedule is then priced once per
-node physics
-(:meth:`~repro.execution.controlled_replay.ControlSchedule.prices`,
-through the same array forms).  A controller that does not compile is
-refused with a :class:`~repro.errors.TuningError` before any member is
-priced.
+Every member is one kind of run: a switch schedule
+(:class:`~repro.execution.controlled_replay.ControlSchedule`) priced at
+its points against its node's power model.
+
+**Phase 1 — compilation and block pricing.**  A controller-driven
+member compiles its schedule through the controller's
+``compile_schedule``
+(:func:`~repro.execution.controlled_replay.compile_schedule_by_walk`)
+against a real node, so RRL statistics and MSR/DVFS side effects are
+byte-for-byte those of a region-by-region run; a controller that does
+not compile is refused with a :class:`~repro.errors.TuningError`
+before any member is priced.  A member without a controller compiles
+through the same walk, once per application build and instrumentation
+in the fleet: one pattern over every iteration, no switch, one unbound
+point that the member binds to its effective operating point.  Members
+sharing a schedule and a power model (one per node recipe, or a live
+node's own) form one block, priced at all their points in one array
+pass (:func:`~repro.execution.replay._evaluate_block`).  A live member
+is a block of one whose node keeps its last priced block, so repeated
+solo runs of one schedule at the same points price once.
 
 **Phase 2 — one fleet-wide noise draw.**  Every member's keyed
 (work region x iteration) seed digests join into one buffer, read as
@@ -40,9 +38,8 @@ covers the whole fleet, and the draws are sliced back.  Keyed streams are drawn 
 independently, so the batch boundary cannot change any member's noise.
 
 **Phase 3 — block flattening.**  Each priced block flattens at once
-(:func:`~repro.execution.replay._flatten_block`): a (members x
-iteration x charge) matrix whose rows are each member's exact charge
-sequence.  Controlled members flatten their span schedules one by one.
+(:func:`_flatten`): span by span, a (members x iteration x charge)
+matrix whose rows, joined, are each member's exact charge sequence.
 
 **Phase 4 — pricing.**  A live member's charge sequence goes through
 its node's :meth:`~repro.hardware.node.ComputeNode.advance_many`, so
@@ -56,9 +53,10 @@ perturb any member's numbers.
 
 **Phase 5 — per-member materialisation.**  Each member yields the
 exact ``RunResult`` (lazy instance log included) of its run, its
-priced :class:`~repro.execution.controlled_replay.RunTrace`, and a
-fresh member the meter/MSR :class:`MeterEndState` it would leave on its
-node.
+priced :class:`~repro.execution.controlled_replay.RunTrace`, whose
+slots are bound and priced only when its rows or events are read, and
+a fresh member the meter/MSR :class:`MeterEndState` it would leave on
+its node.
 
 The contract is **bit-identical per member** to the recursive
 reference engine (``tests/oracles/engine.py``): permuting the fleet,
@@ -72,20 +70,23 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import config
 from repro.errors import TuningError, WorkloadError
-from repro.execution.controlled_replay import RunTrace, flatten_control_schedule
+from repro.execution.controlled_replay import (
+    PROBE_COLUMN,
+    ControlSchedule,
+    RunTrace,
+    _Slot,
+    compile_schedule_by_walk,
+)
 from repro.execution.replay import (
-    _block_spans,
-    _compile_structure,
     _effective_frequency,
     _evaluate_block,
-    _evaluate_on_node,
-    _flatten_block,
     _seed_digests,
 )
 from repro.execution.simulator import (
@@ -239,27 +240,18 @@ class FleetReplay:
 
 @dataclass
 class _MemberPlan:
-    """One member's compiled state, then its outcome."""
+    """One member's compiled run, then its outcome."""
 
     member: FleetMember
-    kind: str                         #: "uncontrolled" | "controlled"
+    schedule: ControlSchedule
+    power_model: PowerModel
+    points: tuple                     #: the schedule's points, bound
+    entry_point: OperatingPoint       #: the run's reported operating point
+    final_core_ghz: float             #: frequencies the run leaves set
+    final_uncore_ghz: float
     node: ComputeNode | None = None   #: the live node it prices on, if any
-    num_sockets: int = 0
-    iterations: int = 0
-    # uncontrolled
-    structure: object = None
-    power_model: PowerModel | None = None
-    point: object = None              #: effective OperatingPoint
-    block: object = None              #: its priced _BlockEval ...
+    block: _Block | None = None       #: its priced block ...
     row: int = 0                      #: ... and its row there
-    durations_work: np.ndarray | None = None  #: (W, I) after flattening
-    # controlled
-    schedule: object = None
-    prices: list | None = None        #: the schedule priced on its node
-    entry_point: object = None
-    final_core_ghz: float = 0.0
-    final_uncore_ghz: float = 0.0
-    flat: object = None               #: FlatControlSchedule
     # outcome, filled after pricing
     result: object = None
     end_state: MeterEndState | None = None
@@ -272,15 +264,17 @@ def _member_threads(member: FleetMember) -> int | None:
     return member.threads
 
 
-def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
-    """Compile a controller-driven member's switch schedule and price it.
+def _plan_controlled(
+    member: FleetMember, node_seed: int, power_model: PowerModel
+) -> _MemberPlan:
+    """Compile a controller-driven member's switch schedule.
 
     The schedule walk needs a node: MSRs, DVFS/UFS logs and the
     controller statistics all mutate exactly as in a region-by-region
     run.  A live member walks its own node; a fresh one a node built
-    here.  A controller that declines (returns ``None``) must leave both
-    untouched; it is refused.  The schedule is priced against that
-    node's power model after the walk.
+    here, whose physics ``power_model`` (shared by the fleet's members
+    of that node recipe) prices.  A controller that declines (returns
+    ``None``) must leave both untouched; it is refused.
     """
     app = member.app
     controller = member.controller
@@ -315,54 +309,28 @@ def _plan_controlled(member: FleetMember, node_seed: int) -> _MemberPlan:
         )
     return _MemberPlan(
         member=member,
-        kind="controlled",
-        node=member.node,
-        num_sockets=node.topology.num_sockets,
-        iterations=schedule.iterations,
         schedule=schedule,
-        prices=schedule.prices(node.power_model),
+        power_model=power_model,
+        points=schedule.points,
         entry_point=entry_point,
         final_core_ghz=node.core_freq_ghz,
         final_uncore_ghz=node.uncore_freq_ghz,
+        node=member.node,
     )
 
 
-def _plan_member(member: FleetMember, structures: dict, models: dict) -> _MemberPlan:
-    """Compile one member: structure walk or controller schedule.
+def _plan_member(member: FleetMember, schedules: dict, models: dict) -> _MemberPlan:
+    """Compile one member's schedule and resolve its power model.
 
-    An uncontrolled member only resolves its structure, power model and
-    effective operating point here; :func:`fleet_run` prices it with
-    every member sharing both.
+    A member without a controller reuses the fleet's walk of its
+    application build and instrumentation, and binds the schedule's one
+    point to its effective operating point: a live node's current
+    frequencies, or the member's programmed (quantized) point.
     """
     node_seed = member.seed if member.node_seed is None else member.node_seed
-    if member.controller is not None:
-        return _plan_controlled(member, node_seed)
-
-    # Uncontrolled member: pure structural pricing, no node required.
-    app = member.app
-    instrumented = member.instrumented or member.instrumentation is not None
-    filter_key = (
-        None
-        if member.instrumentation is None
-        else frozenset(member.instrumentation.filtered)
-    )
-    skey = (id(app), instrumented, filter_key)
-    structure = structures.get(skey)
-    if structure is None:
-        structure = _compile_structure(app, instrumented, member.instrumentation)
-        structures[skey] = structure
-
     node = member.node
     if node is not None:
-        # Live member: priced at the node's current frequencies against
-        # its own (warm) power model.
         power_model = node.power_model
-        threads = resolve_threads(app, member.threads, node.topology.num_cores)
-        effective = OperatingPoint(
-            core_freq_ghz=node.core_freq_ghz,
-            uncore_freq_ghz=node.uncore_freq_ghz,
-            threads=threads,
-        )
     else:
         # The power model depends on the variability and the socket/core
         # counts only; keying on the topology object's identity (members
@@ -376,6 +344,36 @@ def _plan_member(member: FleetMember, structures: dict, models: dict) -> _Member
                 num_sockets=topo.num_sockets,
                 num_cores=topo.num_cores,
             )
+    if member.controller is not None:
+        return _plan_controlled(member, node_seed, power_model)
+
+    app = member.app
+    instrumented = member.instrumented or member.instrumentation is not None
+    filter_key = (
+        None
+        if member.instrumentation is None
+        else frozenset(member.instrumentation.filtered)
+    )
+    skey = (id(app), instrumented, filter_key)
+    schedule = schedules.get(skey)
+    if schedule is None:
+        schedule = schedules[skey] = compile_schedule_by_walk(
+            None,
+            app,
+            None,
+            threads=None,
+            instrumented=instrumented,
+            instrumentation=member.instrumentation,
+        )
+
+    if node is not None:
+        threads = resolve_threads(app, member.threads, node.topology.num_cores)
+        effective = OperatingPoint(
+            core_freq_ghz=node.core_freq_ghz,
+            uncore_freq_ghz=node.uncore_freq_ghz,
+            threads=threads,
+        )
+    else:
         threads = resolve_threads(app, _member_threads(member), power_model.num_cores)
         if member.point is not None:
             core_ghz = member.point.core_freq_ghz
@@ -397,14 +395,186 @@ def _plan_member(member: FleetMember, structures: dict, models: dict) -> _Member
         )
     return _MemberPlan(
         member=member,
-        kind="uncontrolled",
-        node=node,
-        num_sockets=power_model.num_sockets,
-        iterations=app.phase_iterations,
-        structure=structure,
+        schedule=schedule,
         power_model=power_model,
-        point=effective,
+        points=(effective,),
+        entry_point=effective,
+        final_core_ghz=effective.core_freq_ghz,
+        final_uncore_ghz=effective.uncore_freq_ghz,
+        node=node,
     )
+
+
+#: The last block priced on each live node's power model, keyed by what
+#: its arrays depend on.  A live node's solo runs price one schedule at
+#: the same points run after run; fresh-node models live for one fleet
+#: pass and are never looked up here.
+_LAST_PRICED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+@dataclass
+class _Block:
+    """The members sharing one schedule and one power model, priced at
+    all their points at once, then flattened together."""
+
+    plans: list
+    schedule: ControlSchedule
+    rows: np.ndarray                  #: (G, S) price-table row per member point
+    prices: object                    #: the replay._BlockEval
+    durations_work: list = field(default_factory=list)  #: (G, W, n) per span
+    offsets: list = field(default_factory=list)  #: first charge per span
+
+    def spans(self, g: int) -> tuple:
+        """Member ``g``'s :func:`~repro.execution.controlled_replay.materialise_instances`
+        spans: each pattern's slots bound to the member's points and
+        priced."""
+        plan = self.plans[g]
+        rows = self.rows[g].tolist()
+        tables: dict[int, tuple] = {}
+        bound: dict[int, tuple] = {}
+        spans = []
+        for (index, start, count), work, offset in zip(
+            self.schedule.spans, self.durations_work, self.offsets
+        ):
+            pattern = self.schedule.patterns[index]
+            slots = bound.get(index)
+            if slots is None:
+                priced = []
+                for slot in pattern.slots:
+                    row = rows[slot.point_index]
+                    table = tables.get(row)
+                    if table is None:
+                        table = tables[row] = (
+                            self.prices.node_w[row].tolist(),
+                            self.prices.cpu_fraction[row].tolist(),
+                        )
+                    priced.append(
+                        _bind(slot, plan.points[slot.point_index], *table)
+                    )
+                slots = bound[index] = tuple(priced)
+            spans.append(
+                (
+                    slots,
+                    pattern.num_charges,
+                    start,
+                    count,
+                    offset,
+                    None if work is None else work[g],
+                )
+            )
+        return tuple(spans)
+
+
+def _bind(slot: _Slot, point, node_w: list, cpu_fraction: list) -> _Slot:
+    """A symbolic slot at its bound point, with its power fields."""
+    work = slot.has_work
+    return _Slot(
+        region=slot.region,
+        children=slot.children,
+        has_work=work,
+        probed=slot.probed,
+        probe_s=slot.probe_s,
+        work_index=slot.work_index,
+        point_index=slot.point_index,
+        charge_start=slot.charge_start,
+        charge_end=slot.charge_end,
+        point=point,
+        node_w=node_w[slot.work_index] if work else 0.0,
+        cpu_fraction=cpu_fraction[slot.work_index] if work else 0.0,
+        probe_node_w=node_w[PROBE_COLUMN] if slot.probed else 0.0,
+    )
+
+
+def _price_block(plans: list) -> _Block:
+    """Price one block: the distinct point bindings of its members
+    become the rows of one array pass.
+
+    Members bound to the same points object (the controlled runs of one
+    schedule) share rows; a live member reuses its node's last priced
+    block when the schedule's work and the points repeat.
+    """
+    first = plans[0]
+    schedule = first.schedule
+    points: list = []
+    at: dict[int, int] = {}
+    bases = []
+    for plan in plans:
+        base = at.get(id(plan.points))
+        if base is None:
+            base = at[id(plan.points)] = len(points)
+            points.extend(plan.points)
+        bases.append(base)
+    rows = np.add.outer(bases, np.arange(len(schedule.points)))
+    probed, switched = schedule.any_probed, schedule.any_switch
+    if first.node is None:
+        prices = _evaluate_block(
+            schedule.work_chars, first.power_model, points, probed=probed,
+            switched=switched,
+        )
+    else:
+        key = (schedule.work_chars, probed, switched, tuple(points))
+        last = _LAST_PRICED.get(first.power_model)
+        if last is None or last[0] != key:
+            prices = _evaluate_block(
+                schedule.work_chars, first.power_model, points, probed=probed,
+                switched=switched,
+            )
+            for array in vars(prices).values():
+                array.setflags(write=False)
+            last = _LAST_PRICED[first.power_model] = (key, prices)
+        prices = last[1]
+    block = _Block(plans, schedule, rows, prices)
+    for g, plan in enumerate(plans):
+        plan.block, plan.row = block, g
+    return block
+
+
+def _flatten(block: _Block, noise: np.ndarray) -> tuple:
+    """Flatten a priced block under its (members, work, iteration) noise.
+
+    Span by span, each member's charges are its pattern's fixed
+    durations with the body columns set to ``base time x noise``, and
+    its per-charge powers are gathered from the price tables at its
+    bound rows and tiled over the span's iterations.  Returns the
+    ``(members, charges)`` durations and power components; each row is
+    the exact charge sequence of that member's run, bit-identical to
+    flattening it on its own.
+    """
+    schedule, prices = block.schedule, block.prices
+    runs = noise.shape[0]
+    parts = []
+    offset = 0
+    for index, start, count in schedule.spans:
+        pattern = schedule.patterns[index]
+        num_charges = pattern.num_charges
+        rows = block.rows[:, pattern.charge_points]
+        cols = pattern.charge_cols
+        durations = np.empty((runs, count, num_charges))
+        durations[:] = pattern.fixed_durations
+        work = None
+        if pattern.body.size:
+            body = pattern.body
+            base = prices.base_times[rows[:, body], cols[body]]
+            work = base[:, :, None] * noise[:, :, start:start + count]
+            durations[:, :, body] = work.transpose(0, 2, 1)
+        block.durations_work.append(work)
+        block.offsets.append(offset)
+        width = count * num_charges
+        parts.append(
+            (
+                durations.reshape(runs, width),
+                *(
+                    table[rows, cols][:, None, :]
+                    .repeat(count, axis=1)
+                    .reshape(runs, width)
+                    for table in (prices.node_w, prices.package_w, prices.dram_w)
+                ),
+            )
+        )
+        offset += width
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column, axis=1) for column in zip(*parts))
 
 
 def _total(values: np.ndarray) -> float:
@@ -416,33 +586,21 @@ def _finish(plan: _MemberPlan, timeline, time_s, node_energy_j, cpu_energy_j,
             end_state: MeterEndState | None) -> None:
     """Fill one priced member's ``RunResult``, trace and lazy instance
     log."""
-    if plan.kind == "controlled":
-        flat = plan.flat
-        point = plan.entry_point
-        switching_s = _total(flat.switches)
-        instrumentation_s = _total(flat.probes)
-        trace = RunTrace(plan.schedule.post_order, timeline, lambda: flat.spans)
-    else:
-        point = plan.point
-        switching_s = 0.0
-        instrumentation_s = plan.structure.instrumentation_time_s(plan.iterations)
-        trace = RunTrace(
-            plan.structure.post_order,
-            timeline,
-            functools.partial(
-                _block_spans, plan.block, plan.row, plan.iterations,
-                plan.durations_work,
-            ),
-        )
+    schedule = plan.schedule
+    trace = RunTrace(
+        schedule.post_order,
+        timeline,
+        functools.partial(plan.block.spans, plan.row),
+    )
     plan.result = RunResult(
         app_name=plan.member.app.name,
         node_id=plan.member.node_id,
-        operating_point=point,
+        operating_point=plan.entry_point,
         time_s=time_s,
         node_energy_j=node_energy_j,
         cpu_energy_j=cpu_energy_j,
-        switching_time_s=switching_s,
-        instrumentation_time_s=instrumentation_s,
+        switching_time_s=schedule.switching_time_s,
+        instrumentation_time_s=schedule.instrumentation_time_s,
         instances=InstanceLog.deferred(trace),
     )
     plan.end_state, plan.trace = end_state, trace
@@ -491,79 +649,48 @@ def fleet_run(members) -> FleetReplay:
                 "its switch schedule (no compile_schedule)"
             )
 
-    structures: dict = {}
+    schedules: dict = {}
     models: dict = {}
-    plans = [_plan_member(m, structures, models) for m in members]
+    plans = [_plan_member(m, schedules, models) for m in members]
 
-    # Uncontrolled members sharing a structure and a power model are one
-    # block, priced as (members x work regions) arrays and flattened
-    # together; a live member's power model is its node's, so it stands
-    # alone, as does every controlled member.
+    # Members sharing a schedule and a power model are one block, priced
+    # in one array pass and flattened together; a live member's power
+    # model is its node's, so it stands alone.
     groups: dict[tuple, list[_MemberPlan]] = {}
     for plan in plans:
-        if plan.kind == "uncontrolled":
-            key = (id(plan.structure), id(plan.power_model))
-        else:
-            key = (id(plan),)
+        key = (id(plan.schedule), id(plan.power_model))
         groups.setdefault(key, []).append(plan)
-    parts = list(groups.values())
+    blocks = [_price_block(part) for part in groups.values()]
 
-    # -- block pricing; one keyed-noise draw spanning the whole fleet ------
-    # Each uncontrolled block is priced in one array pass.  Each run's
-    # (work x iteration) seed matrix flattens row-major — the exact order
-    # its solo run would reshape — into one digest buffer, and
-    # per-seed independence makes the fleet-wide batch sliceable without
-    # drift.  Each part's draws come back as one (members, work,
-    # iteration) view.
-    layout = []   # (part, (members, work, iteration))
+    # -- one keyed-noise draw spanning the whole fleet ---------------------
+    # Each run's (work x iteration) seed matrix flattens row-major — the
+    # exact order its solo run would reshape — into one digest buffer,
+    # and per-seed independence makes the fleet-wide batch sliceable
+    # without drift.  Each block's draws come back as one (members,
+    # work, iteration) view.
+    shapes = []
     digests: list[bytes] = []
-    for part in parts:
-        first = part[0]
-        if first.kind == "uncontrolled":
-            compiled = first.structure
-            if first.node is None:
-                block = _evaluate_block(
-                    compiled, first.power_model, [plan.point for plan in part]
-                )
-            else:  # a live member: a block of one on its node's model
-                block = _evaluate_on_node(compiled, first.power_model, first.point)
-            for g, plan in enumerate(part):
-                plan.block, plan.row = block, g
-        else:
-            compiled = first.schedule
-        names = compiled.work_names
-        layout.append((part, (len(part), len(names), first.iterations)))
-        for plan in part:
+    for block in blocks:
+        schedule = block.schedule
+        names = schedule.work_names
+        shapes.append((len(block.plans), len(names), schedule.iterations))
+        for plan in block.plans:
             m = plan.member
             _seed_digests(
-                digests, names, first.iterations, m.node_id, m.run_key, m.seed
+                digests, names, schedule.iterations, m.node_id, m.run_key, m.seed
             )
-    bounds = [0, *itertools.accumulate(math.prod(shape) for _, shape in layout)]
+    bounds = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
     all_seeds = np.frombuffer(b"".join(digests), dtype="<u8")
     all_noise = batched_lognormal(all_seeds, TIME_NOISE_SIGMA)
 
-    # -- block / schedule flattening; live members price on their nodes ---
-    fresh = []   # (part, durations, node_w, package_w, dram_w), one row each
-    for (part, shape), lo, hi in zip(layout, bounds, bounds[1:]):
-        noise = all_noise[lo:hi].reshape(shape)
-        first = part[0]
-        if first.kind == "uncontrolled":
-            flat = _flatten_block(first.block, noise)
-            for g, plan in enumerate(part):
-                plan.durations_work = flat.durations_work[g]
-            charges = (flat.durations, flat.node_w, flat.package_w, flat.dram_w)
+    # -- block flattening; live members price on their nodes ---------------
+    fresh = []   # (plans, durations, node_w, package_w, dram_w), one row each
+    for block, shape, lo, hi in zip(blocks, shapes, bounds, bounds[1:]):
+        charges = _flatten(block, all_noise[lo:hi].reshape(shape))
+        if block.plans[0].node is None:
+            fresh.append((block.plans, *charges))
         else:
-            flat = first.flat = flatten_control_schedule(
-                first.schedule, first.prices, noise[0]
-            )
-            charges = (
-                flat.durations[None], flat.node_w[None],
-                flat.package_w[None], flat.dram_w[None],
-            )
-        if first.node is None:
-            fresh.append((part, *charges))
-        else:
-            for g, plan in enumerate(part):
+            for g, plan in enumerate(block.plans):
                 _price_on_node(plan, *(c[g] for c in charges))
     if fresh:
         _price_fresh(fresh)
@@ -611,7 +738,7 @@ def _price_fresh(fresh: list) -> None:
 
     # RAPL end state + CPU energy (fresh accumulators; each socket sees
     # the identical per-charge deposit, node totals sum socket by socket).
-    socket_counts = np.array([p.num_sockets for p in plans])
+    socket_counts = np.array([p.power_model.num_sockets for p in plans])
     sockets_col = socket_counts.astype(float).reshape(-1, 1)
     package_ticks, package_residual = _rapl_fold(package_w * durations / sockets_col)
     dram_ticks, dram_residual = _rapl_fold(dram_w * durations / sockets_col)
@@ -636,11 +763,7 @@ def _price_fresh(fresh: list) -> None:
     package_residuals = package_residual.tolist()
     dram_residuals = dram_residual.tolist()
     for i, plan in enumerate(plans):
-        if plan.kind == "controlled":
-            core_ghz, uncore_ghz = plan.final_core_ghz, plan.final_uncore_ghz
-        else:
-            core_ghz = plan.point.core_freq_ghz
-            uncore_ghz = plan.point.uncore_freq_ghz
+        num_sockets = plan.power_model.num_sockets
         _finish(
             plan,
             timeline[i],
@@ -650,10 +773,10 @@ def _price_fresh(fresh: list) -> None:
             MeterEndState(
                 now_s=times[i],
                 hdeem_now_s=times[i],
-                core_freq_ghz=core_ghz,
-                uncore_freq_ghz=uncore_ghz,
+                core_freq_ghz=plan.final_core_ghz,
+                uncore_freq_ghz=plan.final_uncore_ghz,
                 rapl_package=((raw_packages[i], package_residuals[i]),)
-                * plan.num_sockets,
-                rapl_dram=((raw_drams[i], dram_residuals[i]),) * plan.num_sockets,
+                * num_sockets,
+                rapl_dram=((raw_drams[i], dram_residuals[i]),) * num_sockets,
             ),
         )

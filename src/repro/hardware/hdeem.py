@@ -60,8 +60,9 @@ class HdeemMonitor:
         self._now_s = 0.0
         self._segments: list[_Segment] = []
         #: Power timeline recorded but not yet materialised as _Segment
-        #: rows: (duration, power) scalars from :meth:`advance` and array
-        #: blocks from :meth:`advance_many`, in arrival order.  The FPGA
+        #: rows: (duration, power) scalars from :meth:`advance` (the
+        #: reference engine's per-charge path) and array blocks from
+        #: :meth:`advance_many` (the fleet kernel's), in arrival order.  The FPGA
         #: only needs the timeline when a window is integrated, so row
         #: objects are built lazily (:meth:`_flush`).
         self._pending: list[tuple] = []
@@ -84,7 +85,7 @@ class HdeemMonitor:
         Semantically identical to calling :meth:`advance` per segment
         (zero durations are skipped, time accumulates in sequence order);
         the segment rows are materialised lazily on the next window
-        integration.  Used by the execution simulator's replay fast path.
+        integration.  Used by :meth:`~repro.hardware.node.ComputeNode.advance_many`.
         """
         durations_s = np.asarray(durations_s, dtype=float)
         if durations_s.size == 0:

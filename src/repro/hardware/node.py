@@ -9,8 +9,9 @@ applications on.  It owns
 * the ground-truth :class:`~repro.hardware.power.PowerModel` with this
   node's variability factors.
 
-Simulated time advances only through :meth:`advance`, which charges
-energy into every meter consistently.
+Simulated time advances only through :meth:`ComputeNode.advance_many`,
+which charges a run's whole charge sequence into every meter
+consistently.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.errors import HardwareError
 from repro.hardware.frequency import DVFSController, UFSController
 from repro.hardware.hdeem import HdeemMonitor
 from repro.hardware.msr import MSRRegisterFile
-from repro.hardware.power import NodeVariability, PowerBreakdown, PowerModel
+from repro.hardware.power import NodeVariability, PowerModel
 from repro.hardware.rapl import RaplAccumulator, RaplDomain, RaplReader
 from repro.hardware.topology import NodeTopology
 from repro.hardware.x86_adapt import X86AdaptDevice
@@ -37,7 +38,6 @@ class ComputeNode:
         *,
         seed: int = config.DEFAULT_SEED,
         topology: NodeTopology | None = None,
-        variability: NodeVariability | None = None,
     ):
         self.node_id = node_id
         self.seed = seed
@@ -52,7 +52,7 @@ class ComputeNode:
         self.ufs = UFSController(self.msr, self.topology)
         self.x86_adapt = X86AdaptDevice(self.dvfs, self.ufs)
         self.power_model = PowerModel(
-            variability or NodeVariability.sample(node_id, seed=seed),
+            NodeVariability.sample(node_id, seed=seed),
             num_sockets=self.topology.num_sockets,
             num_cores=self.topology.num_cores,
         )
@@ -90,23 +90,6 @@ class ComputeNode:
         )
 
     # ------------------------------------------------------------------
-    def advance(self, duration_s: float, breakdown: PowerBreakdown) -> None:
-        """Advance simulated time, charging every meter.
-
-        RAPL energy splits evenly across sockets (workloads here are
-        node-balanced); HDEEM records total node power.
-        """
-        if duration_s < 0:
-            raise HardwareError("cannot advance time backwards")
-        if duration_s == 0:
-            return
-        self._now_s += duration_s
-        self.hdeem.advance(duration_s, breakdown.node_w)
-        n = len(self._rapl_accumulators)
-        for acc in self._rapl_accumulators:
-            acc.deposit(RaplDomain.PACKAGE, breakdown.rapl_package_w * duration_s / n)
-            acc.deposit(RaplDomain.DRAM, breakdown.rapl_dram_w * duration_s / n)
-
     def advance_many(
         self,
         durations_s,
@@ -116,13 +99,13 @@ class ComputeNode:
     ) -> None:
         """Advance through a sequence of charge segments in bulk.
 
-        Equivalent — to the bit — to calling :meth:`advance` once per
-        segment with a breakdown carrying the given component powers:
-        time accumulates in sequence order, HDEEM records the same
-        timeline, and the per-socket RAPL deposits replay the identical
-        residual arithmetic.  Zero-length segments are no-ops, as in
-        :meth:`advance`.  This is the meter backend of the execution
-        simulator's replay fast path.
+        Equivalent — to the bit — to charging each segment in turn (the
+        recursive reference engine's per-charge ``advance`` in
+        ``tests/oracles/physics.py``): time accumulates in sequence
+        order, HDEEM records the same timeline, and the per-socket RAPL
+        deposits replay the identical residual arithmetic.  Zero-length
+        segments are no-ops.  This is the meter backend of the fleet
+        kernel.
         """
         durations_s = np.asarray(durations_s, dtype=float)
         if durations_s.size == 0:

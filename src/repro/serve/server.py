@@ -258,11 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="flush a coalescing group at this many members",
     )
     parser.add_argument(
-        "--unbatched",
-        action="store_true",
-        help="disable coalescing (one sweep per request; the benchmark's control arm)",
-    )
-    parser.add_argument(
         "--retry-failed",
         action="store_true",
         help="retry jobs with persisted failure records instead of refusing them",
@@ -300,7 +295,6 @@ async def _amain(args: argparse.Namespace) -> int:
     service = TuningService(
         store=store,
         max_batch=args.max_batch,
-        admission="unbatched" if args.unbatched else "batched",
         retry_failed=args.retry_failed,
         workers=args.workers,
         drain_deadline_s=args.drain_deadline_s,

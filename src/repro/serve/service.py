@@ -133,11 +133,11 @@ class _Inflight:
 class TuningService:
     """Asyncio tuning service with store dedup and cross-request batching.
 
-    ``admission="batched"`` (the default) coalesces every pending
-    request — across benchmarks, threads, nodes and seeds — into groups
-    of at most ``max_batch``; ``"unbatched"`` degrades to a
-    one-request-per-sweep service (the benchmark's control arm) while
-    keeping the rest of the lifecycle identical.  A ``store`` turns on
+    Every pending request — across benchmarks, threads, nodes and
+    seeds — coalesces into groups of at most ``max_batch``;
+    ``max_batch=1`` degrades to a one-request-per-sweep service (the
+    benchmark's control arm) while keeping the rest of the lifecycle
+    identical.  A ``store`` turns on
     persistent dedup and quarantine; without one the service still
     coalesces and joins in-flight duplicates, it just never remembers.
 
@@ -155,21 +155,12 @@ class TuningService:
         *,
         store: ResultStore | None = None,
         max_batch: int = batching.DEFAULT_MAX_BATCH,
-        admission: str = "batched",
         retry_failed: bool = False,
         retry_policy=None,
         workers: int = 1,
         drain_deadline_s: float | None = DEFAULT_DRAIN_DEADLINE_S,
         warm: tuple[str, ...] = (),
     ):
-        if admission not in ("batched", "unbatched"):
-            raise SchemaError(
-                f"unknown admission mode: {admission!r}; "
-                "known: ('batched', 'unbatched')"
-            )
-        if admission == "unbatched":
-            max_batch = 1
-        self.admission = admission
         self.retry_failed = retry_failed
         self.metrics = ServiceMetrics()
         self.batcher = batching.CoalescingBatcher(max_batch=max_batch)

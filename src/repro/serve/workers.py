@@ -68,7 +68,7 @@ __all__ = [
 
 #: Grid thinning stride of the warm-up sweep: keeps only the axis
 #: defaults (a 2x2 grid), so warming one benchmark costs four cells
-#: while still compiling its structural schedule and touching every
+#: while still compiling its switch schedule and touching every
 #: per-process cache a real request needs.
 WARM_STRIDE = 1_000_000
 

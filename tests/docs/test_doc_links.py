@@ -50,3 +50,31 @@ def test_checker_accepts_valid_references(tmp_path):
         "and external [link](https://example.com).\n"
     )
     assert check_doc_links.check_document(doc) == []
+
+
+def test_checker_flags_dead_source_cross_references(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        '"""See :func:`~repro.util.rng.rng_for_everything`, the module\n'
+        ':mod:`repro.no_such_module` and\n'
+        ':meth:`repro.execution.simulator.ExecutionSimulator.walk`."""\n'
+    )
+    errors = check_doc_links.check_source(source)
+    assert len(errors) == 3
+    assert errors[0].startswith(
+        f"{source}:1: dead cross-reference repro.util.rng.rng_for_everything"
+    )
+    assert errors[2].startswith(f"{source}:3: dead cross-reference")
+
+
+def test_checker_accepts_valid_source_cross_references(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        '"""Roles on :mod:`repro.execution.fleet_replay`,\n'
+        ':class:`~repro.hardware.node.ComputeNode`, the method\n'
+        ':meth:`repro.hardware.node.ComputeNode.advance_many`, a dataclass\n'
+        'field without a default\n'
+        ':attr:`~repro.modeling.dataset.EnergyDataset.counter_rates`, and\n'
+        'relative names such as :func:`fleet_run`, which are not checked."""\n'
+    )
+    assert check_doc_links.check_source(source) == []

@@ -15,13 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import config
-from repro.execution.replay import (
-    _compile_structure,
-    _evaluate_block,
-    _evaluate_on_node,
-)
-from repro.execution.simulator import OperatingPoint
+from repro.execution import fleet_replay
+from repro.execution.controlled_replay import PROBE_COLUMN, SWITCH_COLUMN
+from repro.execution.replay import _evaluate_block
+from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.execution.timing import region_timings
+from repro.hardware.node import ComputeNode
 from repro.hardware.power import NodeVariability, PowerModel
 from repro.workloads import registry
 from repro.workloads.characteristics import WorkloadCharacteristics
@@ -156,22 +155,27 @@ def test_array_model_matches_scalar_model(block):
     assert np.array_equal(got_probe, np.array(want_probe))
 
 
+def work_chars(app) -> tuple:
+    """Characteristics per work region, in the walk's pre-order."""
+    return tuple(r.characteristics for r in app.phase.walk() if r.has_work)
+
+
 @pytest.mark.parametrize("app_name", ["Lulesh", "Mcb", "EP"])
 def test_evaluate_block_matches_per_point_scalar_pricing(app_name):
-    """The block evaluator's body and probe numbers, region by region."""
-    app = registry.build(app_name)
-    structure = _compile_structure(app, True, None)
+    """The block evaluator's body, probe and switch numbers, region by
+    region."""
+    chars = work_chars(registry.build(app_name))
     model = PowerModel(NodeVariability.sample(3))
     points = [
         OperatingPoint(cf, ucf, 12 + g % 13) for g, (cf, ucf) in enumerate(GRID)
     ]
-    block = _evaluate_block(structure, model, points)
+    block = _evaluate_block(chars, model, points, probed=True, switched=True)
     for g, p in enumerate(points):
         kwargs = dict(
             core_freq_ghz=p.core_freq_ghz, uncore_freq_ghz=p.uncore_freq_ghz
         )
-        for w, chars in enumerate(structure.work_chars):
-            t = region_timing(chars, threads=p.threads, **kwargs)
+        for w, c in enumerate(chars):
+            t = region_timing(c, threads=p.threads, **kwargs)
             b = scalar_power_model(model).power(
                 active_threads=p.threads,
                 core_activity=t.core_activity,
@@ -184,16 +188,32 @@ def test_evaluate_block_matches_per_point_scalar_pricing(app_name):
             assert block.package_w[g, w] == b.rapl_package_w
             assert block.dram_w[g, w] == b.rapl_dram_w
             assert block.cpu_fraction[g, w] == b.cpu_w / b.node_w
-        b = scalar_power_model(model).power(
-            active_threads=p.threads,
-            core_activity=1.0,
-            uncore_activity=0.1,
-            membw_gbs=0.0,
-            **kwargs,
-        )
-        assert block.probe_node_w[g] == b.node_w
-        assert block.probe_package_w[g] == b.rapl_package_w
-        assert block.probe_dram_w[g] == b.rapl_dram_w
+        for column, core_activity, uncore_activity in (
+            (PROBE_COLUMN, 1.0, 0.1),
+            (SWITCH_COLUMN, config.STALLED_CORE_ACTIVITY, 0.0),
+        ):
+            b = scalar_power_model(model).power(
+                active_threads=p.threads,
+                core_activity=core_activity,
+                uncore_activity=uncore_activity,
+                membw_gbs=0.0,
+                **kwargs,
+            )
+            assert block.node_w[g, column] == b.node_w
+            assert block.package_w[g, column] == b.rapl_package_w
+            assert block.dram_w[g, column] == b.rapl_dram_w
+
+
+def test_uncharged_columns_are_zero():
+    """A schedule without probes or switches prices neither column."""
+    chars = work_chars(registry.build("EP"))
+    block = _evaluate_block(
+        chars, PowerModel(), [OperatingPoint(2.5, 3.0, 24)], probed=False,
+        switched=False,
+    )
+    for table in (block.node_w, block.package_w, block.dram_w):
+        assert table.shape == (1, len(chars) + 2)
+        assert not table[:, [PROBE_COLUMN, SWITCH_COLUMN]].any()
 
 
 def test_array_checks_raise_the_scalar_errors():
@@ -234,22 +254,33 @@ def test_array_checks_raise_the_scalar_errors():
 
 def test_live_node_reuses_only_its_last_block():
     """A live node re-prices nothing while the work and the point
-    repeat, and re-prices on either change."""
-    model = PowerModel(NodeVariability.sample(1))
-    ep = _compile_structure(registry.build("EP"), False, None)
-    point = OperatingPoint(2.5, 3.0, 24)
-    first = _evaluate_on_node(ep, model, point)
-    again = _compile_structure(registry.build("EP"), False, None)
-    reused = _evaluate_on_node(again, model, point)
-    assert reused.structure is again
-    assert reused.base_times is first.base_times
+    repeat (a fresh walk of an equal tree included), and re-prices on
+    either change."""
+    node = ComputeNode(1)
+    simulator = ExecutionSimulator(node)
+
+    def last_priced():
+        return fleet_replay._LAST_PRICED[node.power_model][1]
+
+    ep = registry.build("EP")
+    simulator.run(ep, run_key=("a",))
+    first = last_priced()
+    simulator.run(registry.build("EP"), run_key=("b",))
+    assert last_priced() is first
     assert not first.base_times.flags.writeable
-    for structure, p in [
-        (ep, OperatingPoint(1.6, 3.0, 24)),
-        (_compile_structure(registry.build("Mcb"), False, None), point),
-    ]:
-        block = _evaluate_on_node(structure, model, p)
-        fresh = _evaluate_block(structure, model, [p])
+
+    mcb = registry.build("Mcb")
+    for app, frequencies in [(ep, (1.6, 3.0)), (mcb, (1.6, 3.0))]:
+        node.set_frequencies(*frequencies)
+        simulator.run(app, run_key=("c",))
+        block = last_priced()
+        fresh = _evaluate_block(
+            work_chars(app),
+            node.power_model,
+            [OperatingPoint(*frequencies, app.default_threads)],
+            probed=False,
+            switched=False,
+        )
         assert block.base_times is not first.base_times
         for name in ("base_times", "node_w", "package_w", "dram_w", "cpu_fraction"):
             assert np.array_equal(getattr(block, name), getattr(fresh, name))

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import TuningError
 from repro.execution.fleet_replay import FleetMember, fleet_run
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
-from repro.hardware.node import ComputeNode
 from repro.readex.rrl import RRL
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.instrumentation import Instrumentation
@@ -170,30 +169,6 @@ class TestControlledReplayEquivalence:
             assert fast == generic
         assert c1.stats == c2.stats
         assert meter_state(n1) == meter_state(n2)
-
-    def test_variability_override_not_served_stale_schedules(self):
-        """A node with an explicit variability override must not reuse a
-        schedule compiled under another node's physics (the cache keys
-        on the power model's variability, not just id/seed)."""
-        from repro.hardware.power import NodeVariability
-
-        app = registry.build("FT")
-        model = make_tmm(app)
-        # Populate the cache with the default-variability physics.
-        default_node = make_node(0, seed=1)
-        ExecutionSimulator(default_node).run(
-            app, controller=RRL(model), instrumented=True, run_key=("warm",)
-        )
-        override = NodeVariability.sample(99, seed=1234)
-        n1 = ComputeNode(0, seed=1, variability=override)
-        n2 = ComputeNode(0, seed=1, variability=override)
-        fast = ExecutionSimulator(n1).run(
-            app, controller=RRL(model), instrumented=True, run_key=("ovr",)
-        )
-        generic = recursive_run(
-            n2, app, controller=RRL(model), instrumented=True, run_key=("ovr",)
-        )
-        assert_identical(fast, generic, n1, n2)
 
     def test_nodes_share_one_schedule_walk(self, monkeypatch):
         """The walk is node-invariant: runs of one tuning model on four

@@ -106,7 +106,7 @@ class TestScheduleInvariants:
         for pattern in schedule.patterns:
             for slot in pattern.slots:
                 assert 0 <= slot.charge_start <= slot.charge_end
-                assert slot.charge_end <= len(pattern.charges)
+                assert slot.charge_end <= pattern.num_charges
                 for child in slot.children:
                     child_slot = pattern.slots[child]
                     assert slot.charge_start <= child_slot.charge_start

@@ -403,6 +403,101 @@ def recursive_cell(app, point, run_key, *, node_id=0,
     return run, node
 
 
+class TestBatching:
+    """One fleet pass walks each (application, instrumentation) once and
+    prices each block of members sharing a schedule and a power model in
+    one array call, controlled members included."""
+
+    def test_one_walk_per_build_and_one_pricing_per_block(self, monkeypatch):
+        from repro.execution import controlled_replay, fleet_replay
+
+        walks: dict = {}
+        walk = controlled_replay._walk_iteration
+
+        def counting_walk(controller, app, node, threads, iteration, *rest):
+            if iteration == 0:
+                key = (app.name, rest[0], controller is None)
+                walks[key] = walks.get(key, 0) + 1
+            return walk(controller, app, node, threads, iteration, *rest)
+
+        pricings = []
+        evaluate = fleet_replay._evaluate_block
+
+        def counting_evaluate(work_chars, power_model, points, **flags):
+            pricings.append(len(points))
+            return evaluate(work_chars, power_model, points, **flags)
+
+        monkeypatch.setattr(controlled_replay, "_walk_iteration", counting_walk)
+        monkeypatch.setattr(fleet_replay, "_evaluate_block", counting_evaluate)
+
+        grid = [(1.6, 2.0), (2.0, 2.4), (2.4, 1.8), (2.5, 3.0)]
+        specs = [  # (app, node, instrumented, points): one block each
+            ("Lulesh", 0, False, grid),
+            ("Lulesh", 1, False, grid[:2]),
+            ("Lulesh", 0, True, grid[2:]),
+            ("Mcb", 0, False, grid[1:]),
+        ]
+        members, references = [], []
+        for app_name, node_id, instrumented, points in specs:
+            for cf, ucf in points:
+                member = FleetMember(
+                    app=build_app(app_name),
+                    run_key=("batch", app_name, node_id, cf, ucf),
+                    node_id=node_id,
+                    point=OperatingPoint(cf, ucf, 24),
+                    instrumented=instrumented,
+                )
+                members.append(member)
+                references.append(member)
+        model = make_tmm(build_app("FT"))
+        for rep in range(3):  # one schedule on one node recipe: one block
+            members.append(
+                FleetMember(
+                    app=build_app("FT"), run_key=("rep", rep), node_id=2,
+                    controller=RRL(model), instrumented=True,
+                )
+            )
+            references.append(
+                FleetMember(
+                    app=build_app("FT"), run_key=("rep", rep), node_id=2,
+                    controller=RRL(model), instrumented=True,
+                )
+            )
+        live_node, solo_node = ComputeNode(3), ComputeNode(3)
+        members.append(
+            FleetMember(app=build_app("EP"), run_key=("live",), node_id=3,
+                        node=live_node)
+        )
+
+        fleet = fleet_run(members)
+
+        assert walks == {
+            ("Lulesh", False, True): 1,
+            ("Lulesh", True, True): 1,
+            ("Mcb", False, True): 1,
+            ("FT", True, False): 1,
+            ("EP", False, True): 1,
+        }
+        # The repetitions share their schedule's points: priced once.
+        ft = build_app("FT")
+        schedule = RRL(model).compile_schedule(  # a cache hit: no walk
+            ft, ComputeNode(2), threads=ft.default_threads, instrumented=True,
+            instrumentation=None,
+        )
+        assert sum(walks.values()) == len(walks)
+        assert sorted(pricings) == sorted(
+            [len(points) for *_, points in specs] + [len(schedule.points), 1]
+        )
+        for i, member in enumerate(references):
+            ref, node = run_reference(member)
+            assert fleet.results[i] == ref
+            assert list(fleet.results[i].instances) == list(ref.instances)
+            assert fleet.end_states[i] == meter_end_state(node)
+        solo = recursive_run(solo_node, build_app("EP"), run_key=("live",))
+        assert fleet.results[-1] == solo
+        assert meter_end_state(live_node) == meter_end_state(solo_node)
+
+
 class TestGridEquivalence:
     """Static grids through the fleet kernel vs the recursive engine."""
 

@@ -14,7 +14,7 @@ from repro.hardware.rapl import (
     RaplDomain,
     RaplReader,
 )
-from tests.oracles.physics import compute_power
+from tests.oracles.physics import advance, compute_power
 
 
 def idle_breakdown(node):
@@ -148,7 +148,7 @@ class TestComputeNode:
             uncore_activity=0.5,
             membw_gbs=30.0,
         )
-        node.advance(2.0, b)
+        advance(node, 2.0, b)
         hdeem = node.hdeem.stop()
         cpu_j = node.rapl.read_cpu_energy_joules()
         assert hdeem.energy_j > cpu_j > 0  # node energy > CPU energy
@@ -168,13 +168,13 @@ class TestComputeNode:
 
     def test_time_advances(self):
         node = ComputeNode(0)
-        node.advance(1.5, idle_breakdown(node))
+        advance(node, 1.5, idle_breakdown(node))
         assert node.now_s == pytest.approx(1.5)
 
     def test_negative_advance_rejected(self):
         node = ComputeNode(0)
         with pytest.raises(HardwareError):
-            node.advance(-1.0, idle_breakdown(node))
+            advance(node, -1.0, idle_breakdown(node))
 
 
 class TestCluster:
@@ -186,7 +186,7 @@ class TestCluster:
         cluster = Cluster(4)
         node = cluster.node(1)
         var = node.power_model.variability
-        node.advance(5.0, idle_breakdown(node))
+        advance(node, 5.0, idle_breakdown(node))
         fresh = cluster.fresh_node(1)
         assert fresh.now_s == 0.0
         assert fresh.power_model.variability == var

@@ -36,7 +36,7 @@ from repro.hardware.rapl import RaplDomain
 from repro.scorep.instrumentation import Instrumentation
 from repro.util.rng import rng_for
 
-from tests.oracles.physics import region_timing, scalar_power_model
+from tests.oracles.physics import advance, region_timing, scalar_power_model
 
 
 class _RecursiveEngine:
@@ -76,7 +76,7 @@ class _RecursiveEngine:
 
     def charge(self, duration_s: float, breakdown) -> float:
         """Advance node time/meters and account node energy; returns joules."""
-        self.node.advance(duration_s, breakdown)
+        advance(self.node, duration_s, breakdown)
         joules = breakdown.node_w * duration_s
         self.node_energy_j += joules
         return joules

@@ -15,7 +15,10 @@ element with ``np.array_equal``, and the recursive engine
   component helpers;
 * :func:`scalar_power_model` — the scalar view of a production model's
   physics (one per model, so its breakdown memo lives as long as it);
-* :func:`compute_power` — the power at a node's current frequencies.
+* :func:`compute_power` — the power at a node's current frequencies;
+* :func:`advance` — charge one segment to a node's clock and meters,
+  the per-charge path :meth:`~repro.hardware.node.ComputeNode.advance_many`
+  replays in bulk.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import weakref
 from functools import lru_cache
 
 from repro import config
+from repro.errors import HardwareError
 from repro.execution.speedup import memory_bandwidth_gbs, thread_speedup
 from repro.execution.timing import RegionTiming
 from repro.hardware.power import (
@@ -32,6 +36,7 @@ from repro.hardware.power import (
     _dram_w,
     _uncore_activity_factor,
 )
+from repro.hardware.rapl import RaplDomain
 from repro.util.validation import check_fraction, check_positive
 from repro.workloads.characteristics import WorkloadCharacteristics
 
@@ -191,3 +196,23 @@ def compute_power(
         uncore_activity=uncore_activity,
         membw_gbs=membw_gbs,
     )
+
+
+def advance(node, duration_s: float, breakdown: PowerBreakdown) -> None:
+    """Advance ``node``'s simulated time by one segment, charging every
+    meter.
+
+    RAPL energy splits evenly across sockets (workloads here are
+    node-balanced); HDEEM records total node power.
+    """
+    if duration_s < 0:
+        raise HardwareError("cannot advance time backwards")
+    if duration_s == 0:
+        return
+    node._now_s += duration_s
+    node.hdeem.advance(duration_s, breakdown.node_w)
+    accumulators = node._rapl_accumulators
+    n = len(accumulators)
+    for acc in accumulators:
+        acc.deposit(RaplDomain.PACKAGE, breakdown.rapl_package_w * duration_s / n)
+        acc.deposit(RaplDomain.DRAM, breakdown.rapl_dram_w * duration_s / n)

@@ -17,7 +17,7 @@ from repro import api
 from repro.campaign.engine import qualified_descriptor, topology_job_key
 from repro.campaign.resilience import FailureRecord, failure_descriptor
 from repro.campaign.store import ResultStore, job_key
-from repro.errors import CampaignError, SchemaError
+from repro.errors import CampaignError
 from repro.serve import batcher as batching
 from repro.serve.schema import WIRE_VERSION
 from repro.serve.service import TuningService
@@ -145,7 +145,7 @@ class TestLifecycle:
 
     def test_unbatched_admission_never_coalesces(self):
         async def scenario():
-            service = TuningService(admission="unbatched")
+            service = TuningService(max_batch=1)
             payloads = [
                 dict(EP, objective=o) for o in ("energy", "edp", "ed2p")
             ]
@@ -173,10 +173,6 @@ class TestLifecycle:
         bad_shape, bad_value = run(scenario())
         assert bad_shape["error"]["code"] == "bad-request"
         assert bad_value["error"]["code"] == "bad-value"
-
-    def test_unknown_admission_mode_rejected(self):
-        with pytest.raises(SchemaError, match="admission"):
-            TuningService(admission="sometimes")
 
 
 class TestStoreDedup:

@@ -61,9 +61,6 @@ from repro.counters.generation import MeasurementContext
 from repro.workloads.application import Application
 from repro.workloads.region import Region
 
-#: Charge kinds, in the only order they can appear at one region enter.
-SWITCH, BODY, PROBE = 0, 1, 2
-
 #: Price-table columns of the fixed-cost charges: a block's power
 #: tables hold one column per work region, then the probe and the
 #: switch column (see :func:`~repro.execution.replay._evaluate_block`).
@@ -116,8 +113,8 @@ class _Pattern:
     #: :data:`PROBE_COLUMN` or :data:`SWITCH_COLUMN`.
     charge_cols: np.ndarray
     body: np.ndarray              #: body charge positions, in work-row order
-    switch_latencies: np.ndarray  #: SWITCH-charge durations, in order
-    probe_overheads: np.ndarray   #: PROBE-charge durations, in order
+    switch_latencies: np.ndarray  #: switch-charge durations, in order
+    probe_overheads: np.ndarray   #: probe-charge durations, in order
 
     @property
     def num_charges(self) -> int:

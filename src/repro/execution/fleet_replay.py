@@ -428,45 +428,32 @@ class _Block:
         """Member ``g``'s :func:`~repro.execution.controlled_replay.materialise_instances`
         spans: each pattern's slots bound to the member's points and
         priced."""
-        plan = self.plans[g]
-        rows = self.rows[g].tolist()
-        tables: dict[int, tuple] = {}
-        bound: dict[int, tuple] = {}
-        spans = []
-        for (index, start, count), work, offset in zip(
-            self.schedule.spans, self.durations_work, self.offsets
-        ):
-            pattern = self.schedule.patterns[index]
-            slots = bound.get(index)
-            if slots is None:
-                priced = []
-                for slot in pattern.slots:
-                    row = rows[slot.point_index]
-                    table = tables.get(row)
-                    if table is None:
-                        table = tables[row] = (
-                            self.prices.node_w[row].tolist(),
-                            self.prices.cpu_fraction[row].tolist(),
-                        )
-                    priced.append(
-                        _bind(slot, plan.points[slot.point_index], *table)
-                    )
-                slots = bound[index] = tuple(priced)
-            spans.append(
-                (
-                    slots,
-                    pattern.num_charges,
-                    start,
-                    count,
-                    offset,
-                    None if work is None else work[g],
-                )
+        points = self.plans[g].points
+        rows = self.rows[g]
+        node_w = self.prices.node_w[rows].tolist()  # per schedule point
+        cpu_fraction = self.prices.cpu_fraction[rows].tolist()
+        return tuple(
+            (
+                tuple(
+                    _bind(slot, points, node_w, cpu_fraction)
+                    for slot in self.schedule.patterns[index].slots
+                ),
+                self.schedule.patterns[index].num_charges,
+                start,
+                count,
+                offset,
+                None if work is None else work[g],
             )
-        return tuple(spans)
+            for (index, start, count), work, offset in zip(
+                self.schedule.spans, self.durations_work, self.offsets
+            )
+        )
 
 
-def _bind(slot: _Slot, point, node_w: list, cpu_fraction: list) -> _Slot:
-    """A symbolic slot at its bound point, with its power fields."""
+def _bind(slot: _Slot, points: tuple, node_w: list, cpu_fraction: list) -> _Slot:
+    """A symbolic slot at its bound point, with its power fields;
+    ``node_w`` and ``cpu_fraction`` hold one price-table row per point."""
+    k, w = slot.point_index, slot.work_index
     work = slot.has_work
     return _Slot(
         region=slot.region,
@@ -474,14 +461,14 @@ def _bind(slot: _Slot, point, node_w: list, cpu_fraction: list) -> _Slot:
         has_work=work,
         probed=slot.probed,
         probe_s=slot.probe_s,
-        work_index=slot.work_index,
-        point_index=slot.point_index,
+        work_index=w,
+        point_index=k,
         charge_start=slot.charge_start,
         charge_end=slot.charge_end,
-        point=point,
-        node_w=node_w[slot.work_index] if work else 0.0,
-        cpu_fraction=cpu_fraction[slot.work_index] if work else 0.0,
-        probe_node_w=node_w[PROBE_COLUMN] if slot.probed else 0.0,
+        point=points[k],
+        node_w=node_w[k][w] if work else 0.0,
+        cpu_fraction=cpu_fraction[k][w] if work else 0.0,
+        probe_node_w=node_w[k][PROBE_COLUMN] if slot.probed else 0.0,
     )
 
 

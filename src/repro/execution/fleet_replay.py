@@ -415,9 +415,11 @@ _LAST_PRICED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 @dataclass
 class _Block:
     """The members sharing one schedule and one power model, priced at
-    all their points at once, then flattened together."""
+    all their points at once, then flattened together.  It holds no
+    member plan, so the members' lazy traces keep no reference cycle
+    alive."""
 
-    plans: list
+    points: list                      #: each member's bound points
     schedule: ControlSchedule
     rows: np.ndarray                  #: (G, S) price-table row per member point
     prices: object                    #: the replay._BlockEval
@@ -428,7 +430,7 @@ class _Block:
         """Member ``g``'s :func:`~repro.execution.controlled_replay.materialise_instances`
         spans: each pattern's slots bound to the member's points and
         priced."""
-        points = self.plans[g].points
+        points = self.points[g]
         rows = self.rows[g]
         node_w = self.prices.node_w[rows].tolist()  # per schedule point
         cpu_fraction = self.prices.cpu_fraction[rows].tolist()
@@ -510,7 +512,7 @@ def _price_block(plans: list) -> _Block:
                 array.setflags(write=False)
             last = _LAST_PRICED[first.power_model] = (key, prices)
         prices = last[1]
-    block = _Block(plans, schedule, rows, prices)
+    block = _Block([plan.points for plan in plans], schedule, rows, prices)
     for g, plan in enumerate(plans):
         plan.block, plan.row = block, g
     return block
@@ -647,7 +649,8 @@ def fleet_run(members) -> FleetReplay:
     for plan in plans:
         key = (id(plan.schedule), id(plan.power_model))
         groups.setdefault(key, []).append(plan)
-    blocks = [_price_block(part) for part in groups.values()]
+    parts = list(groups.values())
+    blocks = [_price_block(part) for part in parts]
 
     # -- one keyed-noise draw spanning the whole fleet ---------------------
     # Each run's (work x iteration) seed matrix flattens row-major — the
@@ -657,11 +660,11 @@ def fleet_run(members) -> FleetReplay:
     # work, iteration) view.
     shapes = []
     digests: list[bytes] = []
-    for block in blocks:
+    for part, block in zip(parts, blocks):
         schedule = block.schedule
         names = schedule.work_names
-        shapes.append((len(block.plans), len(names), schedule.iterations))
-        for plan in block.plans:
+        shapes.append((len(part), len(names), schedule.iterations))
+        for plan in part:
             m = plan.member
             _seed_digests(
                 digests, names, schedule.iterations, m.node_id, m.run_key, m.seed
@@ -672,12 +675,12 @@ def fleet_run(members) -> FleetReplay:
 
     # -- block flattening; live members price on their nodes ---------------
     fresh = []   # (plans, durations, node_w, package_w, dram_w), one row each
-    for block, shape, lo, hi in zip(blocks, shapes, bounds, bounds[1:]):
+    for part, block, shape, lo, hi in zip(parts, blocks, shapes, bounds, bounds[1:]):
         charges = _flatten(block, all_noise[lo:hi].reshape(shape))
-        if block.plans[0].node is None:
-            fresh.append((block.plans, *charges))
+        if part[0].node is None:
+            fresh.append((part, *charges))
         else:
-            for g, plan in enumerate(block.plans):
+            for g, plan in enumerate(part):
                 _price_on_node(plan, *(c[g] for c in charges))
     if fresh:
         _price_fresh(fresh)

@@ -12,7 +12,7 @@ Scans ``README.md`` and ``docs/*.md`` for
   ``src/``, and a trailing attribute (function/class) must exist on it;
 
 and ``src/**/*.py`` for Sphinx cross-reference roles (``:func:``,
-``:class:``, ``:meth:``, ``:mod:``, ``:attr:``, ``:data:``, ``:exc:``)
+``:class:``, ``:meth:``, ``:mod:``, ``:attr:``, ``:data:``)
 on ``repro.*`` names, which must resolve the same way.  A dataclass
 field counts as an attribute of its class.
 
@@ -39,7 +39,7 @@ PATH_PREFIXES = (
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 INLINE_CODE = re.compile(r"`([^`\n]+)`")
 DOTTED = re.compile(r"^repro(\.\w+)+$")
-ROLE = re.compile(r":(?:func|class|meth|mod|attr|data|exc):`~?(repro(?:\.\w+)+)`")
+ROLE = re.compile(r":(?:func|class|meth|mod|attr|data):`~?(repro(?:\.\w+)+)`")
 
 
 def module_file(dotted: str) -> Path | None:

@@ -58,6 +58,11 @@ import numpy as np
 
 from repro import config
 from repro.counters.generation import MeasurementContext
+from repro.execution.simulator import (
+    OperatingPoint,
+    RegionInstance,
+    probe_overhead_s,
+)
 from repro.workloads.application import Application
 from repro.workloads.region import Region
 
@@ -389,8 +394,6 @@ def _walk_iteration(
     point the node holds at that moment, interned in ``points``.
     Nothing is priced here.  Without a controller every charge runs at
     the one unbound point ``None``."""
-    from repro.execution.simulator import OperatingPoint, probe_overhead_s
-
     slots: list[_Slot | None] = []
     fixed: list[float] = []
     charge_points: list[int] = []
@@ -503,8 +506,6 @@ def materialise_instances(spans, post_order, timeline: np.ndarray) -> list:
     so a row sliced out of a padded fleet matrix works exactly like the
     per-run vector.
     """
-    from repro.execution.simulator import RegionInstance
-
     rows: list = []
     append = rows.append
     for slots, num_charges, start, count, span_offset, durations_work in spans:

@@ -427,9 +427,9 @@ class _Block:
     offsets: list = field(default_factory=list)  #: first charge per span
 
     def spans(self, g: int) -> tuple:
-        """Member ``g``'s :func:`~repro.execution.controlled_replay.materialise_instances`
-        spans: each pattern's slots bound to the member's points and
-        priced."""
+        """Member ``g``'s spans for
+        :func:`~repro.execution.controlled_replay.materialise_instances`:
+        each pattern's slots bound to the member's points and priced."""
         points = self.points[g]
         rows = self.rows[g]
         node_w = self.prices.node_w[rows].tolist()  # per schedule point
@@ -675,7 +675,9 @@ def fleet_run(members) -> FleetReplay:
 
     # -- block flattening; live members price on their nodes ---------------
     fresh = []   # (plans, durations, node_w, package_w, dram_w), one row each
-    for part, block, shape, lo, hi in zip(parts, blocks, shapes, bounds, bounds[1:]):
+    for part, block, shape, lo, hi in zip(
+        parts, blocks, shapes, bounds, bounds[1:]
+    ):
         charges = _flatten(block, all_noise[lo:hi].reshape(shape))
         if part[0].node is None:
             fresh.append((part, *charges))
@@ -728,7 +730,8 @@ def _price_fresh(fresh: list) -> None:
 
     # RAPL end state + CPU energy (fresh accumulators; each socket sees
     # the identical per-charge deposit, node totals sum socket by socket).
-    socket_counts = np.array([p.power_model.num_sockets for p in plans])
+    sockets = [p.power_model.num_sockets for p in plans]
+    socket_counts = np.array(sockets)
     sockets_col = socket_counts.astype(float).reshape(-1, 1)
     package_ticks, package_residual = _rapl_fold(package_w * durations / sockets_col)
     dram_ticks, dram_residual = _rapl_fold(dram_w * durations / sockets_col)
@@ -753,7 +756,6 @@ def _price_fresh(fresh: list) -> None:
     package_residuals = package_residual.tolist()
     dram_residuals = dram_residual.tolist()
     for i, plan in enumerate(plans):
-        num_sockets = plan.power_model.num_sockets
         _finish(
             plan,
             timeline[i],
@@ -766,7 +768,7 @@ def _price_fresh(fresh: list) -> None:
                 core_freq_ghz=plan.final_core_ghz,
                 uncore_freq_ghz=plan.final_uncore_ghz,
                 rapl_package=((raw_packages[i], package_residuals[i]),)
-                * num_sockets,
-                rapl_dram=((raw_drams[i], dram_residuals[i]),) * num_sockets,
+                * sockets[i],
+                rapl_dram=((raw_drams[i], dram_residuals[i]),) * sockets[i],
             ),
         )

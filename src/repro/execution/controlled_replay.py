@@ -130,7 +130,7 @@ class _Pattern:
         return int(self.switch_latencies.size)
 
 
-@dataclass(eq=False)
+@dataclass
 class ControlSchedule:
     """Compiled switch schedule of one run.
 
@@ -365,13 +365,13 @@ def compile_schedule_by_walk(
     )
 
 
-def _accumulated(patterns: list[_Pattern], spans, field: str) -> float:
-    """Strict left-fold sum of one fixed charge kind over a run, 0.0
-    when it has none."""
+def _accumulated(patterns: list[_Pattern], spans, name: str) -> float:
+    """Strict left-fold sum of one fixed charge kind (a ``_Pattern``
+    field) over a run, 0.0 when it has none."""
     parts = [
-        _tile(getattr(patterns[p], field), count)
+        _tile(getattr(patterns[p], name), count)
         for p, _start, count in spans
-        if getattr(patterns[p], field).size
+        if getattr(patterns[p], name).size
     ]
     if not parts:
         return 0.0

@@ -14,7 +14,6 @@ from repro.execution.simulator import (
     RunResult,
 )
 from repro.execution.controlled_replay import ControlSchedule, ScheduleCache
-from repro.execution.fleet_replay import MeterEndState, meter_end_state
 from repro.execution.job import JobRecord, JobStep
 from repro.execution.slurm import SlurmAccounting
 
@@ -28,8 +27,6 @@ __all__ = [
     "RunResult",
     "ControlSchedule",
     "ScheduleCache",
-    "MeterEndState",
-    "meter_end_state",
     "JobRecord",
     "JobStep",
     "SlurmAccounting",

@@ -140,8 +140,10 @@ class ControlSchedule:
     points the charges run at, in first-seen order; slots and charges
     name them by index.  A run without a controller has one unbound
     point, ``None``, which each run binds to its effective operating
-    point when its block is priced.  The remaining fields are derived
-    from the patterns once, at compile time.
+    point when its block is priced.  ``exit_frequencies`` is the
+    (core, uncore) GHz pair the walk leaves its node at, ``None`` without
+    a controller.  The remaining fields are derived from the patterns
+    once, at compile time.
     """
 
     patterns: list[_Pattern]
@@ -155,6 +157,7 @@ class ControlSchedule:
     any_switch: bool
     switching_time_s: float       #: accumulated switch latency of the run
     instrumentation_time_s: float  #: accumulated probe overhead of the run
+    exit_frequencies: tuple[float, float] | None
 
     @property
     def region_enters(self) -> int:
@@ -220,27 +223,12 @@ def schedule_cache_for(owner) -> ScheduleCache:
 
 @dataclass
 class CompiledControl:
-    """One cached compile: the schedule plus everything a controller
-    needs to reach its (and the node's) end-of-run state on reuse."""
+    """One cached compile: the schedule plus the controller's end-of-run
+    state and statistics delta, which a cache hit absorbs."""
 
     schedule: ControlSchedule
     controller_state: object      #: the controller's final internal state
     stats: object                 #: the run's statistics delta
-    final_core_ghz: float
-    final_uncore_ghz: float
-
-
-def fast_forward_node(node, core_freq_ghz: float, uncore_freq_ghz: float) -> None:
-    """Bring ``node``'s frequency subsystem to a cached walk's end state.
-
-    Equivalent to re-walking the run: a walk leaves the node at its
-    final frequencies with drained transition logs, so a
-    cache hit programs those frequencies through the regular controllers
-    (identical MSR contents) and clears the logs.
-    """
-    node.set_frequencies(core_freq_ghz, uncore_freq_ghz)
-    node.dvfs.log.clear()
-    node.ufs.log.clear()
 
 
 def schedule_cache_key(
@@ -293,7 +281,8 @@ def compile_schedule_by_walk(
     frequency subsystem, so MSR programming, quantization and transition
     logging are exactly those of a region-by-region run; only meters
     and the clock stay untouched.  After the walk the node is at its
-    end-of-run frequencies with cleared transition logs.
+    end-of-run frequencies, which the schedule records
+    (``exit_frequencies``), with cleared transition logs.
 
     ``state_key`` fingerprints the controller's internal state; once an
     iteration begins from the same (frequencies, pending transitions,
@@ -362,6 +351,10 @@ def compile_schedule_by_walk(
         any_switch=any(p.switch_latencies.size for p in patterns),
         switching_time_s=_accumulated(patterns, spans, "switch_latencies"),
         instrumentation_time_s=_accumulated(patterns, spans, "probe_overheads"),
+        exit_frequencies=(
+            None if controller is None
+            else (node.core_freq_ghz, node.uncore_freq_ghz)
+        ),
     )
 
 

@@ -19,7 +19,10 @@ member compiles its schedule through the controller's
 ``compile_schedule``
 (:func:`~repro.execution.controlled_replay.compile_schedule_by_walk`)
 against a real node, so RRL statistics and MSR/DVFS side effects are
-byte-for-byte those of a region-by-region run; a controller that does
+byte-for-byte those of a region-by-region run.  A cached compile walks
+nothing, so the kernel then brings a live member's node to the
+frequencies the schedule's walk exits at (a no-op after a walk); a
+fresh member's cache hit touches no register.  A controller that does
 not compile is refused with a :class:`~repro.errors.TuningError`
 before any member is priced.  A member without a controller compiles
 through the same walk, once per application build and instrumentation
@@ -52,11 +55,11 @@ RAPL deposit never advances the tick counter), so padding cannot
 perturb any member's numbers.
 
 **Phase 5 — per-member materialisation.**  Each member yields the
-exact ``RunResult`` (lazy instance log included) of its run, its
+exact ``RunResult`` (lazy instance log included) of its run and its
 priced :class:`~repro.execution.controlled_replay.RunTrace`, whose
-slots are bound and priced only when its rows or events are read, and
-a fresh member the meter/MSR :class:`MeterEndState` it would leave on
-its node.
+slots are bound and priced only when its rows or events are read.  A
+fresh member's node never exists, so its run is all it reports; a live
+member's node holds its end state itself.
 
 The contract is **bit-identical per member** to the recursive
 reference engine (``tests/oracles/engine.py``): permuting the fleet,
@@ -105,46 +108,15 @@ from repro.util.rng import batched_lognormal
 _COUNTER_MASK = (1 << 32) - 1
 
 
-@dataclass(frozen=True)
-class MeterEndState:
-    """Observable node state after one run on a fresh node.
-
-    The simulated clocks, the programmed frequencies and the RAPL
-    accumulators' raw counters plus sub-tick residuals (per domain, per
-    socket).  :func:`meter_end_state` extracts the same view from a real
-    :class:`~repro.hardware.node.ComputeNode` for comparison.
-    """
-
-    now_s: float
-    hdeem_now_s: float
-    core_freq_ghz: float
-    uncore_freq_ghz: float
-    rapl_package: tuple[tuple[int, float], ...]  #: (raw, residual) / socket
-    rapl_dram: tuple[tuple[int, float], ...]
-
-
-def meter_end_state(node) -> MeterEndState:
-    """The :class:`MeterEndState` of a real compute node."""
-    state = node.rapl_state()
-    return MeterEndState(
-        now_s=node.now_s,
-        hdeem_now_s=node.hdeem.now_s,
-        core_freq_ghz=node.core_freq_ghz,
-        uncore_freq_ghz=node.uncore_freq_ghz,
-        rapl_package=state["package"],
-        rapl_dram=state["dram"],
-    )
-
-
 #: Fleets up to this many fresh members fold their RAPL deposits row by
 #: row in scalar arithmetic; past it the column-vectorized fold wins
 #: (about 4 us per charge column against 0.2 us per charge and row).
 _SCALAR_FOLD_ROWS = 8
 
 
-def _rapl_fold(joules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tick counts and final residuals of depositing each row's energy
-    sequence into a fresh RAPL accumulator.
+def _rapl_fold(joules: np.ndarray) -> np.ndarray:
+    """Tick counts of depositing each row's energy sequence into a fresh
+    RAPL accumulator.
 
     Small fleets replay :func:`~repro.hardware.rapl.fold_deposits` per
     row; larger ones replay its float arithmetic vectorized across
@@ -156,10 +128,9 @@ def _rapl_fold(joules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, segments = joules.shape
     if n <= _SCALAR_FOLD_ROWS:
-        folds = [fold_deposits(0.0, row) for row in joules.tolist()]
-        return (
-            np.array([ticks for _, ticks in folds], dtype=np.int64),
-            np.array([residual for residual, _ in folds], dtype=float),
+        return np.array(
+            [fold_deposits(0.0, row)[1] for row in joules.tolist()],
+            dtype=np.int64,
         )
     unit = RAPL_ENERGY_UNIT_J
     residual = np.zeros(n)
@@ -170,7 +141,7 @@ def _rapl_fold(joules: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = np.floor(total / unit)
         residual = total - t * unit
         ticks += t.astype(np.int64)
-    return ticks, residual
+    return ticks
 
 
 @dataclass
@@ -216,16 +187,15 @@ class FleetReplay:
 
     ``results[i]`` compares equal to the
     :class:`~repro.execution.simulator.RunResult` of member ``i``'s
-    solo run; ``end_states[i]`` is the meter/MSR state that run leaves
-    on a fresh node (``None`` for a live member: its node holds that
-    state itself); ``traces[i]`` is its priced
+    solo run; ``traces[i]`` is its priced
     :class:`~repro.execution.controlled_replay.RunTrace`, which its lazy
-    instance log materialises from and listener events replay.
+    instance log materialises from and listener events replay.  A live
+    member's node holds the state its run leaves; a fresh member has no
+    node to hold one.
     """
 
     members: tuple = ()
     results: tuple = ()
-    end_states: tuple[MeterEndState, ...] = ()
     traces: tuple = ()
 
     def __len__(self) -> int:
@@ -247,14 +217,11 @@ class _MemberPlan:
     power_model: PowerModel
     points: tuple                     #: the schedule's points, bound
     entry_point: OperatingPoint       #: the run's reported operating point
-    final_core_ghz: float             #: frequencies the run leaves set
-    final_uncore_ghz: float
     node: ComputeNode | None = None   #: the live node it prices on, if any
     block: _Block | None = None       #: its priced block ...
     row: int = 0                      #: ... and its row there
     # outcome, filled after pricing
     result: object = None
-    end_state: MeterEndState | None = None
     trace: object = None
 
 
@@ -273,8 +240,11 @@ def _plan_controlled(
     controller statistics all mutate exactly as in a region-by-region
     run.  A live member walks its own node; a fresh one a node built
     here, whose physics ``power_model`` (shared by the fleet's members
-    of that node recipe) prices.  A controller that declines (returns
-    ``None``) must leave both untouched; it is refused.
+    of that node recipe) prices.  A cached compile leaves its node at
+    the entry state, so a live node is then programmed to the
+    schedule's exit frequencies with drained transition logs, as a walk
+    leaves it (after a walk, a no-op).  A controller that declines
+    (returns ``None``) must leave both untouched; it is refused.
     """
     app = member.app
     controller = member.controller
@@ -307,14 +277,16 @@ def _plan_controlled(
             f"controller {type(controller).__name__} declined to compile "
             f"its switch schedule for {app.name}"
         )
+    if member.node is not None:
+        node.set_frequencies(*schedule.exit_frequencies)
+        node.dvfs.log.clear()
+        node.ufs.log.clear()
     return _MemberPlan(
         member=member,
         schedule=schedule,
         power_model=power_model,
         points=schedule.points,
         entry_point=entry_point,
-        final_core_ghz=node.core_freq_ghz,
-        final_uncore_ghz=node.uncore_freq_ghz,
         node=member.node,
     )
 
@@ -399,8 +371,6 @@ def _plan_member(member: FleetMember, schedules: dict, models: dict) -> _MemberP
         power_model=power_model,
         points=(effective,),
         entry_point=effective,
-        final_core_ghz=effective.core_freq_ghz,
-        final_uncore_ghz=effective.uncore_freq_ghz,
         node=node,
     )
 
@@ -571,8 +541,8 @@ def _total(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
-def _finish(plan: _MemberPlan, timeline, time_s, node_energy_j, cpu_energy_j,
-            end_state: MeterEndState | None) -> None:
+def _finish(plan: _MemberPlan, timeline, time_s, node_energy_j,
+            cpu_energy_j) -> None:
     """Fill one priced member's ``RunResult``, trace and lazy instance
     log."""
     schedule = plan.schedule
@@ -592,7 +562,7 @@ def _finish(plan: _MemberPlan, timeline, time_s, node_energy_j, cpu_energy_j,
         instrumentation_time_s=schedule.instrumentation_time_s,
         instances=InstanceLog.deferred(trace),
     )
-    plan.end_state, plan.trace = end_state, trace
+    plan.trace = trace
 
 
 def _price_on_node(plan: _MemberPlan, durations, node_w, package_w, dram_w) -> None:
@@ -611,16 +581,16 @@ def _price_on_node(plan: _MemberPlan, durations, node_w, package_w, dram_w) -> N
         node.now_s - start_time,
         _total(node_w * durations),
         node.rapl.read_cpu_energy_joules() - start_cpu_j,
-        None,
     )
 
 
 def fleet_run(members) -> FleetReplay:
     """Price every fleet member in one batched pass.
 
-    Returns a :class:`FleetReplay` whose per-member results and end
-    states are bit-identical to running each member on its own, region
-    by region: on a fresh node, or on the member's live ``node``.
+    Returns a :class:`FleetReplay` whose per-member results are
+    bit-identical to running each member on its own, region by region:
+    on a fresh node, or on the member's live ``node``, which it leaves
+    in that run's end state.
     Every controller must compile its switch schedule
     (``compile_schedule``); one that lacks it is refused before any
     member compiles.
@@ -690,7 +660,6 @@ def fleet_run(members) -> FleetReplay:
     return FleetReplay(
         members=tuple(members),
         results=tuple([p.result for p in plans]),
-        end_states=tuple([p.end_state for p in plans]),
         traces=tuple([p.trace for p in plans]),
     )
 
@@ -728,18 +697,15 @@ def _price_fresh(fresh: list) -> None:
     else:
         node_energy = np.zeros(num)
 
-    # RAPL end state + CPU energy (fresh accumulators; each socket sees
-    # the identical per-charge deposit, node totals sum socket by socket).
-    sockets = [p.power_model.num_sockets for p in plans]
-    socket_counts = np.array(sockets)
+    # CPU energy (fresh accumulators; each socket sees the identical
+    # per-charge deposit, node totals sum socket by socket).
+    socket_counts = np.array([p.power_model.num_sockets for p in plans])
     sockets_col = socket_counts.astype(float).reshape(-1, 1)
-    package_ticks, package_residual = _rapl_fold(package_w * durations / sockets_col)
-    dram_ticks, dram_residual = _rapl_fold(dram_w * durations / sockets_col)
-    unit = RAPL_ENERGY_UNIT_J
-    package_raw = package_ticks.astype(np.uint64) & np.uint64(_COUNTER_MASK)
-    dram_raw = dram_ticks.astype(np.uint64) & np.uint64(_COUNTER_MASK)
-    package_socket_j = package_raw.astype(np.float64) * unit
-    dram_socket_j = dram_raw.astype(np.float64) * unit
+    mask = np.uint64(_COUNTER_MASK)
+    package_raw = _rapl_fold(package_w * durations / sockets_col).astype(np.uint64)
+    dram_raw = _rapl_fold(dram_w * durations / sockets_col).astype(np.uint64)
+    package_socket_j = (package_raw & mask).astype(np.float64) * RAPL_ENERGY_UNIT_J
+    dram_socket_j = (dram_raw & mask).astype(np.float64) * RAPL_ENERGY_UNIT_J
     package_node_j = np.zeros(num)
     dram_node_j = np.zeros(num)
     for s in range(int(socket_counts.max(initial=0))):
@@ -748,27 +714,9 @@ def _price_fresh(fresh: list) -> None:
         dram_node_j[live] = dram_node_j[live] + dram_socket_j[live]
     cpu_energy = package_node_j + dram_node_j
 
-    # ``tolist`` yields the same Python floats/ints as per-element reads.
+    # ``tolist`` yields the same Python floats as per-element reads.
     times = time_s.tolist()
     node_energies = node_energy.tolist()
     cpu_energies = cpu_energy.tolist()
-    raw_packages, raw_drams = package_raw.tolist(), dram_raw.tolist()
-    package_residuals = package_residual.tolist()
-    dram_residuals = dram_residual.tolist()
     for i, plan in enumerate(plans):
-        _finish(
-            plan,
-            timeline[i],
-            times[i],
-            node_energies[i],
-            cpu_energies[i],
-            MeterEndState(
-                now_s=times[i],
-                hdeem_now_s=times[i],
-                core_freq_ghz=plan.final_core_ghz,
-                uncore_freq_ghz=plan.final_uncore_ghz,
-                rapl_package=((raw_packages[i], package_residuals[i]),)
-                * sockets[i],
-                rapl_dram=((raw_drams[i], dram_residuals[i]),) * sockets[i],
-            ),
-        )
+        _finish(plan, timeline[i], times[i], node_energies[i], cpu_energies[i])

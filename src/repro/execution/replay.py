@@ -24,8 +24,7 @@ exactly: elementwise numpy arithmetic performs the same IEEE-754
 operations per element, sequential ``+=`` accumulations map to
 ``np.cumsum``/``np.add.accumulate`` (strict left folds), and the noise
 streams come from the same keyed generators (see :mod:`repro.util.rng`).
-``tests/execution/test_replay_equivalence.py`` and
-``tests/execution/test_fleet_replay_equivalence.py`` lock the
+``tests/execution/test_fleet_replay_equivalence.py`` locks the
 equivalence down across applications, operating points and nodes.
 """
 

@@ -87,10 +87,12 @@ class RunController(Protocol):
     hardware state it observes — never on simulated time or noise — so
     ``compile_schedule`` walks its hooks once, up front, into the run's
     switch schedule (:mod:`repro.execution.controlled_replay`), which
-    the fleet kernel then prices.  A controller without
-    ``compile_schedule``, or one that returns ``None`` (and must then
-    leave itself and the node untouched), is refused with a
-    :class:`~repro.errors.TuningError`.
+    the fleet kernel then prices.  A compile may leave the node at its
+    entry state (a cached schedule needs no walk): the kernel alone
+    brings a live node to the schedule's ``exit_frequencies``.  A
+    controller without ``compile_schedule``, or one that returns
+    ``None`` (and must then leave itself and the node untouched), is
+    refused with a :class:`~repro.errors.TuningError`.
     """
 
     def on_region_enter(self, region: Region, iteration: int, node: ComputeNode) -> int:

@@ -95,7 +95,7 @@ class DVFSController:
             # in sync (writes always grant the target) and no transition
             # can be due: programming would be a complete no-op.  This
             # makes redundant node-wide reprogramming (reset on a fresh
-            # node, replay fast-forward to an unchanged state) free.
+            # node, a live node's exit state after its walk) free.
             return
         old = self.get_frequency(core_id) if record else None
         self._regfile.write(core_id, MSR.IA32_PERF_CTL, new_ctl)

@@ -137,10 +137,9 @@ class ComputeNode:
 
         The observable end state of the node's energy accumulators:
         ``{"package": ((raw, residual), ...), "dram": (...)}`` with one
-        ``(counter, residual)`` pair per socket.  The fleet kernel
-        (:mod:`repro.execution.fleet_replay`) reproduces this state
-        analytically per fresh-node run; the equivalence tests compare
-        both sides through this accessor.
+        ``(counter, residual)`` pair per socket.  The equivalence tests
+        compare a live node with the recursive engine's through this
+        accessor, sub-tick residuals included.
         """
         cores_per_socket = self.topology.sockets[0].num_cores
         state: dict[str, tuple] = {}

@@ -85,13 +85,14 @@ class RRL:
         pay for the symbolic walk once.  The walk runs against a fresh
         *probe* RRL seeded with this instance's runtime state, so on
         both hit and miss this controller absorbs exactly the statistics
-        delta the recursive engine would have produced, and the node
-        ends at the run's final frequencies with drained logs.
+        delta the recursive engine would have produced.  A miss leaves
+        the node where the walk exits; a hit leaves it untouched, and
+        the fleet kernel brings a live node to the schedule's
+        ``exit_frequencies``.
         """
         from repro.execution.controlled_replay import (
             CompiledControl,
             compile_schedule_by_walk,
-            fast_forward_node,
             schedule_cache_for,
             schedule_cache_key,
         )
@@ -122,15 +123,8 @@ class RRL:
                 schedule=schedule,
                 controller_state=probe._current_threads,
                 stats=probe.stats,
-                final_core_ghz=node.core_freq_ghz,
-                final_uncore_ghz=node.uncore_freq_ghz,
             )
             cache.put(app, key, compiled)
-        else:
-            # The walk left the node at these frequencies, logs drained.
-            fast_forward_node(
-                node, compiled.final_core_ghz, compiled.final_uncore_ghz
-            )
         self._absorb_stats(compiled.stats)
         self._current_threads = compiled.controller_state
         return compiled.schedule

@@ -4,7 +4,7 @@ import pytest
 
 from repro import config
 from repro.errors import JobError, WorkloadError
-from repro.execution.simulator import ExecutionSimulator
+from repro.execution.simulator import ExecutionSimulator, InstanceLog, RunResult
 from repro.execution.slurm import SlurmAccounting
 from repro.hardware.node import ComputeNode
 from repro.workloads import registry
@@ -161,3 +161,45 @@ class TestSlurm:
         a = acct.submit(sim.run(registry.build("EP"), run_key=(1,)))
         b = acct.submit(sim.run(registry.build("EP"), run_key=(2,)))
         assert b.job_id == a.job_id + 1
+
+
+class TestInstanceLog:
+    def test_lazy_materialisation(self):
+        produced = []
+
+        def producer():
+            produced.append(True)
+            return []
+
+        log = InstanceLog.deferred(producer)
+        assert not produced
+        assert len(log) == 0
+        assert produced == [True]
+        len(log)  # second access does not re-produce
+        assert produced == [True]
+
+    def test_region_index_matches_scan(self, sim):
+        run = sim.run(registry.build("Lulesh"))
+        for name in {i.region_name for i in run.instances}:
+            assert run.region_instances(name) == [
+                i for i in run.instances if i.region_name == name
+            ]
+
+    def test_equality_with_plain_list(self, sim):
+        log = InstanceLog()
+        assert log == []
+        run = sim.run(registry.build("EP"))
+        assert run.instances == list(run.instances)
+
+    def test_region_times_and_energies_consistent(self, sim):
+        run = sim.run(registry.build("FT"))
+        total = sum(i.time_s for i in run.instances if i.region_name == "phase")
+        assert run.region_time_s("phase") == total
+        assert run.region_energy_j("phase") == sum(
+            i.node_energy_j for i in run.instances if i.region_name == "phase"
+        )
+
+    def test_run_result_default_construction_still_appends(self):
+        run = RunResult(app_name="x", node_id=0, operating_point=None)
+        assert list(run.instances) == []
+        assert run.region_instances("anything") == []

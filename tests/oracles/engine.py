@@ -11,9 +11,8 @@ production result must equal it to the bit.
 * :func:`recursive_run` — one run on the recursive engine;
 * :class:`PhaseCounterCollector` — the listener behind the campaign
   ``counters`` mode (phase counter totals);
-* :func:`make_node`, :func:`meter_state`, :func:`run_both`,
-  :func:`assert_identical` and :func:`run_reference` — the shared
-  harness of the equivalence suites.
+* :func:`make_node`, :func:`meter_state` and :func:`run_reference` —
+  the shared harness of the equivalence suites.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.counters.generation import CounterGenerator, MeasurementContext
 from repro.execution.controlled_replay import pending_switch_latency_s
 from repro.execution.simulator import (
     TIME_NOISE_SIGMA,
-    ExecutionSimulator,
     InstanceLog,
     OperatingPoint,
     RegionInstance,
@@ -295,7 +293,9 @@ def make_node(node_id=0, seed=config.DEFAULT_SEED, cf=None, ucf=None):
 
 
 def meter_state(node):
-    """Observable meter + frequency state after a run."""
+    """Observable meter + frequency state after a run: the clocks, the
+    frequencies, the pending transitions, the RAPL joules per socket and
+    domain, and the raw RAPL counters with their sub-tick residuals."""
     return (
         node.now_s,
         node.hdeem.now_s,
@@ -308,48 +308,15 @@ def meter_state(node):
             for s in range(node.topology.num_sockets)
             for domain in (RaplDomain.PACKAGE, RaplDomain.DRAM)
         ),
+        node.rapl_state(),
     )
 
 
-def run_both(app, controller_factory=None, *, reference_factory=None, node_id=0,
-             node_seed=config.DEFAULT_SEED, seed=config.DEFAULT_SEED, cf=None,
-             ucf=None, **kwargs):
-    """One run through each engine on identically prepared nodes, each
-    with its own controller from ``controller_factory`` (if any); the
-    recursive run's comes from ``reference_factory`` when given."""
-    n1 = make_node(node_id, node_seed, cf, ucf)
-    n2 = make_node(node_id, node_seed, cf, ucf)
-    c1 = c2 = None
-    if controller_factory is not None:
-        c1 = controller_factory()
-        c2 = (reference_factory or controller_factory)()
-    fast = ExecutionSimulator(n1, seed=seed).run(app, controller=c1, **kwargs)
-    generic = recursive_run(n2, app, seed=seed, controller=c2, **kwargs)
-    return fast, generic, n1, n2, c1, c2
-
-
-def assert_identical(fast, generic, n1, n2, c1=None, c2=None):
-    # Scalar fields, exactly.
-    assert fast.time_s == generic.time_s
-    assert fast.node_energy_j == generic.node_energy_j
-    assert fast.cpu_energy_j == generic.cpu_energy_j
-    assert fast.switching_time_s == generic.switching_time_s
-    assert fast.instrumentation_time_s == generic.instrumentation_time_s
-    assert fast.operating_point == generic.operating_point
-    # Instance rows: same count, order and every field (dataclass
-    # equality covers operating points).
-    assert len(fast.instances) == len(generic.instances)
-    assert fast.instances == generic.instances
-    assert fast == generic
-    # The node is left in an identical observable state.
-    assert meter_state(n1) == meter_state(n2)
-    if hasattr(c1, "stats") and hasattr(c2, "stats"):
-        assert c1.stats == c2.stats
-
-
-def run_reference(member):
-    """A fleet member's solo run on the recursive engine: fresh node,
-    program, run.  Returns the result and the node."""
+def run_reference(member, engine=recursive_run):
+    """A fleet member's solo run: fresh node, program, run — on the
+    recursive engine, or on any ``engine(node, app, **run_arguments)``
+    with :func:`recursive_run`'s signature.  Returns the result and the
+    node."""
     node = ComputeNode(
         member.node_id,
         seed=member.seed if member.node_seed is None else member.node_seed,
@@ -365,7 +332,7 @@ def run_reference(member):
         instrumentation = Instrumentation(
             app=member.app, filtered=set(instrumentation.filtered)
         )
-    result = recursive_run(
+    result = engine(
         node,
         member.app,
         seed=member.seed,

@@ -8,7 +8,8 @@ into them would make the checker part of what it checks, so every
 module under ``src/repro`` is parsed and its imports listed.
 
 Only the execution layer and the campaign engine build fleet-kernel
-requests; every other layer measures through the engine.
+requests; every other layer measures through the engine.  Only the
+fleet kernel compiles a controller's switch schedule.
 """
 
 import ast
@@ -108,3 +109,38 @@ def test_detector_sees_fleet_use():
     assert may_build_fleets(Path("campaign", "engine.py"))
     assert not may_build_fleets(Path("campaign", "plan.py"))
     assert not may_build_fleets(Path("analysis", "variability.py"))
+
+
+def compile_schedule_calls(tree: ast.AST) -> int:
+    """How many ``<expr>.compile_schedule(...)`` calls a module makes."""
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "compile_schedule"
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_fleet_kernel_compiles_schedules():
+    """A cached compile walks nothing and leaves its node at the entry
+    state; the fleet kernel then brings a live node to the schedule's
+    exit frequencies.  A compile anywhere else would skip that step."""
+    callers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if compile_schedule_calls(tree):
+            callers.add(path.relative_to(SRC))
+    assert callers == {Path("execution", "fleet_replay.py")}
+
+
+def test_detector_sees_compile_schedule_calls():
+    tree = ast.parse(
+        "schedule = rrl.compile_schedule(app, node, threads=1)\n"
+        "def f(member):\n"
+        "    return member.controller.compile_schedule(app, node)\n"
+        "def compile_schedule(self, app, node):\n"
+        "    return compile_schedule_by_walk(self, app, node)\n"
+        "text = 'x.compile_schedule('\n"
+        "bound = rrl.compile_schedule\n"
+    )
+    assert compile_schedule_calls(tree) == 2

@@ -11,7 +11,7 @@ prediction error; both stay within a few percent of the true optimum.
 
 import numpy as np
 
-from benchmarks._common import cluster, static_result, tuned_outcome
+from benchmarks._common import cluster, paper
 from repro.execution.simulator import ExecutionSimulator
 from repro.util.tables import render_table
 from repro.workloads import registry
@@ -30,8 +30,7 @@ def _energy_at(benchmark: str, cf: float, ucf: float, threads: int) -> float:
 def _ablate():
     rows = []
     for name in registry.TEST_BENCHMARKS:
-        outcome = tuned_outcome(name)
-        result = outcome.plugin_result
+        result = paper().outcomes[name].plugin_result
         threads = result.phase_threads
         default = _energy_at(name, 2.5, 3.0, 24)
         raw_pick = _energy_at(name, *result.global_frequencies, threads)
@@ -41,7 +40,7 @@ def _ablate():
             result.phase_configuration.uncore_freq_ghz,
             threads,
         )
-        true_best = static_result(name).best_energy_j
+        true_best = paper().static[name].best_energy_j
         rows.append(
             (
                 name,

@@ -9,7 +9,7 @@ perturbed configurations (worst case for switching).  Expected shape:
 grouping cuts hardware switches substantially at equal energy.
 """
 
-from benchmarks._common import cluster, tuned_outcome
+from benchmarks._common import cluster, paper
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.readex.rrl import RRL
 from repro.readex.scenario import Scenario
@@ -62,7 +62,7 @@ def _run(name: str, tmm: TuningModel):
 def _ablate():
     rows = []
     for name in ("Lulesh", "Mcb"):
-        grouped_tmm = tuned_outcome(name).tuning_model
+        grouped_tmm = paper().outcomes[name].tuning_model
         grouped_stats, grouped_run = _run(name, grouped_tmm)
         degenerate_stats, degenerate_run = _run(name, _degenerate_tmm(grouped_tmm))
         rows.append(

@@ -35,11 +35,12 @@ import numpy as np
 if __package__ in (None, ""):  # script execution: make `benchmarks` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks._common import LOOCV_EPOCHS, campaign_engine, full_dataset
+from benchmarks._common import paper
 from repro.analysis.reporting import render_loocv
 from repro.modeling.crossval import kfold_mape, network_loocv_mape
 from repro.modeling.regression import RegressionEnergyModel
 from repro.modeling.training import TrainingConfig
+from repro.paper import LOOCV_EPOCHS
 from tests.oracles.models import pointwise_loocv_mape
 
 #: Model-evaluation engines: the pointwise oracle and production.
@@ -47,12 +48,7 @@ ENGINES = ("pointwise", "batched")
 
 
 def _loocv():
-    ds = full_dataset()
-    results = network_loocv_mape(
-        ds,
-        config=TrainingConfig(epochs=LOOCV_EPOCHS),
-        campaign=campaign_engine(),
-    )
+    ds = paper().dataset
 
     def regression_fit_predict(train_x, train_y, test_x):
         return RegressionEnergyModel().fit(train_x, train_y).predict(test_x)
@@ -60,7 +56,7 @@ def _loocv():
     regression = kfold_mape(
         ds.features, ds.targets, regression_fit_predict, k=10
     )
-    return results, regression
+    return paper().loocv, regression
 
 
 def run_benchmark(engine: str = "batched") -> dict:
@@ -72,7 +68,7 @@ def run_benchmark(engine: str = "batched") -> dict:
     """
     if engine not in ENGINES:
         raise SystemExit(f"--engine must be one of {ENGINES}")
-    ds = full_dataset()
+    ds = paper().dataset
     config = TrainingConfig(epochs=LOOCV_EPOCHS)
     timings: dict[str, float] = {}
     mapes: dict[str, dict[str, float]] = {}

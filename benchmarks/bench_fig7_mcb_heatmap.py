@@ -20,14 +20,13 @@ from pathlib import Path
 if __package__ in (None, ""):  # script execution: make `benchmarks` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks._common import cluster, tuned_outcome
+from benchmarks._common import cluster, paper
 from repro.analysis.heatmap import energy_heatmap
 from repro.analysis.reporting import render_heatmap
 
 
 def _heatmap():
-    outcome = tuned_outcome("Mcb")
-    result = outcome.plugin_result
+    result = paper().outcomes["Mcb"].plugin_result
     return energy_heatmap(
         "Mcb",
         threads=result.phase_threads,

@@ -8,44 +8,13 @@ branch behaviour events, mean VIF < 10, and substantial explained
 variance on top of the frequency covariates.
 """
 
-import numpy as np
-
-from benchmarks._common import cluster, full_dataset
+from benchmarks._common import paper
 from repro.analysis.reporting import render_counter_selection
-from repro.counters.papi import PAPI_PRESETS, TABLE1_COUNTERS, preset
-from repro.modeling.dataset import measure_counter_rates
-from repro.modeling.selection import select_counters
-from repro.workloads import registry
-
-#: Cycle-family presets scale with run time/frequency rather than workload
-#: character; the selection uses the workload-characterising presets plus
-#: RES_STL (as the paper's Table I does).
-_CANDIDATES = tuple(
-    name
-    for name, counter in PAPI_PRESETS.items()
-    if counter.category.value != "cycle" or name == "PAPI_RES_STL"
-)
-
-
-def _select():
-    ds = full_dataset()
-    # Per-benchmark 56-counter rates at the calibration configuration.
-    rate_rows = {}
-    for bench in registry.benchmark_names():
-        rates = measure_counter_rates(
-            registry.build(bench), cluster(), counters=_CANDIDATES
-        )
-        rate_rows[bench] = np.array([rates[c] for c in _CANDIDATES])
-    # Align candidate rates with every energy sample of the dataset.
-    features = np.vstack([rate_rows[g] for g in ds.groups])
-    freqs = ds.features[:, -2:]
-    return select_counters(
-        features, list(_CANDIDATES), freqs, ds.targets, max_counters=7
-    )
+from repro.counters.papi import TABLE1_COUNTERS, preset
 
 
 def test_table1_counter_selection(benchmark):
-    selection = benchmark.pedantic(_select, rounds=1, iterations=1)
+    selection = benchmark.pedantic(paper, rounds=1, iterations=1).selection
     print()
     print(render_counter_selection(selection))
     overlap = set(selection.counters) & set(TABLE1_COUNTERS)

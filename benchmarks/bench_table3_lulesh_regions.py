@@ -7,7 +7,7 @@ low-to-mid UCF); ApplyMaterialPropertiesForElems at fewer threads than
 the rest.
 """
 
-from benchmarks._common import tuned_outcome
+from benchmarks._common import paper
 from repro.analysis.reporting import render_region_configs
 
 PAPER_REGIONS = {
@@ -19,12 +19,8 @@ PAPER_REGIONS = {
 }
 
 
-def _tune():
-    return tuned_outcome("Lulesh")
-
-
 def test_table3_lulesh_region_configs(benchmark):
-    outcome = benchmark.pedantic(_tune, rounds=1, iterations=1)
+    outcome = benchmark.pedantic(paper, rounds=1, iterations=1).outcomes["Lulesh"]
     configs = outcome.plugin_result.region_configurations
     print()
     print(render_region_configs("Lulesh", configs))

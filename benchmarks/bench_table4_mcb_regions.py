@@ -6,7 +6,7 @@ Expected shape: five regions; memory-bound configurations (low CF, high
 UCF) — the mirror image of Table III.
 """
 
-from benchmarks._common import tuned_outcome
+from benchmarks._common import paper
 from repro.analysis.reporting import render_region_configs
 
 PAPER_REGIONS = {
@@ -18,12 +18,8 @@ PAPER_REGIONS = {
 }
 
 
-def _tune():
-    return tuned_outcome("Mcb")
-
-
 def test_table4_mcb_region_configs(benchmark):
-    outcome = benchmark.pedantic(_tune, rounds=1, iterations=1)
+    outcome = benchmark.pedantic(paper, rounds=1, iterations=1).outcomes["Mcb"]
     configs = outcome.plugin_result.region_configurations
     print()
     print(render_region_configs("Mcb", configs))

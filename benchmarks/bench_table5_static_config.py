@@ -6,9 +6,8 @@ shape: the compute-bound four at high CF / low-to-mid UCF with 24 (16
 for Amg2013) threads; Mcb at low CF / high UCF with 20 threads.
 """
 
-from benchmarks._common import static_result
+from benchmarks._common import paper
 from repro.analysis.reporting import render_static_configs
-from repro.workloads import registry
 
 PAPER_TABLE5 = {
     "Lulesh": (24, 2.40, 1.70),
@@ -19,12 +18,8 @@ PAPER_TABLE5 = {
 }
 
 
-def _sweep():
-    return {name: static_result(name) for name in registry.TEST_BENCHMARKS}
-
-
 def test_table5_static_configurations(benchmark):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+    results = benchmark.pedantic(paper, rounds=1, iterations=1).static
     print()
     print(render_static_configs({n: r.best for n, r in results.items()}))
     print("\npaper (threads, CF, UCF):")

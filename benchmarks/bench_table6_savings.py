@@ -7,13 +7,14 @@ the configuration effect is a few percent.  Expected shape: dynamic
 energy savings exceed static on both metrics, CPU savings exceed job
 savings, dynamic time savings negative.
 
-The pytest entry computes the full paper table through the harness
-campaign engine (controlled runs ride the controlled-replay fast path
-and the on-disk result store).  Standalone, the module benchmarks the
-*controlled-run sweep* — the four Table VI run variants under canned,
-deterministic tuning models — through the controlled-replay production
-path and the recursive-engine oracle (``tests/oracles/savings.py``),
-asserts their bit-equality and reports the replay speedup::
+The pytest entry reads the full paper table from the harness's
+``run_paper`` pass (``benchmarks/_common.py``), whose controlled runs
+ride the controlled-replay fast path and the on-disk result store.
+Standalone, the module benchmarks the *controlled-run sweep* — the
+four Table VI run variants under canned, deterministic tuning models —
+through the controlled-replay production path and the recursive-engine
+oracle (``tests/oracles/savings.py``), asserts their bit-equality and
+reports the replay speedup::
 
     python benchmarks/bench_table6_savings.py --engine replay \
         --apps EP FT Lulesh --runs 3 --json dynamic-replay.json
@@ -37,7 +38,6 @@ if __package__ in (None, ""):  # script execution: make `benchmarks` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.analysis.savings import compare_static_dynamic
-from repro.api import ExecutionOptions
 from repro.execution.simulator import OperatingPoint
 from repro.readex.tuning_model import TuningModel
 from repro.workloads import registry
@@ -147,35 +147,11 @@ def render(report: dict) -> str:
 # pytest entry points (run with the bench harness)
 # ---------------------------------------------------------------------------
 
-def _compare():
-    from benchmarks._common import campaign_engine, cluster, static_result, tuned_outcome
-
-    from repro.analysis.savings import SavingsCase, compare_static_dynamic_many
-
-    cases = []
-    for name in registry.TEST_BENCHMARKS:
-        outcome = tuned_outcome(name)
-        cases.append(
-            SavingsCase(
-                benchmark=name,
-                static_config=static_result(name).best,
-                tuning_model=outcome.tuning_model,
-                instrumentation=outcome.instrumentation,
-            )
-        )
-    # One fleet campaign run prices every benchmark's four variants.
-    return compare_static_dynamic_many(
-        cases,
-        cluster=cluster(),
-        runs=5,
-        options=ExecutionOptions(campaign=campaign_engine()),
-    )
-
-
 def test_table6_static_vs_dynamic(benchmark):
+    from benchmarks._common import paper
     from repro.analysis.reporting import render_savings
 
-    rows = benchmark.pedantic(_compare, rounds=1, iterations=1)
+    rows = benchmark.pedantic(paper, rounds=1, iterations=1).savings
     print()
     print(render_savings(rows))
     static_job = float(np.mean([s.static_job_energy_saving for s in rows]))

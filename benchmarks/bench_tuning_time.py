@@ -31,7 +31,7 @@ from pathlib import Path
 if __package__ in (None, ""):  # script execution: make `benchmarks` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks._common import cluster, deployed_model, full_dataset, tuned_outcome
+from benchmarks._common import cluster, paper
 from repro.analysis.reporting import render_tuning_time
 from repro.analysis.tuning_time import tuning_time_comparison
 from repro.modeling.batched import frequency_grid
@@ -52,9 +52,8 @@ def measure_model_engines(repeats: int = DEFAULT_REPEATS) -> dict:
     (benchmark, threads) series of the Figure 5 dataset and selects the
     energy-optimal static configuration per series.
     """
-    dataset = full_dataset()
-    model = deployed_model()
-    series = dataset.counter_rates
+    model = paper().model
+    series = paper().dataset.counter_rates
 
     select = {
         "pointwise": pointwise_static_selections,
@@ -134,14 +133,13 @@ def render(report: dict) -> str:
 # pytest entry points (run with the bench harness)
 # ---------------------------------------------------------------------------
 
-def _compare():
+def _measure():
     cmp = tuning_time_comparison("Mcb", cluster=cluster(), num_regions=5)
-    outcome = tuned_outcome("Mcb")
-    return cmp, outcome.plugin_result
+    return cmp, paper().outcomes["Mcb"].plugin_result
 
 
 def test_tuning_time_comparison(benchmark):
-    cmp, plugin = benchmark.pedantic(_compare, rounds=1, iterations=1)
+    cmp, plugin = benchmark.pedantic(_measure, rounds=1, iterations=1)
     print()
     print(render_tuning_time(cmp))
     print(f"\nmeasured plugin: {plugin.experiments_performed} experiments in "

@@ -12,6 +12,8 @@ import pytest
 
 import benchmarks._common as common
 from repro.modeling.dataset import build_dataset
+from repro.paper import run_paper
+from repro.workloads import registry
 
 
 @pytest.fixture
@@ -23,7 +25,7 @@ def harness_cache(tmp_path, monkeypatch):
 
 
 def small_artefact():
-    """A scaled-down stand-in for the full_dataset artefact (same code
+    """A scaled-down stand-in for the paper dataset artefact (same code
     path: build_dataset through the harness engine + store)."""
     return build_dataset(
         ("EP",),
@@ -74,11 +76,20 @@ def test_artefacts_reused_across_two_invocations(harness_cache):
     assert np.array_equal(first.targets, second.targets)
 
 
-def test_static_result_artefact_uses_harness_engine(harness_cache):
-    """static_result routes through the same store (spot-check wiring)."""
-    engine = common.campaign_engine()
-    assert engine.store is not None
-    assert common.static_result.__wrapped__.__module__ == "benchmarks._common"
+def test_paper_chain_persists_to_harness_store(harness_cache):
+    """``run_paper`` on the harness engine persists every job (and the
+    trained models) to the harness store: a second session recalls it
+    all and simulates nothing."""
+    first_engine = common.campaign_engine()
+    run_paper(common.cluster(), engine=first_engine, benchmarks=("EP", "Mcb"))
+    assert first_engine.total_executed > 0
+
+    first_engine.store.close()
+    common.campaign_engine.cache_clear()
+    second_engine = common.campaign_engine()
+    run_paper(common.cluster(), engine=second_engine, benchmarks=("EP", "Mcb"))
+    assert second_engine.total_executed == 0
+    assert second_engine.total_cached > 0
 
 
 def test_old_schema_cache_entry_surfaces_clear_error(harness_cache):
@@ -111,7 +122,7 @@ def test_old_schema_cache_entry_surfaces_clear_error(harness_cache):
 
     with pytest.raises(CampaignError, match="schema version"):
         measure_counter_rates(
-            common.registry.build("EP"),
+            registry.build("EP"),
             common.cluster(),
             threads=24,
             counters=("PAPI_TOT_INS",),

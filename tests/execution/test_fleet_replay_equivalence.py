@@ -30,6 +30,7 @@ from repro.execution.fleet_replay import FleetMember, fleet_run
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.hardware.node import ComputeNode
+from repro.hardware.topology import NodeTopology
 from repro.readex.rrl import RRL
 from repro.readex.tuning_model import TuningModel
 from repro.scorep.instrumentation import Instrumentation
@@ -97,8 +98,8 @@ def build_member(spec, *, reference=False, model=None) -> FleetMember:
     default-only tuning model, or as the ``reference`` the oracle
     :class:`StaticController`); ``point`` ((CF, UCF) to program);
     ``threads``, ``instrumented``, ``filter``, ``node_id``,
-    ``node_seed``, ``seed`` and ``tag`` (in the run key).  ``model``
-    shares one tuning model across members."""
+    ``node_seed``, ``topology``, ``seed`` and ``tag`` (in the run key).
+    ``model`` shares one tuning model across members."""
     app = build_app(spec["app"])
     ctrl = spec.get("ctrl")
     member = FleetMember(
@@ -107,6 +108,7 @@ def build_member(spec, *, reference=False, model=None) -> FleetMember:
         node_id=spec.get("node_id", 0),
         seed=spec.get("seed", config.DEFAULT_SEED),
         node_seed=spec.get("node_seed"),
+        topology=spec.get("topology"),
         threads=spec.get("threads"),
         instrumented=spec.get("instrumented", False),
         instrumentation=instrumentation_for(app, spec.get("filter")),
@@ -307,6 +309,19 @@ class TestFleetComposition:
             kind("static_point", "Mcb", point=(2.3, 2.8), node_id=1),
             kind("rrl_instrumented", "Lulesh"),
             kind("static_ctrl", "FT", node_seed=9),
+        ]
+        members = [build_member(s) for s in specs]
+        assert_fleet_identical(specs, fleet_run(members), members)
+
+    def test_mixed_socket_counts(self):
+        """Members on a one-socket and a two-socket node in one fleet:
+        each node's CPU energy sums its own sockets only."""
+        one_socket = NodeTopology.build(1, 24)
+        specs = [
+            kind("default", "EP", topology=one_socket),
+            kind("default", "EP"),
+            kind("rrl", "Lulesh", topology=one_socket),
+            kind("static_point", "Mcb", topology=NodeTopology.default()),
         ]
         members = [build_member(s) for s in specs]
         assert_fleet_identical(specs, fleet_run(members), members)

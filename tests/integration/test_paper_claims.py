@@ -18,10 +18,8 @@ from repro.modeling.crossval import kfold_mape, network_loocv_mape
 from repro.modeling.dataset import build_dataset
 from repro.modeling.regression import RegressionEnergyModel
 from repro.modeling.training import TrainingConfig
+from repro.paper import LOOCV_EPOCHS
 from repro.workloads import registry
-
-#: The paper's LOOCV epoch count (Section V-B).
-LOOCV_EPOCHS = 5
 
 
 def test_fig5_network_beats_regression_on_all_benchmarks():

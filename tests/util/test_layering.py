@@ -1,11 +1,13 @@
 """Import layering of the package.
 
-The package never imports from the test tree.  The reference
-implementations (the recursive engine, the scalar timing and power
-models, the per-cell loops) live in ``tests/oracles/`` as independent
-checkers of the production fast paths.  Production code reaching back
-into them would make the checker part of what it checks, so every
-module under ``src/repro`` is parsed and its imports listed.
+The package never imports from the test tree, the benchmark harness
+or perfbench.  The reference implementations (the recursive engine,
+the scalar timing and power models, the per-cell loops) live in
+``tests/oracles/`` as independent checkers of the production fast
+paths, and perfbench composes the paper chain itself to check
+``repro.paper``.  Production code reaching back into them would make
+the checker part of what it checks, so every module under
+``src/repro`` is parsed and its imports listed.
 
 Only the execution layer and the campaign engine build fleet-kernel
 requests; every other layer measures through the engine.  Only the
@@ -30,16 +32,20 @@ def imported_modules(tree: ast.AST) -> list[str]:
     return names
 
 
+#: The repo's trees outside the package, by top-level import name.
+OUTSIDE_PACKAGE = frozenset({"tests", "benchmarks", "perfbench"})
+
+
+def outside_package(name: str) -> bool:
+    return name.split(".")[0] in OUTSIDE_PACKAGE
+
+
 def test_package_never_imports_tests():
     assert len(MODULES) > 50
     offending = {}
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        names = [
-            name
-            for name in imported_modules(tree)
-            if name == "tests" or name.startswith("tests.")
-        ]
+        names = [name for name in imported_modules(tree) if outside_package(name)]
         if names:
             offending[str(path.relative_to(SRC))] = names
     assert offending == {}
@@ -50,10 +56,18 @@ def test_detector_sees_test_imports():
         "import tests.oracles.physics\n"
         "from tests.oracles import engine\n"
         "from .tests import helper\n"
+        "import benchmarks._common\n"
+        "from perfbench.paper import run_pass\n"
         "def f():\n"
         "    from tests import oracles\n"
+        "    import perfbench\n"
+        "import testsuite\n"
+        "from repro.paper import run_paper\n"
     )
-    assert sorted(imported_modules(tree)) == [
+    assert sorted(n for n in imported_modules(tree) if outside_package(n)) == [
+        "benchmarks._common",
+        "perfbench",
+        "perfbench.paper",
         "tests",
         "tests.oracles",
         "tests.oracles.physics",

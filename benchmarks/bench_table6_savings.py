@@ -20,7 +20,11 @@ reports the replay speedup::
         --apps EP FT Lulesh --runs 3 --json dynamic-replay.json
 
 The JSON feeds the CI perf-regression gate
-(``benchmarks/baselines/dynamic-replay.json``).
+(``benchmarks/baselines/dynamic-replay.json``).  The standalone run also
+reports, ungated, a ``fresh_hits`` entry: the wall time of
+:data:`FRESH_FLEETS` fleets of five fresh Lulesh RRL repetitions on one
+canned tuning model (every member a schedule-cache hit) and the
+``ComputeNode`` constructions per fleet, which a cache hit never needs.
 """
 
 from __future__ import annotations
@@ -38,7 +42,10 @@ if __package__ in (None, ""):  # script execution: make `benchmarks` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.analysis.savings import compare_static_dynamic
+from repro.execution.fleet_replay import FleetMember, fleet_run
 from repro.execution.simulator import OperatingPoint
+from repro.hardware.node import ComputeNode
+from repro.readex.rrl import RRL
 from repro.readex.tuning_model import TuningModel
 from repro.workloads import registry
 from tests.oracles.savings import recursive_savings
@@ -46,6 +53,8 @@ from tests.oracles.savings import recursive_savings
 #: Default standalone sweep: the paper's five Table VI benchmarks.
 DEFAULT_APPS = ("Lulesh", "Amg2013", "miniMD", "BEM4I", "Mcb")
 DEFAULT_RUNS = 3
+#: Fleets the ``fresh_hits`` entry times.
+FRESH_FLEETS = 300
 
 
 def canned_tuning_model(app_name: str) -> TuningModel:
@@ -98,6 +107,50 @@ def measure_app(
         "engines_identical": rows["replay"] == rows["recursive"],
         "dynamic_cpu_energy_saving": rows["replay"].dynamic_cpu_energy_saving,
         "dynamic_job_energy_saving": rows["replay"].dynamic_job_energy_saving,
+    }
+
+
+def measure_fresh_hits(
+    app_name: str = "Lulesh", fleets: int = FRESH_FLEETS, repetitions: int = 5
+) -> dict:
+    """Time ``fleets`` fleets of ``repetitions`` fresh RRL repetitions
+    on one canned tuning model, counting the ``ComputeNode``s built.
+
+    A warm-up fleet walks the schedule once; every timed member is then
+    a schedule-cache hit, which needs no node.
+    """
+    app = registry.build(app_name)
+    model = canned_tuning_model(app_name)
+
+    def fleet(k: int) -> None:
+        fleet_run(
+            FleetMember(app=app, run_key=("fresh", k, rep), controller=RRL(model))
+            for rep in range(repetitions)
+        )
+
+    fleet(-1)
+    built = 0
+    init = ComputeNode.__init__
+
+    def counting_init(node, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(node, *args, **kwargs)
+
+    ComputeNode.__init__ = counting_init
+    try:
+        start = time.perf_counter()
+        for k in range(fleets):
+            fleet(k)
+        elapsed = time.perf_counter() - start
+    finally:
+        ComputeNode.__init__ = init
+    return {
+        "app": app_name,
+        "fleets": fleets,
+        "repetitions": repetitions,
+        "wall_ms": elapsed * 1e3,
+        "nodes_per_fleet": built / fleets,
     }
 
 
@@ -209,7 +262,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     apps = tuple(args.apps) if args.apps else DEFAULT_APPS
     report = run_benchmark(apps, args.runs, primary=args.engine)
+    report["fresh_hits"] = fresh = measure_fresh_hits()
     print(render(report))
+    print(f"\nfresh hits (ungated): {fresh['fleets']} fleets x "
+          f"{fresh['repetitions']} {fresh['app']} RRL repetitions in "
+          f"{fresh['wall_ms']:.0f} ms, {fresh['nodes_per_fleet']:g} "
+          "ComputeNodes per fleet")
     aggregate = report["aggregate"]
     if not aggregate["engines_identical"]:
         print("\nENGINE MISMATCH: replay and recursive sweeps disagree")

@@ -63,6 +63,7 @@ from repro.execution.simulator import (
     RegionInstance,
     probe_overhead_s,
 )
+from repro.hardware.node import NodeRecipe
 from repro.workloads.application import Application
 from repro.workloads.region import Region
 
@@ -237,14 +238,15 @@ def schedule_cache_key(
     """The run-invariant part of a schedule cache key.
 
     Captures everything of the *environment* a compiled schedule bakes
-    in: the node topology, entry frequencies, pending transition-log
-    state (only emptiness matters — the charged latency is per-domain,
-    not per-transition) and the instrumentation configuration.
-    Controller state is the caller's to append.  The node's id, seed
-    and variability stay out: the walk never prices and the frequency
-    subsystem is seed-free, so every node of one topology walks the
-    same schedule, and the fleet kernel prices it against each node's
-    physics.
+    in: the topology, entry frequencies and pending transitions (per
+    domain: the charged latency is per domain, not per transition) of
+    ``node`` — a :class:`~repro.hardware.node.ComputeNode` or a fresh
+    member's :class:`~repro.hardware.node.NodeRecipe` — and the
+    instrumentation configuration.  Controller state is the caller's to
+    append.  The node's id, seed and variability stay out: the walk
+    never prices and the frequency subsystem is seed-free, so every node
+    of one topology walks the same schedule, and the fleet kernel prices
+    it against each node's physics.
     """
     filter_key = (
         None
@@ -258,8 +260,7 @@ def schedule_cache_key(
         repr(node.topology),
         node.core_freq_ghz,
         node.uncore_freq_ghz,
-        node.dvfs.log.count > 0,
-        node.ufs.log.count > 0,
+        *node.pending_transitions,
     )
 
 
@@ -280,9 +281,11 @@ def compile_schedule_by_walk(
     The controller's real enter/exit hooks run against ``node``'s
     frequency subsystem, so MSR programming, quantization and transition
     logging are exactly those of a region-by-region run; only meters
-    and the clock stay untouched.  After the walk the node is at its
-    end-of-run frequencies, which the schedule records
-    (``exit_frequencies``), with cleared transition logs.
+    and the clock stay untouched.  A
+    :class:`~repro.hardware.node.NodeRecipe` is built into its node
+    first: a fresh member's node exists only for its walk.  After the
+    walk the node is at its end-of-run frequencies, which the schedule
+    records (``exit_frequencies``), with cleared transition logs.
 
     ``state_key`` fingerprints the controller's internal state; once an
     iteration begins from the same (frequencies, pending transitions,
@@ -296,6 +299,8 @@ def compile_schedule_by_walk(
     ``None``) the walk fires no hook and switches nothing, so its one
     pattern spans every iteration under one unbound point.
     """
+    if isinstance(node, NodeRecipe):
+        node = node.build()
     iterations = app.phase_iterations
     points: dict = {}
     patterns: list[_Pattern] = []
@@ -510,26 +515,18 @@ def materialise_instances(spans, post_order, timeline: np.ndarray) -> list:
         total_time = timeline[offsets[:, None] + exit_index[None, :]] - enter
 
         zeros = np.zeros(count)
-        body_time: list = [None] * num_slots
         body_energy: list = [None] * num_slots
         for k, slot in enumerate(slots):
-            time = energy = None
+            energy = None
             if slot.has_work:
-                time = durations_work[slot.work_index]
-                energy = slot.node_w * time
+                energy = slot.node_w * durations_work[slot.work_index]
             if slot.probed:
                 probe_joules = slot.probe_node_w * slot.probe_s
-                time = (
-                    time + slot.probe_s
-                    if time is not None
-                    else np.full(count, slot.probe_s)
-                )
                 energy = (
                     energy + probe_joules
                     if energy is not None
                     else np.full(count, probe_joules)
                 )
-            body_time[k] = time if time is not None else zeros
             body_energy[k] = energy if energy is not None else zeros
 
         # Inclusive energies: children accumulate in child order, own
@@ -549,14 +546,12 @@ def materialise_instances(spans, post_order, timeline: np.ndarray) -> list:
                 children_energy = 0.0
             inclusive[k] = body_energy[k] + children_energy
 
-        cpu_energy: list = [None] * num_slots
-        for k, slot in enumerate(slots):
-            if slot.has_work:
-                cpu_energy[k] = np.where(
-                    body_time[k] > 0, body_energy[k] * slot.cpu_fraction, 0.0
-                )
-            else:
-                cpu_energy[k] = zeros
+        # A work body's time is always positive (positive instructions
+        # and IPC, lognormal noise), so its CPU share needs no guard.
+        cpu_energy = [
+            body_energy[k] * slot.cpu_fraction if slot.has_work else zeros
+            for k, slot in enumerate(slots)
+        ]
 
         for i in range(count):
             iteration = start + i

@@ -8,7 +8,8 @@ search, the trade-off study and every campaign job, in a shard or
 alone, are fleets of fresh-node members; the simulator's solo runs
 (:meth:`~repro.execution.simulator.ExecutionSimulator.run`, listened
 or not) are fleets of one *live-node* member, whose entry state is a
-real :class:`~repro.hardware.node.ComputeNode`.
+real :class:`~repro.hardware.node.ComputeNode`.  A fresh member's is a
+:class:`~repro.hardware.node.NodeRecipe`, built only for a compile walk.
 
 Every member is one kind of run: a switch schedule
 (:class:`~repro.execution.controlled_replay.ControlSchedule`) priced at
@@ -18,13 +19,14 @@ its points against its node's power model.
 member compiles its schedule through the controller's
 ``compile_schedule``
 (:func:`~repro.execution.controlled_replay.compile_schedule_by_walk`)
-against a real node, so RRL statistics and MSR/DVFS side effects are
-byte-for-byte those of a region-by-region run.  A cached compile walks
-nothing, so the kernel then brings a live member's node to the
-frequencies the schedule's walk exits at (a no-op after a walk); a
-fresh member's cache hit touches no register.  A controller that does
-not compile is refused with a :class:`~repro.errors.TuningError`
-before any member is priced.  A member without a controller compiles
+against its live node or its recipe, which a walk builds into a real
+node, so RRL statistics and MSR/DVFS side effects are byte-for-byte
+those of a region-by-region run.  A cached compile walks nothing, so
+the kernel then brings a live member's node to the frequencies the
+schedule's walk exits at (a no-op after a walk); a fresh member's cache
+hit builds no node.  A controller that does not compile is refused with
+a :class:`~repro.errors.TuningError` before any member is priced.  A
+member without a controller compiles
 through the same walk, once per application build and instrumentation
 in the fleet: one pattern over every iteration, no switch, one unbound
 point that the member binds to its effective operating point.  Members
@@ -99,13 +101,11 @@ from repro.execution.simulator import (
     RunResult,
     resolve_threads,
 )
-from repro.hardware.node import ComputeNode
+from repro.hardware.node import ComputeNode, NodeRecipe
 from repro.hardware.power import NodeVariability, PowerModel
-from repro.hardware.rapl import RAPL_ENERGY_UNIT_J, fold_deposits
+from repro.hardware.rapl import _COUNTER_MASK, RAPL_ENERGY_UNIT_J, fold_deposits
 from repro.hardware.topology import NodeTopology
 from repro.util.rng import batched_lognormal
-
-_COUNTER_MASK = (1 << 32) - 1
 
 
 #: Fleets up to this many fresh members fold their RAPL deposits row by
@@ -155,8 +155,10 @@ class FleetMember:
     controller=..., instrumented=..., instrumentation=...,
     run_key=run_key)``.  ``point=None`` leaves the node at its default
     frequencies (the ``reset_to_default()`` start every analysis layer
-    uses).  ``controller`` is a per-member instance — its statistics
-    mutate exactly as in a solo run.
+    uses), and ``threads=None`` takes ``point``'s.  The kernel builds
+    that node only if a controller's compile walks.  ``controller`` is
+    a per-member instance — its statistics mutate exactly as in a solo
+    run.
 
     ``node`` is the member's entry state: a live
     :class:`~repro.hardware.node.ComputeNode` the run executes on
@@ -225,152 +227,106 @@ class _MemberPlan:
     trace: object = None
 
 
-def _member_threads(member: FleetMember) -> int | None:
-    if member.threads is None and member.point is not None:
-        return member.point.threads
-    return member.threads
+def _plan_member(member: FleetMember, schedules: dict, models: dict) -> _MemberPlan:
+    """Compile one member's schedule from its entry state.
 
+    A live member enters at its node's current frequencies.  A fresh
+    member enters, controlled or not, at ``threads`` (else ``point``'s)
+    and at ``point``'s frequencies (else the default) as a programmed
+    node reports them: a :class:`~repro.hardware.node.NodeRecipe`.
 
-def _plan_controlled(
-    member: FleetMember, node_seed: int, power_model: PowerModel
-) -> _MemberPlan:
-    """Compile a controller-driven member's switch schedule.
-
-    The schedule walk needs a node: MSRs, DVFS/UFS logs and the
-    controller statistics all mutate exactly as in a region-by-region
-    run.  A live member walks its own node; a fresh one a node built
-    here, whose physics ``power_model`` (shared by the fleet's members
-    of that node recipe) prices.  A cached compile leaves its node at
-    the entry state, so a live node is then programmed to the
-    schedule's exit frequencies with drained transition logs, as a walk
-    leaves it (after a walk, a no-op).  A controller that declines
-    (returns ``None``) must leave both untouched; it is refused.
+    A controller compiles against the live node or the recipe.  A
+    cached compile leaves a live node at its entry state, so it is then
+    programmed to the schedule's exit frequencies with drained
+    transition logs, as a walk leaves it (after a walk, a no-op).  A
+    controller that declines (returns ``None``) must leave both
+    untouched; it is refused.  A member without a controller reuses the
+    fleet's walk of its application build and instrumentation and binds
+    the schedule's one point to its entry point.
     """
     app = member.app
-    controller = member.controller
-    node = member.node
-    if node is None:
-        node = ComputeNode(
-            member.node_id,
-            seed=node_seed,
-            topology=member.topology,
-        )
-        if member.point is not None:
-            node.set_frequencies(
-                member.point.core_freq_ghz, member.point.uncore_freq_ghz
-            )
-    threads = resolve_threads(app, _member_threads(member), node.topology.num_cores)
-    entry_point = OperatingPoint(
-        core_freq_ghz=node.core_freq_ghz,
-        uncore_freq_ghz=node.uncore_freq_ghz,
-        threads=threads,
-    )
-    schedule = controller.compile_schedule(
-        app,
-        node,
-        threads=threads,
-        instrumented=member.instrumented or member.instrumentation is not None,
-        instrumentation=member.instrumentation,
-    )
-    if schedule is None:
-        raise TuningError(
-            f"controller {type(controller).__name__} declined to compile "
-            f"its switch schedule for {app.name}"
-        )
-    if member.node is not None:
-        node.set_frequencies(*schedule.exit_frequencies)
-        node.dvfs.log.clear()
-        node.ufs.log.clear()
-    return _MemberPlan(
-        member=member,
-        schedule=schedule,
-        power_model=power_model,
-        points=schedule.points,
-        entry_point=entry_point,
-        node=member.node,
-    )
-
-
-def _plan_member(member: FleetMember, schedules: dict, models: dict) -> _MemberPlan:
-    """Compile one member's schedule and resolve its power model.
-
-    A member without a controller reuses the fleet's walk of its
-    application build and instrumentation, and binds the schedule's one
-    point to its effective operating point: a live node's current
-    frequencies, or the member's programmed (quantized) point.
-    """
-    node_seed = member.seed if member.node_seed is None else member.node_seed
     node = member.node
     if node is not None:
         power_model = node.power_model
+        threads = resolve_threads(app, member.threads, node.topology.num_cores)
+        entry = OperatingPoint(node.core_freq_ghz, node.uncore_freq_ghz, threads)
     else:
-        # The power model depends on the variability and the socket/core
-        # counts only; keying on the topology object's identity (members
-        # stay alive for the whole pass) spares hashing its core tree.
+        node_seed = member.seed if member.node_seed is None else member.node_seed
+        # One power model per node recipe: it depends on the variability
+        # and the socket/core counts only; keying on the topology
+        # object's identity (members stay alive for the whole pass)
+        # spares hashing its core tree.
         mkey = (member.node_id, node_seed, id(member.topology))
-        power_model = models.get(mkey)
-        if power_model is None:
-            topo = member.topology or NodeTopology.default()
-            power_model = models[mkey] = PowerModel(
+        if mkey not in models:
+            topology = member.topology or NodeTopology.default()
+            models[mkey] = topology, PowerModel(
                 NodeVariability.sample(member.node_id, seed=node_seed),
-                num_sockets=topo.num_sockets,
-                num_cores=topo.num_cores,
+                num_sockets=topology.num_sockets,
+                num_cores=topology.num_cores,
             )
-    if member.controller is not None:
-        return _plan_controlled(member, node_seed, power_model)
-
-    app = member.app
+        topology, power_model = models[mkey]
+        threads = member.threads
+        point = member.point
+        if point is None:
+            point = OperatingPoint()  # the platform default frequencies
+        elif threads is None:
+            threads = point.threads
+        entry = OperatingPoint(
+            _effective_frequency(point.core_freq_ghz, "core"),
+            _effective_frequency(point.uncore_freq_ghz, "uncore"),
+            resolve_threads(app, threads, topology.num_cores),
+        )
     instrumented = member.instrumented or member.instrumentation is not None
-    filter_key = (
-        None
-        if member.instrumentation is None
-        else frozenset(member.instrumentation.filtered)
-    )
-    skey = (id(app), instrumented, filter_key)
-    schedule = schedules.get(skey)
-    if schedule is None:
-        schedule = schedules[skey] = compile_schedule_by_walk(
-            None,
+
+    controller = member.controller
+    if controller is None:
+        filter_key = (
+            None
+            if member.instrumentation is None
+            else frozenset(member.instrumentation.filtered)
+        )
+        skey = (id(app), instrumented, filter_key)
+        schedule = schedules.get(skey)
+        if schedule is None:
+            schedule = schedules[skey] = compile_schedule_by_walk(
+                None,
+                app,
+                None,
+                threads=None,
+                instrumented=instrumented,
+                instrumentation=member.instrumentation,
+            )
+        points = (entry,)
+    else:
+        host = node
+        if node is None:
+            host = NodeRecipe(
+                member.node_id, node_seed, topology, entry.core_freq_ghz,
+                entry.uncore_freq_ghz,
+            )
+        schedule = controller.compile_schedule(
             app,
-            None,
-            threads=None,
+            host,
+            threads=entry.threads,
             instrumented=instrumented,
             instrumentation=member.instrumentation,
         )
-
-    if node is not None:
-        threads = resolve_threads(app, member.threads, node.topology.num_cores)
-        effective = OperatingPoint(
-            core_freq_ghz=node.core_freq_ghz,
-            uncore_freq_ghz=node.uncore_freq_ghz,
-            threads=threads,
-        )
-    else:
-        threads = resolve_threads(app, _member_threads(member), power_model.num_cores)
-        if member.point is not None:
-            core_ghz = member.point.core_freq_ghz
-            uncore_ghz = member.point.uncore_freq_ghz
-        else:
-            core_ghz = config.DEFAULT_CORE_FREQ_GHZ
-            uncore_ghz = config.DEFAULT_UNCORE_FREQ_GHZ
-        effective = OperatingPoint(
-            core_freq_ghz=_effective_frequency(
-                core_ghz, config.CORE_FREQ_MIN_GHZ, config.CORE_FREQ_MAX_GHZ, "core"
-            ),
-            uncore_freq_ghz=_effective_frequency(
-                uncore_ghz,
-                config.UNCORE_FREQ_MIN_GHZ,
-                config.UNCORE_FREQ_MAX_GHZ,
-                "uncore",
-            ),
-            threads=threads,
-        )
+        if schedule is None:
+            raise TuningError(
+                f"controller {type(controller).__name__} declined to compile "
+                f"its switch schedule for {app.name}"
+            )
+        if node is not None:
+            node.set_frequencies(*schedule.exit_frequencies)
+            node.dvfs.log.clear()
+            node.ufs.log.clear()
+        points = schedule.points
     return _MemberPlan(
         member=member,
         schedule=schedule,
         power_model=power_model,
-        points=(effective,),
-        entry_point=effective,
+        points=points,
+        entry_point=entry,
         node=node,
     )
 

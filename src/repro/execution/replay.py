@@ -52,10 +52,15 @@ from repro.util.rng import StreamPrefix, batched_lognormal
 
 
 @lru_cache(maxsize=256)
-def _effective_frequency(freq_ghz: float, lo: float, hi: float, domain: str) -> float:
-    """The frequency a fresh node would report after programming
-    ``freq_ghz``: quantized to the 100 MHz ratio grid and decoded back,
-    exactly the DVFS/UFS controller round trip."""
+def _effective_frequency(freq_ghz: float, domain: str) -> float:
+    """The ``"core"`` or ``"uncore"`` frequency a fresh node would
+    report after programming ``freq_ghz``: quantized to the 100 MHz
+    ratio grid and decoded back, exactly the DVFS/UFS controller round
+    trip."""
+    lo, hi = {
+        "core": (config.CORE_FREQ_MIN_GHZ, config.CORE_FREQ_MAX_GHZ),
+        "uncore": (config.UNCORE_FREQ_MIN_GHZ, config.UNCORE_FREQ_MAX_GHZ),
+    }[domain]
     q = quantize_frequency(freq_ghz)
     if not lo <= q <= hi:
         raise FrequencyError(

@@ -32,7 +32,7 @@ from typing import Protocol
 from repro import config
 from repro.counters.generation import CounterGenerator
 from repro.errors import TuningError, WorkloadError
-from repro.hardware.node import ComputeNode
+from repro.hardware.node import ComputeNode, NodeRecipe
 from repro.workloads.application import Application
 from repro.workloads.region import Region
 
@@ -87,12 +87,14 @@ class RunController(Protocol):
     hardware state it observes — never on simulated time or noise — so
     ``compile_schedule`` walks its hooks once, up front, into the run's
     switch schedule (:mod:`repro.execution.controlled_replay`), which
-    the fleet kernel then prices.  A compile may leave the node at its
-    entry state (a cached schedule needs no walk): the kernel alone
-    brings a live node to the schedule's ``exit_frequencies``.  A
-    controller without ``compile_schedule``, or one that returns
-    ``None`` (and must then leave itself and the node untouched), is
-    refused with a :class:`~repro.errors.TuningError`.
+    the fleet kernel then prices.  ``node`` is a live node, or a fresh
+    member's :class:`~repro.hardware.node.NodeRecipe`, which only a walk
+    builds into a node.  A compile may leave the node at its entry state
+    (a cached schedule needs no walk): the kernel alone brings a live
+    node to the schedule's ``exit_frequencies``.  A controller without
+    ``compile_schedule``, or one that returns ``None`` (and must then
+    leave itself and the node untouched), is refused with a
+    :class:`~repro.errors.TuningError`.
     """
 
     def on_region_enter(self, region: Region, iteration: int, node: ComputeNode) -> int:
@@ -103,8 +105,8 @@ class RunController(Protocol):
         """Called after a region body finishes."""
 
     def compile_schedule(
-        self, app, node: ComputeNode, *, threads: int, instrumented: bool,
-        instrumentation,
+        self, app, node: ComputeNode | NodeRecipe, *, threads: int,
+        instrumented: bool, instrumentation,
     ):
         """Compile the run's switch schedule by walking the hooks."""
 

@@ -73,11 +73,9 @@ def region_timings(
     each elementwise operation is the scalar path's, in its order.
     """
     threads = list(threads)
-    for t in threads:
-        if t <= 0:
-            raise ValueError(f"threads must be positive, got {t}")
     # The bandwidth depends on the operating point alone: the scalar
-    # model, once per distinct (uncore frequency, threads) pair.
+    # model, once per distinct (uncore frequency, threads) pair, which
+    # also refuses a non-positive thread count.
     pairs = list(zip(uncore_freq_ghz, threads))
     memo = {pair: memory_bandwidth_gbs(*pair) for pair in dict.fromkeys(pairs)}
     bandwidth = np.array([memo[pair] for pair in pairs]).reshape(-1, 1)

@@ -11,10 +11,13 @@ applications on.  It owns
 
 Simulated time advances only through :meth:`ComputeNode.advance_many`,
 which charges a run's whole charge sequence into every meter
-consistently.
+consistently.  A :class:`NodeRecipe` is a fresh node not built yet: its
+entry state, for a compile that may never need the node itself.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,6 +80,11 @@ class ComputeNode:
     @property
     def uncore_freq_ghz(self) -> float:
         return self.ufs.node_frequency()
+
+    @property
+    def pending_transitions(self) -> tuple[bool, bool]:
+        """Whether DVFS and UFS transitions are logged and not yet charged."""
+        return self.dvfs.log.count > 0, self.ufs.log.count > 0
 
     def set_frequencies(self, core_ghz: float, uncore_ghz: float) -> None:
         """Convenience: program every core and socket of the node."""
@@ -152,3 +160,33 @@ class ComputeNode:
                 pairs.append((raw, acc.residual(domain)))
             state[domain.name.lower()] = tuple(pairs)
         return state
+
+
+@dataclass(frozen=True)
+class NodeRecipe:
+    """A fresh node before it is built: ``ComputeNode(node_id, seed=seed,
+    topology=topology)`` programmed to the given (quantized) frequencies.
+
+    It answers what a schedule cache key reads without building the
+    node; a frequency off the platform default is a pending transition,
+    as programming it logs one.  :meth:`build` makes the node to walk.
+    """
+
+    node_id: int
+    seed: int
+    topology: NodeTopology
+    core_freq_ghz: float
+    uncore_freq_ghz: float
+
+    @property
+    def pending_transitions(self) -> tuple[bool, bool]:
+        return (
+            self.core_freq_ghz != config.DEFAULT_CORE_FREQ_GHZ,
+            self.uncore_freq_ghz != config.DEFAULT_UNCORE_FREQ_GHZ,
+        )
+
+    def build(self) -> ComputeNode:
+        node = ComputeNode(self.node_id, seed=self.seed, topology=self.topology)
+        if any(self.pending_transitions):
+            node.set_frequencies(self.core_freq_ghz, self.uncore_freq_ghz)
+        return node

@@ -16,7 +16,7 @@ from repro import config
 from repro.errors import TuningError
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint, RunResult
 from repro.hardware.cluster import Cluster
-from repro.hardware.node import ComputeNode
+from repro.hardware.node import ComputeNode, NodeRecipe
 from repro.readex.pcp import CpuFreqPlugin, OpenMPTPlugin, UncoreFreqPlugin
 from repro.workloads.application import Application
 from repro.workloads.region import Region
@@ -72,8 +72,8 @@ class _ScheduleController:
         return None
 
     def compile_schedule(
-        self, app, node: ComputeNode, *, threads: int, instrumented: bool,
-        instrumentation,
+        self, app, node: ComputeNode | NodeRecipe, *, threads: int,
+        instrumented: bool, instrumentation,
     ):
         """Compile the predeclared experiment schedule for bulk replay.
 

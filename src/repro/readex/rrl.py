@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.execution.simulator import OperatingPoint
-from repro.hardware.node import ComputeNode
+from repro.hardware.node import ComputeNode, NodeRecipe
 from repro.readex.pcp import CpuFreqPlugin, OpenMPTPlugin, UncoreFreqPlugin
 from repro.readex.tuning_model import TuningModel
 from repro.workloads.region import Region
@@ -70,8 +70,8 @@ class RRL:
 
     # -- RunController.compile_schedule ------------------------------------
     def compile_schedule(
-        self, app, node: ComputeNode, *, threads: int, instrumented: bool,
-        instrumentation,
+        self, app, node: ComputeNode | NodeRecipe, *, threads: int,
+        instrumented: bool, instrumentation,
     ):
         """Compile this run's switch schedule for the controlled replay.
 
@@ -86,9 +86,9 @@ class RRL:
         *probe* RRL seeded with this instance's runtime state, so on
         both hit and miss this controller absorbs exactly the statistics
         delta the recursive engine would have produced.  A miss leaves
-        the node where the walk exits; a hit leaves it untouched, and
-        the fleet kernel brings a live node to the schedule's
-        ``exit_frequencies``.
+        the node where the walk exits (a fresh member's node recipe is
+        built for the walk); a hit leaves it untouched, and the fleet
+        kernel brings a live node to the schedule's ``exit_frequencies``.
         """
         from repro.execution.controlled_replay import (
             CompiledControl,

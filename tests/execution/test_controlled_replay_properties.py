@@ -4,14 +4,17 @@ Complements the bit-identity suite: instead of comparing against the
 recursive engine, these check structural invariants that must hold for
 *every* compiled :class:`~repro.execution.controlled_replay.ControlSchedule`
 — whatever the application, tuning model or entry state hypothesis
-draws.
+draws — and the schedule cache those compiles are looked up in.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import config
+from repro.execution.controlled_replay import ScheduleCache, schedule_cache_key
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
-from repro.hardware.node import ComputeNode
+from repro.hardware.node import ComputeNode, NodeRecipe
+from repro.hardware.topology import NodeTopology
 from repro.readex.rrl import RRL
 from repro.readex.tuning_model import TuningModel
 from repro.workloads import registry
@@ -145,3 +148,41 @@ class TestScheduleStatistics:
         assert rrl.stats.region_enters == region_count * app.phase_iterations
         assert rrl.stats.scenario_hits <= rrl.stats.region_enters
         assert rrl.stats.frequency_switches <= rrl.stats.scenario_hits
+
+
+class TestScheduleCache:
+    def test_fifo_eviction_past_maxsize(self):
+        """Past ``maxsize`` entries the oldest goes first: after
+        ``maxsize + 1`` puts the first key misses and the second hits."""
+        app = registry.build("EP")
+        cache = ScheduleCache(maxsize=3)
+        for k in range(4):
+            cache.put(app, (k,), f"schedule-{k}")
+        assert cache.get(app, (0,)) is None
+        assert cache.get(app, (1,)) == "schedule-1"
+        assert cache.get(app, (3,)) == "schedule-3"
+
+    @pytest.mark.parametrize(
+        "core, uncore",
+        [
+            (config.DEFAULT_CORE_FREQ_GHZ, config.DEFAULT_UNCORE_FREQ_GHZ),
+            (1.6, config.DEFAULT_UNCORE_FREQ_GHZ),
+            (config.DEFAULT_CORE_FREQ_GHZ, 1.5),
+            (1.6, 1.5),
+        ],
+    )
+    def test_node_recipe_keys_like_its_node(self, core, uncore):
+        """A fresh member's recipe keys the cache exactly as the node it
+        describes, programmed: a frequency off the default is pending."""
+        topology = NodeTopology.build(1, 12)
+        recipe = NodeRecipe(3, 11, topology, core, uncore)
+        node = ComputeNode(3, seed=11, topology=topology)
+        node.set_frequencies(core, uncore)
+        run = dict(threads=8, instrumented=True, instrumentation=None)
+        assert schedule_cache_key(recipe, **run) == schedule_cache_key(node, **run)
+        built = recipe.build()
+        assert schedule_cache_key(built, **run) == schedule_cache_key(node, **run)
+        assert built.pending_transitions == (
+            core != config.DEFAULT_CORE_FREQ_GHZ,
+            uncore != config.DEFAULT_UNCORE_FREQ_GHZ,
+        )

@@ -16,8 +16,11 @@ thread counts, nodes, instrumentation, tuning models, static tuning) x
 hosts (live or fresh).  Around it: fleet compositions and their
 property tests (permuting or splitting a fleet never changes any
 member's payload), live-node run sequences, batching counts, static
-grids, phase counters and refusals.  No tolerances anywhere.
+grids, phase counters and refusals.  No comparison with the reference
+engine has a tolerance.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from repro.execution.fleet_replay import FleetMember, fleet_run
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.hardware.node import ComputeNode
+from repro.hardware.rapl import RAPL_ENERGY_UNIT_J
 from repro.hardware.topology import NodeTopology
 from repro.readex.rrl import RRL
 from repro.readex.tuning_model import TuningModel
@@ -351,6 +355,20 @@ class TestFleetComposition:
         assert fleet.results[0] == ref
         assert fleet_ctrl.stats == ref_ctrl.stats
 
+    def test_rapl_counters_wrap_in_long_run(self):
+        """A fresh member long enough that each socket's package counter
+        passes 2**32 ticks (but not 2**33) reports the wrapped CPU
+        energy, exactly as a solo run's RAPL reader does.  The rows'
+        CPU energy is not metered, so it shows the lost wrap: 2**32
+        ticks per socket on the package domain, none on DRAM."""
+        app = dataclasses.replace(build_app("Mcb"), phase_iterations=600)
+        result = fleet_run([FleetMember(app=app, run_key=("wrap",))]).results[0]
+        ref, _ = run_reference(FleetMember(app=app, run_key=("wrap",)))
+        assert_same_payload(result, ref)
+        rows_cpu_j = sum(row.cpu_energy_j for row in result.instances)
+        wraps = (rows_cpu_j - result.cpu_energy_j) / ((1 << 32) * RAPL_ENERGY_UNIT_J)
+        assert wraps == pytest.approx(2, abs=1e-3)
+
     def test_empty_fleet(self):
         fleet = fleet_run([])
         assert len(fleet) == 0
@@ -638,6 +656,33 @@ class TestBatching:
         for i, spec in enumerate(specs):
             assert_matches_reference(fleet.results[i], spec, member=members[i],
                                      model=model)
+
+    def test_fresh_members_build_a_node_only_to_walk(self, monkeypatch):
+        """Five fresh RRL repetitions off the default entry point on a
+        new tuning model build one ComputeNode, for their one walk; a
+        second such fleet hits the schedule cache and builds none."""
+        built = []
+        init = ComputeNode.__init__
+
+        def counting_init(node, *args, **kwargs):
+            built.append(node)
+            init(node, *args, **kwargs)
+
+        monkeypatch.setattr(ComputeNode, "__init__", counting_init)
+        model = make_tmm(build_app("Lulesh"))
+        for fleet_index, expected_nodes in enumerate((1, 0)):
+            specs = [
+                {"app": "Lulesh", "ctrl": "paired", "point": (1.6, 1.5),
+                 "tag": (fleet_index, rep)}
+                for rep in range(5)
+            ]
+            members = [build_member(s, model=model) for s in specs]
+            before = len(built)
+            fleet = fleet_run(members)
+            assert len(built) - before == expected_nodes
+            for i, spec in enumerate(specs):
+                assert_matches_reference(fleet.results[i], spec, member=members[i],
+                                         model=model)
 
 
 #: A thinned grid (3 x 4 cells) that keeps the suite fast.

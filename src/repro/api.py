@@ -564,25 +564,26 @@ def replay(
 ) -> RunTriple:
     """Execute one configuration and return its measured triple.
 
-    The run carries the canonical ``("static", cf, ucf, threads)``
-    noise key, so it is bit-identical to (and cache-compatible with)
-    the exhaustive static search's per-cell jobs.
+    The run is a one-cell ``static`` grid row, so it carries the
+    canonical ``("static", cf, ucf, threads)`` noise key and is
+    bit-identical to the exhaustive static search's cell at ``point``.
     """
-    from repro.campaign.plan import static_jobs
+    from repro.campaign.plan import grid_jobs
 
     options = options if options is not None else ExecutionOptions()
     point = point if point is not None else OperatingPoint()
     cluster = options.resolve_cluster(seed)
     cluster.check_node_id(node_id)
     registry.check_name(benchmark)
-    jobs = static_jobs(
-        benchmark, points=[point], node_id=node_id, seed=seed, node_seed=cluster.seed
+    jobs = grid_jobs(
+        benchmark, label="static", points=[point],
+        node_id=node_id, seed=seed, node_seed=cluster.seed,
     )
     payload = options.run_jobs(jobs, cluster)[jobs[0]]
     return RunTriple(
-        node_energy_j=payload["node_energy_j"],
-        cpu_energy_j=payload["cpu_energy_j"],
-        time_s=payload["time_s"],
+        node_energy_j=payload["node_energy_j"][0],
+        cpu_energy_j=payload["cpu_energy_j"][0],
+        time_s=payload["time_s"][0],
     )
 
 

@@ -56,8 +56,8 @@ from repro.campaign.plan import (
     counter_jobs,
     plan_dataset_campaign,
     plan_static_campaign,
-    static_jobs,
     static_operating_points,
+    static_search_jobs,
     sweep_jobs,
     sweep_operating_points,
     thread_series,
@@ -102,8 +102,8 @@ __all__ = [
     "qualified_descriptor",
     "run_app_jobs",
     "topology_job_key",
-    "static_jobs",
     "static_operating_points",
+    "static_search_jobs",
     "sweep_jobs",
     "sweep_operating_points",
     "thread_series",

@@ -20,19 +20,17 @@ Payload layout by mode:
     ``{"totals": {papi_name: total}, "phase_time_s": s}`` — summed over
     the phase region's instances of one instrumented run at the job's
     operating point (:func:`repro.execution.replay.phase_counters`).
-``sweep`` / ``static``
-    ``{"node_energy_j": J, "cpu_energy_j": J, "time_s": s}``.
 ``grid``
-    The same three quantities as parallel lists over the row's UCF axis
-    (plus ``"uncore_freqs_ghz"`` itself), measured in one pass through
-    the fleet kernel (:mod:`repro.execution.fleet_replay`) — per cell
-    bit-identical to the equivalent ``static`` job.
+    ``{"uncore_freqs_ghz": [...], "node_energy_j": [J, ...],
+    "cpu_energy_j": [J, ...], "time_s": [s, ...]}`` — parallel lists
+    over the row's UCF axis, one plain fresh-node run per cell, each
+    bit-identical to a solo run under the cell's noise key.
 ``savings``
-    The energy triple plus ``switching_time_s`` and
-    ``instrumentation_time_s`` — the controlled production runs of the
-    Table VI comparison.  Controller-driven members replay their
-    compiled switch schedule, bit-identical to the recursive engine, so
-    cached savings results agree across engines.
+    ``node_energy_j``, ``cpu_energy_j``, ``time_s``, ``switching_time_s``
+    and ``instrumentation_time_s`` of one run — the controlled
+    production runs of the Table VI comparison.  Controller-driven
+    members replay their compiled switch schedule, bit-identical to the
+    recursive engine, so cached savings results agree across engines.
 """
 
 from __future__ import annotations
@@ -72,8 +70,6 @@ from repro.workloads.application import Application
 #: missing one was produced by an incompatible (older) result schema.
 REQUIRED_PAYLOAD_KEYS: dict[str, tuple[str, ...]] = {
     "counters": ("totals", "phase_time_s"),
-    "sweep": ("node_energy_j", "cpu_energy_j", "time_s"),
-    "static": ("node_energy_j", "cpu_energy_j", "time_s"),
     "savings": (
         "node_energy_j",
         "cpu_energy_j",
@@ -229,8 +225,8 @@ def _job_fleet_members(job: CampaignJob, app: Application, topology):
                 **common,
             )
         ]
-    # One run at the job's point; a ``counters`` run is instrumented,
-    # and its counters are read from the priced trace.
+    # A ``counters`` job: one instrumented run at the job's point, its
+    # counters read from the priced trace.
     return [
         FleetMember(
             app=app,
@@ -239,7 +235,7 @@ def _job_fleet_members(job: CampaignJob, app: Application, topology):
                 job.core_freq_ghz, job.uncore_freq_ghz, threads
             ),
             threads=threads,
-            instrumented=job.mode == "counters",
+            instrumented=True,
             **common,
         )
     ]
@@ -294,16 +290,14 @@ def _fleet_payload(job: CampaignJob, results) -> dict[str, Any]:
             "cpu_energy_j": [r.cpu_energy_j for r in results],
             "time_s": [r.time_s for r in results],
         }
-    run = results[0]
-    payload = {
+    (run,) = results
+    return {
         "node_energy_j": run.node_energy_j,
         "cpu_energy_j": run.cpu_energy_j,
         "time_s": run.time_s,
+        "switching_time_s": run.switching_time_s,
+        "instrumentation_time_s": run.instrumentation_time_s,
     }
-    if job.mode == "savings":
-        payload["switching_time_s"] = run.switching_time_s
-        payload["instrumentation_time_s"] = run.instrumentation_time_s
-    return payload
 
 
 @dataclass(frozen=True)

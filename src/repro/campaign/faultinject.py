@@ -29,11 +29,16 @@ everything):
     down so drain/interrupt tests can reliably catch a campaign
     mid-flight; not a failure).
 ``app`` / ``mode`` / ``index``
-    Match the job's application name, campaign mode, and position in
-    the engine's pending list — whatever shard the job runs in.  A
-    shard of two or more jobs also answers to ``mode="fleet"``, under
-    its first job's app, with its position among such shards as the
-    index; a one-job shard answers only as its job.
+    Match the job's application name, campaign mode (``counters``,
+    ``savings`` or ``grid``), and position in the engine's pending
+    list — whatever shard the job runs in.  A shard of two or more
+    jobs also answers to ``mode="fleet"``, under its first job's app,
+    with its position among such shards as the index; a one-job shard
+    answers only as its job.
+``error``
+    ``deterministic`` or ``transient``.  An unknown ``mode`` or
+    ``error`` is refused with a :class:`~repro.errors.CampaignError`,
+    so a directive that could never fire does not pass silently.
 ``attempts``
     List of attempt numbers (0-based) the directive fires on, or
     ``"all"``.  Default ``[0]`` — fault the first attempt only, so the
@@ -52,6 +57,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+from repro.campaign.plan import MODES
 from repro.errors import CampaignError
 
 #: Environment variable holding the fault schedule (inline JSON or a
@@ -60,6 +66,13 @@ FAULT_ENV = "REPRO_FAULT_INJECT"
 
 #: Recognised directive actions.
 ACTIONS: tuple[str, ...] = ("raise", "delay")
+
+#: Modes a directive can match: the campaign modes, plus ``fleet`` for a
+#: shard of two or more jobs.
+FAULT_MODES: tuple[str, ...] = MODES + ("fleet",)
+
+#: Error classes a ``raise`` directive can inject.
+ERRORS: tuple[str, ...] = ("deterministic", "transient")
 
 
 class InjectedFault(CampaignError):
@@ -106,15 +119,25 @@ def _parse_directive(raw: dict[str, Any]) -> FaultDirective:
         raise CampaignError(
             f"{FAULT_ENV}: unknown fault action {action!r}; known: {ACTIONS}"
         )
+    mode = raw.get("mode")
+    if mode is not None and mode not in FAULT_MODES:
+        raise CampaignError(
+            f"{FAULT_ENV}: unknown fault mode {mode!r}; known: {FAULT_MODES}"
+        )
+    error = raw.get("error", "deterministic")
+    if error not in ERRORS:
+        raise CampaignError(
+            f"{FAULT_ENV}: unknown fault error {error!r}; known: {ERRORS}"
+        )
     attempts_raw = raw.get("attempts", [0])
     attempts = None if attempts_raw == "all" else tuple(int(a) for a in attempts_raw)
     return FaultDirective(
         action=action,
         app=raw.get("app"),
-        mode=raw.get("mode"),
+        mode=mode,
         index=raw.get("index"),
         attempts=attempts,
-        error=raw.get("error", "deterministic"),
+        error=error,
         delay_s=float(raw.get("delay_s", 0.0)),
     )
 

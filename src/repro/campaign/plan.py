@@ -3,42 +3,35 @@
 A :class:`CampaignJob` is a pure description of one simulated
 experiment — everything needed to run it in any process and to address
 its result in the :mod:`~repro.campaign.store`.  Planner functions
-expand benchmark lists into the paper's grids:
+expand benchmark lists into the paper's grids.  A job has one of three
+modes:
 
 ``counters``
     Instrumented runs at the calibration operating point that collect
     PAPI counter totals for the phase region (Section IV-A).
-``sweep``
-    Plain energy runs over the DVFS axis then the UFS axis — the
-    training-data sweep (Section V-B).
-``static``
-    Plain energy runs over the full (threads x CF x UCF) grid — the
-    exhaustive static baseline (Section V-D).
+``grid``
+    One **row** of plain fresh-node runs — a fixed (threads, CF) at an
+    explicit tuple of UCFs — executed in a single pass through the
+    fleet kernel (:mod:`repro.execution.fleet_replay`).  Rows are the
+    one cacheable unit of every plain run: the training sweep over the
+    DVFS axis then the UFS axis (label ``sweep``, Section V-B), the
+    Table V exhaustive static search (``static``, Section V-D), the
+    Figures 6/7 heatmaps (``heatmap``), the Figures 2/3
+    node-variability sweeps (``variability-core``/``variability-uncore``),
+    the energy/time trade-off (``tradeoff``) and the tuning-time
+    reference run (``tuning-time``).  The label selects the per-cell
+    noise key (see :func:`grid_run_key`); each reproduces a historical
+    one-run-per-cell key verbatim, so the measured numbers are
+    bit-identical — only the store addressing is coarser.
 ``savings``
     Controlled production runs of the Table VI comparison: optionally
     under the RRL, with a serialised tuning model or, for a static job,
     a default-only one holding the job's configuration, and optionally
-    instrumented with a compile-time filter.  Controller-driven jobs replay their compiled
-    switch schedule (:mod:`repro.execution.controlled_replay`).
-
-``grid``
-    One **row** of a static frequency grid — a fixed (threads, CF) at
-    an explicit tuple of UCFs — executed in a single pass through the
-    fleet kernel (:mod:`repro.execution.fleet_replay`).  Rows are the
-    cacheable unit of every fresh-node static measurement: the Figures
-    6/7 heatmaps (label ``heatmap``), the Table V exhaustive search
-    (``static``), the Figures 2/3 node-variability sweeps
-    (``variability-core``/``variability-uncore``), the energy/time
-    trade-off (``tradeoff``) and the tuning-time reference run
-    (``tuning-time``).  Their per-cell noise keys (``label``-selected,
-    see :func:`grid_run_key`) match the historical one-run-per-cell
-    paths, so the measured numbers are bit-identical — only the store
-    addressing is coarser.
-
-``sweep`` and ``static`` differ only in the label mixed into the noise
-streams; both labels are kept so campaign results stay bit-identical to
-the pre-campaign serial code paths.  ``savings`` jobs carry their label
-explicitly, matching :mod:`repro.analysis.savings`' historical run keys.
+    instrumented with a compile-time filter.  Controller-driven jobs
+    replay their compiled switch schedule
+    (:mod:`repro.execution.controlled_replay`).  ``savings`` jobs carry
+    their label explicitly, matching :mod:`repro.analysis.savings`'
+    historical run keys.
 """
 
 from __future__ import annotations
@@ -54,7 +47,7 @@ from repro.workloads import registry
 from repro.workloads.application import Application
 
 #: The instrumentation/measurement modes a job can run under.
-MODES: tuple[str, ...] = ("counters", "sweep", "static", "savings", "grid")
+MODES: tuple[str, ...] = ("counters", "savings", "grid")
 
 #: Controller kinds a ``savings`` job can attach.
 CONTROLLERS: tuple[str, ...] = ("none", "static", "rrl")
@@ -63,7 +56,7 @@ CONTROLLERS: tuple[str, ...] = ("none", "static", "rrl")
 #: historical per-cell noise key verbatim, so grid-row payloads agree
 #: bit-for-bit with the loops they replace.
 GRID_RUN_KEY_LABELS: tuple[str, ...] = (
-    "static", "heatmap", "variability-core", "variability-uncore",
+    "sweep", "static", "heatmap", "variability-core", "variability-uncore",
     "tradeoff", "tuning-time",
 )
 
@@ -72,6 +65,8 @@ def grid_run_key(
     label: str, *, core_freq_ghz: float, uncore_freq_ghz: float, threads: int | None
 ) -> tuple:
     """The per-cell noise-stream key of one grid-row entry."""
+    if label == "sweep":
+        return ("sweep", threads, core_freq_ghz, uncore_freq_ghz)
     if label == "heatmap":
         return ("heatmap", core_freq_ghz, uncore_freq_ghz)
     if label == "static":
@@ -119,7 +114,8 @@ class CampaignJob:
     repetition: int = 0
     counters: tuple[str, ...] = ()
     #: ``savings``-mode extras (ignored — and absent from descriptors —
-    #: for the other modes, so historical store keys are unchanged).
+    #: for the other modes; ``label`` also names a ``grid`` row's noise
+    #: keys).
     label: str = ""
     controller: str = "none"
     tuning_model: str | None = None
@@ -165,11 +161,7 @@ class CampaignJob:
             )
         if self.mode == "counters":
             return ("counters", self.threads, self.repetition)
-        if self.mode == "sweep":
-            return ("sweep", self.threads, self.core_freq_ghz, self.uncore_freq_ghz)
-        if self.mode == "savings":
-            return (self.label, self.repetition)
-        return ("static", self.core_freq_ghz, self.uncore_freq_ghz, self.threads)
+        return (self.label, self.repetition)
 
     def cell_run_keys(self) -> tuple[tuple, ...]:
         """Per-cell noise keys of a ``grid`` job, in UCF order."""
@@ -255,7 +247,8 @@ class CampaignPlan:
         for job in self.jobs:
             apps[job.app] = apps.get(job.app, 0) + 1
             modes[job.mode] = modes.get(job.mode, 0) + 1
-            points.add((job.core_freq_ghz, job.uncore_freq_ghz, job.threads))
+            ucfs = job.uncore_freqs_ghz or (job.uncore_freq_ghz,)
+            points.update((job.core_freq_ghz, ucf, job.threads) for ucf in ucfs)
         return {
             "jobs": len(self.jobs),
             "apps": dict(sorted(apps.items())),
@@ -361,54 +354,6 @@ def counter_jobs(
     )
 
 
-def sweep_jobs(
-    app_name: str,
-    *,
-    threads: int | None,
-    node_id: int = 0,
-    seed: int = config.DEFAULT_SEED,
-    node_seed: int | None = None,
-) -> tuple[CampaignJob, ...]:
-    """One plain energy job per training-sweep operating point."""
-    return tuple(
-        CampaignJob(
-            app=app_name,
-            mode="sweep",
-            core_freq_ghz=cf,
-            uncore_freq_ghz=ucf,
-            threads=threads,
-            node_id=node_id,
-            seed=seed,
-            node_seed=seed if node_seed is None else node_seed,
-        )
-        for cf, ucf in sweep_operating_points()
-    )
-
-
-def static_jobs(
-    app_name: str,
-    *,
-    points: list[OperatingPoint],
-    node_id: int = 0,
-    seed: int = config.DEFAULT_SEED,
-    node_seed: int | None = None,
-) -> tuple[CampaignJob, ...]:
-    """One plain energy job per static-grid operating point."""
-    return tuple(
-        CampaignJob(
-            app=app_name,
-            mode="static",
-            core_freq_ghz=p.core_freq_ghz,
-            uncore_freq_ghz=p.uncore_freq_ghz,
-            threads=p.threads,
-            node_id=node_id,
-            seed=seed,
-            node_seed=seed if node_seed is None else node_seed,
-        )
-        for p in points
-    )
-
-
 def grid_rows(
     points: list[OperatingPoint],
 ) -> list[tuple[int | None, float, tuple[float, ...]]]:
@@ -462,6 +407,30 @@ def grid_jobs(
         )
         for threads, cf, ucfs in grid_rows(points)
     )
+
+
+def sweep_jobs(app_name: str, *, threads: int | None, **ids) -> tuple[CampaignJob, ...]:
+    """The ``sweep``-labelled rows of one training series: one row per
+    CF of :func:`sweep_operating_points`, the calibration CF's row
+    holding the whole UFS axis.  ``ids`` (``node_id``, ``seed``,
+    ``node_seed``) pass through to :func:`grid_jobs`."""
+    points = [OperatingPoint(cf, ucf, threads) for cf, ucf in sweep_operating_points()]
+    return grid_jobs(app_name, label="sweep", points=points, **ids)
+
+
+def static_search_jobs(
+    app: Application,
+    *,
+    stride: int = 1,
+    thread_counts: tuple[int, ...] | None = None,
+    **ids,
+) -> tuple[CampaignJob, ...]:
+    """The ``static``-labelled rows of the exhaustive static search over
+    :func:`static_operating_points` — the one plan of the Table V grid,
+    so the CLI's campaign and the library's search share store keys.
+    ``ids`` pass through to :func:`grid_jobs`."""
+    points = static_operating_points(app, stride=stride, thread_counts=thread_counts)
+    return grid_jobs(app.name, label="static", points=points, **ids)
 
 
 def savings_jobs(
@@ -561,11 +530,8 @@ def plan_static_campaign(
         benchmarks = registry.benchmark_names()
     jobs: list[CampaignJob] = []
     for name in benchmarks:
-        app = registry.build(name)
-        points = static_operating_points(
-            app, stride=stride, thread_counts=thread_counts
-        )
-        jobs += static_jobs(
-            name, points=points, node_id=node_id, seed=seed, node_seed=node_seed,
+        jobs += static_search_jobs(
+            registry.build(name), stride=stride, thread_counts=thread_counts,
+            node_id=node_id, seed=seed, node_seed=node_seed,
         )
     return CampaignPlan(tuple(jobs))

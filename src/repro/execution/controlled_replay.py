@@ -257,7 +257,7 @@ def schedule_cache_key(
         threads,
         instrumented,
         filter_key,
-        repr(node.topology),
+        node.topology,
         node.core_freq_ghz,
         node.uncore_freq_ghz,
         *node.pending_transitions,

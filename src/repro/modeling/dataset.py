@@ -48,6 +48,7 @@ from repro.campaign.plan import (
     COUNTER_MEASUREMENT_RUNS,
     CampaignJob,
     counter_jobs,
+    grid_cells,
     plan_dataset_campaign,
     sweep_jobs,
     sweep_operating_points,
@@ -55,6 +56,7 @@ from repro.campaign.plan import (
 )
 from repro.counters.papi import TABLE1_COUNTERS, preset
 from repro.errors import ModelError
+from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.workloads import registry
 from repro.workloads.application import Application
@@ -154,13 +156,17 @@ def _rates_from_results(
 def _normalized_energy_from_results(
     results: CampaignResults, jobs: tuple[CampaignJob, ...]
 ) -> dict[tuple[float, float], tuple[float, float]]:
-    """Normalise each sweep point by the series' calibration point."""
+    """Normalise each sweep point of one series' ``sweep`` rows by the
+    series' calibration point, in :func:`sweep_operating_points` order."""
+    energy_of = grid_cells(jobs, results, "node_energy_j")
+    time_of = grid_cells(jobs, results, "time_s")
+    threads = jobs[0].threads
     raw = {
-        (job.core_freq_ghz, job.uncore_freq_ghz): (
-            results[job]["node_energy_j"],
-            results[job]["time_s"],
+        (cf, ucf): (
+            energy_of[OperatingPoint(cf, ucf, threads)],
+            time_of[OperatingPoint(cf, ucf, threads)],
         )
-        for job in jobs
+        for cf, ucf in sweep_operating_points()
     }
     cal_e, cal_t = raw[
         (config.CALIBRATION_CORE_FREQ_GHZ, config.CALIBRATION_UNCORE_FREQ_GHZ)
@@ -246,8 +252,8 @@ def build_dataset(
     thread-tunable codes; MPI-only codes contribute one series at their
     fixed configuration.  The whole campaign (counter measurements and
     energy sweeps for every series) is submitted to the engine as one
-    plan, so its uncached counter and sweep jobs are priced together in
-    fleet-kernel shards.
+    plan, so its uncached counter jobs and ``sweep`` rows are priced
+    together in fleet-kernel shards.
     """
     if benchmarks is None:
         benchmarks = registry.benchmark_names()

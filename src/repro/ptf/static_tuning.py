@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import config
 from repro.campaign.engine import run_app_jobs
-from repro.campaign.plan import grid_cells, grid_jobs, static_operating_points
+from repro.campaign.plan import grid_cells, static_operating_points, static_search_jobs
 from repro.errors import TuningError
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
@@ -129,10 +129,10 @@ def exhaustive_static_search(
         config.DEFAULT_OPENMP_THREADS,
     )
     cluster.check_node_id(node_id)
-    jobs = grid_jobs(
-        app.name,
-        label="static",
-        points=points,
+    jobs = static_search_jobs(
+        app,
+        stride=stride,
+        thread_counts=thread_counts,
         node_id=node_id,
         node_seed=cluster.seed,
     )

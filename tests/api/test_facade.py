@@ -474,3 +474,23 @@ def test_engine_with_the_clusters_topology_is_accepted():
     assert stored == storeless
     assert engine.total_executed == 1
     assert storeless != api.replay("EP", point)  # the topology is priced
+
+
+def test_replay_equals_the_static_search_cell():
+    """A replay is a one-cell ``static`` row: it measures exactly the
+    exhaustive static search's cell at the same point, seed and node."""
+    from repro.ptf.static_tuning import exhaustive_static_search
+
+    default = OperatingPoint(
+        config.DEFAULT_CORE_FREQ_GHZ,
+        config.DEFAULT_UNCORE_FREQ_GHZ,
+        config.DEFAULT_OPENMP_THREADS,
+    )
+    options = api.ExecutionOptions()
+    triple = api.replay("EP", default, options=options)
+    searched = exhaustive_static_search(
+        registry.build("EP"), options.resolve_cluster(), stride=7
+    )
+    assert (triple.node_energy_j, triple.time_s) == (
+        searched.default_energy_j, searched.default_time_s,
+    )

@@ -59,7 +59,7 @@ def test_artefacts_reused_across_two_invocations(harness_cache):
     # Session one builds and persists everything.
     first_engine = common.campaign_engine()
     first = small_artefact()
-    assert first_engine.total_executed == 34  # 3 counter runs + 31 sweep
+    assert first_engine.total_executed == 17  # 3 counter runs + 14 sweep rows
     # Fresh cache directories get the indexed SQLite backend.
     assert first_engine.store.backend == "sqlite"
     assert (harness_cache / "campaign-store.sqlite").exists()
@@ -70,8 +70,8 @@ def test_artefacts_reused_across_two_invocations(harness_cache):
     second_engine = common.campaign_engine()
     assert second_engine is not first_engine
     second = small_artefact()
-    assert second_engine.total_executed == 0  # all 34 jobs came from disk
-    assert second_engine.total_cached == 34
+    assert second_engine.total_executed == 0  # all 17 jobs came from disk
+    assert second_engine.total_cached == 17
     assert np.array_equal(first.features, second.features)
     assert np.array_equal(first.targets, second.targets)
 
@@ -140,9 +140,9 @@ def test_pre_v2_store_re_simulates_silently(harness_cache):
     import hashlib
     import json
 
-    from repro.campaign.plan import CampaignJob
+    from repro.campaign.plan import sweep_jobs
 
-    job = CampaignJob(app="EP", mode="sweep", threads=24)
+    job = sweep_jobs("EP", threads=24, node_seed=common.cluster().seed)[0]
 
     def v1_key(descriptor):
         payload = json.dumps({"store_version": 1, **descriptor}, sort_keys=True)
@@ -151,7 +151,10 @@ def test_pre_v2_store_re_simulates_silently(harness_cache):
     record = {
         "key": v1_key(job.descriptor()),
         "job": job.descriptor(),
-        "result": {"node_energy_j": 1.0, "cpu_energy_j": 1.0, "time_s": 1.0},
+        "result": {
+            "uncore_freqs_ghz": list(job.uncore_freqs_ghz),
+            "node_energy_j": [1.0], "cpu_energy_j": [1.0], "time_s": [1.0],
+        },
     }
     (harness_cache / "campaign-store.jsonl").write_text(json.dumps(record) + "\n")
     common.campaign_engine.cache_clear()
@@ -159,7 +162,7 @@ def test_pre_v2_store_re_simulates_silently(harness_cache):
     assert engine.store.stale_records == 1
     artefact = small_artefact()
     assert artefact.features.shape[0] > 0
-    assert engine.total_executed == 34  # everything re-simulated
+    assert engine.total_executed == 17  # everything re-simulated
     assert engine.total_cached == 0
 
 

@@ -29,8 +29,11 @@ class TestPlanCommand:
             "plan", "--benchmarks", "EP", "--campaign", "both",
             "--threads", "24", "--stride", "4",
         )
-        assert "jobs:             55" in out
-        assert "counters" in out and "sweep" in out and "static" in out
+        # 3 counter jobs + 14 sweep rows + 5 static-search rows.
+        assert "jobs:             22" in out
+        assert "operating points: 47" in out
+        assert re.search(r"counters +3\n", out)
+        assert re.search(r"grid +19\n", out)
         assert "EP" in out
 
     def test_plan_reports_cache_coverage(self, capsys, tmp_path):
@@ -46,7 +49,7 @@ class TestPlanCommand:
             "plan", "--benchmarks", "EP", "--campaign", "static",
             "--threads", "24", "--stride", "9", "--store", str(store),
         )
-        assert "already cached:   5 / 5" in out
+        assert "already cached:   3 / 3" in out
 
     def test_plan_refuses_missing_store(self, capsys, tmp_path):
         store = tmp_path / "nothere.sqlite"
@@ -77,12 +80,44 @@ class TestRunCommand:
             "--store", str(store),
         )
         first = run_cli(capsys, *argv)
-        assert "new simulations: 5" in first
+        assert "new simulations: 3" in first
         assert "cache hits:      0" in first
         second = run_cli(capsys, *argv)
         assert "new simulations: 0" in second
-        assert "cache hits:      5" in second
+        assert "cache hits:      3" in second
         assert store.exists()
+
+
+    def test_both_campaign_prefills_dataset_and_static_search(
+        self, capsys, tmp_path
+    ):
+        """The CLI plans the very rows the library keys: after one
+        ``--campaign both`` run, the training dataset and the Table V
+        search on that store simulate nothing."""
+        from repro.api import ExecutionOptions
+        from repro.campaign import CampaignEngine, ResultStore
+        from repro.hardware.cluster import Cluster
+        from repro.modeling.dataset import build_dataset
+        from repro.ptf.static_tuning import exhaustive_static_search
+        from repro.workloads import registry
+
+        store = tmp_path / "store.jsonl"
+        out = run_cli(
+            capsys,
+            "run", "--benchmarks", "EP", "--campaign", "both",
+            "--stride", "6", "--store", str(store),
+        )
+        # 4 series x (3 counter jobs + 14 sweep rows) + 13 static rows.
+        assert "new simulations: 81" in out
+        with ResultStore(store) as results:
+            engine = CampaignEngine(store=results)
+            build_dataset(["EP"], engine=engine)
+            exhaustive_static_search(
+                registry.build("EP"), Cluster(4), stride=6,
+                options=ExecutionOptions(campaign=engine),
+            )
+        assert engine.total_executed == 0
+        assert engine.total_cached == 81
 
 
 class TestStatusCommand:
@@ -95,8 +130,8 @@ class TestStatusCommand:
             "--store", str(store),
         )
         out = run_cli(capsys, "status", "--store", str(store))
-        assert "results: 5" in out
-        assert "static" in out and "EP" in out
+        assert "results: 3" in out
+        assert "grid" in out and "EP" in out
 
     def test_status_refuses_missing_store(self, capsys, tmp_path):
         store = tmp_path / "missing.sqlite"
@@ -114,7 +149,7 @@ class TestBackendFlag:
         )
         assert "(sqlite)" in out
         out = run_cli(capsys, "status", "--store", str(store))
-        assert "results: 5" in out and "(sqlite)" in out
+        assert "results: 3" in out and "(sqlite)" in out
         # Second run over the same store is pure cache hits.
         out = run_cli(
             capsys,
@@ -122,7 +157,7 @@ class TestBackendFlag:
             "--threads", "24", "--stride", "9",
             "--store", str(store),
         )
-        assert "cache hits:      5" in out
+        assert "cache hits:      3" in out
         assert "new simulations: 0" in out
 
     def test_run_rejects_segment_backend(self, capsys, tmp_path):
@@ -232,9 +267,9 @@ class TestStoreSubcommands:
         source = self.seed_store(capsys, tmp_path)
         dest = tmp_path / "migrated.sqlite"
         out = run_cli(capsys, "store", "migrate", str(source), str(dest))
-        assert "migrated 5 record(s)" in out and "(sqlite)" in out
+        assert "migrated 3 record(s)" in out and "(sqlite)" in out
         out = run_cli(capsys, "status", "--store", str(dest))
-        assert "results: 5" in out and "(sqlite)" in out
+        assert "results: 3" in out and "(sqlite)" in out
 
     def test_migrate_refusal_prints_clean_error(self, capsys, tmp_path):
         source = tmp_path / "pre-v2.jsonl"
@@ -250,13 +285,13 @@ class TestStoreSubcommands:
         lines = source.read_text()
         source.write_text(lines + lines)  # duplicate every record line
         out = run_cli(capsys, "store", "compact", "--store", str(source))
-        assert "kept 5 record(s)" in out
-        assert "dropped 5" in out
+        assert "kept 3 record(s)" in out
+        assert "dropped 3" in out
 
     def test_verify_clean_store(self, capsys, tmp_path):
         source = self.seed_store(capsys, tmp_path)
         out = run_cli(capsys, "store", "verify", "--store", str(source))
-        assert "ok (5 readable records, no damage)" in out
+        assert "ok (3 readable records, no damage)" in out
 
     def test_compact_refuses_missing_store(self, capsys, tmp_path):
         store = tmp_path / "b.sqlite"
@@ -277,4 +312,4 @@ class TestStoreSubcommands:
         assert main_campaign(["store", "verify", "--store", str(source)]) == 1
         out = capsys.readouterr().out
         assert "1 damaged entr" in out
-        assert "line 6" in out and "unparseable" in out
+        assert "line 4" in out and "unparseable" in out

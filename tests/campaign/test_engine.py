@@ -17,6 +17,7 @@ from repro.campaign.plan import (
     plan_static_campaign,
     static_operating_points,
     sweep_jobs,
+    sweep_operating_points,
     thread_series,
 )
 from repro.campaign.store import ResultStore
@@ -24,6 +25,15 @@ from repro.errors import CampaignError, WorkloadError
 from repro.execution.simulator import ExecutionSimulator
 from repro.hardware.cluster import Cluster
 from repro.workloads import registry
+
+
+def cell_row(app: str = "EP", threads: int = 24) -> CampaignJob:
+    """A one-cell ``sweep`` grid row at the calibration point."""
+    return CampaignJob(
+        app=app, mode="grid", threads=threads, label="sweep",
+        core_freq_ghz=config.CALIBRATION_CORE_FREQ_GHZ,
+        uncore_freqs_ghz=(config.CALIBRATION_UNCORE_FREQ_GHZ,),
+    )
 
 
 def small_plan() -> CampaignPlan:
@@ -46,15 +56,23 @@ class TestPlan:
 
     def test_run_key_matches_legacy_serial_labels(self):
         sweep = CampaignJob(
-            app="EP", mode="sweep", core_freq_ghz=1.5, uncore_freq_ghz=2.0,
-            threads=16,
+            app="EP", mode="grid", label="sweep", core_freq_ghz=1.5,
+            uncore_freqs_ghz=(2.0, 2.1), threads=16,
         )
-        assert sweep.run_key() == ("sweep", 16, 1.5, 2.0)
+        assert sweep.cell_run_keys() == (
+            ("sweep", 16, 1.5, 2.0), ("sweep", 16, 1.5, 2.1),
+        )
         static = CampaignJob(
-            app="EP", mode="static", core_freq_ghz=1.5, uncore_freq_ghz=2.0,
-            threads=16,
+            app="EP", mode="grid", label="static", core_freq_ghz=1.5,
+            uncore_freqs_ghz=(2.0,), threads=16,
         )
-        assert static.run_key() == ("static", 1.5, 2.0, 16)
+        assert static.cell_run_keys() == (("static", 1.5, 2.0, 16),)
+        with pytest.raises(CampaignError, match="cell_run_keys"):
+            static.run_key()
+        savings = CampaignJob(
+            app="EP", mode="savings", label="dynamic", repetition=3,
+        )
+        assert savings.run_key() == ("dynamic", 3)
         counters = CampaignJob(
             app="EP", mode="counters", threads=None, repetition=2,
             counters=("PAPI_TOT_INS",),
@@ -62,18 +80,27 @@ class TestPlan:
         assert counters.run_key() == ("counters", None, 2)
 
     def test_plan_deduplicates_preserving_order(self):
-        job_a = CampaignJob(app="EP", mode="sweep", threads=24)
-        job_b = CampaignJob(app="EP", mode="sweep", threads=16)
+        job_a = cell_row(threads=24)
+        job_b = cell_row(threads=16)
         plan = CampaignPlan((job_a, job_b, job_a))
         assert plan.jobs == (job_a, job_b)
 
     def test_describe(self):
         plan = plan_dataset_campaign(("EP",), thread_counts=(24,))
         description = plan.describe()
-        # 3 counter repetitions + the 31-point sweep.
-        assert description["jobs"] == 34
-        assert description["modes"] == {"counters": 3, "sweep": 31}
-        assert description["apps"] == {"EP": 34}
+        # 3 counter repetitions + the 31-point sweep's 14 rows (one per
+        # CF; the calibration CF's row holds the UFS axis).
+        assert description["jobs"] == 17
+        assert description["modes"] == {"counters": 3, "grid": 14}
+        assert description["apps"] == {"EP": 17}
+        # The counters run at the calibration point, one of the sweep's.
+        assert description["operating_points"] == len(sweep_operating_points())
+
+    def test_describe_counts_every_cell_of_a_row(self):
+        plan = plan_static_campaign(["EP"], stride=6)
+        points = static_operating_points(registry.build("EP"), stride=6)
+        assert len(plan) < len(points)
+        assert plan.describe()["operating_points"] == len(points)
 
     def test_thread_series_mpi_only_codes_fixed(self):
         for name in registry.benchmark_names():
@@ -97,26 +124,33 @@ class TestPlan:
 
     def test_static_campaign_size(self):
         plan = plan_static_campaign(("EP",), stride=4, thread_counts=(24,))
-        # ceil(14/4) x ceil(18/4) + appended default = 4*5 + 1.
-        assert len(plan) == 21
+        # ceil(14/4) CF rows of ceil(18/4) UCFs + the appended default,
+        # a row of its own at CF 2.5: 4*5 + 1 cells in 5 rows.
+        assert len(plan) == 5
+        assert plan.describe()["operating_points"] == 21
 
 
 class TestEngine:
     def test_matches_legacy_serial_code_path(self):
-        """An engine 'sweep' job equals running the simulator by hand
-        exactly as the pre-campaign serial code did."""
-        job = sweep_jobs("EP", threads=24, seed=config.DEFAULT_SEED)[2]
-        payload = CampaignEngine().run(CampaignPlan((job,)))[job]
-        node = Cluster(4).fresh_node(0)
-        node.set_frequencies(job.core_freq_ghz, job.uncore_freq_ghz)
-        run = ExecutionSimulator(node).run(
-            registry.build("EP"),
-            threads=24,
-            run_key=("sweep", 24, job.core_freq_ghz, job.uncore_freq_ghz),
-        )
-        assert payload["node_energy_j"] == run.node_energy_j
-        assert payload["time_s"] == run.time_s
-        assert payload["cpu_energy_j"] == run.cpu_energy_j
+        """Every cell of an engine 'sweep' row equals running the
+        simulator by hand exactly as the pre-campaign serial code did."""
+        jobs = sweep_jobs("EP", threads=24, seed=config.DEFAULT_SEED)
+        cell = jobs[2]
+        row = next(j for j in jobs if len(j.uncore_freqs_ghz) > 1)
+        payloads = CampaignEngine().run(CampaignPlan((cell, row)))
+        for job in (cell, row):
+            for i, ucf in enumerate(job.uncore_freqs_ghz):
+                node = Cluster(4).fresh_node(0)
+                node.set_frequencies(job.core_freq_ghz, ucf)
+                run = ExecutionSimulator(node).run(
+                    registry.build("EP"),
+                    threads=24,
+                    run_key=("sweep", 24, job.core_freq_ghz, ucf),
+                )
+                payload = payloads[job]
+                assert payload["node_energy_j"][i] == run.node_energy_j
+                assert payload["time_s"][i] == run.time_s
+                assert payload["cpu_energy_j"][i] == run.cpu_energy_j
 
     def test_store_turns_second_run_into_pure_cache_hits(self, tmp_path):
         plan = small_plan()
@@ -156,14 +190,14 @@ class TestEngine:
         assert payload["totals"]["PAPI_TOT_INS"] > 0
 
     def test_unknown_app_rejected(self):
-        job = CampaignJob(app="NotABenchmark", mode="sweep", threads=24)
+        job = cell_row("NotABenchmark")
         with pytest.raises(WorkloadError):
             execute_job(job)
 
     def test_missing_result_raises(self):
         results = CampaignEngine().run(CampaignPlan(()))
         with pytest.raises(CampaignError):
-            results[CampaignJob(app="EP", mode="sweep", threads=24)]
+            results[cell_row()]
 
     def test_run_accepts_bare_job_iterables(self):
         jobs = sweep_jobs("EP", threads=24)[:2]
@@ -227,7 +261,7 @@ class TestConsumerEquivalence:
         warm_engine = CampaignEngine(store=store)
         build_dataset(("EP",), engine=warm_engine, **kwargs)  # populate
         cached = build_dataset(("EP",), engine=warm_engine, **kwargs)
-        assert warm_engine.total_executed == 34  # second build added nothing
+        assert warm_engine.total_executed == 17  # second build added nothing
         assert np.array_equal(serial.features, cached.features)
         assert np.array_equal(serial.targets, cached.targets)
         assert np.array_equal(serial.times, cached.times)
@@ -280,7 +314,7 @@ class TestConsumerEquivalence:
         from repro.errors import CampaignExecutionError
 
         good = sweep_jobs("EP", threads=24)[0]
-        bad = CampaignJob(app="NotABenchmark", mode="sweep", threads=24)
+        bad = cell_row("NotABenchmark")
         store = ResultStore(tmp_path / "store.jsonl")
         engine = CampaignEngine(store=store)
         with pytest.raises(CampaignExecutionError) as excinfo:

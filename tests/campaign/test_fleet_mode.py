@@ -22,7 +22,6 @@ from repro.campaign.plan import (
     counter_jobs,
     grid_jobs,
     savings_jobs,
-    static_jobs,
     sweep_jobs,
 )
 from repro.errors import CampaignExecutionError
@@ -43,6 +42,18 @@ def tmm_json(app_name: str) -> str:
     return TuningModel.from_best_configs(app_name, "phase", best).to_json()
 
 
+def cell_rows(count: int) -> tuple:
+    """``count`` one-member jobs: the one-cell ``sweep`` rows (the DVFS
+    axis) of EP's training series, 13 a series."""
+    rows = [
+        job
+        for threads in (24, 20, 16, 12)
+        for job in sweep_jobs("EP", threads=threads)
+        if len(job.uncore_freqs_ghz) == 1
+    ]
+    return tuple(rows[:count])
+
+
 def mixed_plan() -> CampaignPlan:
     """Every campaign mode across several apps."""
     jobs: list = []
@@ -59,8 +70,11 @@ def mixed_plan() -> CampaignPlan:
         "FT", label="heatmap",
         points=[OperatingPoint(2.0, u, 24) for u in (1.6, 2.0, 2.4)],
     )
-    jobs += static_jobs("Mcb", points=[OperatingPoint(2.2, 1.8, 24)])
-    jobs += sweep_jobs("EP", threads=24)[:2]
+    jobs += grid_jobs(
+        "Mcb", label="static", points=[OperatingPoint(2.2, 1.8, 24)]
+    )
+    # A one-cell DVFS row and the calibration CF's whole UFS row.
+    jobs += sweep_jobs("EP", threads=24)[7:9]
     jobs += counter_jobs(
         "EP", threads=24, runs=1, counters=("PAPI_TOT_INS", "PAPI_L3_TCM")
     )
@@ -103,7 +117,7 @@ class TestFleetStrategy:
         """17 jobs: one full shard through the kernel, and the one-key
         remainder shard (a fleet of its one member), both
         bit-identical."""
-        plan = CampaignPlan(sweep_jobs("EP", threads=24)[:17])
+        plan = CampaignPlan(cell_rows(17))
         _, got = run_plan(tmp_path, "split.jsonl", plan)
         assert fleet_calls == [DEFAULT_FLEET_SHARD_SIZE, 1]
         assert got == per_job(plan)
@@ -170,12 +184,12 @@ class TestFailureIsolation:
     def test_one_bad_member_quarantined_then_healed(
         self, tmp_path, monkeypatch, backend
     ):
-        plan = CampaignPlan(sweep_jobs("EP", threads=24)[:16])
+        plan = CampaignPlan(cell_rows(16))
         assert len(plan) == DEFAULT_FLEET_SHARD_SIZE
         bad_key = topology_job_key(plan.jobs[self.BAD], None)
         monkeypatch.setenv(
             FAULT_ENV,
-            json.dumps([{"action": "raise", "mode": "sweep",
+            json.dumps([{"action": "raise", "mode": "grid",
                          "index": self.BAD, "attempts": "all"}]),
         )
         path = str(tmp_path / f"isolate.{backend}")
@@ -214,7 +228,7 @@ class TestShardFailure:
     def test_shard_fault_runs_every_job(
         self, tmp_path, monkeypatch, fleet_calls
     ):
-        plan = CampaignPlan(sweep_jobs("EP", threads=24))
+        plan = CampaignPlan(cell_rows(31))
         assert len(plan) > DEFAULT_FLEET_SHARD_SIZE + 1
         self._fault_env(
             monkeypatch,
@@ -237,7 +251,7 @@ class TestShardFailure:
     def test_transient_shard_fault_retries_the_whole_shard(
         self, tmp_path, monkeypatch, fleet_calls
     ):
-        plan = CampaignPlan(sweep_jobs("EP", threads=24))
+        plan = CampaignPlan(cell_rows(31))
         self._fault_env(
             monkeypatch,
             {"action": "raise", "mode": "fleet", "index": 0,
@@ -258,7 +272,7 @@ class TestShardFailure:
     ):
         """Only shards of two or more jobs count as fleet positions: the
         trailing one-job shard of 17 jobs is not fleet shard 1."""
-        plan = CampaignPlan(sweep_jobs("EP", threads=24)[:17])
+        plan = CampaignPlan(cell_rows(17))
         self._fault_env(
             monkeypatch,
             {"action": "raise", "mode": "fleet", "index": 1, "attempts": "all"},
@@ -274,12 +288,12 @@ class TestShardFailure:
     def test_member_failure_raises_per_job_accounting(
         self, tmp_path, monkeypatch
     ):
-        plan = CampaignPlan(sweep_jobs("EP", threads=24))
+        plan = CampaignPlan(cell_rows(31))
         keys = {topology_job_key(job, None): job for job in plan}
         bad_key = topology_job_key(plan.jobs[5], None)
         self._fault_env(
             monkeypatch,
-            {"action": "raise", "mode": "sweep", "index": 5, "attempts": "all"},
+            {"action": "raise", "mode": "grid", "index": 5, "attempts": "all"},
         )
         with ResultStore(str(tmp_path / "raise.jsonl")) as store:
             engine = CampaignEngine(

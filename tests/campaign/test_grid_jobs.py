@@ -13,7 +13,6 @@ from repro.campaign.plan import (
     grid_jobs,
     grid_rows,
     grid_run_key,
-    static_jobs,
 )
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
@@ -46,8 +45,13 @@ class TestGridPlan:
 
     def test_cell_run_keys_match_historical_layouts(self):
         job = grid_jobs("EP", label="static", points=small_grid())[0]
-        static = static_jobs("EP", points=small_grid())[:3]
-        assert job.cell_run_keys() == tuple(s.run_key() for s in static)
+        assert job.cell_run_keys() == (
+            ("static", 1.2, 1.3, 24),
+            ("static", 1.2, 1.4, 24),
+            ("static", 1.2, 1.5, 24),
+        )
+        sweep = grid_jobs("EP", label="sweep", points=small_grid())[0]
+        assert sweep.cell_run_keys()[0] == ("sweep", 24, 1.2, 1.3)
         heat = grid_jobs("EP", label="heatmap", points=small_grid())[0]
         assert heat.cell_run_keys()[0] == ("heatmap", 1.2, 1.3)
 
@@ -92,16 +96,26 @@ class TestGridPlan:
 
 class TestGridExecution:
     def test_row_payload_matches_per_cell_static_jobs(self):
-        points = small_grid()
+        """Each cell of a row equals its one-cell row priced alone and a
+        solo simulator run under the cell's ``static`` noise key."""
+        from repro.execution.simulator import ExecutionSimulator
+        from repro.hardware.cluster import Cluster
+        from repro.workloads import registry
+
+        points = small_grid()[:3]
         row = grid_jobs("EP", label="static", points=points)[0]
         payload = execute_job(row)
         validate_payload(row, payload)
-        cells = static_jobs("EP", points=points)[:3]
-        for i, cell in enumerate(cells):
+        for i, point in enumerate(points):
+            (cell,) = grid_jobs("EP", label="static", points=[point])
             ref = execute_job(cell)
-            assert payload["node_energy_j"][i] == ref["node_energy_j"]
-            assert payload["cpu_energy_j"][i] == ref["cpu_energy_j"]
-            assert payload["time_s"][i] == ref["time_s"]
+            node = Cluster(4).fresh_node(0)
+            node.set_frequencies(point.core_freq_ghz, point.uncore_freq_ghz)
+            solo = ExecutionSimulator(node).run(
+                registry.build("EP"), threads=24, run_key=cell.cell_run_keys()[0]
+            )
+            for field in ("node_energy_j", "cpu_energy_j", "time_s"):
+                assert payload[field][i] == ref[field][0] == getattr(solo, field)
 
     def test_default_threads_resolved_like_run(self):
         points = [OperatingPoint(1.2, 1.3, 24)]

@@ -36,7 +36,7 @@ from repro.campaign.faultinject import (
     active_schedule,
     maybe_fault,
 )
-from repro.campaign.plan import sweep_jobs
+from repro.campaign.plan import MODES, sweep_jobs
 from repro.campaign.resilience import (
     backoff_s,
     classify,
@@ -95,7 +95,7 @@ class TestFailureRecord:
     RECORD = FailureRecord(
         job_store_key="abc123",
         app="EP",
-        mode="sweep",
+        mode="grid",
         error_type="InjectedFault",
         error_message="boom",
         kind="deterministic",
@@ -111,7 +111,7 @@ class TestFailureRecord:
 
     def test_describe_names_job_and_error(self):
         text = self.RECORD.describe()
-        assert "EP/sweep" in text
+        assert "EP/grid" in text
         assert "InjectedFault" in text
         assert "3 attempt" in text
 
@@ -153,11 +153,33 @@ class TestFaultInject:
         with pytest.raises(CampaignError, match="unknown fault action"):
             active_schedule()
 
+    @pytest.mark.parametrize("mode", ["counters", "savings", "grid", "fleet"])
+    def test_known_modes_parse(self, monkeypatch, mode):
+        monkeypatch.setenv(FAULT_ENV, json.dumps({"action": "raise", "mode": mode}))
+        (directive,) = active_schedule()
+        assert directive.mode == mode
+
+    @pytest.mark.parametrize("mode", ["sweep", "static", "bogus"])
+    def test_unknown_mode_rejected(self, monkeypatch, mode):
+        """A directive for a mode no job has would never fire."""
+        monkeypatch.setenv(FAULT_ENV, json.dumps({"action": "raise", "mode": mode}))
+        with pytest.raises(CampaignError, match="unknown fault mode") as excinfo:
+            active_schedule()
+        message = str(excinfo.value)
+        assert repr(mode) in message
+        assert all(known in message for known in MODES + ("fleet",))
+
+    def test_unknown_error_rejected(self, monkeypatch):
+        monkeypatch.setenv(FAULT_ENV, '[{"action": "raise", "error": "flaky"}]')
+        with pytest.raises(CampaignError, match="unknown fault error") as excinfo:
+            active_schedule()
+        assert "'deterministic', 'transient'" in str(excinfo.value)
+
     def test_matching_is_keyed_and_attempt_scoped(self):
         directive = FaultDirective(action="raise", app="EP", index=1, attempts=(0,))
-        assert directive.matches("EP", "sweep", 1, 0)
-        assert not directive.matches("EP", "sweep", 1, 1)  # retry passes
-        assert not directive.matches("CG", "sweep", 1, 0)
+        assert directive.matches("EP", "grid", 1, 0)
+        assert not directive.matches("EP", "grid", 1, 1)  # retry passes
+        assert not directive.matches("CG", "grid", 1, 0)
 
     def test_transient_vs_deterministic_raise(self, monkeypatch):
         monkeypatch.setenv(
@@ -450,9 +472,9 @@ class TestChaosDrainResume:
         assert "drained on SIGTERM" in out
         assert manifest.exists(), out
         payload = json.loads(manifest.read_text())
-        assert payload["planned"] == 34
-        assert 0 < len(payload["completed"]) < 34
-        assert len(payload["pending"]) == 34 - len(payload["completed"])
+        assert payload["planned"] == 17
+        assert 0 < len(payload["completed"]) < 17
+        assert len(payload["pending"]) == 17 - len(payload["completed"])
 
         # Partial progress really is on disk.
         partial = _payloads(store_path, backend)

@@ -9,9 +9,17 @@ from repro.campaign.store import STORE_VERSION, ResultStore, job_key
 from repro.errors import CampaignError
 
 
+def row(app="EP", *, threads=24, label="sweep"):
+    """A one-cell grid row job."""
+    return CampaignJob(
+        app=app, mode="grid", threads=threads, label=label,
+        uncore_freqs_ghz=(1.5,),
+    )
+
+
 @pytest.fixture
 def job():
-    return CampaignJob(app="EP", mode="sweep", threads=24)
+    return row()
 
 
 class TestJobKey:
@@ -19,13 +27,13 @@ class TestJobKey:
         assert job_key(job.descriptor()) == job_key(job.descriptor())
 
     def test_distinguishes_jobs(self, job):
-        other = CampaignJob(app="EP", mode="sweep", threads=16)
+        other = row(threads=16)
         assert job_key(job.descriptor()) != job_key(other.descriptor())
 
-    def test_mode_label_is_significant(self):
-        """sweep and static must not share results (different noise)."""
-        sweep = CampaignJob(app="EP", mode="sweep", threads=24)
-        static = CampaignJob(app="EP", mode="static", threads=24)
+    def test_sweep_and_static_rows_never_share_a_key(self):
+        """sweep and static rows must not share results (different noise)."""
+        sweep = row(label="sweep")
+        static = row(label="static")
         assert job_key(sweep.descriptor()) != job_key(static.descriptor())
 
     def test_version_mixed_in(self, job):
@@ -171,17 +179,16 @@ class TestResultStore:
 
     def test_summary_breakdown(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
-        for app, mode, threads in (
-            ("EP", "sweep", 12),
-            ("EP", "sweep", 16),
-            ("CG", "static", 24),
+        for j in (
+            row("EP", threads=12),
+            row("EP", threads=16),
+            CampaignJob(app="CG", mode="counters", counters=("PAPI_TOT_INS",)),
         ):
-            j = CampaignJob(app=app, mode=mode, threads=threads)
             store.put(job_key(j.descriptor()), j.descriptor(), {"time_s": 0.0})
         summary = store.summary()
         assert summary["results"] == 3
         assert summary["apps"] == {"CG": 1, "EP": 2}
-        assert summary["modes"] == {"static": 1, "sweep": 2}
+        assert summary["modes"] == {"counters": 1, "grid": 2}
 
     def test_creates_parent_directories(self, tmp_path, job):
         path = tmp_path / "deep" / "nested" / "store.jsonl"

@@ -67,3 +67,16 @@ def test_run_paper_digest_equals_perfbench_pass(perfbench, tmp_path, seed):
         assert warm.total_executed == 0
         assert warm.total_cached == cold.total_executed + cold.total_cached
         assert paper_digest(perfbench, recalled, warm) == expected
+
+
+def test_full_paper_pass_job_count(tmp_path):
+    """The whole chain on an empty store: every plain run is a grid
+    row, so the pass simulates 1,627 jobs, and a second pass none."""
+    cluster = Cluster(8, seed=1)
+    with ResultStore(tmp_path / "paper.sqlite") as store:
+        cold = CampaignEngine(store=store)
+        run_paper(cluster, engine=cold)
+        assert (cold.total_executed, cold.total_cached) == (1627, 0)
+        warm = CampaignEngine(store=store)
+        run_paper(cluster, engine=warm)
+        assert (warm.total_executed, warm.total_cached) == (0, 1627)

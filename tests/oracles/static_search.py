@@ -1,8 +1,8 @@
 """The one-job-per-cell exhaustive static search.
 
 :func:`repro.ptf.static_tuning.exhaustive_static_search` measures its
-grid as per-(threads, CF) row jobs.  This oracle plans one ``static``
-campaign job per cell and executes each from scratch with
+grid as per-(threads, CF) row jobs.  This oracle plans one one-cell
+``static`` row job per cell and executes each from scratch with
 :func:`repro.campaign.engine.execute_job` — no engine, no store, no
 rows — then selects the argmin the same way.
 """
@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import config
 from repro.campaign.engine import execute_job
-from repro.campaign.plan import static_jobs, static_operating_points
+from repro.campaign.plan import grid_jobs, static_operating_points
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.ptf.objectives import ENERGY, Objective
@@ -33,12 +33,17 @@ def cell_static_search(
     points = static_operating_points(
         app, stride=stride, thread_counts=thread_counts
     )
-    jobs = static_jobs(
-        app.name, points=points, node_id=node_id, node_seed=cluster.seed
-    )
+    jobs = [
+        job
+        for point in points
+        for job in grid_jobs(
+            app.name, label="static", points=[point],
+            node_id=node_id, node_seed=cluster.seed,
+        )
+    ]
     payloads = [execute_job(job, cluster.topology, app=app) for job in jobs]
-    energies = np.array([p["node_energy_j"] for p in payloads])
-    times = np.array([p["time_s"] for p in payloads])
+    energies = np.array([p["node_energy_j"][0] for p in payloads])
+    times = np.array([p["time_s"][0] for p in payloads])
     best = int(np.argmin(objective.batch(energies, times)))
     default = points.index(
         OperatingPoint(

@@ -37,6 +37,7 @@ from pathlib import Path
 if __package__ in (None, ""):  # script execution: make `tests` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from repro import config
 from repro.campaign.engine import execute_job
 from repro.campaign.plan import counter_jobs
 from repro.counters.papi import TABLE1_COUNTERS, preset
@@ -78,13 +79,14 @@ def measure_app(app_name: str, runs: int = DEFAULT_RUNS) -> dict:
 
     # One job per timed run (each repetition is its own noise key).
     jobs = counter_jobs(
-        app_name, threads=None, counters=CANONICAL_COUNTERS, runs=runs + 1
+        app_name, threads=None, counters=CANONICAL_COUNTERS, runs=runs + 1,
+        node_id=0, seed=config.DEFAULT_SEED,
     )
     counters_replay_s = _time_per_run(lambda i: execute_job(jobs[i]), runs)
 
     def generic_counters(i):
         job = jobs[i]
-        fresh = ComputeNode(job.node_id, seed=job.node_seed)
+        fresh = ComputeNode(job.node_id, seed=job.seed)
         fresh.set_frequencies(job.core_freq_ghz, job.uncore_freq_ghz)
         collector = PhaseCounterCollector(job.counters)
         recursive_run(

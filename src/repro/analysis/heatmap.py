@@ -21,7 +21,7 @@ module adds the figures' normalization and plateau analysis on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,18 +112,17 @@ def energy_heatmap(
     cluster: Cluster | None = None,
     node_id: int = 0,
     selected: tuple[float, float] | None = None,
-    seed: int = config.DEFAULT_SEED,
     options: api.ExecutionOptions | None = None,
 ) -> EnergyHeatmap:
     """Measure the full grid for one benchmark at a fixed thread count.
 
     ``options`` may attach a campaign engine whose result store caches
-    the grid's row jobs; ``cluster`` overrides the options' cluster.
+    the grid's row jobs; the grid is measured on
+    :func:`~repro.api.bind_cluster`'s cluster.
     """
-    options = options if options is not None else api.ExecutionOptions()
-    if cluster is not None:
-        options = replace(options, cluster=cluster)
+    options, cluster = api.bind_cluster(options, cluster)
     grid = api.sweep_grid(
-        benchmark, threads=threads, node_id=node_id, seed=seed, options=options
+        benchmark, threads=threads, node_id=node_id, seed=cluster.seed,
+        options=options,
     )
     return EnergyHeatmap.from_grid(grid, selected)

@@ -29,12 +29,12 @@ triple reproduces the batch system's accounting exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro import api, config
-from repro.campaign.plan import savings_jobs
+from repro import api
+from repro.campaign.plan import savings_campaign_jobs
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
 from repro.readex.tuning_model import TuningModel
@@ -119,61 +119,14 @@ def compare_static_dynamic(
     cluster: Cluster | None = None,
     node_id: int = 0,
     runs: int = 5,
-    seed: int = config.DEFAULT_SEED,
     options: api.ExecutionOptions | None = None,
 ) -> BenchmarkSavings:
     """Produce one Table VI row for ``benchmark``:
     :func:`compare_static_dynamic_many` of this one case."""
     case = SavingsCase(benchmark, static_config, tuning_model, instrumentation)
     return compare_static_dynamic_many(
-        [case], cluster=cluster, node_id=node_id, runs=runs, seed=seed,
-        options=options,
+        [case], cluster=cluster, node_id=node_id, runs=runs, options=options
     )[0]
-
-
-def savings_campaign_jobs(
-    benchmark: str,
-    static_config: OperatingPoint,
-    tuning_model: TuningModel,
-    *,
-    instrumentation: Instrumentation | None,
-    node_id: int,
-    runs: int,
-    seed: int,
-    node_seed: int,
-) -> dict[str, tuple]:
-    """The four Table VI run variants as campaign job batches."""
-    tmm_json = tuning_model.to_json()
-    filtered = (
-        None
-        if instrumentation is None
-        else tuple(sorted(instrumentation.filtered))
-    )
-    common = {"runs": runs, "node_id": node_id, "seed": seed,
-              "node_seed": node_seed}
-    return {
-        "default": savings_jobs(
-            benchmark, label="default",
-            threads=config.DEFAULT_OPENMP_THREADS, **common,
-        ),
-        "static": savings_jobs(
-            benchmark, label="static", controller="static",
-            core_freq_ghz=static_config.core_freq_ghz,
-            uncore_freq_ghz=static_config.uncore_freq_ghz,
-            threads=static_config.threads, **common,
-        ),
-        "dynamic": savings_jobs(
-            benchmark, label="dynamic", controller="rrl",
-            tuning_model=tmm_json, instrumented=True,
-            filtered_regions=filtered,
-            threads=config.DEFAULT_OPENMP_THREADS, **common,
-        ),
-        "config-only": savings_jobs(
-            benchmark, label="config-only", controller="rrl",
-            tuning_model=tmm_json,
-            threads=config.DEFAULT_OPENMP_THREADS, **common,
-        ),
-    }
 
 
 @dataclass(frozen=True)
@@ -193,7 +146,6 @@ def compare_static_dynamic_many(
     cluster: Cluster | None = None,
     node_id: int = 0,
     runs: int = 5,
-    seed: int = config.DEFAULT_SEED,
     options: api.ExecutionOptions | None = None,
 ) -> list[BenchmarkSavings]:
     """Produce many Table VI rows from one batched campaign run.
@@ -204,31 +156,28 @@ def compare_static_dynamic_many(
     result store caches each run under its usual per-job key, and the
     options' failure policy applies to them.  Each returned row is
     bit-identical to its solo :func:`compare_static_dynamic` call.
-    ``cluster`` overrides the options' cluster.
+    The runs go to :func:`~repro.api.bind_cluster`'s cluster.
     """
-    opts = options if options is not None else api.ExecutionOptions()
-    if cluster is not None:
-        opts = replace(opts, cluster=cluster)
-    resolved_cluster = opts.resolve_cluster(seed)
-    resolved_cluster.check_node_id(node_id)
+    options, cluster = api.bind_cluster(options, cluster)
+    cluster.check_node_id(node_id)
     case_batches = []
     for case in cases:
         registry.check_name(case.benchmark)
         case_batches.append(
             savings_campaign_jobs(
                 case.benchmark, case.static_config, case.tuning_model,
-                instrumentation=case.instrumentation, node_id=node_id,
-                runs=runs, seed=seed, node_seed=resolved_cluster.seed,
+                instrumentation=case.instrumentation, runs=runs,
+                node_id=node_id, seed=cluster.seed,
             )
         )
-    results = opts.run_jobs(
+    results = options.run_jobs(
         [
             job
             for batches in case_batches
             for batch in batches.values()
             for job in batch
         ],
-        resolved_cluster,
+        cluster,
     )
     return [
         BenchmarkSavings(

@@ -13,9 +13,9 @@ the per-configuration loop kept as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro import api, config
+from repro import api
 from repro.campaign.plan import grid_cells, grid_jobs
 from repro.execution.simulator import OperatingPoint
 from repro.hardware.cluster import Cluster
@@ -41,18 +41,14 @@ def energy_time_tradeoff(
     *,
     cluster: Cluster | None = None,
     node_id: int = 0,
-    seed: int = config.DEFAULT_SEED,
     options: api.ExecutionOptions | None = None,
 ) -> list[TradeoffPoint]:
     """Evaluate configurations relative to the platform default.
 
     The whole configuration set (plus the default point) is one engine
-    run of grid-row jobs.  ``cluster`` overrides the options' cluster.
+    run of grid-row jobs on :func:`~repro.api.bind_cluster`'s cluster.
     """
-    options = options if options is not None else api.ExecutionOptions()
-    if cluster is not None:
-        options = replace(options, cluster=cluster)
-    cluster = options.resolve_cluster(seed)
+    options, cluster = api.bind_cluster(options, cluster)
     cluster.check_node_id(node_id)
     registry.check_name(benchmark)
     default_point = OperatingPoint()
@@ -61,7 +57,7 @@ def energy_time_tradeoff(
         points.insert(0, default_point)
     jobs = grid_jobs(
         benchmark, label="tradeoff", points=points, node_id=node_id,
-        seed=seed, node_seed=cluster.seed,
+        seed=cluster.seed,
     )
     results = options.run_jobs(jobs, cluster)
     times = grid_cells(jobs, results, "time_s")

@@ -54,14 +54,14 @@ def tuning_time_comparison(
     cluster: Cluster | None = None,
     node_id: int = 0,
     num_regions: int | None = None,
-    seed: int = config.DEFAULT_SEED,
 ) -> TuningTimeComparison:
     """Build the Section V-C comparison from a measured run time.
 
     The reference run is a one-cell ``tuning-time`` grid job at the
-    calibration point, measured through a store-less campaign engine.
+    calibration point on ``cluster`` (default ``Cluster(2)``), measured
+    through a store-less campaign engine.
     """
-    cluster = cluster or Cluster(2, seed=seed)
+    cluster = cluster or Cluster(2)
     cluster.check_node_id(node_id)
     app = registry.build(benchmark)
     calibration = OperatingPoint(
@@ -71,7 +71,7 @@ def tuning_time_comparison(
     )
     jobs = grid_jobs(
         benchmark, label="tuning-time", points=[calibration], node_id=node_id,
-        seed=seed, node_seed=cluster.seed,
+        seed=cluster.seed,
     )
     (run_time_s,) = api.ExecutionOptions().run_jobs(jobs, cluster)[jobs[0]]["time_s"]
     phase_time = run_time_s / app.phase_iterations

@@ -64,7 +64,6 @@ def variability_study(
     nodes: tuple[int, ...] = (0, 1, 2, 3),
     threads: int = config.DEFAULT_OPENMP_THREADS,
     cluster: Cluster | None = None,
-    seed: int = config.DEFAULT_SEED,
     options: api.ExecutionOptions | None = None,
 ) -> VariabilityStudy:
     """Reproduce the Figure 2 (axis="core") / Figure 3 (axis="uncore") data.
@@ -72,8 +71,8 @@ def variability_study(
     Scenario 1 of Section IV-B varies CF with UCF fixed at 1.5 GHz;
     scenario 2 varies UCF with CF fixed at 2.0 GHz.  Both axes pass
     through the calibration point each series is normalised by.
-    ``cluster`` overrides the options' cluster; without either, a
-    cluster just large enough for ``nodes`` is built from ``seed``.
+    The runs go to :func:`~repro.api.bind_cluster`'s cluster, by
+    default a default-seed one just large enough for ``nodes``.
     """
     cal_cf = config.CALIBRATION_CORE_FREQ_GHZ
     cal_ucf = config.CALIBRATION_UNCORE_FREQ_GHZ
@@ -87,8 +86,7 @@ def variability_study(
         raise ValueError(f"axis must be 'core' or 'uncore', got {axis!r}")
     if not nodes:
         raise ValueError("nodes must name at least one compute node")
-    options = options if options is not None else api.ExecutionOptions()
-    cluster = cluster or options.cluster or Cluster(max(nodes) + 1, seed=seed)
+    options, cluster = api.bind_cluster(options, cluster, nodes=max(nodes) + 1)
     for node_id in nodes:
         cluster.check_node_id(node_id)
     registry.check_name(benchmark)
@@ -96,7 +94,7 @@ def variability_study(
     batches = {
         node_id: grid_jobs(
             benchmark, label=f"variability-{axis}", points=sweep,
-            node_id=node_id, seed=seed, node_seed=cluster.seed,
+            node_id=node_id, seed=cluster.seed,
         )
         for node_id in nodes
     }

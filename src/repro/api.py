@@ -58,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ExecutionOptions",
+    "bind_cluster",
     "GridMeasurement",
     "GridSpec",
     "DynamicOutcome",
@@ -80,9 +81,10 @@ class ExecutionOptions:
     (:meth:`run_jobs`).  ``campaign`` attaches an engine with a
     content-addressed result store so measurements cache; without it a
     store-less engine is built for the cluster.  ``cluster`` supplies
-    the simulated hardware (one is built from the seed when omitted);
-    an attached engine simulating another topology is refused.  Runs
-    with and without a store are bit-identical — these options trade
+    the simulated hardware, and its seed is the measurements' noise
+    seed too (:meth:`resolve_cluster`, :func:`bind_cluster`); an
+    attached engine simulating another topology is refused.  Runs with
+    and without a store are bit-identical — these options trade
     caching, never results.
     """
 
@@ -102,13 +104,21 @@ class ExecutionOptions:
             )
 
     # ------------------------------------------------------------------
-    def resolve_cluster(self, seed: int = config.DEFAULT_SEED) -> "Cluster":
-        """The cluster to simulate on (an explicit one wins)."""
+    def resolve_cluster(self, seed: int) -> "Cluster":
+        """The cluster a request's ``seed`` names: ``Cluster(2, seed)``,
+        or the explicit cluster when its seed is ``seed`` — one with
+        another seed is refused, since its nodes would pair with
+        another seed's noise."""
         from repro.hardware.cluster import Cluster
 
-        if self.cluster is not None:
-            return self.cluster
-        return Cluster(2, seed=seed)
+        if self.cluster is None:
+            return Cluster(2, seed=seed)
+        if self.cluster.seed != seed:
+            raise CampaignError(
+                f"seed {seed} differs from the explicit cluster's seed "
+                f"{self.cluster.seed}; a cluster's seed is its noise seed"
+            )
+        return self.cluster
 
     def run_jobs(
         self, jobs: "tuple[CampaignJob, ...] | list[CampaignJob]", cluster: "Cluster"
@@ -123,6 +133,25 @@ class ExecutionOptions:
             on_failure=self.on_failure,
             retry_failed=self.retry_failed,
         )
+
+
+def bind_cluster(
+    options: ExecutionOptions | None,
+    cluster: "Cluster | None" = None,
+    *,
+    nodes: int = 2,
+) -> "tuple[ExecutionOptions, Cluster]":
+    """The options and the cluster one library measurement runs on.
+
+    ``cluster`` wins over ``options.cluster``; without either, the
+    default-seed ``Cluster(nodes)``.  The returned options carry that
+    cluster, whose seed is the measurement's only seed.
+    """
+    from repro.hardware.cluster import Cluster
+
+    options = options if options is not None else ExecutionOptions()
+    cluster = cluster or options.cluster or Cluster(nodes)
+    return replace(options, cluster=cluster), cluster
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +169,10 @@ class TuningRequest:
     dynamic-tuning outcome is priced alongside the static answer;
     ``stride`` thins both frequency axes (the platform-default
     frequencies are always kept, so savings stay well-defined).
-    ``node_id`` and ``seed`` pin the simulated hardware instance and
-    noise streams — they are part of the question's identity, which is
-    what makes answers content-addressable and coalescible.
+    ``seed`` names the simulated cluster, ``Cluster(2, seed)``, which
+    fixes both node variability and measurement noise; ``node_id``
+    picks its node.  Both are part of the question's identity, which
+    is what makes answers content-addressable and coalescible.
     """
 
     benchmark: str
@@ -417,7 +447,7 @@ class GridSpec:
     node_id: int = 0
     seed: int = config.DEFAULT_SEED
 
-    def jobs(self, node_seed: int) -> "tuple[CampaignJob, ...]":
+    def jobs(self) -> "tuple[CampaignJob, ...]":
         """The grid's campaign plan: one ``grid`` row job per CF, its
         cells keyed ``("heatmap", cf, ucf)`` (``threads`` resolved)."""
         from repro.campaign.plan import grid_jobs
@@ -431,7 +461,6 @@ class GridSpec:
             ],
             node_id=self.node_id,
             seed=self.seed,
-            node_seed=node_seed,
         )
 
     def measurement(self, payloads: list[dict[str, Any]]) -> GridMeasurement:
@@ -484,7 +513,7 @@ def sweep_grids(
             s = replace(s, threads=registry.default_threads(s.benchmark))
         cluster = options.resolve_cluster(s.seed)
         cluster.check_node_id(s.node_id)
-        jobs = s.jobs(cluster.seed)
+        jobs = s.jobs()
         resolved.append((s, jobs))
         all_jobs.extend(jobs)
     # Every spec's cluster comes from the same options, so all share
@@ -516,7 +545,6 @@ def _dynamic_outcome(
         instrumented=True,
         node_id=request.node_id,
         seed=request.seed,
-        node_seed=cluster.seed,
     )
     payload = options.run_jobs(jobs, cluster)[jobs[0]]
     return DynamicOutcome(
@@ -566,7 +594,9 @@ def replay(
 
     The run is a one-cell ``static`` grid row, so it carries the
     canonical ``("static", cf, ucf, threads)`` noise key and is
-    bit-identical to the exhaustive static search's cell at ``point``.
+    bit-identical to the exhaustive static search's cell at ``point``
+    on the cluster ``seed`` names
+    (:meth:`ExecutionOptions.resolve_cluster`).
     """
     from repro.campaign.plan import grid_jobs
 
@@ -576,8 +606,7 @@ def replay(
     cluster.check_node_id(node_id)
     registry.check_name(benchmark)
     jobs = grid_jobs(
-        benchmark, label="static", points=[point],
-        node_id=node_id, seed=seed, node_seed=cluster.seed,
+        benchmark, label="static", points=[point], node_id=node_id, seed=seed
     )
     payload = options.run_jobs(jobs, cluster)[jobs[0]]
     return RunTriple(
@@ -598,7 +627,8 @@ def savings(
     seed: int = config.DEFAULT_SEED,
     options: ExecutionOptions | None = None,
 ):
-    """The Table VI static/dynamic comparison through the facade.
+    """The Table VI static/dynamic comparison through the facade, on
+    the cluster ``seed`` names (:meth:`ExecutionOptions.resolve_cluster`).
 
     Returns a :class:`repro.analysis.savings.BenchmarkSavings`.
     """
@@ -610,9 +640,8 @@ def savings(
         static_config,
         tuning_model,
         instrumentation=instrumentation,
-        cluster=options.cluster,
+        cluster=options.resolve_cluster(seed),
         node_id=node_id,
         runs=runs,
-        seed=seed,
         options=options,
     )

@@ -198,7 +198,6 @@ def _job_fleet_members(job: CampaignJob, app: Application, topology):
     common = dict(
         node_id=job.node_id,
         seed=job.seed,
-        node_seed=job.node_seed,
         topology=topology,
     )
     if job.mode == "grid":

@@ -37,7 +37,7 @@ modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro import config
 from repro.counters.papi import TABLE1_COUNTERS, preset
@@ -45,6 +45,10 @@ from repro.errors import CampaignError
 from repro.execution.simulator import OperatingPoint
 from repro.workloads import registry
 from repro.workloads.application import Application
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.readex.tuning_model import TuningModel
+    from repro.scorep.instrumentation import Instrumentation
 
 #: The instrumentation/measurement modes a job can run under.
 MODES: tuple[str, ...] = ("counters", "savings", "grid")
@@ -96,9 +100,9 @@ DEFAULT_FLEET_SHARD_SIZE = 16
 class CampaignJob:
     """One simulated experiment, fully described.
 
-    ``seed`` feeds the execution simulator's noise and counter streams;
-    ``node_seed`` feeds the node's power-variability factors (it equals
-    the owning cluster's seed).  ``threads`` may be ``None`` to use the
+    ``seed`` is the owning cluster's seed: it feeds both the node's
+    power-variability factors and the execution simulator's noise and
+    counter streams.  ``threads`` may be ``None`` to use the
     application default — the value is mixed verbatim into the noise
     stream key, matching the historical serial code paths.
     """
@@ -110,7 +114,6 @@ class CampaignJob:
     threads: int | None = None
     node_id: int = 0
     seed: int = config.DEFAULT_SEED
-    node_seed: int = config.DEFAULT_SEED
     repetition: int = 0
     counters: tuple[str, ...] = ()
     #: ``savings``-mode extras (ignored — and absent from descriptors —
@@ -178,7 +181,10 @@ class CampaignJob:
         )
 
     def descriptor(self) -> dict[str, Any]:
-        """JSON-able canonical form, hashed into the store key."""
+        """JSON-able canonical form, hashed into the store key.
+
+        ``node_seed`` repeats ``seed``: the key layout of the records
+        written when jobs carried a separate node seed."""
         descriptor = {
             "app": self.app,
             "mode": self.mode,
@@ -187,7 +193,7 @@ class CampaignJob:
             "threads": self.threads,
             "node_id": self.node_id,
             "seed": self.seed,
-            "node_seed": self.node_seed,
+            "node_seed": self.seed,
             "repetition": self.repetition,
             "counters": list(self.counters),
         }
@@ -332,9 +338,8 @@ def counter_jobs(
     threads: int | None,
     counters: tuple[str, ...],
     runs: int = COUNTER_MEASUREMENT_RUNS,
-    node_id: int = 0,
-    seed: int = config.DEFAULT_SEED,
-    node_seed: int | None = None,
+    node_id: int,
+    seed: int,
 ) -> tuple[CampaignJob, ...]:
     """One instrumented calibration-point job per averaged repetition."""
     return tuple(
@@ -346,7 +351,6 @@ def counter_jobs(
             threads=threads,
             node_id=node_id,
             seed=seed,
-            node_seed=seed if node_seed is None else node_seed,
             repetition=r,
             counters=tuple(counters),
         )
@@ -388,9 +392,8 @@ def grid_jobs(
     *,
     label: str,
     points: list[OperatingPoint],
-    node_id: int = 0,
-    seed: int = config.DEFAULT_SEED,
-    node_seed: int | None = None,
+    node_id: int,
+    seed: int,
 ) -> tuple[CampaignJob, ...]:
     """One fleet-kernel row job per (threads, CF) of a static grid."""
     return tuple(
@@ -401,7 +404,6 @@ def grid_jobs(
             threads=threads,
             node_id=node_id,
             seed=seed,
-            node_seed=seed if node_seed is None else node_seed,
             label=label,
             uncore_freqs_ghz=ucfs,
         )
@@ -409,13 +411,16 @@ def grid_jobs(
     )
 
 
-def sweep_jobs(app_name: str, *, threads: int | None, **ids) -> tuple[CampaignJob, ...]:
+def sweep_jobs(
+    app_name: str, *, threads: int | None, node_id: int, seed: int
+) -> tuple[CampaignJob, ...]:
     """The ``sweep``-labelled rows of one training series: one row per
     CF of :func:`sweep_operating_points`, the calibration CF's row
-    holding the whole UFS axis.  ``ids`` (``node_id``, ``seed``,
-    ``node_seed``) pass through to :func:`grid_jobs`."""
+    holding the whole UFS axis."""
     points = [OperatingPoint(cf, ucf, threads) for cf, ucf in sweep_operating_points()]
-    return grid_jobs(app_name, label="sweep", points=points, **ids)
+    return grid_jobs(
+        app_name, label="sweep", points=points, node_id=node_id, seed=seed
+    )
 
 
 def static_search_jobs(
@@ -423,14 +428,16 @@ def static_search_jobs(
     *,
     stride: int = 1,
     thread_counts: tuple[int, ...] | None = None,
-    **ids,
+    node_id: int,
+    seed: int,
 ) -> tuple[CampaignJob, ...]:
     """The ``static``-labelled rows of the exhaustive static search over
     :func:`static_operating_points` — the one plan of the Table V grid,
-    so the CLI's campaign and the library's search share store keys.
-    ``ids`` pass through to :func:`grid_jobs`."""
+    so the CLI's campaign and the library's search share store keys."""
     points = static_operating_points(app, stride=stride, thread_counts=thread_counts)
-    return grid_jobs(app.name, label="static", points=points, **ids)
+    return grid_jobs(
+        app.name, label="static", points=points, node_id=node_id, seed=seed
+    )
 
 
 def savings_jobs(
@@ -445,9 +452,8 @@ def savings_jobs(
     instrumented: bool = False,
     core_freq_ghz: float = config.DEFAULT_CORE_FREQ_GHZ,
     uncore_freq_ghz: float = config.DEFAULT_UNCORE_FREQ_GHZ,
-    node_id: int = 0,
-    seed: int = config.DEFAULT_SEED,
-    node_seed: int | None = None,
+    node_id: int,
+    seed: int,
 ) -> tuple[CampaignJob, ...]:
     """One controlled production run per averaged repetition (Table VI).
 
@@ -471,7 +477,6 @@ def savings_jobs(
             threads=threads,
             node_id=node_id,
             seed=seed,
-            node_seed=seed if node_seed is None else node_seed,
             repetition=r,
             label=label,
             controller=controller,
@@ -481,6 +486,45 @@ def savings_jobs(
         )
         for r in range(runs)
     )
+
+
+def savings_campaign_jobs(
+    benchmark: str,
+    static_config: OperatingPoint,
+    tuning_model: "TuningModel",
+    *,
+    instrumentation: "Instrumentation | None",
+    runs: int,
+    node_id: int,
+    seed: int,
+) -> dict[str, tuple[CampaignJob, ...]]:
+    """The four Table VI run variants of one benchmark as
+    :func:`savings_jobs` batches, keyed ``default``, ``static``,
+    ``dynamic`` and ``config-only``."""
+    tmm_json = tuning_model.to_json()
+    filtered = None if instrumentation is None else tuple(instrumentation.filtered)
+    common = {"runs": runs, "node_id": node_id, "seed": seed}
+    default_threads = config.DEFAULT_OPENMP_THREADS
+    return {
+        "default": savings_jobs(
+            benchmark, label="default", threads=default_threads, **common
+        ),
+        "static": savings_jobs(
+            benchmark, label="static", controller="static",
+            core_freq_ghz=static_config.core_freq_ghz,
+            uncore_freq_ghz=static_config.uncore_freq_ghz,
+            threads=static_config.threads, **common,
+        ),
+        "dynamic": savings_jobs(
+            benchmark, label="dynamic", controller="rrl",
+            tuning_model=tmm_json, instrumented=True,
+            filtered_regions=filtered, threads=default_threads, **common,
+        ),
+        "config-only": savings_jobs(
+            benchmark, label="config-only", controller="rrl",
+            tuning_model=tmm_json, threads=default_threads, **common,
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +537,8 @@ def plan_dataset_campaign(
     thread_counts: tuple[int, ...] | None = None,
     counters: tuple[str, ...] = TABLE1_COUNTERS,
     runs: int = COUNTER_MEASUREMENT_RUNS,
-    node_id: int = 0,
-    seed: int = config.DEFAULT_SEED,
-    node_seed: int | None = None,
+    node_id: int,
+    seed: int,
 ) -> CampaignPlan:
     """All jobs of the training-data acquisition (counters + sweep)."""
     if benchmarks is None:
@@ -507,11 +550,10 @@ def plan_dataset_campaign(
         for threads in thread_series(app, thread_counts):
             jobs += counter_jobs(
                 name, threads=threads, counters=canonical, runs=runs,
-                node_id=node_id, seed=seed, node_seed=node_seed,
+                node_id=node_id, seed=seed,
             )
             jobs += sweep_jobs(
-                name, threads=threads,
-                node_id=node_id, seed=seed, node_seed=node_seed,
+                name, threads=threads, node_id=node_id, seed=seed
             )
     return CampaignPlan(tuple(jobs))
 
@@ -521,9 +563,8 @@ def plan_static_campaign(
     *,
     stride: int = 1,
     thread_counts: tuple[int, ...] | None = None,
-    node_id: int = 0,
-    seed: int = config.DEFAULT_SEED,
-    node_seed: int | None = None,
+    node_id: int,
+    seed: int,
 ) -> CampaignPlan:
     """All jobs of the exhaustive static search (Table V grid)."""
     if benchmarks is None:
@@ -532,6 +573,6 @@ def plan_static_campaign(
     for name in benchmarks:
         jobs += static_search_jobs(
             registry.build(name), stride=stride, thread_counts=thread_counts,
-            node_id=node_id, seed=seed, node_seed=node_seed,
+            node_id=node_id, seed=seed,
         )
     return CampaignPlan(tuple(jobs))

@@ -149,7 +149,7 @@ class FleetMember:
     """One replay request: an application run on a fresh or a live node.
 
     A fresh-node member describes the experiment of one solo run:
-    build ``ComputeNode(node_id, seed=node_seed, topology=...)``,
+    build ``ComputeNode(node_id, seed=seed, topology=...)``,
     optionally program ``point``'s frequencies, then
     ``ExecutionSimulator(node, seed=seed).run(app, threads=...,
     controller=..., instrumented=..., instrumentation=...,
@@ -164,16 +164,14 @@ class FleetMember:
     :class:`~repro.hardware.node.ComputeNode` the run executes on
     instead, from its current frequencies, clock and meters, which the
     run advances (the simulator's solo runs are such members).
-    ``node_seed``, ``topology`` and ``point`` then do not apply, and
-    ``node_id`` must be the node's.  A live node hosts at most one
-    member per fleet.
+    ``topology`` and ``point`` then do not apply, and ``node_id`` must
+    be the node's.  A live node hosts at most one member per fleet.
     """
 
     app: object
     run_key: tuple
     node_id: int = 0
     seed: int = config.DEFAULT_SEED
-    node_seed: int | None = None
     topology: NodeTopology | None = None
     point: object | None = None           #: OperatingPoint to program, or None
     threads: int | None = None
@@ -251,16 +249,15 @@ def _plan_member(member: FleetMember, schedules: dict, models: dict) -> _MemberP
         threads = resolve_threads(app, member.threads, node.topology.num_cores)
         entry = OperatingPoint(node.core_freq_ghz, node.uncore_freq_ghz, threads)
     else:
-        node_seed = member.seed if member.node_seed is None else member.node_seed
         # One power model per node recipe: it depends on the variability
         # and the socket/core counts only; keying on the topology
         # object's identity (members stay alive for the whole pass)
         # spares hashing its core tree.
-        mkey = (member.node_id, node_seed, id(member.topology))
+        mkey = (member.node_id, member.seed, id(member.topology))
         if mkey not in models:
             topology = member.topology or NodeTopology.default()
             models[mkey] = topology, PowerModel(
-                NodeVariability.sample(member.node_id, seed=node_seed),
+                NodeVariability.sample(member.node_id, seed=member.seed),
                 num_sockets=topology.num_sockets,
                 num_cores=topology.num_cores,
             )
@@ -301,7 +298,7 @@ def _plan_member(member: FleetMember, schedules: dict, models: dict) -> _MemberP
         host = node
         if node is None:
             host = NodeRecipe(
-                member.node_id, node_seed, topology, entry.core_freq_ghz,
+                member.node_id, member.seed, topology, entry.core_freq_ghz,
                 entry.uncore_freq_ghz,
             )
         schedule = controller.compile_schedule(

@@ -4,7 +4,8 @@ Models the *haswell* partition: many identical-specification nodes whose
 actual power draw differs node to node (Figures 2a/3a).  Jobs allocate
 nodes by id or round-robin; every node is reproducibly derived from the
 cluster seed, so "run benchmark X on node 7" is a deterministic
-experiment.
+experiment.  The seed is the measurement noise seed too: a measurement
+on this cluster plans its jobs with ``seed=cluster.seed``.
 """
 
 from __future__ import annotations

@@ -186,10 +186,10 @@ def measure_counter_rates(
     threads: int | None = None,
     counters: tuple[str, ...] = FEATURE_COUNTERS,
     runs: int = COUNTER_MEASUREMENT_RUNS,
-    seed: int = config.DEFAULT_SEED,
     engine: CampaignEngine | None = None,
 ) -> dict[str, float]:
-    """Counter rates (events per second of phase time) at calibration.
+    """Counter rates (events per second of phase time) at calibration,
+    on ``cluster`` (whose seed is the measurement's).
 
     Registry benchmarks run through the campaign engine; custom or
     mutated application instances run against the live object, in one
@@ -203,8 +203,7 @@ def measure_counter_rates(
         counters=tuple(canonical),
         runs=runs,
         node_id=node_id,
-        seed=seed,
-        node_seed=cluster.seed,
+        seed=cluster.seed,
     )
     results = run_app_jobs(jobs, app, cluster=cluster, engine=engine)
     return _rates_from_results(results, jobs, canonical, app.name)
@@ -216,7 +215,6 @@ def measure_normalized_energy(
     *,
     node_id: int = 0,
     threads: int | None = None,
-    seed: int = config.DEFAULT_SEED,
     engine: CampaignEngine | None = None,
 ) -> dict[tuple[float, float], tuple[float, float]]:
     """Per sweep point: (normalized energy, normalized time).
@@ -226,11 +224,7 @@ def measure_normalized_energy(
     """
     cluster.check_node_id(node_id)
     jobs = sweep_jobs(
-        app.name,
-        threads=threads,
-        node_id=node_id,
-        seed=seed,
-        node_seed=cluster.seed,
+        app.name, threads=threads, node_id=node_id, seed=cluster.seed
     )
     results = run_app_jobs(jobs, app, cluster=cluster, engine=engine)
     return _normalized_energy_from_results(results, jobs)
@@ -243,7 +237,6 @@ def build_dataset(
     node_id: int = 0,
     counters: tuple[str, ...] = FEATURE_COUNTERS,
     thread_counts: tuple[int, ...] | None = None,
-    seed: int = config.DEFAULT_SEED,
     engine: CampaignEngine | None = None,
 ) -> EnergyDataset:
     """Assemble the full training dataset for the given benchmarks.
@@ -253,11 +246,12 @@ def build_dataset(
     fixed configuration.  The whole campaign (counter measurements and
     energy sweeps for every series) is submitted to the engine as one
     plan, so its uncached counter jobs and ``sweep`` rows are priced
-    together in fleet-kernel shards.
+    together in fleet-kernel shards.  ``cluster`` (default
+    ``Cluster(4)``) fixes node variability and measurement noise.
     """
     if benchmarks is None:
         benchmarks = registry.benchmark_names()
-    cluster = cluster or Cluster(4, seed=seed)
+    cluster = cluster or Cluster(4)
     cluster.check_node_id(node_id)
     canonical = [preset(c).name for c in counters]
     plan = plan_dataset_campaign(
@@ -265,8 +259,7 @@ def build_dataset(
         thread_counts=thread_counts,
         counters=tuple(canonical),
         node_id=node_id,
-        seed=seed,
-        node_seed=cluster.seed,
+        seed=cluster.seed,
     )
     results = engine_for(cluster, engine).run(plan)
 
@@ -277,14 +270,13 @@ def build_dataset(
         for threads in thread_series(app, thread_counts):
             cjobs = counter_jobs(
                 name, threads=threads, counters=tuple(canonical),
-                node_id=node_id, seed=seed, node_seed=cluster.seed,
+                node_id=node_id, seed=cluster.seed,
             )
             rates = _rates_from_results(results, cjobs, canonical, name)
             rate_vec = np.array([rates[c] for c in canonical])
             counter_rates[(name, threads)] = rate_vec
             sjobs = sweep_jobs(
-                name, threads=threads,
-                node_id=node_id, seed=seed, node_seed=cluster.seed,
+                name, threads=threads, node_id=node_id, seed=cluster.seed
             )
             normalized = _normalized_energy_from_results(results, sjobs)
             for (cf, ucf), (e_norm, t_norm) in normalized.items():

@@ -102,16 +102,9 @@ class _ScheduleController:
 class ExperimentsEngine:
     """Runs tuning experiments for plugins."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        *,
-        node_id: int = 0,
-        seed: int = config.DEFAULT_SEED,
-    ):
+    def __init__(self, cluster: Cluster, *, node_id: int = 0):
         self.cluster = cluster
         self.node_id = node_id
-        self.seed = seed
         self.experiments_performed = 0
         self.tuning_time_s = 0.0
         self.application_runs = 0
@@ -166,7 +159,7 @@ class ExperimentsEngine:
             config.CALIBRATION_CORE_FREQ_GHZ, config.CALIBRATION_UNCORE_FREQ_GHZ
         )
         controller = _ScheduleController(schedule, app.phase.name)
-        run = ExecutionSimulator(node, seed=self.seed).run(
+        run = ExecutionSimulator(node, seed=self.cluster.seed).run(
             app,
             threads=schedule[0].threads,
             controller=controller,

@@ -51,13 +51,11 @@ class PeriscopeTuningFramework:
         model: TrainedModel,
         *,
         node_id: int = 0,
-        seed: int = config.DEFAULT_SEED,
         hill_climb_steps: int = 1,
     ):
         self.cluster = cluster
         self.model = model
         self.node_id = node_id
-        self.seed = seed
         self.hill_climb_steps = hill_climb_steps
 
     # ------------------------------------------------------------------
@@ -117,7 +115,7 @@ class PeriscopeTuningFramework:
             config.CALIBRATION_CORE_FREQ_GHZ, config.CALIBRATION_UNCORE_FREQ_GHZ
         )
         collector = ProfileCollector(app.name)
-        ExecutionSimulator(node, seed=self.seed).run(
+        ExecutionSimulator(node, seed=self.cluster.seed).run(
             app,
             listeners=(collector,),
             instrumentation=instrumentation,

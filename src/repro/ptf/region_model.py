@@ -75,18 +75,10 @@ class RegionModelResult:
 class RegionModelTuner:
     """Applies the energy model per significant region."""
 
-    def __init__(
-        self,
-        model: TrainedModel,
-        cluster: Cluster,
-        *,
-        node_id: int = 0,
-        seed: int = config.DEFAULT_SEED,
-    ):
+    def __init__(self, model: TrainedModel, cluster: Cluster, *, node_id: int = 0):
         self._model = model
         self._cluster = cluster
         self._node_id = node_id
-        self._seed = seed
 
     # ------------------------------------------------------------------
     def measure_region_rates(
@@ -120,7 +112,7 @@ class RegionModelTuner:
                 config.CALIBRATION_CORE_FREQ_GHZ,
                 config.CALIBRATION_UNCORE_FREQ_GHZ,
             )
-            ExecutionSimulator(node, seed=self._seed).run(
+            ExecutionSimulator(node, seed=self._cluster.seed).run(
                 app,
                 threads=threads,
                 listeners=(_Collect(),),

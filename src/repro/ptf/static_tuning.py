@@ -134,7 +134,7 @@ def exhaustive_static_search(
         stride=stride,
         thread_counts=thread_counts,
         node_id=node_id,
-        node_seed=cluster.seed,
+        seed=cluster.seed,
     )
     results = run_app_jobs(
         jobs,

@@ -324,7 +324,7 @@ class TuningService:
         """
         topology = self.engine.topology
         spec = request.grid_spec()
-        jobs = spec.jobs(self.options.resolve_cluster(request.seed).seed)
+        jobs = spec.jobs()
         keys = {job: topology_job_key(job, topology) for job in jobs}
         stored, quarantined, pending = self.engine.recall(
             keys, retry_failed=self.retry_failed

@@ -45,10 +45,30 @@ class TestExecutionOptions:
             api.ExecutionOptions(**kwargs)
 
     def test_resolve_cluster_prefers_explicit(self):
-        cluster = Cluster(4, seed=3)
+        """An explicit cluster with the request's seed wins; without
+        one, the seed names ``Cluster(2, seed)``."""
+        cluster = Cluster(4, seed=9)
         assert api.ExecutionOptions(cluster=cluster).resolve_cluster(9) is cluster
         default = api.ExecutionOptions().resolve_cluster(9)
-        assert default.seed == 9
+        assert (default.seed, default.num_nodes) == (9, 2)
+
+    def test_resolve_cluster_refuses_another_seed(self):
+        """A cluster's seed is its noise seed: an explicit cluster with
+        another seed than the request's is refused, not mixed."""
+        options = api.ExecutionOptions(cluster=Cluster(4, seed=3))
+        with pytest.raises(CampaignError, match="seed 9"):
+            options.resolve_cluster(9)
+
+    def test_bind_cluster_precedence(self):
+        """The argument beats the options' cluster, which beats the
+        default-seed ``Cluster(nodes)``; the options carry the result."""
+        mine, theirs = Cluster(3, seed=5), Cluster(4, seed=6)
+        options = api.ExecutionOptions(cluster=theirs)
+        bound, cluster = api.bind_cluster(options, mine)
+        assert cluster is mine and bound.cluster is mine
+        assert api.bind_cluster(options)[1] is theirs
+        _, default = api.bind_cluster(None, nodes=5)
+        assert (default.num_nodes, default.seed) == (5, config.DEFAULT_SEED)
 
 
 class TestTuningRequest:
@@ -234,7 +254,7 @@ def _static_search_jobs():
         registry.build("EP"), stride=7, thread_counts=(24,)
     )
     return grid_jobs(
-        "EP", label="static", points=points, node_seed=Cluster(2).seed
+        "EP", label="static", points=points, node_id=0, seed=Cluster(2).seed
     )
 
 
@@ -254,11 +274,11 @@ def _savings(options, runs=1):
 
 
 def _savings_jobs():
-    from repro.analysis.savings import savings_campaign_jobs
+    from repro.campaign.plan import savings_campaign_jobs
 
     batches = savings_campaign_jobs(
-        "EP", SAVINGS_STATIC, SAVINGS_TMM, instrumentation=None, node_id=0,
-        runs=1, seed=config.DEFAULT_SEED, node_seed=Cluster(2).seed,
+        "EP", SAVINGS_STATIC, SAVINGS_TMM, instrumentation=None, runs=1,
+        node_id=0, seed=Cluster(2).seed,
     )
     return tuple(job for batch in batches.values() for job in batch)
 
@@ -280,7 +300,7 @@ def _tradeoff_jobs():
     return grid_jobs(
         "EP", label="tradeoff",
         points=[OperatingPoint(), *TRADEOFF_CONFIGURATIONS],
-        node_seed=Cluster(2).seed,
+        node_id=0, seed=Cluster(2).seed,
     )
 
 
@@ -309,7 +329,7 @@ def _variability_jobs():
         for node_id in (0, 1)
         for job in grid_jobs(
             "EP", label="variability-uncore", points=points, node_id=node_id,
-            node_seed=Cluster(2).seed,
+            seed=Cluster(2).seed,
         )
     )
 
@@ -478,7 +498,8 @@ def test_engine_with_the_clusters_topology_is_accepted():
 
 def test_replay_equals_the_static_search_cell():
     """A replay is a one-cell ``static`` row: it measures exactly the
-    exhaustive static search's cell at the same point, seed and node."""
+    exhaustive static search's cell at the same point and node, on the
+    cluster its seed names — at the default seed and any other."""
     from repro.ptf.static_tuning import exhaustive_static_search
 
     default = OperatingPoint(
@@ -486,11 +507,11 @@ def test_replay_equals_the_static_search_cell():
         config.DEFAULT_UNCORE_FREQ_GHZ,
         config.DEFAULT_OPENMP_THREADS,
     )
-    options = api.ExecutionOptions()
-    triple = api.replay("EP", default, options=options)
-    searched = exhaustive_static_search(
-        registry.build("EP"), options.resolve_cluster(), stride=7
-    )
-    assert (triple.node_energy_j, triple.time_s) == (
-        searched.default_energy_j, searched.default_time_s,
-    )
+    for seed in (config.DEFAULT_SEED, 7):
+        triple = api.replay("EP", default, seed=seed)
+        searched = exhaustive_static_search(
+            registry.build("EP"), Cluster(2, seed=seed), stride=7
+        )
+        assert (triple.node_energy_j, triple.time_s) == (
+            searched.default_energy_j, searched.default_time_s,
+        )

@@ -108,7 +108,8 @@ def test_old_schema_cache_entry_surfaces_clear_error(harness_cache):
         threads=24,
         counters=("PAPI_TOT_INS",),
         runs=1,
-        node_seed=common.cluster().seed,
+        node_id=0,
+        seed=common.cluster().seed,
     )[0]
     record = {
         "key": topology_job_key(job, None),
@@ -142,7 +143,7 @@ def test_pre_v2_store_re_simulates_silently(harness_cache):
 
     from repro.campaign.plan import sweep_jobs
 
-    job = sweep_jobs("EP", threads=24, node_seed=common.cluster().seed)[0]
+    job = sweep_jobs("EP", threads=24, node_id=0, seed=common.cluster().seed)[0]
 
     def v1_key(descriptor):
         payload = json.dumps({"store_version": 1, **descriptor}, sort_keys=True)
@@ -176,7 +177,7 @@ def test_quarantined_cache_entry_surfaces_clear_error(harness_cache):
     from repro.campaign.plan import sweep_jobs
     from repro.errors import CampaignError
 
-    job = sweep_jobs("EP", threads=24, node_seed=common.cluster().seed)[0]
+    job = sweep_jobs("EP", threads=24, node_id=0, seed=common.cluster().seed)[0]
     descriptor = qualified_descriptor(job, None)
     record = FailureRecord(
         job_store_key=job_key(descriptor),

@@ -119,6 +119,35 @@ class TestRunCommand:
         assert engine.total_executed == 0
         assert engine.total_cached == 81
 
+    def test_seeded_campaign_prefills_the_seeded_cluster(self, capsys, tmp_path):
+        """``--seed 7`` names ``Cluster(n, seed=7)``: the cluster's seed
+        is the noise seed too, so the library's dataset and Table V
+        search on that cluster recall every row the CLI wrote."""
+        from repro.api import ExecutionOptions
+        from repro.campaign import CampaignEngine, ResultStore
+        from repro.hardware.cluster import Cluster
+        from repro.modeling.dataset import build_dataset
+        from repro.ptf.static_tuning import exhaustive_static_search
+        from repro.workloads import registry
+
+        store = tmp_path / "store.jsonl"
+        out = run_cli(
+            capsys,
+            "run", "--benchmarks", "EP", "--campaign", "both",
+            "--stride", "6", "--seed", "7", "--store", str(store),
+        )
+        assert "new simulations: 81" in out
+        with ResultStore(store) as results:
+            search = CampaignEngine(store=results)
+            exhaustive_static_search(
+                registry.build("EP"), Cluster(4, seed=7), stride=6,
+                options=ExecutionOptions(campaign=search),
+            )
+            dataset = CampaignEngine(store=results)
+            build_dataset(("EP",), cluster=Cluster(4, seed=7), engine=dataset)
+        assert (search.total_executed, search.total_cached) == (0, 13)
+        assert (dataset.total_executed, dataset.total_cached) == (0, 68)
+
 
 class TestStatusCommand:
     def test_status_summarises_store(self, capsys, tmp_path):

@@ -25,7 +25,7 @@ COUNTERS = tuple(preset(c).name for c in TABLE1_COUNTERS) + ("NOT_A_COUNTER",)
 def recursive_counters(job) -> tuple[dict[str, float], float]:
     """The job's phase counter totals and phase time on the recursive
     engine."""
-    node = ComputeNode(job.node_id, seed=job.node_seed)
+    node = ComputeNode(job.node_id, seed=job.seed)
     node.set_frequencies(job.core_freq_ghz, job.uncore_freq_ghz)
     collector = PhaseCounterCollector(job.counters)
     recursive_run(
@@ -46,7 +46,7 @@ def priced():
     jobs = tuple(
         counter_jobs(
             name, threads=None, counters=COUNTERS, runs=2,
-            node_id=1, seed=5, node_seed=9,
+            node_id=1, seed=9,
         )[1]
         for name in registry.benchmark_names()
     )

@@ -26,6 +26,9 @@ from repro.execution.simulator import ExecutionSimulator
 from repro.hardware.cluster import Cluster
 from repro.workloads import registry
 
+#: The default-seed cluster's node 0, the jobs' hardware.
+IDS = {"node_id": 0, "seed": config.DEFAULT_SEED}
+
 
 def cell_row(app: str = "EP", threads: int = 24) -> CampaignJob:
     """A one-cell ``sweep`` grid row at the calibration point."""
@@ -39,9 +42,9 @@ def cell_row(app: str = "EP", threads: int = 24) -> CampaignJob:
 def small_plan() -> CampaignPlan:
     """A cheap but representative plan: counters + a few energy points."""
     jobs = counter_jobs(
-        "EP", threads=24, counters=("PAPI_TOT_INS", "PAPI_LD_INS"), runs=2
+        "EP", threads=24, counters=("PAPI_TOT_INS", "PAPI_LD_INS"), runs=2, **IDS
     )
-    jobs += sweep_jobs("EP", threads=24)[:4]
+    jobs += sweep_jobs("EP", threads=24, **IDS)[:4]
     return CampaignPlan(jobs)
 
 
@@ -86,7 +89,7 @@ class TestPlan:
         assert plan.jobs == (job_a, job_b)
 
     def test_describe(self):
-        plan = plan_dataset_campaign(("EP",), thread_counts=(24,))
+        plan = plan_dataset_campaign(("EP",), thread_counts=(24,), **IDS)
         description = plan.describe()
         # 3 counter repetitions + the 31-point sweep's 14 rows (one per
         # CF; the calibration CF's row holds the UFS axis).
@@ -97,7 +100,7 @@ class TestPlan:
         assert description["operating_points"] == len(sweep_operating_points())
 
     def test_describe_counts_every_cell_of_a_row(self):
-        plan = plan_static_campaign(["EP"], stride=6)
+        plan = plan_static_campaign(["EP"], stride=6, **IDS)
         points = static_operating_points(registry.build("EP"), stride=6)
         assert len(plan) < len(points)
         assert plan.describe()["operating_points"] == len(points)
@@ -123,7 +126,7 @@ class TestPlan:
         assert len(default) == 1
 
     def test_static_campaign_size(self):
-        plan = plan_static_campaign(("EP",), stride=4, thread_counts=(24,))
+        plan = plan_static_campaign(("EP",), stride=4, thread_counts=(24,), **IDS)
         # ceil(14/4) CF rows of ceil(18/4) UCFs + the appended default,
         # a row of its own at CF 2.5: 4*5 + 1 cells in 5 rows.
         assert len(plan) == 5
@@ -134,7 +137,7 @@ class TestEngine:
     def test_matches_legacy_serial_code_path(self):
         """Every cell of an engine 'sweep' row equals running the
         simulator by hand exactly as the pre-campaign serial code did."""
-        jobs = sweep_jobs("EP", threads=24, seed=config.DEFAULT_SEED)
+        jobs = sweep_jobs("EP", threads=24, **IDS)
         cell = jobs[2]
         row = next(j for j in jobs if len(j.uncore_freqs_ghz) > 1)
         payloads = CampaignEngine().run(CampaignPlan((cell, row)))
@@ -182,7 +185,7 @@ class TestEngine:
 
     def test_counters_payload_shape(self):
         job = counter_jobs(
-            "CG", threads=20, counters=("PAPI_TOT_INS", "PAPI_LD_INS"), runs=1
+            "CG", threads=20, counters=("PAPI_TOT_INS", "PAPI_LD_INS"), runs=1, **IDS
         )[0]
         payload = execute_job(job)
         assert set(payload) == {"totals", "phase_time_s"}
@@ -200,7 +203,7 @@ class TestEngine:
             results[cell_row()]
 
     def test_run_accepts_bare_job_iterables(self):
-        jobs = sweep_jobs("EP", threads=24)[:2]
+        jobs = sweep_jobs("EP", threads=24, **IDS)[:2]
         results = CampaignEngine().run(jobs)
         assert len(results) == 2
 
@@ -213,7 +216,7 @@ class TestEngine:
         from repro.campaign.engine import topology_job_key
         from repro.campaign.store import STORE_VERSION
 
-        job = sweep_jobs("EP", threads=24)[0]
+        job = sweep_jobs("EP", threads=24, **IDS)[0]
         key = topology_job_key(job, None)
         path = tmp_path / "store.jsonl"
         record = {
@@ -230,7 +233,7 @@ class TestEngine:
     def test_custom_topology_does_not_collide_in_store(self, tmp_path):
         from repro.hardware.topology import NodeTopology
 
-        plan = CampaignPlan(sweep_jobs("EP", threads=12)[:2])
+        plan = CampaignPlan(sweep_jobs("EP", threads=12, **IDS)[:2])
         path = tmp_path / "store.jsonl"
         small = NodeTopology.build(1, 12)
         custom = CampaignEngine(
@@ -313,7 +316,7 @@ class TestConsumerEquivalence:
     def test_completed_jobs_persisted_despite_midrun_failure(self, tmp_path):
         from repro.errors import CampaignExecutionError
 
-        good = sweep_jobs("EP", threads=24)[0]
+        good = sweep_jobs("EP", threads=24, **IDS)[0]
         bad = cell_row("NotABenchmark")
         store = ResultStore(tmp_path / "store.jsonl")
         engine = CampaignEngine(store=store)

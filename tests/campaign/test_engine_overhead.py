@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from repro import config
 from repro.campaign import engine as engine_module
 from repro.campaign import store as store_module
 from repro.campaign.engine import CampaignEngine, topology_job_key
@@ -29,7 +30,9 @@ def shard_count(plan) -> int:
 
 @pytest.fixture(scope="module")
 def plan():
-    plan = plan_dataset_campaign(("EP", "Mcb"), thread_counts=(24,))
+    plan = plan_dataset_campaign(
+        ("EP", "Mcb"), thread_counts=(24,), node_id=0, seed=config.DEFAULT_SEED
+    )
     assert shard_count(plan) >= 3
     return plan
 

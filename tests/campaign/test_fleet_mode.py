@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro import config
 from repro.campaign import CampaignEngine, ResultStore, RetryPolicy
 from repro.campaign.engine import execute_job, topology_job_key
 from repro.campaign.faultinject import FAULT_ENV
@@ -32,6 +33,9 @@ from repro.workloads import registry
 
 FAST_POLICY = RetryPolicy(max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01)
 
+#: The default-seed cluster's node 0, the jobs' hardware.
+IDS = {"node_id": 0, "seed": config.DEFAULT_SEED}
+
 
 def tmm_json(app_name: str) -> str:
     app = registry.build(app_name)
@@ -48,7 +52,7 @@ def cell_rows(count: int) -> tuple:
     rows = [
         job
         for threads in (24, 20, 16, 12)
-        for job in sweep_jobs("EP", threads=threads)
+        for job in sweep_jobs("EP", threads=threads, **IDS)
         if len(job.uncore_freqs_ghz) == 1
     ]
     return tuple(rows[:count])
@@ -57,26 +61,29 @@ def cell_rows(count: int) -> tuple:
 def mixed_plan() -> CampaignPlan:
     """Every campaign mode across several apps."""
     jobs: list = []
-    jobs += savings_jobs("Lulesh", label="default", runs=2, threads=24)
+    jobs += savings_jobs("Lulesh", label="default", runs=2, threads=24, **IDS)
     jobs += savings_jobs(
         "Lulesh", label="rrl", runs=1, threads=24,
         controller="rrl", tuning_model=tmm_json("Lulesh"),
+        **IDS,
     )
     jobs += savings_jobs(
         "EP", label="static", runs=1, threads=24, controller="static",
         core_freq_ghz=2.2, uncore_freq_ghz=1.8,
+        **IDS,
     )
     jobs += grid_jobs(
         "FT", label="heatmap",
         points=[OperatingPoint(2.0, u, 24) for u in (1.6, 2.0, 2.4)],
+        **IDS,
     )
     jobs += grid_jobs(
-        "Mcb", label="static", points=[OperatingPoint(2.2, 1.8, 24)]
+        "Mcb", label="static", points=[OperatingPoint(2.2, 1.8, 24)], **IDS
     )
     # A one-cell DVFS row and the calibration CF's whole UFS row.
-    jobs += sweep_jobs("EP", threads=24)[7:9]
+    jobs += sweep_jobs("EP", threads=24, **IDS)[7:9]
     jobs += counter_jobs(
-        "EP", threads=24, runs=1, counters=("PAPI_TOT_INS", "PAPI_L3_TCM")
+        "EP", threads=24, runs=1, counters=("PAPI_TOT_INS", "PAPI_L3_TCM"), **IDS
     )
     return CampaignPlan(tuple(jobs))
 
@@ -149,7 +156,7 @@ class TestFleetStrategy:
         are one kernel invocation."""
         plan = CampaignPlan(
             counter_jobs(
-                "EP", threads=24, runs=2, counters=("PAPI_TOT_INS",)
+                "EP", threads=24, runs=2, counters=("PAPI_TOT_INS",), **IDS
             )
         )
         _, got = run_plan(tmp_path, "counters.jsonl", plan)
@@ -166,6 +173,7 @@ class TestSingleJobPlan:
             "Lulesh", label="dynamic", runs=1, threads=24,
             controller="rrl", tuning_model=tmm_json("Lulesh"),
             instrumented=True,
+            **IDS,
         )
         results = CampaignEngine().run([job])
         assert fleet_calls == [1]
@@ -331,7 +339,7 @@ class TestCustomApplication:
         measure_counter_rates(mutated, cluster, threads=24, runs=3)
         assert fleet_calls == [3]
         jobs = counter_jobs(
-            "EP", threads=24, runs=3, node_seed=cluster.seed,
+            "EP", threads=24, runs=3, node_id=0, seed=cluster.seed,
             counters=tuple(preset(c).name for c in FEATURE_COUNTERS),
         )
         results = run_app_jobs(jobs, mutated, cluster=cluster)

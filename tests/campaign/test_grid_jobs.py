@@ -18,6 +18,9 @@ from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
 from repro.execution.simulator import OperatingPoint
 
+#: The default-seed cluster's node 0, the jobs' hardware.
+IDS = {"node_id": 0, "seed": config.DEFAULT_SEED}
+
 
 def small_grid(threads=(24,), ncf=2, nucf=3):
     return [
@@ -38,21 +41,21 @@ class TestGridPlan:
         assert all(r[2] == (1.3, 1.4, 1.5) for r in rows)
 
     def test_one_job_per_row(self):
-        jobs = grid_jobs("EP", label="static", points=small_grid())
+        jobs = grid_jobs("EP", label="static", points=small_grid(), **IDS)
         assert len(jobs) == 2
         assert all(job.mode == "grid" for job in jobs)
         assert jobs[0].uncore_freqs_ghz == (1.3, 1.4, 1.5)
 
     def test_cell_run_keys_match_historical_layouts(self):
-        job = grid_jobs("EP", label="static", points=small_grid())[0]
+        job = grid_jobs("EP", label="static", points=small_grid(), **IDS)[0]
         assert job.cell_run_keys() == (
             ("static", 1.2, 1.3, 24),
             ("static", 1.2, 1.4, 24),
             ("static", 1.2, 1.5, 24),
         )
-        sweep = grid_jobs("EP", label="sweep", points=small_grid())[0]
+        sweep = grid_jobs("EP", label="sweep", points=small_grid(), **IDS)[0]
         assert sweep.cell_run_keys()[0] == ("sweep", 24, 1.2, 1.3)
-        heat = grid_jobs("EP", label="heatmap", points=small_grid())[0]
+        heat = grid_jobs("EP", label="heatmap", points=small_grid(), **IDS)[0]
         assert heat.cell_run_keys()[0] == ("heatmap", 1.2, 1.3)
 
     @pytest.mark.parametrize(
@@ -65,11 +68,11 @@ class TestGridPlan:
         ],
     )
     def test_analysis_labels_reproduce_their_run_keys(self, label, key):
-        job = grid_jobs("EP", label=label, points=small_grid())[0]
+        job = grid_jobs("EP", label=label, points=small_grid(), **IDS)[0]
         assert job.cell_run_keys()[0] == key
 
     def test_run_key_refuses_grid_jobs(self):
-        job = grid_jobs("EP", label="static", points=small_grid())[0]
+        job = grid_jobs("EP", label="static", points=small_grid(), **IDS)[0]
         with pytest.raises(CampaignError, match="cell_run_keys"):
             job.run_key()
 
@@ -86,7 +89,7 @@ class TestGridPlan:
             CampaignJob(app="EP", mode="grid", label="static")
 
     def test_descriptor_carries_row_axis(self):
-        job = grid_jobs("EP", label="heatmap", points=small_grid())[0]
+        job = grid_jobs("EP", label="heatmap", points=small_grid(), **IDS)[0]
         descriptor = job.descriptor()
         assert descriptor["label"] == "heatmap"
         assert descriptor["uncore_freqs_ghz"] == [1.3, 1.4, 1.5]
@@ -103,11 +106,11 @@ class TestGridExecution:
         from repro.workloads import registry
 
         points = small_grid()[:3]
-        row = grid_jobs("EP", label="static", points=points)[0]
+        row = grid_jobs("EP", label="static", points=points, **IDS)[0]
         payload = execute_job(row)
         validate_payload(row, payload)
         for i, point in enumerate(points):
-            (cell,) = grid_jobs("EP", label="static", points=[point])
+            (cell,) = grid_jobs("EP", label="static", points=[point], **IDS)
             ref = execute_job(cell)
             node = Cluster(4).fresh_node(0)
             node.set_frequencies(point.core_freq_ghz, point.uncore_freq_ghz)
@@ -119,7 +122,7 @@ class TestGridExecution:
 
     def test_default_threads_resolved_like_run(self):
         points = [OperatingPoint(1.2, 1.3, 24)]
-        job = grid_jobs("EP", label="static", points=points)[0]
+        job = grid_jobs("EP", label="static", points=points, **IDS)[0]
         explicit = execute_job(job)
         none_threads = CampaignJob(
             app="EP", mode="grid", core_freq_ghz=1.2, threads=None,
@@ -133,7 +136,7 @@ class TestGridExecution:
     def test_store_roundtrip_caches_rows(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
         engine = CampaignEngine(store=store)
-        jobs = grid_jobs("EP", label="heatmap", points=small_grid())
+        jobs = grid_jobs("EP", label="heatmap", points=small_grid(), **IDS)
         first = engine.run(jobs)
         assert first.report.executed == len(jobs)
         second = engine.run(jobs)
@@ -145,7 +148,7 @@ class TestGridExecution:
         from repro.campaign.engine import topology_job_key
 
         store = ResultStore(tmp_path / "store.jsonl")
-        job = grid_jobs("EP", label="heatmap", points=small_grid())[0]
+        job = grid_jobs("EP", label="heatmap", points=small_grid(), **IDS)[0]
         key = topology_job_key(job, None)
         store.put(key, job.descriptor(), {"node_energy_j": [1.0]})
         engine = CampaignEngine(store=store)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import config
 from repro.campaign import (
     CampaignEngine,
     FailureRecord,
@@ -116,7 +117,7 @@ class TestFailureRecord:
         assert "3 attempt" in text
 
     def test_failure_key_never_collides_with_result_key(self):
-        job = sweep_jobs("EP", threads=24)[0]
+        job = sweep_jobs("EP", threads=24, node_id=0, seed=config.DEFAULT_SEED)[0]
         descriptor = job.descriptor()
         fdesc = failure_descriptor(descriptor)
         assert fdesc["mode"] == "failure"
@@ -253,7 +254,8 @@ class TestQuarantineLifecycle:
         )
 
     def _plan(self):
-        return sweep_jobs("EP", threads=24)[: self.JOBS]
+        jobs = sweep_jobs("EP", threads=24, node_id=0, seed=config.DEFAULT_SEED)
+        return jobs[: self.JOBS]
 
     def test_full_lifecycle(self, tmp_path, monkeypatch):
         # 1. A deterministically failing job is quarantined.

@@ -102,7 +102,7 @@ def build_member(spec, *, reference=False, model=None) -> FleetMember:
     default-only tuning model, or as the ``reference`` the oracle
     :class:`StaticController`); ``point`` ((CF, UCF) to program);
     ``threads``, ``instrumented``, ``filter``, ``node_id``,
-    ``node_seed``, ``topology``, ``seed`` and ``tag`` (in the run key).
+    ``topology``, ``seed`` and ``tag`` (in the run key).
     ``model`` shares one tuning model across members."""
     app = build_app(spec["app"])
     ctrl = spec.get("ctrl")
@@ -111,7 +111,6 @@ def build_member(spec, *, reference=False, model=None) -> FleetMember:
         run_key=(ctrl, spec["app"], spec.get("tag", 0)),
         node_id=spec.get("node_id", 0),
         seed=spec.get("seed", config.DEFAULT_SEED),
-        node_seed=spec.get("node_seed"),
         topology=spec.get("topology"),
         threads=spec.get("threads"),
         instrumented=spec.get("instrumented", False),
@@ -176,7 +175,7 @@ MATRIX = {
         for cf, ucf in CORNERS
     },
     **{f"threads-{t}": {"app": "Mcb", "threads": t} for t in (12, 16, 24)},
-    **{f"node-{n}": {"app": "FT", "node_id": n, "node_seed": 11} for n in (0, 3, 7)},
+    **{f"node-{n}": {"app": "FT", "node_id": n, "seed": 11} for n in (0, 3, 7)},
     "filtered": {"app": "Lulesh", "filter": "functions"},
     **{f"rrl-{a}": {"app": a, "ctrl": "paired"} for a in APPS},
     **{
@@ -191,7 +190,7 @@ MATRIX = {
     **{
         f"rrl-node-{n}": {
             "app": "FT", "ctrl": "paired", "instrumented": True, "node_id": n,
-            "node_seed": 11,
+            "seed": 11,
         }
         for n in (0, 3, 7)
     },
@@ -308,11 +307,11 @@ class TestFleetComposition:
         specs = [
             kind("default", "Lulesh"),
             kind("static_point", "EP", point=(1.8, 1.6), threads=12, node_id=3,
-                 seed=11, node_seed=77),
+                 seed=77),
             kind("rrl", "FT", seed=5),
             kind("static_point", "Mcb", point=(2.3, 2.8), node_id=1),
             kind("rrl_instrumented", "Lulesh"),
-            kind("static_ctrl", "FT", node_seed=9),
+            kind("static_ctrl", "FT", seed=9),
         ]
         members = [build_member(s) for s in specs]
         assert_fleet_identical(specs, fleet_run(members), members)
@@ -697,7 +696,7 @@ GRID_APPS = ("Lulesh", "Mcb", "FT", "EP", "Kripke")
 
 
 def grid_fleet(app, points, keys, *, node_id=0, seed=config.DEFAULT_SEED,
-               node_seed=None, instrumented=False):
+               instrumented=False):
     """One fresh-node member per grid cell, priced in one fleet pass."""
     return fleet_run(
         FleetMember(
@@ -705,7 +704,6 @@ def grid_fleet(app, points, keys, *, node_id=0, seed=config.DEFAULT_SEED,
             run_key=key,
             node_id=node_id,
             seed=seed,
-            node_seed=node_seed,
             point=point,
             instrumented=instrumented,
         )
@@ -713,11 +711,10 @@ def grid_fleet(app, points, keys, *, node_id=0, seed=config.DEFAULT_SEED,
     )
 
 
-def recursive_cell(app, point, run_key, *, node_id=0,
-                   node_seed=config.DEFAULT_SEED, seed=config.DEFAULT_SEED,
+def recursive_cell(app, point, run_key, *, node_id=0, seed=config.DEFAULT_SEED,
                    **kwargs):
     """One grid cell on the recursive engine: fresh node, program, run."""
-    node = make_node(node_id, node_seed, point.core_freq_ghz, point.uncore_freq_ghz)
+    node = make_node(node_id, seed, point.core_freq_ghz, point.uncore_freq_ghz)
     return recursive_run(
         node, app, seed=seed, threads=point.threads, run_key=run_key, **kwargs
     )
@@ -788,21 +785,18 @@ class TestGridEquivalence:
     @given(
         app_name=st.sampled_from(GRID_APPS),
         seed=st.integers(0, 2**20),
-        node_seed=st.integers(0, 2**20),
         node_id=st.integers(0, 3),
         threads=st.sampled_from(config.OPENMP_THREAD_CANDIDATES),
     )
-    def test_hypothesis_grid(self, app_name, seed, node_seed, node_id, threads):
+    def test_hypothesis_grid(self, app_name, seed, node_id, threads):
         app = build_app(app_name)
         cells = GRID[:3]
         points = [OperatingPoint(cf, ucf, threads) for cf, ucf in cells]
         keys = [("heatmap", cf, ucf) for cf, ucf in cells]
-        fleet = grid_fleet(
-            app, points, keys, node_id=node_id, seed=seed, node_seed=node_seed
-        )
+        fleet = grid_fleet(app, points, keys, node_id=node_id, seed=seed)
         for point, key, result in zip(points, keys, fleet.results):
             assert result == recursive_cell(
-                app, point, key, node_id=node_id, node_seed=node_seed, seed=seed
+                app, point, key, node_id=node_id, seed=seed
             )
 
 

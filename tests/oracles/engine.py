@@ -317,11 +317,7 @@ def run_reference(member, engine=recursive_run):
     recursive engine, or on any ``engine(node, app, **run_arguments)``
     with :func:`recursive_run`'s signature.  Returns the result and the
     node."""
-    node = ComputeNode(
-        member.node_id,
-        seed=member.seed if member.node_seed is None else member.node_seed,
-        topology=member.topology,
-    )
+    node = ComputeNode(member.node_id, seed=member.seed, topology=member.topology)
     if member.point is not None:
         node.set_frequencies(member.point.core_freq_ghz, member.point.uncore_freq_ghz)
     threads = member.threads

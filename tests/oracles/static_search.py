@@ -38,7 +38,7 @@ def cell_static_search(
         for point in points
         for job in grid_jobs(
             app.name, label="static", points=[point],
-            node_id=node_id, node_seed=cluster.seed,
+            node_id=node_id, seed=cluster.seed,
         )
     ]
     payloads = [execute_job(job, cluster.topology, app=app) for job in jobs]

@@ -31,7 +31,7 @@ def run(coro):
 
 def grid_jobs_of(request):
     """The grid row jobs a default-cluster service plans for ``request``."""
-    return request.resolved().grid_spec().jobs(node_seed=request.seed)
+    return request.resolved().grid_spec().jobs()
 
 
 def failure_record_for(service, request, *, message="boom", row=0):

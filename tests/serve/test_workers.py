@@ -43,7 +43,7 @@ def store_snapshot(service, requests):
     store = service.engine.store
     snapshot = {}
     for request in requests:
-        for job in request.resolved().grid_spec().jobs(node_seed=request.seed):
+        for job in request.resolved().grid_spec().jobs():
             key = topology_job_key(job, service.engine.topology)
             snapshot[key] = json.dumps(store.get(key), sort_keys=True)
     return snapshot

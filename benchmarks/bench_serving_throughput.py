@@ -28,6 +28,14 @@ hiccup can move it past the bound: the pair of arms is measured
 ``LIGHT_LOAD_REPETITIONS`` times, alternating which arm runs first, and
 the flag gates the median of the per-repetition ratios.
 
+An ungated **fresh-request** entry closes the report
+(``fresh_request_ms``): the median cost of ``FRESH_REQUESTS`` lone
+requests for cold grids on a warm service over a SQLite store, each
+admitted as :meth:`TuningService.handle` admits it, looked up in the
+store (a miss) and answered by ``answer_group``, with the median of each
+component alongside: admission, the store miss, the fleet kernel, the
+store write, and the rest of ``answer_group``.
+
 ``--workers N`` switches to the **scaling** benchmark instead: each
 client tunes its *own* grid (distinct seeds — no coalescing between
 clients, so every request is an independent group) against a fresh
@@ -58,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import collections
 import json
 import os
 import platform
@@ -68,10 +77,13 @@ import time
 from pathlib import Path
 
 from repro import config
+from repro.campaign.engine import topology_job_key
 from repro.campaign.store import ResultStore
+from repro.execution import fleet_replay
 from repro.execution.simulator import OperatingPoint
 from repro.readex.tuning_model import TuningModel
-from repro.serve.schema import WIRE_VERSION
+from repro.serve.batcher import answer_group
+from repro.serve.schema import WIRE_VERSION, check_admissible, parse_request
 from repro.serve.service import TuningService
 
 DEFAULT_CLIENTS = 8
@@ -87,6 +99,10 @@ LIGHT_LOAD_P50_BOUND = 1.25
 
 #: Light-load repetitions; odd, so the median is one measured ratio.
 LIGHT_LOAD_REPETITIONS = 5
+
+#: Lone cold-grid requests timed for ``fresh_request_ms``; odd, so each
+#: median is one measured request.
+FRESH_REQUESTS = 25
 
 
 def client_tmm(index: int) -> str:
@@ -224,6 +240,85 @@ def measure_light_load(
     return pairs
 
 
+def measure_fresh_requests(count: int, benchmark: str, stride: int) -> dict:
+    """Median milliseconds of one fresh request, whole and by component.
+
+    A warm service over a fresh SQLite store takes ``count`` requests,
+    each for its own cold grid (its own seed), one at a time after one
+    warm-up request.  Each is admitted as ``TuningService.handle`` does
+    (parse, resolve, :func:`~repro.serve.schema.check_admissible`),
+    looked up in the store as the service's store fast path does (its
+    grid rows, then their failure records: a miss), and answered by
+    ``answer_group``, the execution a lone request's group gets.  Inside
+    that, the fleet kernel and the store write are timed by wrapping
+    ``fleet_replay.fleet_run`` and the store's ``put_many``.
+    """
+    spent: collections.Counter = collections.Counter()
+
+    def timed(name, function):
+        def wrapper(*args, **kwargs):
+            began = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - began
+
+        return wrapper
+
+    samples: dict[str, list[float]] = collections.defaultdict(list)
+    fleet_run = fleet_replay.fleet_run
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResultStore(Path(tmp) / "fresh.sqlite")
+        service = TuningService(store=store)
+        engine = service.engine
+        store.put_many = timed("store_write", store.put_many)
+        fleet_replay.fleet_run = timed("fleet_kernel", fleet_run)
+        try:
+            for index in range(count + 1):
+                spent.clear()
+                began = time.perf_counter()
+                request = parse_request(
+                    {
+                        "version": WIRE_VERSION,
+                        "benchmark": benchmark,
+                        "stride": stride,
+                        "seed": 30_000 + index,
+                    }
+                ).resolved()
+                check_admissible(
+                    request, service.options.resolve_cluster(request.seed)
+                )
+                admitted = time.perf_counter()
+                keys = {
+                    job: topology_job_key(job, engine.topology)
+                    for job in request.grid_spec().jobs()
+                }
+                _, _, pending = engine.recall(keys)
+                looked_up = time.perf_counter()
+                assert len(pending) == len(keys), "a fresh grid hit the store"
+                answer_group([request], service.options)
+                answered = time.perf_counter()
+                if index == 0:
+                    continue  # warm-up
+                samples["admission_ms"].append(admitted - began)
+                samples["store_miss_ms"].append(looked_up - admitted)
+                for name in ("fleet_kernel", "store_write"):
+                    samples[f"{name}_ms"].append(spent[name])
+                samples["answer_other_ms"].append(
+                    answered - looked_up - sum(spent.values())
+                )
+                samples["median_ms"].append(answered - began)
+        finally:
+            fleet_replay.fleet_run = fleet_run
+            asyncio.run(service.aclose())
+            store.close()
+    report: dict = {"requests": count, "app": benchmark, "stride": stride}
+    report.update(
+        {name: statistics.median(values) * 1e3 for name, values in samples.items()}
+    )
+    return report
+
+
 def run_benchmark(
     clients: int = DEFAULT_CLIENTS,
     rounds: int = DEFAULT_ROUNDS,
@@ -283,6 +378,9 @@ def run_benchmark(
         "light_batched": light_batched,
         "light_unbatched": light_unbatched,
         "aggregate": aggregate,
+        "fresh_request_ms": measure_fresh_requests(
+            FRESH_REQUESTS, benchmark, stride
+        ),
     }
 
 
@@ -434,6 +532,14 @@ def render(report: dict) -> str:
         f"light p50 ratio {a['light_load_p50_ratio']:.2f} (median of "
         f"{len(a['light_load_p50_ratios'])}) "
         f"(no admission delay {a['no_admission_delay']})"
+    )
+    f = report["fresh_request_ms"]
+    lines.append(
+        f"{'fresh request':<16} median {f['median_ms']:.2f} ms of "
+        f"{f['requests']}: admission {f['admission_ms']:.2f}, store miss "
+        f"{f['store_miss_ms']:.2f}, fleet kernel {f['fleet_kernel_ms']:.2f}, "
+        f"store write {f['store_write_ms']:.2f}, other "
+        f"{f['answer_other_ms']:.2f} ms"
     )
     return "\n".join(lines)
 

@@ -449,18 +449,24 @@ class GridSpec:
 
     def jobs(self) -> "tuple[CampaignJob, ...]":
         """The grid's campaign plan: one ``grid`` row job per CF, its
-        cells keyed ``("heatmap", cf, ucf)`` (``threads`` resolved)."""
-        from repro.campaign.plan import grid_jobs
+        cells keyed ``("heatmap", cf, ucf)`` — the jobs
+        :func:`~repro.campaign.plan.grid_jobs` groups out of the CF x UCF
+        points, built row by row from the axes."""
+        from repro.campaign.plan import CampaignJob
 
         cfs, ucfs = grid_axes(self.stride)
-        return grid_jobs(
-            self.benchmark,
-            label="heatmap",
-            points=[
-                OperatingPoint(cf, ucf, self.threads) for cf in cfs for ucf in ucfs
-            ],
-            node_id=self.node_id,
-            seed=self.seed,
+        return tuple(
+            CampaignJob(
+                app=self.benchmark,
+                mode="grid",
+                core_freq_ghz=cf,
+                threads=self.threads,
+                node_id=self.node_id,
+                seed=self.seed,
+                label="heatmap",
+                uncore_freqs_ghz=ucfs,
+            )
+            for cf in cfs
         )
 
     def measurement(self, payloads: list[dict[str, Any]]) -> GridMeasurement:

@@ -1,9 +1,10 @@
 """Campaign execution: every job priced in-process by the fleet kernel.
 
 :func:`execute_job` looks the job's application up in the registry
-(one build per name and process), prices it as fresh-node members of
-the fleet kernel (:mod:`repro.execution.fleet_replay`), and returns a
-small JSON-able payload.  Because every noise stream is keyed through
+(:func:`~repro.workloads.registry.stock`, one build per name and
+process), prices it as fresh-node members of the fleet kernel
+(:mod:`repro.execution.fleet_replay`), and returns a small JSON-able
+payload.  Because every noise stream is keyed through
 :func:`repro.util.rng.rng_for` by (seed, node, run key, region,
 iteration) — never by call order or batch composition — the payload is
 bit-identical whether the job runs alone, inside a shard, or in a
@@ -157,16 +158,6 @@ def _build_instrumentation(job: CampaignJob, app: Application):
     return Instrumentation(app=app, filtered=set(job.filtered_regions))
 
 
-@functools.lru_cache(maxsize=None)
-def _stock_app(name: str) -> Application:
-    """The registry's application ``name``, built once per process.
-
-    Pricing only reads an application, so every job of a name shares
-    one build; the instance never leaves this module.
-    """
-    return registry.build(name)
-
-
 def execute_job(
     job: CampaignJob,
     topology: NodeTopology | None = None,
@@ -254,7 +245,7 @@ def _price_jobs(
     members: list = []
     spans: list[tuple[int, int]] = []
     for job in jobs:
-        job_app = app if app is not None else _stock_app(job.app)
+        job_app = app if app is not None else registry.stock(job.app)
         job_members = _job_fleet_members(job, job_app, topology)
         spans.append((len(members), len(job_members)))
         members.extend(job_members)
@@ -275,21 +266,23 @@ def _price_jobs(
             totals, phase_time_s = next(counted)
             payloads.append({"totals": totals, "phase_time_s": phase_time_s})
         else:
-            payloads.append(_fleet_payload(job, fleet.results[start:start + count]))
+            payloads.append(_fleet_payload(job, fleet, start, count))
     return payloads
 
 
-def _fleet_payload(job: CampaignJob, results) -> dict[str, Any]:
-    """One non-``counters`` job's store payload from its fleet members'
-    runs — the store layout of the job's mode."""
+def _fleet_payload(job: CampaignJob, fleet, start: int, count: int) -> dict[str, Any]:
+    """One non-``counters`` job's store payload from its ``count`` fleet
+    members' runs from ``start`` — the store layout of the job's mode.
+    A grid row reads only the members' totals."""
     if job.mode == "grid":
+        cells = slice(start, start + count)
         return {
             "uncore_freqs_ghz": list(job.uncore_freqs_ghz),
-            "node_energy_j": [r.node_energy_j for r in results],
-            "cpu_energy_j": [r.cpu_energy_j for r in results],
-            "time_s": [r.time_s for r in results],
+            "node_energy_j": list(fleet.node_energy_j[cells]),
+            "cpu_energy_j": list(fleet.cpu_energy_j[cells]),
+            "time_s": list(fleet.time_s[cells]),
         }
-    (run,) = results
+    run = fleet.results[start]
     return {
         "node_energy_j": run.node_energy_j,
         "cpu_energy_j": run.cpu_energy_j,
@@ -717,7 +710,7 @@ class CampaignEngine:
 def _registry_faithful(app: Application) -> bool:
     """Whether ``app`` is exactly what the registry builds for its name."""
     try:
-        return app == _stock_app(app.name)
+        return app == registry.stock(app.name)
     except WorkloadError:
         return False
 

@@ -29,7 +29,11 @@ a :class:`~repro.errors.TuningError` before any member is priced.  A
 member without a controller compiles
 through the same walk, once per application build and instrumentation
 in the fleet: one pattern over every iteration, no switch, one unbound
-point that the member binds to its effective operating point.  Members
+point that the member binds to its effective operating point.  Fresh
+members without a controller that share an application build, a node
+recipe, a requested thread count and an instrumentation (the cells of
+a grid row) share that schedule, power model and resolved thread count,
+computed once.  Members
 sharing a schedule and a power model (one per node recipe, or a live
 node's own) form one block, priced at all their points in one array
 pass (:func:`~repro.execution.replay._evaluate_block`).  A live member
@@ -38,8 +42,10 @@ solo runs of one schedule at the same points price once.
 
 **Phase 2 — one fleet-wide noise draw.**  Every member's keyed
 (work region x iteration) seed digests join into one buffer, read as
-``uint64`` once; one :func:`~repro.util.rng.batched_lognormal` call
-covers the whole fleet, and the draws are sliced back.  Keyed streams are drawn per seed
+``uint64`` once: each block encodes its work-region names once, each
+run its key prefix once (:func:`~repro.util.rng.keyed_digests`).  One
+:func:`~repro.util.rng.batched_lognormal` call covers the whole fleet,
+and the draws are sliced back.  Keyed streams are drawn per seed
 independently, so the batch boundary cannot change any member's noise.
 
 **Phase 3 — block flattening.**  Each priced block flattens at once
@@ -56,11 +62,14 @@ no-ops in every one of those folds (``x + 0.0 == x``; a zero-energy
 RAPL deposit never advances the tick counter), so padding cannot
 perturb any member's numbers.
 
-**Phase 5 — per-member materialisation.**  Each member yields the
-exact ``RunResult`` (lazy instance log included) of its run and its
-priced :class:`~repro.execution.controlled_replay.RunTrace`, whose
-slots are bound and priced only when its rows or events are read.  A
-fresh member's node never exists, so its run is all it reports; a live
+**Phase 5 — per-block results.**  Each block keeps its members' clock
+timelines and run totals; the :class:`FleetReplay` reads the totals
+(all a grid payload needs) straight from them.  Its ``results`` and
+``traces`` are built block by block on first read: each member's exact
+``RunResult`` (lazy instance log included) and its priced
+:class:`~repro.execution.controlled_replay.RunTrace`, whose slots are
+bound and priced only when its rows or events are read.  A fresh
+member's node never exists, so its run is all it reports; a live
 member's node holds its end state itself.
 
 The contract is **bit-identical per member** to the recursive
@@ -105,7 +114,7 @@ from repro.hardware.node import ComputeNode, NodeRecipe
 from repro.hardware.power import NodeVariability, PowerModel
 from repro.hardware.rapl import _COUNTER_MASK, RAPL_ENERGY_UNIT_J, fold_deposits
 from repro.hardware.topology import NodeTopology
-from repro.util.rng import batched_lognormal
+from repro.util.rng import batched_lognormal, key_bytes
 
 
 #: Fleets up to this many fresh members fold their RAPL deposits row by
@@ -181,25 +190,31 @@ class FleetMember:
     node: ComputeNode | None = None       #: live entry state, or None (fresh)
 
 
-@dataclass
 class FleetReplay:
-    """Per-member results of one fleet pass, in member order.
+    """Per-member outcomes of one fleet pass, in member order.
 
+    ``time_s``, ``node_energy_j`` and ``cpu_energy_j`` hold each
+    member's run totals, all that a grid cell's payload reads.
     ``results[i]`` compares equal to the
     :class:`~repro.execution.simulator.RunResult` of member ``i``'s
     solo run; ``traces[i]`` is its priced
     :class:`~repro.execution.controlled_replay.RunTrace`, which its lazy
-    instance log materialises from and listener events replay.  A live
+    instance log materialises from and listener events replay.  Both
+    are built, block by block, on the first read of either.  A live
     member's node holds the state its run leaves; a fresh member has no
     node to hold one.
     """
 
-    members: tuple = ()
-    results: tuple = ()
-    traces: tuple = ()
+    def __init__(self, members=(), at=()):
+        self.members = tuple(members)
+        self._at = tuple(at)  # (priced block, row) per member
+        self.time_s, self.node_energy_j, self.cpu_energy_j = (
+            tuple([getattr(block, total)[g] for block, g in self._at])
+            for total in ("time_s", "node_energy_j", "cpu_energy_j")
+        )
 
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self.members)
 
     def __iter__(self):
         return iter(self.results)
@@ -207,26 +222,37 @@ class FleetReplay:
     def __getitem__(self, index):
         return self.results[index]
 
+    @functools.cached_property
+    def _runs(self) -> tuple:
+        built: dict[int, tuple] = {}
+        for block, _ in self._at:
+            if id(block) not in built:
+                built[id(block)] = block.runs()
+        return (
+            tuple([built[id(block)][0][g] for block, g in self._at]),
+            tuple([built[id(block)][1][g] for block, g in self._at]),
+        )
 
-@dataclass
-class _MemberPlan:
-    """One member's compiled run, then its outcome."""
+    @property
+    def results(self) -> tuple:
+        return self._runs[0]
 
-    member: FleetMember
-    schedule: ControlSchedule
-    power_model: PowerModel
-    points: tuple                     #: the schedule's points, bound
-    entry_point: OperatingPoint       #: the run's reported operating point
-    node: ComputeNode | None = None   #: the live node it prices on, if any
-    block: _Block | None = None       #: its priced block ...
-    row: int = 0                      #: ... and its row there
-    # outcome, filled after pricing
-    result: object = None
-    trace: object = None
+    @property
+    def traces(self) -> tuple:
+        return self._runs[1]
 
 
-def _plan_member(member: FleetMember, schedules: dict, models: dict) -> _MemberPlan:
+#: The operating point a fresh member without ``point`` starts at.
+_DEFAULT_POINT = OperatingPoint()
+
+
+def _plan_member(
+    member: FleetMember, schedules: dict, models: dict, recipes: dict
+) -> tuple:
     """Compile one member's schedule from its entry state.
+
+    Returns the member's schedule, power model, bound points and the
+    operating point its run reports (its entry point).
 
     A live member enters at its node's current frequencies.  A fresh
     member enters, controlled or not, at ``threads`` (else ``point``'s)
@@ -240,92 +266,116 @@ def _plan_member(member: FleetMember, schedules: dict, models: dict) -> _MemberP
     controller that declines (returns ``None``) must leave both
     untouched; it is refused.  A member without a controller reuses the
     fleet's walk of its application build and instrumentation and binds
-    the schedule's one point to its entry point.
+    the schedule's one point to its entry point; fresh ones that share
+    an application build, a node recipe, requested threads and an
+    instrumentation share one schedule, power model and thread count.
     """
     app = member.app
     node = member.node
-    if node is not None:
-        power_model = node.power_model
-        threads = resolve_threads(app, member.threads, node.topology.num_cores)
-        entry = OperatingPoint(node.core_freq_ghz, node.uncore_freq_ghz, threads)
-    else:
-        # One power model per node recipe: it depends on the variability
-        # and the socket/core counts only; keying on the topology
-        # object's identity (members stay alive for the whole pass)
-        # spares hashing its core tree.
-        mkey = (member.node_id, member.seed, id(member.topology))
-        if mkey not in models:
-            topology = member.topology or NodeTopology.default()
-            models[mkey] = topology, PowerModel(
-                NodeVariability.sample(member.node_id, seed=member.seed),
-                num_sockets=topology.num_sockets,
-                num_cores=topology.num_cores,
-            )
-        topology, power_model = models[mkey]
+    controller = member.controller
+    if node is None:
         threads = member.threads
         point = member.point
         if point is None:
-            point = OperatingPoint()  # the platform default frequencies
+            point = _DEFAULT_POINT  # the platform default frequencies
         elif threads is None:
             threads = point.threads
+        if controller is None:
+            # The cells of a grid row differ only in their point and run
+            # key: one lookup per member finds the schedule, power model
+            # and thread count its recipe computed once.
+            key = (
+                id(app), member.node_id, member.seed, id(member.topology),
+                threads, member.instrumented, id(member.instrumentation),
+            )
+            if key not in recipes:
+                topology, power_model = _fresh_model(member, models)
+                threads = resolve_threads(app, threads, topology.num_cores)
+                recipes[key] = (
+                    _uncontrolled_schedule(member, schedules), power_model, threads
+                )
+            schedule, power_model, threads = recipes[key]
+        else:
+            topology, power_model = _fresh_model(member, models)
+            threads = resolve_threads(app, threads, topology.num_cores)
         entry = OperatingPoint(
             _effective_frequency(point.core_freq_ghz, "core"),
             _effective_frequency(point.uncore_freq_ghz, "uncore"),
-            resolve_threads(app, threads, topology.num_cores),
+            threads,
         )
-    instrumented = member.instrumented or member.instrumentation is not None
-
-    controller = member.controller
-    if controller is None:
-        filter_key = (
-            None
-            if member.instrumentation is None
-            else frozenset(member.instrumentation.filtered)
-        )
-        skey = (id(app), instrumented, filter_key)
-        schedule = schedules.get(skey)
-        if schedule is None:
-            schedule = schedules[skey] = compile_schedule_by_walk(
-                None,
-                app,
-                None,
-                threads=None,
-                instrumented=instrumented,
-                instrumentation=member.instrumentation,
-            )
-        points = (entry,)
     else:
-        host = node
-        if node is None:
-            host = NodeRecipe(
-                member.node_id, member.seed, topology, entry.core_freq_ghz,
-                entry.uncore_freq_ghz,
-            )
-        schedule = controller.compile_schedule(
-            app,
-            host,
-            threads=entry.threads,
-            instrumented=instrumented,
-            instrumentation=member.instrumentation,
+        power_model = node.power_model
+        threads = resolve_threads(app, member.threads, node.topology.num_cores)
+        entry = OperatingPoint(node.core_freq_ghz, node.uncore_freq_ghz, threads)
+        if controller is None:
+            schedule = _uncontrolled_schedule(member, schedules)
+    if controller is None:
+        return schedule, power_model, (entry,), entry
+
+    host = node
+    if node is None:
+        host = NodeRecipe(
+            member.node_id, member.seed, topology, entry.core_freq_ghz,
+            entry.uncore_freq_ghz,
         )
-        if schedule is None:
-            raise TuningError(
-                f"controller {type(controller).__name__} declined to compile "
-                f"its switch schedule for {app.name}"
-            )
-        if node is not None:
-            node.set_frequencies(*schedule.exit_frequencies)
-            node.dvfs.log.clear()
-            node.ufs.log.clear()
-        points = schedule.points
-    return _MemberPlan(
-        member=member,
-        schedule=schedule,
-        power_model=power_model,
-        points=points,
-        entry_point=entry,
-        node=node,
+    schedule = controller.compile_schedule(
+        app,
+        host,
+        threads=entry.threads,
+        instrumented=member.instrumented or member.instrumentation is not None,
+        instrumentation=member.instrumentation,
     )
+    if schedule is None:
+        raise TuningError(
+            f"controller {type(controller).__name__} declined to compile "
+            f"its switch schedule for {app.name}"
+        )
+    if node is not None:
+        node.set_frequencies(*schedule.exit_frequencies)
+        node.dvfs.log.clear()
+        node.ufs.log.clear()
+    return schedule, power_model, schedule.points, entry
+
+
+def _fresh_model(member: FleetMember, models: dict) -> tuple:
+    """A fresh member's topology and power model, one per node recipe.
+
+    The model depends on the variability and the socket/core counts
+    only; keying on the topology object's identity (members stay alive
+    for the whole pass) spares hashing its core tree.
+    """
+    key = (member.node_id, member.seed, id(member.topology))
+    if key not in models:
+        topology = member.topology or NodeTopology.default()
+        models[key] = topology, PowerModel(
+            NodeVariability.sample(member.node_id, seed=member.seed),
+            num_sockets=topology.num_sockets,
+            num_cores=topology.num_cores,
+        )
+    return models[key]
+
+
+def _uncontrolled_schedule(member: FleetMember, schedules: dict):
+    """The fleet's one walk of a member's application build and
+    instrumentation without a controller."""
+    instrumentation = member.instrumentation
+    instrumented = member.instrumented or instrumentation is not None
+    key = (
+        id(member.app),
+        instrumented,
+        None if instrumentation is None else frozenset(instrumentation.filtered),
+    )
+    schedule = schedules.get(key)
+    if schedule is None:
+        schedule = schedules[key] = compile_schedule_by_walk(
+            None,
+            member.app,
+            None,
+            threads=None,
+            instrumented=instrumented,
+            instrumentation=instrumentation,
+        )
+    return schedule
 
 
 #: The last block priced on each live node's power model, keyed by what
@@ -338,16 +388,25 @@ _LAST_PRICED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 @dataclass
 class _Block:
     """The members sharing one schedule and one power model, priced at
-    all their points at once, then flattened together.  It holds no
-    member plan, so the members' lazy traces keep no reference cycle
-    alive."""
+    all their points at once, then flattened together.  A live member's
+    block holds it alone, with its node.  It holds no run result, so the
+    members' lazy traces keep no reference cycle alive."""
 
-    points: list                      #: each member's bound points
     schedule: ControlSchedule
-    rows: np.ndarray                  #: (G, S) price-table row per member point
-    prices: object                    #: the replay._BlockEval
+    power_model: PowerModel
+    node: ComputeNode | None = None   #: a live member's node, or None
+    members: list = field(default_factory=list)
+    points: list = field(default_factory=list)   #: each member's bound points
+    entries: list = field(default_factory=list)  #: each member's entry point
+    rows: np.ndarray | None = None    #: (G, S) price-table row per member point
+    prices: object = None             #: the replay._BlockEval
     durations_work: list = field(default_factory=list)  #: (G, W, n) per span
     offsets: list = field(default_factory=list)  #: first charge per span
+    # each member's run, filled when priced
+    timeline: np.ndarray | None = None  #: (G, charges + 1) simulated clock
+    time_s: list = field(default_factory=list)
+    node_energy_j: list = field(default_factory=list)
+    cpu_energy_j: list = field(default_factory=list)
 
     def spans(self, g: int) -> tuple:
         """Member ``g``'s spans for
@@ -374,6 +433,34 @@ class _Block:
             )
         )
 
+    def runs(self) -> tuple:
+        """Each member's ``RunResult`` and priced
+        :class:`~repro.execution.controlled_replay.RunTrace`; what the
+        members share is read once per block."""
+        schedule = self.schedule
+        post_order = schedule.post_order
+        switching_time_s = schedule.switching_time_s
+        instrumentation_time_s = schedule.instrumentation_time_s
+        spans = self.spans
+        results, traces = [], []
+        for g, (member, entry) in enumerate(zip(self.members, self.entries)):
+            trace = RunTrace(post_order, self.timeline[g], functools.partial(spans, g))
+            traces.append(trace)
+            results.append(
+                RunResult(
+                    app_name=member.app.name,
+                    node_id=member.node_id,
+                    operating_point=entry,
+                    time_s=self.time_s[g],
+                    node_energy_j=self.node_energy_j[g],
+                    cpu_energy_j=self.cpu_energy_j[g],
+                    switching_time_s=switching_time_s,
+                    instrumentation_time_s=instrumentation_time_s,
+                    instances=InstanceLog.deferred(trace),
+                )
+            )
+        return results, traces
+
 
 def _bind(slot: _Slot, points: tuple, node_w: list, cpu_fraction: list) -> _Slot:
     """A symbolic slot at its bound point, with its power fields;
@@ -397,7 +484,7 @@ def _bind(slot: _Slot, points: tuple, node_w: list, cpu_fraction: list) -> _Slot
     )
 
 
-def _price_block(plans: list) -> _Block:
+def _price_block(block: _Block) -> None:
     """Price one block: the distinct point bindings of its members
     become the rows of one array pass.
 
@@ -405,40 +492,35 @@ def _price_block(plans: list) -> _Block:
     schedule) share rows; a live member reuses its node's last priced
     block when the schedule's work and the points repeat.
     """
-    first = plans[0]
-    schedule = first.schedule
+    schedule = block.schedule
     points: list = []
     at: dict[int, int] = {}
     bases = []
-    for plan in plans:
-        base = at.get(id(plan.points))
+    for bound in block.points:
+        base = at.get(id(bound))
         if base is None:
-            base = at[id(plan.points)] = len(points)
-            points.extend(plan.points)
+            base = at[id(bound)] = len(points)
+            points.extend(bound)
         bases.append(base)
-    rows = np.add.outer(bases, np.arange(len(schedule.points)))
+    block.rows = np.add.outer(bases, np.arange(len(schedule.points)))
     probed, switched = schedule.any_probed, schedule.any_switch
-    if first.node is None:
-        prices = _evaluate_block(
-            schedule.work_chars, first.power_model, points, probed=probed,
+    if block.node is None:
+        block.prices = _evaluate_block(
+            schedule.work_chars, block.power_model, points, probed=probed,
             switched=switched,
         )
-    else:
-        key = (schedule.work_chars, probed, switched, tuple(points))
-        last = _LAST_PRICED.get(first.power_model)
-        if last is None or last[0] != key:
-            prices = _evaluate_block(
-                schedule.work_chars, first.power_model, points, probed=probed,
-                switched=switched,
-            )
-            for array in vars(prices).values():
-                array.setflags(write=False)
-            last = _LAST_PRICED[first.power_model] = (key, prices)
-        prices = last[1]
-    block = _Block([plan.points for plan in plans], schedule, rows, prices)
-    for g, plan in enumerate(plans):
-        plan.block, plan.row = block, g
-    return block
+        return
+    key = (schedule.work_chars, probed, switched, tuple(points))
+    last = _LAST_PRICED.get(block.power_model)
+    if last is None or last[0] != key:
+        prices = _evaluate_block(
+            schedule.work_chars, block.power_model, points, probed=probed,
+            switched=switched,
+        )
+        for array in vars(prices).values():
+            array.setflags(write=False)
+        last = _LAST_PRICED[block.power_model] = (key, prices)
+    block.prices = last[1]
 
 
 def _flatten(block: _Block, noise: np.ndarray) -> tuple:
@@ -494,47 +576,19 @@ def _total(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
-def _finish(plan: _MemberPlan, timeline, time_s, node_energy_j,
-            cpu_energy_j) -> None:
-    """Fill one priced member's ``RunResult``, trace and lazy instance
-    log."""
-    schedule = plan.schedule
-    trace = RunTrace(
-        schedule.post_order,
-        timeline,
-        functools.partial(plan.block.spans, plan.row),
-    )
-    plan.result = RunResult(
-        app_name=plan.member.app.name,
-        node_id=plan.member.node_id,
-        operating_point=plan.entry_point,
-        time_s=time_s,
-        node_energy_j=node_energy_j,
-        cpu_energy_j=cpu_energy_j,
-        switching_time_s=schedule.switching_time_s,
-        instrumentation_time_s=schedule.instrumentation_time_s,
-        instances=InstanceLog.deferred(trace),
-    )
-    plan.trace = trace
-
-
-def _price_on_node(plan: _MemberPlan, durations, node_w, package_w, dram_w) -> None:
+def _price_on_node(block: _Block, durations, node_w, package_w, dram_w) -> None:
     """Price a live member's charges on its own node: the clock, HDEEM
     and RAPL continue from the node's state through ``advance_many``."""
-    node = plan.node
+    node = block.node
     start_time = node.now_s
     start_cpu_j = node.rapl.read_cpu_energy_joules()
     # Simulated clock after each charge; cumsum is a strict left fold, so
     # every value matches a region-by-region run's repeated ``+=``.
-    timeline = np.cumsum(np.concatenate(([start_time], durations)))
+    block.timeline = np.cumsum(np.concatenate(([start_time], durations)))[None]
     node.advance_many(durations, node_w, package_w, dram_w)
-    _finish(
-        plan,
-        timeline,
-        node.now_s - start_time,
-        _total(node_w * durations),
-        node.rapl.read_cpu_energy_joules() - start_cpu_j,
-    )
+    block.time_s = [node.now_s - start_time]
+    block.node_energy_j = [_total(node_w * durations)]
+    block.cpu_energy_j = [node.rapl.read_cpu_energy_joules() - start_cpu_j]
 
 
 def fleet_run(members) -> FleetReplay:
@@ -561,19 +615,29 @@ def fleet_run(members) -> FleetReplay:
                 "its switch schedule (no compile_schedule)"
             )
 
-    schedules: dict = {}
-    models: dict = {}
-    plans = [_plan_member(m, schedules, models) for m in members]
-
     # Members sharing a schedule and a power model are one block, priced
     # in one array pass and flattened together; a live member's power
     # model is its node's, so it stands alone.
-    groups: dict[tuple, list[_MemberPlan]] = {}
-    for plan in plans:
-        key = (id(plan.schedule), id(plan.power_model))
-        groups.setdefault(key, []).append(plan)
-    parts = list(groups.values())
-    blocks = [_price_block(part) for part in parts]
+    schedules: dict = {}
+    models: dict = {}
+    recipes: dict = {}
+    groups: dict[tuple, _Block] = {}
+    at = []  # (block, row) per member
+    for m in members:
+        schedule, power_model, points, entry = _plan_member(
+            m, schedules, models, recipes
+        )
+        key = (id(schedule), id(power_model))
+        block = groups.get(key)
+        if block is None:
+            block = groups[key] = _Block(schedule, power_model, m.node)
+        at.append((block, len(block.members)))
+        block.members.append(m)
+        block.points.append(points)
+        block.entries.append(entry)
+    blocks = list(groups.values())
+    for block in blocks:
+        _price_block(block)
 
     # -- one keyed-noise draw spanning the whole fleet ---------------------
     # Each run's (work x iteration) seed matrix flattens row-major — the
@@ -583,38 +647,30 @@ def fleet_run(members) -> FleetReplay:
     # work, iteration) view.
     shapes = []
     digests: list[bytes] = []
-    for part, block in zip(parts, blocks):
+    for block in blocks:
         schedule = block.schedule
-        names = schedule.work_names
-        shapes.append((len(part), len(names), schedule.iterations))
-        for plan in part:
-            m = plan.member
+        work_keys = [key_bytes(name) for name in schedule.work_names]
+        iterations = schedule.iterations
+        shapes.append((len(block.members), len(work_keys), iterations))
+        for m in block.members:
             _seed_digests(
-                digests, names, schedule.iterations, m.node_id, m.run_key, m.seed
+                digests, work_keys, iterations, m.node_id, m.run_key, m.seed
             )
     bounds = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
     all_seeds = np.frombuffer(b"".join(digests), dtype="<u8")
     all_noise = batched_lognormal(all_seeds, TIME_NOISE_SIGMA)
 
     # -- block flattening; live members price on their nodes ---------------
-    fresh = []   # (plans, durations, node_w, package_w, dram_w), one row each
-    for part, block, shape, lo, hi in zip(
-        parts, blocks, shapes, bounds, bounds[1:]
-    ):
+    fresh = []   # (block, durations, node_w, package_w, dram_w), one row each
+    for block, shape, lo, hi in zip(blocks, shapes, bounds, bounds[1:]):
         charges = _flatten(block, all_noise[lo:hi].reshape(shape))
-        if part[0].node is None:
-            fresh.append((part, *charges))
+        if block.node is None:
+            fresh.append((block, *charges))
         else:
-            for g, plan in enumerate(part):
-                _price_on_node(plan, *(c[g] for c in charges))
+            _price_on_node(block, *(c[0] for c in charges))
     if fresh:
         _price_fresh(fresh)
-
-    return FleetReplay(
-        members=tuple(members),
-        results=tuple([p.result for p in plans]),
-        traces=tuple([p.trace for p in plans]),
-    )
+    return FleetReplay(members, at)
 
 
 def _price_fresh(fresh: list) -> None:
@@ -625,21 +681,23 @@ def _price_fresh(fresh: list) -> None:
     row-wise strict left folds make the trailing zero charges exact
     no-ops.
     """
-    num = sum(len(part) for part, *_ in fresh)
+    num = sum(d.shape[0] for _, d, *_ in fresh)
     width = max(d.shape[1] for _, d, *_ in fresh)
     durations = np.zeros((num, width))
     node_w = np.zeros((num, width))
     package_w = np.zeros((num, width))
     dram_w = np.zeros((num, width))
-    plans = []
-    for part, d, n_w, p_w, r_w in fresh:
-        rows = slice(len(plans), len(plans) + len(part))
+    sockets = np.empty(num, dtype=np.int64)
+    first = 0
+    for block, d, n_w, p_w, r_w in fresh:
+        rows = slice(first, first + d.shape[0])
         n = d.shape[1]
         durations[rows, :n] = d
         node_w[rows, :n] = n_w
         package_w[rows, :n] = p_w
         dram_w[rows, :n] = r_w
-        plans.extend(part)
+        sockets[rows] = block.power_model.num_sockets
+        first = rows.stop
 
     timeline = np.cumsum(
         np.concatenate((np.zeros((num, 1)), durations), axis=1), axis=1
@@ -651,18 +709,18 @@ def _price_fresh(fresh: list) -> None:
         node_energy = np.zeros(num)
 
     # CPU energy (fresh accumulators; each socket sees the identical
-    # per-charge deposit, node totals sum socket by socket).
-    socket_counts = np.array([p.power_model.num_sockets for p in plans])
-    sockets_col = socket_counts.astype(float).reshape(-1, 1)
-    mask = np.uint64(_COUNTER_MASK)
-    package_raw = _rapl_fold(package_w * durations / sockets_col).astype(np.uint64)
-    dram_raw = _rapl_fold(dram_w * durations / sockets_col).astype(np.uint64)
-    package_socket_j = (package_raw & mask).astype(np.float64) * RAPL_ENERGY_UNIT_J
-    dram_socket_j = (dram_raw & mask).astype(np.float64) * RAPL_ENERGY_UNIT_J
+    # per-charge deposit, node totals sum socket by socket).  The
+    # package and DRAM rows fold in one pass: rows fold independently.
+    per_socket = np.concatenate((sockets, sockets)).astype(float).reshape(-1, 1)
+    raw = _rapl_fold(
+        np.concatenate((package_w * durations, dram_w * durations)) / per_socket
+    ).astype(np.uint64)
+    socket_j = (raw & np.uint64(_COUNTER_MASK)).astype(np.float64) * RAPL_ENERGY_UNIT_J
+    package_socket_j, dram_socket_j = socket_j[:num], socket_j[num:]
     package_node_j = np.zeros(num)
     dram_node_j = np.zeros(num)
-    for s in range(int(socket_counts.max(initial=0))):
-        live = socket_counts > s
+    for s in range(int(sockets.max(initial=0))):
+        live = sockets > s
         package_node_j[live] = package_node_j[live] + package_socket_j[live]
         dram_node_j[live] = dram_node_j[live] + dram_socket_j[live]
     cpu_energy = package_node_j + dram_node_j
@@ -671,5 +729,11 @@ def _price_fresh(fresh: list) -> None:
     times = time_s.tolist()
     node_energies = node_energy.tolist()
     cpu_energies = cpu_energy.tolist()
-    for i, plan in enumerate(plans):
-        _finish(plan, timeline[i], times[i], node_energies[i], cpu_energies[i])
+    first = 0
+    for block, d, *_ in fresh:
+        rows = slice(first, first + d.shape[0])
+        block.timeline = timeline[rows]
+        block.time_s = times[rows]
+        block.node_energy_j = node_energies[rows]
+        block.cpu_energy_j = cpu_energies[rows]
+        first = rows.stop

@@ -48,7 +48,7 @@ from repro.execution.timing import region_timings
 from repro.hardware.frequency import quantize_frequency
 from repro.hardware.msr import ghz_of_ratio, ratio_of_ghz
 from repro.hardware.power import PowerModel
-from repro.util.rng import StreamPrefix, batched_lognormal
+from repro.util.rng import batched_lognormal, key_bytes, keyed_digests
 
 
 @lru_cache(maxsize=256)
@@ -143,14 +143,16 @@ def _evaluate_block(
 
 
 def _seed_digests(
-    out: list, work_names, iterations: int, node_id: int, run_key: tuple,
-    seed: int,
+    out: list, work_keys: list[bytes], iterations: int, node_id: int,
+    run_key: tuple, seed: int,
 ) -> None:
     """Append one run's (work region x iteration) keyed time-noise seed
-    digests to ``out``, row-major, hashing the run's prefix once."""
-    run_prefix = StreamPrefix("time", node_id, run_key, seed=seed)
-    for name in work_names:
-        out.extend(run_prefix.extend(name).iteration_digests(iterations))
+    digests to ``out``, row-major.  ``work_keys`` are the work regions'
+    names as :func:`~repro.util.rng.key_bytes`, encoded once per
+    schedule; the run's key prefix is encoded and hashed once."""
+    keyed_digests(
+        out, key_bytes(seed, "time", node_id, run_key), work_keys, iterations
+    )
 
 
 def phase_counters(runs) -> list[tuple[dict[str, float], float]]:

@@ -162,7 +162,7 @@ def check_admissible(request: TuningRequest, cluster: Cluster) -> None:
     try:
         cluster.check_node_id(request.node_id)
         resolve_threads(
-            registry.build(request.benchmark),
+            registry.stock(request.benchmark),
             request.threads,
             topology.num_cores,
         )

@@ -25,6 +25,7 @@ Two access layers exist:
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 from typing import Any
 
@@ -45,6 +46,17 @@ def stable_hash(*parts: Any) -> int:
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")
+
+
+def key_bytes(*parts: Any) -> bytes:
+    """The bytes :func:`stable_hash` digests for ``parts``: each part's
+    ``repr`` in UTF-8, then the ``0x1f`` separator.
+
+    Equal parts can encode differently (``1``, ``1.0`` and ``True``
+    print differently), so an encoding may be reused for the same
+    object but never looked up by equality.
+    """
+    return b"".join([repr(part).encode("utf-8") + b"\x1f" for part in parts])
 
 
 def rng_for(*key: Any, seed: int = 0) -> np.random.Generator:
@@ -125,18 +137,42 @@ class StreamPrefix:
         suffixes ``0 .. iterations-1``.
 
         The fleet kernel joins every run's digests into one buffer and
-        reads it as ``uint64`` once.  Digesting ``repr(i)`` and the
-        separator in one update is byte-identical to the two-update
-        form of :meth:`seed_for`.
+        reads it as ``uint64`` once.
         """
-        base = self._h
-        digests = []
-        append = digests.append
-        for suffix in _iteration_suffixes(iterations):
-            h = base.copy()
+        digests: list[bytes] = []
+        _digest_rows(digests, self._h, (b"",), iterations)
+        return digests
+
+
+def keyed_digests(
+    out: list, prefix: bytes, names: "list[bytes]", iterations: int
+) -> None:
+    """Append to ``out`` the seed digests of the keys ``(*prefix, name,
+    i)``, row-major: each name in order, ``i`` from 0 to
+    ``iterations - 1``.
+
+    ``prefix`` and every name are :func:`key_bytes` encodings; the
+    digests equal ``StreamPrefix(*prefix).extend(name).iteration_digests(
+    iterations)`` name by name, with the prefix hashed once.
+    """
+    _digest_rows(out, hashlib.blake2b(prefix, digest_size=8), names, iterations)
+
+
+def _digest_rows(out: list, state, names, iterations: int) -> None:
+    """The digest loop: for each encoded name, copy ``state``, absorb
+    the name, then digest one copy per iteration suffix.  Absorbing
+    ``repr(i)`` and the separator in one update is byte-identical to
+    :meth:`StreamPrefix.seed_for`'s encoding."""
+    suffixes = _iteration_suffixes(iterations)
+    append = out.append
+    for name in names:
+        row = state.copy()
+        row.update(name)
+        copy = row.copy
+        for suffix in suffixes:
+            h = copy()
             h.update(suffix)
             append(h.digest())
-        return digests
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +494,6 @@ class _ZigguratFastPath:
 
     def lognormal_into(self, words: np.ndarray, sigma: float, out: np.ndarray) -> None:
         """Fill ``out`` with one ``lognormal(0, sigma)`` per word block."""
-        import math
-
         output = _first_outputs(words)
         idx = (output & np.uint64(0xFF)).astype(np.intp)
         shifted = output >> np.uint64(8)
@@ -468,10 +502,12 @@ class _ZigguratFastPath:
         accepted = rabs < self._ki[idx]
         x = rabs.astype(np.float64) * self._wi[idx]
         np.negative(x, where=sign.astype(bool), out=x)
-        scale = float(sigma)
-        exp = math.exp
-        values = x[accepted].tolist()
-        out[accepted] = [exp(0.0 + scale * z) for z in values]
+        # ``0.0 + sigma * z`` per element is the same IEEE operations as
+        # the scalar expression, and ``math.exp`` is libm's ``exp``.
+        out[accepted] = np.fromiter(
+            map(math.exp, (0.0 + float(sigma) * x[accepted]).tolist()),
+            dtype=np.float64,
+        )
         rejected = np.nonzero(~accepted)[0]
         if rejected.size:
             values = np.empty(rejected.size)

@@ -46,9 +46,19 @@ def build(name: str) -> Application:
 
 
 @functools.lru_cache(maxsize=None)
+def stock(name: str) -> Application:
+    """The application ``name``, built once per process and shared.
+
+    For readers only — pricing, admission checks, default lookups —
+    which must never mutate it; :func:`build` gives a private instance.
+    The cache holds at most one build per registered name.
+    """
+    return build(name)
+
+
 def default_threads(name: str) -> int:
-    """``build(name).default_threads``, building each benchmark once."""
-    return build(name).default_threads
+    """``build(name).default_threads``, read off the :func:`stock` build."""
+    return stock(name).default_threads
 
 
 def build_all() -> dict[str, Application]:

@@ -10,6 +10,7 @@ import pytest
 from repro import api, config
 from repro.campaign.engine import CampaignEngine, topology_job_key
 from repro.campaign.faultinject import FAULT_ENV
+from repro.campaign.plan import grid_jobs
 from repro.campaign.resilience import RetryPolicy
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError, CampaignExecutionError, TuningError
@@ -112,6 +113,55 @@ class TestGridAxes:
     def test_bad_stride_rejected(self):
         with pytest.raises(TuningError):
             api.grid_axes(0)
+
+
+class TestGridSpecJobs:
+    """``GridSpec.jobs`` builds its rows from the axes; they must be the
+    jobs ``grid_jobs`` groups out of the grid's points, store keys
+    included, so stores written before recall through them."""
+
+    @staticmethod
+    def grouped(spec):
+        cfs, ucfs = api.grid_axes(spec.stride)
+        return grid_jobs(
+            spec.benchmark,
+            label="heatmap",
+            points=[
+                OperatingPoint(cf, ucf, spec.threads) for cf in cfs for ucf in ucfs
+            ],
+            node_id=spec.node_id,
+            seed=spec.seed,
+        )
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    @pytest.mark.parametrize("threads", [None, 12])
+    def test_rows_equal_grouped_points(self, stride, threads):
+        spec = api.GridSpec("Lulesh", threads=threads, stride=stride, node_id=1, seed=5)
+        jobs, grouped = spec.jobs(), self.grouped(spec)
+        assert jobs == grouped
+        for topology in (None, NodeTopology.build(1, 24)):
+            assert [topology_job_key(job, topology) for job in jobs] == [
+                topology_job_key(job, topology) for job in grouped
+            ]
+
+    def test_store_of_grouped_rows_recalls_with_nothing_executed(self, tmp_path):
+        """A SQLite store filled through the grouped rows (the plan
+        ``sweep_grid`` priced before its rows came from the axes)
+        answers ``sweep_grid`` without executing a job."""
+        spec = api.GridSpec("EP", threads=registry.default_threads("EP"), stride=3)
+        path = tmp_path / "grid.sqlite"
+        with ResultStore(path) as store:
+            CampaignEngine(store=store).run(self.grouped(spec))
+        with ResultStore(path) as store:
+            engine = CampaignEngine(store=store)
+            grid = api.sweep_grid(
+                "EP", stride=3, options=api.ExecutionOptions(campaign=engine)
+            )
+        assert engine.total_executed == 0
+        assert engine.total_cached == len(spec.jobs())
+        fresh = api.sweep_grid("EP", stride=3)
+        for name in ("node_energy_j", "cpu_energy_j", "time_s"):
+            assert np.array_equal(getattr(grid, name), getattr(fresh, name))
 
 
 class TestTune:

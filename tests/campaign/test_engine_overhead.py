@@ -77,7 +77,7 @@ def test_each_app_built_once_per_run(monkeypatch, plan):
         return build(name)
 
     monkeypatch.setattr(registry, "build", counting)
-    engine_module._stock_app.cache_clear()
+    registry.stock.cache_clear()
     CampaignEngine().run(plan)
     CampaignEngine().run(plan)
     assert built == {"EP": 1, "Mcb": 1}

@@ -10,6 +10,7 @@ import asyncio
 import json
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.errors import CampaignError
 from repro.serve import batcher as batching
 from repro.serve.schema import WIRE_VERSION
 from repro.serve.service import TuningService
+from repro.workloads import registry
 
 EP = {"version": WIRE_VERSION, "benchmark": "EP", "stride": 7}
 
@@ -509,6 +511,43 @@ class TestAdmissionValidation:
         offline = api.tune(api.TuningRequest("EP", stride=7))
         assert good["result"] == offline.payload()
         assert batcher.admitted == 1
+
+
+class TestAdmissionBuildsNothing:
+    def test_warm_service_builds_no_application(self, monkeypatch):
+        """After one warm request, admission resolves threads on the
+        registry's one stock build: hits, misses, explicit threads and
+        a bad thread count make no ``registry.build`` call."""
+        built: Counter = Counter()
+        build = registry.build
+
+        def counting(name):
+            built[name] += 1
+            return build(name)
+
+        payloads = [
+            dict(EP),                                   # hit
+            dict(EP, seed=3),                           # miss
+            dict(EP, seed=3, objective="edp"),          # hit
+            dict(EP, threads=12, seed=4),               # miss
+            dict(EP, threads=1000),                     # refused
+            dict(EP, stride=9),                         # miss
+            dict(EP),                                   # hit
+        ]
+
+        async def scenario():
+            service = TuningService(store=ResultStore())
+            warm = await service.handle(dict(EP))
+            monkeypatch.setattr(registry, "build", counting)
+            responses = [await service.handle(p) for p in payloads]
+            await service.aclose()
+            return service, warm, responses
+
+        service, warm, responses = run(scenario())
+        assert warm["status"] == "ok"
+        assert [r["status"] for r in responses] == ["ok"] * 4 + ["error"] + ["ok"] * 2
+        assert service.metrics.cached_hits == 3
+        assert built == {}
 
 
 class TestExecutionFailureIsolation:

@@ -8,9 +8,16 @@ generators.  Hypothesis sweeps the key space.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.util.rng import StreamPrefix, batched_lognormal, rng_for, stable_hash
+from repro.execution.replay import _seed_digests
+from repro.util.rng import (
+    StreamPrefix,
+    batched_lognormal,
+    key_bytes,
+    rng_for,
+    stable_hash,
+)
 
 #: Key parts as they occur in the codebase: labels, ids, nested run keys.
 key_parts = st.one_of(
@@ -65,6 +72,84 @@ class TestKeyedStreamStability:
         batch = stream.seeds_for_iterations(n)
         assert batch.dtype == np.uint64
         assert [int(v) for v in batch] == [stream.seed_for(i) for i in range(n)]
+
+
+#: Parts that compare equal but print differently: ``1 == 1.0 == True``
+#: and ``(24, 2) == (24, 2.0)``, yet each hashes its own ``repr``.
+TWINS = (1, 1.0, True, 0, 0.0, -0.0, False, (24, 2), (24, 2.0), (24, True))
+
+#: Run-key and region-name parts: ints, floats, bools, strings and
+#: nested tuples of them, with the twins drawn often.
+mixed_parts = st.recursive(
+    st.one_of(
+        st.sampled_from(TWINS),
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.floats(allow_nan=False),
+        st.booleans(),
+        st.text(max_size=8),
+    ),
+    lambda inner: st.tuples(inner, inner) | st.tuples(inner, inner, inner),
+    max_leaves=6,
+)
+
+
+def stream_prefix_digests(names, iterations, node_id, run_key, seed):
+    """A run's noise seeds as ``StreamPrefix`` derives them, key by key."""
+    run = StreamPrefix("time", node_id, run_key, seed=seed)
+    return [
+        run.extend(name).seed_for(i) for name in names for i in range(iterations)
+    ]
+
+
+class TestRunDigests:
+    """``replay._seed_digests`` encodes each run's key once and each
+    region name once per schedule; its digests must be the bytes
+    ``StreamPrefix`` hashes, key part by key part."""
+
+    @given(
+        names=st.lists(mixed_parts, max_size=5),
+        iterations=st.integers(min_value=0, max_value=12),
+        node_id=st.sampled_from(TWINS[:7]) | st.integers(0, 64),
+        run_key=st.tuples(mixed_parts) | st.tuples(mixed_parts, mixed_parts),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @example(names=list(TWINS), iterations=3, node_id=1, run_key=((24, 2),), seed=7)
+    @example(names=["r"], iterations=2, node_id=1.0, run_key=((24, 2.0),), seed=7)
+    @example(names=["r"], iterations=2, node_id=True, run_key=(1,), seed=7)
+    @settings(max_examples=60)
+    def test_digests_equal_stream_prefix(
+        self, names, iterations, node_id, run_key, seed
+    ):
+        out: list[bytes] = []
+        _seed_digests(
+            out, [key_bytes(name) for name in names], iterations, node_id,
+            run_key, seed,
+        )
+        assert all(len(digest) == 8 for digest in out)
+        want = stream_prefix_digests(names, iterations, node_id, run_key, seed)
+        assert [int.from_bytes(d, "little") for d in out] == want
+        assert want == [
+            stable_hash(seed, "time", node_id, run_key, name, i)
+            for name in names
+            for i in range(iterations)
+        ]
+
+    def test_equal_parts_keep_their_own_bytes(self):
+        """Twins one after another — in one run's names, then as the
+        run key and node id of consecutive runs — each hash their own
+        ``repr``: no encoding is reused for an equal part."""
+        out: list[bytes] = []
+        _seed_digests(out, [key_bytes(n) for n in TWINS], 2, 0, ("k",), 3)
+        assert [int.from_bytes(d, "little") for d in out] == (
+            stream_prefix_digests(TWINS, 2, 0, ("k",), 3)
+        )
+        assert len(set(out)) == len(out)
+        for twin in TWINS:
+            out = []
+            _seed_digests(out, [key_bytes("r")], 2, twin, (twin,), 3)
+            assert [int.from_bytes(d, "little") for d in out] == (
+                stream_prefix_digests(["r"], 2, twin, (twin,), 3)
+            )
 
 
 class TestBatchedLognormal:

@@ -214,24 +214,14 @@ class TuningRequest:
             self, threads=registry.default_threads(self.benchmark)
         )
 
-    def grid_key(self) -> tuple:
-        """The coalescing key: requests sharing it share one sweep.
-
-        Objectives and TMMs are deliberately absent — they are evaluated
-        *from* the measured grid, so any mix of them on the same
-        (benchmark, threads, node, seed, stride) costs one sweep.
-        """
-        return (
-            "grid",
-            self.benchmark,
-            self.threads,
-            self.stride,
-            self.node_id,
-            self.seed,
-        )
-
     def grid_spec(self) -> "GridSpec":
-        """The measurement this request needs, as a :class:`GridSpec`."""
+        """The measurement this request needs, as a :class:`GridSpec`.
+
+        It is also the coalescing key: requests sharing it share one
+        sweep.  Objectives and TMMs are deliberately absent — they are
+        evaluated *from* the measured grid, so any mix of them on the
+        same (benchmark, threads, stride, node, seed) costs one sweep.
+        """
         return GridSpec(
             benchmark=self.benchmark,
             threads=self.threads,

@@ -46,7 +46,6 @@ from repro.campaign.engine import (
 from repro.campaign.resilience import (
     ON_FAILURE_POLICIES,
     FailureRecord,
-    ResumeManifest,
     RetryPolicy,
     failure_descriptor,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "FailureRecord",
     "ON_FAILURE_POLICIES",
     "ResultStore",
-    "ResumeManifest",
     "RetryPolicy",
     "STORE_VERSION",
     "StoreBackend",

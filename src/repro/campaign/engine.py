@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.campaign.faultinject import maybe_fault
@@ -48,7 +47,6 @@ from repro.campaign.resilience import (
     DrainFlag,
     FailureRecord,
     PassOutcome,
-    ResumeManifest,
     RetryPolicy,
     failure_descriptor,
     graceful_drain,
@@ -417,7 +415,6 @@ class CampaignEngine:
         *,
         on_failure: str = "raise",
         retry_failed: bool = False,
-        resume_manifest: str | Path | None = None,
     ) -> CampaignResults:
         """Execute (or recall) every job of ``plan``.
 
@@ -437,9 +434,9 @@ class CampaignEngine:
         partial results without persisting anything about the failure.
 
         SIGINT/SIGTERM drain the run: the running task finishes and is
-        persisted, a :class:`ResumeManifest` is written to
-        ``resume_manifest`` (when given), and
-        :class:`CampaignInterrupted` is raised.
+        persisted, and :class:`CampaignInterrupted` is raised.  Running
+        the same plan again finishes the campaign, recalling the
+        completed jobs from the store.
         """
         if on_failure not in ON_FAILURE_POLICIES:
             raise CampaignError(
@@ -504,38 +501,15 @@ class CampaignEngine:
         )
         all_failures = {**quarantined, **failed}
 
-        manifest_path = Path(resume_manifest) if resume_manifest else None
         if outcome.drained:
-            manifest = ResumeManifest(
-                store=(
-                    str(self.store.path)
-                    if self.store is not None and self.store.path is not None
-                    else None
-                ),
-                planned=len(plan),
-                completed=tuple(sorted(payloads)),
-                quarantined=tuple(sorted(all_failures)),
-                pending=tuple(
-                    sorted(
-                        key
-                        for key, _ in pending
-                        if key not in payloads and key not in all_failures
-                    )
-                ),
-                signal_name=drain.signal_name,
-            )
-            written = manifest.save(manifest_path) if manifest_path else None
             raise CampaignInterrupted(
                 f"campaign drained on {drain.signal_name}: {len(payloads)} of "
-                f"{len(plan)} job(s) completed and persisted"
-                + (f"; resume manifest at {written}" if written else ""),
+                f"{len(plan)} job(s) completed and persisted; re-run the same "
+                "command to finish (completed jobs are recalled from the store)",
                 signal_name=drain.signal_name,
                 completed=len(payloads),
                 planned=len(plan),
-                manifest=str(written) if written else None,
             )
-        if manifest_path is not None and manifest_path.exists():
-            manifest_path.unlink()  # the campaign outran its manifest
 
         if failed and on_failure == "raise":
             first = outcome.failures[next(iter(outcome.failures))]

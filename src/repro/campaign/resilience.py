@@ -37,26 +37,20 @@ that make campaign execution survive both:
     persisted); a second signal raises ``KeyboardInterrupt`` for an
     immediate stop.
 
-:class:`ResumeManifest`
-    The small JSON artefact a drained campaign leaves behind;
-    ``repro-campaign run --resume`` consumes it.  Actual resumption is
-    carried by the content-addressed store (completed jobs are cache
-    hits), which is what makes a resumed campaign bit-identical to an
-    uninterrupted one — the manifest records progress and guards
-    against resuming a different plan.
+Resumption needs nothing beyond the content-addressed store: re-running
+the same campaign recalls every completed job as a cache hit, so a
+drained campaign finishes bit-identically to an uninterrupted one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import signal
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import CampaignError
@@ -66,7 +60,6 @@ __all__ = [
     "FailureRecord",
     "ON_FAILURE_POLICIES",
     "PassOutcome",
-    "ResumeManifest",
     "RetryPolicy",
     "TaskFailure",
     "backoff_s",
@@ -255,7 +248,7 @@ def graceful_drain(drain: DrainFlag) -> Iterator[DrainFlag]:
     """Route SIGINT/SIGTERM into ``drain`` for the duration of a run.
 
     First signal: request a drain (stop submitting, finish running
-    jobs, persist, write the resume manifest).  Second signal: raise
+    jobs, persist).  Second signal: raise
     ``KeyboardInterrupt`` for an immediate stop.  Off the main thread
     signal handlers cannot be installed; the engine then runs without
     drain support, exactly as before.
@@ -332,74 +325,3 @@ def run_resilient_serial(
     outcome.drained = _drain_requested(drain)
     return outcome
 
-
-# ---------------------------------------------------------------------------
-# Resume manifests
-# ---------------------------------------------------------------------------
-
-#: Manifest schema version (bump on layout changes).
-MANIFEST_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ResumeManifest:
-    """Progress snapshot a drained campaign leaves next to its store.
-
-    The store itself carries the results (and is what makes resumption
-    bit-identical); the manifest records which plan was interrupted so
-    ``--resume`` can refuse to continue a *different* plan, and how far
-    the campaign got so operators can see progress without opening the
-    store.
-    """
-
-    store: str | None
-    planned: int
-    completed: tuple[str, ...]
-    quarantined: tuple[str, ...]
-    pending: tuple[str, ...]
-    signal_name: str = "drain"
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        payload = {
-            "manifest_version": MANIFEST_VERSION,
-            "store": self.store,
-            "planned": self.planned,
-            "completed": list(self.completed),
-            "quarantined": list(self.quarantined),
-            "pending": list(self.pending),
-            "signal": self.signal_name,
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ResumeManifest":
-        path = Path(path)
-        if not path.exists():
-            raise CampaignError(
-                f"no resume manifest at {path}; nothing to resume (the "
-                "manifest is written when a campaign run is drained by "
-                "SIGINT/SIGTERM)"
-            )
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CampaignError(f"unreadable resume manifest {path}: {exc}") from None
-        version = payload.get("manifest_version")
-        if version != MANIFEST_VERSION:
-            raise CampaignError(
-                f"resume manifest {path} has version {version!r}, expected "
-                f"{MANIFEST_VERSION}; delete it and re-run without --resume"
-            )
-        return cls(
-            store=payload.get("store"),
-            planned=int(payload.get("planned", 0)),
-            completed=tuple(payload.get("completed", ())),
-            quarantined=tuple(payload.get("quarantined", ())),
-            pending=tuple(payload.get("pending", ())),
-            signal_name=str(payload.get("signal", "drain")),
-        )

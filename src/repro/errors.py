@@ -101,9 +101,9 @@ class CampaignExecutionError(CampaignError):
 class CampaignInterrupted(CampaignError):
     """A campaign run was drained by SIGINT/SIGTERM.
 
-    Running jobs were allowed to finish, their results were persisted,
-    and (when the engine was given a manifest path) a resume manifest
-    was written; re-running with ``--resume`` continues bit-identically.
+    Running jobs were allowed to finish and their results were
+    persisted to the store.  Re-running the same campaign recalls them
+    as cache hits and finishes bit-identically to an uninterrupted run.
     """
 
     def __init__(
@@ -113,10 +113,8 @@ class CampaignInterrupted(CampaignError):
         signal_name: str = "signal",
         completed: int = 0,
         planned: int = 0,
-        manifest: str | None = None,
     ):
         super().__init__(message)
         self.signal_name = signal_name
         self.completed = completed
         self.planned = planned
-        self.manifest = manifest

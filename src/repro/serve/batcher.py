@@ -6,7 +6,7 @@ stride, node, seed — is a per-member axis of the fleet replay kernel
 grid is just one fleet member.  The batcher therefore files *all*
 pending requests into one group, so N queued requests across M
 applications cost one fleet pass, and requests that share a **grid
-key** (see :meth:`repro.api.TuningRequest.grid_key`) share one
+spec** (see :meth:`repro.api.TuningRequest.grid_spec`) share one
 measurement.  The service decides *when* a group fires (see
 :mod:`repro.serve.service`: on the next loop tick while an execution
 slot is free, or when a running group finishes); the batcher only
@@ -82,11 +82,11 @@ class CoalescingBatcher:
 def split_group(
     requests: list[api.TuningRequest], parts: int
 ) -> list[list[api.TuningRequest]]:
-    """Partition one fired group by grid key for parallel execution.
+    """Partition one fired group by grid spec for parallel execution.
 
     A group holds *every* pending request; executing it
     as one unit would serialise the whole queue onto one pool worker.
-    Splitting by grid key keeps the batching win intact — requests that
+    Splitting by grid spec keeps the batching win intact — requests that
     share a measurement stay together, so no grid is ever measured
     twice — while distinct grids spread round-robin across up to
     ``parts`` subgroups that execute concurrently.  Admission order is
@@ -96,14 +96,14 @@ def split_group(
     """
     if parts <= 1 or len(requests) <= 1:
         return [requests]
-    slot_of: dict[tuple, int] = {}
+    slot_of: dict[api.GridSpec, int] = {}
     buckets: list[list[api.TuningRequest]] = []
     for request in requests:
-        key = request.grid_key()
-        slot = slot_of.get(key)
+        spec = request.grid_spec()
+        slot = slot_of.get(spec)
         if slot is None:
             slot = len(slot_of) % parts
-            slot_of[key] = slot
+            slot_of[spec] = slot
             if slot == len(buckets):
                 buckets.append([])
         buckets[slot].append(request)
@@ -116,7 +116,7 @@ def answer_group(
 ) -> list[api.TuningAnswer]:
     """Answer one coalesced group from one batched measurement.
 
-    The group's *distinct* grid keys are deduplicated and their grids
+    The group's *distinct* grid specs are deduplicated and their grids
     measured in a single :func:`repro.api.sweep_grids` invocation (one
     fleet-kernel pass spanning every benchmark/thread/node/seed in the
     group); each request's objective argmin — plus its TMM-priced
@@ -127,22 +127,13 @@ def answer_group(
     if not requests:
         return []
     resolved = [request.resolved() for request in requests]
-    grid_of: dict[tuple, api.GridMeasurement] = {}
-    unique = []
-    for request in resolved:
-        key = request.grid_key()
-        if key not in grid_of:
-            grid_of[key] = None  # type: ignore[assignment]
-            unique.append(request)
+    specs = [request.grid_spec() for request in resolved]
+    unique = list(dict.fromkeys(specs))
     options = options if options is not None else api.ExecutionOptions()
-    grids = api.sweep_grids(
-        [request.grid_spec() for request in unique], options=options
-    )
-    for request, grid in zip(unique, grids):
-        grid_of[request.grid_key()] = grid
+    grid_of = dict(zip(unique, api.sweep_grids(unique, options=options)))
     answers = []
-    for request in resolved:
-        answer = grid_of[request.grid_key()].answer(request)
+    for request, spec in zip(resolved, specs):
+        answer = grid_of[spec].answer(request)
         if request.tmm is not None:
             answer = replace(
                 answer, dynamic=api._dynamic_outcome(request, options)

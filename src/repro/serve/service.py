@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro import api
@@ -126,8 +126,6 @@ class _Inflight:
 
     future: asyncio.Future
     waiters: int = 1
-    coalesced_with: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
 
 
 class TuningService:

@@ -20,6 +20,7 @@ graceful SIGINT/SIGTERM drain (``repro-campaign run``, ``repro-serve``).
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 
 from repro import config
@@ -357,13 +358,6 @@ def main_campaign(argv: list[str] | None = None) -> int:
         action="store_true",
         help="re-attempt jobs that earlier runs quarantined into this store",
     )
-    run_p.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a drained campaign: validate the <store>.resume.json "
-        "manifest left by SIGINT/SIGTERM and run the remaining jobs "
-        "(completed work is reused from the store, bit-identical)",
-    )
 
     status_p = sub.add_parser("status", help="summarise a result store")
     status_p.add_argument(
@@ -403,12 +397,13 @@ def main_campaign(argv: list[str] | None = None) -> int:
         "--store", default="campaign-store.jsonl", help="result store path"
     )
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
 
     from repro.errors import ReproError
 
     try:
-        return _campaign_dispatch(args)
+        return _campaign_dispatch(args, argv)
     except ReproError as exc:
         print(f"repro-campaign: error: {exc}", file=sys.stderr)
         return 2
@@ -427,7 +422,7 @@ def _existing_store(path: str):
     return ResultStore(path)
 
 
-def _campaign_dispatch(args) -> int:
+def _campaign_dispatch(args, argv: list[str]) -> int:
     from repro.campaign import CampaignEngine, ResultStore, job_key
 
     if args.command == "status":
@@ -473,10 +468,6 @@ def _campaign_dispatch(args) -> int:
     from repro.campaign import RetryPolicy
     from repro.errors import CampaignInterrupted
 
-    manifest_path = str(args.store) + ".resume.json"
-    if args.resume:
-        _check_resume_manifest(args.store, manifest_path, plan)
-
     policy = RetryPolicy(max_retries=args.retries)
     with ResultStore(args.store, backend=args.backend) as store:
         engine = CampaignEngine(store=store, retry_policy=policy)
@@ -489,7 +480,6 @@ def _campaign_dispatch(args) -> int:
                 plan,
                 on_failure=args.on_failure,
                 retry_failed=args.retry_failed,
-                resume_manifest=manifest_path,
             )
         except CampaignInterrupted as exc:
             print(
@@ -497,12 +487,10 @@ def _campaign_dispatch(args) -> int:
                 f"{exc.planned} job(s) completed and persisted",
                 file=sys.stderr,
             )
-            if exc.manifest:
-                print(
-                    f"resume with: repro-campaign run --resume "
-                    f"--store {args.store} (manifest: {exc.manifest})",
-                    file=sys.stderr,
-                )
+            print(
+                f"finish with the same command: repro-campaign {shlex.join(argv)}",
+                file=sys.stderr,
+            )
             return 130
         report = results.report
         print(f"cache hits:      {report.cached}")
@@ -522,43 +510,6 @@ def _campaign_dispatch(args) -> int:
         print(f"store now holds {len(store)} results at {store.path} "
               f"({store.backend})")
     return 3 if report.failed else 0
-
-
-def _check_resume_manifest(store_path: str, manifest_path: str, plan) -> None:
-    """Refuse ``--resume`` when the manifest belongs to another store or
-    another plan (the content-addressed store carries the actual state;
-    this is a guard against resuming the wrong campaign)."""
-    from pathlib import Path
-
-    from repro.campaign import ResumeManifest, job_key
-    from repro.errors import CampaignError
-
-    manifest = ResumeManifest.load(manifest_path)
-    if manifest.store is not None and Path(manifest.store).resolve() != Path(
-        store_path
-    ).resolve():
-        raise CampaignError(
-            f"resume manifest {manifest_path} records store "
-            f"{manifest.store}, not {store_path}; refusing to resume"
-        )
-    plan_keys = {job_key(job.descriptor()) for job in plan}
-    manifest_keys = set(manifest.completed) | set(manifest.pending) | set(
-        manifest.quarantined
-    )
-    unknown = manifest_keys - plan_keys
-    if len(plan_keys) != manifest.planned or unknown:
-        raise CampaignError(
-            f"resume manifest {manifest_path} describes a different campaign "
-            f"({manifest.planned} planned job(s), "
-            f"{len(unknown)} key(s) not in this plan of {len(plan_keys)}); "
-            "re-run with the original plan flags, or delete the manifest "
-            "and run without --resume"
-        )
-    print(
-        f"resuming: {len(manifest.completed)} completed, "
-        f"{len(manifest.pending)} pending "
-        f"(drained on {manifest.signal_name})"
-    )
 
 
 def _store_dispatch(args) -> int:

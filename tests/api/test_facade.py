@@ -87,15 +87,15 @@ class TestTuningRequest:
         resolved = api.TuningRequest("EP").resolved()
         assert resolved.threads == registry.build("EP").default_threads
 
-    def test_grid_key_excludes_objective_and_tmm(self):
+    def test_grid_spec_excludes_objective_and_tmm(self):
         base = api.TuningRequest("EP", stride=7).resolved()
         twin = api.TuningRequest(
             "EP", stride=7, objective="edp", tmm='{"x": 1}'
         ).resolved()
-        assert base.grid_key() == twin.grid_key()
-        assert base.grid_key() != api.TuningRequest(
+        assert base.grid_spec() == twin.grid_spec()
+        assert base.grid_spec() != api.TuningRequest(
             "EP", stride=7, seed=1
-        ).resolved().grid_key()
+        ).resolved().grid_spec()
 
 
 class TestGridAxes:

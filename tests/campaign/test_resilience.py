@@ -1,16 +1,17 @@
 """The fault-tolerance layer: taxonomy, retries, quarantine, drain/resume.
 
 Fast tests exercise the pure pieces (classification, deterministic
-backoff, failure records, manifests, the serial retry loop) and the
-engine's quarantine lifecycle in-process.  The ``chaos``-marked tests
-(excluded from the default run, selected with ``pytest -m chaos``) send
-real signals to CLI campaigns: a SIGTERM-drained campaign resumed
-through the CLI is bit-identical to an uninterrupted one on every store
-backend.
+backoff, failure records, the serial retry loop), the engine's
+quarantine lifecycle and an in-process SIGTERM drain.  The
+``chaos``-marked tests (excluded from the default run, selected with
+``pytest -m chaos``) send real signals to CLI campaigns: a
+SIGTERM-drained campaign finished by re-running the same command is
+bit-identical to an uninterrupted one on every store backend.
 """
 
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from repro.campaign import (
     CampaignEngine,
     FailureRecord,
     ResultStore,
-    ResumeManifest,
     RetryPolicy,
     failure_descriptor,
     job_key,
@@ -37,13 +37,14 @@ from repro.campaign.faultinject import (
     active_schedule,
     maybe_fault,
 )
-from repro.campaign.plan import MODES, sweep_jobs
+from repro.campaign.plan import MODES, plan_dataset_campaign, sweep_jobs
 from repro.campaign.resilience import (
     backoff_s,
     classify,
     run_resilient_serial,
 )
-from repro.errors import CampaignError, CampaignExecutionError
+from repro.campaign import engine as engine_module
+from repro.errors import CampaignError, CampaignExecutionError, CampaignInterrupted
 
 FAST_POLICY = RetryPolicy(max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01)
 
@@ -333,52 +334,61 @@ class TestQuarantineLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# Resume manifests
+# Drain: the store is the only record a drained campaign leaves
 # ---------------------------------------------------------------------------
 
-class TestResumeManifest:
-    MANIFEST = ResumeManifest(
-        store="/tmp/s.sqlite",
-        planned=5,
-        completed=("k1", "k2"),
-        quarantined=("k3",),
-        pending=("k4", "k5"),
-        signal_name="SIGTERM",
-    )
-
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "m.resume.json"
-        self.MANIFEST.save(path)
-        assert ResumeManifest.load(path) == self.MANIFEST
-
-    def test_missing_manifest_is_clear_error(self, tmp_path):
-        with pytest.raises(CampaignError, match="nothing to resume"):
-            ResumeManifest.load(tmp_path / "absent.json")
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "m.resume.json"
-        payload = json.loads(
-            json.dumps(
-                {
-                    "manifest_version": 999,
-                    "store": None,
-                    "planned": 0,
-                    "completed": [],
-                    "quarantined": [],
-                    "pending": [],
-                    "signal": "drain",
-                }
-            )
+class TestDrain:
+    def test_sigterm_drains_and_a_plain_rerun_finishes(self, tmp_path, monkeypatch):
+        """SIGTERM during the first shard lets that shard finish and be
+        persisted, then stops the run; running the same plan again
+        recalls the shard from the store and prices only the rest."""
+        plan = plan_dataset_campaign(
+            ["EP"], thread_counts=(24,), node_id=0, seed=config.DEFAULT_SEED
         )
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CampaignError, match="version"):
-            ResumeManifest.load(path)
+        assert len(plan) == 17  # a 16-job shard, then a 1-job shard
+        reference = CampaignEngine().run(plan)
+        keys = [engine_module.topology_job_key(job, None) for job in plan]
 
-    def test_corrupt_manifest_is_clear_error(self, tmp_path):
-        path = tmp_path / "m.resume.json"
-        path.write_text("{ not json")
-        with pytest.raises(CampaignError, match="unreadable"):
-            ResumeManifest.load(path)
+        signalled = []
+
+        def sigterm_once(**_where):
+            if not signalled:
+                # The engine's drain handler must be installed, or the
+                # signal would end the test process.
+                assert signal.getsignal(signal.SIGTERM) not in (
+                    signal.SIG_DFL,
+                    signal.SIG_IGN,
+                )
+                signalled.append(True)
+                signal.raise_signal(signal.SIGTERM)
+
+        monkeypatch.setattr(engine_module, "maybe_fault", sigterm_once)
+        store_dir = tmp_path / "campaign"
+        store_path = store_dir / "store.sqlite"
+        with ResultStore(store_path) as store:
+            with pytest.raises(CampaignInterrupted) as excinfo:
+                CampaignEngine(store=store).run(plan)
+        err = excinfo.value
+        assert (err.completed, err.planned, err.signal_name) == (16, 17, "SIGTERM")
+        assert "re-run the same command" in str(err)
+
+        stored = _payloads(store_path, "sqlite")
+        assert set(stored) == set(keys[:16])
+        assert all(stored[key] == reference[key] for key in stored)
+
+        monkeypatch.undo()
+        with ResultStore(store_path) as store:
+            results = CampaignEngine(store=store).run(plan)
+        assert results.report.cached == 16
+        assert results.report.executed == 1
+        assert {key: results[key] for key in keys} == {
+            key: reference[key] for key in keys
+        }
+        assert _payloads(store_path, "sqlite") == {
+            key: reference[key] for key in keys
+        }
+        own = {store_path.name + suffix for suffix in ("", "-wal", "-shm")}
+        assert {path.name for path in store_dir.iterdir()} <= own
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +440,10 @@ def _run_cli(args, env, **kw):
 class TestChaosDrainResume:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_sigterm_drain_then_cli_resume_bit_identical(self, tmp_path, backend):
-        """SIGTERM drains a running CLI campaign (exit 130 + manifest);
-        ``--resume`` finishes it; the store ends bit-identical to an
-        uninterrupted run of the same campaign."""
+        """SIGTERM drains a running CLI campaign (exit 130, partial
+        results in the store); re-running the same command finishes it;
+        the store ends bit-identical to an uninterrupted run of the same
+        campaign, and no file but the store records the drain."""
         flags = ["--benchmarks", "EP", "--threads", "24"]
 
         # Reference: uninterrupted run.
@@ -447,21 +458,12 @@ class TestChaosDrainResume:
         # Interrupted run: every job slowed so SIGTERM lands mid-flight.
         store_path = _store_arg(tmp_path, backend)
         manifest = Path(store_path + ".resume.json")
+        command = ["run", "--store", store_path, "--backend", backend, *flags]
         env = _cli_env(
             {FAULT_ENV: '[{"action": "delay", "delay_s": 0.3, "attempts": "all"}]'}
         )
         proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                _CLI,
-                "run",
-                "--store",
-                store_path,
-                "--backend",
-                backend,
-                *flags,
-            ],
+            [sys.executable, "-c", _CLI, *command],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -472,59 +474,20 @@ class TestChaosDrainResume:
         out, _ = proc.communicate(timeout=120)
         assert proc.returncode == 130, out
         assert "drained on SIGTERM" in out
-        assert manifest.exists(), out
-        payload = json.loads(manifest.read_text())
-        assert payload["planned"] == 17
-        assert 0 < len(payload["completed"]) < 17
-        assert len(payload["pending"]) == 17 - len(payload["completed"])
+        assert f"repro-campaign {shlex.join(command)}" in out
+        assert not manifest.exists(), out
 
         # Partial progress really is on disk.
         partial = _payloads(store_path, backend)
-        assert set(partial) == set(payload["completed"])
+        assert 0 < len(partial) < 17
         assert all(partial[k] == reference[k] for k in partial)
 
-        # Resume (no faults) completes the campaign and cleans up.
-        r = _run_cli(
-            [
-                "run",
-                "--store",
-                store_path,
-                "--backend",
-                backend,
-                "--resume",
-                *flags,
-            ],
-            _cli_env(),
-        )
+        # The same command (no faults) completes the campaign, recalling
+        # the drained run's jobs from the store.
+        r = _run_cli(command, _cli_env())
         assert r.returncode == 0, r.stdout + r.stderr
-        assert "resuming:" in r.stdout
+        assert f"cache hits:      {len(partial)}\n" in r.stdout
         assert not manifest.exists()
 
         # The headline guarantee: bit-identical to the uninterrupted run.
         assert _payloads(store_path, backend) == reference
-
-    def test_resume_refuses_a_different_plan(self, tmp_path):
-        store_path = str(tmp_path / "store.sqlite")
-        manifest = ResumeManifest(
-            store=store_path,
-            planned=2,
-            completed=("k1",),
-            quarantined=(),
-            pending=("k2",),
-        )
-        manifest.save(store_path + ".resume.json")
-        r = _run_cli(
-            [
-                "run",
-                "--store",
-                store_path,
-                "--resume",
-                "--benchmarks",
-                "EP",
-                "--threads",
-                "24",
-            ],
-            _cli_env(),
-        )
-        assert r.returncode == 2
-        assert "different campaign" in r.stderr

@@ -372,7 +372,7 @@ class TestSplitGroup:
     def _group(self, requests):
         return [request.resolved() for request in requests]
 
-    def test_split_preserves_requests_and_grid_key_cohesion(self):
+    def test_split_preserves_requests_and_grid_spec_cohesion(self):
         requests = [
             api.TuningRequest("EP", stride=7),
             api.TuningRequest("EP", objective="edp", stride=7),
@@ -386,13 +386,13 @@ class TestSplitGroup:
         assert sorted(
             (r.benchmark, r.objective) for r in flattened
         ) == sorted((r.benchmark, r.objective) for r in group)
-        # requests sharing a grid key stay in one part
+        # requests sharing a grid spec stay in one part
         for part in parts:
-            keys = [r.grid_key() for r in part]
-            for key in keys:
+            specs = [r.grid_spec() for r in part]
+            for spec in specs:
                 others = [
                     p for p in parts if p is not part and
-                    key in [r.grid_key() for r in p]
+                    spec in [r.grid_spec() for r in p]
                 ]
                 assert not others
 

@@ -2,7 +2,7 @@
 
 Fast tests exercise the pure pieces (classification, deterministic
 backoff, failure records, the serial retry loop), the engine's
-quarantine lifecycle and an in-process SIGTERM drain.  The
+quarantine lifecycle and in-process SIGINT/SIGTERM drains.  The
 ``chaos``-marked tests (excluded from the default run, selected with
 ``pytest -m chaos``) send real signals to CLI campaigns: a
 SIGTERM-drained campaign finished by re-running the same command is
@@ -15,6 +15,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -39,12 +40,15 @@ from repro.campaign.faultinject import (
 )
 from repro.campaign.plan import MODES, plan_dataset_campaign, sweep_jobs
 from repro.campaign.resilience import (
+    DrainFlag,
     backoff_s,
     classify,
+    graceful_drain,
     run_resilient_serial,
 )
 from repro.campaign import engine as engine_module
 from repro.errors import CampaignError, CampaignExecutionError, CampaignInterrupted
+from repro.tools.cli import main_campaign
 
 FAST_POLICY = RetryPolicy(max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01)
 
@@ -338,20 +342,22 @@ class TestQuarantineLifecycle:
 # ---------------------------------------------------------------------------
 
 class TestDrain:
-    def test_sigterm_drains_and_a_plain_rerun_finishes(self, tmp_path, monkeypatch):
-        """SIGTERM during the first shard lets that shard finish and be
-        persisted, then stops the run; running the same plan again
-        recalls the shard from the store and prices only the rest."""
+    PLAN_ARGS = ["--benchmarks", "EP", "--threads", "24"]
+
+    @staticmethod
+    def _plan():
         plan = plan_dataset_campaign(
             ["EP"], thread_counts=(24,), node_id=0, seed=config.DEFAULT_SEED
         )
         assert len(plan) == 17  # a 16-job shard, then a 1-job shard
-        reference = CampaignEngine().run(plan)
-        keys = [engine_module.topology_job_key(job, None) for job in plan]
+        return plan
 
+    @staticmethod
+    def _signal_in_first_shard(monkeypatch, *signums):
+        """Raise ``signums`` in-process while the first shard is priced."""
         signalled = []
 
-        def sigterm_once(**_where):
+        def raise_once(**_where):
             if not signalled:
                 # The engine's drain handler must be installed, or the
                 # signal would end the test process.
@@ -360,9 +366,20 @@ class TestDrain:
                     signal.SIG_IGN,
                 )
                 signalled.append(True)
-                signal.raise_signal(signal.SIGTERM)
+                for signum in signums:
+                    signal.raise_signal(signum)
 
-        monkeypatch.setattr(engine_module, "maybe_fault", sigterm_once)
+        monkeypatch.setattr(engine_module, "maybe_fault", raise_once)
+
+    def test_sigterm_drains_and_a_plain_rerun_finishes(self, tmp_path, monkeypatch):
+        """SIGTERM during the first shard lets that shard finish and be
+        persisted, then stops the run; running the same plan again
+        recalls the shard from the store and prices only the rest."""
+        plan = self._plan()
+        reference = CampaignEngine().run(plan)
+        keys = [engine_module.topology_job_key(job, None) for job in plan]
+
+        self._signal_in_first_shard(monkeypatch, signal.SIGTERM)
         store_dir = tmp_path / "campaign"
         store_path = store_dir / "store.sqlite"
         with ResultStore(store_path) as store:
@@ -389,6 +406,66 @@ class TestDrain:
         }
         own = {store_path.name + suffix for suffix in ("", "-wal", "-shm")}
         assert {path.name for path in store_dir.iterdir()} <= own
+
+    def test_second_signal_aborts_the_running_shard(self, tmp_path, monkeypatch):
+        """A second signal stops at once: the shard it lands in is not
+        persisted and no drain is reported."""
+        self._signal_in_first_shard(monkeypatch, signal.SIGTERM, signal.SIGINT)
+        store_path = tmp_path / "store.sqlite"
+        with ResultStore(store_path) as store:
+            with pytest.raises(KeyboardInterrupt):
+                CampaignEngine(store=store).run(self._plan())
+        assert _payloads(store_path, "sqlite") == {}
+
+    def test_drain_restores_the_previous_signal_handlers(self, monkeypatch):
+        before = {
+            sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)
+        }
+        self._signal_in_first_shard(monkeypatch, signal.SIGTERM)
+        with pytest.raises(CampaignInterrupted):
+            CampaignEngine().run(self._plan())
+        assert {sig: signal.getsignal(sig) for sig in before} == before
+
+    def test_off_the_main_thread_no_handler_is_installed(self):
+        """Signal handlers can only be set on the main thread; a run on a
+        worker thread (as the serve layer's are) leaves them alone."""
+        before = signal.getsignal(signal.SIGTERM)
+        seen = []
+
+        def enter():
+            with graceful_drain(DrainFlag()) as drain:
+                seen.append((signal.getsignal(signal.SIGTERM), drain.requested))
+
+        worker = threading.Thread(target=enter)
+        worker.start()
+        worker.join(timeout=10)
+        assert seen == [(before, False)]
+
+    def test_cli_sigint_drain_exits_130_and_the_same_command_finishes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``repro-campaign run`` maps a drain to exit 130 and prints the
+        command that finishes it; that command recalls the drained jobs."""
+        store_path = str(tmp_path / "store.sqlite")
+        command = ["run", "--store", store_path, "--backend", "sqlite",
+                   *self.PLAN_ARGS]
+        self._signal_in_first_shard(monkeypatch, signal.SIGINT)
+        assert main_campaign(command) == 130
+        err = capsys.readouterr().err
+        assert "drained on SIGINT: 16 of 17 job(s) completed and persisted" in err
+        assert f"repro-campaign {shlex.join(command)}" in err
+
+        monkeypatch.undo()
+        assert main_campaign(command) == 0
+        out = capsys.readouterr().out
+        assert "cache hits:      16\n" in out
+        assert "new simulations: 1\n" in out
+        plan = self._plan()
+        reference = CampaignEngine().run(plan)
+        keys = [engine_module.topology_job_key(job, None) for job in plan]
+        assert _payloads(store_path, "sqlite") == {
+            key: reference[key] for key in keys
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,10 @@ An ungated **fresh-request** entry closes the report
 requests for cold grids on a warm service over a SQLite store, each
 admitted as :meth:`TuningService.handle` admits it, looked up in the
 store (a miss) and answered by ``answer_group``, with the median of each
-component alongside: admission, the store miss, the fleet kernel, the
-store write, and the rest of ``answer_group``.
+component alongside: admission, the store miss, the fleet kernel (split
+into its keyed noise — seed digests and lognormal draws, the floor the
+golden digests fix — and the rest), the store write, and the rest of
+``answer_group``.
 
 ``--workers N`` switches to the **scaling** benchmark instead: each
 client tunes its *own* grid (distinct seeds — no coalescing between
@@ -77,7 +79,6 @@ import time
 from pathlib import Path
 
 from repro import config
-from repro.campaign.engine import topology_job_key
 from repro.campaign.store import ResultStore
 from repro.execution import fleet_replay
 from repro.execution.simulator import OperatingPoint
@@ -250,8 +251,9 @@ def measure_fresh_requests(count: int, benchmark: str, stride: int) -> dict:
     looked up in the store as the service's store fast path does (its
     grid rows, then their failure records: a miss), and answered by
     ``answer_group``, the execution a lone request's group gets.  Inside
-    that, the fleet kernel and the store write are timed by wrapping
-    ``fleet_replay.fleet_run`` and the store's ``put_many``.
+    that, the fleet kernel, its keyed noise and the store write are
+    timed by wrapping ``fleet_replay.fleet_run``,
+    ``fleet_replay._draw_noise`` and the store's ``put_many``.
     """
     spent: collections.Counter = collections.Counter()
 
@@ -267,12 +269,14 @@ def measure_fresh_requests(count: int, benchmark: str, stride: int) -> dict:
 
     samples: dict[str, list[float]] = collections.defaultdict(list)
     fleet_run = fleet_replay.fleet_run
+    draw_noise = fleet_replay._draw_noise
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(Path(tmp) / "fresh.sqlite")
         service = TuningService(store=store)
         engine = service.engine
         store.put_many = timed("store_write", store.put_many)
         fleet_replay.fleet_run = timed("fleet_kernel", fleet_run)
+        fleet_replay._draw_noise = timed("noise", draw_noise)
         try:
             for index in range(count + 1):
                 spent.clear()
@@ -289,10 +293,7 @@ def measure_fresh_requests(count: int, benchmark: str, stride: int) -> dict:
                     request, service.options.resolve_cluster(request.seed)
                 )
                 admitted = time.perf_counter()
-                keys = {
-                    job: topology_job_key(job, engine.topology)
-                    for job in request.grid_spec().jobs()
-                }
+                keys = engine.job_keys(request.grid_spec().jobs())
                 _, _, pending = engine.recall(keys)
                 looked_up = time.perf_counter()
                 assert len(pending) == len(keys), "a fresh grid hit the store"
@@ -302,14 +303,18 @@ def measure_fresh_requests(count: int, benchmark: str, stride: int) -> dict:
                     continue  # warm-up
                 samples["admission_ms"].append(admitted - began)
                 samples["store_miss_ms"].append(looked_up - admitted)
-                for name in ("fleet_kernel", "store_write"):
+                for name in ("fleet_kernel", "noise", "store_write"):
                     samples[f"{name}_ms"].append(spent[name])
+                samples["fleet_other_ms"].append(
+                    spent["fleet_kernel"] - spent["noise"]
+                )
                 samples["answer_other_ms"].append(
-                    answered - looked_up - sum(spent.values())
+                    answered - looked_up - spent["fleet_kernel"] - spent["store_write"]
                 )
                 samples["median_ms"].append(answered - began)
         finally:
             fleet_replay.fleet_run = fleet_run
+            fleet_replay._draw_noise = draw_noise
             asyncio.run(service.aclose())
             store.close()
     report: dict = {"requests": count, "app": benchmark, "stride": stride}
@@ -537,7 +542,8 @@ def render(report: dict) -> str:
     lines.append(
         f"{'fresh request':<16} median {f['median_ms']:.2f} ms of "
         f"{f['requests']}: admission {f['admission_ms']:.2f}, store miss "
-        f"{f['store_miss_ms']:.2f}, fleet kernel {f['fleet_kernel_ms']:.2f}, "
+        f"{f['store_miss_ms']:.2f}, fleet kernel {f['fleet_kernel_ms']:.2f} "
+        f"(noise {f['noise_ms']:.2f}, rest {f['fleet_other_ms']:.2f}), "
         f"store write {f['store_write_ms']:.2f}, other "
         f"{f['answer_other_ms']:.2f} ms"
     )

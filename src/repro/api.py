@@ -38,6 +38,7 @@ engine built for the cluster.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -441,22 +442,12 @@ class GridSpec:
         """The grid's campaign plan: one ``grid`` row job per CF, its
         cells keyed ``("heatmap", cf, ucf)`` — the jobs
         :func:`~repro.campaign.plan.grid_jobs` groups out of the CF x UCF
-        points, built row by row from the axes."""
-        from repro.campaign.plan import CampaignJob
-
-        cfs, ucfs = grid_axes(self.stride)
-        return tuple(
-            CampaignJob(
-                app=self.benchmark,
-                mode="grid",
-                core_freq_ghz=cf,
-                threads=self.threads,
-                node_id=self.node_id,
-                seed=self.seed,
-                label="heatmap",
-                uncore_freqs_ghz=ucfs,
-            )
-            for cf in cfs
+        points, built row by row from the axes.  The same plan (the
+        same job objects) for recently planned specs of equal fields and
+        field types, so a served request's store lookup and its
+        execution share one plan."""
+        return _grid_jobs(
+            self.benchmark, self.threads, self.stride, self.node_id, self.seed
         )
 
     def measurement(self, payloads: list[dict[str, Any]]) -> GridMeasurement:
@@ -479,6 +470,28 @@ class GridSpec:
             cpu_energy_j=cells("cpu_energy_j"),
             time_s=cells("time_s"),
         )
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _grid_jobs(
+    benchmark: str, threads: int | None, stride: int, node_id: int, seed: int
+) -> "tuple[CampaignJob, ...]":
+    from repro.campaign.plan import CampaignJob
+
+    cfs, ucfs = grid_axes(stride)
+    return tuple(
+        CampaignJob(
+            app=benchmark,
+            mode="grid",
+            core_freq_ghz=cf,
+            threads=threads,
+            node_id=node_id,
+            seed=seed,
+            label="heatmap",
+            uncore_freqs_ghz=ucfs,
+        )
+        for cf in cfs
+    )
 
 
 def sweep_grids(

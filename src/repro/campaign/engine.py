@@ -65,6 +65,12 @@ from repro.hardware.topology import NodeTopology
 from repro.workloads import registry
 from repro.workloads.application import Application
 
+#: How many jobs' result keys, and as many failure keys, an engine
+#: remembers: a full coalesced group's grid rows.  A served request
+#: recalls its rows before the run that executes them recalls the same
+#: job objects again; both then hash each key once.
+KEY_MEMO_SIZE = 256
+
 #: Payload keys every result of a mode must carry; a cached payload
 #: missing one was produced by an incompatible (older) result schema.
 REQUIRED_PAYLOAD_KEYS: dict[str, tuple[str, ...]] = {
@@ -177,6 +183,17 @@ def execute_job(
 # Fleet execution: many jobs per kernel invocation
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _row_points(core_freq_ghz: float, uncore_freqs_ghz: tuple, threads: int):
+    """A grid row's cell operating points, in UCF order; frozen, so the
+    rows of every grid at these coordinates share them."""
+    from repro.execution.simulator import OperatingPoint
+
+    return tuple(
+        OperatingPoint(core_freq_ghz, ucf, threads) for ucf in uncore_freqs_ghz
+    )
+
+
 def _job_fleet_members(job: CampaignJob, app: Application, topology):
     """The :class:`~repro.execution.fleet_replay.FleetMember` requests
     equivalent to one campaign job (one per grid cell for ``grid``)."""
@@ -192,13 +209,12 @@ def _job_fleet_members(job: CampaignJob, app: Application, topology):
     if job.mode == "grid":
         return [
             FleetMember(
-                app=app,
-                run_key=run_key,
-                point=OperatingPoint(job.core_freq_ghz, ucf, threads),
-                threads=threads,
-                **common,
+                app=app, run_key=run_key, point=point, threads=threads, **common
             )
-            for ucf, run_key in zip(job.uncore_freqs_ghz, job.cell_run_keys())
+            for point, run_key in zip(
+                _row_points(job.core_freq_ghz, job.uncore_freqs_ghz, threads),
+                job.cell_run_keys(),
+            )
         ]
     if job.mode == "savings":
         # Default-start node; the controller (if any) reprograms it.
@@ -407,6 +423,15 @@ class CampaignEngine:
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.total_executed = 0
         self.total_cached = 0
+        # id(job) -> (job, store key), one memo for results and one for
+        # failure records.  Keyed by identity, not equality, so an equal
+        # job of other field types (2 and 2.0 key apart) never takes
+        # another's key; holding the job keeps its id its own.  A full
+        # memo is cleared rather than trimmed: each operation on it is
+        # then atomic, so the serve loop and its worker thread can share
+        # it without a lock.
+        self._result_keys: dict[int, tuple[CampaignJob, str]] = {}
+        self._failure_keys: dict[int, tuple[CampaignJob, str]] = {}
 
     # ------------------------------------------------------------------
     def run(
@@ -445,9 +470,8 @@ class CampaignEngine:
             )
         if not isinstance(plan, CampaignPlan):
             plan = CampaignPlan(tuple(plan))
-        # Each job's key is hashed once per run; results and records
-        # reuse it.
-        keys = {job: topology_job_key(job, self.topology) for job in plan}
+        # Results and records reuse each job's key.
+        keys = self.job_keys(plan)
         store_path = self._store_path()
         payloads, quarantined, pending = self.recall(keys, retry_failed=retry_failed)
 
@@ -538,7 +562,29 @@ class CampaignEngine:
     def _failure_key(self, job: CampaignJob) -> tuple[str, dict[str, Any]]:
         """The store key and descriptor of ``job``'s failure record."""
         descriptor = failure_descriptor(self._descriptor(job))
-        return job_key(descriptor), descriptor
+        return self._memo_key(job, failure=True), descriptor
+
+    def job_keys(self, jobs: Iterable[CampaignJob]) -> dict[CampaignJob, str]:
+        """Each job's store key under this engine's topology.
+
+        Keys are remembered for the last :data:`KEY_MEMO_SIZE` job
+        objects, so a recall ahead of the run that executes the same
+        jobs (a served request's store lookup) hashes nothing twice.
+        """
+        return {job: self._memo_key(job, failure=False) for job in jobs}
+
+    def _memo_key(self, job: CampaignJob, *, failure: bool) -> str:
+        """The store key of ``job``'s result or failure record."""
+        memo = self._failure_keys if failure else self._result_keys
+        held = memo.get(id(job))
+        if held is not None:
+            return held[1]
+        descriptor = self._descriptor(job)
+        key = job_key(failure_descriptor(descriptor) if failure else descriptor)
+        if len(memo) >= KEY_MEMO_SIZE:
+            memo.clear()
+        memo[id(job)] = job, key
+        return key
 
     def _store_path(self) -> str:
         if self.store is not None and self.store.path is not None:
@@ -574,7 +620,7 @@ class CampaignEngine:
                 payloads[key] = cached
         if retry_failed or not misses:
             return payloads, {}, misses
-        failure_keys = [self._failure_key(job)[0] for _, job in misses]
+        failure_keys = [self._memo_key(job, failure=True) for _, job in misses]
         records = self.store.get_many(failure_keys)
         quarantined: dict[str, FailureRecord] = {}
         pending: list[tuple[str, CampaignJob]] = []

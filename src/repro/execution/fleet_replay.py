@@ -42,8 +42,10 @@ solo runs of one schedule at the same points price once.
 
 **Phase 2 — one fleet-wide noise draw.**  Every member's keyed
 (work region x iteration) seed digests join into one buffer, read as
-``uint64`` once: each block encodes its work-region names once, each
-run its key prefix once (:func:`~repro.util.rng.keyed_digests`).  One
+``uint64`` once (:func:`_draw_noise`): each block encodes its
+work-region names once, each seed and node id hash their key prefix
+once, and each run extends it by its run key
+(:func:`~repro.util.rng.keyed_digests`).  One
 :func:`~repro.util.rng.batched_lognormal` call covers the whole fleet,
 and the draws are sliced back.  Keyed streams are drawn per seed
 independently, so the batch boundary cannot change any member's noise.
@@ -98,11 +100,7 @@ from repro.execution.controlled_replay import (
     _Slot,
     compile_schedule_by_walk,
 )
-from repro.execution.replay import (
-    _effective_frequency,
-    _evaluate_block,
-    _seed_digests,
-)
+from repro.execution.replay import _entry_point, _evaluate_block, _seed_digests
 from repro.execution.simulator import (
     TIME_NOISE_SIGMA,
     InstanceLog,
@@ -114,7 +112,7 @@ from repro.hardware.node import ComputeNode, NodeRecipe
 from repro.hardware.power import NodeVariability, PowerModel
 from repro.hardware.rapl import _COUNTER_MASK, RAPL_ENERGY_UNIT_J, fold_deposits
 from repro.hardware.topology import NodeTopology
-from repro.util.rng import batched_lognormal, key_bytes
+from repro.util.rng import StreamPrefix, batched_lognormal, key_bytes
 
 
 #: Fleets up to this many fresh members fold their RAPL deposits row by
@@ -298,11 +296,7 @@ def _plan_member(
         else:
             topology, power_model = _fresh_model(member, models)
             threads = resolve_threads(app, threads, topology.num_cores)
-        entry = OperatingPoint(
-            _effective_frequency(point.core_freq_ghz, "core"),
-            _effective_frequency(point.uncore_freq_ghz, "uncore"),
-            threads,
-        )
+        entry = _entry_point(point.core_freq_ghz, point.uncore_freq_ghz, threads)
     else:
         power_model = node.power_model
         threads = resolve_threads(app, member.threads, node.topology.num_cores)
@@ -639,31 +633,10 @@ def fleet_run(members) -> FleetReplay:
     for block in blocks:
         _price_block(block)
 
-    # -- one keyed-noise draw spanning the whole fleet ---------------------
-    # Each run's (work x iteration) seed matrix flattens row-major — the
-    # exact order its solo run would reshape — into one digest buffer,
-    # and per-seed independence makes the fleet-wide batch sliceable
-    # without drift.  Each block's draws come back as one (members,
-    # work, iteration) view.
-    shapes = []
-    digests: list[bytes] = []
-    for block in blocks:
-        schedule = block.schedule
-        work_keys = [key_bytes(name) for name in schedule.work_names]
-        iterations = schedule.iterations
-        shapes.append((len(block.members), len(work_keys), iterations))
-        for m in block.members:
-            _seed_digests(
-                digests, work_keys, iterations, m.node_id, m.run_key, m.seed
-            )
-    bounds = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
-    all_seeds = np.frombuffer(b"".join(digests), dtype="<u8")
-    all_noise = batched_lognormal(all_seeds, TIME_NOISE_SIGMA)
-
     # -- block flattening; live members price on their nodes ---------------
     fresh = []   # (block, durations, node_w, package_w, dram_w), one row each
-    for block, shape, lo, hi in zip(blocks, shapes, bounds, bounds[1:]):
-        charges = _flatten(block, all_noise[lo:hi].reshape(shape))
+    for block, noise in zip(blocks, _draw_noise(blocks)):
+        charges = _flatten(block, noise)
         if block.node is None:
             fresh.append((block, *charges))
         else:
@@ -671,6 +644,40 @@ def fleet_run(members) -> FleetReplay:
     if fresh:
         _price_fresh(fresh)
     return FleetReplay(members, at)
+
+
+def _draw_noise(blocks: list) -> list:
+    """Every block's keyed time noise, one (members, work, iteration)
+    view each, from one fleet-wide draw.
+
+    Each run's (work x iteration) seed matrix flattens row-major — the
+    exact order its solo run would reshape — into one digest buffer,
+    and per-seed independence makes the fleet-wide batch sliceable
+    without drift.  The key prefix ``(seed, "time", node_id)`` is hashed
+    once per seed and node id object (an equal part of another type
+    keeps its own ``repr``), so the cells of a grid row share it.
+    """
+    shapes = []
+    digests: list[bytes] = []
+    nodes: dict[tuple, StreamPrefix] = {}
+    for block in blocks:
+        schedule = block.schedule
+        work_keys = [key_bytes(name) for name in schedule.work_names]
+        iterations = schedule.iterations
+        shapes.append((len(block.members), len(work_keys), iterations))
+        for m in block.members:
+            ids = id(m.seed), id(m.node_id)
+            if ids not in nodes:
+                nodes[ids] = StreamPrefix("time", m.node_id, seed=m.seed)
+            _seed_digests(digests, work_keys, iterations, nodes[ids], m.run_key)
+    bounds = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
+    noise = batched_lognormal(
+        np.frombuffer(b"".join(digests), dtype="<u8"), TIME_NOISE_SIGMA
+    )
+    return [
+        noise[lo:hi].reshape(shape)
+        for shape, lo, hi in zip(shapes, bounds, bounds[1:])
+    ]
 
 
 def _price_fresh(fresh: list) -> None:

@@ -9,8 +9,9 @@ module holds the primitives it prices with:
   switches at G operating points against one
   :class:`~repro.hardware.power.PowerModel`, as ``(G, W)`` arrays,
   through the array forms of the timing and power models;
-* :func:`_effective_frequency` is the frequency a fresh node reports
-  after programming a requested one;
+* :func:`_entry_point` is the operating point a fresh node reports
+  after programming requested frequencies
+  (:func:`_effective_frequency`);
 * :func:`_seed_digests` lays out one run's keyed (work region x
   iteration) noise seeds;
 * :func:`phase_counters` reads the phase counter totals of
@@ -44,14 +45,14 @@ from repro.counters.generation import (
 from repro.counters.papi import PAPI_PRESETS
 from repro.errors import FrequencyError
 from repro.execution.controlled_replay import fold_inclusive, slot_context
+from repro.execution.simulator import OperatingPoint
 from repro.execution.timing import region_timings
 from repro.hardware.frequency import quantize_frequency
 from repro.hardware.msr import ghz_of_ratio, ratio_of_ghz
 from repro.hardware.power import PowerModel
-from repro.util.rng import batched_lognormal, key_bytes, keyed_digests
+from repro.util.rng import StreamPrefix, batched_lognormal, keyed_digests
 
 
-@lru_cache(maxsize=256)
 def _effective_frequency(freq_ghz: float, domain: str) -> float:
     """The ``"core"`` or ``"uncore"`` frequency a fresh node would
     report after programming ``freq_ghz``: quantized to the 100 MHz
@@ -68,6 +69,20 @@ def _effective_frequency(freq_ghz: float, domain: str) -> float:
             f"[{lo}, {hi}]"
         )
     return ghz_of_ratio(ratio_of_ghz(q))
+
+
+@lru_cache(maxsize=2048, typed=True)
+def _entry_point(
+    core_freq_ghz: float, uncore_freq_ghz: float, threads: int
+) -> OperatingPoint:
+    """The operating point of a fresh node programmed to these
+    frequencies (:func:`_effective_frequency`), running ``threads``.
+    Frozen, so every run entering there shares it."""
+    return OperatingPoint(
+        _effective_frequency(core_freq_ghz, "core"),
+        _effective_frequency(uncore_freq_ghz, "uncore"),
+        threads,
+    )
 
 
 @dataclass
@@ -143,16 +158,15 @@ def _evaluate_block(
 
 
 def _seed_digests(
-    out: list, work_keys: list[bytes], iterations: int, node_id: int,
-    run_key: tuple, seed: int,
+    out: list, work_keys: list[bytes], iterations: int, node: StreamPrefix,
+    run_key: tuple,
 ) -> None:
     """Append one run's (work region x iteration) keyed time-noise seed
     digests to ``out``, row-major.  ``work_keys`` are the work regions'
     names as :func:`~repro.util.rng.key_bytes`, encoded once per
-    schedule; the run's key prefix is encoded and hashed once."""
-    keyed_digests(
-        out, key_bytes(seed, "time", node_id, run_key), work_keys, iterations
-    )
+    schedule; ``node`` is the hashed ``StreamPrefix("time", node_id,
+    seed=seed)`` its node's runs share, extended by the run key once."""
+    keyed_digests(out, node.extend(run_key), work_keys, iterations)
 
 
 def phase_counters(runs) -> list[tuple[dict[str, float], float]]:

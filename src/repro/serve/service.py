@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import api
-from repro.campaign.engine import CampaignEngine, topology_job_key
+from repro.campaign.engine import CampaignEngine
 from repro.campaign.store import ResultStore
 from repro.errors import ReproError, SchemaError, TuningError
 from repro.serve import batcher as batching
@@ -320,10 +320,8 @@ class TuningService:
         batched store read for the rows, one for the missing rows'
         failure records.
         """
-        topology = self.engine.topology
         spec = request.grid_spec()
-        jobs = spec.jobs()
-        keys = {job: topology_job_key(job, topology) for job in jobs}
+        keys = self.engine.job_keys(spec.jobs())
         stored, quarantined, pending = self.engine.recall(
             keys, retry_failed=self.retry_failed
         )

@@ -145,17 +145,16 @@ class StreamPrefix:
 
 
 def keyed_digests(
-    out: list, prefix: bytes, names: "list[bytes]", iterations: int
+    out: list, prefix: StreamPrefix, names: "list[bytes]", iterations: int
 ) -> None:
     """Append to ``out`` the seed digests of the keys ``(*prefix, name,
     i)``, row-major: each name in order, ``i`` from 0 to
     ``iterations - 1``.
 
-    ``prefix`` and every name are :func:`key_bytes` encodings; the
-    digests equal ``StreamPrefix(*prefix).extend(name).iteration_digests(
-    iterations)`` name by name, with the prefix hashed once.
+    Every name is a :func:`key_bytes` encoding; the digests equal
+    ``prefix.extend(name).iteration_digests(iterations)`` name by name.
     """
-    _digest_rows(out, hashlib.blake2b(prefix, digest_size=8), names, iterations)
+    _digest_rows(out, prefix._h, names, iterations)
 
 
 def _digest_rows(out: list, state, names, iterations: int) -> None:
@@ -377,7 +376,7 @@ def _lognormal_scalar(word_blocks, sigma: float, size, out, indices) -> None:
     (PCG_128BIT_CONSTANT), the increment is ``(initseq << 1) | 1`` and
     the state advances two LCG steps.  The state-dict template is
     reused across draws.  ``indices`` selects which rows to fill, so
-    the ziggurat fast path can delegate its rejection cases here.
+    the ziggurat fast path can delegate its normal-tail draws here.
     """
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
@@ -395,37 +394,46 @@ def _lognormal_scalar(word_blocks, sigma: float, size, out, indices) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized PCG64 output + ziggurat fast-accept path
+# Vectorized PCG64 output + ziggurat
 # ---------------------------------------------------------------------------
 #
 # A single lognormal draw per stream costs three scalar steps: re-seed a
 # PCG64 (state-dict assignment), draw one standard normal (ziggurat),
 # exponentiate.  All three vectorise:
 #
-# * the seeded state and its first 64-bit output are plain 128-bit LCG
-#   arithmetic (``state * mult + inc`` twice, then XSL-RR), computed
-#   here with 32-bit limb products over the whole seed batch;
+# * the seeded state and its outputs are plain 128-bit LCG arithmetic
+#   (``state * mult + inc``, then XSL-RR), computed here with 32-bit
+#   limb products over the whole seed batch;
 # * numpy's ziggurat accepts ~98.9% of first outputs immediately
-#   (``rabs < ki[idx]``), returning ``rabs * wi[idx]`` with the sign
-#   bit applied — elementwise arithmetic once the ``ki``/``wi`` tables
-#   are known;
+#   (``rabs < ki[idx]``), returning ``x = rabs * wi[idx]`` with the sign
+#   bit applied.  Almost every other draw lands in a wedge (``idx > 0``)
+#   and is decided by one more output ``u``: it returns ``x`` iff
+#   ``(fi[idx - 1] - fi[idx]) * u + fi[idx] < exp(-0.5 * x * x)``, and
+#   otherwise starts over from the next output.  Both tests are
+#   elementwise arithmetic once the ``ki``/``wi``/``fi`` tables are
+#   known, so the fast path loops over the ever fewer rows still
+#   drawing;
 # * ``Generator.lognormal(0, sigma)`` is ``exp(0.0 + sigma * z)`` with
 #   libm's ``exp`` — reproduced per element through ``math.exp`` (the
 #   same libm symbol; ``np.exp``'s SIMD kernels may differ in the last
-#   ulp and are NOT used).
+#   ulp and are NOT used), as is the wedge test's ``exp``.
 #
 # The tables are not exposed by numpy, so they are **extracted from the
 # running interpreter** on first use: crafting a generator state whose
-# next output is any chosen word (the LCG step is invertible, and a
-# zero high half makes XSL-RR the identity) lets us read ``wi[idx]``
-# off an accepted draw with a power-of-two mantissa (exact division)
-# and bisect ``ki[idx]`` by observing how many LCG steps a draw
-# consumed (exactly one iff fast-accepted).  The extraction verifies
-# the step/output semantics against ``random_raw`` and the assembled
-# fast path draw-for-draw against the scalar reference; any mismatch
-# (e.g. a future numpy changing its ziggurat) disables the fast path
-# for the process, falling back to the scalar loop.  Seeds whose first
-# output is not fast-accepted (~1%) always take the scalar path.
+# next two outputs are any chosen words (the LCG step is invertible,
+# the increment is free, and a high half of 0 or 1 makes XSL-RR output
+# the low half, or its xor with 1) lets us read ``wi[idx]`` off an
+# accepted draw with a power-of-two mantissa (exact division), bisect
+# ``ki[idx]`` by observing how many LCG steps a draw consumed (exactly
+# one iff fast-accepted), and pin ``fi[idx]`` among the few doubles
+# next to its construction value ``exp(-0.5 * x_idx**2)`` by the one
+# wedge threshold each candidate predicts.  The extraction verifies the
+# step/output semantics against ``random_raw``, every ``fi`` difference
+# at a second wedge threshold, and the assembled fast path draw-for-draw
+# against the scalar reference; any mismatch (e.g. a future numpy
+# changing its ziggurat) disables the fast path for the process, falling
+# back to the scalar loop.  Only the normal tail (a rejected ``idx ==
+# 0`` output, ~0.03% of seeds) always takes the scalar path.
 
 _MASK_32_U64 = np.uint64(0xFFFFFFFF)
 _MULT_B0 = np.uint64(_PCG_MULT & 0xFFFFFFFF)
@@ -433,6 +441,8 @@ _MULT_B1 = np.uint64((_PCG_MULT >> 32) & 0xFFFFFFFF)
 _MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
 _MULT_HI = np.uint64(_PCG_MULT >> 64)
 _RABS_MASK = np.uint64(0x000FFFFFFFFFFFFF)
+#: ``next_double``'s scale: the top 53 bits of an output times 2**-53.
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
 
 
 def _mul64_lo_hi(a: np.ndarray, b0: np.uint64, b1: np.uint64, b_lo: np.uint64):
@@ -464,12 +474,21 @@ def _step128(lo, hi, inc_lo, inc_hi):
     return r_lo, r_hi
 
 
-def _first_outputs(words: np.ndarray) -> np.ndarray:
-    """First ``next_uint64`` of a freshly seeded PCG64, per word block.
+def _xsl_rr(lo, hi):
+    """PCG64's XSL-RR output function of a (post-step) state."""
+    rot = hi >> np.uint64(58)
+    v = hi ^ lo
+    return (v >> rot) | (v << ((np.uint64(64) - rot) & np.uint64(63)))
 
-    Mirrors ``pcg64_srandom_r`` (state = ``(inc + entropy) * mult +
-    inc``) followed by one generate step and the XSL-RR output
-    function, vectorized over the batch.
+
+def _seeded_states(words: np.ndarray) -> tuple:
+    """``(lo, hi, inc_lo, inc_hi)`` of a freshly seeded PCG64 per word
+    block, before its first output.
+
+    Mirrors ``pcg64_srandom_r``: the word pairs combine high-first
+    (PCG_128BIT_CONSTANT), the increment is ``(initseq << 1) | 1`` and
+    the state is ``(inc + entropy) * mult + inc``; each output then
+    steps the state once and applies XSL-RR.
     """
     ent_hi = words[:, 0]
     ent_lo = words[:, 1]
@@ -478,43 +497,72 @@ def _first_outputs(words: np.ndarray) -> np.ndarray:
     t_lo = inc_lo + ent_lo
     carry = (t_lo < inc_lo).astype(np.uint64)
     t_hi = inc_hi + ent_hi + carry
-    s_lo, s_hi = _step128(t_lo, t_hi, inc_lo, inc_hi)
-    s_lo, s_hi = _step128(s_lo, s_hi, inc_lo, inc_hi)
-    rot = s_hi >> np.uint64(58)
-    v = s_hi ^ s_lo
-    return (v >> rot) | (v << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (*_step128(t_lo, t_hi, inc_lo, inc_hi), inc_lo, inc_hi)
 
 
 class _ZigguratFastPath:
     """Runtime-extracted ziggurat tables plus the vectorized draw."""
 
-    def __init__(self, ki: np.ndarray, wi: np.ndarray):
+    def __init__(self, ki: np.ndarray, wi: np.ndarray, fi: np.ndarray):
         self._ki = ki  #: (256,) uint64 fast-accept thresholds
         self._wi = wi  #: (256,) float64 strip widths
+        self._fi = fi  #: (256,) float64 density at each strip's edge
 
     def lognormal_into(self, words: np.ndarray, sigma: float, out: np.ndarray) -> None:
-        """Fill ``out`` with one ``lognormal(0, sigma)`` per word block."""
-        output = _first_outputs(words)
-        idx = (output & np.uint64(0xFF)).astype(np.intp)
-        shifted = output >> np.uint64(8)
-        sign = shifted & np.uint64(1)
-        rabs = (shifted >> np.uint64(1)) & _RABS_MASK
-        accepted = rabs < self._ki[idx]
-        x = rabs.astype(np.float64) * self._wi[idx]
-        np.negative(x, where=sign.astype(bool), out=x)
+        """Fill ``out`` with one ``lognormal(0, sigma)`` per word block.
+
+        Each pass draws one output for the rows still drawing; the
+        rows whose output neither fast-accepts nor lands in the tail
+        draw their wedge output, and the ones the wedge rejects go
+        round again.  The first pass covers every row; a row's normal
+        is the ``x`` of the pass that accepts it.
+        """
+        lo, hi, inc_lo, inc_hi = _seeded_states(words)
+        z = None
+        rows = None  # the rows still drawing; None: every row
+        tails = []
+        while True:
+            lo, hi = _step128(lo, hi, inc_lo, inc_hi)
+            output = _xsl_rr(lo, hi)
+            idx = (output & np.uint64(0xFF)).astype(np.intp)
+            shifted = output >> np.uint64(8)
+            rabs = (shifted >> np.uint64(1)) & _RABS_MASK
+            x = rabs.astype(np.float64) * self._wi[idx]
+            np.negative(x, where=(shifted & np.uint64(1)).astype(bool), out=x)
+            if rows is None:
+                z = x
+            else:
+                z[rows] = x
+            rejected = np.nonzero(rabs >= self._ki[idx])[0]
+            at_tail = idx[rejected] == 0
+            tails.append(rejected[at_tail] if rows is None else rows[rejected[at_tail]])
+            wedge = rejected[~at_tail]
+            if not wedge.size:
+                break
+            lo, hi, inc_lo, inc_hi = _step128(
+                lo[wedge], hi[wedge], inc_lo[wedge], inc_hi[wedge]
+            ) + (inc_lo[wedge], inc_hi[wedge])
+            u = (_xsl_rr(lo, hi) >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
+            k = idx[wedge]
+            xw = x[wedge]
+            curve = np.fromiter(map(math.exp, (-0.5 * xw * xw).tolist()), np.float64)
+            again = (self._fi[k - 1] - self._fi[k]) * u + self._fi[k] >= curve
+            rows = wedge[again] if rows is None else rows[wedge[again]]
+            if not rows.size:
+                break
+            lo, hi, inc_lo, inc_hi = lo[again], hi[again], inc_lo[again], inc_hi[again]
         # ``0.0 + sigma * z`` per element is the same IEEE operations as
         # the scalar expression, and ``math.exp`` is libm's ``exp``.
-        out[accepted] = np.fromiter(
-            map(math.exp, (0.0 + float(sigma) * x[accepted]).tolist()),
-            dtype=np.float64,
+        out[:] = np.fromiter(
+            map(math.exp, (0.0 + float(sigma) * z).tolist()), dtype=np.float64
         )
-        rejected = np.nonzero(~accepted)[0]
-        if rejected.size:
-            values = np.empty(rejected.size)
+        tail = np.concatenate(tails)
+        if tail.size:
+            values = np.empty(tail.size)
             _lognormal_scalar(
-                words[rejected].tolist(), sigma, None, values, range(rejected.size)
+                words[tail].tolist(), sigma, None, values, range(tail.size)
             )
-            out[rejected] = values
+            out[tail] = values
 
 
 _ZIGGURAT: _ZigguratFastPath | bool | None = None
@@ -531,8 +579,22 @@ def _ziggurat_fast_path() -> _ZigguratFastPath | None:
     return _ZIGGURAT or None
 
 
+def _wedge_threshold(d: float, f: float, curve: float) -> int:
+    """The smallest 53-bit ``u`` word the wedge test rejects: the first
+    ``m`` with ``d * (m * 2**-53) + f >= curve`` (``2**53`` if none).
+    Python floats are IEEE doubles, so this is numpy's comparison."""
+    lo, hi = 0, 1 << 53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if d * (mid * _DOUBLE_UNIT) + f >= curve:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _extract_ziggurat() -> _ZigguratFastPath | bool:
-    """Extract ``ki``/``wi`` from the running numpy and self-verify.
+    """Extract ``ki``/``wi``/``fi`` from the running numpy and self-verify.
 
     Returns ``False`` (disabling the fast path) whenever the observed
     generator semantics deviate from the expectations above.
@@ -544,68 +606,117 @@ def _extract_ziggurat() -> _ZigguratFastPath | bool:
     gen = np.random.Generator(bitgen)
     template = bitgen.state
     inner = template["state"]
-    inc = inner["inc"]
     standard_normal = gen.standard_normal
 
-    def step(state: int) -> int:
-        return (state * mult + inc) & mask
+    def start(first: int, second: int) -> tuple[int, int]:
+        """A pre-step state and increment whose next two outputs are
+        ``first`` and ``second``: post-step states with a zero high half
+        output their low half, and one with a high half of 1 outputs
+        its low half xor 1, which flips the increment's parity to the
+        odd one PCG64 needs."""
+        inc = (second - first * mult) & mask
+        if not inc & 1:
+            inc = (((1 << 64) | (second ^ 1)) - first * mult) & mask
+        return ((first - inc) * inv_mult) & mask, inc
 
-    def output(state: int) -> int:
-        hi, lo = state >> 64, state & 0xFFFFFFFFFFFFFFFF
-        v = hi ^ lo
-        rot = hi >> 58
-        return ((v >> rot) | (v << (64 - rot))) & 0xFFFFFFFFFFFFFFFF if rot else v
-
-    def seed_for_output(word: int) -> int:
-        # Post-step state with a zero high half makes XSL-RR the
-        # identity, so the pre-step state is one inverse LCG step away.
-        return ((word - inc) * inv_mult) & mask
-
-    # Verify the step/output semantics against the raw stream.
-    probe = seed_for_output(0x0123456789ABCDEF)
-    inner["state"] = probe
-    bitgen.state = template
-    if int(bitgen.random_raw()) != 0x0123456789ABCDEF:
-        return False
-
-    def draw(word: int) -> tuple[float, int]:
-        """One standard normal whose first uint64 is ``word``, plus the
-        number of LCG steps the draw consumed."""
-        pre = seed_for_output(word)
-        inner["state"] = pre
+    def draw(first: int, second: int = 0) -> tuple[float, int]:
+        """One standard normal whose first two uint64 outputs are
+        ``first`` and ``second``, plus the number of LCG steps the draw
+        consumed."""
+        pre, inc = start(first, second)
+        inner["state"], inner["inc"] = pre, inc
         bitgen.state = template
         value = float(standard_normal())
         end = bitgen.state["state"]["state"]
         state = pre
         for steps in range(1, 64):
-            state = step(state)
+            state = (state * mult + inc) & mask
             if state == end:
                 return value, steps
         raise RuntimeError("unexpected stream consumption")
 
+    # Verify the step/output semantics against the raw stream.
+    inner["state"], inner["inc"] = start(0x0123456789ABCDEF, 0xFEDCBA9876543210)
+    bitgen.state = template
+    if [int(v) for v in bitgen.random_raw(2)] != [
+        0x0123456789ABCDEF, 0xFEDCBA9876543210
+    ]:
+        return False
+
     ki = np.empty(256, dtype=np.uint64)
-    wi = np.zeros(256, dtype=np.float64)
+    wi = np.empty(256, dtype=np.float64)
+    fi = np.empty(256, dtype=np.float64)
+    probe_rabs = 1 << 50
     for idx in range(256):
-        # Bisect the fast-accept threshold: accepted draws consume
-        # exactly one step, everything else at least two.
-        lo, hi = 0, 1 << 52
+        # Probe the strip width with a power-of-two mantissa, so the
+        # division recovering ``wi`` is exact.  A zero second output
+        # (``u = 0``) accepts the draw in a wedge too.
+        value, steps = draw((probe_rabs << 9) | idx)
+        if steps > 2 or value <= 0.0:
+            return False
+        wi[idx] = value / probe_rabs
+
+    def accepts(idx: int, rabs: int) -> bool:
+        """Whether strip ``idx`` fast-accepts ``rabs``: an accepted
+        draw consumes exactly one step, everything else at least two."""
+        return draw((rabs << 9) | idx)[1] == 1
+
+    edges = wi * 2.0**52  # each strip's outer edge
+    for idx in range(256):
+        # Bisect the fast-accept threshold.  By construction it sits
+        # near 2**52 times the ratio of a strip's inner to outer edge
+        # (the base strip's: the tail start over its width), so the
+        # bisection starts in a window there, and widens to the whole
+        # range when the window misses (the top strip, whose inner edge
+        # is 0).
+        guess = int(edges[idx - 1] / edges[idx] * 2.0**52)
+        lo, hi = min(max(guess - 64, 0), 1 << 52), min(guess + 64, 1 << 52)
+        if (lo and not accepts(idx, lo - 1)) or (hi < 1 << 52 and accepts(idx, hi)):
+            lo, hi = 0, 1 << 52
         while lo < hi:
             mid = (lo + hi) // 2
-            _, steps = draw((mid << 9) | idx)
-            if steps == 1:
+            if accepts(idx, mid):
                 lo = mid + 1
             else:
                 hi = mid
         ki[idx] = lo
-        if lo > 1:
-            # Probe the strip width with an accepted power-of-two
-            # mantissa, so the division recovering ``wi`` is exact.
-            probe_rabs = 1 << (int(lo).bit_length() - 2)
-            value, steps = draw((probe_rabs << 9) | idx)
-            if steps != 1 or value < 0.0:
-                return False
-            wi[idx] = value / probe_rabs
-    fast = _ZigguratFastPath(ki, wi)
+
+    def first_rejection(idx: int, rabs: int, d: float, f: float) -> bool:
+        """Whether strip ``idx``'s wedge first rejects ``x = rabs *
+        wi[idx]`` at the ``u`` word the difference ``d`` and density
+        ``f`` predict: a rejected draw consumes more than two steps."""
+        x = rabs * float(wi[idx])
+        m = _wedge_threshold(d, f, math.exp(-0.5 * x * x))
+        return (
+            0 < m < 1 << 53
+            and draw((rabs << 9) | idx, (m - 1) << 11)[1] == 2
+            and draw((rabs << 9) | idx, m << 11)[1] > 2
+        )
+
+    # ``fi[0]`` tops the ziggurat at x = 0.  Each ``fi[idx]`` is the
+    # double next to ``exp(-0.5 * x**2)`` at the strip's outer edge
+    # (``x = wi[idx] * 2**52``) that predicts where the wedge starts
+    # rejecting an ``x`` about 64 ulps of ``fi[idx]`` above that edge's
+    # density, where ``u`` is small and ``fi[idx - 1]`` hardly counts.
+    # A second threshold mid-strip then checks the difference.
+    fi[0] = 1.0
+    for idx in range(1, 256):
+        edge = float(wi[idx]) * 2.0**52
+        near_edge = (1 << 52) - 1 - math.ceil(64 / (edge * edge))
+        bits = np.float64(math.exp(-0.5 * edge * edge)).view(np.int64)
+        for ulps in (0, -1, 1, -2, 2, -3, 3):
+            f = float((bits + ulps).view(np.float64))
+            if first_rejection(idx, near_edge, float(fi[idx - 1]) - f, f):
+                fi[idx] = f
+                break
+        else:
+            return False
+        mid_strip = (int(ki[idx]) + (1 << 52)) // 2
+        if not first_rejection(
+            idx, mid_strip, float(fi[idx - 1] - fi[idx]), float(fi[idx])
+        ):
+            return False
+    fast = _ZigguratFastPath(ki, wi, fi)
 
     # Draw-for-draw verification against the scalar reference.
     check_seeds = np.random.default_rng(0).integers(

@@ -144,6 +144,21 @@ class TestGridSpecJobs:
                 topology_job_key(job, topology) for job in grouped
             ]
 
+    def test_equal_fields_of_other_types_plan_their_own_keys(self):
+        """Specs share a plan only when their fields match in type too:
+        a seed of ``True`` keys its rows apart from a seed of ``1``,
+        through one engine's remembered keys as well."""
+        spec, twin = api.GridSpec("EP", seed=1), api.GridSpec("EP", seed=True)
+        assert spec == twin
+        assert spec.jobs() is api.GridSpec("EP", seed=1).jobs()
+        assert twin.jobs() is not spec.jobs()
+        engine = CampaignEngine()
+        for jobs in (spec.jobs(), twin.jobs(), spec.jobs()):
+            assert list(engine.job_keys(jobs).values()) == [
+                topology_job_key(job, None) for job in jobs
+            ]
+        assert engine.job_keys(spec.jobs()) != engine.job_keys(twin.jobs())
+
     def test_store_of_grouped_rows_recalls_with_nothing_executed(self, tmp_path):
         """A SQLite store filled through the grouped rows (the plan
         ``sweep_grid`` priced before its rows came from the axes)

@@ -435,6 +435,21 @@ class TestFleetProperties:
             assert_same_payload(fleet_run([build_member(spec)]).results[0],
                                 batched.results[i])
 
+    def test_equal_node_ids_of_other_types_keep_their_noise(self):
+        """The fleet hashes a node's ``(seed, "time", node_id)`` noise
+        prefix once; node ids that compare equal but print differently
+        (``1``, ``True``, ``1.0``) still draw their own solo noise."""
+        app = build_app("EP")
+        members = [
+            FleetMember(app=app, run_key=("k",), node_id=node_id, seed=3,
+                        point=OperatingPoint(2.0, 2.0, 24), threads=24)
+            for node_id in (1, True, 1.0)
+        ]
+        batched = fleet_run(members)
+        assert len(set(batched.time_s)) == 3
+        for member, time_s in zip(members, batched.time_s):
+            assert fleet_run([member]).time_s == (time_s,)
+
 
 #: Counters the entry-state sequence synthesises.
 ENTRY_COUNTERS = ("PAPI_TOT_INS", "PAPI_L3_TCM", "NOT_A_COUNTER")

@@ -15,6 +15,8 @@ from collections import Counter
 import pytest
 
 from repro import api
+from repro.campaign import engine as engine_module
+from repro.campaign import store as store_module
 from repro.campaign.engine import qualified_descriptor, topology_job_key
 from repro.campaign.resilience import FailureRecord, failure_descriptor
 from repro.campaign.store import ResultStore, job_key
@@ -548,6 +550,54 @@ class TestAdmissionBuildsNothing:
         assert [r["status"] for r in responses] == ["ok"] * 4 + ["error"] + ["ok"] * 2
         assert service.metrics.cached_hits == 3
         assert built == {}
+
+
+class TestKeysHashedOncePerRequest:
+    """The serve twin of ``tests/campaign/test_engine_overhead.py::
+    test_each_key_hashed_once_per_run``: a fresh request's store lookup
+    and the engine run that executes it hash each key once between
+    them, on a SQLite store."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch) -> Counter:
+        counts: Counter = Counter()
+
+        def counting(descriptor):
+            key = job_key(descriptor)
+            counts[key] += 1
+            return key
+
+        monkeypatch.setattr(store_module, "job_key", counting)
+        monkeypatch.setattr(engine_module, "job_key", counting)
+        return counts
+
+    def test_fresh_then_stored_request(self, tmp_path, hashed):
+        payload = {"version": WIRE_VERSION, "benchmark": "EP"}
+        jobs = grid_jobs_of(api.TuningRequest("EP"))
+        result_keys = {job_key(job.descriptor()) for job in jobs}
+        failure_keys = {job_key(failure_descriptor(job.descriptor())) for job in jobs}
+        path = tmp_path / "store.sqlite"
+
+        async def serve():
+            with ResultStore(path) as store:
+                service = TuningService(store=store)
+                response = await service.handle(dict(payload))
+                await service.aclose()
+            return service, response
+
+        service, response = run(serve())
+        assert response["meta"]["cached"] is False
+        assert len(jobs) == 14
+        # The recall's hash, plus the store's key/descriptor check on write.
+        assert {hashed[key] for key in result_keys} == {2}
+        assert {hashed[key] for key in failure_keys} == {1}
+        assert set(hashed) == result_keys | failure_keys
+
+        hashed.clear()
+        service, response = run(serve())
+        assert response["meta"]["cached"] is True
+        assert {hashed[key] for key in result_keys} == {1}
+        assert set(hashed) == result_keys
 
 
 class TestExecutionFailureIsolation:

@@ -122,8 +122,8 @@ class TestRunDigests:
     ):
         out: list[bytes] = []
         _seed_digests(
-            out, [key_bytes(name) for name in names], iterations, node_id,
-            run_key, seed,
+            out, [key_bytes(name) for name in names], iterations,
+            StreamPrefix("time", node_id, seed=seed), run_key,
         )
         assert all(len(digest) == 8 for digest in out)
         want = stream_prefix_digests(names, iterations, node_id, run_key, seed)
@@ -139,14 +139,20 @@ class TestRunDigests:
         run key and node id of consecutive runs — each hash their own
         ``repr``: no encoding is reused for an equal part."""
         out: list[bytes] = []
-        _seed_digests(out, [key_bytes(n) for n in TWINS], 2, 0, ("k",), 3)
+        _seed_digests(
+            out, [key_bytes(n) for n in TWINS], 2, StreamPrefix("time", 0, seed=3),
+            ("k",),
+        )
         assert [int.from_bytes(d, "little") for d in out] == (
             stream_prefix_digests(TWINS, 2, 0, ("k",), 3)
         )
         assert len(set(out)) == len(out)
         for twin in TWINS:
             out = []
-            _seed_digests(out, [key_bytes("r")], 2, twin, (twin,), 3)
+            _seed_digests(
+                out, [key_bytes("r")], 2, StreamPrefix("time", twin, seed=3),
+                (twin,),
+            )
             assert [int.from_bytes(d, "little") for d in out] == (
                 stream_prefix_digests(["r"], 2, twin, (twin,), 3)
             )

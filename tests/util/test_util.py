@@ -200,16 +200,56 @@ class TestZigguratFastPath:
         _lognormal_scalar(words.tolist(), 0.0025, None, want, range(len(seeds)))
         assert np.array_equal(got, want)
 
+    #: Seeds whose first ziggurat output misses the fast accept, with
+    #: that output's strip index and the LCG steps their first normal
+    #: consumes: a wedge accepts it, a wedge rejects it (the next
+    #: output is then accepted), and the ``idx == 0`` normal tail.
+    REJECTED_FIRST = {
+        "wedge": (2359511984839924004, 27, 2),
+        "double": (16143653839198388712, 2, 3),
+        "tail": (10197010233035080564, 0, 3),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REJECTED_FIRST))
+    def test_rejected_first_outputs_match_numpy(self, kind):
+        """Against ``default_rng(seed).lognormal`` itself, in a batch
+        large enough for the fast path and in the counter-noise shape."""
+        seed, idx, steps = self.REJECTED_FIRST[kind]
+        generator = np.random.default_rng(seed)
+        first = int(np.random.default_rng(seed).bit_generator.random_raw())
+        before = generator.bit_generator.state["state"]
+        generator.standard_normal()
+        multiplier = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's LCG
+        state, taken = before["state"], 0
+        while state != generator.bit_generator.state["state"]["state"]:
+            state = (state * multiplier + before["inc"]) % 2**128
+            taken += 1
+        assert (first & 0xFF, taken) == (idx, steps)
+
+        seeds = np.random.default_rng(11).integers(0, 2**64, size=64, dtype=np.uint64)
+        seeds[17] = seed
+        for sigma in (0.0025, 0.015):
+            assert batched_lognormal(seeds, sigma)[17] == (
+                np.random.default_rng(seed).lognormal(0.0, sigma)
+            )
+            assert np.array_equal(
+                batched_lognormal(seeds[15:20], sigma, size=56)[2],
+                np.random.default_rng(seed).lognormal(0.0, sigma, 56),
+            )
+
     def test_first_outputs_match_raw_streams(self):
-        from repro.util.rng import _first_outputs, _seed_words
+        from repro.util.rng import _seed_words, _seeded_states, _step128, _xsl_rr
 
         seeds = np.random.default_rng(3).integers(
             0, 2**64, size=32, dtype=np.uint64
         )
-        outputs = _first_outputs(_seed_words(seeds))
+        lo, hi, inc_lo, inc_hi = _seeded_states(_seed_words(seeds))
+        first_lo, first_hi = _step128(lo, hi, inc_lo, inc_hi)
+        first = _xsl_rr(first_lo, first_hi)
+        second = _xsl_rr(*_step128(first_lo, first_hi, inc_lo, inc_hi))
         for i, seed in enumerate(seeds):
-            raw = np.random.default_rng(int(seed)).bit_generator.random_raw()
-            assert int(outputs[i]) == int(raw)
+            raw = np.random.default_rng(int(seed)).bit_generator.random_raw(2)
+            assert [int(first[i]), int(second[i])] == [int(v) for v in raw]
 
 
 class TestValidation:

@@ -36,7 +36,9 @@ store (a miss) and answered by ``answer_group``, with the median of each
 component alongside: admission, the store miss, the fleet kernel (split
 into its keyed noise — seed digests and lognormal draws, the floor the
 golden digests fix — and the rest), the store write, and the rest of
-``answer_group``.
+``answer_group``.  ``fresh_tmm_request_ms`` has the same components for
+fresh requests that also carry a tuning model, whose dynamic run the
+same engine run prices.
 
 ``--workers N`` switches to the **scaling** benchmark instead: each
 client tunes its *own* grid (distinct seeds — no coalescing between
@@ -124,6 +126,15 @@ def client_tmm(index: int) -> str:
         },
     )
     return model.to_json()
+
+
+def phase_tmm(benchmark: str) -> str:
+    """The TMM the fresh TMM requests carry: the benchmark's phase
+    region at 2.4 | 2.0 GHz."""
+    point = OperatingPoint(2.4, 2.0, config.DEFAULT_OPENMP_THREADS)
+    return TuningModel.from_best_configs(
+        benchmark, "phase", {"phase": point}
+    ).to_json()
 
 
 def round_requests(
@@ -241,15 +252,18 @@ def measure_light_load(
     return pairs
 
 
-def measure_fresh_requests(count: int, benchmark: str, stride: int) -> dict:
+def measure_fresh_requests(
+    count: int, benchmark: str, stride: int, tmm: str | None = None
+) -> dict:
     """Median milliseconds of one fresh request, whole and by component.
 
     A warm service over a fresh SQLite store takes ``count`` requests,
-    each for its own cold grid (its own seed), one at a time after one
-    warm-up request.  Each is admitted as ``TuningService.handle`` does
-    (parse, resolve, :func:`~repro.serve.schema.check_admissible`),
-    looked up in the store as the service's store fast path does (its
-    grid rows, then their failure records: a miss), and answered by
+    each for its own cold grid (its own seed) and carrying ``tmm``, one
+    at a time after one warm-up request.  Each is admitted as
+    ``TuningService.handle`` does (parse, resolve,
+    :func:`~repro.serve.schema.check_admissible`), looked up in the
+    store as the service's store fast path does (its planned jobs, then
+    their failure records: a miss), and answered by
     ``answer_group``, the execution a lone request's group gets.  Inside
     that, the fleet kernel, its keyed noise and the store write are
     timed by wrapping ``fleet_replay.fleet_run``,
@@ -287,13 +301,14 @@ def measure_fresh_requests(count: int, benchmark: str, stride: int) -> dict:
                         "benchmark": benchmark,
                         "stride": stride,
                         "seed": 30_000 + index,
+                        "tmm": tmm,
                     }
                 ).resolved()
                 check_admissible(
                     request, service.options.resolve_cluster(request.seed)
                 )
                 admitted = time.perf_counter()
-                keys = engine.job_keys(request.grid_spec().jobs())
+                keys = engine.job_keys(request.jobs())
                 _, _, pending = engine.recall(keys)
                 looked_up = time.perf_counter()
                 assert len(pending) == len(keys), "a fresh grid hit the store"
@@ -317,7 +332,9 @@ def measure_fresh_requests(count: int, benchmark: str, stride: int) -> dict:
             fleet_replay._draw_noise = draw_noise
             asyncio.run(service.aclose())
             store.close()
-    report: dict = {"requests": count, "app": benchmark, "stride": stride}
+    report: dict = {
+        "requests": count, "app": benchmark, "stride": stride, "tmm": tmm is not None
+    }
     report.update(
         {name: statistics.median(values) * 1e3 for name, values in samples.items()}
     )
@@ -385,6 +402,9 @@ def run_benchmark(
         "aggregate": aggregate,
         "fresh_request_ms": measure_fresh_requests(
             FRESH_REQUESTS, benchmark, stride
+        ),
+        "fresh_tmm_request_ms": measure_fresh_requests(
+            FRESH_REQUESTS, benchmark, stride, tmm=phase_tmm(benchmark)
         ),
     }
 
@@ -538,15 +558,19 @@ def render(report: dict) -> str:
         f"{len(a['light_load_p50_ratios'])}) "
         f"(no admission delay {a['no_admission_delay']})"
     )
-    f = report["fresh_request_ms"]
-    lines.append(
-        f"{'fresh request':<16} median {f['median_ms']:.2f} ms of "
-        f"{f['requests']}: admission {f['admission_ms']:.2f}, store miss "
-        f"{f['store_miss_ms']:.2f}, fleet kernel {f['fleet_kernel_ms']:.2f} "
-        f"(noise {f['noise_ms']:.2f}, rest {f['fleet_other_ms']:.2f}), "
-        f"store write {f['store_write_ms']:.2f}, other "
-        f"{f['answer_other_ms']:.2f} ms"
-    )
+    for label, entry in (
+        ("fresh request", "fresh_request_ms"),
+        ("fresh TMM req.", "fresh_tmm_request_ms"),
+    ):
+        f = report[entry]
+        lines.append(
+            f"{label:<16} median {f['median_ms']:.2f} ms of "
+            f"{f['requests']}: admission {f['admission_ms']:.2f}, store miss "
+            f"{f['store_miss_ms']:.2f}, fleet kernel {f['fleet_kernel_ms']:.2f} "
+            f"(noise {f['noise_ms']:.2f}, rest {f['fleet_other_ms']:.2f}), "
+            f"store write {f['store_write_ms']:.2f}, other "
+            f"{f['answer_other_ms']:.2f} ms"
+        )
     return "\n".join(lines)
 
 

@@ -11,14 +11,13 @@ module instead:
     simulated cluster they run on, and what a definitive job failure
     does.
 
-:class:`TuningRequest` / :func:`tune`
+:class:`TuningRequest` / :func:`tune` / :func:`tune_many`
     The paper's end product as a callable: "for (benchmark, threads,
-    objective, TMM), which CF x UCF configuration should run?".  The
-    grid is measured as campaign row jobs priced in fleet-kernel shards
-    (:mod:`repro.execution.fleet_replay`) and the objective argmin is
-    evaluated vectorised; an optional serialised tuning model (TMM)
-    adds a dynamic-tuning (RRL) outcome priced through the
-    controlled-replay kernels.
+    objective, TMM), which CF x UCF configuration should run?".  A
+    request plans the grid's row jobs and, with a serialised tuning
+    model (TMM), one dynamic-tuning (RRL) run, then folds their
+    payloads into the objective argmin and the dynamic outcome;
+    :func:`tune_many` prices many requests' plans in one engine run.
 
 :func:`sweep_grid`
     The shared grid-measurement primitive: the full (or thinned)
@@ -39,7 +38,7 @@ engine built for the cluster.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -70,6 +69,7 @@ __all__ = [
     "sweep_grid",
     "sweep_grids",
     "tune",
+    "tune_many",
     "replay",
     "savings",
 ]
@@ -231,6 +231,55 @@ class TuningRequest:
             seed=self.seed,
         )
 
+    def jobs(self) -> "tuple[CampaignJob, ...]":
+        """The resolved request's campaign plan: its grid's row jobs
+        (:meth:`GridSpec.jobs`) and, with a TMM, one ``dynamic`` savings
+        job — an instrumented RRL run under that model at the default
+        OpenMP thread count.  The same job objects for recently planned
+        equal requests, so a served request's store lookup and its
+        execution share one plan."""
+        grid = self.grid_spec().jobs()
+        if self.tmm is None:
+            return grid
+        return grid + _dynamic_jobs(
+            self.benchmark, self.tmm, self.node_id, self.seed
+        )
+
+    def answer(self, payloads: "list[dict[str, Any]]") -> "TuningAnswer":
+        """Fold the payloads of :meth:`jobs`, in plan order, into the
+        answer: the grid's objective argmin and, with a TMM, the
+        dynamic run's outcome."""
+        if self.tmm is None:
+            return self.grid_spec().measurement(payloads).answer(self)
+        *rows, dynamic = payloads
+        answer = self.grid_spec().measurement(rows).answer(self)
+        return replace(
+            answer,
+            dynamic=DynamicOutcome(
+                *(dynamic[field.name] for field in fields(DynamicOutcome))
+            ),
+        )
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _dynamic_jobs(
+    benchmark: str, tmm: str, node_id: int, seed: int
+) -> "tuple[CampaignJob, ...]":
+    from repro.campaign.plan import savings_jobs
+    from repro.readex.tuning_model import TuningModel
+
+    return savings_jobs(
+        benchmark,
+        label="dynamic",
+        runs=1,
+        threads=config.DEFAULT_OPENMP_THREADS,
+        controller="rrl",
+        tuning_model=TuningModel.from_json(tmm).to_json(),
+        instrumented=True,
+        node_id=node_id,
+        seed=seed,
+    )
+
 
 @dataclass(frozen=True)
 class RunTriple:
@@ -252,13 +301,7 @@ class DynamicOutcome:
     instrumentation_time_s: float
 
     def payload(self) -> dict[str, Any]:
-        return {
-            "node_energy_j": self.node_energy_j,
-            "cpu_energy_j": self.cpu_energy_j,
-            "time_s": self.time_s,
-            "switching_time_s": self.switching_time_s,
-            "instrumentation_time_s": self.instrumentation_time_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -510,85 +553,61 @@ def sweep_grids(
     — batch-mates never change a cell — and with ``options.campaign``
     its rows cache under their usual per-job store keys.
     """
-    options = options if options is not None else ExecutionOptions()
-    specs = list(specs)
-    if not specs:
-        return []
     resolved = []
-    all_jobs: list = []
     for s in specs:
         registry.check_name(s.benchmark)
         if s.threads is None:
             s = replace(s, threads=registry.default_threads(s.benchmark))
-        cluster = options.resolve_cluster(s.seed)
-        cluster.check_node_id(s.node_id)
-        jobs = s.jobs()
-        resolved.append((s, jobs))
-        all_jobs.extend(jobs)
+        resolved.append((s, s.jobs()))
+    payloads = _run_plans(resolved, options)
+    return [s.measurement(p) for (s, _), p in zip(resolved, payloads)]
+
+
+def _run_plans(plans, options: ExecutionOptions | None):
+    """Each ``(spec, jobs)`` plan's payloads, in plan order, from one
+    engine run over the plans' distinct jobs on the cluster the specs'
+    ``seed`` names, each ``node_id`` checked against it."""
+    options = options if options is not None else ExecutionOptions()
+    if not plans:
+        return []
+    for spec, _ in plans:
+        cluster = options.resolve_cluster(spec.seed)
+        cluster.check_node_id(spec.node_id)
     # Every spec's cluster comes from the same options, so all share
     # the last one's topology.
-    results = options.run_jobs(all_jobs, cluster)
-    return [s.measurement([results[job] for job in jobs]) for s, jobs in resolved]
+    jobs = dict.fromkeys(job for _, plan in plans for job in plan)
+    results = options.run_jobs(tuple(jobs), cluster)
+    return [[results[job] for job in plan] for _, plan in plans]
 
 
 # ---------------------------------------------------------------------------
 # The facade verbs
 # ---------------------------------------------------------------------------
 
-def _dynamic_outcome(
-    request: TuningRequest, options: ExecutionOptions
-) -> DynamicOutcome:
-    """Price one RRL-controlled run of the request's TMM (cacheable)."""
-    from repro.campaign.plan import savings_jobs
-    from repro.readex.tuning_model import TuningModel
-
-    tmm = TuningModel.from_json(request.tmm)
-    cluster = options.resolve_cluster(request.seed)
-    jobs = savings_jobs(
-        request.benchmark,
-        label="dynamic",
-        runs=1,
-        threads=config.DEFAULT_OPENMP_THREADS,
-        controller="rrl",
-        tuning_model=tmm.to_json(),
-        instrumented=True,
-        node_id=request.node_id,
-        seed=request.seed,
-    )
-    payload = options.run_jobs(jobs, cluster)[jobs[0]]
-    return DynamicOutcome(
-        node_energy_j=payload["node_energy_j"],
-        cpu_energy_j=payload["cpu_energy_j"],
-        time_s=payload["time_s"],
-        switching_time_s=payload["switching_time_s"],
-        instrumentation_time_s=payload["instrumentation_time_s"],
-    )
-
-
 def tune(
     request: TuningRequest, options: ExecutionOptions | None = None
 ) -> TuningAnswer:
-    """Answer one tuning request from a full grid measurement.
+    """Answer one tuning request: :func:`tune_many` of it alone, the
+    offline reference every served answer is bit-identical to."""
+    return tune_many([request], options)[0]
 
-    This is the offline reference the serving layer is bit-identical
-    to: the grid comes from :func:`sweep_grid` (cached/coalesced or
-    not, the cells agree to the bit) and the objective argmin is a
-    deterministic fold over it.
+
+def tune_many(
+    requests: "list[TuningRequest] | tuple[TuningRequest, ...]",
+    options: ExecutionOptions | None = None,
+) -> list[TuningAnswer]:
+    """Answer many tuning requests from one engine run.
+
+    The distinct jobs of every resolved request's plan
+    (:meth:`TuningRequest.jobs`: grid rows and TMM-driven dynamic runs,
+    across benchmarks, threads, nodes and seeds) are priced in one
+    :meth:`ExecutionOptions.run_jobs` call, so requests sharing a grid
+    share its measurement.  Each answer is its request's fold
+    (:meth:`TuningRequest.answer`), bit-identical to it tuned alone.
     """
-    options = options if options is not None else ExecutionOptions()
-    request = request.resolved()
-    grid = sweep_grid(
-        request.benchmark,
-        threads=request.threads,
-        stride=request.stride,
-        node_id=request.node_id,
-        seed=request.seed,
-        options=options,
-    )
-    answer = grid.answer(request)
-    if request.tmm is not None:
-        answer = replace(answer, dynamic=_dynamic_outcome(request, options))
-    return answer
+    requests = [request.resolved() for request in requests]
+    payloads = _run_plans([(r, r.jobs()) for r in requests], options)
+    return [r.answer(p) for r, p in zip(requests, payloads)]
 
 
 def replay(

@@ -57,6 +57,7 @@ from repro.errors import (
     CampaignError,
     CampaignExecutionError,
     CampaignInterrupted,
+    CampaignQuarantined,
     WorkloadError,
 )
 from repro.execution.replay import phase_counters
@@ -350,8 +351,9 @@ class CampaignResults:
     With ``on_failure="quarantine"`` or ``"skip"`` a run completes with
     partial results: :attr:`failures` maps the store keys of failed or
     quarantined jobs to their :class:`FailureRecord`, and indexing such
-    a job raises a :class:`CampaignError` naming the job and the remedy
-    instead of a bare missing-key error.
+    a job raises a :class:`CampaignError` naming the job, or a
+    :class:`CampaignQuarantined` naming the remedy when a store holds
+    its record (``stored_failures``).
     """
 
     def __init__(
@@ -361,12 +363,14 @@ class CampaignResults:
         topology: NodeTopology | None = None,
         failures: dict[str, FailureRecord] | None = None,
         keys: dict[CampaignJob, str] | None = None,
+        stored_failures: Iterable[str] = (),
     ):
         self._payloads = payloads
         self._topology = topology
         self._keys = keys or {}
         self.report = report
         self.failures = failures or {}
+        self.stored_failures = frozenset(stored_failures)
 
     def __len__(self) -> int:
         return len(self._payloads)
@@ -388,12 +392,17 @@ class CampaignResults:
             return self._payloads[key]
         except KeyError:
             record = self.failures.get(key)
-            if record is not None:
-                raise CampaignError(
-                    f"job {key} has no result: {record.describe()}; re-run "
-                    "with retry_failed=True (CLI: --retry-failed) to retry it"
+            if record is None:
+                raise CampaignError(f"no result for job key {key}") from None
+            if key in self.stored_failures:
+                raise CampaignQuarantined(
+                    f"job {key} is quarantined: {record.describe()}; re-run "
+                    "with retry_failed=True (CLI: --retry-failed) to retry it",
+                    failures={key: record},
                 ) from None
-            raise CampaignError(f"no result for job key {key}") from None
+            raise CampaignError(
+                f"job {key} has no result: {record.describe()}"
+            ) from None
 
 
 class CampaignEngine:
@@ -480,7 +489,7 @@ class CampaignEngine:
                 f"{key}: {record.describe()}"
                 for key, record in sorted(quarantined.items())
             )
-            raise CampaignExecutionError(
+            raise CampaignQuarantined(
                 f"{len(quarantined)} job(s) of this plan are quarantined in "
                 f"{store_path} from an earlier run — {listed}.  Re-run with "
                 "retry_failed=True (CLI: --retry-failed) to retry them, or "
@@ -506,7 +515,9 @@ class CampaignEngine:
                 kind=task_failure.kind,
                 attempts=task_failure.attempts,
             )
+        stored_failures = set(quarantined)
         if on_failure == "quarantine" and self.store is not None and failed:
+            stored_failures.update(failed)
             records = []
             for key, record in failed.items():
                 failure_key, descriptor = self._failure_key(jobs_by_key[key])
@@ -552,7 +563,7 @@ class CampaignEngine:
                 not_run=outcome.not_run,
             ) from first.exception
         return CampaignResults(
-            payloads, report, topology=self.topology, failures=all_failures, keys=keys
+            payloads, report, self.topology, all_failures, keys, stored_failures
         )
 
     # ------------------------------------------------------------------

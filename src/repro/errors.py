@@ -98,6 +98,14 @@ class CampaignExecutionError(CampaignError):
         self.not_run = list(not_run or [])
 
 
+class CampaignQuarantined(CampaignExecutionError):
+    """Jobs refused because a failure record held in a result store
+    stands for each of them (``failures``), from an earlier run or
+    persisted by this one under ``on_failure="quarantine"``.  They stay
+    refused until a run with ``retry_failed=True`` re-attempts them.
+    """
+
+
 class CampaignInterrupted(CampaignError):
     """A campaign run was drained by SIGINT/SIGTERM.
 

@@ -21,14 +21,13 @@ batch composition — so a coalesced answer is bit-identical to the solo
 The batcher itself is a synchronous data structure — no asyncio, no
 threads — so its invariants are directly testable; the service
 (:mod:`repro.serve.service`) supplies the event loop, firing rule and
-futures around it.  :func:`answer_group` is the pure execution step:
-one batched measurement of the group's distinct grids, then one answer
-per member request.
+futures around it.  :func:`answer_group` is the pure execution step,
+:func:`repro.api.tune_many`: one engine run over the group's distinct
+jobs (grid rows and TMM-driven dynamic runs), then one answer per
+member request.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from repro import api
 from repro.errors import CampaignError
@@ -110,33 +109,7 @@ def split_group(
     return buckets
 
 
-def answer_group(
-    requests: list[api.TuningRequest],
-    options: api.ExecutionOptions | None = None,
-) -> list[api.TuningAnswer]:
-    """Answer one coalesced group from one batched measurement.
-
-    The group's *distinct* grid specs are deduplicated and their grids
-    measured in a single :func:`repro.api.sweep_grids` invocation (one
-    fleet-kernel pass spanning every benchmark/thread/node/seed in the
-    group); each request's objective argmin — plus its TMM-priced
-    dynamic run, when it carries one — is then evaluated from its grid.
-    Per request, the result is bit-identical to :func:`repro.api.tune`,
-    which performs exactly this fold for a group of one.
-    """
-    if not requests:
-        return []
-    resolved = [request.resolved() for request in requests]
-    specs = [request.grid_spec() for request in resolved]
-    unique = list(dict.fromkeys(specs))
-    options = options if options is not None else api.ExecutionOptions()
-    grid_of = dict(zip(unique, api.sweep_grids(unique, options=options)))
-    answers = []
-    for request, spec in zip(resolved, specs):
-        answer = grid_of[spec].answer(request)
-        if request.tmm is not None:
-            answer = replace(
-                answer, dynamic=api._dynamic_outcome(request, options)
-            )
-        answers.append(answer)
-    return answers
+#: Answer one coalesced group from one engine run, each member
+#: bit-identical to its solo :func:`repro.api.tune`.  Callers reach it
+#: through this module, so the service's executor can be wrapped here.
+answer_group = api.tune_many

@@ -33,7 +33,8 @@ type/version problems); semantically invalid requests raise
 stride) from :meth:`TuningRequest.validate`, and values that only the
 simulated hardware could reject (node id, thread count, tuning model)
 raise it from :func:`check_admissible`.  The service maps both to
-structured error responses before a request joins any group.
+structured error responses before a request joins any group, through
+the one error-to-envelope mapping, :func:`exception_response`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from typing import Any
 from repro import config
 from repro.api import TuningAnswer, TuningRequest
 from repro.errors import (
+    CampaignQuarantined,
     JobError,
+    ReproError,
     SchemaError,
     TuningError,
     TuningModelError,
@@ -63,6 +66,7 @@ __all__ = [
     "request_payload",
     "ok_response",
     "error_response",
+    "exception_response",
 ]
 
 #: Bump on any incompatible change to the request or response shape.
@@ -72,8 +76,8 @@ WIRE_VERSION = 1
 #:
 #: ``bad-request``     malformed payload (shape, types, version)
 #: ``bad-value``       well-formed but semantically invalid request
-#: ``quarantined``     the request's jobs are quarantined in the store
-#: ``execution-error`` the simulation failed definitively
+#: ``quarantined``     a store holds failure records for the request's jobs
+#: ``execution-error`` the simulation failed definitively, persisting nothing
 #: ``draining``        the service is shutting down; retry elsewhere
 #: ``internal``        unexpected server-side failure
 ERROR_CODES: tuple[str, ...] = (
@@ -268,3 +272,21 @@ def error_response(code: str, message: str) -> dict[str, Any]:
         "status": "error",
         "error": {"code": code, "message": message},
     }
+
+
+def exception_response(exc: ReproError) -> dict[str, Any]:
+    """The error envelope for a library error, by its type: only a
+    :class:`~repro.errors.CampaignQuarantined` (failure records a store
+    holds, listed from the error) is ``quarantined``; any other failure
+    persisted nothing and is an ``execution-error``."""
+    if isinstance(exc, SchemaError):
+        return error_response("bad-request", str(exc))
+    if isinstance(exc, TuningError):
+        return error_response("bad-value", str(exc))
+    if isinstance(exc, CampaignQuarantined):
+        records = "; ".join(r.describe() for r in exc.failures.values())
+        return error_response(
+            "quarantined",
+            f"job is quarantined: {records}; re-attempt it with --retry-failed",
+        )
+    return error_response("execution-error", str(exc))

@@ -13,9 +13,10 @@
    work is refused with a ``draining`` error so clients retry
    elsewhere.
 2. **Dedup** — an *exact* duplicate of an in-flight request joins its
-   future (zero extra work); a request whose grid rows are all in the
-   result store is answered from the store without touching the
-   execution path.  Result records always shadow failure records here —
+   future (zero extra work); a request whose planned jobs (its grid
+   rows and, with a TMM, its dynamic run) are all in the result store
+   is answered from the store without touching the execution path.
+   Result records always shadow failure records here —
    a stale :class:`~repro.campaign.resilience.FailureRecord` left over
    from a failed run that later succeeded must not quarantine a request
    whose answer is sitting in the store (the same precedence
@@ -37,10 +38,10 @@
    :mod:`repro.serve.workers` (a group is first split by grid key so
    distinct measurements spread across workers); otherwise groups run
    serially on one worker thread.
-   Either way execution goes through the campaign engine (store-backed
-   caching plus the PR-7 retry/timeout semantics) and definitive
-   failures come back as structured ``quarantined`` /
-   ``execution-error`` responses, never as a dead connection.
+   Either way a group is one campaign engine run over its grids and
+   dynamic runs (:func:`repro.api.tune_many`), and definitive failures
+   come back as structured ``quarantined`` / ``execution-error``
+   responses, never as a dead connection.
    Responses are bit-identical across both paths.
 
 Graceful drain (:meth:`drain`): stop admitting, flush the pending
@@ -61,12 +62,13 @@ from typing import Any
 from repro import api
 from repro.campaign.engine import CampaignEngine
 from repro.campaign.store import ResultStore
-from repro.errors import ReproError, SchemaError, TuningError
+from repro.errors import CampaignQuarantined, ReproError, SchemaError, TuningError
 from repro.serve import batcher as batching
 from repro.serve import workers as pooling
 from repro.serve.schema import (
     check_admissible,
     error_response,
+    exception_response,
     ok_response,
     parse_request,
 )
@@ -154,7 +156,6 @@ class TuningService:
         store: ResultStore | None = None,
         max_batch: int = batching.DEFAULT_MAX_BATCH,
         retry_failed: bool = False,
-        retry_policy=None,
         workers: int = 1,
         drain_deadline_s: float | None = DEFAULT_DRAIN_DEADLINE_S,
         warm: tuple[str, ...] = (),
@@ -162,11 +163,7 @@ class TuningService:
         self.retry_failed = retry_failed
         self.metrics = ServiceMetrics()
         self.batcher = batching.CoalescingBatcher(max_batch=max_batch)
-        self.engine = (
-            CampaignEngine(store=store, retry_policy=retry_policy)
-            if store is not None
-            else None
-        )
+        self.engine = CampaignEngine(store=store) if store is not None else None
         # "quarantine": definitive failures persist as FailureRecords
         # (with a store), so later duplicates are refused instantly
         # instead of re-simulating a known-bad job.
@@ -285,10 +282,8 @@ class TuningService:
             check_admissible(
                 request, self.options.resolve_cluster(request.seed)
             )
-        except SchemaError as exc:
-            return error_response("bad-request", str(exc))
-        except TuningError as exc:
-            return error_response("bad-value", str(exc))
+        except (SchemaError, TuningError) as exc:
+            return exception_response(exc)
 
         # Exact in-flight duplicate: join its future.
         entry = self._inflight.get(request)
@@ -297,7 +292,7 @@ class TuningService:
             self.metrics.inflight_joins += 1
             return await asyncio.shield(entry.future)
 
-        # Store fast path: a fully cached grid answers without executing,
+        # Store fast path: a fully stored plan answers without executing,
         # and a persisted failure quarantines without executing.
         if self.engine is not None and self.engine.store is not None:
             hit = await self._from_store(request)
@@ -310,40 +305,32 @@ class TuningService:
     async def _from_store(self, request: api.TuningRequest) -> dict | None:
         """Answer (or quarantine) one request from the result store.
 
-        Returns ``None`` when any grid row is missing *and* none of the
-        missing rows carries a failure record — the request then takes
-        the normal coalesce/execute path.  A result record always wins
-        over a failure record for the same job: stale quarantine
+        Returns ``None`` when any job of the request's plan
+        (:meth:`~repro.api.TuningRequest.jobs`) is missing *and* none of
+        the missing jobs carries a failure record — the request then
+        takes the normal coalesce/execute path.  A result record always
+        wins over a failure record for the same job: stale quarantine
         entries (failed once, re-run successfully later) never shadow a
         stored answer.  The lookup is the engine's
         (:meth:`~repro.campaign.engine.CampaignEngine.recall`): one
-        batched store read for the rows, one for the missing rows'
+        batched store read for the jobs, one for the missing jobs'
         failure records.
         """
-        spec = request.grid_spec()
-        keys = self.engine.job_keys(spec.jobs())
+        keys = self.engine.job_keys(request.jobs())
         stored, quarantined, pending = self.engine.recall(
             keys, retry_failed=self.retry_failed
         )
         if quarantined:
-            record = next(iter(quarantined.values()))
             self.metrics.quarantined += 1
-            return error_response(
-                "quarantined",
-                f"job is quarantined: {record.describe()}; "
-                "restart the service with --retry-failed to retry",
+            return exception_response(
+                CampaignQuarantined("quarantined", failures=quarantined)
             )
         if pending:
             return None
-        payloads = [stored[key] for key in keys.values()]
-        # TMM-carrying requests still need their dynamic run priced; let
-        # the execution path do it (the engine caches that job too).
-        if request.tmm is not None:
-            return None
-        grid = spec.measurement(payloads)
         self.metrics.cached_hits += 1
         return ok_response(
-            grid.answer(request), meta={"cached": True, "coalesced": 0}
+            request.answer([stored[key] for key in keys.values()]),
+            meta={"cached": True, "coalesced": 0},
         )
 
     # ------------------------------------------------------------------
@@ -481,7 +468,7 @@ class TuningService:
                 self._resolve(request, dict(response))
             return None
         except ReproError as exc:
-            return ("error", pooling.failure_envelope(exc), None)
+            return ("error", exception_response(exc), None)
         except Exception as exc:  # pool broken beyond its respawn budget
             return (
                 "error",

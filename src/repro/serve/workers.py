@@ -34,7 +34,7 @@ falls back to in-process execution.
 Workers never raise across the process boundary for expected failures:
 a :class:`~repro.errors.ReproError` is converted in-worker to the same
 structured error envelope the serial service path would produce
-(:func:`failure_envelope`), because exceptions like
+(:func:`~repro.serve.schema.exception_response`), because exceptions like
 :class:`~repro.errors.CampaignExecutionError` carry keyword-only state
 that does not survive pickling.
 """
@@ -53,15 +53,14 @@ from typing import Any
 from repro import api
 from repro.campaign.engine import CampaignEngine
 from repro.campaign.store import ResultStore
-from repro.errors import CampaignError, CampaignExecutionError, ReproError
+from repro.errors import CampaignError, ReproError
 from repro.serve import batcher as batching
-from repro.serve.schema import error_response
+from repro.serve.schema import exception_response
 
 __all__ = [
     "GroupDispatch",
     "WorkerPool",
     "WorkerSpec",
-    "failure_envelope",
     "pool_supported",
     "warm_process",
 ]
@@ -112,27 +111,6 @@ def pool_supported(store) -> str | None:
             "concurrent writers"
         )
     return None
-
-
-def failure_envelope(exc: ReproError) -> dict[str, Any]:
-    """The structured error envelope for one failed group.
-
-    Shared by the serial service path and the pool workers (which
-    convert in-worker — :class:`CampaignExecutionError` carries
-    keyword-only constructor state that does not survive pickling).
-    Under ``on_failure="quarantine"`` a failed job surfaces when the
-    facade indexes its missing payload: a ``CampaignError`` naming the
-    failure and the ``retry_failed`` remedy.  Both that and an explicit
-    :class:`CampaignExecutionError` mean "this job is known bad".
-    """
-    if isinstance(exc, CampaignExecutionError):
-        detail = "; ".join(
-            record.describe() for record in exc.failures.values()
-        )
-        return error_response("quarantined", detail or str(exc))
-    if "retry_failed" in str(exc):
-        return error_response("quarantined", str(exc))
-    return error_response("execution-error", str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +200,7 @@ def _run_group(
     try:
         answers = batching.answer_group(list(requests), options)
     except ReproError as exc:
-        return ("error", failure_envelope(exc), os.getpid())
+        return ("error", exception_response(exc), os.getpid())
     return ("ok", [answer.payload() for answer in answers], os.getpid())
 
 

@@ -79,12 +79,8 @@ def _tune_json(args: argparse.Namespace) -> int:
     import json
 
     from repro import api
-    from repro.errors import (
-        CampaignExecutionError,
-        ReproError,
-        TuningError,
-    )
-    from repro.serve.schema import error_response, ok_response
+    from repro.errors import ReproError
+    from repro.serve.schema import exception_response, ok_response
 
     request = api.TuningRequest(
         benchmark=args.benchmark,
@@ -95,7 +91,6 @@ def _tune_json(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     try:
-        request.validate()
         options = api.ExecutionOptions()
         if args.store is not None:
             from repro.campaign.engine import CampaignEngine
@@ -105,14 +100,8 @@ def _tune_json(args: argparse.Namespace) -> int:
                 campaign=CampaignEngine(store=ResultStore(args.store))
             )
         answer = api.tune(request, options)
-    except TuningError as exc:
-        print(json.dumps(error_response("bad-value", str(exc))))
-        return 3
-    except CampaignExecutionError as exc:
-        print(json.dumps(error_response("quarantined", str(exc))))
-        return 3
     except ReproError as exc:
-        print(json.dumps(error_response("execution-error", str(exc))))
+        print(json.dumps(exception_response(exc)))
         return 3
     print(json.dumps(ok_response(answer, meta={"coalesced": 0, "offline": True})))
     return 0

@@ -227,6 +227,56 @@ class TestTune:
         expected = 1.0 - answer.best_energy_j / answer.default_energy_j
         assert answer.energy_saving == pytest.approx(expected)
 
+    def test_fresh_tmm_request_is_one_engine_run(self, monkeypatch):
+        """A TMM request's grid rows and dynamic run are priced by one
+        engine run; the dynamic outcome equals its job priced alone and
+        the static answer equals the request's without a TMM."""
+        plans = count_engine_runs(monkeypatch)
+        request = api.TuningRequest(
+            "EP", stride=7, tmm=SAVINGS_TMM.to_json()
+        ).resolved()
+        answer = api.tune(request)
+        assert len(plans) == 1
+        jobs = request.jobs()
+        assert plans == [len(jobs)]
+        monkeypatch.undo()
+        assert jobs[:-1] == request.grid_spec().jobs()
+        assert (jobs[-1].mode, jobs[-1].label) == ("savings", "dynamic")
+        alone = api.ExecutionOptions().run_jobs(jobs[-1:], Cluster(2))
+        assert answer.dynamic.payload() == alone[jobs[-1]]
+        static = api.tune(dataclasses.replace(request, tmm=None))
+        assert dataclasses.replace(answer, dynamic=None) == static
+
+    def test_tune_many_is_one_engine_run_over_distinct_jobs(self, monkeypatch):
+        requests = [
+            api.TuningRequest("EP", stride=7),
+            api.TuningRequest(
+                "EP", stride=7, objective="edp", tmm=SAVINGS_TMM.to_json()
+            ),
+            api.TuningRequest("Mcb", stride=9),
+        ]
+        solo = [api.tune(request).payload() for request in requests]
+        plans = count_engine_runs(monkeypatch)
+        answers = api.tune_many(requests)
+        distinct = {job for r in requests for job in r.resolved().jobs()}
+        assert plans == [len(distinct)]
+        assert [answer.payload() for answer in answers] == solo
+        assert api.tune_many([]) == []
+        assert plans == [len(distinct)]
+
+
+def count_engine_runs(monkeypatch) -> list[int]:
+    """Record the plan size of every ``CampaignEngine.run`` call."""
+    plans: list[int] = []
+    engine_run = CampaignEngine.run
+
+    def count_plan(self, plan, **kwargs):
+        plans.append(len(plan))
+        return engine_run(self, plan, **kwargs)
+
+    monkeypatch.setattr(CampaignEngine, "run", count_plan)
+    return plans
+
 
 class TestVerbOptions:
     def test_static_tuning_accepts_options(self):

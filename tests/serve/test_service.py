@@ -21,12 +21,20 @@ from repro.campaign.engine import qualified_descriptor, topology_job_key
 from repro.campaign.resilience import FailureRecord, failure_descriptor
 from repro.campaign.store import ResultStore, job_key
 from repro.errors import CampaignError
+from repro.execution.simulator import OperatingPoint
+from repro.readex.tuning_model import TuningModel
 from repro.serve import batcher as batching
 from repro.serve.schema import WIRE_VERSION
 from repro.serve.service import TuningService
 from repro.workloads import registry
 
 EP = {"version": WIRE_VERSION, "benchmark": "EP", "stride": 7}
+
+#: A one-scenario tuning model for EP: a request carrying it also
+#: plans the RRL-controlled ``dynamic`` run.
+TMM = TuningModel.from_best_configs(
+    "EP", "phase", {"phase": OperatingPoint(2.4, 2.0, 24)}
+).to_json()
 
 
 def run(coro):
@@ -272,6 +280,60 @@ class TestStoreDedup:
         assert answered["result"] == offline.payload()
 
 
+    def test_stored_tmm_request_is_a_cached_hit(self):
+        """A TMM request whose grid rows and dynamic run are both stored
+        is answered from the store: nothing executes."""
+
+        async def scenario():
+            service = TuningService(store=ResultStore())
+            first = await service.handle(dict(EP, tmm=TMM))
+            before = (service.engine.total_executed, service.metrics.cached_hits)
+            second = await service.handle(dict(EP, tmm=TMM))
+            await service.aclose()
+            return service, first, before, second
+
+        service, first, (executed, hits), second = run(scenario())
+        assert first["meta"]["cached"] is False
+        assert second["meta"]["cached"] is True
+        assert second["result"] == first["result"]
+        assert second["result"]["dynamic"] is not None
+        assert service.engine.total_executed == executed
+        assert service.metrics.cached_hits == hits + 1
+
+    def test_request_behind_a_held_group_recalls_its_rows(
+        self, tmp_path, monkeypatch
+    ):
+        """EP/edp misses the store while EP/energy's group is held, so
+        it executes as a second group.  That group's engine run recalls
+        the rows the first group wrote: the grid is priced once."""
+        gate = hold_executor(monkeypatch)
+        payload = {"version": WIRE_VERSION, "benchmark": "EP"}
+
+        async def scenario():
+            service = TuningService(store=ResultStore(tmp_path / "store.sqlite"))
+            energy = asyncio.create_task(service.handle(dict(payload)))
+            await asyncio.sleep(0.02)  # its group fired and is held
+            edp = asyncio.create_task(
+                service.handle(dict(payload, objective="edp"))
+            )
+            await asyncio.sleep(0.02)
+            held = (service.batcher.pending, service.batcher.groups_fired)
+            gate.set()
+            responses = await asyncio.gather(energy, edp)
+            await service.aclose()
+            return service, held, responses
+
+        service, held, responses = run(scenario())
+        assert held == (1, 1)
+        assert service.batcher.groups_fired == 2
+        for response in responses:
+            assert response["status"] == "ok"
+            assert response["meta"]["cached"] is False
+        assert service.metrics.cached_hits == 0
+        assert len(grid_jobs_of(api.TuningRequest("EP"))) == 14
+        assert service.engine.total_executed == 14
+
+
 class TestFaultsAndDrain:
     def test_injected_fault_surfaces_as_quarantined_and_persists(
         self, monkeypatch
@@ -305,6 +367,27 @@ class TestFaultsAndDrain:
         # the persisted FailureRecord answered the duplicate; no re-run
         assert service.engine.total_executed == executed
         assert service.metrics.quarantined == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_storeless_fault_is_an_execution_error(self, workers, monkeypatch):
+        """Without a store a definitive failure persists no record, so
+        it answers ``execution-error``, never ``quarantined``."""
+        monkeypatch.setenv(
+            "REPRO_FAULT_INJECT",
+            json.dumps([{"action": "raise", "app": "CG", "attempts": "all"}]),
+        )
+
+        async def scenario():
+            service = TuningService(workers=workers)
+            response = await service.handle(dict(EP, benchmark="CG"))
+            await service.aclose()
+            return service, response
+
+        service, response = run(scenario())
+        assert service.workers == workers
+        assert response["error"]["code"] == "execution-error"
+        assert "CG" in response["error"]["message"]
+        assert service.metrics.quarantined == 0
 
     def test_drain_answers_pending_and_refuses_new(self, monkeypatch):
         gate = hold_executor(monkeypatch)
@@ -595,6 +678,34 @@ class TestKeysHashedOncePerRequest:
 
         hashed.clear()
         service, response = run(serve())
+        assert response["meta"]["cached"] is True
+        assert {hashed[key] for key in result_keys} == {1}
+        assert set(hashed) == result_keys
+
+    def test_fresh_then_stored_tmm_request(self, tmp_path, hashed):
+        """The same bounds when the plan also holds the dynamic run."""
+        payload = {"version": WIRE_VERSION, "benchmark": "EP", "tmm": TMM}
+        jobs = api.TuningRequest("EP", tmm=TMM).resolved().jobs()
+        result_keys = {job_key(job.descriptor()) for job in jobs}
+        failure_keys = {job_key(failure_descriptor(job.descriptor())) for job in jobs}
+        path = tmp_path / "store.sqlite"
+
+        async def serve():
+            with ResultStore(path) as store:
+                service = TuningService(store=store)
+                response = await service.handle(dict(payload))
+                await service.aclose()
+            return response
+
+        response = run(serve())
+        assert response["meta"]["cached"] is False
+        assert len(jobs) == 15 and jobs[-1].label == "dynamic"
+        assert {hashed[key] for key in result_keys} == {2}
+        assert {hashed[key] for key in failure_keys} == {1}
+        assert set(hashed) == result_keys | failure_keys
+
+        hashed.clear()
+        response = run(serve())
         assert response["meta"]["cached"] is True
         assert {hashed[key] for key in result_keys} == {1}
         assert set(hashed) == result_keys

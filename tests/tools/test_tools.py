@@ -1,6 +1,13 @@
 """Tests for the otf2 parser, measure-rapl, sacct formatting and CLIs."""
 
+import json
+
 import pytest
+
+from repro import api
+from repro.campaign.engine import CampaignEngine
+from repro.campaign.faultinject import FAULT_ENV
+from repro.campaign.store import ResultStore
 
 from repro.errors import TraceError
 from repro.execution.simulator import ExecutionSimulator
@@ -113,3 +120,48 @@ class TestClis:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             cli.main_sacct(["NotABenchmark"])
+
+
+class TestTuneJson:
+    """``repro-tune --json`` answers in the serving wire schema, with
+    the service's one exception-to-envelope mapping."""
+
+    FAULT = [{"action": "raise", "app": "CG", "attempts": "all"}]
+
+    def tune_json(self, capsys, *extra):
+        code = cli.main_tune(["CG", "--json", "--stride", "7", *extra])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_answer_matches_offline_tune(self, capsys):
+        code, envelope = self.tune_json(capsys)
+        assert code == 0
+        offline = api.tune(api.TuningRequest("CG", stride=7))
+        assert envelope["result"] == offline.payload()
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_fresh_failure_is_an_execution_error(
+        self, with_store, capsys, tmp_path, monkeypatch
+    ):
+        """A failure that persisted no record is not a quarantine."""
+        monkeypatch.setenv(FAULT_ENV, json.dumps(self.FAULT))
+        extra = ["--store", str(tmp_path / "s.sqlite")] if with_store else []
+        code, envelope = self.tune_json(capsys, *extra)
+        assert code == 3
+        assert envelope["error"]["code"] == "execution-error"
+        assert "CG" in envelope["error"]["message"]
+
+    def test_stored_failure_record_is_quarantined(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "s.sqlite"
+        monkeypatch.setenv(FAULT_ENV, json.dumps(self.FAULT))
+        request = api.TuningRequest("CG", stride=7).resolved()
+        with ResultStore(path) as store:
+            CampaignEngine(store=store).run(
+                request.jobs(), on_failure="quarantine"
+            )
+        monkeypatch.delenv(FAULT_ENV)
+        code, envelope = self.tune_json(capsys, "--store", str(path))
+        assert code == 3
+        assert envelope["error"]["code"] == "quarantined"
+        assert "InjectedFault" in envelope["error"]["message"]

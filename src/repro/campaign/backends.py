@@ -12,16 +12,19 @@ contract:
     linear cold-open cost for millions.
 ``sqlite``
     A single SQLite database in WAL mode with a ``(key, store_version)``
-    primary key.  Opens in constant time, answers ``get`` through the
-    index, and takes concurrent multi-process writers (healing is a
-    single upsert+delete transaction per put).
+    primary key.  Opens in constant time, reads keys through the index,
+    and takes concurrent multi-process writers (healing is a single
+    upsert+delete transaction per write).
 
 Every backend stores whole *records* — ``{"key", "store_version",
 "job", "result"}`` dicts, serialised as sorted-key JSON — and exposes
-the effective (last-wins) record per key, including records written
-under another schema version (the front end decides whether those are
-servable).  Damaged bytes load as misses, never as crashes;
-:meth:`verify` reports exactly what is damaged.
+them through one batched read (``get_records``) and one batched write
+(``put_records``); the front end's ``get``, ``put`` and ``in`` are
+their one-key cases.  A read returns the effective (last-wins) record
+per key, including records written under another schema version (the
+front end decides whether those are servable).  Damaged bytes load as
+misses, never as crashes; :meth:`verify` reports exactly what is
+damaged.
 
 Backend selection is automatic from the store path (see
 :func:`detect_backend_kind`): ``*.jsonl`` → jsonl, ``*.sqlite``/``*.db``
@@ -80,7 +83,7 @@ def _records_of(
     return {key: records[key] for key in keys if key in records}
 
 
-def _parse_row(line: str) -> dict[str, Any] | None:
+def _parse_row(line: str | bytes) -> dict[str, Any] | None:
     """A stored record line, or ``None`` when it is damaged (a miss,
     never a crash)."""
     try:
@@ -99,27 +102,26 @@ def encode_record(record: dict[str, Any]) -> str:
 class StoreBackend(Protocol):
     """The byte-level contract behind :class:`ResultStore`.
 
-    ``get_record`` returns the *effective* record for a key — the
-    last-wins survivor, whatever its schema version — or ``None``;
-    ``get_records`` maps each of many keys that has one to it, in one
-    read where the layout allows.
-    ``put_records`` makes each argument the effective record for its key
-    (healing any other-version record).  ``iter_records`` streams every
-    effective record; ``stale_count`` counts keys whose effective record
-    carries another schema version.  ``release`` drops open handles
-    (safe before forking), ``refresh`` picks up records appended by
-    other processes.
+    One batched read and one batched write carry every record:
+    ``get_records`` maps each key that has one to its *effective*
+    record — the last-wins survivor, whatever its schema version — in
+    one read where the layout allows (a key with no record, or only a
+    damaged one, is absent); ``put_records`` makes each argument the
+    effective record for its key (healing any other-version record).
+    The front end's one-key ``get``, ``put`` and ``in`` go through
+    these two.  ``iter_records`` streams every effective record;
+    ``stale_count`` counts keys whose effective record carries another
+    schema version.  ``release`` drops open handles (safe before
+    forking), ``refresh`` picks up records appended by other processes.
     """
 
     kind: str
     supports_concurrent_writers: bool
     path: Path | None
 
-    def get_record(self, key: str) -> dict[str, Any] | None: ...
     def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]: ...
     def put_records(self, records: list[dict[str, Any]]) -> None: ...
     def iter_records(self) -> Iterator[dict[str, Any]]: ...
-    def contains(self, key: str) -> bool: ...
     def count(self) -> int: ...
     def stale_count(self) -> int: ...
     def verify(self) -> list[dict[str, Any]]: ...
@@ -143,9 +145,6 @@ class MemoryBackend:
     def __init__(self) -> None:
         self._records: dict[str, dict[str, Any]] = {}
 
-    def get_record(self, key: str) -> dict[str, Any] | None:
-        return self._records.get(key)
-
     def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]:
         return _records_of(self._records, keys)
 
@@ -155,9 +154,6 @@ class MemoryBackend:
 
     def iter_records(self) -> Iterator[dict[str, Any]]:
         yield from list(self._records.values())
-
-    def contains(self, key: str) -> bool:
-        return key in self._records
 
     def count(self) -> int:
         return len(self._records)
@@ -222,20 +218,11 @@ class JsonlBackend:
             data = fh.read()
         self._loaded_bytes += len(data)
         for raw in data.splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except ValueError:
-                continue  # truncated/corrupt line: treat as a miss
-            if record_is_wellformed(record):
+            # A blank, truncated or corrupt line parses to None: a miss.
+            if (record := _parse_row(raw)) is not None:
                 self._records[record["key"]] = record
 
     # -- record contract -----------------------------------------------
-    def get_record(self, key: str) -> dict[str, Any] | None:
-        return self._records.get(key)
-
     def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]:
         return _records_of(self._records, keys)
 
@@ -260,9 +247,6 @@ class JsonlBackend:
 
     def iter_records(self) -> Iterator[dict[str, Any]]:
         yield from list(self._records.values())
-
-    def contains(self, key: str) -> bool:
-        return key in self._records
 
     def count(self) -> int:
         return len(self._records)
@@ -408,26 +392,6 @@ class SqliteBackend:
         self._damage = str(exc)
 
     # -- record contract -----------------------------------------------
-    def get_record(self, key: str) -> dict[str, Any] | None:
-        conn = self._connect()
-        if conn is None:
-            return None
-        try:
-            row = conn.execute(
-                "SELECT record FROM records WHERE key=? AND store_version=?",
-                (key, STORE_VERSION),
-            ).fetchone()
-            if row is None:
-                row = conn.execute(
-                    "SELECT record FROM records WHERE key=?"
-                    " ORDER BY rowid DESC LIMIT 1",
-                    (key,),
-                ).fetchone()
-        except sqlite3.Error as exc:
-            self._note_damage(exc)
-            return None
-        return None if row is None else _parse_row(row[0])
-
     def get_records(self, keys: list[str]) -> dict[str, dict[str, Any]]:
         """One ``key IN (...)`` query per chunk of keys; per key, the
         current schema version's row, else the latest one."""
@@ -509,25 +473,8 @@ class SqliteBackend:
             self._note_damage(exc)
             return
         for (line,) in rows:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if record_is_wellformed(record):
+            if (record := _parse_row(line)) is not None:
                 yield record
-
-    def contains(self, key: str) -> bool:
-        conn = self._connect()
-        if conn is None:
-            return False
-        try:
-            row = conn.execute(
-                "SELECT 1 FROM records WHERE key=? LIMIT 1", (key,)
-            ).fetchone()
-        except sqlite3.Error as exc:
-            self._note_damage(exc)
-            return False
-        return row is not None
 
     def count(self) -> int:
         conn = self._connect()

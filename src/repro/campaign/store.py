@@ -117,7 +117,7 @@ class ResultStore:
         understand (the historical failure mode was a raw ``KeyError``
         deep inside dataset assembly).
         """
-        record = self._backend.get_record(key)
+        record = self._backend.get_records([key]).get(key)
         return None if record is None else self._payload(key, record)
 
     def get_many(self, keys: list[str]) -> dict[str, dict[str, Any]]:
@@ -244,7 +244,7 @@ class ResultStore:
         self.close()
 
     def __contains__(self, key: object) -> bool:
-        return isinstance(key, str) and self._backend.contains(key)
+        return isinstance(key, str) and key in self._backend.get_records([key])
 
     def __len__(self) -> int:
         return self._backend.count()

@@ -151,6 +151,7 @@ class TestSqliteRecovery:
 
         with ResultStore(path) as store:
             assert store.get(keys[0]) is None  # miss, not a crash
+            assert keys[0] not in store  # a miss for membership too
             assert store.get(keys[1]) == result(1)
             issues = store.verify()
             assert len(issues) == 1

@@ -184,6 +184,21 @@ class TestZigguratFastPath:
         for i in range(64):
             assert batch[i] == np.random.default_rng(i).lognormal(0.0, 0.015)
 
+    #: numpy release series the table extraction is known to succeed
+    #: on (measured on 2.4.6).  Elsewhere it may legitimately turn the
+    #: fast path off and fall back to the scalar loop.
+    EXTRACTS_ON = ("2.4.",)
+
+    def test_fast_path_extracts_on_declared_numpy(self):
+        """A broken extraction must not pass as a skip: on a declared
+        numpy the fast path is required, since the scalar fallback is
+        bit-identical but about 4x slower on the serve path."""
+        from repro.util.rng import _ziggurat_fast_path
+
+        if not np.__version__.startswith(self.EXTRACTS_ON):
+            pytest.skip(f"ziggurat extraction not declared for numpy {np.__version__}")
+        assert _ziggurat_fast_path() is not None
+
     def test_fast_and_scalar_paths_agree_everywhere(self):
         from repro.util.rng import _lognormal_scalar, _seed_words, _ziggurat_fast_path
 

@@ -1,9 +1,10 @@
 """Energy modelling (Section IV): the neural network and its baselines.
 
-* :mod:`repro.modeling.layers` / :mod:`.network` / :mod:`.loss` /
-  :mod:`.training` — the paper's 9-5-5-1 ReLU network implemented from
-  scratch on numpy, He initialisation, MSE, and a fused ADAM that
-  trains many networks (the LOOCV folds) in one lockstep pass;
+* :mod:`repro.modeling.layers` / :mod:`.network` / :mod:`.training` —
+  the paper's 9-5-5-1 ReLU network implemented from scratch on numpy,
+  He initialisation, and one training step (one row per network: MSE
+  back-propagation and a fused ADAM) that trains many networks (the
+  LOOCV folds) in one lockstep pass;
 * :mod:`repro.modeling.scaler` — standardise/center input features;
 * :mod:`repro.modeling.selection` / :mod:`.vif` — the optimal-counter
   selection algorithm of Chadha et al. [24] with the VIF
@@ -14,7 +15,7 @@
 * :mod:`repro.modeling.crossval` / :mod:`.metrics` — LOOCV / k-fold and
   MAPE;
 * :mod:`repro.modeling.batched` — the batched model-evaluation engine
-  (full-matrix forward/backward, grid-shaped prediction);
+  (the full-matrix forward, grid-shaped prediction);
 * :mod:`repro.modeling.model_cache` — content-addressed caching of
   trained model parameters in the campaign result store.
 """
@@ -22,7 +23,6 @@
 from repro.modeling.scaler import StandardScaler
 from repro.modeling.layers import Dense, ReLU
 from repro.modeling.network import EnergyNetwork
-from repro.modeling.loss import mse, mse_gradient
 from repro.modeling.training import (
     TrainedModel,
     TrainingConfig,
@@ -57,8 +57,6 @@ __all__ = [
     "Dense",
     "ReLU",
     "EnergyNetwork",
-    "mse",
-    "mse_gradient",
     "TrainingConfig",
     "TrainedModel",
     "train_network",

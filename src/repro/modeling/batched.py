@@ -1,26 +1,21 @@
-"""Batched model-evaluation engine: full-matrix MLP forward/backward.
+"""Batched model-evaluation engine: the network's one forward.
 
 The tuning layer keeps asking the energy network the same shape of
 question: *given counter rates for a region (or a whole benchmark
 series), what is the predicted normalized energy at every core x uncore
 frequency point?*  The historical pointwise path answered it one
 rate-vector at a time — a Python loop assembling one feature row per
-grid point, then one :meth:`~repro.modeling.network.EnergyNetwork.forward`
-call per region/series/fold.  That loop is kept only as the test oracle
-(``tests/oracles/models.py``).
+grid point, then one network forward per region/series/fold.  That
+loop is kept only as the test oracle (``tests/oracles/models.py``).
 
 This module answers it for *all* rate vectors at once:
 
 * :func:`stack_grid_features` builds the ``(rows * grid, features)``
   input tensor with two strided copies (``repeat`` + ``tile``) instead
   of ``rows * grid`` Python-level ``np.concatenate`` calls;
-* :func:`forward_batch` / :func:`backward_batch` run the whole stack
-  through the 9-5-5-1 network in a handful of matmuls, reusing the
-  exact per-layer operations of :class:`~repro.modeling.layers.Dense`
-  and :class:`~repro.modeling.layers.ReLU`; a leading stack axis runs
-  K networks at once (the lockstep trainer of
-  :func:`repro.modeling.training.train_networks`, for batches longer
-  than one row);
+* :func:`forward_batch` runs the whole stack through the 9-5-5-1
+  network in a handful of matmuls; it is the only forward there is
+  (:meth:`~repro.modeling.network.EnergyNetwork.forward` calls it);
 * :class:`BatchedModelEvaluator` wraps a trained model (network +
   scaler) and exposes grid-shaped prediction.
 
@@ -86,7 +81,7 @@ def stack_grid_features(rates: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Full-matrix forward / backward
+# Full-matrix forward
 # ---------------------------------------------------------------------------
 
 def _check_pairs(weights: list[np.ndarray]) -> int:
@@ -96,73 +91,26 @@ def _check_pairs(weights: list[np.ndarray]) -> int:
     return len(weights) // 2
 
 
-def forward_batch(
-    weights: list[np.ndarray],
-    x: np.ndarray,
-    *,
-    saved: list[np.ndarray] | None = None,
-) -> np.ndarray:
+def forward_batch(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     """One forward pass of the whole stack through the MLP.
 
     ``weights`` is the flat ``[W1, b1, W2, b2, ...]`` list of
     :attr:`~repro.modeling.network.EnergyNetwork.parameters`; ReLU is
-    applied between dense layers (not after the last), mirroring the
-    layer stack of Figure 4 operation for operation.
+    applied between dense layers (not after the last), as in the layer
+    stack of Figure 4.
 
     Every array may carry a leading stack axis — ``x`` of shape
     ``(K, rows, in)``, weights ``(K, in, out)``, biases ``(K, 1, out)``
     — to run K networks at once; each slice is computed exactly as the
-    2-D call on that slice.  ``saved``, when given, receives each dense
-    layer's input and each ReLU's mask in layer order, for
-    :func:`backward_batch`.
+    2-D call on that slice.
     """
     n_dense = _check_pairs(weights)
     out = np.asarray(x, dtype=float)
     for i in range(n_dense):
-        if saved is not None:
-            saved.append(out)
         out = out @ weights[2 * i] + weights[2 * i + 1]
         if i != n_dense - 1:
-            mask = out > 0
-            if saved is not None:
-                saved.append(mask)
-            out = np.where(mask, out, 0.0)
+            out = np.where(out > 0, out, 0.0)
     return out
-
-
-def backward_batch(
-    weights: list[np.ndarray],
-    x: np.ndarray,
-    grad_out: np.ndarray,
-    *,
-    saved: list[np.ndarray] | None = None,
-    out: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Gradients of all parameters for the whole stack in one pass.
-
-    Equivalent to a forward then a layer-by-layer dense/ReLU backward
-    on the same batch: the returned list is aligned with the
-    ``[W1, b1, W2, b2, ...]`` parameter layout.  Shapes may carry the
-    leading stack axis of :func:`forward_batch`.  ``saved`` is the
-    list a :func:`forward_batch` call on ``x`` filled (the forward is
-    rerun when it is missing); ``out`` holds preallocated gradient
-    arrays to write into, which are returned.
-    """
-    n_dense = _check_pairs(weights)
-    if saved is None:
-        saved = []
-        forward_batch(weights, x, saved=saved)
-    grads = out if out is not None else [None] * len(weights)
-    grad = np.asarray(grad_out, dtype=float)
-    for i in reversed(range(n_dense)):
-        bias = weights[2 * i + 1]
-        grads[2 * i] = np.matmul(saved[2 * i].swapaxes(-1, -2), grad, out=grads[2 * i])
-        grads[2 * i + 1] = np.add.reduce(
-            grad, axis=-2, keepdims=bias.ndim == grad.ndim, out=grads[2 * i + 1]
-        )
-        if i > 0:
-            grad = (grad @ weights[2 * i].swapaxes(-1, -2)) * saved[2 * i - 1]
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +168,7 @@ class BatchedModelEvaluator:
     """Full-matrix prediction over a trained energy model.
 
     Holds references to the model's weight arrays and scaler, so a
-    single evaluator can answer any number of grid queries without
-    touching the layer objects (and without their per-call caches).
+    single evaluator can answer any number of grid queries.
     """
 
     def __init__(self, model: TrainedModel):

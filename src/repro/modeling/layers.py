@@ -1,10 +1,11 @@
 """Neural-network building blocks (numpy, from scratch).
 
 Only what the paper's architecture needs: dense layers with He
-initialisation [32] and ReLU activations [30].  Gradients come from
-the lockstep trainer (:mod:`repro.modeling.training`): its one-row
-step, or :func:`repro.modeling.batched.backward_batch` for longer
-batches.
+initialisation [32] and ReLU activations [30].  The layers hold the
+parameters and mark the architecture of Figure 4; the arithmetic is
+elsewhere.  The forward is :func:`repro.modeling.batched.forward_batch`
+and the gradients come from the lockstep trainer's one-row step
+(:mod:`repro.modeling.training`).
 """
 
 from __future__ import annotations
@@ -34,20 +35,10 @@ class Dense:
     def parameters(self) -> list[np.ndarray]:
         return [self.weights, self.bias]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.weights.shape[0]:
-            raise ModelError(
-                f"dense layer expected (*, {self.weights.shape[0]}), got {x.shape}"
-            )
-        return x @ self.weights + self.bias
-
 
 class ReLU:
-    """Rectified linear unit, elementwise."""
+    """Rectified linear unit, elementwise (``where(x > 0, x, 0)``)."""
 
     @property
     def parameters(self) -> list[np.ndarray]:
         return []
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0, x, 0.0)

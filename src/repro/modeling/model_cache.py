@@ -1,11 +1,10 @@
 """Content-addressed caching of trained model parameters.
 
 Training the energy network is deterministic: the weights are a pure
-function of (training features, training targets, hyper-parameters,
-seed).  That makes trained models cacheable in the same content-addressed
+function of (training features, training targets, epoch count).  That
+makes trained models cacheable in the same content-addressed
 :class:`~repro.campaign.store.ResultStore` that already holds simulation
-results — keyed by the dataset digest and the full
-:class:`~repro.modeling.training.TrainingConfig`, so a cache hit is
+results — keyed by :func:`training_descriptor`, so a cache hit is
 guaranteed to be bit-identical to retraining (JSON round-trips float64
 exactly via shortest-repr).
 
@@ -27,6 +26,8 @@ from repro.errors import CampaignError, ModelError
 from repro.modeling.network import EnergyNetwork
 from repro.modeling.scaler import StandardScaler
 from repro.modeling.training import (
+    LEARNING_RATE,
+    TRAINING_SEED,
     TrainedModel,
     TrainingConfig,
     _check_shapes,
@@ -52,14 +53,19 @@ def dataset_digest(features: np.ndarray, targets: np.ndarray) -> str:
 
 
 def training_descriptor(digest: str, config: TrainingConfig) -> dict[str, Any]:
-    """The store descriptor for one training run (hashed into its key)."""
+    """The store descriptor for one training run (hashed into its key).
+
+    The learning rate, batch size and seed are fixed, but stay in the
+    descriptor so that every key, and every store written when they
+    were settings, is unchanged.
+    """
     return {
         "mode": "train-model",
         "dataset": digest,
         "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
+        "learning_rate": LEARNING_RATE,
+        "batch_size": 1,
+        "seed": TRAINING_SEED,
     }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
+from repro.modeling.batched import forward_batch
 from repro.modeling.layers import Dense, ReLU
 from repro.util.rng import rng_for
 
@@ -52,14 +53,11 @@ class EnergyNetwork:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        if x.shape[1] != self.n_inputs:
+        if x.ndim != 2 or x.shape[1] != self.n_inputs:
             raise ModelError(
-                f"network expects {self.n_inputs} features, got {x.shape[1]}"
+                f"network expects (rows, {self.n_inputs}) inputs, got {x.shape}"
             )
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out)
-        return out
+        return forward_batch(self.parameters, x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Prediction as a flat vector."""

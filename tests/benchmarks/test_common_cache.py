@@ -222,7 +222,7 @@ def test_stale_model_cache_entry_surfaces_campaign_error(harness_cache):
 
     rng = np.random.default_rng(0)
     features, targets = rng.normal(size=(40, 5)), rng.normal(size=40)
-    config = TrainingConfig(epochs=1, seed=0)
+    config = TrainingConfig(epochs=1)
     descriptor = training_descriptor(dataset_digest(features, targets), config)
     record = {
         "key": job_key(descriptor),

@@ -17,7 +17,6 @@ from repro.campaign.store import ResultStore, job_key
 from repro.errors import CampaignError, ModelError
 from repro.modeling.batched import (
     BatchedModelEvaluator,
-    backward_batch,
     forward_batch,
     frequency_grid,
     predict_energy_grid,
@@ -46,7 +45,6 @@ from tests.oracles.models import (
     pointwise_loocv_mape,
     pointwise_select_counters,
     pointwise_static_selections,
-    serial_backward,
     serial_forward,
     serial_train_network,
 )
@@ -70,9 +68,13 @@ class TestForwardBackward:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("rows", [2, 5, 64, 513])
     def test_forward_batch_matches_network_forward(self, seed, rows):
+        """The one forward equals the layer-by-layer reference, and the
+        network's forward is that one forward."""
         net = EnergyNetwork(seed=seed)
         x = rng_for("batched-test", rows, seed=seed).normal(size=(rows, 9))
-        assert np.array_equal(forward_batch(net.parameters, x), net.forward(x))
+        reference, _ = serial_forward(net, x)
+        assert np.array_equal(forward_batch(net.parameters, x), reference)
+        assert np.array_equal(net.forward(x), reference)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_batched_stack_matches_chunked_evaluation(self, seed):
@@ -88,25 +90,9 @@ class TestForwardBackward:
             ]
             assert np.array_equal(np.vstack(parts), full)
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_backward_batch_matches_network_backward(self, seed):
-        net = EnergyNetwork(seed=seed)
-        rng = rng_for("batched-grad", seed=seed)
-        x = rng.normal(size=(37, 9))
-        grad_out = rng.normal(size=(37, 1))
-        _, inputs = serial_forward(net, x)
-        reference = [np.zeros_like(p) for p in net.parameters]
-        serial_backward(net, inputs, grad_out, reference)
-        grads = backward_batch(net.parameters, x, grad_out)
-        assert len(grads) == len(reference)
-        for got, want in zip(grads, reference):
-            assert np.array_equal(got, want)
-
     def test_malformed_weights_rejected(self):
         with pytest.raises(ModelError):
             forward_batch([np.ones((9, 5))], np.ones((2, 9)))
-        with pytest.raises(ModelError):
-            backward_batch([np.ones((9, 5))], np.ones((2, 9)), np.ones((2, 1)))
 
 
 class TestLockstepTraining:
@@ -128,11 +114,10 @@ class TestLockstepTraining:
                 assert np.array_equal(weight_grad[s], x[s].T @ g[s])
                 assert np.array_equal(input_grad[s], g[s] @ w[s].T)
 
-    @pytest.mark.parametrize("batch_size", [1, 7])
-    def test_unequal_row_sets_match_serial_oracle(self, dataset, batch_size):
-        """Row sets of different sizes (and ragged last batches, since 7
-        divides none of them) train exactly as the serial loop does on
-        each subset alone."""
+    def test_unequal_row_sets_match_serial_oracle(self, dataset):
+        """Row sets of different sizes train exactly as the serial loop
+        does on each subset alone: the smaller sets leave the stack's
+        active prefix before the largest ends its epoch."""
         groups = dataset.groups
         fold = np.flatnonzero(groups != "EP")
         row_sets = [
@@ -141,10 +126,10 @@ class TestLockstepTraining:
             np.flatnonzero(~np.isin(groups, ["CG", "FT"])),
             rng_for("row-subset").permutation(len(groups))[:201],
         ]
-        assert all(len(rows) % batch_size or batch_size == 1 for rows in row_sets)
+        assert len({len(rows) for rows in row_sets}) == len(row_sets)
         # Three epochs: each network's ADAM step count restarts from its
         # own row count at every epoch boundary.
-        config = TrainingConfig(epochs=3, batch_size=batch_size)
+        config = TrainingConfig(epochs=3)
         models = train_networks(dataset.features, dataset.targets, row_sets, config)
         for rows, model in zip(row_sets, models):
             reference = serial_train_network(
@@ -156,6 +141,40 @@ class TestLockstepTraining:
                 model.network.get_weights(), reference.network.get_weights()
             ):
                 assert np.array_equal(got, want)
+
+    def test_unsorted_and_tied_row_sets_match_serial_oracle(self, dataset):
+        """Row sets given smallest first, two of them the same size, come
+        back in the caller's order, each as the serial loop trains it:
+        the stack's sort by falling size and its tie order never leak."""
+        groups = dataset.groups
+        row_sets = [
+            np.flatnonzero(groups == "CG"),
+            np.flatnonzero(groups == "FT"),
+            np.flatnonzero(~np.isin(groups, ["EP", "Mcb"])),
+        ]
+        sizes = [len(rows) for rows in row_sets]
+        assert sizes[0] == sizes[1] < sizes[2]
+        config = TrainingConfig(epochs=2)
+        models = train_networks(dataset.features, dataset.targets, row_sets, config)
+        for rows, model in zip(row_sets, models):
+            reference = serial_train_network(
+                dataset.features[rows], dataset.targets[rows], config=config
+            )
+            assert model.losses == reference.losses
+            assert model.scaler.to_dict() == reference.scaler.to_dict()
+            for got, want in zip(
+                model.network.get_weights(), reference.network.get_weights()
+            ):
+                assert np.array_equal(got, want)
+
+    def test_non_finite_target_in_a_row_set_refused(self, dataset):
+        """The lockstep entry refuses non-finite input as the one-network
+        entry does, whichever row set holds it."""
+        targets = dataset.targets.copy()
+        targets[3] = np.nan
+        row_sets = [np.arange(10, 40), np.arange(0, 20)]
+        with pytest.raises(ModelError, match="finite"):
+            train_networks(dataset.features, targets, row_sets)
 
     def test_standardised_rows_stay_in_bounded_blocks(self):
         """Rows are standardised a block of steps at a time: training
@@ -348,6 +367,47 @@ class TestModelCache:
         k1 = training_descriptor(d1, TrainingConfig(epochs=2))
         k2 = training_descriptor(d1, TrainingConfig(epochs=3))
         assert k1 != k2
+
+    @pytest.mark.parametrize(
+        "epochs, key",
+        [
+            (5, "6c87945337d398e57ebcb8e98d85f608"),
+            (10, "152477229f8f5d5c5798c3552c82308d"),
+        ],
+    )
+    def test_training_keys_are_stable(self, epochs, key):
+        """The keys stores were written under while the learning rate,
+        batch size and seed were settings: dropping those settings must
+        not re-key a single trained model."""
+        features = np.arange(36.0).reshape(4, 9) / 8
+        targets = np.array([1.0, 0.5, 0.25, 2.0])
+        digest = dataset_digest(features, targets)
+        descriptor = training_descriptor(digest, TrainingConfig(epochs=epochs))
+        assert job_key(descriptor) == key
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "lockstep"])
+    def test_non_finite_input_refused_before_the_store(self, stacked):
+        """A store may hold a model trained on non-finite input before
+        such input was refused: the cached paths refuse it before the
+        lookup, so that model is never recalled, and write nothing."""
+        features = np.arange(36.0).reshape(4, 9) / 8
+        features[2, 5] = np.inf
+        targets = np.array([1.0, 0.5, 0.25, 2.0])
+        config = TrainingConfig(epochs=1)
+        descriptor = training_descriptor(dataset_digest(features, targets), config)
+        payload = model_to_payload(
+            train_network(np.ones((4, 9)), targets, config=config)
+        )
+        store = ResultStore(None)
+        store.put_many([(job_key(descriptor), descriptor, payload)])
+        with pytest.raises(ModelError, match="finite"):
+            if stacked:
+                model_cache.train_networks_cached(
+                    features, targets, [np.arange(4)], config=config, store=store
+                )
+            else:
+                train_network_cached(features, targets, config=config, store=store)
+        assert len(store) == 1
 
     def test_stale_model_payload_surfaces_clear_error(self):
         with pytest.raises(ModelError, match="older store schema"):

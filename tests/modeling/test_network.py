@@ -5,20 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelError
-from repro.modeling.batched import backward_batch, forward_batch
 from repro.modeling.layers import Dense, ReLU
-from repro.modeling.loss import mse, mse_gradient
 from repro.modeling.network import EnergyNetwork
 from repro.modeling.training import TrainingConfig, train_network
-from tests.oracles.models import Adam, serial_backward, serial_forward
+from tests.oracles.models import (
+    Adam,
+    mse,
+    mse_gradient,
+    serial_backward,
+    serial_forward,
+)
+
+
+def _masking_network() -> EnergyNetwork:
+    """A 3-3-3-1 network whose hidden layers pass their input through
+    unchanged and whose output weighs the units 1, 10 and 100."""
+    net = EnergyNetwork(n_inputs=3, hidden=3)
+    eye, zero = np.eye(3), np.zeros(3)
+    net.set_weights([eye, zero, eye, zero, np.array([[1.0], [10.0], [100.0]]), [0.0]])
+    return net
 
 
 class TestLayers:
-    def test_dense_forward_shape(self):
-        layer = Dense(9, 5)
-        out = layer.forward(np.ones((7, 9)))
-        assert out.shape == (7, 5)
-
     def test_dense_he_initialisation_statistics(self):
         layer = Dense(1000, 500)
         assert abs(float(layer.weights.mean())) < 0.01
@@ -28,36 +36,42 @@ class TestLayers:
         assert np.all(layer.bias == 0.0)
 
     def test_dense_gradient_check(self):
-        """Backprop gradient matches numerical finite differences."""
+        """The reference backward (the one the lockstep step is pinned
+        to bit for bit) matches numerical finite differences."""
         rng = np.random.default_rng(0)
-        layer = Dense(4, 3, rng=rng)
+        net = EnergyNetwork(n_inputs=4, hidden=3)
         x = rng.standard_normal((5, 4))
-        target = rng.standard_normal((5, 3))
-        pred = layer.forward(x)
-        grad_weights, _ = backward_batch(
-            layer.parameters, x, mse_gradient(pred, target)
-        )
+        target = rng.standard_normal((5, 1))
+        pred, inputs = serial_forward(net, x)
+        gradients = [np.zeros_like(p) for p in net.parameters]
+        serial_backward(net, inputs, mse_gradient(pred, target), gradients)
         eps = 1e-6
-        for i, j in [(0, 0), (2, 1), (3, 2)]:
-            layer.weights[i, j] += eps
-            up = mse(layer.forward(x), target)
-            layer.weights[i, j] -= 2 * eps
-            down = mse(layer.forward(x), target)
-            layer.weights[i, j] += eps
+        checked = [(0, (0, 0)), (0, (2, 1)), (0, (3, 2)), (2, (1, 2)), (4, (2, 0))]
+        for slot, index in checked:
+            weights = net.parameters[slot]
+            weights[index] += eps
+            up = mse(serial_forward(net, x)[0], target)
+            weights[index] -= 2 * eps
+            down = mse(serial_forward(net, x)[0], target)
+            weights[index] += eps
             numeric = (up - down) / (2 * eps)
-            assert grad_weights[i, j] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+            assert gradients[slot][index] == pytest.approx(
+                numeric, rel=1e-4, abs=1e-8
+            )
 
     def test_relu_masks_negatives(self):
-        relu = ReLU()
-        out = relu.forward(np.array([[-1.0, 0.0, 2.0]]))
-        assert out.tolist() == [[0.0, 0.0, 2.0]]
-        net = EnergyNetwork(n_inputs=3, hidden=3)
-        x = np.array([[-1.0, 0.0, 2.0]])
-        saved = []
-        forward_batch(net.parameters, x, saved=saved)
-        grads = backward_batch(net.parameters, x, np.ones((1, 1)), saved=saved)
-        dead = ~saved[1][0]  # the first ReLU's mask
-        assert np.all(grads[1][dead] == 0.0)  # dead units pass no gradient
+        out = _masking_network().forward(np.array([[-1.0, 0.0, 2.0]]))
+        assert out.tolist() == [[200.0]]  # -1 * 1 would make it 199
+
+    def test_dead_units_pass_no_gradient(self):
+        net = _masking_network()
+        _, inputs = serial_forward(net, np.array([[-1.0, 0.0, 2.0]]))
+        gradients = [np.zeros_like(p) for p in net.parameters]
+        serial_backward(net, inputs, np.ones((1, 1)), gradients)
+        dead = ~(inputs[1][0] > 0)  # the first ReLU's input
+        assert dead.tolist() == [True, True, False]
+        assert np.all(gradients[1][dead] == 0.0)
+        assert gradients[1][2] != 0.0
 
 
 class TestNetworkArchitecture:
@@ -82,6 +96,8 @@ class TestNetworkArchitecture:
         net = EnergyNetwork()
         with pytest.raises(ModelError):
             net.forward(np.ones((2, 7)))
+        with pytest.raises(ModelError):
+            net.forward(np.ones((2, 9, 9)))
 
     def test_weight_roundtrip(self):
         net = EnergyNetwork(seed=1)
@@ -125,27 +141,11 @@ class TestAllocationFreeUpdates:
         y = rng.standard_normal(40)
         return x, y
 
-    def test_gradient_buffers_are_stable_and_written_in_place(self):
-        net = EnergyNetwork(n_inputs=4, hidden=3, seed=0)
-        x = np.random.default_rng(1).standard_normal((5, 4))
-        buffers = [np.zeros_like(p) for p in net.parameters]
-        grads = backward_batch(net.parameters, x, np.ones((5, 1)), out=buffers)
-        assert all(g is b for g, b in zip(grads, buffers))
-        first = [b.copy() for b in buffers]
-        saved = []
-        forward_batch(net.parameters, x, saved=saved)
-        backward_batch(
-            net.parameters, x, 2 * np.ones((5, 1)), saved=saved, out=buffers
-        )
-        assert all(g is b for g, b in zip(grads, buffers))  # same buffers
-        for got, single in zip(buffers, first):
-            assert np.array_equal(got, 2 * single)
-
     def test_bound_optimizer_matches_explicit_gradients(self):
         """Same data, same seeds: training produces the exact per-epoch
         losses and final weights of explicit per-array stepping."""
         x, y = self._data()
-        bound = train_network(x, y, config=TrainingConfig(epochs=3, seed=0))
+        bound = train_network(x, y, config=TrainingConfig(epochs=3))
 
         # Reference loop: fresh gradient list passed every update, fresh
         # gradient copies so no buffer identity is exploited.
@@ -191,7 +191,7 @@ class TestTraining:
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, size=(600, 9))
         y = 1.0 + 0.3 * x[:, 0] - 0.2 * x[:, 1] ** 2 + 0.1 * x[:, 7]
-        model = train_network(x, y, config=TrainingConfig(epochs=25, seed=2))
+        model = train_network(x, y, config=TrainingConfig(epochs=25))
         pred = model.predict(x)
         rel = np.mean(np.abs(pred - y) / np.abs(y))
         assert rel < 0.08
@@ -207,44 +207,42 @@ class TestTraining:
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, size=(100, 9))
         y = x[:, 0]
-        a = train_network(x, y, config=TrainingConfig(epochs=2, seed=7))
-        b = train_network(x, y, config=TrainingConfig(epochs=2, seed=7))
+        a = train_network(x, y, config=TrainingConfig(epochs=2))
+        b = train_network(x, y, config=TrainingConfig(epochs=2))
         assert np.allclose(a.predict(x), b.predict(x))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ModelError):
             train_network(np.ones((4, 9)), np.ones(5))
+        # A column of targets used to fail mid-step with numpy's
+        # "non-broadcastable output operand".
+        with pytest.raises(ModelError):
+            train_network(np.ones((4, 9)), np.ones((4, 1)))
+
+    @pytest.mark.parametrize("where", ["features", "targets"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_rejected(self, where, value):
+        """One NaN feature used to train to NaN first-layer weights
+        behind finite losses (the ReLU masks it on the way forward);
+        infinite values trained just as silently."""
+        rng = np.random.default_rng(5)
+        data = {"features": rng.uniform(-1, 1, size=(20, 9)), "targets": np.ones(20)}
+        data[where].flat[7] = value
+        with pytest.raises(ModelError, match="finite"):
+            train_network(data["features"], data["targets"])
 
     def test_bad_config_rejected(self):
         with pytest.raises(ModelError):
             TrainingConfig(epochs=0)
-        with pytest.raises(ModelError):
-            TrainingConfig(learning_rate=-1)
-
-    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), "1e-3", True])
-    def test_non_finite_or_non_numeric_rate_rejected(self, rate):
-        """A NaN or infinite rate used to train silently to NaN weights."""
-        with pytest.raises(ModelError, match="learning rate"):
-            TrainingConfig(learning_rate=rate)
 
     @pytest.mark.parametrize(
-        "field",
-        [
-            {"epochs": 2.0},
-            {"epochs": True},
-            {"epochs": "5"},
-            {"batch_size": 1.0},
-            {"batch_size": False},
-        ],
+        "field", [{"epochs": 2.0}, {"epochs": True}, {"epochs": "5"}]
     )
     def test_counts_must_be_ints(self, field):
         """Float counts used to fail later with a raw TypeError, and
         ``epochs=True`` trained one epoch."""
         with pytest.raises(ModelError, match="must be an int"):
             TrainingConfig(**field)
-
-    def test_integral_rate_accepted(self):
-        assert TrainingConfig(learning_rate=1).learning_rate == 1
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=1, max_value=100))

@@ -1,4 +1,4 @@
-"""Tests for the scaler, loss, accuracy metrics and VIF."""
+"""Tests for the scaler, the reference loss, accuracy metrics and VIF."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import ModelError
-from repro.modeling.loss import mse, mse_gradient
 from repro.modeling.metrics import mape, mean_absolute_error
 from repro.modeling.scaler import StandardScaler
 from repro.modeling.vif import mean_vif, variance_inflation_factors
+from tests.oracles.models import mse, mse_gradient
 
 
 class TestScaler:

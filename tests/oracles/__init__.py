@@ -22,8 +22,9 @@ denominators.
   configuration applied at run start), the reference for static runs'
   production form, the RRL under a default-only tuning model;
 * :mod:`tests.oracles.models` — pointwise grid prediction, serial
-  network training (layer-by-layer backward, per-array ADAM), LOOCV,
-  counter selection and static-configuration selection;
+  network training (layer-by-layer forward and backward, MSE,
+  per-array ADAM), LOOCV, counter selection and static-configuration
+  selection;
 * :mod:`tests.oracles.static_search` — the one-job-per-cell exhaustive
   static search.
 

@@ -1,10 +1,11 @@
 """Pointwise references for the batched model-evaluation layer.
 
 One feature row per grid point assembled in Python, one network
-forward per rate vector, one network trained layer by layer with a
-per-array ADAM, one fold trained and predicted at a time, one OLS fit
-per counter candidate — the loops :mod:`repro.modeling.batched`, the
-lockstep trainer and the stacked selection scorer replaced.
+forward per rate vector, one network trained layer by layer (forward,
+backward, MSE) with a per-array ADAM, one fold trained and predicted at
+a time, one OLS fit per counter candidate — the loops
+:mod:`repro.modeling.batched`, the lockstep trainer and the stacked
+selection scorer replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.execution.simulator import OperatingPoint
 from repro.modeling.batched import GridPrediction, frequency_grid
 from repro.modeling.dataset import EnergyDataset
 from repro.modeling.layers import ReLU
-from repro.modeling.loss import mse, mse_gradient
 from repro.modeling.metrics import mape
 from repro.modeling.network import EnergyNetwork
 from repro.modeling.scaler import StandardScaler
@@ -27,10 +27,37 @@ from repro.modeling.selection import (
     _adjusted_r2,
     _standardise,
 )
-from repro.modeling.training import TrainedModel, TrainingConfig
+from repro.modeling.training import (
+    LEARNING_RATE,
+    TRAINING_SEED,
+    TrainedModel,
+    TrainingConfig,
+)
 from repro.modeling.vif import VIF_THRESHOLD, variance_inflation_factors
 from repro.ptf.static_tuning import ModelStaticSelection
 from repro.util.rng import rng_for
+
+
+def _check(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    pred = np.asarray(pred, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if pred.shape != target.shape:
+        raise ModelError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    if pred.size == 0:
+        raise ModelError("empty prediction batch")
+    return pred, target
+
+
+def mse(pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean squared error over the batch (Section IV-C's objective)."""
+    pred, target = _check(pred, target)
+    return float(np.mean((pred - target) ** 2))
+
+
+def mse_gradient(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Gradient of the MSE w.r.t. the predictions."""
+    pred, target = _check(pred, target)
+    return 2.0 * (pred - target) / pred.size
 
 
 class Adam:
@@ -96,13 +123,17 @@ class Adam:
 def serial_forward(
     network: EnergyNetwork, x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The network's forward, layer object by layer object; also
-    returns every layer's input for :func:`serial_backward`."""
+    """The network's forward, layer object by layer object (``x W + b``
+    for a dense layer, ``where(x > 0, x, 0)`` for a ReLU); also returns
+    every layer's input for :func:`serial_backward`."""
     inputs = []
     out = x
     for layer in network.layers:
         inputs.append(out)
-        out = layer.forward(out)
+        if isinstance(layer, ReLU):
+            out = np.where(out > 0, out, 0.0)
+        else:
+            out = out @ layer.weights + layer.bias
     return out, inputs
 
 
@@ -133,35 +164,36 @@ def serial_train_network(
     config: TrainingConfig = TrainingConfig(),
 ) -> TrainedModel:
     """:func:`repro.modeling.training.train_network` as the original
-    loop: standardise, then one batch at a time through the layer
+    loop: standardise, then one row at a time through the layer
     objects and a per-array ADAM."""
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
     scaler = StandardScaler()
     x = scaler.fit_transform(features)
     y = targets[:, None]
-    net = EnergyNetwork(n_inputs=x.shape[1], seed=config.seed)
+    net = EnergyNetwork(n_inputs=x.shape[1], seed=TRAINING_SEED)
     gradients = [np.zeros_like(p) for p in net.parameters]
-    optimizer = Adam(
-        net.parameters, gradients=gradients, learning_rate=config.learning_rate
-    )
-    rng = rng_for("training-shuffle", seed=config.seed)
+    optimizer = Adam(net.parameters, gradients=gradients, learning_rate=LEARNING_RATE)
+    rng = rng_for("training-shuffle", seed=TRAINING_SEED)
     n = x.shape[0]
     losses: list[float] = []
     for _epoch in range(config.epochs):
-        order = rng.permutation(n)
         epoch_loss = 0.0
-        batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb, yb = x[idx], y[idx]
+        for row in rng.permutation(n):
+            xb, yb = x[row : row + 1], y[row : row + 1]
             pred, inputs = serial_forward(net, xb)
             epoch_loss += mse(pred, yb)
-            batches += 1
             serial_backward(net, inputs, mse_gradient(pred, yb), gradients)
             optimizer.step()
-        losses.append(epoch_loss / batches)
+        losses.append(epoch_loss / n)
     return TrainedModel(network=net, scaler=scaler, losses=losses)
+
+
+def serial_predict(model: TrainedModel, features: np.ndarray) -> np.ndarray:
+    """:meth:`~repro.modeling.training.TrainedModel.predict` through
+    :func:`serial_forward`."""
+    x = model.scaler.transform(np.atleast_2d(features))
+    return serial_forward(model.network, x)[0][:, 0]
 
 
 def pointwise_grid(
@@ -176,7 +208,7 @@ def pointwise_grid(
         for cf in config.CORE_FREQUENCIES_GHZ:
             for ucf in config.UNCORE_FREQUENCIES_GHZ:
                 rows.append(np.concatenate([vec, [cf, ucf]]))
-        per_row.append(model.predict(np.asarray(rows)))
+        per_row.append(serial_predict(model, np.asarray(rows)))
     if labels is None:
         labels = tuple(range(rates.shape[0]))
     return GridPrediction(tuple(labels), points, np.asarray(per_row))
@@ -191,7 +223,7 @@ def pointwise_loocv_mape(
     for bench in dataset.benchmarks:
         train, test = dataset.split({bench})
         model = serial_train_network(train.features, train.targets, config=config)
-        results[bench] = mape(model.predict(test.features), test.targets)
+        results[bench] = mape(serial_predict(model, test.features), test.targets)
     return results
 
 

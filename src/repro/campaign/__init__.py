@@ -46,7 +46,6 @@ from repro.campaign.engine import (
 from repro.campaign.resilience import (
     ON_FAILURE_POLICIES,
     FailureRecord,
-    RetryPolicy,
     failure_descriptor,
 )
 from repro.campaign.plan import (
@@ -84,7 +83,6 @@ __all__ = [
     "FailureRecord",
     "ON_FAILURE_POLICIES",
     "ResultStore",
-    "RetryPolicy",
     "STORE_VERSION",
     "StoreBackend",
     "failure_descriptor",

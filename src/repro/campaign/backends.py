@@ -355,6 +355,12 @@ class SqliteBackend:
         " record TEXT NOT NULL,"
         " PRIMARY KEY (key, store_version))"
     )
+    #: A row is its key's effective record: the current schema version's
+    #: row, else the latest one (bind ``STORE_VERSION``).
+    _EFFECTIVE = (
+        "rowid = (SELECT rowid FROM records i WHERE i.key = r.key"
+        " ORDER BY (i.store_version = ?) DESC, i.rowid DESC LIMIT 1)"
+    )
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -463,9 +469,7 @@ class SqliteBackend:
             return
         try:
             cursor = conn.execute(
-                "SELECT record FROM records r WHERE rowid = ("
-                " SELECT rowid FROM records i WHERE i.key = r.key"
-                " ORDER BY (i.store_version = ?) DESC, i.rowid DESC LIMIT 1)",
+                f"SELECT record FROM records r WHERE {self._EFFECTIVE}",
                 (STORE_VERSION,),
             )
             rows = cursor.fetchall()
@@ -477,12 +481,21 @@ class SqliteBackend:
                 yield record
 
     def count(self) -> int:
+        """The keys whose effective record is well-formed — the records
+        :meth:`iter_records` yields — in one query, checked by SQLite's
+        JSON functions rather than parsed in Python.  (SQLite refuses
+        the ``NaN``/``Infinity`` tokens that ``json.loads`` reads; no
+        payload carries a non-finite float.)"""
         conn = self._connect()
         if conn is None:
             return 0
         try:
             return conn.execute(
-                "SELECT COUNT(DISTINCT key) FROM records"
+                f"SELECT COUNT(*) FROM records r WHERE {self._EFFECTIVE}"
+                " AND CASE WHEN json_valid(record) THEN"
+                " json_type(record, '$.key') = 'text'"
+                " AND json_type(record, '$.result') = 'object' END",
+                (STORE_VERSION,),
             ).fetchone()[0]
         except sqlite3.Error as exc:
             self._note_damage(exc)

@@ -37,6 +37,8 @@ Payload layout by mode:
 from __future__ import annotations
 
 import functools
+import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -46,11 +48,10 @@ from repro.campaign.resilience import (
     ON_FAILURE_POLICIES,
     DrainFlag,
     FailureRecord,
-    PassOutcome,
-    RetryPolicy,
+    backoff_s,
+    classify,
     failure_descriptor,
     graceful_drain,
-    run_resilient_serial,
 )
 from repro.campaign.store import ResultStore, job_key
 from repro.errors import (
@@ -412,12 +413,12 @@ class CampaignEngine:
     re-simulated and fresh results are persisted as they are
     collected, so an interrupted campaign keeps its completed work.
 
-    ``retry_policy`` governs fault tolerance (see
-    :class:`~repro.campaign.resilience.RetryPolicy`): transient
-    failures — I/O errors, or faults flagged transient — are retried
-    with deterministic seeded backoff; deterministic failures fail
-    fast.  What happens to a job that definitively fails is the per-run
-    ``on_failure`` policy of :meth:`run`.
+    Transient failures — I/O errors, or faults flagged transient — are
+    retried up to ``max_retries`` times (a shard runs at most
+    ``1 + max_retries`` times) with deterministic seeded backoff
+    (:func:`~repro.campaign.resilience.backoff_s`); deterministic
+    failures fail fast.  What happens to a job that definitively fails
+    is the per-run ``on_failure`` policy of :meth:`run`.
     """
 
     def __init__(
@@ -425,11 +426,13 @@ class CampaignEngine:
         *,
         store: ResultStore | None = None,
         topology: NodeTopology | None = None,
-        retry_policy: RetryPolicy | None = None,
+        max_retries: int = 2,
     ):
+        if max_retries < 0:
+            raise CampaignError("max_retries must be >= 0")
         self.store = store
         self.topology = topology
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        self.max_retries = max_retries
         self.total_executed = 0
         self.total_cached = 0
         # id(job) -> (job, store key), one memo for results and one for
@@ -498,45 +501,38 @@ class CampaignEngine:
             )
 
         cached_count = len(plan) - len(pending) - len(quarantined)
+        recalled = len(payloads)
         drain = DrainFlag()
         with graceful_drain(drain):
-            outcome = self._execute_pending(pending, payloads, on_failure, drain)
-
-        jobs_by_key = dict(pending)
-        failed: dict[str, FailureRecord] = {}
-        for key, task_failure in outcome.failures.items():
-            job = jobs_by_key[key]
-            failed[key] = FailureRecord(
-                job_store_key=key,
-                app=job.app,
-                mode=job.mode,
-                error_type=type(task_failure.exception).__name__,
-                error_message=str(task_failure.exception),
-                kind=task_failure.kind,
-                attempts=task_failure.attempts,
+            failed, retried, not_run, first_error = self._execute_pending(
+                pending, payloads, on_failure, drain
             )
+        executed = len(payloads) - recalled
+
         stored_failures = set(quarantined)
         if on_failure == "quarantine" and self.store is not None and failed:
             stored_failures.update(failed)
-            records = []
-            for key, record in failed.items():
-                failure_key, descriptor = self._failure_key(jobs_by_key[key])
-                records.append((failure_key, descriptor, record.payload()))
-            self.store.put_many(records)
+            jobs_by_key = dict(pending)
+            self.store.put_many(
+                [
+                    (*self._failure_key(jobs_by_key[key]), record.payload())
+                    for key, record in failed.items()
+                ]
+            )
 
-        self.total_executed += len(outcome.results)
+        self.total_executed += executed
         self.total_cached += cached_count
         report = CampaignReport(
             planned=len(plan),
             cached=cached_count,
-            executed=len(outcome.results),
+            executed=executed,
             failed=len(failed),
             quarantined=len(quarantined),
-            retried=outcome.retried,
+            retried=retried,
         )
         all_failures = {**quarantined, **failed}
 
-        if outcome.drained:
+        if drain.requested:
             raise CampaignInterrupted(
                 f"campaign drained on {drain.signal_name}: {len(payloads)} of "
                 f"{len(plan)} job(s) completed and persisted; re-run the same "
@@ -547,7 +543,6 @@ class CampaignEngine:
             )
 
         if failed and on_failure == "raise":
-            first = outcome.failures[next(iter(outcome.failures))]
             where = (
                 f"completed payloads persisted to {store_path}"
                 if self.store is not None
@@ -557,11 +552,11 @@ class CampaignEngine:
             raise CampaignExecutionError(
                 f"{len(failed)} of {len(pending)} pending job(s) failed "
                 f"({summary}); {len(payloads)} of {len(plan)} planned job(s) "
-                f"completed, {where}; {len(outcome.not_run)} never ran",
+                f"completed, {where}; {len(not_run)} never ran",
                 completed=payloads,
                 failures=failed,
-                not_run=outcome.not_run,
-            ) from first.exception
+                not_run=not_run,
+            ) from first_error
         return CampaignResults(
             payloads, report, self.topology, all_failures, keys, stored_failures
         )
@@ -649,89 +644,91 @@ class CampaignEngine:
         payloads: dict[str, dict[str, Any]],
         on_failure: str,
         drain: DrainFlag,
-    ) -> PassOutcome:
-        """Run the uncached jobs through the resilient serial loop.
+    ) -> tuple[dict[str, FailureRecord], int, list[str], BaseException | None]:
+        """Price the uncached jobs in one task loop.
 
         Every task is a shard: a tuple of its jobs' store keys, priced
-        in one fleet-kernel pass.  ``pending`` is cut in order into
-        shards of :data:`~repro.campaign.plan.DEFAULT_FLEET_SHARD_SIZE`
-        keys.  A shard of two or more keys that fails definitively does
-        not fail its jobs: they re-run as one-key shards, first in the
-        next pass (with any tasks a ``"raise"`` pass left unstarted on
-        that failure), so failure records, quarantine and partial-result
-        accounting stay per job.  Such a shard answers to
-        ``mode="fleet"`` fault directives at its position among such
-        shards; each job answers at its index in ``pending``.
+        in one fleet-kernel pass, its payloads persisted in one store
+        write.  ``pending`` is cut in order into shards of
+        :data:`~repro.campaign.plan.DEFAULT_FLEET_SHARD_SIZE` keys.  A
+        transient failure re-queues the shard at the front after its
+        deterministic backoff, up to ``max_retries`` times.  A shard of
+        two or more keys that fails for good does not fail its jobs:
+        they run next as one-key shards, so failure records, quarantine
+        and partial-result accounting stay per job.  A one-key shard
+        that fails for good is a job failure, which stops the loop under
+        ``"raise"``; a drain stops it under every policy.  A multi-key
+        shard answers to ``mode="fleet"`` fault directives at its
+        position among such shards; each job answers at its index in
+        ``pending``.
+
+        Returns the job failures by key, the number of retries, the
+        keys that never ran and the first job failure's exception.
         """
         jobs_by_key = dict(pending)
         index_of = {key: index for index, (key, _) in enumerate(pending)}
         size = DEFAULT_FLEET_SHARD_SIZE
-        tasks = [
+        shards = [
             tuple(key for key, _ in pending[start:start + size])
             for start in range(0, len(pending), size)
         ]
         fleet_index = {
-            task: position
-            for position, task in enumerate(t for t in tasks if len(t) > 1)
+            shard: position
+            for position, shard in enumerate(s for s in shards if len(s) > 1)
         }
-
-        def price(task: tuple[str, ...], attempt: int) -> dict[str, Any]:
-            jobs = [jobs_by_key[key] for key in task]
-            if len(task) > 1:
-                maybe_fault(
-                    app=jobs[0].app, mode="fleet", index=fleet_index[task],
-                    attempt=attempt,
-                )
-            for key, job in zip(task, jobs):
-                maybe_fault(
-                    app=job.app, mode=job.mode, index=index_of[key],
-                    attempt=attempt,
-                )
-            return dict(zip(task, _price_jobs(jobs, self.topology)))
-
-        def on_success(task, done: dict[str, dict[str, Any]]) -> None:
-            # A task's payloads persist in one store write.
-            payloads.update(done)
+        queue = deque((shard, 0) for shard in shards)
+        failed: dict[str, FailureRecord] = {}
+        retried = 0
+        first_error: BaseException | None = None
+        stop = on_failure == "raise"
+        while queue and not drain.requested and not (stop and failed):
+            shard, attempt = queue.popleft()
+            jobs = [jobs_by_key[key] for key in shard]
+            try:
+                if len(shard) > 1:
+                    maybe_fault(
+                        app=jobs[0].app, mode="fleet", index=fleet_index[shard],
+                        attempt=attempt,
+                    )
+                for key, job in zip(shard, jobs):
+                    maybe_fault(
+                        app=job.app, mode=job.mode, index=index_of[key],
+                        attempt=attempt,
+                    )
+                done = _price_jobs(jobs, self.topology)
+            except Exception as exc:
+                kind = classify(exc)
+                attempts = attempt + 1
+                if kind == "transient" and attempts <= self.max_retries:
+                    retried += 1
+                    time.sleep(backoff_s(str(shard), attempts))
+                    queue.appendleft((shard, attempts))
+                elif len(shard) > 1:
+                    queue.extendleft(((key,), 0) for key in reversed(shard))
+                else:
+                    (key,), (job,) = shard, jobs
+                    failed[key] = FailureRecord(
+                        job_store_key=key,
+                        app=job.app,
+                        mode=job.mode,
+                        error_type=type(exc).__name__,
+                        error_message=str(exc),
+                        kind=kind,
+                        attempts=attempts,
+                    )
+                    if first_error is None:
+                        first_error = exc
+                continue
+            payloads.update(zip(shard, done))
             if self.store is not None:
                 self.store.put_many(
                     [
-                        (key, self._descriptor(jobs_by_key[key]), payload)
-                        for key, payload in done.items()
+                        (key, self._descriptor(job), payload)
+                        for key, job, payload in zip(shard, jobs, done)
                     ]
                 )
-
-        # Each pass turns every failed shard into one-key shards, so the
-        # loop ends: a shard failure that stopped a "raise" pass is not
-        # a job failure, and the tasks it left unstarted go again.
-        stop = on_failure == "raise"
-        outcome = PassOutcome()
-        while tasks:
-            done = run_resilient_serial(
-                tasks,
-                price,
-                policy=self.retry_policy,
-                on_success=on_success,
-                stop_on_failure=stop,
-                drain=drain,
-            )
-            outcome.retried += done.retried
-            outcome.drained = done.drained
-            for result in done.results.values():
-                outcome.results.update(result)
-            rerun: list[tuple[str, ...]] = []
-            for task, failure in done.failures.items():
-                if len(task) > 1:
-                    rerun.extend((key,) for key in task)
-                else:
-                    outcome.failures[task[0]] = failure
-            if done.drained or (stop and outcome.failures):
-                for task in done.not_run + rerun:
-                    outcome.not_run.extend(task)
-                break
-            # Re-runs go first, so a job that fails for good under
-            # "raise" stops the run before the rest of the plan.
-            tasks = rerun + done.not_run
-        return outcome
+        not_run = [key for shard, _ in queue for key in shard]
+        return failed, retried, not_run, first_error
 
 
 # ---------------------------------------------------------------------------

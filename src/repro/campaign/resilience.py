@@ -4,11 +4,12 @@ One raising job must not abort a whole campaign, and an interrupted
 campaign must keep its completed work.  This module supplies the pieces
 that make campaign execution survive both:
 
-:class:`RetryPolicy` / :func:`backoff_s`
-    Bounded per-task retries with *deterministic* seeded backoff — the
-    delay is derived from a BLAKE2b digest of ``(task, attempt)``,
-    never from a wall-clock or process-global RNG, so two runs of the
-    same campaign retry on the same schedule.
+:func:`backoff_s`
+    Deterministic seeded backoff before a retry (base
+    :data:`BACKOFF_BASE_S`, capped at :data:`BACKOFF_CAP_S`): the delay
+    is derived from a BLAKE2b digest of ``(task, attempt)``, never from
+    a wall-clock or process-global RNG, so two runs of the same
+    campaign retry on the same schedule.
 
 :func:`classify`
     The failure taxonomy.  ``transient`` failures (I/O errors, or an
@@ -26,14 +27,10 @@ that make campaign execution survive both:
     asked to retry.  Result lookups always win over quarantine lookups,
     so a later successful run makes a stale failure record harmless.
 
-:func:`run_resilient_serial`
-    The execution loop: tasks run in-process, in order, each retried on
-    its deterministic schedule until it succeeds, fails for good, or a
-    drain stops the loop.
-
 :class:`DrainFlag` / :func:`graceful_drain`
-    Cooperative SIGINT/SIGTERM handling: the first signal stops the loop
-    before its next task and lets the running one finish (its result is
+    Cooperative SIGINT/SIGTERM handling: the first signal stops the
+    task loop of :class:`~repro.campaign.engine.CampaignEngine` before
+    its next task and lets the running one finish (its result is
     persisted); a second signal raises ``KeyboardInterrupt`` for an
     immediate stop.
 
@@ -47,11 +44,9 @@ from __future__ import annotations
 import hashlib
 import signal
 import threading
-import time
-from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterator
 
 from repro.errors import CampaignError
 
@@ -59,14 +54,10 @@ __all__ = [
     "DrainFlag",
     "FailureRecord",
     "ON_FAILURE_POLICIES",
-    "PassOutcome",
-    "RetryPolicy",
-    "TaskFailure",
     "backoff_s",
     "classify",
     "failure_descriptor",
     "graceful_drain",
-    "run_resilient_serial",
 ]
 
 #: What the engine does with a job that definitively failed (retries
@@ -92,27 +83,13 @@ def classify(exc: BaseException) -> str:
     return "deterministic"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard the engine fights for each job.
-
-    ``max_retries`` bounds *re*-executions: a job runs at most
-    ``1 + max_retries`` times.  Backoff before a retry is
-    ``backoff_base_s * 2**(attempt-1)``, capped at ``backoff_cap_s``
-    and jittered deterministically per (task, attempt) — see
-    :func:`backoff_s`.
-    """
-
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise CampaignError("max_retries must be >= 0")
+#: Backoff before retry ``attempt`` is ``BACKOFF_BASE_S * 2**(attempt-1)``,
+#: jittered and capped at ``BACKOFF_CAP_S`` (see :func:`backoff_s`).
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
 
 
-def backoff_s(token: str, attempt: int, policy: RetryPolicy) -> float:
+def backoff_s(token: str, attempt: int) -> float:
     """Deterministic jittered exponential backoff before retry ``attempt``.
 
     The jitter factor (0.5–1.5x) comes from a BLAKE2b digest of
@@ -120,12 +97,12 @@ def backoff_s(token: str, attempt: int, policy: RetryPolicy) -> float:
     every run, which keeps chaos tests and resumed campaigns
     reproducible.
     """
-    base = policy.backoff_base_s * (2 ** max(0, attempt - 1))
+    base = BACKOFF_BASE_S * (2 ** max(0, attempt - 1))
     digest = hashlib.blake2b(
         f"{token}:{attempt}".encode("utf-8"), digest_size=8
     ).digest()
     fraction = int.from_bytes(digest, "big") / 2**64
-    return min(policy.backoff_cap_s, base * (0.5 + fraction))
+    return min(BACKOFF_CAP_S, base * (0.5 + fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -201,31 +178,8 @@ def failure_descriptor(job_descriptor: dict[str, Any]) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# The resilient execution loop
+# Drain
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TaskFailure:
-    """How one task definitively failed (in-process view; the engine
-    turns this into a persistable :class:`FailureRecord`)."""
-
-    attempts: int
-    kind: str
-    exception: BaseException
-
-
-@dataclass
-class PassOutcome:
-    """What one resilient execution pass did."""
-
-    results: dict[Any, Any] = field(default_factory=dict)
-    failures: dict[Any, TaskFailure] = field(default_factory=dict)
-    #: Tasks never attempted (drain requested, or stop_on_failure).
-    not_run: list[Any] = field(default_factory=list)
-    #: Number of retry re-submissions performed.
-    retried: int = 0
-    drained: bool = False
-
 
 class DrainFlag:
     """Set by the signal handler; polled by the execution loop."""
@@ -271,57 +225,3 @@ def graceful_drain(drain: DrainFlag) -> Iterator[DrainFlag]:
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
-
-
-def _drain_requested(drain: DrainFlag | None) -> bool:
-    return drain is not None and drain.requested
-
-
-def run_resilient_serial(
-    tasks: Sequence[Any],
-    run: Callable[[Any, int], Any],
-    *,
-    policy: RetryPolicy,
-    on_success: Callable[[Any, Any], None] | None = None,
-    stop_on_failure: bool = False,
-    drain: DrainFlag | None = None,
-) -> PassOutcome:
-    """Call ``run(task, attempt)`` for each (hashable) task, in order,
-    in-process with retries.
-
-    ``attempt`` counts from 0 (the engine threads it into the
-    fault-injection schedule).  A transient failure is retried after its
-    deterministic backoff, up to ``policy.max_retries`` times;
-    ``stop_on_failure`` leaves every task after the first definitive
-    failure unrun, and so does a drain.
-    """
-    outcome = PassOutcome()
-    remaining: deque[tuple[Any, int]] = deque((task, 0) for task in tasks)
-    stop = False
-    while remaining:
-        if stop or _drain_requested(drain):
-            outcome.not_run = [task for task, _ in remaining]
-            break
-        task, attempt = remaining.popleft()
-        try:
-            result = run(task, attempt)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            kind = classify(exc)
-            attempts = attempt + 1
-            if kind == "transient" and attempts <= policy.max_retries:
-                outcome.retried += 1
-                time.sleep(backoff_s(str(task), attempts, policy))
-                remaining.appendleft((task, attempts))
-                continue
-            outcome.failures[task] = TaskFailure(attempts, kind, exc)
-            if stop_on_failure:
-                stop = True
-        else:
-            outcome.results[task] = result
-            if on_success is not None:
-                on_success(task, result)
-    outcome.drained = _drain_requested(drain)
-    return outcome
-

@@ -72,8 +72,8 @@ __all__ = [
 WARM_STRIDE = 1_000_000
 
 #: Bounded pool-respawn budget per group: a group that sees the pool
-#: break this many times in a row definitively fails (mirrors
-#: :class:`repro.campaign.resilience.RetryPolicy.max_retries`).
+#: break this many times in a row definitively fails (mirrors the
+#: ``max_retries`` of :class:`repro.campaign.engine.CampaignEngine`).
 DEFAULT_MAX_RESPAWNS = 2
 
 

@@ -331,8 +331,8 @@ def main_campaign(argv: list[str] | None = None) -> int:
         "--retries",
         type=int,
         default=2,
-        help="extra attempts per job on transient failures (I/O errors; "
-        "default: 2)",
+        help="extra attempts per shard (the jobs priced in one fleet pass) "
+        "on transient failures (I/O errors; default: 2; must be >= 0)",
     )
     run_p.add_argument(
         "--on-failure",
@@ -454,12 +454,12 @@ def _campaign_dispatch(args, argv: list[str]) -> int:
             print(f"already cached:   {cached} / {description['jobs']}")
         return 0
 
-    from repro.campaign import RetryPolicy
     from repro.errors import CampaignInterrupted
 
-    policy = RetryPolicy(max_retries=args.retries)
+    # A bad --retries is refused before the store is opened (or created).
+    engine = CampaignEngine(max_retries=args.retries)
     with ResultStore(args.store, backend=args.backend) as store:
-        engine = CampaignEngine(store=store, retry_policy=policy)
+        engine.store = store
         print(
             f"running {description['jobs']} jobs "
             f"({', '.join(f'{m}: {n}' for m, n in description['modes'].items())})"

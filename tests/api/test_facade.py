@@ -11,7 +11,6 @@ from repro import api, config
 from repro.campaign.engine import CampaignEngine, topology_job_key
 from repro.campaign.faultinject import FAULT_ENV
 from repro.campaign.plan import grid_jobs
-from repro.campaign.resilience import RetryPolicy
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError, CampaignExecutionError, TuningError
 from repro.execution.simulator import ExecutionSimulator, OperatingPoint
@@ -350,8 +349,6 @@ def test_reference_selector_removed(func, param):
 # The failure policy reaches every campaign-backed verb
 # ---------------------------------------------------------------------------
 
-FAST_POLICY = RetryPolicy(max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01)
-
 
 def _static_search(options):
     from repro.ptf.static_tuning import exhaustive_static_search
@@ -468,7 +465,7 @@ def test_failure_policy_reaches_campaign(verb, tmp_path, monkeypatch):
 
     def run(**policy):
         engine = CampaignEngine(
-            store=store, retry_policy=FAST_POLICY
+            store=store, max_retries=2
         )
         return engine, call(api.ExecutionOptions(campaign=engine, **policy))
 

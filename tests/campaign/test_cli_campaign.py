@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.campaign.backends import BACKEND_KINDS
+from repro.campaign.faultinject import FAULT_ENV
 from repro.campaign.resilience import ON_FAILURE_POLICIES
 from repro.tools.cli import main_campaign
 
@@ -147,6 +148,48 @@ class TestRunCommand:
             build_dataset(("EP",), cluster=Cluster(4, seed=7), engine=dataset)
         assert (search.total_executed, search.total_cached) == (0, 13)
         assert (dataset.total_executed, dataset.total_cached) == (0, 68)
+
+
+class TestRetriesFlag:
+    """``run --retries`` is the engine's ``max_retries``: EP at 24
+    threads is 17 jobs, and the first shard's first attempt fails
+    transiently."""
+
+    TRANSIENT_ONCE = (
+        '[{"action": "raise", "error": "transient", "index": 0, '
+        '"attempts": [0]}]'
+    )
+
+    def _run(self, capsys, tmp_path, monkeypatch, retries):
+        monkeypatch.setenv(FAULT_ENV, self.TRANSIENT_ONCE)
+        store = tmp_path / "retry.sqlite"
+        code = main_campaign(
+            ["run", "--store", str(store), "--benchmarks", "EP",
+             "--threads", "24", "--retries", str(retries)]
+        )
+        return code, capsys.readouterr(), store
+
+    def test_one_retry_heals_a_transient_failure(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        code, captured, _ = self._run(capsys, tmp_path, monkeypatch, 1)
+        assert code == 0
+        assert "retried:         1 transient failure(s)\n" in captured.out
+        assert "new simulations: 17\n" in captured.out
+
+    def test_no_retries_fails_the_job(self, capsys, tmp_path, monkeypatch):
+        code, captured, _ = self._run(capsys, tmp_path, monkeypatch, 0)
+        assert code == 2
+        assert "InjectedTransientFault" in captured.err
+        assert "16 never ran" in captured.err
+
+    def test_negative_retries_refused_before_the_store_opens(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        code, captured, store = self._run(capsys, tmp_path, monkeypatch, -1)
+        assert code == 2
+        assert "max_retries must be >= 0" in captured.err
+        assert not store.exists()
 
 
 class TestStatusCommand:

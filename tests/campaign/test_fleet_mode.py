@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro import config
-from repro.campaign import CampaignEngine, ResultStore, RetryPolicy
+from repro.campaign import CampaignEngine, ResultStore
 from repro.campaign.engine import execute_job, topology_job_key
 from repro.campaign.faultinject import FAULT_ENV
 from repro.campaign.plan import (
@@ -30,8 +30,6 @@ from repro.execution import fleet_replay
 from repro.execution.simulator import OperatingPoint
 from repro.readex.tuning_model import TuningModel
 from repro.workloads import registry
-
-FAST_POLICY = RetryPolicy(max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01)
 
 #: The default-seed cluster's node 0, the jobs' hardware.
 IDS = {"node_id": 0, "seed": config.DEFAULT_SEED}
@@ -95,7 +93,7 @@ def per_job(plan) -> dict:
 
 def run_plan(tmp_path, name, plan, *, backend="jsonl", **kw):
     with ResultStore(str(tmp_path / name), backend=backend) as store:
-        engine = CampaignEngine(store=store, retry_policy=FAST_POLICY)
+        engine = CampaignEngine(store=store, max_retries=2)
         results = engine.run(plan, **kw)
         return results, {job: results[job] for job in plan}
 
@@ -202,7 +200,7 @@ class TestFailureIsolation:
         )
         path = str(tmp_path / f"isolate.{backend}")
         with ResultStore(path, backend=backend) as store:
-            engine = CampaignEngine(store=store, retry_policy=FAST_POLICY)
+            engine = CampaignEngine(store=store, max_retries=2)
             results = engine.run(plan, on_failure="quarantine")
             assert results.report.failed == 1
             assert results.report.executed == len(plan) - 1
@@ -243,7 +241,7 @@ class TestShardFailure:
             {"action": "raise", "mode": "fleet", "index": 0, "attempts": "all"},
         )
         with ResultStore(str(tmp_path / "shard.jsonl")) as store:
-            engine = CampaignEngine(store=store, retry_policy=FAST_POLICY)
+            engine = CampaignEngine(store=store, max_retries=2)
             results = engine.run(plan)
             got = {job: results[job] for job in plan}
         calls = sorted(fleet_calls)  # before per_job adds its own
@@ -253,6 +251,48 @@ class TestShardFailure:
         # the failed shard's jobs re-ran one by one (fleets of one) and
         # the second shard still ran through the kernel
         assert calls == [1] * DEFAULT_FLEET_SHARD_SIZE + [
+            len(plan) - DEFAULT_FLEET_SHARD_SIZE
+        ]
+
+    def test_shard_fault_splits_next_under_quarantine(
+        self, tmp_path, monkeypatch, fleet_calls
+    ):
+        """Under every policy a failed shard's jobs run next, one by one,
+        before the rest of the plan."""
+        plan = CampaignPlan(cell_rows(31))
+        self._fault_env(
+            monkeypatch,
+            {"action": "raise", "mode": "fleet", "index": 0, "attempts": "all"},
+        )
+        with ResultStore(str(tmp_path / "quarantine.jsonl")) as store:
+            engine = CampaignEngine(store=store, max_retries=2)
+            results = engine.run(plan, on_failure="quarantine")
+        assert fleet_calls == [1] * DEFAULT_FLEET_SHARD_SIZE + [
+            len(plan) - DEFAULT_FLEET_SHARD_SIZE
+        ]
+        assert results.report.executed == len(plan)
+        assert results.report.failed == 0
+
+    def test_transient_shard_fault_on_every_attempt_splits_after_retries(
+        self, tmp_path, monkeypatch, fleet_calls
+    ):
+        """A shard that stays transiently broken is retried
+        ``max_retries`` times, then split; its jobs alone succeed."""
+        plan = CampaignPlan(cell_rows(31))
+        self._fault_env(
+            monkeypatch,
+            {"action": "raise", "mode": "fleet", "index": 0,
+             "error": "transient", "attempts": "all"},
+        )
+        with ResultStore(str(tmp_path / "exhausted.jsonl")) as store:
+            engine = CampaignEngine(store=store, max_retries=2)
+            results = engine.run(plan)
+        assert results.report.retried == 2
+        assert results.report.failed == 0
+        assert results.report.executed == len(plan)
+        # the fault fires before pricing, so the shard never reached the
+        # kernel: its jobs ran alone, then the second shard
+        assert fleet_calls == [1] * DEFAULT_FLEET_SHARD_SIZE + [
             len(plan) - DEFAULT_FLEET_SHARD_SIZE
         ]
 
@@ -266,7 +306,7 @@ class TestShardFailure:
              "error": "transient", "attempts": [0]},
         )
         with ResultStore(str(tmp_path / "transient.jsonl")) as store:
-            engine = CampaignEngine(store=store, retry_policy=FAST_POLICY)
+            engine = CampaignEngine(store=store, max_retries=2)
             results = engine.run(plan)
         assert results.report.retried == 1
         assert results.report.executed == len(plan)
@@ -286,7 +326,7 @@ class TestShardFailure:
             {"action": "raise", "mode": "fleet", "index": 1, "attempts": "all"},
         )
         with ResultStore(str(tmp_path / "trailing.jsonl")) as store:
-            engine = CampaignEngine(store=store, retry_policy=FAST_POLICY)
+            engine = CampaignEngine(store=store, max_retries=2)
             results = engine.run(plan)
         assert results.report.failed == 0
         assert results.report.retried == 0
@@ -305,7 +345,7 @@ class TestShardFailure:
         )
         with ResultStore(str(tmp_path / "raise.jsonl")) as store:
             engine = CampaignEngine(
-                store=store, retry_policy=FAST_POLICY
+                store=store, max_retries=2
             )
             with pytest.raises(CampaignExecutionError) as info:
                 engine.run(plan)

@@ -1,8 +1,8 @@
 """The fault-tolerance layer: taxonomy, retries, quarantine, drain/resume.
 
 Fast tests exercise the pure pieces (classification, deterministic
-backoff, failure records, the serial retry loop), the engine's
-quarantine lifecycle and in-process SIGINT/SIGTERM drains.  The
+backoff, failure records), the engine's task loop (retries, fail-fast,
+the retry bound), its quarantine lifecycle and in-process SIGINT/SIGTERM drains.  The
 ``chaos``-marked tests (excluded from the default run, selected with
 ``pytest -m chaos``) send real signals to CLI campaigns: a
 SIGTERM-drained campaign finished by re-running the same command is
@@ -26,7 +26,6 @@ from repro.campaign import (
     CampaignEngine,
     FailureRecord,
     ResultStore,
-    RetryPolicy,
     failure_descriptor,
     job_key,
 )
@@ -39,18 +38,16 @@ from repro.campaign.faultinject import (
     maybe_fault,
 )
 from repro.campaign.plan import MODES, plan_dataset_campaign, sweep_jobs
+from repro.campaign import resilience
 from repro.campaign.resilience import (
     DrainFlag,
     backoff_s,
     classify,
     graceful_drain,
-    run_resilient_serial,
 )
 from repro.campaign import engine as engine_module
 from repro.errors import CampaignError, CampaignExecutionError, CampaignInterrupted
 from repro.tools.cli import main_campaign
-
-FAST_POLICY = RetryPolicy(max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -75,22 +72,22 @@ class TestClassify:
 
 class TestBackoff:
     def test_deterministic_per_token_and_attempt(self):
-        policy = RetryPolicy()
-        assert backoff_s("job-a", 1, policy) == backoff_s("job-a", 1, policy)
-        assert backoff_s("job-a", 1, policy) != backoff_s("job-b", 1, policy)
-        assert backoff_s("job-a", 1, policy) != backoff_s("job-a", 2, policy)
+        assert backoff_s("job-a", 1) == backoff_s("job-a", 1)
+        assert backoff_s("job-a", 1) != backoff_s("job-b", 1)
+        assert backoff_s("job-a", 1) != backoff_s("job-a", 2)
 
-    def test_jitter_bounds_and_cap(self):
-        policy = RetryPolicy(backoff_base_s=0.1, backoff_cap_s=0.5)
+    def test_jitter_bounds_and_cap(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BACKOFF_BASE_S", 0.1)
+        monkeypatch.setattr(resilience, "BACKOFF_CAP_S", 0.5)
         for attempt in range(1, 8):
-            delay = backoff_s("k", attempt, policy)
+            delay = backoff_s("k", attempt)
             base = 0.1 * 2 ** (attempt - 1)
             assert delay <= 0.5
             assert delay >= min(0.5, base * 0.5)
 
     def test_policy_validation(self):
-        with pytest.raises(CampaignError):
-            RetryPolicy(max_retries=-1)
+        with pytest.raises(CampaignError, match="max_retries must be >= 0"):
+            CampaignEngine(max_retries=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,49 +197,80 @@ class TestFaultInject:
 
 
 # ---------------------------------------------------------------------------
-# Serial retry loop
+# The engine's task loop: retries under fault directives
 # ---------------------------------------------------------------------------
 
-class TestSerialLoop:
-    def test_transient_failure_retried_to_success(self):
+class TestTaskLoop:
+    """Retries as the engine runs them.  Two EP sweep rows are one
+    two-key shard; one row is a one-key shard."""
+
+    @staticmethod
+    def _jobs(count):
+        jobs = sweep_jobs("EP", threads=24, node_id=0, seed=config.DEFAULT_SEED)
+        return jobs[:count]
+
+    @staticmethod
+    def _record_faults(monkeypatch):
+        """The (job index, attempt) of every job-level fault check."""
         calls = []
+        real = engine_module.maybe_fault
 
-        def flaky(name, attempt):
-            calls.append((name, attempt))
-            if attempt == 0:
-                raise InjectedTransientFault("first attempt dies")
-            return f"{name}-ok"
+        def recording(**where):
+            if where["mode"] != "fleet":
+                calls.append((where["index"], where["attempt"]))
+            real(**where)
 
-        outcome = run_resilient_serial(["t1", "t2"], flaky, policy=FAST_POLICY)
-        assert outcome.results == {"t1": "t1-ok", "t2": "t2-ok"}
-        assert outcome.retried == 2
-        assert not outcome.failures
-        assert calls == [("t1", 0), ("t1", 1), ("t2", 0), ("t2", 1)]
+        monkeypatch.setattr(engine_module, "maybe_fault", recording)
+        return calls
 
-    def test_deterministic_failure_fails_fast(self):
-        def run(task, attempt):
-            if task == "bad":
-                raise ValueError("always broken")
-            return 42
+    def test_transient_failure_retried_to_success(self, monkeypatch):
+        monkeypatch.setenv(
+            FAULT_ENV,
+            '[{"action": "raise", "mode": "grid", "error": "transient", '
+            '"index": 1, "attempts": [0]}]',
+        )
+        calls = self._record_faults(monkeypatch)
+        jobs = self._jobs(2)
+        results = CampaignEngine(max_retries=2).run(jobs)
+        assert results.report.retried == 1
+        assert results.report.executed == 2
+        assert not results.failures
+        # the shard re-ran whole at attempt 1
+        assert calls == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        monkeypatch.undo()
+        reference = CampaignEngine().run(jobs)
+        assert [results[job] for job in jobs] == [reference[job] for job in jobs]
 
-        outcome = run_resilient_serial(["bad", "good"], run, policy=FAST_POLICY)
-        assert outcome.results == {"good": 42}
-        failure = outcome.failures["bad"]
+    def test_deterministic_failure_fails_fast(self, monkeypatch):
+        monkeypatch.setenv(
+            FAULT_ENV,
+            '[{"action": "raise", "mode": "grid", "index": 0, "attempts": "all"}]',
+        )
+        calls = self._record_faults(monkeypatch)
+        jobs = self._jobs(2)
+        results = CampaignEngine(max_retries=2).run(jobs, on_failure="skip")
+        assert results.report.executed == 1
+        assert results.report.retried == 0
+        failure = results.failure_for(jobs[0])
         assert failure.kind == "deterministic"
         assert failure.attempts == 1  # never retried
-        assert outcome.retried == 0
+        assert results.failure_for(jobs[1]) is None
+        # the shard failed once, then its jobs ran alone, once each
+        assert calls == [(0, 0), (0, 0), (1, 0)]
 
-    def test_retries_are_bounded(self):
-        attempts = []
-
-        def always_flaky(task, attempt):
-            attempts.append(attempt)
-            raise InjectedTransientFault("never succeeds")
-
-        outcome = run_resilient_serial(["t"], always_flaky, policy=FAST_POLICY)
-        assert attempts == [0, 1, 2]  # 1 + max_retries
-        assert outcome.failures["t"].attempts == 3
-        assert outcome.failures["t"].kind == "transient"
+    def test_retries_are_bounded(self, monkeypatch):
+        monkeypatch.setenv(
+            FAULT_ENV,
+            '[{"action": "raise", "error": "transient", "attempts": "all"}]',
+        )
+        calls = self._record_faults(monkeypatch)
+        (job,) = self._jobs(1)
+        results = CampaignEngine(max_retries=2).run([job], on_failure="skip")
+        assert calls == [(0, 0), (0, 1), (0, 2)]  # 1 + max_retries
+        assert results.report.retried == 2
+        failure = results.failure_for(job)
+        assert failure.attempts == 3
+        assert failure.kind == "transient"
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +283,7 @@ class TestQuarantineLifecycle:
     def _engine(self, tmp_path):
         store = ResultStore(tmp_path / "store.jsonl")
         return CampaignEngine(
-            store=store, retry_policy=FAST_POLICY
+            store=store, max_retries=2
         )
 
     def _plan(self):

@@ -160,3 +160,43 @@ class TestSqliteRecovery:
             store.put(keys[0], descriptor(0), result(0))
             assert store.get(keys[0]) == result(0)
             assert store.verify() == []
+
+
+# ---------------------------------------------------------------------------
+# Both backends: a damaged record counts as a miss
+# ---------------------------------------------------------------------------
+
+
+def _damage(path, backend: str, key: str, text: str) -> None:
+    """Overwrite ``key``'s stored record with ``text``."""
+    if backend == "jsonl":
+        lines = path.read_text().splitlines()
+        lines = [text if json.loads(line)["key"] == key else line for line in lines]
+        path.write_text("".join(line + "\n" for line in lines))
+        return
+    import sqlite3
+
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE records SET record = ? WHERE key = ?", (text, key))
+    conn.commit()
+    conn.close()
+
+
+class TestCountAgreesWithMembership:
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    @pytest.mark.parametrize(
+        "text",
+        ["{torn json", "[1, 2]", '{"key": 7, "result": {}}',
+         '{"key": "k", "result": "not a dict"}'],
+        ids=["torn", "array", "int-key", "scalar-result"],
+    )
+    def test_len_counts_only_readable_records(self, tmp_path, backend, text):
+        path = tmp_path / f"store.{backend}"
+        with ResultStore(path, backend=backend) as store:
+            keys = fill(store, 2)
+        _damage(path, backend, keys[0], text)
+
+        with ResultStore(path, backend=backend) as store:
+            assert keys[0] not in store
+            assert len(store) == sum(key in store for key in keys) == 1
+            assert len(list(store.iter_records())) == 1
